@@ -10,9 +10,11 @@ corrector class:
   periodic Hessian (C^1) correctors for the bending block, built on the
   transverse-reduced tensor C1^r;
 * delta = inf: in-plane correctors of a 3-vector plus a constant transverse
-  strain vector g (3 dense bordering columns).
+  strain vector g, eliminated through a 3x3 Schur complement.
 
-Off-diagonal entries are recovered by polarization of 21 scalar minima.
+The minimum is a Gram form: with F the loads of the unit prestrains (one
+column each, engineering Voigt) and E0 their zero-corrector energies, the
+tensor is Q = E0 - F^T K^+ F, from one multi-column solve.
 """
 
 from __future__ import annotations
@@ -20,55 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import tensors as tn
 from .fem import assemble as fa
 from .fem import elements as el
-from .fem.system import SolverError, SparseOperatorPair
+from .fem.system import factorize
 from .geometry import CellMesh
 
-# basis of symmetric 2x2 matrices in 2D-Voigt coordinate order (11, 22, 12)
-_E2 = (np.array([[1.0, 0.0], [0.0, 0.0]]),
-       np.array([[0.0, 0.0], [0.0, 1.0]]),
-       np.array([[0.0, 0.5], [0.5, 0.0]]) * 2)  # E3 has A12 = 1
-
-# polarization coordinates use A12 etc. directly; rescale to engineering
-# Voigt matrices at the end
-_S6 = np.diag([1.0, 1.0, 0.5, 1.0, 1.0, 0.5])
-_S3 = np.diag([1.0, 1.0, 0.5])
-
-
-class CellSolver:
-    """Shared factorization for the (possibly kernel-deflated) cell system."""
-
-    def __init__(self, pair: SparseOperatorPair):
-        self.pair = pair
-        K = pair.K.tocsc()
-        if pair.kernel is not None:
-            V = pair.kernel
-            self._k = V.shape[1]
-            A = sp.bmat([[K, sp.csc_matrix(V)],
-                         [sp.csc_matrix(V.T), None]], format="csc")
-            self._lu = spla.splu(A)
-            self._V = V
-        else:
-            self._k = 0
-            self._lu = spla.splu(K)
-            self._V = None
-
-    def solve(self, rhs: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        b = rhs if self._k == 0 else np.concatenate([rhs, np.zeros(self._k)])
-        x = self._lu.solve(b)[:len(rhs)]
-        resid = self.pair.K @ x - rhs
-        if self._V is not None:
-            x = x - self._V @ (self._V.T @ x)
-            resid = resid - self._V @ (self._V.T @ resid)
-        rel = np.linalg.norm(resid) / max(np.linalg.norm(rhs), 1e-300)
-        if np.linalg.norm(rhs) > 0 and rel > tol:
-            raise SolverError(f"cell solve residual {rel:.2e}")
-        return x
+# unit in-plane engineering strains (11, 22, 12) as 6-Voigt columns
+_IN_PLANE = [0, 1, 5]
+_UNIT = np.eye(6)[:, _IN_PLANE]
 
 
 @dataclass
@@ -108,41 +71,11 @@ class EffectiveTensor:
         return out
 
 
-def _polarize(values: dict, size: int) -> np.ndarray:
-    """Quadratic-form matrix from scalar minima at P_i and P_i + P_j."""
-    Q = np.zeros((size, size))
-    for i in range(size):
-        Q[i, i] = values[(i, i)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            Q[i, j] = Q[j, i] = 0.5 * (values[(i, j)] - Q[i, i] - Q[j, j])
-    return Q
-
-
-def _pair_loads(size6: bool):
-    """Unit loads (A, B) for the polarization sweep: P_i and P_i + P_j."""
-    loads = {}
-    n = 6 if size6 else 3
-
-    def pick(i):
-        if not size6:
-            return _E2[i], np.zeros((2, 2))
-        if i < 3:
-            return _E2[i], np.zeros((2, 2))
-        return np.zeros((2, 2)), _E2[i - 3]
-
-    for i in range(n):
-        Ai, Bi = pick(i)
-        loads[(i, i)] = (Ai, Bi)
-        for j in range(i + 1, n):
-            Aj, Bj = pick(j)
-            loads[(i, j)] = (Ai + Aj, Bi + Bj)
-    return loads
-
-
-def _prestrain_voigt(A: np.ndarray, B: np.ndarray, x3: float) -> np.ndarray:
-    M = A - x3 * B
-    return np.array([M[0, 0], M[1, 1], 0.0, 0.0, 0.0, 2.0 * M[0, 1]])
+def _corrector_min(K, kernel, F: np.ndarray, E0: np.ndarray,
+                   tol: float) -> np.ndarray:
+    """E0 - F^T K^+ F: the unit-load energies minimized over correctors."""
+    Q = E0 - F.T @ factorize(K, kernel, tol).solve(F)
+    return 0.5 * (Q + Q.T)
 
 
 def effective_delta(mat: tn.MaterialSpec, mesh3d: CellMesh, delta: float,
@@ -155,61 +88,38 @@ def effective_delta(mat: tn.MaterialSpec, mesh3d: CellMesh, delta: float,
     pair = fa.assemble_vector_h1(
         mesh3d, mat.C1, grad=fa.ScaledGradientSpec(delta),
         space="periodic-zero-mean", restrict_to="stiff", ncomp=3)
-    solver = CellSolver(pair)
     hsize = mesh3d.element_size()
     stiff_ids = np.flatnonzero(~mesh3d.element_soft)
     layer_of = stiff_ids // (mesh3d.n ** 2)
     z0 = mesh3d.nodes[mesh3d.elements[stiff_ids][:, 0], 2]
     third = ("dz", 1.0 / delta)
-
     qpts, qwts = el.q1_quadrature(hsize)
 
-    def value(A, B):
-        # per-layer element loads (the prestrain only depends on x3)
-        rhs = np.zeros(pair.dof.n_free)
-        e0 = 0.0
-        for k in np.unique(layer_of):
-            sel = stiff_ids[layer_of == k]
-            z_org = z0[layer_of == k][0]
-            fe = el.q1_prestrain_load(
-                hsize, mat.C1,
-                lambda pt: _prestrain_voigt(A, B, z_org + pt[2]), third=third)
-            eds = pair.dof.element_dofs(mesh3d.elements[sel])
-            ok = eds >= 0
-            np.add.at(rhs, eds[ok], np.tile(fe, (len(sel), 1))[ok])
-            for pt, w in zip(qpts, qwts):
-                v = _prestrain_voigt(A, B, z_org + pt[2])
-                e0 += len(sel) * w * (v @ mat.C1 @ v)
-        phi = solver.solve(rhs, tol)
-        return e0 - rhs @ phi
+    def prestrain(x3):
+        # columns: unit membrane strains A, then unit curvatures B
+        return np.hstack([_UNIT, -x3 * _UNIT])
 
-    vals = {key: value(A, B) for key, (A, B) in _pair_loads(True).items()}
-    Q = _S6 @ _polarize(vals, 6) @ _S6
-    upper = {key: _zero_corrector_energy_prism(mat.C1, mesh3d, A, B)
-             for key, (A, B) in _pair_loads(True).items()}
-    U = _S6 @ _polarize(upper, 6) @ _S6
+    # per-layer element loads (the prestrain only depends on x3)
+    F = np.zeros((pair.dof.n_free, 6))
+    E0 = np.zeros((6, 6))
+    for k in np.unique(layer_of):
+        sel = stiff_ids[layer_of == k]
+        z_org = z0[layer_of == k][0]
+        fe = el.q1_prestrain_load(hsize, mat.C1,
+                                  lambda pt: prestrain(z_org + pt[2]),
+                                  third=third)
+        eds = pair.dof.element_dofs(mesh3d.elements[sel])
+        ok = eds >= 0
+        np.add.at(F, eds[ok], np.broadcast_to(fe, (len(sel), *fe.shape))[ok])
+        for pt, w in zip(qpts, qwts):
+            P = prestrain(z_org + pt[2])
+            E0 += len(sel) * w * (P.T @ mat.C1 @ P)
+    E0 = 0.5 * (E0 + E0.T)
+    Q = _corrector_min(pair.K, pair.kernel, F, E0, tol)
     return EffectiveTensor(
         regime="delta", delta=delta, memb=Q[:3, :3], bend=Q[3:, 3:],
-        coupling=Q[:3, 3:], zero_corrector_bound=U,
+        coupling=Q[:3, 3:], zero_corrector_bound=E0,
         provenance={"n": mesh3d.n, "n_z": mesh3d.n_z, "tol": tol})
-
-
-def _zero_corrector_energy_prism(C, mesh3d, A, B):
-    hsize = mesh3d.element_size()
-    qpts, qwts = el.q1_quadrature(hsize)
-    stiff_ids = np.flatnonzero(~mesh3d.element_soft)
-    z0 = mesh3d.nodes[mesh3d.elements[stiff_ids][:, 0], 2]
-    total = 0.0
-    for k, count in zip(*np.unique(stiff_ids // (mesh3d.n ** 2), return_counts=True)):
-        z_org = z0[stiff_ids // (mesh3d.n ** 2) == k][0]
-        for pt, w in zip(qpts, qwts):
-            v = _prestrain_voigt(A, B, z_org + pt[2])
-            total += count * w * (v @ C @ v)
-    return total
-
-
-def _voigt2(A):
-    return np.array([A[0, 0], A[1, 1], 2.0 * A[0, 1]])
 
 
 def effective_delta0(mat: tn.MaterialSpec, mesh2d: CellMesh,
@@ -220,38 +130,21 @@ def effective_delta0(mat: tn.MaterialSpec, mesh2d: CellMesh,
         raise ValueError("delta=0 cell problems are two-dimensional")
     Cr = tn.reduced_tensor(mat.C1)
     stiff_frac = 1.0 - mesh2d.soft_area_fraction()
+    hsize = mesh2d.element_size()
+    E0 = np.count_nonzero(~mesh2d.element_soft) * hsize[0] * hsize[1] * Cr
+    unit = np.eye(3)
 
     pm = fa.assemble_vector_h1(mesh2d, Cr, space="periodic-zero-mean",
                                restrict_to="stiff", ncomp=2)
-    sm = CellSolver(pm)
-    hsize = mesh2d.element_size()
-    area = hsize[0] * hsize[1]
-    n_stiff = np.count_nonzero(~mesh2d.element_soft)
-
-    def memb_value(A):
-        v2 = _voigt2(A)
-        fe = el.q1_prestrain_load(hsize, Cr, lambda pt: v2, ncomp=2)
-        rhs = fa.assemble_element_load(mesh2d, pm.dof, {"stiff": fe}, "stiff")
-        phi = sm.solve(rhs, tol)
-        e0 = n_stiff * area * (v2 @ Cr @ v2)
-        return e0 - rhs @ phi
+    fe = el.q1_prestrain_load(hsize, Cr, lambda pt: unit, ncomp=2)
+    F = fa.assemble_element_load(mesh2d, pm.dof, {"stiff": fe}, "stiff")
+    memb = _corrector_min(pm.K, pm.kernel, F, E0, tol)
 
     pb = fa.assemble_bfs_h2(mesh2d, Cr, space="periodic-zero-mean",
                             restrict_to="stiff")
-    sb = CellSolver(pb)
-
-    def bend_value(B):
-        v2 = _voigt2(B)
-        fe = el.bfs_prestrain_load(hsize, Cr, lambda pt: v2)
-        rhs = fa.assemble_element_load(mesh2d, pb.dof, {"stiff": fe}, "stiff")
-        phi = sb.solve(rhs, tol)
-        e0 = n_stiff * area * (v2 @ Cr @ v2)
-        return (e0 - rhs @ phi) / 12.0
-
-    vals_m = {k: memb_value(A) for k, (A, _) in _pair_loads(False).items()}
-    vals_b = {k: bend_value(A) for k, (A, _) in _pair_loads(False).items()}
-    memb = _S3 @ _polarize(vals_m, 3) @ _S3
-    bend = _S3 @ _polarize(vals_b, 3) @ _S3
+    fe = el.bfs_prestrain_load(hsize, Cr, lambda pt: unit)
+    F = fa.assemble_element_load(mesh2d, pb.dof, {"stiff": fe}, "stiff")
+    bend = _corrector_min(pb.K, pb.kernel, F, E0, tol) / 12.0
     return EffectiveTensor(
         regime="delta0", memb=memb, bend=bend, coupling=np.zeros((3, 3)),
         zero_corrector_bound=_flat_zero_corrector_bound(mat.C1, stiff_frac),
@@ -261,60 +154,50 @@ def effective_delta0(mat: tn.MaterialSpec, mesh2d: CellMesh,
 def _flat_zero_corrector_bound(C1: np.ndarray, stiff_frac: float) -> np.ndarray:
     """Zero-corrector pair form  |Y1| * int_I C1 iota(A - x3 B):iota(A - x3 B)
     = |Y1| (C1 iota(A):iota(A) + C1 iota(B):iota(B)/12) for x3-flat cells."""
-    vals = {}
-    for key, (A, B) in _pair_loads(True).items():
-        va = _prestrain_voigt(A, np.zeros((2, 2)), 0.0)
-        vb = _prestrain_voigt(B, np.zeros((2, 2)), 0.0)
-        vals[key] = stiff_frac * (va @ C1 @ va + (vb @ C1 @ vb) / 12.0)
-    return _S6 @ _polarize(vals, 6) @ _S6
+    C = C1[np.ix_(_IN_PLANE, _IN_PLANE)]
+    zero = np.zeros((3, 3))
+    return stiff_frac * np.block([[C, zero], [zero, C / 12.0]])
 
 
 def _deltainf_system(mat: tn.MaterialSpec, mesh2d: CellMesh):
-    """Sparse w-block plus 3 dense bordering columns for the constant
-    transverse strain vector g."""
+    """Sparse w-block K_ww, its coupling K_wc to the constant strains
+    c = (g, A) (g the transverse strain vector, A the unit in-plane
+    prestrains) and the constant-strain block K_cc."""
     pair = fa.assemble_vector_h1(mesh2d, mat.C1, space="periodic-zero-mean",
                                  restrict_to="stiff", ncomp=3)
     hsize = mesh2d.element_size()
-    area = hsize[0] * hsize[1]
     stiff_ids = np.flatnonzero(~mesh2d.element_soft)
-    n_stiff = len(stiff_ids)
 
-    # element blocks: B_w rows 6-voigt for (w1,w2,w3) with the strain of
-    # C_inf; B_g the 6x3 map of g; see module docstring
-    qpts, qwts = el.q1_quadrature(hsize)
+    # element blocks: B_w the 6-Voigt strain of (w1, w2, w3) in the C_inf
+    # form (entry (2,3) is g2 + d2 w3), B_c the map of c = (g, A)
     nw = 12
-    Kwg_e = np.zeros((nw, 3))
-    Kgg = np.zeros((3, 3))
-    Kww_extra = np.zeros((nw, nw))
-    Bg = np.zeros((6, 3))
-    Bg[2, 2] = 1.0
-    Bg[3, 1] = 2.0
-    Bg[4, 0] = 2.0
-    for pt, w in zip(qpts, qwts):
+    Bc = np.zeros((6, 6))
+    Bc[2, 2] = 1.0
+    Bc[3, 1] = 2.0
+    Bc[4, 0] = 2.0
+    Bc[:, 3:] = _UNIT
+    Kww_e = np.zeros((nw, nw))
+    Kwc_e = np.zeros((nw, 6))
+    Kcc = np.zeros((6, 6))
+    for pt, w in zip(*el.q1_quadrature(hsize)):
         N, dNdx, dNdy, _ = el._q1_eval(hsize, pt)
         Bw = np.zeros((6, nw))
         Bw[0, 0::3] = dNdx
         Bw[1, 1::3] = dNdy
-        Bw[3, 2::3] = 2.0 * dNdy    # entry (2,3) of C_inf is g2 + d2 w3
+        Bw[3, 2::3] = 2.0 * dNdy
         Bw[4, 2::3] = 2.0 * dNdx
         Bw[5, 0::3] = dNdy
         Bw[5, 1::3] = dNdx
-        Kwg_e += w * (Bw.T @ mat.C1 @ Bg)
-        Kgg += w * (Bg.T @ mat.C1 @ Bg)
-        Kww_extra += w * (Bw.T @ mat.C1 @ Bw)
-    # the assembled pair.K used sym iota(grad w) with half shear weights on
-    # the transverse rows; rebuild K_ww here with the C_inf strain instead
-    kt = ([], [], [])
+        Kww_e += w * (Bw.T @ mat.C1 @ Bw)
+        Kwc_e += w * (Bw.T @ mat.C1 @ Bc)
+        Kcc += w * (Bc.T @ mat.C1 @ Bc)
+    # pair.K carries sym iota(grad w) with half shear weights on the
+    # transverse rows; K_ww uses the C_inf strain instead
     eds = pair.dof.element_dofs(mesh2d.elements[stiff_ids])
-    fa.scatter(eds, Kww_extra, pair.dof.n_free, kt)
-    Kww = fa.triplets_to_csr(kt, pair.dof.n_free)
-    Kwg = np.zeros((pair.dof.n_free, 3))
-    for e in range(len(stiff_ids)):
-        d = eds[e]
-        ok = d >= 0
-        np.add.at(Kwg, d[ok], Kwg_e[ok])
-    Kgg *= n_stiff
-    return pair, Kww, Kwg, Kgg, Bg, n_stiff * area
+    Kww = fa.triplets_to_csr(fa.scatter(eds, Kww_e, pair.dof.n_free),
+                             pair.dof.n_free)
+    Kwc = fa.assemble_element_load(mesh2d, pair.dof, {"stiff": Kwc_e}, "stiff")
+    return pair, Kww, Kwc, len(stiff_ids) * Kcc
 
 
 def effective_deltainf(mat: tn.MaterialSpec, mesh2d: CellMesh,
@@ -323,47 +206,13 @@ def effective_deltainf(mat: tn.MaterialSpec, mesh2d: CellMesh,
     (the x3-odd corrector split is exact in this regime)."""
     if mesh2d.dim != 2:
         raise ValueError("delta=inf cell problems are two-dimensional")
-    pair, Kww, Kwg, Kgg, Bg, stiff_area = _deltainf_system(mat, mesh2d)
-    V = pair.kernel
-    k = V.shape[1] if V is not None else 0
-    blocks = [[Kww, sp.csc_matrix(Kwg), sp.csc_matrix(V) if k else None],
-              [sp.csc_matrix(Kwg.T), sp.csc_matrix(Kgg), None],
-              [sp.csc_matrix(V.T) if k else None, None, None]]
-    if k == 0:
-        blocks = [row[:2] for row in blocks[:2]]
-    A = sp.bmat(blocks, format="csc")
-    lu = spla.splu(A)
-    hsize = mesh2d.element_size()
-    stiff_ids = np.flatnonzero(~mesh2d.element_soft)
-
-    def value(Aload):
-        v = np.zeros(6)
-        v[[0, 1]] = np.diag(Aload)
-        v[5] = 2.0 * Aload[0, 1]
-        # prestrain load against the C_inf strain operator (not sym iota)
-        qpts, qwts = el.q1_quadrature(hsize)
-        fe = np.zeros(12)
-        fg = np.zeros(3)
-        e0 = 0.0
-        for pt, w in zip(qpts, qwts):
-            N, dNdx, dNdy, _ = el._q1_eval(hsize, pt)
-            Bw = np.zeros((6, 12))
-            Bw[0, 0::3] = dNdx
-            Bw[1, 1::3] = dNdy
-            Bw[3, 2::3] = 2.0 * dNdy
-            Bw[4, 2::3] = 2.0 * dNdx
-            Bw[5, 0::3] = dNdy
-            Bw[5, 1::3] = dNdx
-            fe -= w * (Bw.T @ (mat.C1 @ v))
-            fg -= w * (Bg.T @ (mat.C1 @ v))
-            e0 += w * (v @ mat.C1 @ v)
-        rhs_w = fa.assemble_element_load(mesh2d, pair.dof, {"stiff": fe}, "stiff")
-        rhs = np.concatenate([rhs_w, fg * len(stiff_ids), np.zeros(k)])
-        sol = lu.solve(rhs)
-        return e0 * len(stiff_ids) - rhs[:pair.dof.n_free + 3] @ sol[:pair.dof.n_free + 3]
-
-    vals = {key: value(A_) for key, (A_, _) in _pair_loads(False).items()}
-    memb = _S3 @ _polarize(vals, 3) @ _S3
+    pair, Kww, Kwc, Kcc = _deltainf_system(mat, mesh2d)
+    # minimize over w (pinned solve), then over g (3x3 Schur complement
+    # S = K_gg - K_wg^T K_ww^+ K_wg)
+    T = _corrector_min(Kww, pair.kernel, Kwc, Kcc, tol)
+    S, T_gA = T[:3, :3], T[:3, 3:]
+    memb = T[3:, 3:] - T_gA.T @ np.linalg.solve(S, T_gA)
+    memb = 0.5 * (memb + memb.T)
     stiff_frac = 1.0 - mesh2d.soft_area_fraction()
     return EffectiveTensor(
         regime="deltainf", memb=memb, bend=memb / 12.0,

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from .fem.system import factorize
 from .limits import (LimitModel, LoadSpec, RegimeError,
                      compute_load_functional, micro_modal_loads)
 
@@ -81,8 +81,7 @@ def implicit_midpoint(system: SecondOrderSystem, u0, v0, T: float, dt: float,
     if dt <= 0:
         raise ValueError("dt must be positive")
     nsteps = int(round(T / dt))
-    A = (system.M + 0.25 * dt ** 2 * system.K).tocsc()
-    lu = spla.splu(A)
+    lu = factorize(system.M + 0.25 * dt ** 2 * system.K)
     Mm = system.M - 0.25 * dt ** 2 * system.K
     u, v = u0.copy(), v0.copy()
     out_u = [u.copy()]

@@ -251,17 +251,19 @@ def assemble_rect_block(row_dofs: np.ndarray, col_dofs: np.ndarray,
 
 def assemble_element_load(mesh, dof: DofMap, element_vec_by_material: dict,
                           restrict_to: str = "all") -> np.ndarray:
-    """Scatter per-material element load vectors over the mesh."""
+    """Scatter per-material element load vectors over the mesh; element
+    load matrices (one column per load case) give a load matrix."""
     groups = _element_groups(mesh, restrict_to) if isinstance(mesh, CellMesh) \
         else {"stiff": np.arange(len(mesh.elements))}
-    out = np.zeros(dof.n_free)
+    shape = np.shape(next(iter(element_vec_by_material.values())))[1:]
+    out = np.zeros((dof.n_free, *shape))
     for name, ids in groups.items():
         if len(ids) == 0 or name not in element_vec_by_material:
             continue
-        fe = element_vec_by_material[name]
+        fe = np.asarray(element_vec_by_material[name])
         eds = dof.element_dofs(mesh.elements[ids])
         ok = eds >= 0
-        np.add.at(out, eds[ok], np.tile(fe, (len(ids), 1))[ok])
+        np.add.at(out, eds[ok], np.broadcast_to(fe, (len(ids), *fe.shape))[ok])
     return out
 
 

@@ -143,15 +143,15 @@ def q1_mass(hsize, rho=1.0, ncomp=3):
 
 def q1_prestrain_load(hsize, C, strain_at, third=None, ncomp=3):
     """Element load  -\\int C eps0(x) : sym-grad(xi)  for a prescribed
-    engineering-Voigt prestrain field eps0 given by ``strain_at(point)``."""
+    engineering-Voigt prestrain field eps0 given by ``strain_at(point)``;
+    a matrix-valued eps0 gives one load column per prestrain column."""
     pts, wts = q1_quadrature(hsize)
-    nn = 4 if len(hsize) == 2 else 8
-    fe = np.zeros(ncomp * nn)
+    fe = 0.0
     for pt, w in zip(pts, wts):
         N, dNdx, dNdy, dNdz = _q1_eval(hsize, pt)
         c3 = _third_column(N, dNdz, third)
         B = q1_b_matrix(N, dNdx, dNdy, c3, ncomp)
-        fe -= w * (B.T @ (C @ strain_at(pt)))
+        fe = fe - w * (B.T @ (C @ strain_at(pt)))
     return fe
 
 
@@ -259,12 +259,12 @@ def bfs_mass(hsize, rho=1.0):
 
 def bfs_prestrain_load(hsize, D, strain_at):
     """Element load -\\int D kappa0(x) : hess(xi) for a prescribed 2D-Voigt
-    curvature field kappa0."""
+    curvature field kappa0 (matrix-valued: one column per load case)."""
     pts, wts = bfs_quadrature(hsize)
-    fe = np.zeros(16)
+    fe = 0.0
     for pt, w in zip(pts, wts):
         B = bfs_hessian_b(hsize, pt)
-        fe -= w * (B.T @ (D @ strain_at(pt)))
+        fe = fe - w * (B.T @ (D @ strain_at(pt)))
     return fe
 
 

@@ -22,7 +22,7 @@ from .effective import (EffectiveTensor, effective_delta, effective_delta0,
                         effective_deltainf)
 from .fem import assemble as fa
 from .fem import elements as el
-from .fem.system import EigWorkspace
+from .fem.system import EigWorkspace, factorize
 from .geometry import CellMesh, InclusionShape, MacroMesh, build_cell_mesh
 from .macro import (MacroOperator, build_bending_operator,
                     build_membrane_operator)
@@ -590,7 +590,7 @@ def _solve_plate_resolvent(model: LimitModel, lam: float, load: LoadSpec) -> Lim
         sol = spla.splu(A).solve(np.concatenate([rhs_a, rhs_b]))
         a_red, b_red = sol[:na], sol[na:]
     else:
-        a_red = spla.splu(op_a.pair.K.tocsc()).solve(rhs_a)
+        a_red = factorize(op_a.pair.K).solve(rhs_a)
         Keff = op_b.pair.K + lam * rho * op_b.pair.M
         b_red = spla.splu(sp.csc_matrix(Keff)).solve(rhs_b)
 

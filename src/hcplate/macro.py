@@ -8,12 +8,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .effective import EffectiveTensor
 from .fem import assemble as fa
 from .fem import elements as el
-from .fem.system import EigWorkspace, SparseOperatorPair, eigs_smallest
+from .fem.system import (EigWorkspace, SparseOperatorPair, eigs_smallest,
+                         factorize)
 from .geometry import MacroMesh
 
 COUPLING_NEGLIGIBLE = 1e-12
@@ -37,7 +37,7 @@ class MacroOperator:
 
     def membrane_lu(self):
         if self._memb_lu is None:
-            self._memb_lu = spla.splu(self.memb_pair.K.tocsc())
+            self._memb_lu = factorize(self.memb_pair.K)
         return self._memb_lu
 
 
@@ -73,7 +73,7 @@ def build_bending_operator(tensor: EffectiveTensor, mesh: MacroMesh,
                                       ncomp=2)
     K_ab = _assemble_cross_block(mesh, tensor.coupling, memb_pair.dof,
                                  bend_pair.dof)
-    lu = spla.splu(memb_pair.K.tocsc())
+    lu = factorize(memb_pair.K)
     # one membrane solve per bending basis column (desk-scale dense sweep)
     X = lu.solve(K_ab.toarray())
     S = bend_pair.K.toarray() - K_ab.T @ X

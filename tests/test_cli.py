@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -165,3 +168,38 @@ class TestOutputs:
             out = tmp_path / f"row{i}"
             assert main(["resolvent", "--config", cfg, "--out", str(out),
                          "--quiet"]) == 0, f"row {reg} failed"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestJsonAndThreads:
+    def test_no_numpy_at_import(self):
+        # --threads must be applied before numpy loads its BLAS library
+        code = "import sys, hcplate.cli; sys.exit('numpy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=60).returncode == 0
+
+    def test_infinite_lambda_max_is_valid_json(self, tmp_path):
+        # one mode and no coupled pole: beta has no truncation limit
+        one = json.loads(json.dumps(TINY))
+        one["solver"]["n_modes"] = 1
+        cfg = write_cfg(tmp_path, one)
+        out = tmp_path / "o"
+        assert main(["zhikov", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+        z = json.loads((out / "zhikov.json").read_text(),
+                       parse_constant=_reject_constant)
+        assert z["lambda_max"] == "inf"
+
+    def test_non_finite_values_are_strings(self, tmp_path):
+        from hcplate.commands import _write_json
+        _write_json(tmp_path / "x.json",
+                    {"a": np.array([1.0, np.inf, -np.inf, np.nan]),
+                     "b": np.float64(np.inf), "c": [(1, float("nan"))]}, "h")
+        x = json.loads((tmp_path / "x.json").read_text(),
+                       parse_constant=_reject_constant)
+        assert x == {"a": [1.0, "inf", "-inf", "nan"], "b": "inf",
+                     "c": [[1, "nan"]], "config_hash": "h"}

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,7 +8,10 @@ from numpy.testing import assert_allclose
 from hcplate import tensors as tn
 from hcplate.effective import (effective_delta, effective_delta0,
                                effective_deltainf)
-from hcplate.geometry import build_cell_mesh
+from hcplate.fem.system import SolverError
+from hcplate.geometry import InclusionShape, build_cell_mesh
+
+REFERENCE = Path(__file__).parent / "data" / "effective_reference.json"
 
 
 @pytest.fixture(scope="module")
@@ -244,3 +250,55 @@ class TestJointMinimizationEquivalence:
         B = np.array([[0.7, -0.2], [-0.2, 1.1]])
         joint = _joint_minimization_oracle(mat, mesh, np.zeros((2, 2)), B)
         assert_allclose(joint, tn.quad_form_2d(t.bend, B), rtol=1e-9)
+
+
+class TestReferenceTensors:
+    """Pair forms on the demo disk cell (radius 0.26) stored from the
+    bordered-kernel polarization path (21 single-load solves per tensor,
+    COLAMD ordering) that preceded the pinned Gram-form solve. Keys are
+    material/regime/n; delta = 1 cells use n_z = 4."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("regime", ["delta", "delta0", "deltainf"])
+    @pytest.mark.parametrize("material", ["isotropic", "anisotropic"])
+    def test_matches_reference(self, mat, mat_aniso, demo_shape, material,
+                               regime, n):
+        m = mat if material == "isotropic" else mat_aniso
+        if regime == "delta":
+            t = effective_delta(m, build_cell_mesh(demo_shape, n=n, dim=3,
+                                                   n_z=4), 1.0)
+        elif regime == "delta0":
+            t = effective_delta0(m, build_cell_mesh(demo_shape, n=n))
+        else:
+            t = effective_deltainf(m, build_cell_mesh(demo_shape, n=n))
+        want = np.array(json.loads(REFERENCE.read_text())
+                        [f"{material}/{regime}/n{n}"])
+        assert_allclose(t.pair_form(), want, rtol=0,
+                        atol=1e-10 * abs(want).max())
+
+
+class TestResidualContract:
+    @pytest.mark.parametrize("shape", [InclusionShape("disk", 0.26),
+                                       InclusionShape("square", 0.25)])
+    def test_delta0_fine_cells_pass(self, mat, shape):
+        # the n = 48 Hessian cell problems need the refinement step to get
+        # below the 1e-9 residual limit
+        t = effective_delta0(mat, build_cell_mesh(shape, n=48), tol=1e-9)
+        assert t.eigenvalues().min() > 0
+        assert (np.diag(t.pair_form())
+                <= np.diag(t.zero_corrector_bound) + 1e-12).all()
+
+    def test_deltainf_checks_its_residual(self, mat, demo_shape):
+        with pytest.raises(SolverError):
+            effective_deltainf(mat, build_cell_mesh(demo_shape, n=8),
+                               tol=1e-30)
+
+    @pytest.mark.parametrize("regime", ["delta", "delta0"])
+    def test_other_regimes_check_their_residual(self, mat, demo_shape, regime):
+        with pytest.raises(SolverError):
+            if regime == "delta":
+                effective_delta(mat, build_cell_mesh(demo_shape, n=8, dim=3,
+                                                     n_z=2), 1.0, tol=1e-30)
+            else:
+                effective_delta0(mat, build_cell_mesh(demo_shape, n=8),
+                                 tol=1e-30)

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hcplate import tensors as tn
 from hcplate.fem import (EigWorkspace, ScaledGradientSpec,
                          assemble_bfs_h2, assemble_vector_h1,
-                         constant_reduced_field, eigs_smallest, solve_spd)
+                         constant_reduced_field, eigs_smallest, factorize,
+                         solve_spd)
 from hcplate.fem import elements as el
-from hcplate.fem.system import DofMap, SparseOperatorPair
+from hcplate.fem.system import DofMap, SolverError, SparseOperatorPair
 from hcplate.geometry import InclusionShape, build_cell_mesh, build_macro_mesh
 
 C2D = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]])  # lam=mu=1
@@ -222,6 +225,78 @@ class TestSolveSpd:
         r = K @ x - b
         r -= kern @ (kern.T @ r)
         assert np.linalg.norm(r) < 1e-9 * np.linalg.norm(b)
+
+
+def _kernel(kind: str, n: int, k: int, rng) -> np.ndarray | None:
+    """n x k kernel basis: dense orthonormal columns, or per-component
+    constants of a k-component field with DOFs interleaved."""
+    if k == 0:
+        return None
+    if kind == "dense":
+        return np.linalg.qr(rng.standard_normal((n, k)))[0]
+    V = np.zeros((n, k))
+    V[np.arange(n), np.arange(n) % k] = 1.0
+    return V / np.linalg.norm(V, axis=0)
+
+
+@st.composite
+def spd_systems(draw):
+    """Random SPSD K with a known kernel, and a rhs with a kernel part."""
+    k = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["dense", "components"]))
+    n = draw(st.integers(2, 10)) * max(k, 1)
+    ncols = draw(st.sampled_from([None, 1, 3]))
+    rng = np.random.RandomState(draw(st.integers(0, 2 ** 31 - 1)))
+    V = _kernel(kind, n, k, rng)
+    A = rng.standard_normal((n, n))
+    K = A @ A.T + n * np.eye(n)
+    if V is not None:
+        P = np.eye(n) - V @ V.T
+        K = P @ K @ P
+    shape = (n,) if ncols is None else (n, ncols)
+    b = rng.standard_normal(shape)
+    if V is not None:
+        b = b + V @ rng.standard_normal((k,) + shape[1:])
+    return K, V, b
+
+
+class TestFactorize:
+    @settings(max_examples=60, deadline=None)
+    @given(spd_systems())
+    def test_matches_pseudoinverse(self, system):
+        K, V, b = system
+        tol = 1e-10
+        x = factorize(sp.csr_matrix(K), V, tol).solve(b)
+        assert x.shape == b.shape
+        scale = np.linalg.norm(b, axis=0)
+        r = K @ x - b
+        if V is not None:
+            assert abs(V.T @ x).max() <= 1e-10 * max(abs(x).max(), 1.0)
+            r -= V @ (V.T @ r)
+        assert (np.linalg.norm(r, axis=0) <= tol * scale).all()
+        x_ref = np.linalg.pinv(K) @ b
+        assert_allclose(x, x_ref, atol=1e-10 * abs(x_ref).max())
+
+    def test_zero_columns(self):
+        K = sp.diags(np.arange(1.0, 6.0))
+        b = np.zeros((5, 2))
+        b[:, 1] = 1.0
+        x = factorize(K).solve(b)
+        assert_allclose(x[:, 0], 0.0)
+        assert_allclose(x[:, 1], 1.0 / np.arange(1.0, 6.0), rtol=1e-14)
+
+    def test_unreachable_tolerance_raises(self):
+        rng = np.random.RandomState(7)
+        A = rng.standard_normal((12, 12))
+        K = sp.csr_matrix(A @ A.T + np.eye(12))
+        with pytest.raises(SolverError, match="after refinement"):
+            factorize(K, tol=1e-30).solve(rng.standard_normal(12))
+
+    def test_unpinned_kernel_raises(self):
+        # a singular matrix factored without its kernel is refused
+        K = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        with pytest.raises(SolverError):
+            factorize(K).solve(np.array([1.0, -1.0]))
 
 
 class TestEigs:
