@@ -53,10 +53,6 @@ class BlochSpectrum:
         keep = [i for i, c in enumerate(self.classification) if c == "coupled"]
         return self.eigenvalues[keep], self.weighted_means[keep]
 
-    def uncoupled_eigenvalues(self) -> np.ndarray:
-        keep = [i for i, c in enumerate(self.classification) if c == "uncoupled"]
-        return self.eigenvalues[keep]
-
     def gram_partial_sums(self) -> np.ndarray:
         """S_N = sum_{n<=N} m_n m_n^T, shape (N, k, k)."""
         k = self.weighted_means.shape[1]

@@ -314,18 +314,18 @@ def cmd_evolve(cfg, out: Path, chash: str) -> int:
     header = ["t"] + [f"macro_{k}" for k in range(nm)] \
         + [f"micro_{k}" for k in range(nmic)] \
         + ["kinetic", "elastic", "total"]
-    rows = []
-    for j, t in enumerate(traj.times):
-        row = [t, *amplitudes[j, :nm]]
-        if nmic:
-            row += [np.linalg.norm(micro[j, k]) for k in range(nmic)]
-        row += list(traj.energy[j])
-        rows.append(tuple(row))
-    _write_csv(out / "trajectory.csv", header, rows, chash)
+    cols = [traj.times[:, None], amplitudes[:, :nm]]
+    if nmic:
+        cols.append(np.linalg.norm(micro[:, :nmic], axis=2))
+    table = np.hstack(cols + [traj.energy])
+    _write_csv(out / "trajectory.csv", header, [tuple(r) for r in table],
+               chash)
     _write_json(out / "evolve_manifest.json", {
         "variant": variant, "T": T, "dt": dt, "regime": model.regime.key,
         "energy_drift": traj.energy_drift(),
         "n_steps": len(traj.times) - 1,
+        **{k: traj.meta[k] for k in ("state_dofs", "factored_dofs",
+                                     "factor_fill")},
     }, chash)
     return EXIT_OK
 

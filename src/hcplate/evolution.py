@@ -12,6 +12,9 @@ Variants (one per supported long-time/real-time scaling row):
 * strong_hc_bending : coupled bending + inclusion modes (memory effects);
 * delta0_hc         : the vanishing-thickness-ratio analogue with plate-like
   inclusions; in-plane micro components are quasistatic.
+
+Every variant is a ModalCoupling (the long-time plate row with no modes):
+a step solves one macro-size system and updates the modes as arrays.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .fem.system import factorize
-from .limits import (LimitModel, LoadSpec, RegimeError,
-                     compute_load_functional, micro_modal_loads)
+from .coupling import ModalCoupling
+from .limits import (LimitModel, LoadSpec, RegimeError, _micro_load_vector,
+                     _model_with_bloch, compute_load_functional, load_moments,
+                     micro_modal_loads)
+from .macro import macro_eigs
 
 _VARIANT_ROWS = {
     "long_time_bending": lambda r: r.mu == "eps" and r.tau == 2,
@@ -57,158 +61,74 @@ class Trajectory:
 
 
 @dataclass
-class SecondOrderSystem:
-    """M u'' + K u = F0 * time(t), with block structure bookkeeping."""
-    M: sp.csr_matrix
-    K: sp.csr_matrix
+class ModalSystem:
+    """M u'' + K u = F time(t) for the grand (M, K) of a ModalCoupling; the
+    load has a macro dual part F0 and micro primal parts f_micro (N, nm)."""
+    coupling: ModalCoupling
     F0: np.ndarray
+    f_micro: np.ndarray
     time_fn: object
-    blocks: dict
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
-        return self.M.shape[0]
-
-    def energy(self, u, v) -> tuple[float, float]:
-        return 0.5 * float(v @ (self.M @ v)), 0.5 * float(u @ (self.K @ u))
+        return self.coupling.n
 
 
-def implicit_midpoint(system: SecondOrderSystem, u0, v0, T: float, dt: float,
-                      record=None):
+def implicit_midpoint(system: ModalSystem, u0, v0, T: float, dt: float):
     """Symplectic implicit-midpoint sweep; exactly conserves the quadratic
-    energy for time-independent loads set to zero."""
+    energy for time-independent loads set to zero. Each step solves
+    M + dt^2/4 K once at macro size and updates the micro modes as arrays.
+
+    Returns ((x0, c), (v0, w), factor): the macro (steps+1, n0) and micro
+    (steps+1, N, nm) paths of the state and of its velocity, and the step
+    factorization.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     nsteps = int(round(T / dt))
-    lu = factorize(system.M + 0.25 * dt ** 2 * system.K)
-    Mm = system.M - 0.25 * dt ** 2 * system.K
-    u, v = u0.copy(), v0.copy()
-    out_u = [u.copy()]
-    out_v = [v.copy()]
+    cp = system.coupling
+    s = 0.25 * dt ** 2
+    sh = cp.shift(1.0, s)
+    x, c = (np.array(p, dtype=float) for p in cp.split(u0))
+    v, w = (np.array(p, dtype=float) for p in cp.split(v0))
+    X, V = np.empty((2, nsteps + 1, cp.n0))
+    C, W = np.empty((2, nsteps + 1, cp.N, cp.nm))
+    X[0], C[0], V[0], W[0] = x, c, v, w
     for j in range(nsteps):
-        t_mid = (j + 0.5) * dt
-        F = system.F0 * system.time_fn(t_mid)
-        v_new = lu.solve(Mm @ v + dt * (F - system.K @ u))
-        u = u + 0.5 * dt * (v + v_new)
-        v = v_new
-        out_u.append(u.copy())
-        out_v.append(v.copy())
-    return np.array(out_u), np.array(out_v)
+        g = system.time_fn((j + 0.5) * dt)
+        # (M - s K) v + dt (F - K u) = M v - K (s v + dt u) + dt F
+        r0, rho = cp.mass(v, w)
+        k0, kc = cp.stiff(s * v + dt * x, s * w + dt * c)
+        v_new, w_new = sh.solve(r0 - k0 + dt * g * system.F0,
+                                rho - kc + dt * g * system.f_micro)
+        x = x + 0.5 * dt * (v + v_new)
+        c = c + 0.5 * dt * (w + w_new)
+        v, w = v_new, w_new
+        X[j + 1], C[j + 1], V[j + 1], W[j + 1] = x, c, v, w
+    return (X, C), (V, W), sh.factor
 
 
-def _bending_kron_system(model: LimitModel, load: LoadSpec) -> SecondOrderSystem:
-    """Grand system of the high-contrast bending variants: the micro modal
-    coefficient fields share the bending (BFS) space, so all blocks factor
-    over the scalar bending mass."""
-    op = model.bend_op
-    bs = model.bloch
-    eta = bs.eigenvalues
-    m3 = bs.weighted_means[:, -1]
-    N = len(eta)
-    rho = model.rho_bar
-    Mb, Kb = op.pair.M, op.pair.K
-    G = np.zeros((N + 1, N + 1))
-    G[0, 0] = rho
-    G[0, 1:] = m3
-    G[1:, 0] = m3
-    G[1:, 1:] = np.eye(N)
-    Mfull = sp.kron(sp.csr_matrix(G), Mb, format="csr")
-    E = np.zeros((N + 1, N + 1))
-    E[0, 0] = 1.0
-    Kfull = sp.kron(sp.csr_matrix(E), Kb, format="csr") \
-        + sp.kron(sp.diags(np.concatenate([[0.0], eta])), Mb, format="csr")
-
-    mac = model.macro_nodal(load)
-    fbar, _ = load_moments_of(model, load)
-    Rb = model.bend_rect()
-    ell = micro_modal_loads(model, load)
-    F0 = np.concatenate([Rb @ (fbar[2] * mac)]
-                        + [Rb @ (ell[n] * mac) for n in range(N)])
-    blocks = {"b": slice(0, Mb.shape[0]),
-              "micro": [slice((n + 1) * Mb.shape[0], (n + 2) * Mb.shape[0])
-                        for n in range(N)]}
-    return SecondOrderSystem(M=Mfull, K=Kfull, F0=F0, time_fn=load.time_fn(),
-                             blocks=blocks,
-                             meta={"eta": eta, "m3": m3, "nb": Mb.shape[0]})
-
-
-def load_moments_of(model, load):
-    from .limits import load_moments
-    return load_moments(model, load)
-
-
-def _real_time_system(model: LimitModel, load: LoadSpec) -> SecondOrderSystem:
-    """Coupled membrane system for tau = 0: in-plane macro + algebraic
-    out-of-plane + micro modes, all with nodal micro coefficient fields."""
-    from .zhikov import _membrane_component_masses
-    r = model.regime
-    bs = model.bloch
-    eta = bs.eigenvalues
-    means = bs.weighted_means
-    k = means.shape[1]
-    N = len(eta)
-    op = model.memb_op
-    rho = model.rho_bar
-    Ms = model.Ms()
-    Ra = model.memb_rects()
-    comp_mass = _membrane_component_masses(op.pair, model.macro_mesh)
-    na = op.pair.n
-    nn = model.macro_mesh.n_nodes
-    third = k == 3
-
-    nb = nn if third else 0
-    n_total = na + nb + N * nn
-    rows, cols, vals = [], [], []
-
-    def put(A, r0, c0):
-        A = sp.coo_matrix(A)
-        rows.append(A.row + r0)
-        cols.append(A.col + c0)
-        vals.append(A.data)
-
-    # mass
-    put(rho * sp.csr_matrix(comp_mass[(0, 0)] + comp_mass[(1, 1)]), 0, 0)
-    if third:
-        put(rho * Ms, na, na)
-    for n in range(N):
-        c0 = na + nb + n * nn
-        put(Ms, c0, c0)
-        cross_a = means[n, 0] * Ra[0] + means[n, 1] * Ra[1]
-        put(cross_a, 0, c0)
-        put(cross_a.T, c0, 0)
-        if third:
-            put(means[n, 2] * Ms, na, c0)
-            put(means[n, 2] * Ms, c0, na)
-    M = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n_total, n_total)).tocsr()
-
-    rows, cols, vals = [], [], []
-    put(op.pair.K, 0, 0)
-    for n in range(N):
-        c0 = na + nb + n * nn
-        put(eta[n] * Ms, c0, c0)
-    K = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n_total, n_total)).tocsr()
-
-    mac = model.macro_nodal(load)
-    fbar, _ = load_moments_of(model, load)
-    ell = micro_modal_loads(model, load)
-    F0 = np.zeros(n_total)
-    F0[:na] = Ra[0] @ (fbar[0] * mac) + Ra[1] @ (fbar[1] * mac)
-    if third:
-        F0[na:na + nn] = Ms @ (fbar[2] * mac)
-    for n in range(N):
-        c0 = na + nb + n * nn
-        F0[c0:c0 + nn] = Ms @ (ell[n] * mac)
-    blocks = {"a": slice(0, na),
-              "b": slice(na, na + nb) if third else None,
-              "micro": [slice(na + nb + n * nn, na + nb + (n + 1) * nn)
-                        for n in range(N)]}
-    return SecondOrderSystem(M=M, K=K, F0=F0, time_fn=load.time_fn(),
-                             blocks=blocks, meta={"eta": eta, "third": third})
+def _modal_system(model: LimitModel, variant: str, load: LoadSpec,
+                  data: dict) -> ModalSystem:
+    mac, fbar, ell = data["macro_nodal"], data["fbar"], data["micro_modal"]
+    if variant == "long_time_bending":
+        op = model.bend_op
+        F0 = data["bend_rhs"].copy()
+        if op.K_cross is not None:
+            # membrane reaction to the in-plane load enters the bending force
+            F0 += op.K_cross.T @ op.membrane_lu().solve(data["memb_rhs"])
+        cp = model.bend_coupling(modal=False)
+        return ModalSystem(cp, F0, np.zeros((0, cp.nm)), load.time_fn())
+    if variant == "real_time":
+        # in-plane macro + algebraic out-of-plane + nodal micro modes
+        cp = model.memb_coupling()
+        F0 = cp.couple(np.outer(fbar[:cp.means.shape[1]], mac))
+        return ModalSystem(cp, F0, np.outer(ell, mac), load.time_fn())
+    # high-contrast bending: the micro fields share the bending space
+    cp = model.bend_coupling()
+    Rmac = model.bend_rect() @ mac
+    return ModalSystem(cp, fbar[2] * Rmac, np.outer(ell, cp.to_micro(Rmac)),
+                       load.time_fn())
 
 
 def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
@@ -216,84 +136,69 @@ def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
            v0: np.ndarray | None = None) -> Trajectory:
     """Implicit-midpoint trajectory of the regime's limit evolution.
 
-    u0/v0 are initial data in the variant's state layout (defaults: zero);
-    the quasistatic components of long_time_bending / delta0_hc are
-    reconstructed per recorded step and stored in the trajectory meta.
+    u0/v0 are initial data in the variant's state layout, [b | c_1 ... c_N]
+    or [a | b | c_1 ... c_N] (defaults: zero); the quasistatic components
+    of long_time_bending / delta0_hc are reconstructed per recorded step and
+    stored in the trajectory meta.
     """
     if variant not in _VARIANT_ROWS:
         raise RegimeError(f"unknown evolution variant {variant!r}")
     if not _VARIANT_ROWS[variant](model.regime):
         raise RegimeError(f"variant {variant!r} does not match regime "
                           f"{model.regime.key}")
+    if variant == "real_time" and model.regime.delta == np.inf \
+            and load.transverse != "one":
+        raise RegimeError("real-time evolution for very thin cells is "
+                          "implemented for x3-constant load profiles")
     dt = dt if dt is not None else T / 1000.0
 
-    if variant == "long_time_bending":
-        op = model.bend_op
-        data = compute_load_functional(model, load)
-        rhs_b = data["bend_rhs"].copy()
-        if op.K_cross is not None:
-            # membrane reaction to the in-plane load enters the bending force
-            a_f = op.membrane_lu().solve(data["memb_rhs"])
-            rhs_b += op.K_cross.T @ a_f
-        system = SecondOrderSystem(
-            M=model.rho_bar * op.pair.M, K=op.pair.K, F0=rhs_b,
-            time_fn=load.time_fn(), blocks={"b": slice(0, op.pair.n)},
-            meta={})
-    elif variant == "real_time":
-        if model.regime.delta == np.inf and load.transverse != "one":
-            raise RegimeError("real-time evolution for very thin cells is "
-                              "implemented for x3-constant load profiles")
-        system = _real_time_system(model, load)
+    data = compute_load_functional(model, load)
+    system = _modal_system(model, variant, load, data)
+    cp = system.coupling
+    u0 = np.zeros(system.n) if u0 is None else u0
+    v0 = np.zeros(system.n) if v0 is None else v0
+    (X, C), (V, W), factor = implicit_midpoint(system, u0, v0, T, dt)
+    times = np.arange(X.shape[0]) * dt
+    # blockwise energies over chunks of steps bound the temporaries
+    energy = np.concatenate([cp.energies(X[i:i + 64], C[i:i + 64],
+                                         V[i:i + 64], W[i:i + 64])
+                             for i in range(0, len(times), 64)])
+
+    if variant == "real_time":
+        na = model.memb_op.pair.n
+        fields = {"a": X[:, :na]}
+        if X.shape[1] > na:
+            fields["b"] = X[:, na:]
     else:
-        system = _bending_kron_system(model, load)
-
-    n = system.n
-    u0 = np.zeros(n) if u0 is None else u0
-    v0 = np.zeros(n) if v0 is None else v0
-    U, V = implicit_midpoint(system, u0, v0, T, dt)
-    nsteps = U.shape[0]
-    times = np.arange(nsteps) * dt
-    energy = np.empty((nsteps, 3))
-    for j in range(nsteps):
-        kin, ela = system.energy(U[j], V[j])
-        energy[j] = (kin, ela, kin + ela)
-
-    fields = {}
-    for name in ("a", "b"):
-        s = system.blocks.get(name)
-        if s is not None:
-            fields[name] = U[:, s]
-    if system.blocks.get("micro"):
-        fields["micro"] = np.stack(
-            [np.array([U[j, s] for s in system.blocks["micro"]])
-             for j in range(nsteps)])
-    meta = {"variant": variant, "dt": dt, "system": system}
+        fields = {"b": X}
+    if cp.N:
+        fields["micro"] = C
+    meta = {"variant": variant, "dt": dt, "system": system,
+            "state_dofs": system.n, "factored_dofs": factor.A.shape[0],
+            "factor_fill": factor.fill}
+    if variant in ("long_time_bending", "delta0_hc"):
+        tf = load.time_fn()
+        g = np.array([tf(t) for t in times])
+        mac = data["macro_nodal"]
     if variant == "long_time_bending":
         # quasistatic components per step (the partially quasistatic
         # structure of the long-time plate row)
-        data = compute_load_functional(model, load)
-        tf = load.time_fn()
         ell_star = micro_modal_loads(
             model, load, amplitude=(load.amplitude[0], load.amplitude[1], 0.0))
-        mac = data["macro_nodal"]
-        fields["micro"] = np.stack(
-            [np.outer(ell_star / model.bloch.eigenvalues, mac) * tf(t)
-             for t in times])
-        if model.bend_op.K_cross is not None:
-            op = model.bend_op
-            a_f = op.membrane_lu().solve(data["memb_rhs"])
-            meta["a_quasistatic"] = np.stack(
-                [op.membrane_lu().solve(-(op.K_cross @ U[j])) + a_f * tf(times[j])
-                 for j in range(nsteps)])
+        fields["micro"] = g[:, None, None] * np.outer(
+            ell_star / model.bloch.eigenvalues, mac)
+        op = model.bend_op
+        if op.K_cross is not None:
+            lu = op.membrane_lu()
+            a_f = lu.solve(data["memb_rhs"])
+            meta["a_quasistatic"] = lu.solve(-(op.K_cross @ X.T)).T \
+                + np.outer(g, a_f)
     if variant == "delta0_hc" and model.bloch_memb_static is not None:
-        from .limits import _micro_load_vector, _model_with_bloch
         bm = model.bloch_memb_static
         ell_m = bm.modal_coefficients(_micro_load_vector(
             _model_with_bloch(model, bm), load))
-        tf = load.time_fn()
-        mac = model.macro_nodal(load)
-        meta["micro_inplane"] = np.stack(
-            [np.outer(ell_m / bm.eigenvalues, mac) * tf(t) for t in times])
+        meta["micro_inplane"] = g[:, None, None] * np.outer(
+            ell_m / bm.eigenvalues, mac)
     return Trajectory(times=times, fields=fields, energy=energy, meta=meta)
 
 
@@ -302,21 +207,23 @@ def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
 
 def _macro_modal_reduction(model: LimitModel, n_macro_modes: int):
     """M_b-orthonormal macro bending modes and their stiffness values."""
-    from .macro import macro_eigs
     mu, W = macro_eigs(model.bend_op, n_macro_modes)
     # macro_eigs normalizes against rho_bar * M_b; rescale to M_b-orthonormal
     W = W * np.sqrt(model.rho_bar)
     return mu, W
 
 
-def _oscillator_propagator(eta: float, dt: float):
+def _oscillator_propagator(eta, dt: float):
     """One implicit-midpoint step of c'' + eta c = g: (c, v) -> P (c, v) +
-    r * (dt * g_mid + d) with d the algebraic drive."""
+    r * (dt * g_mid + d) with d the algebraic drive; vectorized over eta
+    (P (..., 2, 2), r (..., 2))."""
+    eta = np.asarray(eta, dtype=float)
     s = 0.25 * dt ** 2 * eta
     g = 1.0 / (1.0 + s)
-    P = np.array([[1.0 - 0.5 * dt ** 2 * eta * g, 0.5 * dt * (1.0 + g * (1.0 - s))],
-                  [-dt * eta * g, g * (1.0 - s)]])
-    r = np.array([0.5 * dt * g, g])
+    P = np.stack([np.stack([1.0 - 0.5 * dt ** 2 * eta * g,
+                            0.5 * dt * (1.0 + g * (1.0 - s))], -1),
+                  np.stack([-dt * eta * g, g * (1.0 - s)], -1)], -2)
+    r = np.stack([0.5 * dt * g, g], -1)
     return P, r
 
 
@@ -329,70 +236,58 @@ def evolve_memory_bending(model: LimitModel, load: LoadSpec, T: float,
     scalar Volterra recursion (a convolution quadrature whose weights are
     generated by the oscillator propagator) per macro bending mode.
 
+    The convolution s_j = sum_{i<j} P_n^(j-1-i) r_n d_n[i] of the micro
+    states is evaluated by its exact one-step recursion
+    s_j = P_n s_{j-1} + r_n d_n[j-1] (C. Lubich, Numer. Math. 52, 1988),
+    so a step costs O(N) per macro mode.
+
     Returns (times, modal b trajectory (steps, n_macro_modes)).
     """
-    bs = model.bloch
-    eta = bs.eigenvalues
-    m3 = bs.weighted_means[:, -1]
-    N = len(eta)
+    eta = model.bloch.eigenvalues
+    m3 = model.bloch.weighted_means[:, -1]
     rho = model.rho_bar
     mu, W = _macro_modal_reduction(model, n_macro_modes)
 
     mac = model.macro_nodal(load)
-    fbar, _ = load_moments_of(model, load)
+    fbar, _ = load_moments(model, load)
     Rb = model.bend_rect()
     ell = micro_modal_loads(model, load)
     tf = load.time_fn()
 
-    # project the load and the kron mass onto each macro mode: for mode k,
-    # the (1+N) block system has mass [[rho, m3^T],[m3, I]], stiffness
-    # diag(mu_k rho, eta_n), macro load W_k . F_b, micro loads ell_n * that
-    # macro projection of mac
-    Fb_k = W.T @ (Rb @ (fbar[2] * mac))
+    # project the load and the grand mass onto each macro mode k: the (1+N)
+    # block system has mass [[rho, m3^T],[m3, I]], stiffness
+    # diag(mu_k rho, eta_n), macro load W_k . F_b, micro loads ell_n times
+    # the macro projection of mac
+    Fb = W.T @ (Rb @ (fbar[2] * mac))
     mac_k = W.T @ (Rb @ mac)
+    S = rho * mu
 
     nsteps = int(round(T / dt))
     times = np.arange(nsteps + 1) * dt
-    gammas = np.array([1.0 / (1.0 + 0.25 * dt ** 2 * e) for e in eta])
-    mstar = rho - float(np.sum(gammas * m3 ** 2))   # effective midpoint mass
+    s = 0.25 * dt ** 2
+    gammas = 1.0 / (1.0 + s * eta)
+    # effective midpoint mass of the eliminated micro modes
+    Aeff = rho - model.bend_coupling().gram(1.0, s)[0, 0] + s * S
+    P, r = _oscillator_propagator(eta, dt)
 
-    # kernel weights: powers of the oscillator propagator applied to its
-    # drive column, w_n[j] = P_n^j r_n; the micro state at step j is then
-    # the discrete Duhamel convolution sum_{i<j} w_n[j-1-i] d_n[i]
-    W_ker = np.zeros((N, nsteps + 1, 2))
-    P_all = []
-    for n in range(N):
-        P, r = _oscillator_propagator(eta[n], dt)
-        P_all.append(P)
-        w = r.copy()
-        for j in range(nsteps + 1):
-            W_ker[n, j] = w
-            w = P @ w
-    P1row = np.array([P[1] for P in P_all])        # velocity row of P_n
-
+    b = np.zeros(n_macro_modes) if b0_modal is None \
+        else np.array(b0_modal, dtype=float)
+    vb = np.zeros(n_macro_modes) if v0_modal is None \
+        else np.array(v0_modal, dtype=float)
+    cs = np.zeros((n_macro_modes, len(eta), 2))   # micro (c, v) per mode
     out = np.zeros((nsteps + 1, n_macro_modes))
-    for k in range(n_macro_modes):
-        Sk = rho * mu[k]
-        b = 0.0 if b0_modal is None else float(b0_modal[k])
-        vb = 0.0 if v0_modal is None else float(v0_modal[k])
-        out[0, k] = b
-        Aeff = mstar + 0.25 * dt ** 2 * Sk
-        drives = np.zeros((N, nsteps))             # d_n[i], filled as we go
-        for j in range(nsteps):
-            gmid = tf((j + 0.5) * dt)
-            if j > 0:
-                # convolution evaluation of the micro states (c, v) at step j
-                ker = W_ker[:, j - 1::-1, :][:, :j, :]       # (N, j, 2)
-                cs = np.einsum("njq,nj->nq", ker, drives[:, :j])
-            else:
-                cs = np.zeros((N, 2))
-            dv_hist = (np.einsum("nq,nq->n", P1row, cs) - cs[:, 1]
-                       + gammas * dt * (ell * mac_k[k] * gmid))
-            rhs = dt * (Fb_k[k] * gmid) - dt * Sk * b \
-                - 0.5 * dt ** 2 * Sk * vb - float(m3 @ dv_hist)
-            dvb = rhs / Aeff
-            drives[:, j] = dt * ell * mac_k[k] * gmid - m3 * dvb
-            vb = vb + dvb
-            b = b + dt * (vb - 0.5 * dvb)   # = b + dt/2 (v_old + v_new)
-            out[j + 1, k] = b
+    out[0] = b
+    for j in range(nsteps):
+        g = tf((j + 0.5) * dt)
+        drive = dt * g * np.outer(mac_k, ell)          # (K, N)
+        dv_hist = np.einsum("nq,knq->kn", P[:, 1], cs) - cs[..., 1] \
+            + gammas * drive
+        rhs = dt * g * Fb - dt * S * b - 0.5 * dt ** 2 * S * vb \
+            - dv_hist @ m3
+        dvb = rhs / Aeff
+        cs = np.einsum("npq,knq->knp", P, cs) \
+            + r * (drive - np.outer(dvb, m3))[..., None]
+        vb = vb + dvb
+        b = b + dt * (vb - 0.5 * dvb)   # = b + dt/2 (v_old + v_new)
+        out[j + 1] = b
     return times, out

@@ -165,7 +165,7 @@ def detect_kernel(K: sp.csr_matrix, kernel_tol: float = 1e-10, kmax: int = 6) ->
     else:
         try:
             w, v = spla.eigsh(K, k=min(kmax, n - 2), sigma=-1e-3 * scale, which="LM")
-        except Exception:
+        except (spla.ArpackError, RuntimeError):
             w, v = sla.eigh(K.toarray())
     order = np.argsort(w)
     w, v = w[order], v[:, order]
@@ -204,6 +204,11 @@ class SpdFactor:
                                  options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise SolverError(f"sparse factorization failed: {exc}") from exc
+
+    @property
+    def fill(self) -> int:
+        """Stored entries of the L and U factors (SuperLU nnz)."""
+        return int(self._lu.nnz)
 
     def _project(self, y: np.ndarray) -> np.ndarray:
         return y if self.V is None else y - self.V @ (self.V.T @ y)
@@ -301,7 +306,7 @@ def eigs_smallest(pair: SparseOperatorPair, N: int,
         try:
             w, v = spla.eigsh(pair.K, k=N, M=pair.M, sigma=ws.sigma,
                               which="LM", maxiter=ws.maxiter)
-        except Exception as exc:
+        except (spla.ArpackError, RuntimeError) as exc:
             if n <= 12000:
                 w, v = sla.eigh(pair.K.toarray(), pair.M.toarray())
                 w, v = w[:N], v[:, :N]

@@ -237,11 +237,6 @@ class MacroMesh:
     def element_size(self) -> tuple[float, float]:
         return (self.L1 / self.n1, self.L2 / self.n2)
 
-    def is_dirichlet(self) -> np.ndarray:
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        mask[self.dirichlet_nodes] = True
-        return mask
-
 
 def build_macro_mesh(L1: float, L2: float, n1: int, n2: int,
                      gamma_spec=("left",)) -> MacroMesh:

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import tensors as tn
 from .bloch import BlochSpectrum, bloch_spectrum
+from .coupling import ModalCoupling
 from .effective import (EffectiveTensor, effective_delta, effective_delta0,
                         effective_deltainf)
 from .fem import assemble as fa
@@ -25,7 +25,8 @@ from .fem import elements as el
 from .fem.system import EigWorkspace, factorize
 from .geometry import CellMesh, InclusionShape, MacroMesh, build_cell_mesh
 from .macro import (MacroOperator, build_bending_operator,
-                    build_membrane_operator)
+                    build_membrane_operator, membrane_solve_for_bending)
+from .zhikov import _membrane_component_masses
 
 _GAUSS_T, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 
@@ -245,6 +246,58 @@ class LimitModel:
                                                    self.bend_op.pair.dof)
         return self._cache["Gb"]
 
+    # -- the macro-micro couplings of the grand modal systems --------------
+    def bend_coupling(self, modal: bool = True) -> ModalCoupling:
+        """Bending rows: state [b | c_1 ... c_N] with the micro fields in the
+        reduced bending space, coupled through the last (out-of-plane)
+        mean; modal=False keeps the macro block alone."""
+        key = ("bend_coupling", modal)
+        if key not in self._cache:
+            pair = self.bend_op.pair
+            bs = self.bloch
+            N = len(bs.eigenvalues) if modal else 0
+            self._cache[key] = ModalCoupling(
+                M0=self.rho_bar * pair.M, K0=pair.K, Ms=pair.M, R=[pair.M],
+                T=[sp.identity(pair.n, format="csr")], eta=bs.eigenvalues[:N],
+                means=bs.weighted_means[:N, -1:])
+        return self._cache[key]
+
+    def memb_coupling(self) -> ModalCoupling:
+        """Membrane rows (tau = 0): state [a | b | c_1 ... c_N] with nodal
+        micro fields; the algebraic out-of-plane field b (mass only) is
+        present when the means carry a third component."""
+        if "memb_coupling" not in self._cache:
+            op = self.memb_op
+            Ms = self.Ms()
+            Ra = self.memb_rects()
+            cm = _membrane_component_masses(op.pair, self.macro_mesh)
+            means = self.bloch.weighted_means
+            third = means.shape[1] == 3
+            na, nn = op.pair.n, self.macro_mesh.n_nodes
+            n0 = na + nn if third else na
+            M0 = self.rho_bar * sp.csr_matrix(cm[(0, 0)] + cm[(1, 1)])
+            K0, R = op.pair.K, list(Ra)
+            if third:
+                M0 = sp.block_diag([M0, self.rho_bar * Ms], format="csr")
+                K0 = sp.block_diag([K0, sp.csr_matrix((nn, nn))], format="csr")
+                R = [sp.vstack([Rc, sp.csr_matrix((nn, nn))], format="csr")
+                     for Rc in Ra]
+                R.append(sp.vstack([sp.csr_matrix((na, nn)), Ms], format="csr"))
+            # Ra_c = (free DOFs of component c) Ms, so Ms^-1 Ra_c^T is the
+            # nodal expansion of component c; b is nodal already
+            idx = op.pair.dof.index
+            T = []
+            for c in range(2):
+                nodes = np.flatnonzero(idx[:, c] >= 0)
+                T.append(sp.csr_matrix((np.ones(len(nodes)),
+                                        (nodes, idx[nodes, c])), shape=(nn, n0)))
+            if third:
+                T.append(sp.eye(nn, n0, k=na, format="csr"))
+            self._cache["memb_coupling"] = ModalCoupling(
+                M0=M0, K0=K0, Ms=Ms, R=R, T=T,
+                eta=self.bloch.eigenvalues, means=means)
+        return self._cache["memb_coupling"]
+
     def macro_nodal(self, load: LoadSpec) -> np.ndarray:
         f = load.macro_fn()
         return np.array([f(x) for x in self.macro_mesh.nodes])
@@ -396,77 +449,25 @@ def build_limit_model(regime: RegimeConfig, mat: tn.MaterialSpec,
 # ---------------------------------------------------------------------------
 # resolvent solves
 
-def _modal_R(eta, means, lam) -> np.ndarray:
-    k = means.shape[1]
-    R = np.zeros((k, k))
-    for e, m in zip(eta, means):
-        R += np.outer(m, m) / (e + lam)
-    return R
-
-
-def _modal_F(eta, means, ell, lam) -> np.ndarray:
-    out = np.zeros(means.shape[1])
-    for e, m, l in zip(eta, means, ell):
-        out += l * m / (e + lam)
-    return out
-
-
-def _solve_membrane_coupled(model: LimitModel, lam: float, load: LoadSpec,
-                            third_coupled: bool) -> LimitState:
-    """Membrane rows (tau = 0): macro membrane + algebraic out-of-plane
-    + micro modes, eliminated into a single sparse solve.
-
-    third_coupled: whether the micro means carry a third component
-    (delta > 0); for delta = 0 the out-of-plane branch is handled separately.
-    """
-    bs = model.bloch
-    eta = bs.eigenvalues
-    means = bs.weighted_means
+def _solve_membrane_coupled(model: LimitModel, lam: float,
+                            load: LoadSpec) -> LimitState:
+    """Membrane rows (tau = 0): macro membrane, the algebraic out-of-plane
+    field where the means carry a third component (delta > 0), and the
+    micro modes, eliminated into one macro-size solve. For delta = 0 the
+    out-of-plane branch is handled separately."""
+    cp = model.memb_coupling()
     ell = micro_modal_loads(model, load)
     mac = model.macro_nodal(load)
     fbar, _ = load_moments(model, load)
-    rho = model.rho_bar
-    op = model.memb_op
-    K = op.pair.K
-    Ra = model.memb_rects()
-    from .zhikov import _membrane_component_masses
-    comp_mass = model._cache.setdefault(
-        "comp_mass", _membrane_component_masses(op.pair, model.macro_mesh))
-
-    R = _modal_R(eta, means, lam)
-    F = _modal_F(eta, means, ell, lam)
-    if third_coupled:
-        D = rho - lam * R[2, 2]
-        W = rho * np.eye(2) - lam * R[:2, :2] \
-            - lam ** 2 * np.outer(R[:2, 2], R[2, :2]) / D
-        g3_term = (fbar[2] / lam - F[2]) / D
-        rhs_nodal = [fbar[c] * mac - lam * F[c] * mac
-                     + lam ** 2 * R[c, 2] * g3_term * mac for c in range(2)]
-    else:
-        W = rho * np.eye(2) - lam * R[:2, :2]
-        rhs_nodal = [fbar[c] * mac - lam * F[c] * mac for c in range(2)]
-
-    Keff = K + lam * (W[0, 0] * sp.csr_matrix(comp_mass[(0, 0)])
-                      + W[1, 1] * sp.csr_matrix(comp_mass[(1, 1)])
-                      + W[0, 1] * sp.csr_matrix(comp_mass[(0, 1)]
-                                                + comp_mass[(0, 1)].T))
-    rhs = Ra[0] @ rhs_nodal[0] + Ra[1] @ rhs_nodal[1]
-    a_red = spla.splu(Keff.tocsc()).solve(rhs)
-    a_nodal = op.pair.dof.expand(a_red)
-
-    # reconstruct the algebraic out-of-plane field and the micro modes
-    if third_coupled:
-        b_nodal = (fbar[2] / lam - F[2]) * mac / D \
-            + lam * (a_nodal @ R[2, :2]) / D
-        coef = np.column_stack([a_nodal, b_nodal])
-    else:
-        b_nodal = None
-        coef = a_nodal
-    micro = np.empty((len(eta), model.macro_mesh.n_nodes))
-    for n in range(len(eta)):
-        micro[n] = (ell[n] * mac - lam * coef @ means[n]) / (eta[n] + lam)
-    return LimitState(regime=model.regime, a=a_nodal, b=b_nodal, micro=micro,
-                      a_red=a_red, meta={"lambda": lam})
+    k = cp.means.shape[1]
+    # the macro load pairs like the mass coupling: <fbar_c mac, R_c>
+    x0, micro = cp.shift(lam, 1.0).solve(cp.couple(np.outer(fbar[:k], mac)),
+                                         np.outer(ell, mac))
+    na = model.memb_op.pair.n
+    return LimitState(regime=model.regime,
+                      a=model.memb_op.pair.dof.expand(x0[:na]),
+                      b=x0[na:] if k == 3 else None, micro=micro,
+                      a_red=x0[:na], meta={"lambda": lam})
 
 
 def _delta0_third_component(model: LimitModel, lam: float, load: LoadSpec,
@@ -511,8 +512,7 @@ def _delta0_third_component(model: LimitModel, lam: float, load: LoadSpec,
                 hsize, lambda pt: amp3 * t0 * cfun(origin[:2] + np.asarray(pt)))
 
         rhs = fa.assemble_pointwise_load(mesh, pb.dof, fe, np.flatnonzero(~soft))
-        beta = spla.splu(Kc.tocsc()).solve(rhs)
-        state.b_cell = beta
+        state.b_cell = factorize(Kc).solve(rhs)
         state.u3_cell = amp3 * t0 * cell_soft / (lam * mat.rho0)
         state.meta["b_cell_dof"] = pb.dof
         state.meta["b_cell_kind"] = "periodic_bfs"
@@ -523,32 +523,24 @@ def _solve_bending_coupled(model: LimitModel, lam: float, load: LoadSpec,
                            static_inplane_micro: bool) -> LimitState:
     """Bending rows (tau = 2, high contrast): macro bending with the
     micro-dressed mass; only third-component means couple."""
-    bs = model.bloch
-    eta = bs.eigenvalues
-    m3 = bs.weighted_means[:, -1]      # scalar variant or third component
     ell = micro_modal_loads(model, load)
     mac = model.macro_nodal(load)
-    fbar, xmom = load_moments(model, load)
-    rho = model.rho_bar
+    fbar, _ = load_moments(model, load)
     op = model.bend_op
     Rb = model.bend_rect()
-
-    r33 = np.sum(m3 ** 2 / (eta + lam))
-    F3 = np.sum(m3 * ell / (eta + lam))
-    Keff = op.pair.K + lam * (rho - lam * r33) * op.pair.M
+    cp = model.bend_coupling()
+    sh = cp.shift(lam, 1.0)
     # macro load of the high-contrast bending rows: transverse average only
-    # (the x3 moments act through the micro equations where applicable)
-    rhs = Rb @ (fbar[2] * mac) - lam * (Rb @ (F3 * mac))
-    b_red = spla.splu(sp.csc_matrix(Keff)).solve(rhs)
+    # (the x3 moments act through the micro equations where applicable);
+    # the micro loads are ell_n times the bending-space image of the profile
+    b_red = sh.solve_macro(Rb @ (fbar[2] * mac),
+                           np.outer(ell, cp.to_micro(Rb @ mac)))
     b_nodal = op.pair.dof.expand(b_red)[:, 0]
-
-    micro = np.empty((len(eta), model.macro_mesh.n_nodes))
-    for n in range(len(eta)):
-        micro[n] = (ell[n] * mac - lam * m3[n] * b_nodal) / (eta[n] + lam)
+    # micro modes reported as nodal fields driven by the nodal macro field
+    micro = sh.micro(np.outer(ell, mac), b_nodal[None])
     state = LimitState(regime=model.regime, b=b_nodal, b_red=b_red,
                        micro=micro, meta={"lambda": lam})
     if op.K_cross is not None:
-        from .macro import membrane_solve_for_bending
         a_red = membrane_solve_for_bending(op, b_red)
         state.a_red = a_red
         state.a = op.memb_pair.dof.expand(a_red)
@@ -584,15 +576,13 @@ def _solve_plate_resolvent(model: LimitModel, lam: float, load: LoadSpec) -> Lim
     if op_b.K_cross is not None:
         K_bb = op_b.pair.meta["raw_K"]
         A = sp.bmat([[op_a.pair.K, op_b.K_cross],
-                     [op_b.K_cross.T, K_bb + lam * rho * op_b.pair.M]],
-                    format="csc")
+                     [op_b.K_cross.T, K_bb + lam * rho * op_b.pair.M]])
         na = op_a.pair.n
-        sol = spla.splu(A).solve(np.concatenate([rhs_a, rhs_b]))
+        sol = factorize(A).solve(np.concatenate([rhs_a, rhs_b]))
         a_red, b_red = sol[:na], sol[na:]
     else:
         a_red = factorize(op_a.pair.K).solve(rhs_a)
-        Keff = op_b.pair.K + lam * rho * op_b.pair.M
-        b_red = spla.splu(sp.csc_matrix(Keff)).solve(rhs_b)
+        b_red = factorize(op_b.pair.K + lam * rho * op_b.pair.M).solve(rhs_b)
 
     # micro: static, driven by the in-plane load components only
     bs = model.bloch
@@ -612,19 +602,8 @@ def solve_bending_resolvent_data(model: LimitModel, lam: float,
     grand modal system).  Returns (b_red, c (N, nb))."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    bs = model.bloch
-    eta = bs.eigenvalues
-    m3 = bs.weighted_means[:, -1]
-    rho = model.rho_bar
-    op = model.bend_op
-    Mb, S = op.pair.M, op.pair.K
-    r33 = np.sum(m3 ** 2 / (eta + lam))
-    rhs = rho * (Mb @ z_b) + Mb @ (z_c.T @ m3)
-    rhs = rhs - lam * Mb @ ((m3 / (eta + lam)) @ (z_c + np.outer(m3, z_b)))
-    Keff = S + lam * (rho - lam * r33) * Mb
-    b = spla.splu(sp.csc_matrix(Keff)).solve(rhs)
-    c = (z_c + np.outer(m3, z_b) - lam * np.outer(m3, b)) / (eta + lam)[:, None]
-    return b, c
+    cp = model.bend_coupling()
+    return cp.shift(lam, 1.0).solve(*cp.mass(z_b, z_c))
 
 
 def solve_limit_resolvent(model: LimitModel, lam: float, load: LoadSpec) -> LimitState:
@@ -635,10 +614,10 @@ def solve_limit_resolvent(model: LimitModel, lam: float, load: LoadSpec) -> Limi
     if r.mu == "eps" and r.tau == 2:
         return _solve_plate_resolvent(model, lam, load)
     if r.tau == 0:
+        state = _solve_membrane_coupled(model, lam, load)
         if r.delta == 0.0:
-            state = _solve_membrane_coupled(model, lam, load, third_coupled=False)
             return _delta0_third_component(model, lam, load, state)
-        return _solve_membrane_coupled(model, lam, load, third_coupled=True)
+        return state
     # bending high-contrast rows
     return _solve_bending_coupled(model, lam, load,
                                   static_inplane_micro=(r.mu == "eps2"))

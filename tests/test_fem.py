@@ -11,7 +11,8 @@ from hcplate.fem import (EigWorkspace, ScaledGradientSpec,
                          constant_reduced_field, eigs_smallest, factorize,
                          solve_spd)
 from hcplate.fem import elements as el
-from hcplate.fem.system import DofMap, SolverError, SparseOperatorPair
+from hcplate.fem.system import (DofMap, SolverError, SparseOperatorPair,
+                                detect_kernel)
 from hcplate.geometry import InclusionShape, build_cell_mesh, build_macro_mesh
 
 C2D = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]])  # lam=mu=1
@@ -345,6 +346,54 @@ class TestEigs:
         wl, _ = eigs_smallest(pair, 3, EigWorkspace(solver="lobpcg", tol=1e-10,
                                                     maxiter=5000))
         assert_allclose(wl, wd, rtol=1e-6)
+
+
+class TestEigsFallbacks:
+    """Only solver failures fall back to dense; anything else propagates."""
+
+    @staticmethod
+    def _pair():
+        mesh = build_macro_mesh(1, 1, 6, 6)
+        return assemble_vector_h1(mesh, tn.isotropic_2d(1, 1),
+                                  space="dirichlet", ncomp=2)
+
+    def test_no_convergence_falls_back_to_dense(self, monkeypatch):
+        pair = self._pair()
+        wd, _ = eigs_smallest(pair, 3, EigWorkspace(solver="dense"))
+
+        def no_convergence(*args, **kwargs):
+            raise sp.linalg.ArpackNoConvergence("no convergence", [], [])
+        monkeypatch.setattr(sp.linalg, "eigsh", no_convergence)
+        w, _ = eigs_smallest(pair, 3, EigWorkspace(solver="shift-invert"))
+        assert_allclose(w, wd, rtol=1e-12)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bad argument")
+        monkeypatch.setattr(sp.linalg, "eigsh", broken)
+        with pytest.raises(TypeError):
+            eigs_smallest(self._pair(), 3, EigWorkspace(solver="shift-invert"))
+
+    def test_detect_kernel_fallback_and_propagation(self, monkeypatch):
+        # 1-D Neumann Laplacian above the dense size: kernel = constants
+        n = 450
+        K = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
+                     [-1, 0, 1], format="lil")
+        K[0, 0] = K[n - 1, n - 1] = 1.0
+        K = K.tocsr()
+
+        def no_convergence(*args, **kwargs):
+            raise sp.linalg.ArpackNoConvergence("no convergence", [], [])
+        monkeypatch.setattr(sp.linalg, "eigsh", no_convergence)
+        basis = detect_kernel(K)
+        assert basis.shape == (n, 1)
+        assert_allclose(abs(basis[:, 0]), 1 / np.sqrt(n), rtol=1e-10)
+
+        def broken(*args, **kwargs):
+            raise TypeError("bad argument")
+        monkeypatch.setattr(sp.linalg, "eigsh", broken)
+        with pytest.raises(TypeError):
+            detect_kernel(K)
 
 
 class TestBiharmonic:

@@ -96,7 +96,7 @@ class TestResolventRows:
     def test_matches_grand_coupled_system(self, model_r2, mm):
         # the modal elimination is the exact Schur complement of the
         # monolithic coupled system
-        from hcplate.evolution import _real_time_system
+        from grand_oracle import _real_time_system
         lam = 2.0
         ld = LoadSpec(amplitude=(1.0, 0.5, 0.7))
         system = _real_time_system(model_r2, ld)
@@ -112,7 +112,7 @@ class TestResolventRows:
     def test_large_lambda_mass_asymptotics(self, model_r2):
         # (K + lam M) x = F: for huge lam the stiffness is negligible and
         # the solution approaches lam^-1 times the pure mass solution
-        from hcplate.evolution import _real_time_system
+        from grand_oracle import _real_time_system
         lam = 1e6
         ld = LoadSpec(amplitude=(1.0, 0.4, 0.0))
         system = _real_time_system(model_r2, ld)
@@ -139,7 +139,7 @@ class TestResolventRows:
         assert abs(st1.b - st2.b).max() > 1e-8
 
     def test_bending_data_resolvent_matches_grand(self, model_r3):
-        from hcplate.evolution import _bending_kron_system
+        from grand_oracle import _bending_kron_system
         system = _bending_kron_system(model_r3, LoadSpec(amplitude=(0, 0, 0)))
         nb = model_r3.bend_op.pair.n
         N = len(model_r3.bloch.eigenvalues)
