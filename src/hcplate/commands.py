@@ -66,21 +66,15 @@ def _model(cfg):
                              n_modes=sol.get("n_modes", 30), ws=ws)
 
 
+def _cell_tensor(cfg, mat, shape, regime):
+    from .limits import cell_tensor
+    return cell_tensor(mat, shape, regime.delta, cfg["cell"]["n"],
+                       cfg["cell"].get("n_z", 4))
+
+
 def cmd_tensor(cfg, out: Path, chash: str) -> int:
-    from .effective import effective_delta, effective_delta0, effective_deltainf
-    from .geometry import build_cell_mesh
     mat, shape, regime, _, _ = _build_context(cfg)
-    n = cfg["cell"]["n"]
-    n_z = cfg["cell"].get("n_z", 4)
-    if 0.0 < regime.delta < np.inf:
-        mesh = build_cell_mesh(shape, n=n, dim=3, n_z=n_z)
-        tensor = effective_delta(mat, mesh, regime.delta)
-    elif regime.delta == 0.0:
-        mesh = build_cell_mesh(shape, n=n)
-        tensor = effective_delta0(mat, mesh)
-    else:
-        mesh = build_cell_mesh(shape, n=n)
-        tensor = effective_deltainf(mat, mesh)
+    mesh, tensor = _cell_tensor(cfg, mat, shape, regime)
     payload = tensor.to_dict()
     payload["eigenvalues"] = tensor.eigenvalues()
     _write_json(out / "tensor.json", payload, chash)
@@ -89,18 +83,11 @@ def cmd_tensor(cfg, out: Path, chash: str) -> int:
     return EXIT_OK
 
 
-def _bloch_tag(regime) -> str:
-    if 0.0 < regime.delta < np.inf:
-        return "full_delta"
-    if regime.delta == 0.0:
-        return "bend_delta0" if regime.mu == "eps2" else "memb_delta0"
-    return "full_deltainf"
-
-
 def cmd_bloch(cfg, out: Path, chash: str) -> int:
     from .bloch import bloch_spectrum
+    from .limits import bloch_tag
     mat, shape, regime, _, ws = _build_context(cfg)
-    tag = cfg.get("bloch", {}).get("operator") or _bloch_tag(regime)
+    tag = cfg.get("bloch", {}).get("operator") or bloch_tag(regime)
     delta = regime.delta if 0.0 < regime.delta < np.inf else None
     bs = bloch_spectrum(mat, shape, cfg["cell"]["n"], tag,
                         cfg.get("solver", {}).get("n_modes", 30),
@@ -180,7 +167,6 @@ def cmd_zhikov(cfg, out: Path, chash: str) -> int:
 
 
 def cmd_spectrum(cfg, out: Path, chash: str) -> int:
-    from .geometry import build_cell_mesh
     from .macro import build_bending_operator, build_membrane_operator, macro_eigs
     from .zhikov import limit_spectrum
     mat, shape, regime, macro_mesh, ws, bs, zf = _zhikov_data(cfg)
@@ -188,16 +174,7 @@ def cmd_spectrum(cfg, out: Path, chash: str) -> int:
     n_macro = spec_cfg.get("n_macro", 8)
 
     # regime-appropriate effective tensor and macro operator
-    from .effective import effective_delta, effective_delta0, effective_deltainf
-    n = cfg["cell"]["n"]
-    n_z = cfg["cell"].get("n_z", 4)
-    if 0.0 < regime.delta < np.inf:
-        tensor = effective_delta(mat, build_cell_mesh(shape, n=n, dim=3,
-                                                      n_z=n_z), regime.delta)
-    elif regime.delta == 0.0:
-        tensor = effective_delta0(mat, build_cell_mesh(shape, n=n))
-    else:
-        tensor = effective_deltainf(mat, build_cell_mesh(shape, n=n))
+    cell_mesh, tensor = _cell_tensor(cfg, mat, shape, regime)
     if regime.tau == 0:
         op = build_membrane_operator(tensor, macro_mesh, zf.rho_bar)
     else:
@@ -220,8 +197,8 @@ def cmd_spectrum(cfg, out: Path, chash: str) -> int:
         from .bloch import strip_bottom_m0
         eta_max = spec_cfg.get("eta_max", 20.0)
         eta_pts = spec_cfg.get("eta_points", 81)
-        mesh2 = build_cell_mesh(shape, n=n)
-        m0, curve = strip_bottom_m0(mat, mesh2, np.linspace(0, eta_max, eta_pts), ws)
+        m0, curve = strip_bottom_m0(mat, cell_mesh,
+                                    np.linspace(0, eta_max, eta_pts), ws)
         _write_csv(out / "strip_curve.csv", ["eta", "alpha1"],
                    [tuple(r) for r in curve], chash)
         strip_note = ("discrete half-line strip eigenvalues below m0 are not "
@@ -332,7 +309,6 @@ def cmd_evolve(cfg, out: Path, chash: str) -> int:
 
 def cmd_validate(cfg, out: Path, chash: str) -> int:
     from .finescale import build_fine_problem, fine_eigs
-    from .geometry import build_cell_mesh
     from .macro import build_membrane_operator, macro_eigs
     from .zhikov import limit_spectrum
     mat, shape, regime, macro_mesh, ws, bs, zf = _zhikov_data(cfg)
@@ -343,22 +319,16 @@ def cmd_validate(cfg, out: Path, chash: str) -> int:
     vcfg = cfg.get("validate", {})
     eps_list = vcfg.get("eps", [0.5, 0.25])
     n_eigs = vcfg.get("n_eigs", 3)
-    n = cfg["cell"]["n"]
-    n_z = cfg["cell"].get("n_z", 4)
 
-    from .effective import effective_delta, effective_deltainf
+    cell_mesh, tensor = _cell_tensor(cfg, mat, shape, regime)
     m0 = None
     if thin:
         from .bloch import strip_bottom_m0
-        tensor = effective_deltainf(mat, build_cell_mesh(shape, n=n))
         eta_max = cfg.get("spectrum", {}).get("eta_max", 20.0)
         eta_pts = cfg.get("spectrum", {}).get("eta_points", 41)
-        m0, _ = strip_bottom_m0(mat, build_cell_mesh(shape, n=n),
+        m0, _ = strip_bottom_m0(mat, cell_mesh,
                                 np.linspace(0, eta_max, eta_pts), ws)
         h_fixed = vcfg.get("h", 0.5)
-    else:
-        tensor = effective_delta(mat, build_cell_mesh(shape, n=n, dim=3,
-                                                      n_z=n_z), regime.delta)
     op = build_membrane_operator(tensor, macro_mesh, zf.rho_bar)
     mu_w, _ = macro_eigs(op, cfg.get("spectrum", {}).get("n_macro", 8), ws)
     spec = limit_spectrum(_scalarize(bs, mat, regime), zf.rho_bar * mu_w,

@@ -189,8 +189,8 @@ def _macro_profile(node):
         k2 = node.get("k2", 1)
         L1 = node.get("L1", 1.0)
         L2 = node.get("L2", 1.0)
-        return lambda x: float(np.sin(k1 * np.pi * x[0] / L1)
-                               * np.sin(k2 * np.pi * x[1] / L2))
+        return lambda x: (np.sin(k1 * np.pi * x[0] / L1)
+                          * np.sin(k2 * np.pi * x[1] / L2))
     raise ConfigError(f"unknown macro profile {node['kind']!r}")
 
 
@@ -199,7 +199,7 @@ def _time_profile(node):
         return None
     if node["kind"] == "sin":
         w = float(node.get("omega", 1.0))
-        return lambda t: float(np.sin(w * t))
+        return lambda t: np.sin(w * t)
     raise ConfigError(f"unknown time profile {node['kind']!r}")
 
 

@@ -90,30 +90,20 @@ def effective_delta(mat: tn.MaterialSpec, mesh3d: CellMesh, delta: float,
         space="periodic-zero-mean", restrict_to="stiff", ncomp=3)
     hsize = mesh3d.element_size()
     stiff_ids = np.flatnonzero(~mesh3d.element_soft)
-    layer_of = stiff_ids // (mesh3d.n ** 2)
-    z0 = mesh3d.nodes[mesh3d.elements[stiff_ids][:, 0], 2]
-    third = ("dz", 1.0 / delta)
+    per_layer = mesh3d.n ** 2
     qpts, qwts = el.q1_quadrature(hsize)
-
-    def prestrain(x3):
-        # columns: unit membrane strains A, then unit curvatures B
-        return np.hstack([_UNIT, -x3 * _UNIT])
-
-    # per-layer element loads (the prestrain only depends on x3)
-    F = np.zeros((pair.dof.n_free, 6))
-    E0 = np.zeros((6, 6))
-    for k in np.unique(layer_of):
-        sel = stiff_ids[layer_of == k]
-        z_org = z0[layer_of == k][0]
-        fe = el.q1_prestrain_load(hsize, mat.C1,
-                                  lambda pt: prestrain(z_org + pt[2]),
-                                  third=third)
-        eds = pair.dof.element_dofs(mesh3d.elements[sel])
-        ok = eds >= 0
-        np.add.at(F, eds[ok], np.broadcast_to(fe, (len(sel), *fe.shape))[ok])
-        for pt, w in zip(qpts, qwts):
-            P = prestrain(z_org + pt[2])
-            E0 += len(sel) * w * (P.T @ mat.C1 @ P)
+    # per-layer prestrain at the Gauss points (it only depends on x3):
+    # columns the unit membrane strains A, then the unit curvatures B
+    x3 = mesh3d.nodes[mesh3d.elements[::per_layer, 0], 2][:, None] + qpts[:, 2]
+    P = np.concatenate([np.broadcast_to(_UNIT, (*x3.shape, 6, 3)),
+                        -x3[..., None, None] * _UNIT], axis=-1)
+    fe = el.q1_prestrain_load(hsize, mat.C1, P, third=("dz", 1.0 / delta))
+    layer_of = stiff_ids // per_layer
+    F = fa.assemble_pointwise_load(mesh3d, pair.dof, fe[layer_of], stiff_ids)
+    weight = np.bincount(layer_of, minlength=mesh3d.n_z)[:, None] * qwts
+    # summed term by term, layer by layer: the coupling block is round-off
+    E0 = sum((weight[..., None, None]
+              * (np.swapaxes(P, -1, -2) @ mat.C1 @ P)).reshape(-1, 6, 6))
     E0 = 0.5 * (E0 + E0.T)
     Q = _corrector_min(pair.K, pair.kernel, F, E0, tol)
     return EffectiveTensor(
@@ -136,13 +126,13 @@ def effective_delta0(mat: tn.MaterialSpec, mesh2d: CellMesh,
 
     pm = fa.assemble_vector_h1(mesh2d, Cr, space="periodic-zero-mean",
                                restrict_to="stiff", ncomp=2)
-    fe = el.q1_prestrain_load(hsize, Cr, lambda pt: unit, ncomp=2)
+    fe = el.q1_prestrain_load(hsize, Cr, unit, ncomp=2)
     F = fa.assemble_element_load(mesh2d, pm.dof, {"stiff": fe}, "stiff")
     memb = _corrector_min(pm.K, pm.kernel, F, E0, tol)
 
     pb = fa.assemble_bfs_h2(mesh2d, Cr, space="periodic-zero-mean",
                             restrict_to="stiff")
-    fe = el.bfs_prestrain_load(hsize, Cr, lambda pt: unit)
+    fe = el.bfs_prestrain_load(hsize, Cr, unit)
     F = fa.assemble_element_load(mesh2d, pb.dof, {"stiff": fe}, "stiff")
     bend = _corrector_min(pb.K, pb.kernel, F, E0, tol) / 12.0
     return EffectiveTensor(

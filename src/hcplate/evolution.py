@@ -94,8 +94,8 @@ def implicit_midpoint(system: ModalSystem, u0, v0, T: float, dt: float):
     X, V = np.empty((2, nsteps + 1, cp.n0))
     C, W = np.empty((2, nsteps + 1, cp.N, cp.nm))
     X[0], C[0], V[0], W[0] = x, c, v, w
-    for j in range(nsteps):
-        g = system.time_fn((j + 0.5) * dt)
+    gs = system.time_fn((np.arange(nsteps) + 0.5) * dt)
+    for j, g in enumerate(gs):
         # (M - s K) v + dt (F - K u) = M v - K (s v + dt u) + dt F
         r0, rho = cp.mass(v, w)
         k0, kc = cp.stiff(s * v + dt * x, s * w + dt * c)
@@ -177,8 +177,7 @@ def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
             "state_dofs": system.n, "factored_dofs": factor.A.shape[0],
             "factor_fill": factor.fill}
     if variant in ("long_time_bending", "delta0_hc"):
-        tf = load.time_fn()
-        g = np.array([tf(t) for t in times])
+        g = load.time_fn()(times)
         mac = data["macro_nodal"]
     if variant == "long_time_bending":
         # quasistatic components per step (the partially quasistatic
@@ -252,7 +251,6 @@ def evolve_memory_bending(model: LimitModel, load: LoadSpec, T: float,
     fbar, _ = load_moments(model, load)
     Rb = model.bend_rect()
     ell = micro_modal_loads(model, load)
-    tf = load.time_fn()
 
     # project the load and the grand mass onto each macro mode k: the (1+N)
     # block system has mass [[rho, m3^T],[m3, I]], stiffness
@@ -277,8 +275,7 @@ def evolve_memory_bending(model: LimitModel, load: LoadSpec, T: float,
     cs = np.zeros((n_macro_modes, len(eta), 2))   # micro (c, v) per mode
     out = np.zeros((nsteps + 1, n_macro_modes))
     out[0] = b
-    for j in range(nsteps):
-        g = tf((j + 0.5) * dt)
+    for j, g in enumerate(load.time_fn()((np.arange(nsteps) + 0.5) * dt)):
         drive = dt * g * np.outer(mac_k, ell)          # (K, N)
         dv_hist = np.einsum("nq,knq->kn", P[:, 1], cs) - cs[..., 1] \
             + gammas * drive

@@ -267,17 +267,22 @@ def assemble_element_load(mesh, dof: DofMap, element_vec_by_material: dict,
     return out
 
 
-def assemble_pointwise_load(mesh, dof: DofMap, fe_builder,
+def quadrature_points(mesh, elem_ids: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Coordinates (dim, elements, q) of the element quadrature points pts
+    (q, dim), given relative to the first (lower-left) node, in the elements
+    elem_ids: coordinates first, as load profiles take them."""
+    origin = mesh.nodes[mesh.elements[elem_ids, 0]]
+    return np.moveaxis(origin[:, None, :] + pts, -1, 0)
+
+
+def assemble_pointwise_load(mesh, dof: DofMap, fe: np.ndarray,
                             elem_ids: np.ndarray) -> np.ndarray:
-    """Scatter element loads that vary per element: fe_builder(origin) gives
-    the element vector for the element with lower-left corner `origin`."""
-    out = np.zeros(dof.n_free)
-    for e in elem_ids:
-        origin = mesh.nodes[mesh.elements[e][0]]
-        fe = fe_builder(origin)
-        eds = dof.index[mesh.elements[e]].ravel()
-        ok = eds >= 0
-        np.add.at(out, eds[ok], fe[ok])
+    """Scatter element loads that vary per element: fe (elements, local
+    DOFs[, load cases]) holds one local vector per element of elem_ids."""
+    eds = dof.element_dofs(mesh.elements[elem_ids])
+    ok = eds >= 0
+    out = np.zeros((dof.n_free, *fe.shape[2:]))
+    np.add.at(out, eds[ok], fe[ok])
     return out
 
 

@@ -11,6 +11,12 @@ gradient columns and the third column is one of
 DOF ordering is node-major, components fastest: (n0c0, n0c1, ..., n1c0, ...).
 Bogner-Fox-Schmit (bicubic Hermite) elements carry 4 DOFs per node
 (w, w_x, w_y, w_xy) and discretize Hessian energies on rectangles.
+
+Element loads take the load's values at the element's quadrature points
+(``q1_quadrature`` or ``bfs_quadrature``, in that order) as arrays, one row
+per element, and return one local vector per element. They sum the point
+contributions in quadrature order, so a load is the same to the last bit
+whether its elements come one at a time or all at once.
 """
 
 from __future__ import annotations
@@ -25,15 +31,21 @@ _G4W = np.array([0.3478548451374538, 0.6521451548625461,
                  0.6521451548625461, 0.3478548451374538])
 
 
+def _sum_points(terms, axis):
+    """Sum over the quadrature-point axis one point at a time, in quadrature
+    order: np.sum may pair the terms depending on the memory layout."""
+    return sum(np.moveaxis(terms, axis, 0))
+
+
 def _gauss_on(lo: float, hi: float, pts, wts):
     x = 0.5 * (hi - lo) * pts + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * wts
     return x, w
 
 
-def _q1_shape_2d(xi: float, eta: float):
+def _q1_shape_2d(xi, eta):
     """Bilinear shapes and reference-derivatives on [0,1]^2, node order
-    (0,0),(1,0),(1,1),(0,1)."""
+    (0,0),(1,0),(1,1),(0,1); array arguments add trailing point axes."""
     N = np.array([(1 - xi) * (1 - eta), xi * (1 - eta), xi * eta, (1 - xi) * eta])
     dNdxi = np.array([-(1 - eta), (1 - eta), eta, -eta])
     dNdeta = np.array([-(1 - xi), -xi, xi, (1 - xi)])
@@ -50,8 +62,8 @@ def _q1_shape_3d(xi, eta, zeta):
 
 
 def q1_quadrature(hsize):
-    """Gauss points (physical coords within the element) and weights; 2x2
-    in-plane, x2 in x3 for hexes."""
+    """Gauss points (physical coords within the element, shape (q, dim)) and
+    weights; 2x2 in-plane, x2 in x3 for hexes."""
     if len(hsize) == 2:
         hx, hy = hsize
         gx, wx = _gauss_on(0, hx, _G2, _G2W)
@@ -65,11 +77,12 @@ def q1_quadrature(hsize):
         gz, wz = _gauss_on(0, hz, _G2, _G2W)
         pts = [(x, y, z) for z in gz for y in gy for x in gx]
         wts = [a * b * c for c in wz for b in wy for a in wx]
-    return pts, np.array(wts)
+    return np.array(pts), np.array(wts)
 
 
 def _q1_eval(hsize, pt):
-    """Shapes and physical derivatives at one point; third derivative column
+    """Shapes and physical derivatives at one point (or, for coordinate
+    arrays pt[0], pt[1], ..., per node and point); third derivative column
     is None for 2D elements."""
     if len(hsize) == 2:
         hx, hy = hsize
@@ -93,25 +106,26 @@ def _third_column(N, dNdz, third):
 
 
 def q1_b_matrix(N, dNdx, dNdy, c3, ncomp):
-    """Engineering-Voigt strain matrix at one quadrature point."""
-    nn = len(N)
+    """Engineering-Voigt strain matrix at one quadrature point; per-node
+    arrays (q, nn) give one matrix per point, (q, nv, ncomp*nn)."""
+    *lead, nn = np.shape(N)
     if ncomp == 2:
-        B = np.zeros((3, 2 * nn), dtype=np.result_type(c3, float))
-        B[0, 0::2] = dNdx
-        B[1, 1::2] = dNdy
-        B[2, 0::2] = dNdy
-        B[2, 1::2] = dNdx
+        B = np.zeros((*lead, 3, 2 * nn), dtype=np.result_type(c3, float))
+        B[..., 0, 0::2] = dNdx
+        B[..., 1, 1::2] = dNdy
+        B[..., 2, 0::2] = dNdy
+        B[..., 2, 1::2] = dNdx
         return B
-    B = np.zeros((6, 3 * nn), dtype=np.result_type(c3, float))
-    B[0, 0::3] = dNdx
-    B[1, 1::3] = dNdy
-    B[2, 2::3] = c3
-    B[3, 1::3] = c3
-    B[3, 2::3] = dNdy
-    B[4, 0::3] = c3
-    B[4, 2::3] = dNdx
-    B[5, 0::3] = dNdy
-    B[5, 1::3] = dNdx
+    B = np.zeros((*lead, 6, 3 * nn), dtype=np.result_type(c3, float))
+    B[..., 0, 0::3] = dNdx
+    B[..., 1, 1::3] = dNdy
+    B[..., 2, 2::3] = c3
+    B[..., 3, 1::3] = c3
+    B[..., 3, 2::3] = dNdy
+    B[..., 4, 0::3] = c3
+    B[..., 4, 2::3] = dNdx
+    B[..., 5, 0::3] = dNdy
+    B[..., 5, 1::3] = dNdx
     return B
 
 
@@ -141,29 +155,31 @@ def q1_mass(hsize, rho=1.0, ncomp=3):
     return np.kron(Me, np.eye(ncomp))
 
 
-def q1_prestrain_load(hsize, C, strain_at, third=None, ncomp=3):
-    """Element load  -\\int C eps0(x) : sym-grad(xi)  for a prescribed
-    engineering-Voigt prestrain field eps0 given by ``strain_at(point)``;
-    a matrix-valued eps0 gives one load column per prestrain column."""
+def _q1_at_points(hsize):
+    """Weights and (N, dNdx, dNdy, dNdz), each (q, nn), at the Q1 Gauss
+    points; dNdz is None for 2D elements."""
     pts, wts = q1_quadrature(hsize)
-    fe = 0.0
-    for pt, w in zip(pts, wts):
-        N, dNdx, dNdy, dNdz = _q1_eval(hsize, pt)
-        c3 = _third_column(N, dNdz, third)
-        B = q1_b_matrix(N, dNdx, dNdy, c3, ncomp)
-        fe = fe - w * (B.T @ (C @ strain_at(pt)))
-    return fe
+    return wts, [None if a is None else a.T for a in _q1_eval(hsize, pts.T)]
 
 
-def q1_vector_load(hsize, value_at, ncomp=3):
-    """Element load \\int f(x) . xi for an ncomp-vector field f."""
-    pts, wts = q1_quadrature(hsize)
-    nn = 4 if len(hsize) == 2 else 8
-    fe = np.zeros(ncomp * nn)
-    for pt, w in zip(pts, wts):
-        N = _q1_eval(hsize, pt)[0]
-        fe += w * np.kron(N, np.asarray(value_at(pt), dtype=float))
-    return fe
+def q1_prestrain_load(hsize, C, strain, third=None, ncomp=3):
+    """Element load  -\\int C eps0(x) : sym-grad(xi)  for the prescribed
+    engineering-Voigt prestrain eps0 given at the Q1 Gauss points,
+    ``strain`` of shape (..., q, nv, k) or, if constant, (nv, k): one load
+    column (..., ncomp*nn, k) per prestrain column."""
+    wts, (N, dNdx, dNdy, dNdz) = _q1_at_points(hsize)
+    B = q1_b_matrix(N, dNdx, dNdy, _third_column(N, dNdz, third), ncomp)
+    terms = wts[:, None, None] * (np.swapaxes(B, -1, -2) @ (C @ strain))
+    return -_sum_points(terms, -3)
+
+
+def q1_vector_load(hsize, values):
+    """Element loads \\int f(x) . xi of vector fields f given at the Q1
+    Gauss points, ``values`` of shape (elements, q, ncomp): one local
+    vector (elements, nn*ncomp) per element."""
+    wts, (N, *_) = _q1_at_points(hsize)
+    terms = wts[:, None, None] * (N[:, :, None] * values[:, :, None, :])
+    return _sum_points(terms, 1).reshape(len(values), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +205,8 @@ _BFS_NODE_KINDS = [((0, 0), (1, 0), (0, 1), (1, 1)),
 
 
 def bfs_eval(hsize, pt, order=2):
-    """All 16 BFS shape functions and derivatives at one physical point.
+    """All 16 BFS shape functions and derivatives at one physical point
+    (or, for coordinate arrays pt[0], pt[1], per shape and point).
 
     Returns (N, Nx, Ny, Nxx, Nyy, Nxy); the derivative arrays above `order`
     are None. Slope DOFs are scaled by the element size so nodal DOFs are
@@ -202,12 +219,13 @@ def bfs_eval(hsize, pt, order=2):
     # slope shapes carry the h scaling; derivatives in physical coords
     sx = np.array([1.0, hx, 1.0, hx])
     sy = np.array([1.0, hy, 1.0, hy])
-    N = np.empty(16)
-    Nx = np.empty(16)
-    Ny = np.empty(16)
-    Nxx = np.empty(16) if order >= 2 else None
-    Nyy = np.empty(16) if order >= 2 else None
-    Nxy = np.empty(16) if order >= 2 else None
+    shape = (16, *np.shape(tx))
+    N = np.empty(shape)
+    Nx = np.empty(shape)
+    Ny = np.empty(shape)
+    Nxx = np.empty(shape) if order >= 2 else None
+    Nyy = np.empty(shape) if order >= 2 else None
+    Nxy = np.empty(shape) if order >= 2 else None
     k = 0
     for node_kinds in _BFS_NODE_KINDS:
         for (kx, ky) in node_kinds:
@@ -227,15 +245,16 @@ def bfs_quadrature(hsize):
     hx, hy = hsize
     gx, wx = _gauss_on(0, hx, _G4, _G4W)
     gy, wy = _gauss_on(0, hy, _G4, _G4W)
-    pts = [(x, y) for y in gy for x in gx]
+    pts = np.array([(x, y) for y in gy for x in gx])
     wts = np.array([a * b for b in wy for a in wx])
     return pts, wts
 
 
 def bfs_hessian_b(hsize, pt):
-    """Rows (w_xx, w_yy, 2 w_xy) of the Hessian in engineering Voigt form."""
+    """Rows (w_xx, w_yy, 2 w_xy) of the Hessian in engineering Voigt form
+    (3, 16), with trailing point axes for coordinate arrays."""
     _, _, _, Nxx, Nyy, Nxy = bfs_eval(hsize, pt)
-    return np.vstack([Nxx, Nyy, 2.0 * Nxy])
+    return np.stack([Nxx, Nyy, 2.0 * Nxy])
 
 
 def bfs_stiffness(hsize, D):
@@ -257,35 +276,32 @@ def bfs_mass(hsize, rho=1.0):
     return Me
 
 
-def bfs_prestrain_load(hsize, D, strain_at):
-    """Element load -\\int D kappa0(x) : hess(xi) for a prescribed 2D-Voigt
-    curvature field kappa0 (matrix-valued: one column per load case)."""
+def bfs_prestrain_load(hsize, D, strain):
+    """Element load -\\int D kappa0(x) : hess(xi) for the prescribed 2D-Voigt
+    curvature kappa0 given at the BFS Gauss points, ``strain`` of shape
+    (..., q, 3, k) or, if constant, (3, k): one load column (..., 16, k)
+    per curvature column."""
     pts, wts = bfs_quadrature(hsize)
-    fe = 0.0
-    for pt, w in zip(pts, wts):
-        B = bfs_hessian_b(hsize, pt)
-        fe = fe - w * (B.T @ (D @ strain_at(pt)))
-    return fe
+    B = np.moveaxis(bfs_hessian_b(hsize, pts.T), -1, 0)      # (q, 3, 16)
+    terms = wts[:, None, None] * (np.swapaxes(B, -1, -2) @ (D @ strain))
+    return -_sum_points(terms, -3)
 
 
-def bfs_value_load(hsize, value_at):
+def bfs_value_load(hsize, values):
+    """Element loads \\int f(x) xi of scalar fields f given at the BFS
+    Gauss points, ``values`` of shape (elements, q): (elements, 16)."""
     pts, wts = bfs_quadrature(hsize)
-    fe = np.zeros(16)
-    for pt, w in zip(pts, wts):
-        N = bfs_eval(hsize, pt, order=1)[0]
-        fe += w * value_at(pt) * N
-    return fe
+    N = bfs_eval(hsize, pts.T, order=1)[0].T
+    return _sum_points((wts * values)[..., None] * N, 1)
 
 
-def bfs_gradient_load(hsize, grad_at):
-    """Element load \\int g(x) . grad(xi) for a 2-vector field g."""
+def bfs_gradient_load(hsize, grads):
+    """Element loads \\int g(x) . grad(xi) of 2-vector fields g given at the
+    BFS Gauss points, ``grads`` of shape (elements, q, 2): (elements, 16)."""
     pts, wts = bfs_quadrature(hsize)
-    fe = np.zeros(16)
-    for pt, w in zip(pts, wts):
-        N, Nx, Ny, *_ = bfs_eval(hsize, pt, order=1)
-        g = grad_at(pt)
-        fe += w * (g[0] * Nx + g[1] * Ny)
-    return fe
+    _, Nx, Ny, *_ = bfs_eval(hsize, pts.T, order=1)
+    terms = grads[..., 0, None] * Nx.T + grads[..., 1, None] * Ny.T
+    return _sum_points(wts[:, None] * terms, 1)
 
 
 def mixed_memb_bend(hsize, Cmb):

@@ -13,9 +13,11 @@ import scipy.sparse.linalg as spla
 
 from . import tensors as tn
 from .fem import elements as el
+from .fem.assemble import assemble_pointwise_load, quadrature_points
 from .fem.system import (DofMap, EigWorkspace, SparseOperatorPair,
                          eigs_smallest, scatter, triplets_to_csr)
-from .geometry import ConfigurationError, InclusionShape
+from .geometry import (ConfigurationError, InclusionShape, extrude,
+                       structured_quads)
 
 DOF_BUDGET = 200_000
 
@@ -54,29 +56,11 @@ def _build_fine_mesh(L1, L2, eps, cells_per_eps, n_z, shape: InclusionShape,
                                  "of eps-cells")
     nx = int(round(ncx)) * cells_per_eps
     ny = int(round(ncy)) * cells_per_eps
-    tx = L1 * np.arange(nx + 1) / nx
-    ty = L2 * np.arange(ny + 1) / ny
+    nodes2, conn2 = structured_quads(L1 * np.arange(nx + 1) / nx,
+                                     L2 * np.arange(ny + 1) / ny)
     lo, hi = z_span
-    tz = lo + (hi - lo) * np.arange(n_z + 1) / n_z
-    npl = (nx + 1) * (ny + 1)
-    X, Y = np.meshgrid(tx, ty, indexing="xy")
-    nodes2 = np.column_stack([X.ravel(), Y.ravel()])
-    nodes = np.empty(((n_z + 1) * npl, 3))
-    for k, z in enumerate(tz):
-        nodes[k * npl:(k + 1) * npl, :2] = nodes2
-        nodes[k * npl:(k + 1) * npl, 2] = z
-
-    def nid(i, j):
-        return j * (nx + 1) + i
-
-    conn2 = np.empty((nx * ny, 4), dtype=int)
-    e = 0
-    for j in range(ny):
-        for i in range(nx):
-            conn2[e] = (nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1))
-            e += 1
-    conn = np.vstack([np.hstack([conn2 + k * npl, conn2 + (k + 1) * npl])
-                      for k in range(n_z)])
+    nodes, conn = extrude(nodes2, conn2,
+                          lo + (hi - lo) * np.arange(n_z + 1) / n_z)
     cent2 = nodes2[conn2].mean(axis=1)
     frac = np.mod(cent2 / eps, 1.0)
     soft2 = shape.contains(frac) if shape is not None else \
@@ -178,26 +162,15 @@ def fine_resolvent(fp: FineProblem, lam: float, load) -> dict:
         raise ValueError("lambda must be positive")
     mesh = fp.mesh
     amp = np.asarray(load.amplitude, dtype=float)
-    tfun = load.transverse_fn()
-    cfun = load.cell_fn(fp.shape)
-    mac = load.macro_fn()
-    eps = fp.epsilon
-
-    def fe_builder(origin):
-        def value_at(pt):
-            x = origin[:2] + np.asarray(pt[:2])
-            z = origin[2] + pt[2]
-            y = np.mod(x / eps, 1.0)
-            return amp * mac(x) * tfun(z) * cfun(y)
-        return el.q1_vector_load(mesh.hsize, value_at, ncomp=3)
-
-    F = np.zeros(fp.pair.dof.n_free)
-    for e in range(len(mesh.elements)):
-        origin = mesh.nodes[mesh.elements[e][0]]
-        fe = fe_builder(origin)
-        eds = fp.pair.dof.index[mesh.elements[e]].ravel()
-        ok = eds >= 0
-        np.add.at(F, eds[ok], fe[ok])
+    elems = np.arange(len(mesh.elements))
+    X = quadrature_points(mesh, elems, el.q1_quadrature(mesh.hsize)[0])
+    x = X[:2]
+    # (components, elements, points) -> (elements, points, components)
+    values = amp[:, None, None] * load.macro_fn()(x) \
+        * load.transverse_fn()(X[2]) \
+        * load.cell_fn(fp.shape)(np.mod(x / fp.epsilon, 1.0))
+    fe = el.q1_vector_load(mesh.hsize, np.moveaxis(values, 0, -1))
+    F = assemble_pointwise_load(mesh, fp.pair.dof, fe, elems)
     A = (fp.h ** (-fp.tau) * fp.pair.K + lam * fp.pair.M).tocsc()
     u = spla.splu(A).solve(F)
     full = fp.pair.dof.expand(u)

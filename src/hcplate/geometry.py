@@ -53,12 +53,11 @@ class InclusionShape:
         return self.kind == "square"
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        """Boolean mask: which points (shape (m, 2)) lie inside Y0."""
-        pts = np.atleast_2d(pts)
-        d = pts - np.asarray(self.center)
+        """Boolean mask: which points (shape (..., 2)) lie inside Y0."""
+        d = np.asarray(pts) - np.asarray(self.center)
         if self.kind == "disk":
-            return np.hypot(d[:, 0], d[:, 1]) < self.size
-        return np.maximum(abs(d[:, 0]), abs(d[:, 1])) < self.size
+            return np.hypot(d[..., 0], d[..., 1]) < self.size
+        return np.maximum(abs(d[..., 0]), abs(d[..., 1])) < self.size
 
     def area(self) -> float:
         if self.kind == "disk":
@@ -91,13 +90,10 @@ class CellMesh:
 
     def __post_init__(self):
         n_nodes = self.nodes.shape[0]
-        soft_count = np.zeros(n_nodes, dtype=int)
-        stiff_count = np.zeros(n_nodes, dtype=int)
-        for e, conn in enumerate(self.elements):
-            if self.element_soft[e]:
-                soft_count[conn] += 1
-            else:
-                stiff_count[conn] += 1
+        soft = self.elements[self.element_soft].ravel()
+        stiff = self.elements[~self.element_soft].ravel()
+        soft_count = np.bincount(soft, minlength=n_nodes)
+        stiff_count = np.bincount(stiff, minlength=n_nodes)
         touch_soft = soft_count > 0
         self.inclusion_interior_nodes = np.flatnonzero(touch_soft & (stiff_count == 0))
         self.inclusion_boundary_nodes = np.flatnonzero(touch_soft & (stiff_count > 0))
@@ -140,30 +136,31 @@ class CellMesh:
         }
 
 
-def _grid_2d(n: int):
-    t = np.arange(n + 1) / n
-    X, Y = np.meshgrid(t, t, indexing="xy")
+def structured_quads(tx: np.ndarray, ty: np.ndarray):
+    """Nodes (x-fastest) of the tensor grid tx x ty and its quads, each with
+    corners (0,0), (1,0), (1,1), (0,1), numbered x-fastest."""
+    X, Y = np.meshgrid(tx, ty, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
+    nx, ny = len(tx) - 1, len(ty) - 1
+    ll = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    conn = np.column_stack([ll, ll + 1, ll + nx + 2, ll + nx + 1])
+    return nodes, conn
 
-    def nid(i, j):
-        return j * (n + 1) + i
 
-    conn = np.empty((n * n, 4), dtype=int)
-    e = 0
-    for j in range(n):
-        for i in range(n):
-            conn[e] = (nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1))
-            e += 1
+def extrude(nodes2: np.ndarray, conn2: np.ndarray, zs: np.ndarray):
+    """Prism mesh over a quad mesh: one node layer per height in zs, and
+    hexes (bottom face, then top face) layer by layer."""
+    npl = len(nodes2)
+    nodes = np.column_stack([np.tile(nodes2, (len(zs), 1)),
+                             np.repeat(zs, npl)])
+    base = conn2 + npl * np.arange(len(zs) - 1)[:, None, None]
+    conn = np.concatenate([base, base + npl], axis=2).reshape(-1, 8)
     return nodes, conn
 
 
 def _periodic_map_2d(n: int) -> np.ndarray:
-    pmap = np.arange((n + 1) ** 2)
-    for j in range(n + 1):
-        for i in range(n + 1):
-            im, jm = i % n, j % n
-            pmap[j * (n + 1) + i] = jm * (n + 1) + im
-    return pmap
+    wrap = np.arange(n + 1) % n
+    return (wrap[:, None] * (n + 1) + wrap).ravel()
 
 
 def build_cell_mesh(shape: InclusionShape | None, n: int, dim: int = 2,
@@ -185,7 +182,8 @@ def build_cell_mesh(shape: InclusionShape | None, n: int, dim: int = 2,
             f"inclusion margin {shape.boundary_margin:.4g} smaller than one "
             f"element layer 1/n = {1.0 / n:.4g}")
 
-    nodes2, conn2 = _grid_2d(n)
+    t = np.arange(n + 1) / n
+    nodes2, conn2 = structured_quads(t, t)
     cent = nodes2[conn2].mean(axis=1)
     soft2 = shape.contains(cent) if shape is not None else np.zeros(len(conn2), dtype=bool)
 
@@ -194,22 +192,11 @@ def build_cell_mesh(shape: InclusionShape | None, n: int, dim: int = 2,
                         element_soft=soft2, periodic_map=_periodic_map_2d(n))
 
     lo, hi = z_span
-    zs = lo + (hi - lo) * np.arange(n_z + 1) / n_z
-    npl = (n + 1) ** 2
-    nodes = np.empty(((n_z + 1) * npl, 3))
-    for k, z in enumerate(zs):
-        nodes[k * npl:(k + 1) * npl, :2] = nodes2
-        nodes[k * npl:(k + 1) * npl, 2] = z
-    conn = np.empty((n_z * n * n, 8), dtype=int)
-    e = 0
-    for k in range(n_z):
-        base = conn2 + k * npl
-        top = conn2 + (k + 1) * npl
-        conn[e:e + n * n] = np.hstack([base, top])
-        e += n * n
+    nodes, conn = extrude(nodes2, conn2,
+                          lo + (hi - lo) * np.arange(n_z + 1) / n_z)
     soft = np.tile(soft2, n_z)
-    pmap2 = _periodic_map_2d(n)
-    pmap = np.concatenate([pmap2 + k * npl for k in range(n_z + 1)])
+    pmap = (_periodic_map_2d(n)
+            + len(nodes2) * np.arange(n_z + 1)[:, None]).ravel()
     return CellMesh(n=n, dim=3, shape=shape, nodes=nodes, elements=conn,
                     element_soft=soft, periodic_map=pmap, n_z=n_z, z_span=z_span)
 
@@ -251,20 +238,8 @@ def build_macro_mesh(L1: float, L2: float, n1: int, n2: int,
         if e not in _EDGES:
             raise ConfigurationError(f"unknown boundary edge {e!r}")
 
-    tx = L1 * np.arange(n1 + 1) / n1
-    ty = L2 * np.arange(n2 + 1) / n2
-    X, Y = np.meshgrid(tx, ty, indexing="xy")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    def nid(i, j):
-        return j * (n1 + 1) + i
-
-    conn = np.empty((n1 * n2, 4), dtype=int)
-    e = 0
-    for j in range(n2):
-        for i in range(n1):
-            conn[e] = (nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1))
-            e += 1
+    nodes, conn = structured_quads(L1 * np.arange(n1 + 1) / n1,
+                                   L2 * np.arange(n2 + 1) / n2)
 
     diri = np.zeros(len(nodes), dtype=bool)
     if "left" in edges:

@@ -101,18 +101,34 @@ class RegimeConfig:
         ]
 
 
-def _profile(spec, default=1.0):
+def _profile(spec, coords_first: bool):
+    """The profile spec (a callable or None for 1) on coordinate arrays:
+    values broadcast to the point shape, x.shape[1:] when the coordinates
+    come first (x[0], x[1] of macro(x) and cell(y)), else x.shape."""
     if spec is None:
-        return lambda x: default
-    if callable(spec):
-        return spec
-    raise TypeError("profile must be a callable or None")
+        spec = _one
+    elif not callable(spec):
+        raise TypeError("profile must be a callable or None")
+
+    def at(x):
+        x = np.asarray(x, dtype=float)
+        return np.full(x.shape[1:] if coords_first else x.shape, spec(x),
+                       dtype=float)
+    return at
+
+
+def _one(x):
+    return 1.0
 
 
 @dataclass
 class LoadSpec:
     """Separable body load f(x, y) = amplitude * macro(x^) * transverse(x3)
-    * cell(y), optionally modulated by time(t) in evolution problems."""
+    * cell(y), optionally modulated by time(t) in evolution problems.
+
+    Profiles are numpy-vectorized: macro(x) and cell(y) take coordinate
+    arrays with the coordinates first (x[0], x[1] arrays of any one shape),
+    transverse(z) and time(t) arrays of points."""
     amplitude: tuple[float, float, float] = (0.0, 0.0, 1.0)
     macro: object = None           # callable on x^ in omega, default 1
     transverse: object = "one"     # "one" | "x3" | callable on x3
@@ -120,33 +136,33 @@ class LoadSpec:
     time: object = None            # callable on t, default 1
 
     def macro_fn(self):
-        return _profile(self.macro)
+        return _profile(self.macro, True)
 
     def transverse_fn(self):
         if self.transverse == "one":
-            return lambda z: 1.0
+            return _profile(None, False)
         if self.transverse == "x3":
-            return lambda z: z
-        return _profile(self.transverse)
+            return _profile(lambda z: z, False)
+        return _profile(self.transverse, False)
 
     def cell_fn(self, shape: InclusionShape | None):
         if self.cell == "one":
-            return lambda y: 1.0
+            return _profile(None, True)
         if self.cell == "soft":
             if shape is None:
                 raise ValueError("soft-supported load needs an inclusion")
-            return lambda y: 1.0 if shape.contains(np.atleast_2d(y))[0] else 0.0
-        return _profile(self.cell)
+            return _profile(lambda y: shape.contains(np.moveaxis(y, 0, -1)),
+                            True)
+        return _profile(self.cell, True)
 
     def time_fn(self):
-        return _profile(self.time)
+        return _profile(self.time, False)
 
     def transverse_moments(self) -> tuple[float, float]:
         """(int_I t(x3) dx3, int_I x3 t(x3) dx3) by 16-point Gauss."""
-        t = self.transverse_fn()
         z = 0.5 * _GAUSS_T
         w = 0.5 * _GAUSS_W
-        vals = np.array([t(zz) for zz in z])
+        vals = self.transverse_fn()(z)
         return float(w @ vals), float(w @ (z * vals))
 
     def cell_means(self, cell_mesh: CellMesh) -> tuple[float, float, float]:
@@ -159,7 +175,7 @@ class LoadSpec:
             soft = cell_mesh.element_soft[:per_layer]
         else:
             soft = cell_mesh.element_soft
-        vals = np.array([c(y) for y in cent]) / cell_mesh.n ** 2
+        vals = c(cent.T) / cell_mesh.n ** 2
         return float(vals.sum()), float(vals[~soft].sum()), float(vals[soft].sum())
 
 
@@ -299,8 +315,7 @@ class LimitModel:
         return self._cache["memb_coupling"]
 
     def macro_nodal(self, load: LoadSpec) -> np.ndarray:
-        f = load.macro_fn()
-        return np.array([f(x) for x in self.macro_mesh.nodes])
+        return load.macro_fn()(self.macro_mesh.nodes.T)
 
     def bend_nodal_values(self, b_red: np.ndarray) -> np.ndarray:
         """Nodal values of a reduced BFS field (zeros on clamped nodes)."""
@@ -331,7 +346,6 @@ def _micro_load_vector(model: LimitModel, load: LoadSpec,
     bs = model.bloch
     mesh = bs.mesh
     amp = np.asarray(load.amplitude if amplitude is None else amplitude, float)
-    tfun = load.transverse_fn()
     cfun = load.cell_fn(model.shape)
     hsize = mesh.element_size()
     soft_ids = np.flatnonzero(mesh.element_soft)
@@ -339,36 +353,25 @@ def _micro_load_vector(model: LimitModel, load: LoadSpec,
 
     if ncomp == 4:   # scalar BFS micro space: value + moment loads
         t0, t1 = load.transverse_moments()
-        out = np.zeros(bs.pair.dof.n_free)
+        pts = el.bfs_quadrature(hsize)[0]
+        c = cfun(fa.quadrature_points(mesh, soft_ids, pts))
+        value = fa.assemble_pointwise_load(
+            mesh, bs.pair.dof, el.bfs_value_load(hsize, c), soft_ids)
+        moment = fa.assemble_pointwise_load(
+            mesh, bs.pair.dof,
+            el.bfs_gradient_load(hsize, amp[:2] * c[..., None]), soft_ids)
+        return amp[2] * t0 * value - t1 * moment
 
-        def fe_val(origin):
-            return el.bfs_value_load(hsize, lambda pt: cfun(origin[:2] + np.asarray(pt)))
-
-        def fe_grad(origin):
-            return el.bfs_gradient_load(
-                hsize, lambda pt: amp[:2] * cfun(origin[:2] + np.asarray(pt)))
-
-        out += amp[2] * t0 * fa.assemble_pointwise_load(mesh, bs.pair.dof,
-                                                        fe_val, soft_ids)
-        out -= t1 * fa.assemble_pointwise_load(mesh, bs.pair.dof, fe_grad, soft_ids)
-        return out
-
-    use = amp[:ncomp]
+    x = fa.quadrature_points(mesh, soft_ids, el.q1_quadrature(hsize)[0])
     if mesh.dim == 3:
-        def fe(origin):
-            return el.q1_vector_load(
-                hsize,
-                lambda pt: use * tfun(origin[2] + pt[2]) * cfun(origin[:2] + np.asarray(pt[:2])),
-                ncomp=ncomp)
+        t = load.transverse_fn()(x[2])
     else:
-        t0, _ = load.transverse_moments()
-
-        def fe(origin):
-            return el.q1_vector_load(
-                hsize, lambda pt: use * t0 * cfun(origin[:2] + np.asarray(pt[:2])),
-                ncomp=ncomp)
-    vec = fa.assemble_pointwise_load(mesh, bs.pair.dof, fe, soft_ids)
-    return bs.scale * vec
+        t = load.transverse_moments()[0]
+    # (components, elements, points) -> (elements, points, components)
+    values = amp[:ncomp, None, None] * t * cfun(x[:2])
+    fe = el.q1_vector_load(hsize, np.moveaxis(values, 0, -1))
+    return bs.scale * fa.assemble_pointwise_load(mesh, bs.pair.dof, fe,
+                                                 soft_ids)
 
 
 def micro_modal_loads(model: LimitModel, load: LoadSpec, amplitude=None) -> np.ndarray:
@@ -404,6 +407,30 @@ def compute_load_functional(model: LimitModel, load: LoadSpec) -> dict:
     return out
 
 
+def cell_tensor(mat: tn.MaterialSpec, shape: InclusionShape | None,
+                delta: float, n: int, n_z: int = 4
+                ) -> tuple[CellMesh, EffectiveTensor]:
+    """The cell mesh and effective tensor of the thickness/period ratio
+    delta: prism cell problems for delta in (0, inf), in-plane ones on the
+    unit cell for delta = 0 and delta = inf."""
+    if 0.0 < delta < np.inf:
+        mesh = build_cell_mesh(shape, n=n, dim=3, n_z=n_z)
+        return mesh, effective_delta(mat, mesh, delta)
+    mesh = build_cell_mesh(shape, n=n)
+    if delta == 0.0:
+        return mesh, effective_delta0(mat, mesh)
+    return mesh, effective_deltainf(mat, mesh)
+
+
+def bloch_tag(regime: RegimeConfig) -> str:
+    """Inclusion operator whose modes carry the micro field of the row."""
+    if 0.0 < regime.delta < np.inf:
+        return "full_delta"
+    if regime.delta == 0.0:
+        return "bend_delta0" if regime.mu == "eps2" else "memb_delta0"
+    return "full_deltainf"
+
+
 def build_limit_model(regime: RegimeConfig, mat: tn.MaterialSpec,
                       shape: InclusionShape, macro_mesh: MacroMesh,
                       cell_n: int = 16, n_z: int = 4, n_modes: int = 30,
@@ -411,20 +438,9 @@ def build_limit_model(regime: RegimeConfig, mat: tn.MaterialSpec,
     """Assemble the regime-appropriate tensors, modal basis, and macro
     operators on the given meshes."""
     d = regime.delta
-    if 0.0 < d < np.inf:
-        cell_mesh = build_cell_mesh(shape, n=cell_n, dim=3, n_z=n_z)
-        tensor = effective_delta(mat, cell_mesh, d)
-        bs = bloch_spectrum(mat, shape, cell_n, "full_delta", n_modes,
-                            delta=d, n_z=n_z, ws=ws)
-    elif d == 0.0:
-        cell_mesh = build_cell_mesh(shape, n=cell_n)
-        tensor = effective_delta0(mat, cell_mesh)
-        tag = "bend_delta0" if regime.mu == "eps2" else "memb_delta0"
-        bs = bloch_spectrum(mat, shape, cell_n, tag, n_modes, ws=ws)
-    else:
-        cell_mesh = build_cell_mesh(shape, n=cell_n)
-        tensor = effective_deltainf(mat, cell_mesh)
-        bs = bloch_spectrum(mat, shape, cell_n, "full_deltainf", n_modes, ws=ws)
+    cell_mesh, tensor = cell_tensor(mat, shape, d, cell_n, n_z)
+    bs = bloch_spectrum(mat, shape, cell_n, bloch_tag(regime), n_modes,
+                        delta=d if 0.0 < d < np.inf else None, n_z=n_z, ws=ws)
 
     frac = cell_mesh.soft_area_fraction()
     rho_bar = mat.rho1 * (1.0 - frac) + mat.rho0 * frac
@@ -481,8 +497,8 @@ def _delta0_third_component(model: LimitModel, lam: float, load: LoadSpec,
     cfun = load.cell_fn(model.shape)
     cent = mesh.centroids()
     soft = mesh.element_soft
-    cell_soft = np.array([cfun(y) for y in cent[soft]])
-    cell_stiff = np.array([cfun(y) for y in cent[~soft]])
+    cell_soft = cfun(cent[soft].T)
+    cell_stiff = cfun(cent[~soft].T)
     mac = model.macro_nodal(load)
     rho = model.rho_bar
 
@@ -506,12 +522,10 @@ def _delta0_third_component(model: LimitModel, lam: float, load: LoadSpec,
                                 restrict_to="stiff", kernel="none")
         Kc = (kappa ** 2 / 12.0) * pb.K + lam * pb.M
         hsize = mesh.element_size()
-
-        def fe(origin):
-            return el.bfs_value_load(
-                hsize, lambda pt: amp3 * t0 * cfun(origin[:2] + np.asarray(pt)))
-
-        rhs = fa.assemble_pointwise_load(mesh, pb.dof, fe, np.flatnonzero(~soft))
+        stiff_ids = np.flatnonzero(~soft)
+        y = fa.quadrature_points(mesh, stiff_ids, el.bfs_quadrature(hsize)[0])
+        fe = el.bfs_value_load(hsize, amp3 * t0 * cfun(y))
+        rhs = fa.assemble_pointwise_load(mesh, pb.dof, fe, stiff_ids)
         state.b_cell = factorize(Kc).solve(rhs)
         state.u3_cell = amp3 * t0 * cell_soft / (lam * mat.rho0)
         state.meta["b_cell_dof"] = pb.dof

@@ -48,6 +48,8 @@ class ZhikovFunction:
         return 1.5 * self.poles[-1] if len(self.poles) else np.inf
 
     def eval(self, lam: float) -> np.ndarray:
+        """Truncated modal evaluation of the dispersion function (the matrix
+        lambda <rho> I + sum_n lambda^2/(eta_n - lambda) m_n m_n^T)."""
         if lam < 0:
             raise ValueError("beta is evaluated at lambda >= 0")
         if len(self.poles) and abs(self.poles - lam).min() < self.pole_guard:
@@ -102,12 +104,6 @@ def zhikov_from_bloch(bs: BlochSpectrum, mat, pole_guard: float = 1e-8) -> Zhiko
     """Assemble the Zhikov data of one inclusion operator variant (all
     tracked components)."""
     return zhikov_variant(bs, mat, components=None, pole_guard=pole_guard)
-
-
-def beta_eval(zf: ZhikovFunction, lam: float) -> np.ndarray:
-    """Truncated modal evaluation of the dispersion function (the matrix
-    lambda <rho> I + sum_n lambda^2/(eta_n - lambda) m_n m_n^T)."""
-    return zf.eval(lam)
 
 
 def beta_oracle(mat, shape, n: int, operator_tag: str, lam: float,

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,8 +8,10 @@ from numpy.testing import assert_allclose
 from hcplate import tensors as tn
 from hcplate.finescale import (build_fine_problem, fine_eigs,
                                fine_resolvent, mu_value)
-from hcplate.geometry import ConfigurationError
+from hcplate.geometry import ConfigurationError, InclusionShape
 from hcplate.limits import LoadSpec
+
+REFERENCE = Path(__file__).parent / "data" / "fine_resolvent_reference.json"
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +152,21 @@ class TestResolvent:
                     diffs.append(np.linalg.norm(cm[j, i, :2] - st.a[k]))
             errs.append(max(diffs))
         assert errs[1] < errs[0]
+
+
+@pytest.mark.parametrize("case", ["full_tau0", "memb_tau2"])
+def test_resolvent_matches_reference(mat, case):
+    """fine_resolvent against stored outputs of the per-element load path:
+    a shaped macro profile, transverse="x3", cell="soft" and nonzero
+    in-plane amplitudes, on the full plate and on the membrane half."""
+    ref = json.loads(REFERENCE.read_text())
+    data = ref["cases"][case]
+    load = LoadSpec(amplitude=(0.6, -0.3, 0.9),
+                    macro=lambda x: 1.0 + np.sin(np.pi * x[0]) * x[1],
+                    transverse="x3", cell="soft")
+    fp = build_fine_problem(mat, InclusionShape("disk", 0.26),
+                            **data["params"])
+    out = fine_resolvent(fp, ref["lambda"], load)
+    for key in ("u", "transverse_average", "cell_means"):
+        want = np.array(data[key])
+        assert abs(out[key] - want).max() <= 1e-12 * abs(want).max(), key

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
+from hcplate.config import parse_load
 from hcplate.geometry import build_macro_mesh
 from hcplate.limits import (LoadSpec, RegimeConfig, RegimeError,
                             build_limit_model, compute_load_functional,
@@ -63,6 +64,32 @@ class TestLoadSpec:
                                                      transverse="x3"))
         assert_allclose(fbar, 0.0, atol=1e-14)
         assert_allclose(xmom, [1.0 / 12.0, 0.0], atol=1e-14)
+
+    def test_profiles_vectorized(self, demo_shape):
+        """Every profile on a coordinate array equals the profile point by
+        point: the LoadSpec defaults and named profiles, and the config's
+        sine/sin profiles."""
+        cfg = {"load": {"macro": {"kind": "sine", "k1": 2, "k2": 1, "L1": 1.5},
+                        "time": {"kind": "sin", "omega": 3.0},
+                        "transverse": "x3", "cell": "soft"}}
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0.0, 1.0, (2, 5, 7))
+        z = rng.uniform(-0.5, 0.5, (5, 7))
+        for ld in (parse_load(cfg), LoadSpec(),
+                   LoadSpec(macro=lambda x: 1.0 + x[0] * x[1],
+                            transverse=lambda z: z ** 2,
+                            cell=lambda y: np.cos(y[0]) + y[1],
+                            time=lambda t: np.cos(3.0 * t) + t)):
+            coords_first = [ld.macro_fn(), ld.cell_fn(demo_shape)]
+            for f in coords_first:
+                pointwise = [[f(x[:, i, j]) for j in range(7)] for i in range(5)]
+                assert_allclose(f(x), pointwise, rtol=1e-15, atol=0)
+            for f in (ld.transverse_fn(), ld.time_fn()):
+                pointwise = [[f(z[i, j]) for j in range(7)] for i in range(5)]
+                assert_allclose(f(z), pointwise, rtol=1e-15, atol=0)
+        soft = parse_load(cfg).cell_fn(demo_shape)(x)
+        assert soft.shape == (5, 7)
+        assert_allclose(soft, demo_shape.contains(np.moveaxis(x, 0, -1)))
 
     def test_soft_supported_zero_mean_load(self, model_r2):
         # in-plane load on the inclusion with zero x3-mean: no macro

@@ -1,0 +1,28 @@
+"""The benchmark tracer patches hcplate functions by name; a rename or
+deletion would only surface as a failed traced run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+
+
+def _layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_every_traced_target_resolves():
+    missing = []
+    for modname, fname, *_ in _layers().TARGETS:
+        if not callable(getattr(importlib.import_module(modname), fname, None)):
+            missing.append(f"{modname}.{fname}")
+    assert not missing, missing
+
+
+def test_counted_dispersion_method_exists():
+    from hcplate.zhikov import ZhikovFunction
+    assert callable(ZhikovFunction.eval)

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from hcplate.effective import effective_delta
 from hcplate.geometry import build_cell_mesh
 from hcplate.macro import build_membrane_operator, macro_eigs
-from hcplate.zhikov import (PoleProximityError, beta_eval, beta_oracle,
+from hcplate.zhikov import (PoleProximityError, beta_oracle,
                             limit_spectrum, limit_spectrum_matrix,
                             zhikov_from_bloch)
 
@@ -36,7 +36,7 @@ class TestBetaEval:
 
     def test_symmetric_matrix(self, demo_zhikov):
         lam = demo_zhikov.poles[0] / 3
-        B = beta_eval(demo_zhikov, lam)
+        B = demo_zhikov.eval(lam)
         assert_allclose(B, B.T)
 
     def test_pole_guard(self, demo_zhikov):
