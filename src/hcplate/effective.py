@@ -33,6 +33,17 @@ from .geometry import CellMesh
 _IN_PLANE = [0, 1, 5]
 _UNIT = np.eye(6)[:, _IN_PLANE]
 
+# delta = inf: the C_inf strain of (w, g, A) is D sym iota(grad w) + _BC c
+# with c = (g, A), g the constant transverse strain vector and A the unit
+# in-plane prestrains; D doubles the transverse shear rows, whose entries
+# are g_a + d_a w3
+_D_INF = np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 1.0])
+_BC = np.zeros((6, 6))
+_BC[2, 2] = 1.0
+_BC[3, 1] = 2.0
+_BC[4, 0] = 2.0
+_BC[:, 3:] = _UNIT
+
 
 @dataclass
 class EffectiveTensor:
@@ -149,57 +160,23 @@ def _flat_zero_corrector_bound(C1: np.ndarray, stiff_frac: float) -> np.ndarray:
     return stiff_frac * np.block([[C, zero], [zero, C / 12.0]])
 
 
-def _deltainf_system(mat: tn.MaterialSpec, mesh2d: CellMesh):
-    """Sparse w-block K_ww, its coupling K_wc to the constant strains
-    c = (g, A) (g the transverse strain vector, A the unit in-plane
-    prestrains) and the constant-strain block K_cc."""
-    pair = fa.assemble_vector_h1(mesh2d, mat.C1, space="periodic-zero-mean",
-                                 restrict_to="stiff", ncomp=3)
-    hsize = mesh2d.element_size()
-    stiff_ids = np.flatnonzero(~mesh2d.element_soft)
-
-    # element blocks: B_w the 6-Voigt strain of (w1, w2, w3) in the C_inf
-    # form (entry (2,3) is g2 + d2 w3), B_c the map of c = (g, A)
-    nw = 12
-    Bc = np.zeros((6, 6))
-    Bc[2, 2] = 1.0
-    Bc[3, 1] = 2.0
-    Bc[4, 0] = 2.0
-    Bc[:, 3:] = _UNIT
-    Kww_e = np.zeros((nw, nw))
-    Kwc_e = np.zeros((nw, 6))
-    Kcc = np.zeros((6, 6))
-    for pt, w in zip(*el.q1_quadrature(hsize)):
-        N, dNdx, dNdy, _ = el._q1_eval(hsize, pt)
-        Bw = np.zeros((6, nw))
-        Bw[0, 0::3] = dNdx
-        Bw[1, 1::3] = dNdy
-        Bw[3, 2::3] = 2.0 * dNdy
-        Bw[4, 2::3] = 2.0 * dNdx
-        Bw[5, 0::3] = dNdy
-        Bw[5, 1::3] = dNdx
-        Kww_e += w * (Bw.T @ mat.C1 @ Bw)
-        Kwc_e += w * (Bw.T @ mat.C1 @ Bc)
-        Kcc += w * (Bc.T @ mat.C1 @ Bc)
-    # pair.K carries sym iota(grad w) with half shear weights on the
-    # transverse rows; K_ww uses the C_inf strain instead
-    eds = pair.dof.element_dofs(mesh2d.elements[stiff_ids])
-    Kww = fa.triplets_to_csr(fa.scatter(eds, Kww_e, pair.dof.n_free),
-                             pair.dof.n_free)
-    Kwc = fa.assemble_element_load(mesh2d, pair.dof, {"stiff": Kwc_e}, "stiff")
-    return pair, Kww, Kwc, len(stiff_ids) * Kcc
-
-
 def effective_deltainf(mat: tn.MaterialSpec, mesh2d: CellMesh,
                        tol: float = 1e-9) -> EffectiveTensor:
     """C^{hom,h} for delta = inf; bending equals the membrane block over 12
     (the x3-odd corrector split is exact in this regime)."""
     if mesh2d.dim != 2:
         raise ValueError("delta=inf cell problems are two-dimensional")
-    pair, Kww, Kwc, Kcc = _deltainf_system(mat, mesh2d)
+    hsize = mesh2d.element_size()
+    pw = fa.assemble_vector_h1(mesh2d, _D_INF @ mat.C1 @ _D_INF,
+                               space="periodic-zero-mean",
+                               restrict_to="stiff", ncomp=3)
+    fe = el.q1_prestrain_load(hsize, _D_INF @ mat.C1, _BC)
+    F = fa.assemble_element_load(mesh2d, pw.dof, {"stiff": fe}, "stiff")
+    E0 = np.count_nonzero(~mesh2d.element_soft) * hsize[0] * hsize[1] \
+        * (_BC.T @ mat.C1 @ _BC)
     # minimize over w (pinned solve), then over g (3x3 Schur complement
     # S = K_gg - K_wg^T K_ww^+ K_wg)
-    T = _corrector_min(Kww, pair.kernel, Kwc, Kcc, tol)
+    T = _corrector_min(pw.K, pw.kernel, F, E0, tol)
     S, T_gA = T[:3, :3], T[:3, 3:]
     memb = T[3:, 3:] - T_gA.T @ np.linalg.solve(S, T_gA)
     memb = 0.5 * (memb + memb.T)

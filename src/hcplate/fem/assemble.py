@@ -1,5 +1,6 @@
 """Mesh-level assembly: builds SparseOperatorPair objects for the scaled
-symmetric-gradient (Q1) and Hessian (BFS) forms on cell/macro meshes."""
+symmetric-gradient (Q1) and Hessian (BFS) forms on cell, macro and
+fine-scale meshes."""
 
 from __future__ import annotations
 
@@ -8,10 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ..geometry import CellMesh
 from . import elements as el
 from .system import DofMap, SparseOperatorPair, detect_kernel, scatter, \
-    scatter_scaled, triplets_to_csr
+    triplets_to_csr
 
 KERNEL_TOL = 1e-10
 
@@ -27,17 +27,21 @@ class ScaledGradientSpec:
             raise ValueError("gradient scaling must be positive and finite")
 
 
-def _by_material(value, soft_mask):
-    """Expand a scalar/array-or-dict material field to (soft_value, stiff_value)."""
+def _by_material(value):
+    """Expand a scalar-or-dict material field to {"soft": ..., "stiff": ...}."""
     if isinstance(value, dict):
-        return value.get("soft"), value.get("stiff")
-    return value, value
+        return {"soft": value.get("soft"), "stiff": value.get("stiff")}
+    return {"soft": value, "stiff": value}
 
 
 def _element_groups(mesh, restrict_to: str):
-    soft = mesh.element_soft
+    """Element ids per material; a mesh without `element_soft` (the macro
+    mesh) is one stiff group."""
+    soft = getattr(mesh, "element_soft", None)
+    if soft is None:
+        return {"stiff": np.arange(len(mesh.elements))}
     if restrict_to == "all":
-        return {"soft": np.flatnonzero(soft), "stiff": np.flatnonzero(~soft)}
+        return {"stiff": np.flatnonzero(~soft), "soft": np.flatnonzero(soft)}
     if restrict_to == "soft":
         return {"soft": np.flatnonzero(soft)}
     if restrict_to == "stiff":
@@ -92,30 +96,25 @@ def assemble_vector_h1(mesh, C, grad: ScaledGradientSpec | None = None,
     """Stiffness/mass pair of the vector H^1 form with Voigt tensor C.
 
     K discretizes int C sym-grad~(u) : sym-grad~(v) over the requested
-    material subset, M the density-weighted L2 product over the same subset.
+    material subset, M the density-weighted L2 product over the same subset;
+    C and density are one value or a {"soft": ..., "stiff": ...} dict.
     Spaces: 'periodic', 'periodic-zero-mean' (periodic + translation kernel),
     'inclusion-zero-trace' (H^1_00 on the discrete Y0), 'dirichlet'
-    (MacroMesh gamma_D or CellMesh z-planes via extra_fixed), 'free'.
+    (MacroMesh gamma_D), 'free'. extra_constraints holds further
+    (nodes, components) pairs to pin, e.g. z-planes or clamped edges.
     """
-    is_cell = isinstance(mesh, CellMesh)
     hsize = mesh.element_size()
     third = None
     if grad is not None:
-        if is_cell and mesh.dim == 3:
-            third = ("dz", 1.0 / grad.delta)
-        else:
-            raise ValueError("scaled gradients need a prism mesh")
+        if len(hsize) != 3:
+            raise ValueError("scaled gradients need a 3D mesh")
+        third = ("dz", 1.0 / grad.delta)
     elif eta is not None:
         third = ("mult", 1j * eta)
-    elif ncomp == 3 and (not is_cell or mesh.dim == 2):
-        third = None  # sym iota(grad_y u): zero third column
 
-    groups = _element_groups(mesh, restrict_to) if is_cell else \
-        {"stiff": np.arange(len(mesh.elements))}
-    Csoft, Cstiff = _by_material(C, None)
-    rsoft, rstiff = _by_material(density, None)
-    Cs = {"soft": Csoft, "stiff": Cstiff}
-    rs = {"soft": rsoft, "stiff": rstiff}
+    groups = _element_groups(mesh, restrict_to)
+    Cs = _by_material(C)
+    rs = _by_material(density)
 
     dof = DofMap(mesh.n_nodes, ncomp)
     if space in ("periodic", "periodic-zero-mean"):
@@ -145,17 +144,11 @@ def assemble_vector_h1(mesh, C, grad: ScaledGradientSpec | None = None,
     for name, ids in groups.items():
         if len(ids) == 0:
             continue
-        Ke = el.q1_stiffness(hsize, Cs[name], third=third, ncomp=ncomp)
         eds = dof.element_dofs(mesh.elements[ids])
-        scatter(eds, Ke, dof.n_free, kt)
-        rho = rs[name]
-        if np.ndim(rho) == 0:
-            Me = el.q1_mass(hsize, float(rho), ncomp=ncomp)
-            scatter(eds, Me, dof.n_free, mt)
-        else:
-            # per-element density field (indexed by global element id)
-            Me1 = el.q1_mass(hsize, 1.0, ncomp=ncomp)
-            scatter_scaled(eds, Me1, np.asarray(rho)[ids], mt)
+        scatter(eds, el.q1_stiffness(hsize, Cs[name], third=third,
+                                     ncomp=ncomp), dof.n_free, kt)
+        scatter(eds, el.q1_mass(hsize, float(rs[name]), ncomp=ncomp),
+                dof.n_free, mt)
     K = triplets_to_csr(kt, dof.n_free, dtype=dt)
     M = triplets_to_csr(mt, dof.n_free, dtype=float)
     pair = SparseOperatorPair(K=K, M=M, dof=dof,
@@ -185,16 +178,12 @@ def assemble_bfs_h2(mesh, D, density=1.0, space: str = "periodic-zero-mean",
     'clamped' (all four DOFs pinned on gamma_D nodes of a MacroMesh),
     'inclusion-clamped' (H^2_0 on the discrete Y0).
     """
-    is_cell = isinstance(mesh, CellMesh)
-    if is_cell and mesh.dim != 2:
-        raise ValueError("BFS elements are two-dimensional")
     hsize = mesh.element_size()
-    groups = _element_groups(mesh, restrict_to) if is_cell else \
-        {"stiff": np.arange(len(mesh.elements))}
-    Dsoft, Dstiff = _by_material(D, None)
-    rsoft, rstiff = _by_material(density, None)
-    Ds = {"soft": Dsoft, "stiff": Dstiff}
-    rs = {"soft": rsoft, "stiff": rstiff}
+    if len(hsize) != 2:
+        raise ValueError("BFS elements are two-dimensional")
+    groups = _element_groups(mesh, restrict_to)
+    Ds = _by_material(D)
+    rs = _by_material(density)
 
     dof = DofMap(mesh.n_nodes, 4)
     if space == "periodic-zero-mean":
@@ -253,8 +242,7 @@ def assemble_element_load(mesh, dof: DofMap, element_vec_by_material: dict,
                           restrict_to: str = "all") -> np.ndarray:
     """Scatter per-material element load vectors over the mesh; element
     load matrices (one column per load case) give a load matrix."""
-    groups = _element_groups(mesh, restrict_to) if isinstance(mesh, CellMesh) \
-        else {"stiff": np.arange(len(mesh.elements))}
+    groups = _element_groups(mesh, restrict_to)
     shape = np.shape(next(iter(element_vec_by_material.values())))[1:]
     out = np.zeros((dof.n_free, *shape))
     for name, ids in groups.items():

@@ -105,20 +105,6 @@ def triplets_to_csr(triplets, n: int, dtype=float) -> sp.csr_matrix:
     return A
 
 
-def scatter_scaled(conn_dofs: np.ndarray, element_matrix: np.ndarray,
-                   scale_per_element: np.ndarray, triplets):
-    """Like scatter, with a per-element scalar factor on the shared matrix."""
-    ne, nd = conn_dofs.shape
-    rows = np.repeat(conn_dofs, nd, axis=1).ravel()
-    cols = np.tile(conn_dofs, (1, nd)).ravel()
-    vals = (scale_per_element[:, None] * element_matrix.ravel()[None, :]).ravel()
-    ok = (rows >= 0) & (cols >= 0)
-    triplets[0].append(rows[ok])
-    triplets[1].append(cols[ok])
-    triplets[2].append(vals[ok])
-    return triplets
-
-
 @dataclass
 class EigWorkspace:
     """Eigensolver knobs: requested mode count is passed separately."""

@@ -9,13 +9,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import tensors as tn
 from .fem import elements as el
-from .fem.assemble import assemble_pointwise_load, quadrature_points
-from .fem.system import (DofMap, EigWorkspace, SparseOperatorPair,
-                         eigs_smallest, scatter, triplets_to_csr)
+from .fem.assemble import (ScaledGradientSpec, assemble_pointwise_load,
+                           assemble_vector_h1, quadrature_points)
+from .fem.system import (EigWorkspace, SparseOperatorPair, eigs_smallest,
+                         factorize)
 from .geometry import (ConfigurationError, InclusionShape, extrude,
                        structured_quads)
 
@@ -46,6 +46,9 @@ class FineMesh:
     @property
     def n_nodes(self):
         return self.nodes.shape[0]
+
+    def element_size(self) -> tuple:
+        return self.hsize
 
 
 def _build_fine_mesh(L1, L2, eps, cells_per_eps, n_z, shape: InclusionShape,
@@ -95,9 +98,10 @@ def build_fine_problem(mat: tn.MaterialSpec, shape: InclusionShape, h: float,
                        L1: float = 1.0, L2: float = 1.0,
                        gamma=("left",), parity: str | None = None,
                        budget: int = DOF_BUDGET) -> FineProblem:
-    """Assemble h^-tau-scaled stiffness and density-weighted mass of the
-    fine operator; parity='memb' meshes the half plate with the membrane
-    symmetry plane at x3 = 0."""
+    """Assemble the stiffness and density-weighted mass of the fine operator
+    (fine_eigs and fine_resolvent apply h^-tau); parity='memb' or 'bend'
+    meshes the half plate x3 >= 0 with the odd components pinned on the
+    symmetry plane x3 = 0."""
     if parity not in (None, "memb", "bend"):
         raise ConfigurationError(f"unknown parity {parity!r}")
     z_span = (0.0, 0.5) if parity else (-0.5, 0.5)
@@ -111,33 +115,24 @@ def build_fine_problem(mat: tn.MaterialSpec, shape: InclusionShape, h: float,
         raise ConfigurationError(f"{ndofs} DOFs exceed the budget {budget}")
 
     mu = mu_value(mu_scaling, epsilon, h)
-    dof = DofMap(mesh.n_nodes, 3)
-    diri = np.flatnonzero(np.isclose(mesh.nodes[:, 0], 0.0))
+    fixed = []
     if "left" in gamma:
-        dof.constrain(diri)
+        fixed.append((np.flatnonzero(np.isclose(mesh.nodes[:, 0], 0.0)), None))
     if "right" in gamma:
-        dof.constrain(np.flatnonzero(np.isclose(mesh.nodes[:, 0], L1)))
+        fixed.append((np.flatnonzero(np.isclose(mesh.nodes[:, 0], L1)), None))
     if parity:
         plane = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 0.0))
-        dof.constrain(plane, comps=2 if parity == "memb" else [0, 1])
-    dof.finalize()
-
-    scale = 2.0 if parity else 1.0
-    third = ("dz", 1.0 / h)
-    kt, mt = ([], [], []), ([], [], [])
-    groups = {"stiff": (np.flatnonzero(~mesh.element_soft), mat.C1, mat.rho1),
-              "soft": (np.flatnonzero(mesh.element_soft),
-                       mu ** 2 * mat.C0, mat.rho0)}
-    for ids, C, rho in groups.values():
-        if len(ids) == 0:
-            continue
-        Ke = el.q1_stiffness(mesh.hsize, C, third=third, ncomp=3)
-        Me = el.q1_mass(mesh.hsize, rho, ncomp=3)
-        eds = dof.index[mesh.elements[ids]].reshape(len(ids), -1)
-        scatter(eds, scale * Ke, dof.n_free, kt)
-        scatter(eds, scale * Me, dof.n_free, mt)
-    pair = SparseOperatorPair(K=triplets_to_csr(kt, dof.n_free),
-                              M=triplets_to_csr(mt, dof.n_free), dof=dof)
+        # membrane: u3 odd in x3; bending: u1, u2 odd
+        fixed.append((plane, 2 if parity == "memb" else [0, 1]))
+    pair = assemble_vector_h1(
+        mesh, {"soft": mu ** 2 * mat.C0, "stiff": mat.C1},
+        grad=ScaledGradientSpec(h),
+        density={"soft": mat.rho0, "stiff": mat.rho1}, space="free",
+        extra_constraints=fixed)
+    if parity:
+        # the half plate carries half of the full plate's (even) energies
+        pair.K = pair.K * 2.0
+        pair.M = pair.M * 2.0
     return FineProblem(mat=mat, shape=shape, h=h, epsilon=epsilon,
                        mu_scaling=mu_scaling, tau=tau, mesh=mesh, pair=pair,
                        parity=parity,
@@ -171,8 +166,7 @@ def fine_resolvent(fp: FineProblem, lam: float, load) -> dict:
         * load.cell_fn(fp.shape)(np.mod(x / fp.epsilon, 1.0))
     fe = el.q1_vector_load(mesh.hsize, np.moveaxis(values, 0, -1))
     F = assemble_pointwise_load(mesh, fp.pair.dof, fe, elems)
-    A = (fp.h ** (-fp.tau) * fp.pair.K + lam * fp.pair.M).tocsc()
-    u = spla.splu(A).solve(F)
+    u = factorize(fp.h ** (-fp.tau) * fp.pair.K + lam * fp.pair.M).solve(F)
     full = fp.pair.dof.expand(u)
     return {"u": full, "transverse_average": transverse_average(fp, full),
             "cell_means": cell_means(fp, full)}

@@ -25,8 +25,8 @@ from .fem import elements as el
 from .fem.system import EigWorkspace, factorize
 from .geometry import CellMesh, InclusionShape, MacroMesh, build_cell_mesh
 from .macro import (MacroOperator, build_bending_operator,
-                    build_membrane_operator, membrane_solve_for_bending)
-from .zhikov import _membrane_component_masses
+                    build_membrane_operator, membrane_solve_for_bending,
+                    nodal_traces, scalar_mass)
 
 _GAUSS_T, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 
@@ -180,26 +180,7 @@ class LoadSpec:
 
 
 # ---------------------------------------------------------------------------
-# macro-mesh mass helpers for the nodal-data convention
-
-def scalar_mass(mesh: MacroMesh) -> sp.csr_matrix:
-    """Full-node scalar mass matrix (no constraints): pairs nodal data."""
-    Me = el.q1_mass(mesh.element_size(), 1.0, ncomp=1)
-    n = mesh.n_nodes
-    tri = ([], [], [])
-    conn = mesh.elements
-    fa.scatter(conn, Me, n, tri)
-    return fa.triplets_to_csr(tri, n)
-
-
-def interp_mass_rect(mesh: MacroMesh, dof, comp: int) -> sp.csr_matrix:
-    """Rect mass: rows = reduced DOFs of one component, cols = mesh nodes;
-    realizes int g . theta for nodally interpolated data g."""
-    Me = el.q1_mass(mesh.element_size(), 1.0, ncomp=1)
-    rows = dof.index[mesh.elements][:, :, comp]
-    cols = mesh.elements
-    return fa.assemble_rect_block(rows, cols, Me, (dof.n_free, mesh.n_nodes))
-
+# macro-mesh BFS mass helpers for the nodal-data convention
 
 def bfs_interp_mass_rect(mesh: MacroMesh, dof) -> sp.csr_matrix:
     Me = el.mixed_mass_bfs_q1(mesh.element_size())
@@ -244,10 +225,10 @@ class LimitModel:
         return self._cache["Ms"]
 
     def memb_rects(self):
+        """R_c = T_c^T Ms: int g theta_c for nodal data g."""
         if "Ra" not in self._cache:
-            dof = self.memb_op.pair.dof
-            self._cache["Ra"] = [interp_mass_rect(self.macro_mesh, dof, c)
-                                 for c in range(2)]
+            self._cache["Ra"] = [(T.T @ self.Ms()).tocsr() for T in
+                                 nodal_traces(self.memb_op.pair.dof)]
         return self._cache["Ra"]
 
     def bend_rect(self):
@@ -285,44 +266,29 @@ class LimitModel:
         if "memb_coupling" not in self._cache:
             op = self.memb_op
             Ms = self.Ms()
-            Ra = self.memb_rects()
-            cm = _membrane_component_masses(op.pair, self.macro_mesh)
             means = self.bloch.weighted_means
             third = means.shape[1] == 3
             na, nn = op.pair.n, self.macro_mesh.n_nodes
-            n0 = na + nn if third else na
-            M0 = self.rho_bar * sp.csr_matrix(cm[(0, 0)] + cm[(1, 1)])
-            K0, R = op.pair.K, list(Ra)
+            # T_c expands component c of the state to nodal values; b is
+            # nodal already
+            T = nodal_traces(op.pair.dof)
+            K0 = op.pair.K
             if third:
-                M0 = sp.block_diag([M0, self.rho_bar * Ms], format="csr")
+                T = [sp.hstack([Tc, sp.csr_matrix((nn, nn))], format="csr")
+                     for Tc in T]
+                T.append(sp.eye(nn, na + nn, k=na, format="csr"))
                 K0 = sp.block_diag([K0, sp.csr_matrix((nn, nn))], format="csr")
-                R = [sp.vstack([Rc, sp.csr_matrix((nn, nn))], format="csr")
-                     for Rc in Ra]
-                R.append(sp.vstack([sp.csr_matrix((na, nn)), Ms], format="csr"))
-            # Ra_c = (free DOFs of component c) Ms, so Ms^-1 Ra_c^T is the
-            # nodal expansion of component c; b is nodal already
-            idx = op.pair.dof.index
-            T = []
-            for c in range(2):
-                nodes = np.flatnonzero(idx[:, c] >= 0)
-                T.append(sp.csr_matrix((np.ones(len(nodes)),
-                                        (nodes, idx[nodes, c])), shape=(nn, n0)))
-            if third:
-                T.append(sp.eye(nn, n0, k=na, format="csr"))
+            R = [(Tc.T @ Ms).tocsr() for Tc in T]
+            # sum_c T_c^T Ms T_c; sorted rows fix the order of every M0
+            # matvec sum
+            M0 = sum(Rc @ Tc for Rc, Tc in zip(R, T)).sorted_indices()
             self._cache["memb_coupling"] = ModalCoupling(
-                M0=M0, K0=K0, Ms=Ms, R=R, T=T,
+                M0=self.rho_bar * M0, K0=K0, Ms=Ms, R=R, T=T,
                 eta=self.bloch.eigenvalues, means=means)
         return self._cache["memb_coupling"]
 
     def macro_nodal(self, load: LoadSpec) -> np.ndarray:
         return load.macro_fn()(self.macro_mesh.nodes.T)
-
-    def bend_nodal_values(self, b_red: np.ndarray) -> np.ndarray:
-        """Nodal values of a reduced BFS field (zeros on clamped nodes)."""
-        return self.bend_op.pair.dof.expand(b_red)[:, 0]
-
-    def memb_nodal_values(self, a_red: np.ndarray) -> np.ndarray:
-        return self.memb_op.pair.dof.expand(a_red)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Macroscopic operators on the mid-plane: the membrane operator, the
 bending operator with its nonlocal membrane coupling (realized as an exact
-discrete Schur complement), and their eigenpairs."""
+discrete Schur complement), their eigenpairs, and the nodal traces and
+masses that pair reduced fields with nodal data."""
 
 from __future__ import annotations
 
@@ -96,6 +97,32 @@ def macro_eigs(op: MacroOperator, N: int, ws: EigWorkspace | None = None):
     weighted = SparseOperatorPair(K=op.pair.K, M=op.rho_bar * op.pair.M,
                                   dof=op.pair.dof)
     return eigs_smallest(weighted, N, ws)
+
+
+def scalar_mass(mesh: MacroMesh) -> sp.csr_matrix:
+    """Full-node scalar mass matrix (no constraints): pairs nodal data."""
+    Me = el.q1_mass(mesh.element_size(), 1.0, ncomp=1)
+    n = mesh.n_nodes
+    return fa.assemble_rect_block(mesh.elements, mesh.elements, Me, (n, n))
+
+
+def nodal_traces(dof) -> list[sp.csr_matrix]:
+    """Per component c the 0/1 matrix T_c (nodes x reduced DOFs) with T_c u
+    the nodal values of component c of u (zero on constrained nodes)."""
+    T = []
+    for c in range(dof.ncomp):
+        nodes = np.flatnonzero(dof.index[:, c] >= 0)
+        T.append(sp.csr_matrix((np.ones(len(nodes)),
+                                (nodes, dof.index[nodes, c])),
+                               shape=(dof.n_nodes, dof.n_free)))
+    return T
+
+
+def component_masses(T: list, Ms: sp.csr_matrix) -> dict:
+    """Mass blocks M^{ab} = T_a^T Ms T_b pairing component a of one reduced
+    field with component b of another."""
+    return {(a, b): (T[a].T @ Ms @ T[b]).tocsr()
+            for a in range(len(T)) for b in range(len(T))}
 
 
 def membrane_solve_for_bending(op: MacroOperator, b: np.ndarray) -> np.ndarray:

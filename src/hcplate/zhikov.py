@@ -17,6 +17,7 @@ import scipy.sparse.linalg as spla
 
 from .bloch import BlochSpectrum, build_inclusion_operator, mean_load_vectors
 from .fem.system import SolverError
+from .macro import component_masses, nodal_traces, scalar_mass
 
 ROOT_TOL = 1e-10       # |dlambda| <= ROOT_TOL * (1 + lambda)
 CLUSTER_TOL = 1e-8
@@ -277,13 +278,14 @@ def limit_spectrum_matrix(zf: ZhikovFunction, macro_pair, macro_mesh,
     if zf.k != 2:
         raise ValueError("matrix path implemented for the 2x2 membrane variant")
     K = macro_pair.K.toarray()
-    comp_mass = _membrane_component_masses(macro_pair, macro_mesh)
+    comp_mass = component_masses(nodal_traces(macro_pair.dof),
+                                 scalar_mass(macro_mesh))
 
     def mu_curves(lam):
         B = zf.eval(lam)
         Mb = (B[0, 0] * comp_mass[(0, 0)] + B[1, 1] * comp_mass[(1, 1)]
               + B[0, 1] * (comp_mass[(0, 1)] + comp_mass[(0, 1)].T))
-        vals = sla.eigh(Mb, K, eigvals_only=True)
+        vals = sla.eigh(Mb.toarray(), K, eigvals_only=True)
         return vals[::-1][:mu_count]  # descending: mu_1 >= mu_2 >= ...
 
     lam_cap = min(lambda_max or zf.lambda_max, zf.lambda_max)
@@ -331,21 +333,3 @@ def limit_spectrum_matrix(zf: ZhikovFunction, macro_pair, macro_mesh,
             "variant": zf.variant, "path": "matrix"}
     info.update(meta or {})
     return LimitSpectrum(points=points, intervals=intervals, gaps=gaps, meta=info)
-
-
-def _membrane_component_masses(pair, mesh):
-    """Component-coupling mass blocks M^{ab}[I,J] = int N_I N_J pairing
-    component a rows with component b columns, on the reduced DOFs."""
-    from .fem import elements as el
-    from .fem.assemble import assemble_rect_block
-    Me = el.q1_mass(mesh.element_size(), 1.0, ncomp=1)
-    idx = pair.dof.index
-    conn = mesh.elements
-    out = {}
-    for a in range(2):
-        for b in range(2):
-            rows = idx[conn][:, :, a]
-            cols = idx[conn][:, :, b]
-            out[(a, b)] = assemble_rect_block(
-                rows, cols, Me, (pair.dof.n_free, pair.dof.n_free)).toarray()
-    return out

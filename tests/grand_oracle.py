@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 from hcplate.evolution import _macro_modal_reduction, _oscillator_propagator
 from hcplate.limits import (LimitModel, LoadSpec, load_moments,
                             micro_modal_loads)
-from hcplate.zhikov import _membrane_component_masses
+from hcplate.macro import component_masses, nodal_traces
 
 
 @dataclass
@@ -111,7 +111,7 @@ def _real_time_system(model: LimitModel, load: LoadSpec) -> SecondOrderSystem:
     rho = model.rho_bar
     Ms = model.Ms()
     Ra = model.memb_rects()
-    comp_mass = _membrane_component_masses(op.pair, model.macro_mesh)
+    comp_mass = component_masses(nodal_traces(op.pair.dof), Ms)
     na = op.pair.n
     nn = model.macro_mesh.n_nodes
     third = k == 3
@@ -127,7 +127,7 @@ def _real_time_system(model: LimitModel, load: LoadSpec) -> SecondOrderSystem:
         vals.append(A.data)
 
     # mass
-    put(rho * sp.csr_matrix(comp_mass[(0, 0)] + comp_mass[(1, 1)]), 0, 0)
+    put(rho * (comp_mass[(0, 0)] + comp_mass[(1, 1)]), 0, 0)
     if third:
         put(rho * Ms, na, na)
     for n in range(N):

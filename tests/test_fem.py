@@ -165,18 +165,6 @@ class TestAssembly:
             assemble_vector_h1(mesh, tn.isotropic(1, 1), space="periodic",
                                restrict_to="soft", ncomp=3)
 
-    def test_per_element_density(self):
-        # total mass with a per-element density field equals the field sum
-        # times the element area
-        mesh = build_cell_mesh(InclusionShape("disk", 0.3), n=8)
-        rng = np.random.RandomState(9)
-        rho = 1.0 + rng.random(len(mesh.elements))
-        pair = assemble_vector_h1(mesh, tn.isotropic_2d(1, 1), density=rho,
-                                  space="free", restrict_to="all", ncomp=2)
-        v = constant_reduced_field(pair.dof, 1)
-        area = mesh.h ** 2
-        assert_allclose(v @ pair.M @ v, rho.sum() * area, rtol=1e-12)
-
 
 class TestSolveSpd:
     def test_zero_rhs(self):

@@ -154,11 +154,14 @@ class TestResolvent:
         assert errs[1] < errs[0]
 
 
-@pytest.mark.parametrize("case", ["full_tau0", "memb_tau2"])
+@pytest.mark.parametrize("case", ["full_tau0", "memb_tau2",
+                                  "bend_tau2_two_edges"])
 def test_resolvent_matches_reference(mat, case):
-    """fine_resolvent against stored outputs of the per-element load path:
-    a shaped macro profile, transverse="x3", cell="soft" and nonzero
-    in-plane amplitudes, on the full plate and on the membrane half."""
+    """fine_resolvent against stored outputs of the per-element load path
+    and the hand-written fine assembly: a shaped macro profile,
+    transverse="x3", cell="soft" and nonzero in-plane amplitudes, on the
+    full plate, on the membrane half, and on the bending half clamped on
+    the left and right edges."""
     ref = json.loads(REFERENCE.read_text())
     data = ref["cases"][case]
     load = LoadSpec(amplitude=(0.6, -0.3, 0.9),
