@@ -69,23 +69,24 @@ class BlochSpectrum:
         return self.modes.T @ load_vec
 
 
+def cluster_starts(eigenvalues) -> np.ndarray:
+    """Start indices of the multiplicity clusters of ascending eigenvalues:
+    a cluster continues while the next eigenvalue lies within CLUSTER_GAP
+    (relative) of the previous one."""
+    w = np.asarray(eigenvalues, dtype=float)
+    new = np.ones(len(w), dtype=bool)
+    new[1:] = np.abs(np.diff(w)) > CLUSTER_GAP * np.maximum(1.0, np.abs(w[1:]))
+    return np.flatnonzero(new)
+
+
 def _classify(eigenvalues, means, rho0_mass):
     """Cluster-safe split: an eigenvalue is uncoupled only if every mode in
     its multiplicity cluster has (numerically) zero weighted mean."""
-    n = len(eigenvalues)
-    labels = [""] * n
-    thresh = MEAN_ZERO_FACTOR * rho0_mass
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and abs(eigenvalues[j] - eigenvalues[j - 1]) \
-                <= CLUSTER_GAP * max(1.0, abs(eigenvalues[j])):
-            j += 1
-        cluster_zero = all(np.linalg.norm(means[k]) <= thresh for k in range(i, j))
-        for k in range(i, j):
-            labels[k] = "uncoupled" if cluster_zero else "coupled"
-        i = j
-    return labels
+    starts = cluster_starts(eigenvalues)
+    zero = np.linalg.norm(means, axis=1) <= MEAN_ZERO_FACTOR * rho0_mass
+    sizes = np.diff(np.append(starts, len(eigenvalues)))
+    cluster_zero = np.repeat(np.logical_and.reduceat(zero, starts), sizes)
+    return ["uncoupled" if z else "coupled" for z in cluster_zero]
 
 
 def _build_prism_operator(mat, shape: InclusionShape, n: int, n_z: int,
@@ -175,10 +176,8 @@ def bloch_spectrum(mat: tn.MaterialSpec, shape: InclusionShape, n: int,
     # a degenerate pole pair is never split by the truncation
     n_solve = min(N + 4, pair.n)
     w, v = eigs_smallest(pair, n_solve, ws)
-    cut = N
-    while cut < n_solve and abs(w[cut] - w[cut - 1]) \
-            <= CLUSTER_GAP * max(1.0, abs(w[cut])):
-        cut += 1
+    ends = np.append(cluster_starts(w), len(w))
+    cut = int(ends[ends >= N][0])
     w, v = w[:cut], v[:, :cut]
     L = mean_load_vectors(pair, tracked)
     means = v.T @ L

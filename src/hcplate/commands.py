@@ -129,32 +129,30 @@ def _zhikov_data(cfg, membrane_preferred=True):
     return mat, shape, regime, macro_mesh, ws, bs, zf
 
 
-def _scalarize(bs, mat, regime):
-    """Scalar Zhikov variant for the root search: bending rows track the
-    transverse component; membrane rows track one in-plane component, which
-    is the full story when the material symmetry makes beta scalar."""
+def _limit_variant(bs, mat, regime, zf):
+    """The Zhikov variant whose scalar beta gives the limit spectrum:
+    membrane rows keep every in-plane mean (limit_spectrum checks that beta
+    is scalar); bending rows track the transverse mean alone."""
+    if regime.tau == 0:
+        return zf
     from .zhikov import zhikov_variant
-    comp = bs.weighted_means.shape[1] - 1 if regime.tau == 2 else 0
-    return zhikov_variant(bs, mat, components=(comp,))
+    return zhikov_variant(bs, mat, components=(bs.weighted_means.shape[1] - 1,))
 
 
-def _beta_rows(zf, n_samples):
-    rows = []
+def _beta_samples(zf, n_samples):
+    """(lambda, beta(lambda)) on a uniform grid, skipping points at poles."""
     lam_max = zf.lambda_max if np.isfinite(zf.lambda_max) else 10.0 * zf.rho_bar
-    grid = np.linspace(0.0, lam_max, n_samples)
-    for lam in grid:
+    for lam in np.linspace(0.0, lam_max, n_samples):
         try:
-            B = zf.eval(lam)
+            yield lam, zf.eval(lam)
         except ValueError:
             continue
-        rows.append((lam, *np.atleast_2d(B).ravel()))
-    return rows
 
 
 def cmd_zhikov(cfg, out: Path, chash: str) -> int:
     mat, shape, regime, _, ws, bs, zf = _zhikov_data(cfg)
     n_samples = cfg.get("spectrum", {}).get("beta_samples", 400)
-    rows = _beta_rows(zf, n_samples)
+    rows = [(lam, *B.ravel()) for lam, B in _beta_samples(zf, n_samples)]
     k = zf.k
     cols = [f"beta_{i}{j}" for i in range(k) for j in range(k)]
     _write_csv(out / "dispersion.csv", ["lambda", *cols], rows, chash)
@@ -219,7 +217,7 @@ def cmd_spectrum(cfg, out: Path, chash: str) -> int:
         _write_json(out / "limit_spectrum.json", spec.to_dict(), chash)
         return EXIT_OK
 
-    zs = _scalarize(bs, mat, regime)
+    zs = _limit_variant(bs, mat, regime, zf)
     spec = limit_spectrum(zs, targets, lambda_max=spec_cfg.get("lambda_max"),
                           m0=m0, meta={"macro_eigs": mu_w.tolist()})
     payload = spec.to_dict()
@@ -227,7 +225,9 @@ def cmd_spectrum(cfg, out: Path, chash: str) -> int:
         payload["meta"]["strip_note"] = strip_note
         payload["meta"]["strip_disc_spectrum"] = "not evaluated"
     _write_json(out / "limit_spectrum.json", payload, chash)
-    rows = _beta_rows(zs, cfg.get("spectrum", {}).get("beta_samples", 400))
+    # beta is scalar here (limit_spectrum checked it): write tr(beta) / k
+    rows = [(lam, np.trace(B) / zs.k) for lam, B in
+            _beta_samples(zs, spec_cfg.get("beta_samples", 400))]
     _write_csv(out / "dispersion.csv", ["lambda", "beta"], rows, chash)
     return EXIT_OK
 
@@ -331,8 +331,7 @@ def cmd_validate(cfg, out: Path, chash: str) -> int:
         h_fixed = vcfg.get("h", 0.5)
     op = build_membrane_operator(tensor, macro_mesh, zf.rho_bar)
     mu_w, _ = macro_eigs(op, cfg.get("spectrum", {}).get("n_macro", 8), ws)
-    spec = limit_spectrum(_scalarize(bs, mat, regime), zf.rho_bar * mu_w,
-                          m0=m0)
+    spec = limit_spectrum(zf, zf.rho_bar * mu_w, m0=m0)
     pts = spec.point_values()
 
     report = {"limit_points": pts, "runs": []}

@@ -182,8 +182,12 @@ def transverse_average(fp: FineProblem, full_field: np.ndarray) -> np.ndarray:
     w[0] = w[-1] = 0.5
     w /= w.sum()
     avg = np.einsum("k,kij->ij", w, layers)
+    # the odd components average to zero over the full I: u3 under membrane
+    # parity, u1 and u2 under bending parity
     if fp.parity == "memb":
-        avg[:, 2] = 0.0   # odd component averages to zero over the full I
+        avg[:, 2] = 0.0
+    elif fp.parity == "bend":
+        avg[:, :2] = 0.0
     return avg
 
 

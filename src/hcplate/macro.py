@@ -118,13 +118,6 @@ def nodal_traces(dof) -> list[sp.csr_matrix]:
     return T
 
 
-def component_masses(T: list, Ms: sp.csr_matrix) -> dict:
-    """Mass blocks M^{ab} = T_a^T Ms T_b pairing component a of one reduced
-    field with component b of another."""
-    return {(a, b): (T[a].T @ Ms @ T[b]).tocsr()
-            for a in range(len(T)) for b in range(len(T))}
-
-
 def membrane_solve_for_bending(op: MacroOperator, b: np.ndarray) -> np.ndarray:
     """Quasistatic in-plane field driven by a bending field through the
     tensor cross block: K_aa a = -K_ab b."""

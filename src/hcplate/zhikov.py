@@ -2,9 +2,11 @@
 
 beta(lambda) = lambda <rho> I + sum_n lambda^2/(eta_n - lambda) m_n m_n^T
 over the coupled inclusion eigenvalues; limit-spectrum points solve
-beta(lambda) = mu against the macro eigenvalue targets, one root per pole
-interval and target (beta is strictly increasing between poles).  Band gaps
-open immediately right of each coupled pole, where beta is negative.
+beta(lambda) = mu against the macro eigenvalue targets.  For a scalar beta
+this rational eigenvalue problem linearizes, per target, to an arrowhead
+pencil whose eigenvalues are the roots, one per pole interval (Su and Bai,
+SIAM J. Matrix Anal. Appl. 32, 2011).  Band gaps open immediately right of
+each coupled pole, where beta is negative.
 """
 
 from __future__ import annotations
@@ -15,16 +17,20 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .bloch import BlochSpectrum, build_inclusion_operator, mean_load_vectors
+from .bloch import (MEAN_ZERO_FACTOR, BlochSpectrum, build_inclusion_operator,
+                    cluster_starts, mean_load_vectors)
 from .fem.system import SolverError
-from .macro import component_masses, nodal_traces, scalar_mass
 
-ROOT_TOL = 1e-10       # |dlambda| <= ROOT_TOL * (1 + lambda)
 CLUSTER_TOL = 1e-8
 
 
 class PoleProximityError(ValueError):
     pass
+
+
+class NonScalarBetaError(ValueError):
+    """beta is not a multiple of I: some pole cluster's Gram matrix
+    sum m m^T is anisotropic, so beta(lambda) = mu is a matrix problem."""
 
 
 @dataclass
@@ -160,38 +166,6 @@ class LimitSpectrum:
         }
 
 
-def _bisect_increasing(f, lo: float, hi: float):
-    flo, fhi = f(lo), f(hi)
-    if flo > 0 or fhi < 0:
-        return None
-    while hi - lo > ROOT_TOL * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _interval_root(f_scalar, a: float, b: float, guard: float):
-    """Root of the increasing f in the open pole interval (a, b); widens the
-    bracket geometrically toward the poles where f blows up."""
-    span = b - a
-    lo = a + max(guard * 10, 1e-12 * span)
-    hi = b - max(guard * 10, 1e-12 * span)
-    if hi <= lo:
-        return None
-    for _ in range(60):
-        if f_scalar(lo) <= 0 or lo <= a + guard * 2:
-            break
-        lo = a + (lo - a) * 0.25
-    for _ in range(60):
-        if f_scalar(hi) >= 0 or hi >= b - guard * 2:
-            break
-        hi = b - (b - hi) * 0.25
-    return _bisect_increasing(f_scalar, lo, hi)
-
-
 def _dedup(points):
     out = []
     for p in sorted(points, key=lambda q: q["lambda"]):
@@ -225,35 +199,73 @@ def _find_gaps(points, pole_list, lam_cap, m0=None):
     return gaps
 
 
+def _merged_poles(zf: ZhikovFunction):
+    """One pole per multiplicity cluster of zf.poles: (poles, residues,
+    (first, last) pole of each cluster, number of clusters merged, worst
+    Gram anisotropy in units of <rho0>).
+
+    Each cluster's Gram matrix G = sum m m^T must be a multiple of I; its
+    residue is tr G / k.  Merging keeps the pencil free of the spurious
+    lambda = eta that every extra copy of an equal pole would add."""
+    starts = cluster_starts(zf.poles)
+    ends = np.append(starts, len(zf.poles))[1:]
+    gram = np.add.reduceat(np.einsum("ni,nj->nij", zf.means, zf.means),
+                           starts, axis=0)
+    residues = np.trace(gram, axis1=1, axis2=2) / zf.k
+    aniso = np.abs(gram - residues[:, None, None] * np.eye(zf.k)).max(
+        axis=(1, 2), initial=0.0) / (zf.rho_bar - zf.rho1_mass)
+    if (aniso > MEAN_ZERO_FACTOR).any():
+        c = int(np.argmax(aniso))
+        raise NonScalarBetaError(
+            f"beta is not scalar: pole cluster {c} (eta = "
+            f"{zf.poles[starts[c]]:.6g}, {ends[c] - starts[c]} modes) has Gram "
+            f"anisotropy {aniso[c]:.3g} <rho0>, above {MEAN_ZERO_FACTOR:g} "
+            "<rho0>; the limit spectrum needs a material symmetry that makes "
+            "beta scalar")
+    poles = np.add.reduceat(zf.poles, starts) / (ends - starts)
+    bounds = (zf.poles[starts], zf.poles[ends - 1])
+    return (poles, residues, bounds, int((ends - starts > 1).sum()),
+            float(aniso.max(initial=0.0)))
+
+
 def limit_spectrum(zf: ZhikovFunction, mu_targets, lambda_max: float | None = None,
                    m0: float | None = None, meta: dict | None = None) -> LimitSpectrum:
-    """Scalar-path limit spectrum: beta-roots per (pole interval, macro
-    target) plus the uncoupled set, plus [m0, inf) for very thin cells.
+    """Limit spectrum of a scalar beta: the roots of beta(lambda) = mu per
+    (pole interval, macro target), plus the uncoupled set, plus [m0, inf)
+    for very thin cells.
 
     mu_targets are in beta units: <rho> times the weighted macro eigenvalues.
-    Requires a variant whose beta is scalar (material symmetry); use
-    limit_spectrum_matrix otherwise.
+    For one target mu and the merged poles eta_i with residues r_i, the
+    roots are the eigenvalues of the arrowhead pencil K = diag(mu, eta),
+    M = [[<rho>, s^T], [s, I]] with s_i = sqrt(r_i); M is SPD because
+    <rho> - sum r_i >= <rho1> > 0, and by interlacing its i-th eigenvalue
+    is the root in pole interval i.  Raises NonScalarBetaError when beta is
+    not a multiple of I.
     """
-    if zf.k != 1:
-        raise ValueError("scalar path needs a scalar Zhikov variant; "
-                         "symmetric materials give beta = beta_11 I")
     mu_targets = np.sort(np.asarray(mu_targets, dtype=float))
     if mu_targets.size == 0:
         raise ValueError("macro spectrum is empty")
+    poles, residues, (first, last), merged, aniso = _merged_poles(zf)
     lam_cap = min(lambda_max or zf.lambda_max, zf.lambda_max)
     if not np.isfinite(lam_cap):
         # no coupled poles: beta is linear, every root sits at mu/<rho>
         lam_cap = 2.0 * mu_targets.max() / zf.rho_bar
-    bounds = [0.0] + [p for p in zf.poles if p < lam_cap] + [lam_cap]
+    n = len(poles) + 1
+    K = np.diag(np.concatenate([[0.0], poles]))
+    M = np.eye(n)
+    M[0, 0] = zf.rho_bar
+    M[0, 1:] = M[1:, 0] = np.sqrt(residues)
+    lefts = np.concatenate([[0.0], last])
+    rights = np.minimum(np.append(first, lam_cap), lam_cap)
     points = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        for mu in mu_targets:
-            root = _interval_root(lambda lam: zf.eval_scalar(lam) - mu,
-                                  a, b, zf.pole_guard)
-            if root is not None:
-                points.append({"lambda": float(root), "kind": "beta_root",
-                               "matched_mu": float(mu),
-                               "pole_interval": (float(a), float(b))})
+    for mu in mu_targets:
+        K[0, 0] = mu
+        roots = sla.eigh(K, M, eigvals_only=True)
+        for i in np.flatnonzero(roots <= lam_cap):
+            points.append({"lambda": float(roots[i]), "kind": "beta_root",
+                           "matched_mu": float(mu),
+                           "pole_interval": (float(lefts[i]),
+                                             float(rights[i]))})
     for alpha in zf.uncoupled:
         if alpha <= lam_cap:
             points.append({"lambda": float(alpha), "kind": "uncoupled",
@@ -262,74 +274,8 @@ def limit_spectrum(zf: ZhikovFunction, mu_targets, lambda_max: float | None = No
     intervals = [(float(m0), np.inf)] if m0 is not None else []
     gaps = _find_gaps(points, list(zf.poles), lam_cap, m0)
     info = {"lambda_max": lam_cap, "truncation": zf.truncation,
-            "variant": zf.variant, "path": "scalar"}
-    info.update(meta or {})
-    return LimitSpectrum(points=points, intervals=intervals, gaps=gaps, meta=info)
-
-
-def limit_spectrum_matrix(zf: ZhikovFunction, macro_pair, macro_mesh,
-                          mu_count: int, lambda_max: float | None = None,
-                          grid_per_interval: int = 24,
-                          m0: float | None = None,
-                          meta: dict | None = None) -> LimitSpectrum:
-    """Matrix-path limit spectrum: tracks the eigenvalue curves mu_j^lambda
-    of the pencil (M_beta(lambda), K) on a lambda grid and bisects the
-    crossings mu_j = 1 (each curve is increasing between poles)."""
-    if zf.k != 2:
-        raise ValueError("matrix path implemented for the 2x2 membrane variant")
-    K = macro_pair.K.toarray()
-    comp_mass = component_masses(nodal_traces(macro_pair.dof),
-                                 scalar_mass(macro_mesh))
-
-    def mu_curves(lam):
-        B = zf.eval(lam)
-        Mb = (B[0, 0] * comp_mass[(0, 0)] + B[1, 1] * comp_mass[(1, 1)]
-              + B[0, 1] * (comp_mass[(0, 1)] + comp_mass[(0, 1)].T))
-        vals = sla.eigh(Mb.toarray(), K, eigvals_only=True)
-        return vals[::-1][:mu_count]  # descending: mu_1 >= mu_2 >= ...
-
-    lam_cap = min(lambda_max or zf.lambda_max, zf.lambda_max)
-    bounds = [0.0] + [p for p in zf.poles if p < lam_cap] + [lam_cap]
-    points = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        lo = a + max(zf.pole_guard * 10, 1e-9 * (b - a))
-        hi = b - max(zf.pole_guard * 10, 1e-9 * (b - a))
-        if hi <= lo:
-            continue
-        grid = np.linspace(lo, hi, grid_per_interval)
-        curves = np.array([mu_curves(l) for l in grid])
-        for j in range(mu_count):
-            f = lambda lam, j=j: mu_curves(lam)[j] - 1.0
-            col = curves[:, j] - 1.0
-            for g in range(len(grid) - 1):
-                if col[g] <= 0 < col[g + 1]:
-                    root = _bisect_increasing(f, grid[g], grid[g + 1])
-                    if root is not None:
-                        points.append({"lambda": float(root),
-                                       "kind": "beta_root",
-                                       "matched_mu": int(j + 1),
-                                       "pole_interval": (float(a), float(b))})
-            # crossings can hide between the pole guards and the grid ends
-            if col[0] > 0 and a > 0:
-                root = _bisect_increasing(f, a + zf.pole_guard * 2, grid[0])
-                if root is not None:
-                    points.append({"lambda": float(root), "kind": "beta_root",
-                                   "matched_mu": int(j + 1),
-                                   "pole_interval": (float(a), float(b))})
-            if col[-1] <= 0 and b < lam_cap:
-                root = _bisect_increasing(f, grid[-1], b - zf.pole_guard * 2)
-                if root is not None:
-                    points.append({"lambda": float(root), "kind": "beta_root",
-                                   "matched_mu": int(j + 1),
-                                   "pole_interval": (float(a), float(b))})
-    for alpha in zf.uncoupled:
-        if alpha <= lam_cap:
-            points.append({"lambda": float(alpha), "kind": "uncoupled",
-                           "matched_mu": None, "pole_interval": None})
-    points = _dedup(points)
-    intervals = [(float(m0), np.inf)] if m0 is not None else []
-    gaps = _find_gaps(points, list(zf.poles), lam_cap, m0)
-    info = {"lambda_max": lam_cap, "truncation": zf.truncation,
-            "variant": zf.variant, "path": "matrix"}
+            "variant": zf.variant, "path": "arrowhead", "pencil_size": n,
+            "merged_clusters": merged,
+            "gram_anisotropy": aniso}
     info.update(meta or {})
     return LimitSpectrum(points=points, intervals=intervals, gaps=gaps, meta=info)

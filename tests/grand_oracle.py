@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 from hcplate.evolution import _macro_modal_reduction, _oscillator_propagator
 from hcplate.limits import (LimitModel, LoadSpec, load_moments,
                             micro_modal_loads)
-from hcplate.macro import component_masses, nodal_traces
+from hcplate.macro import nodal_traces
 
 
 @dataclass
@@ -111,7 +111,11 @@ def _real_time_system(model: LimitModel, load: LoadSpec) -> SecondOrderSystem:
     rho = model.rho_bar
     Ms = model.Ms()
     Ra = model.memb_rects()
-    comp_mass = component_masses(nodal_traces(op.pair.dof), Ms)
+    # M^{ab} = T_a^T Ms T_b pairs component a of one reduced field with
+    # component b of another
+    T = nodal_traces(op.pair.dof)
+    comp_mass = {(a, b): (T[a].T @ Ms @ T[b]).tocsr()
+                 for a in range(len(T)) for b in range(len(T))}
     na = op.pair.n
     nn = model.macro_mesh.n_nodes
     third = k == 3

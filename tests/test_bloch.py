@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hcplate import tensors as tn
-from hcplate.bloch import bloch_spectrum, strip_bottom_m0, strip_fiber_bottom
+from hcplate.bloch import (bloch_spectrum, cluster_starts, strip_bottom_m0,
+                           strip_fiber_bottom)
 from hcplate.fem import assemble as fa
 from hcplate.fem.system import EigWorkspace, eigs_smallest
 from hcplate.geometry import build_cell_mesh
@@ -40,6 +41,12 @@ class TestPrismOperators:
             if lab == "uncoupled":
                 assert np.linalg.norm(bs.weighted_means[i]) <= \
                     1e-7 * bs.rho0_area_mass
+
+    def test_cluster_starts(self):
+        # relative gap 1e-6 joins a cluster; the scale floor is 1
+        w = [0.5, 0.5 + 5e-7, 1.0, 2.0, 2.0 * (1 + 5e-7), 3.0]
+        assert cluster_starts(w).tolist() == [0, 2, 3, 5]
+        assert cluster_starts([]).size == 0
 
     def test_dense_vs_iterative(self, demo_material, demo_shape):
         d = bloch_spectrum(demo_material, demo_shape, 12, "full_delta", 8,

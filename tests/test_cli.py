@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 
+from hcplate import tensors as tn
 from hcplate.cli import main
 from hcplate.config import DEMO_CONFIG
 
@@ -73,6 +74,18 @@ class TestExitCodes:
         assert main(["tensor", "--config", cfg, "--out", str(tmp_path),
                      "--quiet"]) == 2
 
+    def test_orthotropic_soft_phase_refused(self, tmp_path, capsys):
+        # C0_11 tripled: beta_11 != beta_22, so no scalar beta exists and
+        # the limit spectrum is refused instead of computed from one component
+        C0 = tn.isotropic(1.0, 1.0)
+        C0[0, 0] *= 3.0
+        ortho = json.loads(json.dumps(TINY))
+        ortho["material"]["C0"] = C0[np.triu_indices(6)].tolist()
+        cfg = write_cfg(tmp_path, ortho)
+        for cmd in ("spectrum", "validate"):
+            assert main([cmd, "--config", cfg, "--out", str(tmp_path)]) == 2
+            assert "pole cluster" in capsys.readouterr().err
+
 
 class TestOutputs:
     def test_tensor_output(self, tmp_path):
@@ -94,6 +107,10 @@ class TestOutputs:
         spec = json.loads((out / "limit_spectrum.json").read_text())
         assert len(spec["gaps"]) >= 1
         assert (out / "dispersion.csv").exists()
+        meta = spec["meta"]
+        assert meta["path"] == "arrowhead" and meta["variant"] == "memb"
+        assert meta["pencil_size"] >= 2 and meta["merged_clusters"] >= 1
+        assert 0.0 <= meta["gram_anisotropy"] <= 1e-7
 
     def test_uncoupled_plate_row_spectrum(self, tmp_path):
         # mu=eps, tau=2: the limit spectrum is the plate eigenvalues alone

@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 from hcplate.effective import effective_delta
 from hcplate.geometry import build_cell_mesh
 from hcplate.macro import build_membrane_operator, macro_eigs
-from hcplate.zhikov import (PoleProximityError, beta_oracle,
-                            limit_spectrum, limit_spectrum_matrix,
+from hcplate.zhikov import (NonScalarBetaError, PoleProximityError,
+                            ZhikovFunction, beta_oracle, limit_spectrum,
                             zhikov_from_bloch)
 
 
@@ -145,8 +145,9 @@ class TestVariantClassification:
 
 class TestLimitSpectrum:
     def test_roots_match_targets(self, demo_zhikov, macro_setup):
-        # the bisection tolerance is in lambda, so the beta residual scales
-        # with the (analytic) slope, which blows up next to poles
+        # the pencil eigenvalues are accurate relative to lambda, so the beta
+        # residual scales with the (analytic) slope, which blows up next to
+        # poles
         zf = scalarized(demo_zhikov)
         _, mu_w = macro_setup
         targets = demo_zhikov.rho_bar * mu_w
@@ -218,13 +219,70 @@ class TestLimitSpectrum:
         assert spec.intervals == [(m0, np.inf)]
         assert spec.contains(1.7 * zf.poles[0])
 
-    def test_matrix_path_agrees_under_symmetry(self, demo_zhikov, macro_setup,
-                                               demo_macro_mesh):
-        op, mu_w = macro_setup
-        spec_s = limit_spectrum(scalarized(demo_zhikov),
-                                demo_zhikov.rho_bar * mu_w)
-        spec_m = limit_spectrum_matrix(demo_zhikov, op.pair, demo_macro_mesh,
-                                       mu_count=len(mu_w))
-        ps, pm = spec_s.point_values(), spec_m.point_values()
-        n = min(len(ps), len(pm))
-        assert abs(ps[:n] - pm[:n]).max() <= 1e-6 * (1 + ps[:n].max())
+    def test_full_variant_matches_scalarized(self, demo_zhikov, macro_setup):
+        # isotropic disk: beta = beta_11 I, so the 2-component membrane
+        # variant gives the points of its first component, with every
+        # degenerate pole pair merged into one pencil row
+        _, mu_w = macro_setup
+        targets = demo_zhikov.rho_bar * mu_w
+        full = limit_spectrum(demo_zhikov, targets)
+        one = limit_spectrum(scalarized(demo_zhikov), targets)
+        assert_allclose(full.point_values(), one.point_values(), rtol=1e-12)
+        assert full.meta["path"] == "arrowhead"
+        assert full.meta["gram_anisotropy"] <= 1e-7
+        assert full.meta["merged_clusters"] >= 1
+        assert full.meta["pencil_size"] == \
+            len(demo_zhikov.poles) + 1 - full.meta["merged_clusters"]
+
+
+def synthetic(poles, means, rho_bar=1.0, rho1_mass=0.5):
+    return ZhikovFunction(variant="memb" if len(means[0]) == 2 else "bend",
+                          poles=np.array(poles, dtype=float),
+                          means=np.array(means, dtype=float), rho_bar=rho_bar,
+                          rho1_mass=rho1_mass, uncoupled=np.empty(0))
+
+
+class TestPoleClusters:
+    TARGETS = np.array([0.7, 2.0, 5.5])
+
+    def test_repeated_pole_is_one_pole(self):
+        # means (a, b) on two copies of eta act as one pole of residue
+        # a^2 + b^2 (dyadic values, so the residues agree exactly)
+        a, b, eta = 0.375, 0.5, 3.0
+        pair = limit_spectrum(synthetic([1.0, eta, eta, 6.0],
+                                        [[0.25], [a], [b], [0.125]]),
+                              self.TARGETS)
+        single = limit_spectrum(synthetic([1.0, eta, 6.0],
+                                          [[0.25], [0.625], [0.125]]),
+                                self.TARGETS)
+        assert_allclose(pair.point_values(), single.point_values(),
+                        rtol=1e-14)
+        assert len(pair.points) == len(single.points)
+        assert not np.any(np.isclose(pair.point_values(), eta, rtol=1e-9))
+        assert pair.meta["merged_clusters"] == 1
+        assert pair.meta["pencil_size"] == 4
+        assert pair.gaps == single.gaps
+
+    def test_roots_interlace_poles(self):
+        zf = synthetic([1.0, 3.0, 6.0], [[0.25], [0.5], [0.125]])
+        spec = limit_spectrum(zf, self.TARGETS)
+        for p in spec.points:
+            a, b = p["pole_interval"]
+            assert a < p["lambda"] < b
+            assert abs(zf.eval_scalar(p["lambda"]) - p["matched_mu"]) \
+                <= 1e-9 * (1 + p["matched_mu"]) * float(zf.prime(p["lambda"])[0, 0])
+
+    def test_anisotropic_gram_refused(self):
+        # one in-plane mean direction per pole: beta_11 != beta_22
+        zf = synthetic([1.0, 3.0], [[0.25, 0.0], [0.0, 0.5]])
+        with pytest.raises(NonScalarBetaError, match="pole cluster 1"):
+            limit_spectrum(zf, self.TARGETS)
+
+    def test_isotropic_pair_accepted(self):
+        # orthogonal means of equal norm on a degenerate pair: Gram c I
+        pair = [[0.375, 0.0], [0.0, 0.375]]
+        spec = limit_spectrum(synthetic([3.0, 3.0], pair), self.TARGETS)
+        assert spec.meta["gram_anisotropy"] == 0.0
+        pair[1][1] = 0.5
+        with pytest.raises(NonScalarBetaError, match="pole cluster 0"):
+            limit_spectrum(synthetic([3.0, 3.0], pair), self.TARGETS)
