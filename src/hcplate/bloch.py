@@ -55,14 +55,8 @@ class BlochSpectrum:
 
     def gram_partial_sums(self) -> np.ndarray:
         """S_N = sum_{n<=N} m_n m_n^T, shape (N, k, k)."""
-        k = self.weighted_means.shape[1]
-        out = np.zeros((self.n_modes, k, k))
-        acc = np.zeros((k, k))
-        for n in range(self.n_modes):
-            m = self.weighted_means[n]
-            acc = acc + np.outer(m, m)
-            out[n] = acc
-        return out
+        m = self.weighted_means
+        return np.cumsum(m[:, :, None] * m[:, None, :], axis=0)
 
     def modal_coefficients(self, load_vec: np.ndarray) -> np.ndarray:
         """(load, phi_n) for an assembled (unweighted) load vector."""
@@ -107,18 +101,22 @@ def _build_prism_operator(mat, shape: InclusionShape, n: int, n_z: int,
         mesh, mat.C0, grad=fa.ScaledGradientSpec(delta), density=mat.rho0,
         space="inclusion-zero-trace", restrict_to="soft", ncomp=3,
         extra_constraints=extra)
-    pair.K = pair.K * scale
-    pair.M = pair.M * scale
+    pair.K, pair.M = pair.K * scale, pair.M * scale
     return mesh, pair, scale
+
+
+def _inplane_operator(mat, mesh2d: CellMesh, eta: float | None = None):
+    """The delta = inf inclusion operator, or its strip fiber at eta."""
+    return fa.assemble_vector_h1(mesh2d, mat.C0, density=mat.rho0,
+                                 space="inclusion-zero-trace",
+                                 restrict_to="soft", ncomp=3, eta=eta)
 
 
 def build_inclusion_operator(mat: tn.MaterialSpec, shape: InclusionShape,
                              n: int, operator_tag: str, delta: float | None = None,
                              n_z: int = 4):
     """Mesh + operator pair + tracked components for one inclusion operator."""
-    if operator_tag.startswith(("full_delta", "memb_delta", "bend_delta")) \
-            and operator_tag not in ("memb_delta0", "bend_delta0",
-                                     "memb_deltainf", "full_deltainf"):
+    if operator_tag in ("full_delta", "memb_delta", "bend_delta"):
         if delta is None or not (0 < delta < np.inf):
             raise ValueError("finite-delta operators need delta in (0, inf)")
         parity = {"full_delta": None, "memb_delta": "memb",
@@ -143,9 +141,7 @@ def build_inclusion_operator(mat: tn.MaterialSpec, shape: InclusionShape,
         return mesh, pair, (0,), 1.0
     if operator_tag in ("memb_deltainf", "full_deltainf"):
         mesh = build_cell_mesh(shape, n=n)
-        pair = fa.assemble_vector_h1(mesh, mat.C0, density=mat.rho0,
-                                     space="inclusion-zero-trace",
-                                     restrict_to="soft", ncomp=3)
+        pair = _inplane_operator(mat, mesh)
         tracked = (0, 1) if operator_tag == "memb_deltainf" else (0, 1, 2)
         return mesh, pair, tracked, 1.0
     raise ValueError(f"unknown operator tag {operator_tag!r}")
@@ -154,11 +150,9 @@ def build_inclusion_operator(mat: tn.MaterialSpec, shape: InclusionShape,
 def mean_load_vectors(pair: SparseOperatorPair, tracked) -> np.ndarray:
     """Columns L_c with (L_c)^T u = int rho0 u_c over the inclusion; for the
     scalar BFS variant the constant lives in the value DOFs."""
-    cols = []
-    for c in tracked:
-        comp = 0 if pair.dof.ncomp == 4 else c
-        cols.append(pair.M @ fa.constant_reduced_field(pair.dof, comp))
-    return np.column_stack(cols)
+    return np.column_stack([
+        pair.M @ fa.constant_reduced_field(pair.dof, 0 if pair.dof.ncomp == 4 else c)
+        for c in tracked])
 
 
 def bloch_spectrum(mat: tn.MaterialSpec, shape: InclusionShape, n: int,
@@ -193,26 +187,48 @@ def bloch_spectrum(mat: tn.MaterialSpec, shape: InclusionShape, n: int,
                          scale=scale)
 
 
+@dataclass
+class StripPencil:
+    """The Hermitian strip fibers as one pencil: the form is quadratic in
+    eta, so K(eta) = K0 + eta K1 + eta^2 K2 exactly against one mass, with
+    K1 = (K(1) - K(-1)) / 2 and K2 = (K(1) + K(-1)) / 2 - K0."""
+    pair: SparseOperatorPair          # K0 and M (eta = 0, real)
+    K1: object                        # sparse, complex
+    K2: object
+
+    @classmethod
+    def assemble(cls, mat: tn.MaterialSpec, mesh2d: CellMesh) -> "StripPencil":
+        pair, plus, minus = (_inplane_operator(mat, mesh2d, eta)
+                             for eta in (None, 1.0, -1.0))
+        return cls(pair, (plus.K - minus.K) / 2,
+                   (plus.K + minus.K) / 2 - pair.K)
+
+    def fiber(self, eta: float) -> SparseOperatorPair:
+        K = self.pair.K if eta == 0.0 else \
+            self.pair.K + eta * self.K1 + eta ** 2 * self.K2
+        return SparseOperatorPair(K=K, M=self.pair.M, dof=self.pair.dof)
+
+    def bottom(self, eta: float, ws: EigWorkspace | None = None) -> float:
+        return float(eigs_smallest(self.fiber(eta), 1, ws)[0][0])
+
+
 def strip_fiber_bottom(mat: tn.MaterialSpec, mesh2d: CellMesh, eta: float,
                        ws: EigWorkspace | None = None) -> float:
     """Smallest eigenvalue of the Hermitian strip fiber at wavenumber eta."""
-    pair = fa.assemble_vector_h1(mesh2d, mat.C0, density=mat.rho0,
-                                 space="inclusion-zero-trace",
-                                 restrict_to="soft", ncomp=3,
-                                 eta=eta if eta != 0.0 else None)
-    w, _ = eigs_smallest(pair, 1, ws)
-    return float(w[0])
+    return StripPencil.assemble(mat, mesh2d).bottom(eta, ws)
 
 
 def strip_bottom_m0(mat: tn.MaterialSpec, mesh2d: CellMesh, eta_grid,
                     ws: EigWorkspace | None = None, refine_tol: float = 1e-4):
     """Bottom of the strip operator spectrum: min over eta of the first
     fiber eigenvalue, with one golden-section refinement around the grid
-    minimizer. Returns (m0, curve) with curve rows (eta, alpha_1^eta)."""
+    minimizer. Every fiber comes from one assembled `StripPencil`. Returns
+    (m0, curve) with curve rows (eta, alpha_1^eta)."""
     eta_grid = np.asarray(eta_grid, dtype=float)
     if eta_grid.size == 0:
         raise ValueError("empty eta grid")
-    vals = np.array([strip_fiber_bottom(mat, mesh2d, e, ws) for e in eta_grid])
+    pencil = StripPencil.assemble(mat, mesh2d)
+    vals = np.array([pencil.bottom(e, ws) for e in eta_grid])
     curve = np.column_stack([eta_grid, vals])
     i = int(np.argmin(vals))
     lo = eta_grid[max(i - 1, 0)]
@@ -223,18 +239,17 @@ def strip_bottom_m0(mat: tn.MaterialSpec, mesh2d: CellMesh, eta_grid,
     invphi = (np.sqrt(5.0) - 1) / 2
     a, b = lo, hi
     c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc = strip_fiber_bottom(mat, mesh2d, c, ws)
-    fd = strip_fiber_bottom(mat, mesh2d, d, ws)
+    fc, fd = pencil.bottom(c, ws), pencil.bottom(d, ws)
     for _ in range(40):
         if b - a < refine_tol * max(1.0, abs(b)):
             break
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = strip_fiber_bottom(mat, mesh2d, c, ws)
+            fc = pencil.bottom(c, ws)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = strip_fiber_bottom(mat, mesh2d, d, ws)
+            fd = pencil.bottom(d, ws)
     m0 = min(float(vals[i]), fc, fd)
     return m0, curve

@@ -51,7 +51,6 @@ def _build_context(cfg):
     sol = cfg.get("solver", {})
     ws = EigWorkspace(tol=sol.get("tol", 1e-9),
                       solver=sol.get("eig_solver", "auto"),
-                      dense_threshold=sol.get("dense_threshold", 4000),
                       seed=sol.get("seed", 1234))
     return mat, shape, regime, macro_mesh, ws
 
@@ -239,12 +238,11 @@ def cmd_resolvent(cfg, out: Path, chash: str) -> int:
     load = parse_load(cfg)
     lam = cfg.get("resolvent", {}).get("lambda", 2.0)
     state = solve_limit_resolvent(model, lam, load)
-    rows = []
-    for i, x in enumerate(model.macro_mesh.nodes):
-        row = [i, x[0], x[1]]
-        row += list(state.a[i]) if state.a is not None else [0.0, 0.0]
-        row += [state.b[i]] if state.b is not None else [0.0]
-        rows.append(tuple(row))
+    nodes = model.macro_mesh.nodes
+    n = len(nodes)
+    rows = zip(range(n), *nodes.T,
+               *(state.a.T if state.a is not None else np.zeros((2, n))),
+               state.b if state.b is not None else np.zeros(n))
     _write_csv(out / "resolvent_macro.csv",
                ["node", "x1", "x2", "a1", "a2", "b"], rows, chash)
     _write_json(out / "resolvent.json", {
@@ -360,11 +358,8 @@ def cmd_validate(cfg, out: Path, chash: str) -> int:
                 if x >= m0 and d > 0.05 * (1 + x)]
         report["runs"].append(run)
     _write_json(out / "validation.json", report, chash)
-    rows = []
-    for run in report["runs"]:
-        for k in range(n_eigs):
-            rows.append((run["eps"], k, run["fine_eigs"][k],
-                         run["nearest_limit_point"][k], run["distance"][k]))
+    rows = [(run["eps"], k, run["fine_eigs"][k], run["nearest_limit_point"][k],
+             run["distance"][k]) for run in report["runs"] for k in range(n_eigs)]
     _write_csv(out / "validation.csv",
                ["eps", "k", "fine_eig", "nearest_limit", "distance"],
                rows, chash)

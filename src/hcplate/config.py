@@ -3,12 +3,14 @@ deterministic config hash embedded in every output file."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
 
-import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import tensors as tn
 from .geometry import InclusionShape, build_macro_mesh
@@ -63,11 +65,12 @@ SCHEMA = {
             "type": "object",
             "properties": {
                 "n_modes": {"type": "integer", "minimum": 1},
-                "dense_threshold": {"type": "integer", "minimum": 1},
                 "tol": {"type": "number", "exclusiveMinimum": 0},
                 "seed": {"type": "integer"},
                 "eig_solver": {"enum": ["auto", "dense", "shift-invert", "lobpcg"]},
             },
+            # removed knobs are refused by name, never silently ignored
+            "propertyNames": {"not": {"enum": ["dense_threshold"]}},
         },
         "spectrum": {
             "type": "object",
@@ -124,6 +127,12 @@ def _num(value):
     return np.inf if value == "inf" else float(value)
 
 
+@functools.cache
+def _validator():
+    # built on first use; the metaschema check of SCHEMA is a unit test
+    return validator_for(SCHEMA)(SCHEMA)
+
+
 def load_config(path) -> dict:
     p = Path(path)
     if not p.exists():
@@ -132,10 +141,9 @@ def load_config(path) -> dict:
         cfg = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    error = best_match(_validator().iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}")
     cfg["_dir"] = str(p.parent)
     return cfg
 

@@ -57,12 +57,8 @@ class EffectiveTensor:
 
     def pair_form(self) -> np.ndarray:
         """6x6 Voigt matrix of the quadratic form on (A, B)."""
-        Q = np.zeros((6, 6))
-        Q[:3, :3] = self.memb
-        Q[3:, 3:] = self.bend
-        Q[:3, 3:] = self.coupling
-        Q[3:, :3] = self.coupling.T
-        return Q
+        return np.block([[self.memb, self.coupling],
+                         [self.coupling.T, self.bend]])
 
     def eigenvalues(self) -> np.ndarray:
         """Tensor eigenvalues of the pair form (Frobenius metric)."""

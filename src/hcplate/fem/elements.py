@@ -220,12 +220,8 @@ def bfs_eval(hsize, pt, order=2):
     sx = np.array([1.0, hx, 1.0, hx])
     sy = np.array([1.0, hy, 1.0, hy])
     shape = (16, *np.shape(tx))
-    N = np.empty(shape)
-    Nx = np.empty(shape)
-    Ny = np.empty(shape)
-    Nxx = np.empty(shape) if order >= 2 else None
-    Nyy = np.empty(shape) if order >= 2 else None
-    Nxy = np.empty(shape) if order >= 2 else None
+    N, Nx, Ny = np.empty((3, *shape))
+    Nxx, Nyy, Nxy = np.empty((3, *shape)) if order >= 2 else (None,) * 3
     k = 0
     for node_kinds in _BFS_NODE_KINDS:
         for (kx, ky) in node_kinds:

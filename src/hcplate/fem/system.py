@@ -32,12 +32,8 @@ class DofMap:
 
     def _lin(self, nodes, comps):
         nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
-        if comps is None:
-            comps = range(self.ncomp)
-        out = []
-        for c in np.atleast_1d(comps):
-            out.append(nodes * self.ncomp + c)
-        return np.concatenate(out)
+        comps = np.arange(self.ncomp) if comps is None else np.atleast_1d(comps)
+        return (nodes[None, :] * self.ncomp + comps[:, None]).ravel()
 
     def constrain(self, nodes, comps=None):
         self._constrained[self._lin(nodes, comps)] = True
@@ -45,10 +41,8 @@ class DofMap:
 
     def identify_periodic(self, periodic_map, comps=None):
         """Point every slave (node, comp) at its master's slot."""
-        pm = np.asarray(periodic_map)
-        comps = range(self.ncomp) if comps is None else np.atleast_1d(comps)
-        for c in comps:
-            self._owner[np.arange(self.n_nodes) * self.ncomp + c] = pm * self.ncomp + c
+        self._owner[self._lin(np.arange(self.n_nodes), comps)] = \
+            self._lin(periodic_map, comps)
         return self
 
     def finalize(self):
@@ -105,13 +99,18 @@ def triplets_to_csr(triplets, n: int, dtype=float) -> sp.csr_matrix:
     return A
 
 
+# eigs_smallest goes dense when n <= DENSE_MAX_DOFS or n <= DENSE_MODE_RATIO * N
+DENSE_MAX_DOFS, DENSE_MODE_RATIO = 400, 20
+
+
 @dataclass
 class EigWorkspace:
-    """Eigensolver knobs: requested mode count is passed separately."""
+    """Eigensolver settings (the mode count is passed separately): `tol`
+    bounds each pair's backward error (floored at 1e-8); `solver` "auto"
+    applies the size rule, any other value forces that path; `seed` fixes
+    the ARPACK and LOBPCG start vectors."""
     tol: float = 1e-9
     solver: str = "auto"          # auto | dense | shift-invert | lobpcg
-    dense_threshold: int = 4000
-    sigma: float = 0.0
     maxiter: int = 2000
     seed: int = 1234
 
@@ -248,61 +247,77 @@ def solve_spd(pair: SparseOperatorPair, rhs: np.ndarray,
 
 def fix_signs(vecs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Deterministic eigenvector signs: first above-threshold entry positive."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(abs(col) > tol * max(abs(col).max(), 1e-300))
-        if len(nz) and np.real(col[nz[0]]) < 0:
-            out[:, j] = -col
-    return out
+    big = abs(vecs) > tol * np.maximum(abs(vecs).max(axis=0), 1e-300)
+    first = vecs[big.argmax(axis=0), np.arange(vecs.shape[1])]
+    return vecs * np.where(np.real(first) < 0, -1, 1)
 
 
-def _m_orthonormalize(vecs, M):
-    """Gram-Schmidt in the M inner product (stabilizes multiple eigenvalues)."""
-    V = vecs.copy()
-    for j in range(V.shape[1]):
-        for i in range(j):
-            V[:, j] -= (V[:, i].conj() @ (M @ V[:, j])) * V[:, i]
-        nrm = np.sqrt(abs(V[:, j].conj() @ (M @ V[:, j])))
-        V[:, j] /= nrm
-    return V
+def _m_orthonormalize(V, M):
+    """Cholesky QR in the M inner product: V^H M V = L L^H, V <- V L^-H
+    (the triangular factor of Gram-Schmidt, in one dense step)."""
+    try:
+        L = np.linalg.cholesky(V.conj().T @ (M @ V))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("eigenvectors are not M-independent") from exc
+    return sla.solve_triangular(L, V.conj().T, lower=True).conj().T
+
+
+def _dense_pairs(pair: SparseOperatorPair, N: int):
+    # one pair from LAPACK's subset driver; for more, all pairs, since that
+    # driver picks another basis inside a multiple eigenvalue
+    w, v = sla.eigh(pair.K.toarray(), pair.M.toarray(),
+                    subset_by_index=[0, 0] if N == 1 else None)
+    return w[:N], v[:, :N]
+
+
+def _shift_invert_pairs(pair: SparseOperatorPair, N: int, ws: EigWorkspace,
+                        tol: float):
+    """ARPACK shift-invert at shift 0 from a seeded start vector (ARPACK
+    Users' Guide, SIAM 1998): a real K is inverted by `factorize`, a complex
+    Hermitian one by eigsh's own LU. Only an ARPACK failure goes dense."""
+    opinv = None
+    if not np.iscomplexobj(pair.K):
+        opinv = spla.LinearOperator(pair.K.shape, dtype=float,
+                                    matvec=factorize(pair.K, tol=tol).solve)
+    try:
+        return spla.eigsh(pair.K, k=N, M=pair.M, sigma=0.0, which="LM",
+                          OPinv=opinv, maxiter=ws.maxiter,
+                          v0=np.random.RandomState(ws.seed).rand(pair.n))
+    except spla.ArpackError as exc:
+        if pair.n > 12000:
+            raise SolverError(f"shift-invert eigensolver failed: {exc}") from exc
+        return _dense_pairs(pair, N)
+    except RuntimeError as exc:          # SolverError, or eigsh's own LU
+        if isinstance(exc, SolverError):
+            raise
+        raise SolverError(f"shift-invert factorization failed: {exc}") from exc
 
 
 def eigs_smallest(pair: SparseOperatorPair, N: int,
                   ws: EigWorkspace | None = None):
     """Smallest N generalized eigenpairs of (K, M), ascending, vectors
-    M-orthonormal with deterministic signs."""
+    M-orthonormal with deterministic signs, each pair within the
+    backward-error contract."""
     ws = ws or EigWorkspace()
     n = pair.n
     if N < 1 or N > n:
         raise ValueError(f"requested {N} modes from a {n}-DOF operator")
+    tol = max(ws.tol, 1e-8)
     solver = ws.solver
     if solver == "auto":
-        solver = "dense" if n <= ws.dense_threshold else "shift-invert"
+        dense = n <= DENSE_MAX_DOFS or n <= DENSE_MODE_RATIO * N
+        solver = "dense" if dense else "shift-invert"
     if solver != "dense" and N > n - 2:
         solver = "dense"
 
-    herm = np.iscomplexobj(pair.K)
     if solver == "dense":
-        Kd = pair.K.toarray()
-        Md = pair.M.toarray()
-        w, v = sla.eigh(Kd, Md)
-        w, v = w[:N], v[:, :N]
+        w, v = _dense_pairs(pair, N)
     elif solver == "shift-invert":
-        try:
-            w, v = spla.eigsh(pair.K, k=N, M=pair.M, sigma=ws.sigma,
-                              which="LM", maxiter=ws.maxiter)
-        except (spla.ArpackError, RuntimeError) as exc:
-            if n <= 12000:
-                w, v = sla.eigh(pair.K.toarray(), pair.M.toarray())
-                w, v = w[:N], v[:, :N]
-            else:
-                raise SolverError(f"shift-invert eigensolver failed: {exc}") from exc
+        w, v = _shift_invert_pairs(pair, N, ws, tol)
     elif solver == "lobpcg":
-        if herm:
+        if np.iscomplexobj(pair.K):
             raise SolverError("lobpcg path is real-symmetric only")
-        rng = np.random.RandomState(ws.seed)
-        X = rng.standard_normal((n, N))
+        X = np.random.RandomState(ws.seed).standard_normal((n, N))
         prec = sp.diags(1.0 / pair.K.diagonal())
         w, v = spla.lobpcg(pair.K, X, B=pair.M, M=prec, largest=False,
                            tol=ws.tol, maxiter=ws.maxiter)
@@ -310,13 +325,16 @@ def eigs_smallest(pair: SparseOperatorPair, N: int,
         raise ValueError(f"unknown solver {ws.solver!r}")
 
     order = np.argsort(w)
-    w, v = np.real(w[order]), v[:, order]
-    v = _m_orthonormalize(v, pair.M)
-    v = fix_signs(v)
-    # residual contract: ||K v - w M v|| <= tol * ||K v||
-    for j in range(len(w)):
-        kv = pair.K @ v[:, j]
-        r = np.linalg.norm(kv - w[j] * (pair.M @ v[:, j]))
-        if r > max(ws.tol, 1e-8) * max(np.linalg.norm(kv), 1e-300):
-            raise SolverError(f"eigenpair {j} residual {r:.2e} too large")
+    w, v = np.real(w[order]), fix_signs(_m_orthonormalize(v[:, order], pair.M))
+    # backward-error contract ||K v - w M v|| <= tol (||K|| + |w| ||M||) ||v||,
+    # norms as max row sums (N. J. Higham and D. J. Higham, SIAM J. Matrix
+    # Anal. Appl. 20, 1998)
+    r = np.linalg.norm(pair.K @ v - (pair.M @ v) * w, axis=0)
+    scale = np.linalg.norm(v, axis=0) * (spla.norm(pair.K, np.inf)
+                                         + np.abs(w) * spla.norm(pair.M, np.inf))
+    bad = np.flatnonzero(~(r <= tol * scale))      # also catches NaN
+    if bad.size:
+        j = bad[0]
+        raise SolverError(f"eigenpair {j} backward error "
+                          f"{r[j] / scale[j]:.2e} exceeds {tol:.0e}")
     return w, v

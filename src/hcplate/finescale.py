@@ -23,15 +23,10 @@ DOF_BUDGET = 200_000
 
 
 def mu_value(mu_scaling: str, eps: float, h: float) -> float:
-    if mu_scaling == "eps":
-        return eps
-    if mu_scaling == "eps_h":
-        return eps * h
-    if mu_scaling == "eps2":
-        return eps ** 2
-    if mu_scaling == "one":
-        return 1.0
-    raise ConfigurationError(f"unknown contrast scaling {mu_scaling!r}")
+    values = {"eps": eps, "eps_h": eps * h, "eps2": eps ** 2, "one": 1.0}
+    if mu_scaling not in values:
+        raise ConfigurationError(f"unknown contrast scaling {mu_scaling!r}")
+    return values[mu_scaling]
 
 
 @dataclass
@@ -131,8 +126,7 @@ def build_fine_problem(mat: tn.MaterialSpec, shape: InclusionShape, h: float,
         extra_constraints=fixed)
     if parity:
         # the half plate carries half of the full plate's (even) energies
-        pair.K = pair.K * 2.0
-        pair.M = pair.M * 2.0
+        pair.K, pair.M = pair.K * 2.0, pair.M * 2.0
     return FineProblem(mat=mat, shape=shape, h=h, epsilon=epsilon,
                        mu_scaling=mu_scaling, tau=tau, mesh=mesh, pair=pair,
                        parity=parity,
@@ -144,10 +138,7 @@ def fine_eigs(fp: FineProblem, N: int, ws: EigWorkspace | None = None):
     """Smallest N eigenvalues of h^-tau A_eps (ascending)."""
     scaled = SparseOperatorPair(K=fp.h ** (-fp.tau) * fp.pair.K,
                                 M=fp.pair.M, dof=fp.pair.dof)
-    if ws is None:
-        ws = EigWorkspace(solver="shift-invert" if scaled.n > 4000 else "dense")
-    w, v = eigs_smallest(scaled, N, ws)
-    return w, v
+    return eigs_smallest(scaled, N, ws)
 
 
 def fine_resolvent(fp: FineProblem, lam: float, load) -> dict:
@@ -198,10 +189,7 @@ def cell_means(fp: FineProblem, full_field: np.ndarray) -> np.ndarray:
     c = fp.meta["cells_per_eps"]
     avg = transverse_average(fp, full_field)
     grid = avg.reshape(ny + 1, nx + 1, -1)
-    ncx, ncy = nx // c, ny // c
-    out = np.empty((ncy, ncx, grid.shape[-1]))
-    for j in range(ncy):
-        for i in range(ncx):
-            out[j, i] = grid[j * c:(j + 1) * c + 1,
-                             i * c:(i + 1) * c + 1].mean(axis=(0, 1))
-    return out
+    # (c+1) x (c+1) node windows, one per cell, neighbours sharing an edge
+    windows = np.lib.stride_tricks.sliding_window_view(grid, (c + 1, c + 1),
+                                                       axis=(0, 1))
+    return windows[::c, ::c].mean(axis=(-2, -1))

@@ -89,14 +89,11 @@ class CellMesh:
     inclusion_interior_nodes: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        n_nodes = self.nodes.shape[0]
-        soft = self.elements[self.element_soft].ravel()
-        stiff = self.elements[~self.element_soft].ravel()
-        soft_count = np.bincount(soft, minlength=n_nodes)
-        stiff_count = np.bincount(stiff, minlength=n_nodes)
-        touch_soft = soft_count > 0
-        self.inclusion_interior_nodes = np.flatnonzero(touch_soft & (stiff_count == 0))
-        self.inclusion_boundary_nodes = np.flatnonzero(touch_soft & (stiff_count > 0))
+        soft, stiff = np.zeros((2, self.nodes.shape[0]), dtype=bool)
+        soft[self.elements[self.element_soft]] = True
+        stiff[self.elements[~self.element_soft]] = True
+        self.inclusion_interior_nodes = np.flatnonzero(soft & ~stiff)
+        self.inclusion_boundary_nodes = np.flatnonzero(soft & stiff)
 
     @property
     def h(self) -> float:
@@ -201,9 +198,6 @@ def build_cell_mesh(shape: InclusionShape | None, n: int, dim: int = 2,
                     element_soft=soft, periodic_map=pmap, n_z=n_z, z_span=z_span)
 
 
-_EDGES = ("left", "right", "bottom", "top")
-
-
 @dataclass
 class MacroMesh:
     """Structured quad mesh of the mid-plane rectangle [0,L1] x [0,L2] with
@@ -234,22 +228,17 @@ def build_macro_mesh(L1: float, L2: float, n1: int, n2: int,
     edges = tuple(gamma_spec)
     if not edges:
         raise ConfigurationError("gamma_D must contain at least one edge")
-    for e in edges:
-        if e not in _EDGES:
-            raise ConfigurationError(f"unknown boundary edge {e!r}")
-
+    # edge -> (coordinate axis, its value on the edge)
+    lines = {"left": (0, 0.0), "right": (0, L1), "bottom": (1, 0.0),
+             "top": (1, L2)}
     nodes, conn = structured_quads(L1 * np.arange(n1 + 1) / n1,
                                    L2 * np.arange(n2 + 1) / n2)
-
     diri = np.zeros(len(nodes), dtype=bool)
-    if "left" in edges:
-        diri |= np.isclose(nodes[:, 0], 0.0)
-    if "right" in edges:
-        diri |= np.isclose(nodes[:, 0], L1)
-    if "bottom" in edges:
-        diri |= np.isclose(nodes[:, 1], 0.0)
-    if "top" in edges:
-        diri |= np.isclose(nodes[:, 1], L2)
+    for e in edges:
+        if e not in lines:
+            raise ConfigurationError(f"unknown boundary edge {e!r}")
+        axis, value = lines[e]
+        diri |= np.isclose(nodes[:, axis], value)
 
     return MacroMesh(L1=L1, L2=L2, n1=n1, n2=n2, gamma_edges=edges,
                      nodes=nodes, elements=conn,

@@ -204,12 +204,8 @@ def _voigt_from_upper(entries) -> np.ndarray:
     if len(vals) != 21:
         raise ValueError("expected 21 upper-triangle Voigt entries")
     C = np.zeros((6, 6))
-    k = 0
-    for i in range(6):
-        for j in range(i, 6):
-            C[i, j] = C[j, i] = vals[k]
-            k += 1
-    return C
+    C[np.triu_indices(6)] = vals
+    return C + np.triu(C, 1).T
 
 
 def _tensor_from_json(node) -> np.ndarray:

@@ -94,15 +94,14 @@ def zhikov_variant(bs: BlochSpectrum, mat, components=None,
         else list(components)
     means = bs.weighted_means[:, comps]
     labels = _classify(bs.eigenvalues, means, bs.rho0_area_mass)
-    keep = [i for i, lab in enumerate(labels) if lab == "coupled"]
-    drop = [i for i, lab in enumerate(labels) if lab == "uncoupled"]
+    keep = np.array(labels) == "coupled"
     frac = bs.mesh.soft_area_fraction()
     rho_bar = mat.rho1 * (1.0 - frac) + mat.rho0 * frac
     variant = {1: "bend", 2: "memb", 3: "full"}[len(comps)]
     return ZhikovFunction(variant=variant, poles=bs.eigenvalues[keep],
                           means=means[keep], rho_bar=rho_bar,
                           rho1_mass=mat.rho1 * (1.0 - frac),
-                          uncoupled=bs.eigenvalues[drop],
+                          uncoupled=bs.eigenvalues[~keep],
                           truncation=bs.n_modes, pole_guard=pole_guard,
                           source_tag=bs.operator_tag)
 

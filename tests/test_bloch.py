@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from hcplate import tensors as tn
-from hcplate.bloch import (bloch_spectrum, cluster_starts, strip_bottom_m0,
-                           strip_fiber_bottom)
+from hcplate.bloch import (StripPencil, bloch_spectrum, cluster_starts,
+                           strip_bottom_m0, strip_fiber_bottom)
 from hcplate.fem import assemble as fa
 from hcplate.fem.system import EigWorkspace, eigs_smallest
 from hcplate.geometry import build_cell_mesh
@@ -151,3 +152,31 @@ class TestStrip:
         Amat = np.column_stack([np.ones(len(upper)), upper[:, 0] ** 2])
         coef, *_ = np.linalg.lstsq(Amat, upper[:, 1], rcond=None)
         assert coef[0] > 0 and coef[1] > 0
+
+    @staticmethod
+    def _direct(mat, mesh, eta):
+        return fa.assemble_vector_h1(mesh, mat.C0, density=mat.rho0,
+                                     space="inclusion-zero-trace",
+                                     restrict_to="soft", ncomp=3, eta=eta)
+
+    def test_pencil_matches_direct_assembly(self, demo_material, demo_shape):
+        mesh = build_cell_mesh(demo_shape, n=12)
+        pencil = StripPencil.assemble(demo_material, mesh)
+        for eta in (0.0, 0.37, 3.0, 20.0):
+            direct = self._direct(demo_material, mesh, eta)
+            fiber = pencil.fiber(eta)
+            assert abs(fiber.K - direct.K).max() <= 1e-13 * abs(direct.K).max()
+            assert abs(fiber.M - direct.M).max() == 0.0
+
+    def test_m0_matches_direct_reference(self, demo_material, demo_shape):
+        mesh = build_cell_mesh(demo_shape, n=12)
+        grid = np.linspace(0, 8, 9)
+        m0, curve = strip_bottom_m0(demo_material, mesh, grid)
+        ref = []
+        for eta in grid:
+            p = self._direct(demo_material, mesh, eta)
+            ref.append(sla.eigh(p.K.toarray(), p.M.toarray(),
+                                eigvals_only=True)[0])
+        assert_allclose(curve[:, 1], ref, rtol=1e-10)
+        # the demo curve rises from eta = 0, so the refined minimum is there
+        assert abs(m0 - min(ref)) <= 1e-10 * min(ref)

@@ -60,6 +60,21 @@ class TestExitCodes:
         assert main(["tensor", "--config", cfg, "--out", str(tmp_path),
                      "--quiet"]) == 2
 
+    def test_removed_solver_knob_refused(self, tmp_path, capsys):
+        # a removed solver knob is refused by name, never silently ignored
+        bad = json.loads(json.dumps(TINY))
+        bad["solver"]["dense_threshold"] = 4000
+        cfg = write_cfg(tmp_path, bad)
+        assert main(["tensor", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "dense_threshold" in capsys.readouterr().err
+
+    def test_schema_is_valid(self):
+        # SCHEMA is valid under its metaschema (load_config does not re-check)
+        from jsonschema.validators import validator_for
+
+        from hcplate.config import SCHEMA
+        validator_for(SCHEMA).check_schema(SCHEMA)
+
     def test_nonpositive_dt(self, tmp_path):
         bad = json.loads(json.dumps(TINY))
         bad["evolve"]["dt"] = -0.1

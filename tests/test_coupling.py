@@ -124,17 +124,27 @@ def test_resolvents_match_explicit_elimination(case, reference):
                                   cell_n=8, n_z=4, n_modes=8)
         st = solve_limit_resolvent(model, lam, load)
         ref = reference["rows"][f"{mname}/{lname}/{r.key}"]
+        fields = {key: np.array(ref[key]) for key in
+                  ("a", "b", "micro", "b_cell", "u3_cell", "micro_inplane")
+                  if ref[key] is not None}
+        # errors are measured against the largest field of the row: a field
+        # that vanishes by symmetry is round-off, and its own scale is noise
+        scale = max(abs(f).max() for f in fields.values())
         for key in ("a", "b", "micro", "b_cell", "u3_cell", "micro_inplane"):
             got = st.meta.get(key) if key == "micro_inplane" \
                 else getattr(st, key)
-            if ref[key] is None:
+            if key not in fields:
                 assert got is None, (r.key, key)
                 continue
             # the kappa in (0, inf) cell solve (condition 1.6e7) was a
             # pivoting LU with relative residual up to 1.4e-10; it is
             # checked against its exact solution below
             tol = 1e-8 if key == "b_cell" and r.kappa == 1.0 else 1e-10
-            assert rel_err(got, np.array(ref[key])) <= tol, (r.key, key)
+            err = abs(np.asarray(got) - fields[key]).max() / scale
+            assert err <= tol, (r.key, key, err)
+            if abs(fields[key]).max() <= 1e-12 * scale:
+                # a field that vanishes by symmetry stays at round-off
+                assert abs(np.asarray(got)).max() <= 1e-12 * scale, (r.key, key)
         if r.mu == "eps_h" and r.delta == 1.0:
             nb = model.bend_op.pair.n
             N = len(model.bloch.eigenvalues)

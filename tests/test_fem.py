@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from hcplate.fem import (EigWorkspace, ScaledGradientSpec,
                          solve_spd)
 from hcplate.fem import elements as el
 from hcplate.fem.system import (DofMap, SolverError, SparseOperatorPair,
-                                detect_kernel)
+                                SpdFactor, _m_orthonormalize, detect_kernel)
 from hcplate.geometry import InclusionShape, build_cell_mesh, build_macro_mesh
 
 C2D = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]])  # lam=mu=1
@@ -382,6 +383,86 @@ class TestEigsFallbacks:
         monkeypatch.setattr(sp.linalg, "eigsh", broken)
         with pytest.raises(TypeError):
             detect_kernel(K)
+
+
+class TestEigPaths:
+    """The size rule, the SPD-factor shift-invert and the backward-error
+    contract of eigs_smallest."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record each call of scipy's dense eigh and of eigsh by name."""
+        calls = []
+        for mod, name in ((sla, "eigh"), (sp.linalg, "eigsh")):
+            def spy(*args, _f=getattr(mod, name), _n=name, **kwargs):
+                calls.append(_n)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(mod, name, spy)
+        return calls
+
+    @staticmethod
+    def _membrane(n):
+        mesh = build_macro_mesh(1, 1, n, n)
+        return assemble_vector_h1(mesh, tn.isotropic_2d(1, 1),
+                                  space="dirichlet", ncomp=2)
+
+    def test_path_counts_the_requested_modes(self, monkeypatch, demo_material,
+                                             demo_shape, demo_bloch_full):
+        # validate's fine problem on demo_deltainf (1,248 DOFs, 3 modes)
+        # goes to shift-invert; the full_delta Bloch operator (555 DOFs, 54
+        # modes) stays dense
+        from hcplate.finescale import build_fine_problem, fine_eigs
+        fp = build_fine_problem(demo_material, demo_shape, h=0.5, epsilon=0.5,
+                                cells_per_eps=6, n_z=4, parity="memb")
+        assert fp.pair.n == 1248 and demo_bloch_full.pair.n == 555
+        calls = self._spy(monkeypatch)
+        fine_eigs(fp, 3, EigWorkspace())
+        assert calls == ["eigsh"]
+        calls.clear()
+        eigs_smallest(demo_bloch_full.pair, 54, EigWorkspace())
+        assert calls == ["eigh"]
+
+    def test_factor_error_propagates(self, monkeypatch):
+        # a SolverError of the SPD factor inside ARPACK's operator is a
+        # solver failure (exit 3), never a silent dense fallback
+        def failing(self, b):
+            raise SolverError("linear solve residual 4.2e-10 exceeds 1e-08 "
+                              "after refinement")
+        pair = self._membrane(16)
+        monkeypatch.setattr(SpdFactor, "solve", failing)
+        calls = self._spy(monkeypatch)
+        with pytest.raises(SolverError, match="after refinement"):
+            eigs_smallest(pair, 3, EigWorkspace())
+        assert "eigh" not in calls
+
+    def test_shift_invert_is_repeatable(self):
+        # the seeded ARPACK start vector makes repeated solves bit-identical
+        pair, ws = self._membrane(16), EigWorkspace(solver="shift-invert")
+        w1, v1 = eigs_smallest(pair, 6, ws)
+        w2, v2 = eigs_smallest(pair, 6, ws)
+        assert (w1 == w2).all() and (v1 == v2).all()
+
+    def test_perturbed_vector_refused(self, monkeypatch):
+        original = sla.eigh
+
+        def perturbed(*args, **kwargs):
+            w, v = original(*args, **kwargs)
+            return w, v + 1e-4 * np.random.RandomState(0).standard_normal(v.shape)
+        monkeypatch.setattr(sla, "eigh", perturbed)
+        with pytest.raises(SolverError, match="backward error"):
+            eigs_smallest(self._membrane(6), 3, EigWorkspace(solver="dense"))
+
+    def test_cholesky_qr_is_gram_schmidt(self):
+        # V = Q R with Q M-orthonormal and R upper triangular, positive
+        # diagonal: the factor Gram-Schmidt produces
+        pair = self._membrane(6)
+        V = np.random.RandomState(3).standard_normal((pair.n, 5))
+        Q = _m_orthonormalize(V, pair.M)
+        assert_allclose(Q.T @ (pair.M @ Q), np.eye(5), atol=1e-12)
+        R = Q.T @ (pair.M @ V)
+        assert_allclose(np.tril(R, -1), 0.0, atol=1e-12 * abs(R).max())
+        assert (np.diag(R) > 0).all()
+        assert_allclose(Q @ R, V, atol=1e-12 * abs(V).max())
 
 
 class TestBiharmonic:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from hcplate import tensors as tn
@@ -72,6 +73,23 @@ class TestEigs:
         w1, _ = macro_eigs(build_membrane_operator(plain_tensor(1.0), mesh, 1.0), 4)
         w3, _ = macro_eigs(build_membrane_operator(plain_tensor(3.0), mesh, 1.0), 4)
         assert_allclose(w3, 3.0 * w1, rtol=1e-10)
+
+    def test_refined_demo_bending_operator(self, demo_tensor_delta1):
+        # demo_bending's bending operator on a 24x24 macro mesh (2,400 DOFs,
+        # 8 modes; rho0 = rho1 = 1, so <rho> = 1) takes shift-invert and
+        # passes the backward-error contract
+        op = build_bending_operator(demo_tensor_delta1,
+                                    build_macro_mesh(1.0, 1.0, 24, 24), 1.0)
+        assert op.n == 2400
+        w, _ = macro_eigs(op, 8)
+        # dense reference: the Rayleigh quotients of sla.eigh's vectors. Its
+        # eigenvalues carry an absolute error near eps ||K|| (7e-9 relative
+        # on the smallest here); the quotients' error is quadratic in the
+        # vector error
+        K, M = op.pair.K.toarray(), op.pair.M.toarray()
+        _, V = sla.eigh(K, M, subset_by_index=[0, 7])
+        ref = np.einsum("ij,ij->j", V, K @ V) / np.einsum("ij,ij->j", V, M @ V)
+        assert_allclose(w, ref, rtol=1e-10)
 
     def test_mass_weighting(self, mesh):
         w1, _ = macro_eigs(build_membrane_operator(plain_tensor(), mesh, 1.0), 3)
