@@ -180,8 +180,10 @@ def cmd_spectrum(cfg, out: Path, chash: str) -> int:
     targets = zf.rho_bar * mu_w
     _write_csv(out / "macro_eigs.csv", ["k", "mu"],
                [(k, mu_w[k]) for k in range(n_macro)], chash)
-    # principal nodal values of the macro modes for plotting
-    fulls = [op.pair.dof.expand(modes[:, k])[:, 0] for k in range(n_macro)]
+    # principal nodal values of the macro modes for plotting (b of the
+    # bending pencil's [a | b])
+    fulls = [op.pair.dof.expand(modes[op.n_static:, k])[:, 0]
+             for k in range(n_macro)]
     rows = [(i, x[0], x[1], *[fulls[k][i] for k in range(n_macro)])
             for i, x in enumerate(macro_mesh.nodes)]
     _write_csv(out / "macro_modes.csv",
@@ -269,21 +271,14 @@ def cmd_evolve(cfg, out: Path, chash: str) -> int:
     variant = ev.get("variant", "real_time")
     traj = evolve(model, variant, load, T, dt)
     # macro modal amplitudes: mass-orthonormal projections on the leading
-    # eigenmodes of the governing macro operator (raw DOFs as a fallback)
+    # eigenmodes of the governing macro operator, whose mass lies on the
+    # membrane field a or on the bending field b
     from .macro import macro_eigs
-    macro, op = traj.macro, None
-    for name, cand in (("b", model.bend_op), ("a", model.memb_op)):
-        if name in traj.fields and cand is not None \
-                and traj.fields[name].shape[1] == cand.pair.n:
-            macro, op = traj.fields[name], cand
-            break
+    op, macro = ((model.memb_op, traj.fields["a"]) if variant == "real_time"
+                 else (model.bend_op, traj.fields["b"]))
     nm = min(6, macro.shape[1])
-    if op is not None:
-        nm = min(6, op.pair.n)
-        _, modes = macro_eigs(op, nm)
-        amplitudes = macro @ (op.rho_bar * (op.pair.M @ modes))
-    else:
-        amplitudes = macro[:, :nm]
+    _, modes = macro_eigs(op, nm)
+    amplitudes = macro @ (op.rho_bar * (op.pair.M @ modes)[op.n_static:])
     micro = traj.micro
     nmic = 0 if micro is None else min(4, micro.shape[1])
     header = ["t"] + [f"macro_{k}" for k in range(nm)] \

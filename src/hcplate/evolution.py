@@ -5,8 +5,8 @@ elimination of the micro modes.
 
 Variants (one per supported long-time/real-time scaling row):
 
-* long_time_bending : hyperbolic plate bending, quasistatic in-plane and
-  micro components re-solved each step;
+* long_time_bending : hyperbolic plate bending with the quasistatic in-plane
+  field in the state, the static micro components reconstructed per step;
 * real_time         : the full coupled membrane system (with the algebraic
   out-of-plane component carried as a massive, stiffness-free field);
 * strong_hc_bending : coupled bending + inclusion modes (memory effects);
@@ -14,7 +14,9 @@ Variants (one per supported long-time/real-time scaling row):
   inclusions; in-plane micro components are quasistatic.
 
 Every variant is a ModalCoupling (the long-time plate row with no modes):
-a step solves one macro-size system and updates the modes as arrays.
+a step solves one macro-size system and updates the modes as arrays. The
+bending variants step the bending pencil over [a | b], whose in-plane part
+a carries stiffness only: each step enforces its equation at the midpoint.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import ModalCoupling
+from .fem.system import factorize
 from .limits import (LimitModel, LoadSpec, RegimeError, _micro_load_vector,
                      _model_with_bloch, compute_load_functional, load_moments,
                      micro_modal_loads)
@@ -43,10 +46,6 @@ class Trajectory:
     fields: dict                 # name -> snapshot array (steps, ...)
     energy: np.ndarray           # columns: kinetic, elastic, total
     meta: dict = field(default_factory=dict)
-
-    @property
-    def macro(self) -> np.ndarray:
-        return self.fields.get("b", self.fields.get("a"))
 
     @property
     def micro(self):
@@ -112,13 +111,9 @@ def _modal_system(model: LimitModel, variant: str, load: LoadSpec,
                   data: dict) -> ModalSystem:
     mac, fbar, ell = data["macro_nodal"], data["fbar"], data["micro_modal"]
     if variant == "long_time_bending":
-        op = model.bend_op
-        F0 = data["bend_rhs"].copy()
-        if op.K_cross is not None:
-            # membrane reaction to the in-plane load enters the bending force
-            F0 += op.K_cross.T @ op.membrane_lu().solve(data["memb_rhs"])
         cp = model.bend_coupling(modal=False)
-        return ModalSystem(cp, F0, np.zeros((0, cp.nm)), load.time_fn())
+        return ModalSystem(cp, data["bend_rhs"], np.zeros((0, cp.nm)),
+                           load.time_fn())
     if variant == "real_time":
         # in-plane macro + algebraic out-of-plane + nodal micro modes
         cp = model.memb_coupling()
@@ -127,7 +122,8 @@ def _modal_system(model: LimitModel, variant: str, load: LoadSpec,
     # high-contrast bending: the micro fields share the bending space
     cp = model.bend_coupling()
     Rmac = model.bend_rect() @ mac
-    return ModalSystem(cp, fbar[2] * Rmac, np.outer(ell, cp.to_micro(Rmac)),
+    F0 = np.concatenate([np.zeros(model.bend_op.n_static), fbar[2] * Rmac])
+    return ModalSystem(cp, F0, np.outer(ell, cp.to_micro(Rmac)),
                        load.time_fn())
 
 
@@ -136,10 +132,13 @@ def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
            v0: np.ndarray | None = None) -> Trajectory:
     """Implicit-midpoint trajectory of the regime's limit evolution.
 
-    u0/v0 are initial data in the variant's state layout, [b | c_1 ... c_N]
-    or [a | b | c_1 ... c_N] (defaults: zero); the quasistatic components
-    of long_time_bending / delta0_hc are reconstructed per recorded step and
-    stored in the trajectory meta.
+    u0/v0 are initial data in the variant's state layout [a | b | c_1 ...
+    c_N] (defaults: zero), with fields "a" and "b" of the trajectory the
+    two macro parts. In the bending variants a is the quasistatic in-plane
+    field of the bending pencil: u0's a is replaced by the value that b and
+    the load fix at t = 0 (K_aa a = F_a g(0) - K_ab b), and v0's a plays
+    no part. The static micro components of long_time_bending / delta0_hc
+    are reconstructed per recorded step.
     """
     if variant not in _VARIANT_ROWS:
         raise RegimeError(f"unknown evolution variant {variant!r}")
@@ -155,8 +154,16 @@ def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
     data = compute_load_functional(model, load)
     system = _modal_system(model, variant, load, data)
     cp = system.coupling
-    u0 = np.zeros(system.n) if u0 is None else u0
+    u0 = np.zeros(system.n) if u0 is None else np.array(u0, dtype=float)
     v0 = np.zeros(system.n) if v0 is None else v0
+    if variant == "real_time":
+        na = model.memb_op.pair.n
+    else:
+        na = model.bend_op.n_static
+        K = cp.K0
+        u0[:na] = factorize(K[:na, :na]).solve(
+            float(load.time_fn()(0.0)) * system.F0[:na]
+            - K[:na, na:] @ u0[na:cp.n0])
     (X, C), (V, W), factor = implicit_midpoint(system, u0, v0, T, dt)
     times = np.arange(X.shape[0]) * dt
     # blockwise energies over chunks of steps bound the temporaries
@@ -164,13 +171,9 @@ def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
                                          V[i:i + 64], W[i:i + 64])
                              for i in range(0, len(times), 64)])
 
-    if variant == "real_time":
-        na = model.memb_op.pair.n
-        fields = {"a": X[:, :na]}
-        if X.shape[1] > na:
-            fields["b"] = X[:, na:]
-    else:
-        fields = {"b": X}
+    fields = {"a": X[:, :na]}
+    if X.shape[1] > na:
+        fields["b"] = X[:, na:]
     if cp.N:
         fields["micro"] = C
     meta = {"variant": variant, "dt": dt, "system": system,
@@ -186,12 +189,6 @@ def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
             model, load, amplitude=(load.amplitude[0], load.amplitude[1], 0.0))
         fields["micro"] = g[:, None, None] * np.outer(
             ell_star / model.bloch.eigenvalues, mac)
-        op = model.bend_op
-        if op.K_cross is not None:
-            lu = op.membrane_lu()
-            a_f = lu.solve(data["memb_rhs"])
-            meta["a_quasistatic"] = lu.solve(-(op.K_cross @ X.T)).T \
-                + np.outer(g, a_f)
     if variant == "delta0_hc" and model.bloch_memb_static is not None:
         bm = model.bloch_memb_static
         ell_m = bm.modal_coefficients(_micro_load_vector(
@@ -205,10 +202,13 @@ def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
 # discrete memory-kernel (convolution quadrature) elimination
 
 def _macro_modal_reduction(model: LimitModel, n_macro_modes: int):
-    """M_b-orthonormal macro bending modes and their stiffness values."""
-    mu, W = macro_eigs(model.bend_op, n_macro_modes)
+    """M_b-orthonormal macro bending modes and their stiffness values: the
+    b parts of the bending pencil's modes, which are the modes of its
+    Schur complement on b."""
+    op = model.bend_op
+    mu, W = macro_eigs(op, n_macro_modes)
     # macro_eigs normalizes against rho_bar * M_b; rescale to M_b-orthonormal
-    W = W * np.sqrt(model.rho_bar)
+    W = W[op.n_static:] * np.sqrt(model.rho_bar)
     return mu, W
 
 

@@ -99,8 +99,9 @@ def triplets_to_csr(triplets, n: int, dtype=float) -> sp.csr_matrix:
     return A
 
 
-# eigs_smallest goes dense when n <= DENSE_MAX_DOFS or n <= DENSE_MODE_RATIO * N
-DENSE_MAX_DOFS, DENSE_MODE_RATIO = 400, 20
+# eigs_smallest goes dense when n <= DENSE_MAX_DOFS or n <= DENSE_MODE_RATIO * N;
+# an ARPACK failure falls back to dense only up to DENSE_FALLBACK_MAX_DOFS
+DENSE_MAX_DOFS, DENSE_MODE_RATIO, DENSE_FALLBACK_MAX_DOFS = 400, 20, 12000
 
 
 @dataclass
@@ -150,8 +151,13 @@ def detect_kernel(K: sp.csr_matrix, kernel_tol: float = 1e-10, kmax: int = 6) ->
     else:
         try:
             w, v = spla.eigsh(K, k=min(kmax, n - 2), sigma=-1e-3 * scale, which="LM")
-        except (spla.ArpackError, RuntimeError):
+        except spla.ArpackError as exc:
+            if n > DENSE_FALLBACK_MAX_DOFS:
+                raise SolverError(f"kernel detection failed: {exc}") from exc
             w, v = sla.eigh(K.toarray())
+        except RuntimeError as exc:      # eigsh's own LU of the shifted K
+            raise SolverError(f"kernel detection factorization failed: "
+                              f"{exc}") from exc
     order = np.argsort(w)
     w, v = w[order], v[:, order]
     keep = w < kernel_tol * scale
@@ -271,49 +277,64 @@ def _dense_pairs(pair: SparseOperatorPair, N: int):
 
 
 def _shift_invert_pairs(pair: SparseOperatorPair, N: int, ws: EigWorkspace,
-                        tol: float):
+                        tol: float, singular_mass: bool):
     """ARPACK shift-invert at shift 0 from a seeded start vector (ARPACK
     Users' Guide, SIAM 1998): a real K is inverted by `factorize`, a complex
-    Hermitian one by eigsh's own LU. Only an ARPACK failure goes dense."""
+    Hermitian one by eigsh's own LU. Mode 3 needs M semidefinite only, but
+    with a singular M the Ritz vectors drift off range(K^-1 M) (backward
+    errors up to 0.2 seen on a 40-DOF pencil); one more inverse step
+    purifies them (B. Nour-Omid, B. N. Parlett, T. Ericsson and P. S.
+    Jensen, Math. Comp. 48, 1987). Only an ARPACK failure goes dense, and
+    only with a definite mass."""
     opinv = None
     if not np.iscomplexobj(pair.K):
+        lu = factorize(pair.K, tol=tol)
         opinv = spla.LinearOperator(pair.K.shape, dtype=float,
-                                    matvec=factorize(pair.K, tol=tol).solve)
+                                    matvec=lu.solve)
     try:
-        return spla.eigsh(pair.K, k=N, M=pair.M, sigma=0.0, which="LM",
+        w, v = spla.eigsh(pair.K, k=N, M=pair.M, sigma=0.0, which="LM",
                           OPinv=opinv, maxiter=ws.maxiter,
                           v0=np.random.RandomState(ws.seed).rand(pair.n))
     except spla.ArpackError as exc:
-        if pair.n > 12000:
+        if singular_mass or pair.n > DENSE_FALLBACK_MAX_DOFS:
             raise SolverError(f"shift-invert eigensolver failed: {exc}") from exc
         return _dense_pairs(pair, N)
     except RuntimeError as exc:          # SolverError, or eigsh's own LU
         if isinstance(exc, SolverError):
             raise
         raise SolverError(f"shift-invert factorization failed: {exc}") from exc
+    if singular_mass:
+        v = lu.solve(pair.M @ v) * w
+    return w, v
 
 
 def eigs_smallest(pair: SparseOperatorPair, N: int,
                   ws: EigWorkspace | None = None):
     """Smallest N generalized eigenpairs of (K, M), ascending, vectors
     M-orthonormal with deterministic signs, each pair within the
-    backward-error contract."""
+    backward-error contract. A mass with a zero diagonal entry (a
+    stiffness-only block) is semidefinite: only shift-invert handles it."""
     ws = ws or EigWorkspace()
     n = pair.n
     if N < 1 or N > n:
         raise ValueError(f"requested {N} modes from a {n}-DOF operator")
     tol = max(ws.tol, 1e-8)
+    massless = int(np.count_nonzero(pair.M.diagonal() == 0))
     solver = ws.solver
     if solver == "auto":
         dense = n <= DENSE_MAX_DOFS or n <= DENSE_MODE_RATIO * N
-        solver = "dense" if dense else "shift-invert"
+        solver = "dense" if dense and not massless else "shift-invert"
     if solver != "dense" and N > n - 2:
         solver = "dense"
+    if massless and solver != "shift-invert":
+        raise SolverError(f"the {solver} eigensolver needs a definite mass; "
+                          f"this mass is singular ({massless} zero diagonal "
+                          f"entries)")
 
     if solver == "dense":
         w, v = _dense_pairs(pair, N)
     elif solver == "shift-invert":
-        w, v = _shift_invert_pairs(pair, N, ws, tol)
+        w, v = _shift_invert_pairs(pair, N, ws, tol, massless > 0)
     elif solver == "lobpcg":
         if np.iscomplexobj(pair.K):
             raise SolverError("lobpcg path is real-symmetric only")

@@ -25,8 +25,7 @@ from .fem import elements as el
 from .fem.system import EigWorkspace, factorize
 from .geometry import CellMesh, InclusionShape, MacroMesh, build_cell_mesh
 from .macro import (MacroOperator, build_bending_operator,
-                    build_membrane_operator, membrane_solve_for_bending,
-                    nodal_traces, scalar_mass)
+                    build_membrane_operator, nodal_traces, scalar_mass)
 
 _GAUSS_T, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 
@@ -225,10 +224,13 @@ class LimitModel:
         return self._cache["Ms"]
 
     def memb_rects(self):
-        """R_c = T_c^T Ms: int g theta_c for nodal data g."""
+        """R_c = T_c^T Ms: int g theta_c for nodal data g, against the
+        membrane operator or the bending pencil's in-plane part."""
         if "Ra" not in self._cache:
+            dof = (self.memb_op.pair.dof if self.memb_op is not None
+                   else self.bend_op.memb_dof)
             self._cache["Ra"] = [(T.T @ self.Ms()).tocsr() for T in
-                                 nodal_traces(self.memb_op.pair.dof)]
+                                 nodal_traces(dof)]
         return self._cache["Ra"]
 
     def bend_rect(self):
@@ -245,17 +247,22 @@ class LimitModel:
 
     # -- the macro-micro couplings of the grand modal systems --------------
     def bend_coupling(self, modal: bool = True) -> ModalCoupling:
-        """Bending rows: state [b | c_1 ... c_N] with the micro fields in the
-        reduced bending space, coupled through the last (out-of-plane)
-        mean; modal=False keeps the macro block alone."""
+        """Bending rows: state [a | b | c_1 ... c_N] on the bending pencil,
+        with the micro fields in the reduced bending space of b, coupled
+        through the last (out-of-plane) mean; the in-plane part a carries
+        stiffness only. modal=False keeps the macro block alone."""
         key = ("bend_coupling", modal)
         if key not in self._cache:
-            pair = self.bend_op.pair
+            op = self.bend_op
             bs = self.bloch
             N = len(bs.eigenvalues) if modal else 0
+            na = op.n_static
+            Mb = op.pair.M[na:, na:]
+            # T picks b out of [a | b]
+            T = sp.eye(op.n - na, op.n, k=na, format="csr")
             self._cache[key] = ModalCoupling(
-                M0=self.rho_bar * pair.M, K0=pair.K, Ms=pair.M, R=[pair.M],
-                T=[sp.identity(pair.n, format="csr")], eta=bs.eigenvalues[:N],
+                M0=self.rho_bar * op.pair.M, K0=op.pair.K, Ms=Mb,
+                R=[(T.T @ Mb).tocsr()], T=[T], eta=bs.eigenvalues[:N],
                 means=bs.weighted_means[:N, -1:])
         return self._cache[key]
 
@@ -360,15 +367,16 @@ def compute_load_functional(model: LimitModel, load: LoadSpec) -> dict:
     fbar, xmom = load_moments(model, load)
     mac = model.macro_nodal(load)
     out = {"fbar": fbar, "x3_moment": xmom, "macro_nodal": mac}
-    if model.memb_op is not None:
-        Ra = model.memb_rects()
-        out["memb_rhs"] = Ra[0] @ (fbar[0] * mac) + Ra[1] @ (fbar[1] * mac)
-    if model.bend_op is not None:
-        Rb = model.bend_rect()
-        rhs_b = Rb @ (fbar[2] * mac)
+    Ra = model.memb_rects()
+    rhs_a = Ra[0] @ (fbar[0] * mac) + Ra[1] @ (fbar[1] * mac)
+    if model.bend_op is None:
+        out["memb_rhs"] = rhs_a
+    else:
+        # the block load [F_a | F_b] of the bending pencil
         Gx, Gy = model.bend_gradrects()
-        rhs_b -= Gx @ (xmom[0] * mac) + Gy @ (xmom[1] * mac)
-        out["bend_rhs"] = rhs_b
+        rhs_b = model.bend_rect() @ (fbar[2] * mac) \
+            - Gx @ (xmom[0] * mac) - Gy @ (xmom[1] * mac)
+        out["bend_rhs"] = np.concatenate([rhs_a, rhs_b])
     out["micro_modal"] = micro_modal_loads(model, load)
     return out
 
@@ -414,14 +422,10 @@ def build_limit_model(regime: RegimeConfig, mat: tn.MaterialSpec,
                        cell_mesh=cell_mesh, macro_mesh=macro_mesh,
                        tensor=tensor, bloch=bs, rho_bar=rho_bar)
 
-    needs_memb = (regime.tau == 0) or (regime.mu == "eps" and regime.tau == 2)
-    needs_bend = (regime.tau == 2)
-    if needs_memb:
+    if regime.tau == 0:
         model.memb_op = build_membrane_operator(tensor, macro_mesh, rho_bar)
-    if needs_bend:
-        coupled = 0.0 < d < np.inf
-        model.bend_op = build_bending_operator(tensor, macro_mesh, rho_bar,
-                                               coupled=coupled)
+    else:
+        model.bend_op = build_bending_operator(tensor, macro_mesh, rho_bar)
     if regime.mu == "eps2":
         model.bloch_memb_static = bloch_spectrum(mat, shape, cell_n,
                                                  "memb_delta0", n_modes, ws=ws)
@@ -507,23 +511,22 @@ def _solve_bending_coupled(model: LimitModel, lam: float, load: LoadSpec,
     mac = model.macro_nodal(load)
     fbar, _ = load_moments(model, load)
     op = model.bend_op
+    na = op.n_static
     Rb = model.bend_rect()
     cp = model.bend_coupling()
     sh = cp.shift(lam, 1.0)
     # macro load of the high-contrast bending rows: transverse average only
     # (the x3 moments act through the micro equations where applicable);
     # the micro loads are ell_n times the bending-space image of the profile
-    b_red = sh.solve_macro(Rb @ (fbar[2] * mac),
-                           np.outer(ell, cp.to_micro(Rb @ mac)))
+    x0 = sh.solve_macro(np.concatenate([np.zeros(na), Rb @ (fbar[2] * mac)]),
+                        np.outer(ell, cp.to_micro(Rb @ mac)))
+    a_red, b_red = x0[:na], x0[na:]
     b_nodal = op.pair.dof.expand(b_red)[:, 0]
     # micro modes reported as nodal fields driven by the nodal macro field
     micro = sh.micro(np.outer(ell, mac), b_nodal[None])
-    state = LimitState(regime=model.regime, b=b_nodal, b_red=b_red,
-                       micro=micro, meta={"lambda": lam})
-    if op.K_cross is not None:
-        a_red = membrane_solve_for_bending(op, b_red)
-        state.a_red = a_red
-        state.a = op.memb_pair.dof.expand(a_red)
+    state = LimitState(regime=model.regime, a=op.memb_dof.expand(a_red),
+                       b=b_nodal, micro=micro, a_red=a_red, b_red=b_red,
+                       meta={"lambda": lam})
     if static_inplane_micro and model.bloch_memb_static is not None:
         # the in-plane micro equation is fully static and decoupled
         bm = model.bloch_memb_static
@@ -540,50 +543,36 @@ def _model_with_bloch(model: LimitModel, bs: BlochSpectrum) -> LimitModel:
 
 
 def _solve_plate_resolvent(model: LimitModel, lam: float, load: LoadSpec) -> LimitState:
-    """Uncoupled plate row (delta finite, mu = eps, tau = 2): joint
-    membrane/bending macro solve, static micro driven by in-plane loads."""
-    op_b = model.bend_op
-    op_a = model.memb_op
-    mac = model.macro_nodal(load)
-    fbar, xmom = load_moments(model, load)
-    Ra = model.memb_rects()
-    Rb = model.bend_rect()
-    Gx, Gy = model.bend_gradrects()
-    rhs_a = Ra[0] @ (fbar[0] * mac) + Ra[1] @ (fbar[1] * mac)
-    rhs_b = Rb @ (fbar[2] * mac) - Gx @ (xmom[0] * mac) - Gy @ (xmom[1] * mac)
-
-    rho = model.rho_bar
-    if op_b.K_cross is not None:
-        K_bb = op_b.pair.meta["raw_K"]
-        A = sp.bmat([[op_a.pair.K, op_b.K_cross],
-                     [op_b.K_cross.T, K_bb + lam * rho * op_b.pair.M]])
-        na = op_a.pair.n
-        sol = factorize(A).solve(np.concatenate([rhs_a, rhs_b]))
-        a_red, b_red = sol[:na], sol[na:]
-    else:
-        a_red = factorize(op_a.pair.K).solve(rhs_a)
-        b_red = factorize(op_b.pair.K + lam * rho * op_b.pair.M).solve(rhs_b)
+    """Plate row (delta finite, mu = eps, tau = 2): the bending pencil's
+    macro solve under the block load [F_a | F_b], static micro driven by
+    in-plane loads."""
+    op = model.bend_op
+    na = op.n_static
+    x0 = model.bend_coupling(modal=False).shift(lam, 1.0).factor.solve(
+        compute_load_functional(model, load)["bend_rhs"])
+    a_red, b_red = x0[:na], x0[na:]
 
     # micro: static, driven by the in-plane load components only
     bs = model.bloch
     amp = (load.amplitude[0], load.amplitude[1], 0.0)
     ell = micro_modal_loads(model, load, amplitude=amp)
-    micro = np.outer(ell / bs.eigenvalues, mac)
-    return LimitState(regime=model.regime, a=op_a.pair.dof.expand(a_red),
-                      b=op_b.pair.dof.expand(b_red)[:, 0], micro=micro,
+    micro = np.outer(ell / bs.eigenvalues, model.macro_nodal(load))
+    return LimitState(regime=model.regime, a=op.memb_dof.expand(a_red),
+                      b=op.pair.dof.expand(b_red)[:, 0], micro=micro,
                       a_red=a_red, b_red=b_red, meta={"lambda": lam})
 
 
 def solve_bending_resolvent_data(model: LimitModel, lam: float,
-                                 z_b: np.ndarray, z_c: np.ndarray):
-    """(A + lambda)^-1 applied to state-shaped data (z_b, z_c) for the
-    high-contrast bending rows: the rhs is the energy-space pairing of z,
-    and the micro modes are eliminated exactly (Schur complement of the
-    grand modal system).  Returns (b_red, c (N, nb))."""
+                                 z0: np.ndarray, z_c: np.ndarray):
+    """(A + lambda)^-1 applied to state-shaped data (z0, z_c), z0 = [a | b],
+    for the high-contrast bending rows: the rhs is the energy-space pairing
+    of z (a carries no mass, so only b enters), and the micro modes are
+    eliminated exactly (Schur complement of the grand modal system).
+    Returns ([a | b] reduced, c (N, nb))."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
     cp = model.bend_coupling()
-    return cp.shift(lam, 1.0).solve(*cp.mass(z_b, z_c))
+    return cp.shift(lam, 1.0).solve(*cp.mass(z0, z_c))
 
 
 def solve_limit_resolvent(model: LimitModel, lam: float, load: LoadSpec) -> LimitState:

@@ -1,11 +1,12 @@
 """Macroscopic operators on the mid-plane: the membrane operator, the
-bending operator with its nonlocal membrane coupling (realized as an exact
-discrete Schur complement), their eigenpairs, and the nodal traces and
-masses that pair reduced fields with nodal data."""
+bending operator as one sparse block pencil over [a | b] (an in-plane part
+a with stiffness only, coupled to the bending part b through the tensor's
+cross block), their eigenpairs, and the nodal traces and masses that pair
+reduced fields with nodal data."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -13,33 +14,31 @@ import scipy.sparse as sp
 from .effective import EffectiveTensor
 from .fem import assemble as fa
 from .fem import elements as el
-from .fem.system import (EigWorkspace, SparseOperatorPair, eigs_smallest,
-                         factorize)
+from .fem.system import EigWorkspace, SparseOperatorPair, eigs_smallest
 from .geometry import MacroMesh
-
-COUPLING_NEGLIGIBLE = 1e-12
 
 
 @dataclass
 class MacroOperator:
-    kind: str                       # "memb" | "bend" | "bend_coupled"
-    pair: SparseOperatorPair        # stiffness is the Schur form for coupled
+    """A macro stiffness/mass pencil on reduced DOFs. The bending pencil
+    acts on [a | b]: K = [[K_aa, K_ab], [K_ab^T, K_bb]], M = diag(0, M_b),
+    so the in-plane part a is quasi-static; pair.dof maps b (the membrane
+    pencil: a) and memb_dof maps a."""
+    kind: str                       # "memb" | "bend"
+    pair: SparseOperatorPair
     rho_bar: float                  # <rho> mass weight
     mesh: MacroMesh
     tensor: EffectiveTensor | None = None
-    # coupled-bending internals: membrane factorization and the cross block
-    memb_pair: SparseOperatorPair | None = field(default=None, repr=False)
-    K_cross: sp.csr_matrix | None = field(default=None, repr=False)
-    _memb_lu: object = field(default=None, repr=False)
+    memb_dof: object = None         # bending: DOF map of the part a
 
     @property
     def n(self) -> int:
         return self.pair.n
 
-    def membrane_lu(self):
-        if self._memb_lu is None:
-            self._memb_lu = factorize(self.memb_pair.K)
-        return self._memb_lu
+    @property
+    def n_static(self) -> int:
+        """Leading stiffness-only DOFs: the bending pencil's part a."""
+        return 0 if self.memb_dof is None else self.memb_dof.n_free
 
 
 def build_membrane_operator(tensor: EffectiveTensor, mesh: MacroMesh,
@@ -49,49 +48,31 @@ def build_membrane_operator(tensor: EffectiveTensor, mesh: MacroMesh,
                          mesh=mesh, tensor=tensor)
 
 
-def _assemble_cross_block(mesh: MacroMesh, Cmb, memb_dof, bend_dof):
-    Ke = el.mixed_memb_bend(mesh.element_size(), Cmb)
-    rows = memb_dof.element_dofs(mesh.elements)
-    cols = bend_dof.element_dofs(mesh.elements)
-    return fa.assemble_rect_block(rows, cols, Ke,
-                                  (memb_dof.n_free, bend_dof.n_free))
-
-
 def build_bending_operator(tensor: EffectiveTensor, mesh: MacroMesh,
-                           rho_bar: float, coupled: bool | None = None) -> MacroOperator:
-    """Clamped-plate bending operator; when the effective tensor has a
-    membrane-bending cross block the quasistatic in-plane response is folded
-    in as the Schur complement S = K_bb - K_ab^T K_aa^-1 K_ab."""
-    bend_pair = fa.assemble_bfs_h2(mesh, tensor.bend, space="clamped")
-    has_coupling = abs(tensor.coupling).max() > COUPLING_NEGLIGIBLE * \
-        max(abs(tensor.memb).max(), 1e-300)
-    if coupled is None:
-        coupled = has_coupling
-    if not coupled:
-        return MacroOperator(kind="bend", pair=bend_pair, rho_bar=rho_bar,
-                             mesh=mesh, tensor=tensor)
-    memb_pair = fa.assemble_vector_h1(mesh, tensor.memb, space="dirichlet",
-                                      ncomp=2)
-    K_ab = _assemble_cross_block(mesh, tensor.coupling, memb_pair.dof,
-                                 bend_pair.dof)
-    lu = factorize(memb_pair.K)
-    # one membrane solve per bending basis column (desk-scale dense sweep)
-    X = lu.solve(K_ab.toarray())
-    S = bend_pair.K.toarray() - K_ab.T @ X
-    S = 0.5 * (S + S.T)
-    meta = dict(bend_pair.meta)
-    meta["raw_K"] = bend_pair.K
-    pair = SparseOperatorPair(K=sp.csr_matrix(S), M=bend_pair.M,
-                              dof=bend_pair.dof, meta=meta)
-    op = MacroOperator(kind="bend_coupled", pair=pair, rho_bar=rho_bar,
-                       mesh=mesh, tensor=tensor, memb_pair=memb_pair,
-                       K_cross=K_ab)
-    op._memb_lu = lu
-    return op
+                           rho_bar: float) -> MacroOperator:
+    """Clamped-plate bending pencil over [a | b]: the membrane block K_aa,
+    the cross block K_ab of the tensor's membrane-bending coupling and the
+    bending block K_bb, with the mass on b alone."""
+    memb = fa.assemble_vector_h1(mesh, tensor.memb, space="dirichlet",
+                                 ncomp=2)
+    bend = fa.assemble_bfs_h2(mesh, tensor.bend, space="clamped")
+    K_ab = fa.assemble_rect_block(
+        memb.dof.element_dofs(mesh.elements),
+        bend.dof.element_dofs(mesh.elements),
+        el.mixed_memb_bend(mesh.element_size(), tensor.coupling),
+        (memb.n, bend.n))
+    pair = SparseOperatorPair(
+        K=sp.bmat([[memb.K, K_ab], [K_ab.T, bend.K]], format="csr"),
+        M=sp.block_diag([sp.csr_matrix(memb.K.shape), bend.M], format="csr"),
+        dof=bend.dof)
+    return MacroOperator(kind="bend", pair=pair, rho_bar=rho_bar, mesh=mesh,
+                         tensor=tensor, memb_dof=memb.dof)
 
 
 def macro_eigs(op: MacroOperator, N: int, ws: EigWorkspace | None = None):
-    """Eigenpairs of the stiffness against the <rho>-weighted mass."""
+    """Eigenpairs of the stiffness against the <rho>-weighted mass; the
+    bending pencil's vectors are [a | b], with a the quasistatic response
+    to b."""
     if N < 1:
         raise ValueError("need at least one eigenvalue")
     weighted = SparseOperatorPair(K=op.pair.K, M=op.rho_bar * op.pair.M,
@@ -116,12 +97,3 @@ def nodal_traces(dof) -> list[sp.csr_matrix]:
                                 (nodes, dof.index[nodes, c])),
                                shape=(dof.n_nodes, dof.n_free)))
     return T
-
-
-def membrane_solve_for_bending(op: MacroOperator, b: np.ndarray) -> np.ndarray:
-    """Quasistatic in-plane field driven by a bending field through the
-    tensor cross block: K_aa a = -K_ab b."""
-    if op.K_cross is None:
-        memb_n = op.memb_pair.n if op.memb_pair is not None else 0
-        return np.zeros(memb_n)
-    return op.membrane_lu().solve(-(op.K_cross @ b))

@@ -47,3 +47,17 @@ def demo_tensor_delta1(demo_material, demo_shape):
 def demo_zhikov(demo_bloch_memb, demo_material):
     from hcplate.zhikov import zhikov_from_bloch
     return zhikov_from_bloch(demo_bloch_memb, demo_material)
+
+
+@pytest.fixture(scope="session")
+def coupled_rows(demo_material, demo_shape):
+    """The plate row (mu = eps) and the mu = eps_h row, delta = 1, tau = 2,
+    on an 8x8 macro mesh, with a plate tensor whose cross block is 0.15 I
+    (tests/schur_oracle.plain_tensor), keyed by mu."""
+    from hcplate.limits import RegimeConfig, build_limit_model
+    from schur_oracle import plain_tensor, with_tensor
+    mesh = build_macro_mesh(1.0, 1.0, 8, 8)
+    tensor = plain_tensor(coupling=0.15)
+    return {mu: with_tensor(build_limit_model(
+        RegimeConfig(1.0, mu, 2), demo_material, demo_shape, mesh, cell_n=8,
+        n_z=4, n_modes=8), tensor) for mu in ("eps", "eps_h")}

@@ -4,7 +4,9 @@ explicit discrete Duhamel sum.
 
 The library eliminates the inclusion modes instead of assembling these
 systems (hcplate.coupling); the tests check the structured solves, sweeps
-and recursions against the plain forms kept here.
+and recursions against the plain forms kept here. The bending systems act
+on b alone, with the in-plane field eliminated through the dense Schur
+complement of tests/schur_oracle.py.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from hcplate.evolution import _macro_modal_reduction, _oscillator_propagator
 from hcplate.limits import (LimitModel, LoadSpec, load_moments,
                             micro_modal_loads)
 from hcplate.macro import nodal_traces
+from schur_oracle import SchurOracle
 
 
 @dataclass
@@ -37,6 +40,11 @@ class SecondOrderSystem:
 
     def energy(self, u, v) -> tuple[float, float]:
         return 0.5 * float(v @ (self.M @ v)), 0.5 * float(u @ (self.K @ u))
+
+    def lift(self, u: np.ndarray) -> np.ndarray:
+        """u in the state layout of `evolve`, which carries the in-plane
+        part a that the bending systems eliminate in front (as zeros)."""
+        return np.concatenate([np.zeros(self.meta.get("na", 0)), u])
 
 
 def grand_midpoint(system: SecondOrderSystem, u0, v0, T: float, dt: float):
@@ -64,16 +72,17 @@ def grand_midpoint(system: SecondOrderSystem, u0, v0, T: float, dt: float):
 
 
 def _bending_kron_system(model: LimitModel, load: LoadSpec) -> SecondOrderSystem:
-    """Grand system of the high-contrast bending variants: the micro modal
-    coefficient fields share the bending (BFS) space, so all blocks factor
-    over the scalar bending mass."""
-    op = model.bend_op
+    """Grand system of the high-contrast bending variants on [b | c_1 ...
+    c_N], with the Schur complement S as the macro stiffness: the micro
+    modal coefficient fields share the bending (BFS) space, so all blocks
+    factor over the scalar bending mass."""
+    schur = SchurOracle(model.tensor, model.macro_mesh)
     bs = model.bloch
     eta = bs.eigenvalues
     m3 = bs.weighted_means[:, -1]
     N = len(eta)
     rho = model.rho_bar
-    Mb, Kb = op.pair.M, op.pair.K
+    Mb, Kb = sp.csr_matrix(schur.M_b), sp.csr_matrix(schur.S)
     G = np.zeros((N + 1, N + 1))
     G[0, 0] = rho
     G[0, 1:] = m3
@@ -96,7 +105,8 @@ def _bending_kron_system(model: LimitModel, load: LoadSpec) -> SecondOrderSystem
                         for n in range(N)]}
     return SecondOrderSystem(M=Mfull, K=Kfull, F0=F0, time_fn=load.time_fn(),
                              blocks=blocks,
-                             meta={"eta": eta, "m3": m3, "nb": Mb.shape[0]})
+                             meta={"eta": eta, "m3": m3, "nb": Mb.shape[0],
+                                   "na": schur.na, "schur": schur})
 
 
 def _real_time_system(model: LimitModel, load: LoadSpec) -> SecondOrderSystem:

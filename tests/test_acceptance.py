@@ -221,7 +221,8 @@ def test_criterion_8_evolution_correctness(demo_material, demo_shape):
     for dt in (T / 200, T / 400):
         traj = evolve(m1, "long_time_bending", zero, T, dt, u0=W[:, 0],
                       v0=np.zeros(m1.bend_op.n))
-        proj = traj.fields["b"] @ (m1.rho_bar * (m1.bend_op.pair.M @ W[:, 0]))
+        proj = traj.fields["b"] @ (m1.rho_bar * (m1.bend_op.pair.M @ W[:, 0])
+                                   [m1.bend_op.n_static:])
         errs.append(abs(proj - np.cos(np.sqrt(mu[0]) * traj.times)).max())
     ratio = errs[0] / errs[1]
     ok = 3.5 <= ratio <= 4.5
@@ -232,16 +233,16 @@ def test_criterion_8_evolution_correctness(demo_material, demo_shape):
     system = _bending_kron_system(m3, zero)
     mu3, W3 = _macro_modal_reduction(m3, 2)
     u0 = np.zeros(system.n)
-    u0[:m3.bend_op.pair.n] = W3[:, 0]
-    traj = evolve(m3, "strong_hc_bending", zero, 1.0, 1e-3, u0=u0,
-                  v0=np.zeros(system.n))
+    u0[:system.meta["nb"]] = W3[:, 0]
+    traj = evolve(m3, "strong_hc_bending", zero, 1.0, 1e-3,
+                  u0=system.lift(u0), v0=system.lift(np.zeros(system.n)))
     drift = traj.energy_drift()
     ok &= drift <= 1e-10
 
     # memory-kernel elimination agrees with the coupled solve
     times, modal = evolve_memory_bending(m3, zero, 1.0, 1e-3,
                                          n_macro_modes=1, b0_modal=[1.0])
-    proj = traj.fields["b"] @ (m3.bend_op.pair.M @ W3[:, 0])
+    proj = traj.fields["b"] @ (m3.bend_coupling().Ms @ W3[:, 0])
     kernel_err = abs(proj - modal[:, 0]).max()
     ok &= kernel_err <= 1e-6
     c.finish(bool(ok), f"ratio {ratio:.2f}, drift {drift:.1e}, "
@@ -260,21 +261,22 @@ def test_criterion_9_resolvent_semigroup_consistency(demo_material,
     model = build_limit_model(RegimeConfig(1.0, "eps_h", 2), demo_material,
                               demo_shape, mm, cell_n=8, n_z=4, n_modes=8)
     system = _bending_kron_system(model, LoadSpec(amplitude=(0, 0, 0)))
-    nb = model.bend_op.pair.n
+    nb, na = system.meta["nb"], system.meta["na"]
     N = len(model.bloch.eigenvalues)
     mu, W = _macro_modal_reduction(model, 1)
-    u0 = np.zeros(system.n)
-    u0[:nb] = W[:, 0]
+    u0 = system.lift(np.zeros(system.n))
+    u0[na:na + nb] = W[:, 0]
     ok, rels = True, []
     for lam in (2.0, 5.0):
         traj = evolve(model, "strong_hc_bending", LoadSpec(amplitude=(0, 0, 0)),
-                      16.0 / lam, 1e-3, u0=u0, v0=np.zeros(system.n))
+                      16.0 / lam, 1e-3, u0=u0, v0=np.zeros_like(u0))
         wts = np.exp(-lam * traj.times)
         integral = trapezoid(wts[:, None] * traj.fields["b"], traj.times,
                              axis=0)
-        b_res, _ = solve_bending_resolvent_data(model, lam ** 2,
-                                                lam * u0[:nb],
+        x_res, _ = solve_bending_resolvent_data(model, lam ** 2,
+                                                lam * u0[:na + nb],
                                                 np.zeros((N, nb)))
+        b_res = x_res[na:]
         rel = np.linalg.norm(integral - b_res) / np.linalg.norm(b_res)
         rels.append(rel)
         ok &= rel <= 1e-4

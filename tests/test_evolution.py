@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 from scipy.integrate import trapezoid
 
-from grand_oracle import _bending_kron_system, _real_time_system
+from grand_oracle import (SecondOrderSystem, _bending_kron_system,
+                          _real_time_system, grand_midpoint)
 from hcplate.evolution import (_macro_modal_reduction, evolve,
                                evolve_memory_bending)
+from hcplate.fem.system import factorize
 from hcplate.geometry import build_macro_mesh
 from hcplate.limits import (LoadSpec, RegimeConfig, RegimeError,
-                            build_limit_model, solve_bending_resolvent_data)
+                            build_limit_model, compute_load_functional,
+                            solve_bending_resolvent_data)
 from hcplate.macro import macro_eigs
+from schur_oracle import SchurOracle
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +54,9 @@ class TestSingleMode:
         for dt in (T / 200, T / 400):
             traj = evolve(model_r1, "long_time_bending", zero_load(), T, dt,
                           u0=w1.copy(), v0=np.zeros_like(w1))
+            op = model_r1.bend_op
             proj = traj.fields["b"] @ (model_r1.rho_bar *
-                                       (model_r1.bend_op.pair.M @ w1))
+                                       (op.pair.M @ w1)[op.n_static:])
             errs.append(abs(proj - np.cos(np.sqrt(mu[0]) * traj.times)).max())
         ratio = errs[0] / errs[1]
         assert 3.5 <= ratio <= 4.5
@@ -59,12 +65,52 @@ class TestSingleMode:
         mu, W = macro_eigs(model_r1.bend_op, 1)
         traj = evolve(model_r1, "long_time_bending", zero_load(),
                       0.3, 1e-3, u0=W[:, 0], v0=np.zeros(model_r1.bend_op.n))
-        aq = traj.meta["a_quasistatic"]
-        op = model_r1.bend_op
-        lu = op.membrane_lu()
+        oracle = SchurOracle(model_r1.tensor, model_r1.macro_mesh)
         for j in (0, len(traj.times) // 2, -1):
-            expect = lu.solve(-(op.K_cross @ traj.fields["b"][j]))
-            assert_allclose(aq[j], expect, atol=1e-12)
+            expect = oracle.inplane(traj.fields["b"][j])
+            assert_allclose(traj.fields["a"][j], expect, atol=1e-12)
+
+
+class TestCoupledPlate:
+    """long_time_bending with a real cross block (0.15): the quasistatic
+    in-plane field rides in the state [a | b]."""
+
+    def test_free_vibration_matches_schur_form(self, coupled_rows):
+        model = coupled_rows["eps"]
+        oracle = SchurOracle(model.tensor, model.macro_mesh)
+        _, W = oracle.eigs(3, model.rho_bar)
+        b0 = W @ np.array([0.7, -0.2, 0.1])
+        v0 = W @ np.array([0.0, 0.5, -0.3])
+        system = SecondOrderSystem(
+            M=sp.csr_matrix(model.rho_bar * oracle.M_b),
+            K=sp.csr_matrix(oracle.S), F0=np.zeros(oracle.nb),
+            time_fn=zero_load().time_fn(), blocks={})
+        T, dt = 0.2, 1e-3
+        U, _, energy = grand_midpoint(system, b0, v0, T, dt)
+        traj = evolve(model, "long_time_bending", zero_load(), T, dt,
+                      u0=np.concatenate([np.zeros(oracle.na), b0]),
+                      v0=np.concatenate([np.zeros(oracle.na), v0]))
+        scale = abs(U).max()
+        a = oracle.inplane(U)
+        assert abs(a).max() > 1e-2 * scale
+        assert abs(traj.fields["b"] - U).max() <= 1e-10 * scale
+        assert abs(traj.fields["a"] - a).max() <= 1e-10 * scale
+        assert abs(traj.energy - energy).max() <= 1e-10 * abs(energy).max()
+
+    def test_static_solution_is_at_rest(self, coupled_rows):
+        # an in-plane load alone drives b through the cross block; started
+        # at the static solution K u_s = F = [F_a | F_b], the state stays
+        model = coupled_rows["eps"]
+        load = LoadSpec(amplitude=(0.4, -0.3, 0.0))
+        u_s = factorize(model.bend_op.pair.K).solve(
+            compute_load_functional(model, load)["bend_rhs"])
+        traj = evolve(model, "long_time_bending", load, 0.2, 1e-3, u0=u_s,
+                      v0=np.zeros_like(u_s))
+        na = model.bend_op.n_static
+        for part, ref in ((traj.fields["a"], u_s[:na]),
+                          (traj.fields["b"], u_s[na:])):
+            assert abs(ref).max() > 0
+            assert abs(part - ref).max() <= 1e-10 * abs(ref).max()
 
 
 class TestConservation:
@@ -72,9 +118,9 @@ class TestConservation:
         system = _bending_kron_system(model_r3, zero_load())
         mu, W = _macro_modal_reduction(model_r3, 1)
         u0 = np.zeros(system.n)
-        u0[:model_r3.bend_op.pair.n] = W[:, 0]
+        u0[:system.meta["nb"]] = W[:, 0]
         traj = evolve(model_r3, "strong_hc_bending", zero_load(), 1.0, 1e-3,
-                      u0=u0, v0=np.zeros(system.n))
+                      u0=system.lift(u0), v0=system.lift(np.zeros(system.n)))
         assert traj.energy_drift() <= 1e-10
 
     def test_free_energy_constant_real_time(self, model_r2):
@@ -103,15 +149,15 @@ class TestMemoryKernel:
     def test_agrees_with_coupled_solve(self, model_r3):
         system = _bending_kron_system(model_r3, zero_load())
         mu, W = _macro_modal_reduction(model_r3, 2)
-        nb = model_r3.bend_op.pair.n
+        nb = system.meta["nb"]
         u0 = np.zeros(system.n)
         u0[:nb] = 0.7 * W[:, 0] - 0.2 * W[:, 1]
         traj = evolve(model_r3, "strong_hc_bending", zero_load(), 1.0, 1e-3,
-                      u0=u0, v0=np.zeros(system.n))
+                      u0=system.lift(u0), v0=system.lift(np.zeros(system.n)))
         times, modal = evolve_memory_bending(
             model_r3, zero_load(), 1.0, 1e-3, n_macro_modes=2,
             b0_modal=[0.7, -0.2])
-        Mb = model_r3.bend_op.pair.M
+        Mb = model_r3.bend_coupling().Ms
         for k in range(2):
             proj = traj.fields["b"] @ (Mb @ W[:, k])
             assert abs(proj - modal[:, k]).max() <= 1e-6
@@ -122,7 +168,7 @@ class TestMemoryKernel:
         times, modal = evolve_memory_bending(model_r3, ld, 0.5, 5e-4,
                                              n_macro_modes=3)
         mu, W = _macro_modal_reduction(model_r3, 3)
-        Mb = model_r3.bend_op.pair.M
+        Mb = model_r3.bend_coupling().Ms
         # the load has a component outside the 3-mode macro span; compare
         # only the projections driven by the projected load
         from hcplate.limits import load_moments
@@ -141,20 +187,21 @@ class TestLaplaceConsistency:
     @pytest.mark.parametrize("lam", [2.0, 5.0])
     def test_resolvent_is_laplace_transform(self, model_r3, lam):
         system = _bending_kron_system(model_r3, zero_load())
-        nb = model_r3.bend_op.pair.n
+        nb, na = system.meta["nb"], system.meta["na"]
         N = len(model_r3.bloch.eigenvalues)
         mu, W = _macro_modal_reduction(model_r3, 1)
-        u0 = np.zeros(system.n)
-        u0[:nb] = W[:, 0]
+        u0 = system.lift(np.zeros(system.n))
+        u0[na:na + nb] = W[:, 0]
         T, dt = 16.0 / lam, 1e-3
         traj = evolve(model_r3, "strong_hc_bending", zero_load(), T, dt,
-                      u0=u0, v0=np.zeros(system.n))
+                      u0=u0, v0=np.zeros_like(u0))
         wts = np.exp(-lam * traj.times)
         integral = trapezoid(wts[:, None] * traj.fields["b"], traj.times,
                              axis=0)
-        b_res, _ = solve_bending_resolvent_data(model_r3, lam ** 2,
-                                                lam * u0[:nb],
+        x_res, _ = solve_bending_resolvent_data(model_r3, lam ** 2,
+                                                lam * u0[:na + nb],
                                                 np.zeros((N, nb)))
+        b_res = x_res[na:]
         rel = np.linalg.norm(integral - b_res) / np.linalg.norm(b_res)
         assert rel <= 1e-4
 

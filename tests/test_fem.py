@@ -378,6 +378,19 @@ class TestEigsFallbacks:
         assert basis.shape == (n, 1)
         assert_allclose(abs(basis[:, 0]), 1 / np.sqrt(n), rtol=1e-10)
 
+        # above the fallback cap an ARPACK failure is a solver failure
+        big = sp.diags([-np.ones(12000), 2 * np.ones(12001),
+                        -np.ones(12000)], [-1, 0, 1], format="csr")
+        with pytest.raises(SolverError, match="kernel detection failed"):
+            detect_kernel(big)
+
+        # a failure of eigsh's own LU of the shifted K never goes dense
+        def lu_failure(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+        monkeypatch.setattr(sp.linalg, "eigsh", lu_failure)
+        with pytest.raises(SolverError, match="factorization failed"):
+            detect_kernel(K)
+
         def broken(*args, **kwargs):
             raise TypeError("bad argument")
         monkeypatch.setattr(sp.linalg, "eigsh", broken)
@@ -433,6 +446,41 @@ class TestEigPaths:
         calls = self._spy(monkeypatch)
         with pytest.raises(SolverError, match="after refinement"):
             eigs_smallest(pair, 3, EigWorkspace())
+        assert "eigh" not in calls
+
+    @staticmethod
+    def _semidefinite(n=40, na=10):
+        """SPD K with a stiffness-only block: M = diag(0, I)."""
+        A = np.random.RandomState(8).standard_normal((n, n))
+        M = np.diag(np.r_[np.zeros(na), np.ones(n - na)])
+        return trivial_pair(A @ A.T + n * np.eye(n), M), na
+
+    def test_semidefinite_mass_takes_shift_invert(self, monkeypatch):
+        # 40 DOFs, far below the dense size: the zero mass block sends the
+        # pencil to shift-invert, whose pairs are those of the Schur
+        # complement on the massive block
+        pair, na = self._semidefinite()
+        calls = self._spy(monkeypatch)
+        w, v = eigs_smallest(pair, 4, EigWorkspace())
+        assert calls == ["eigsh"]
+        K = pair.K.toarray()
+        S = K[na:, na:] - K[na:, :na] @ np.linalg.solve(K[:na, :na],
+                                                        K[:na, na:])
+        ref = sla.eigvalsh(S, subset_by_index=[0, 3])
+        assert_allclose(w, ref, rtol=1e-10)
+        assert_allclose(K[:na] @ v, 0.0, atol=1e-10 * abs(K @ v).max())
+
+    def test_semidefinite_mass_refuses_dense(self, monkeypatch):
+        pair, _ = self._semidefinite()
+        with pytest.raises(SolverError, match="mass is singular"):
+            eigs_smallest(pair, 4, EigWorkspace(solver="dense"))
+
+        def no_convergence(*args, **kwargs):
+            raise sp.linalg.ArpackNoConvergence("no convergence", [], [])
+        monkeypatch.setattr(sp.linalg, "eigsh", no_convergence)
+        calls = self._spy(monkeypatch)
+        with pytest.raises(SolverError, match="shift-invert eigensolver"):
+            eigs_smallest(pair, 4, EigWorkspace())
         assert "eigh" not in calls
 
     def test_shift_invert_is_repeatable(self):

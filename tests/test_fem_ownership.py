@@ -1,12 +1,15 @@
-"""Stiffness/mass assembly and sparse factorization belong to hcplate.fem:
-no other module builds a sparse system from element matrices (`scatter`,
-`triplets_to_csr`, `DofMap`) or factors one with a plain `splu`."""
+"""Stiffness/mass assembly, sparse factorization and dense conversion belong
+to hcplate.fem: no other module builds a sparse system from element matrices
+(`scatter`, `triplets_to_csr`, `DofMap`), factors one with a plain `splu`,
+or makes an assembled operator dense (`toarray`, `todense`; the dense
+eigensolver paths of hcplate.fem apply their size rules)."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hcplate"
-FEM_ONLY = {"scatter", "triplets_to_csr", "DofMap", "splu"}
+FEM_ONLY = {"scatter", "triplets_to_csr", "DofMap", "splu", "toarray",
+            "todense"}
 # (module, function, name): the shifted operator K - lambda M of the
 # truncation-free beta is indefinite, so the SPD path does not apply
 ALLOWED = {("zhikov.py", "beta_oracle", "splu")}

@@ -9,6 +9,7 @@ from hcplate.limits import (LoadSpec, RegimeConfig, RegimeError,
                             build_limit_model, compute_load_functional,
                             load_moments, micro_modal_loads,
                             solve_bending_resolvent_data, solve_limit_resolvent)
+from schur_oracle import SchurOracle
 
 
 @pytest.fixture(scope="module")
@@ -168,15 +169,62 @@ class TestResolventRows:
     def test_bending_data_resolvent_matches_grand(self, model_r3):
         from grand_oracle import _bending_kron_system
         system = _bending_kron_system(model_r3, LoadSpec(amplitude=(0, 0, 0)))
-        nb = model_r3.bend_op.pair.n
+        nb = system.meta["nb"]
         N = len(model_r3.bloch.eigenvalues)
         rng = np.random.RandomState(4)
         z = rng.standard_normal(system.n)
         lam = 3.1
         u = spla.splu((system.K + lam * system.M).tocsc()).solve(system.M @ z)
-        b, c = solve_bending_resolvent_data(model_r3, lam, z[:nb],
+        x, c = solve_bending_resolvent_data(model_r3, lam,
+                                            system.lift(z[:nb]),
                                             z[nb:].reshape(N, nb))
+        a, b = x[:system.meta["na"]], x[system.meta["na"]:]
         assert_allclose(np.concatenate([b, c.ravel()]), u, atol=1e-9)
+        assert_allclose(a, system.meta["schur"].inplane(b), atol=1e-12)
+
+
+def assert_nodal_fields(model, st, a, b):
+    """The nodal a and b of a resolvent state against reduced references,
+    to 1e-10 of max |b|. (The reduced twist coefficients are the worst
+    conditioned: the block's condition number is 1e7, and there the Schur
+    oracle itself is only good to about 2e-10.)"""
+    op = model.bend_op
+    b_nodal = op.pair.dof.expand(b)[:, 0]
+    a_nodal = op.memb_dof.expand(a)
+    scale = abs(b_nodal).max()
+    assert abs(a_nodal).max() > 1e-2 * scale   # the coupling is not negligible
+    assert abs(st.b - b_nodal).max() <= 1e-10 * scale
+    assert abs(st.a - a_nodal).max() <= 1e-10 * scale
+
+
+class TestCoupledPlateResolvents:
+    """Bending rows whose tensor has a real cross block (0.15) against the
+    dense Schur oracle."""
+
+    def test_plate_row(self, coupled_rows):
+        model = coupled_rows["eps"]
+        load = LoadSpec(amplitude=(0.4, -0.3, 1.0),
+                        macro=lambda x: 1.0 + x[0] * x[1],
+                        transverse=lambda z: 1.0 + z)
+        lam = 2.0
+        st = solve_limit_resolvent(model, lam, load)
+        oracle = SchurOracle(model.tensor, model.macro_mesh)
+        F = compute_load_functional(model, load)["bend_rhs"]
+        a, b = oracle.resolvent(lam * model.rho_bar, F[:oracle.na],
+                                F[oracle.na:])
+        assert_nodal_fields(model, st, a, b)
+
+    def test_eps_h_row(self, coupled_rows):
+        from grand_oracle import _bending_kron_system
+        model = coupled_rows["eps_h"]
+        load = LoadSpec(amplitude=(0.0, 0.0, 1.0),
+                        macro=lambda x: 1.0 + x[0] * x[1])
+        lam = 2.0
+        system = _bending_kron_system(model, load)
+        u = spla.splu((system.K + lam * system.M).tocsc()).solve(system.F0)
+        b = u[system.blocks["b"]]
+        st = solve_limit_resolvent(model, lam, load)
+        assert_nodal_fields(model, st, system.meta["schur"].inplane(b), b)
 
 
 @pytest.fixture()
