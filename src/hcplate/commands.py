@@ -84,9 +84,8 @@ def cmd_tensor(cfg, out: Path, chash: str) -> int:
 
 def cmd_bloch(cfg, out: Path, chash: str) -> int:
     from .bloch import bloch_spectrum
-    from .limits import bloch_tag
     mat, shape, regime, _, ws = _build_context(cfg)
-    tag = cfg.get("bloch", {}).get("operator") or bloch_tag(regime)
+    tag = cfg.get("bloch", {}).get("operator") or regime.bloch_operator
     delta = regime.delta if 0.0 < regime.delta < np.inf else None
     bs = bloch_spectrum(mat, shape, cfg["cell"]["n"], tag,
                         cfg.get("solver", {}).get("n_modes", 30),
@@ -108,34 +107,18 @@ def cmd_bloch(cfg, out: Path, chash: str) -> int:
     return EXIT_OK
 
 
-def _zhikov_data(cfg, membrane_preferred=True):
+def _zhikov_data(cfg):
     from .bloch import bloch_spectrum
     from .zhikov import zhikov_from_bloch
     mat, shape, regime, macro_mesh, ws = _build_context(cfg)
     n = cfg["cell"]["n"]
     n_modes = cfg.get("solver", {}).get("n_modes", 30)
     n_z = cfg["cell"].get("n_z", 4)
-    if regime.tau == 0:   # membrane rows track the in-plane means
-        by_delta = {0.0: "memb_delta0", np.inf: "memb_deltainf"}
-        tag = by_delta.get(regime.delta, "memb_delta")
-    else:                 # bending rows track the transverse means
-        by_delta = {0.0: "bend_delta0", np.inf: "full_deltainf"}
-        tag = by_delta.get(regime.delta, "full_delta")
     delta = regime.delta if 0 < regime.delta < np.inf else None
-    bs = bloch_spectrum(mat, shape, n, tag, n_modes, delta=delta, n_z=n_z,
-                        ws=ws)
+    bs = bloch_spectrum(mat, shape, n, regime.dispersion_operator, n_modes,
+                        delta=delta, n_z=n_z, ws=ws)
     zf = zhikov_from_bloch(bs, mat)
     return mat, shape, regime, macro_mesh, ws, bs, zf
-
-
-def _limit_variant(bs, mat, regime, zf):
-    """The Zhikov variant whose scalar beta gives the limit spectrum:
-    membrane rows keep every in-plane mean (limit_spectrum checks that beta
-    is scalar); bending rows track the transverse mean alone."""
-    if regime.tau == 0:
-        return zf
-    from .zhikov import zhikov_variant
-    return zhikov_variant(bs, mat, components=(bs.weighted_means.shape[1] - 1,))
 
 
 def _beta_samples(zf, n_samples):
@@ -164,18 +147,16 @@ def cmd_zhikov(cfg, out: Path, chash: str) -> int:
 
 
 def cmd_spectrum(cfg, out: Path, chash: str) -> int:
-    from .macro import build_bending_operator, build_membrane_operator, macro_eigs
-    from .zhikov import limit_spectrum
+    from .limits import build_macro_operator
+    from .macro import macro_eigs
+    from .zhikov import limit_spectrum, zhikov_variant
     mat, shape, regime, macro_mesh, ws, bs, zf = _zhikov_data(cfg)
     spec_cfg = cfg.get("spectrum", {})
     n_macro = spec_cfg.get("n_macro", 8)
 
     # regime-appropriate effective tensor and macro operator
     cell_mesh, tensor = _cell_tensor(cfg, mat, shape, regime)
-    if regime.tau == 0:
-        op = build_membrane_operator(tensor, macro_mesh, zf.rho_bar)
-    else:
-        op = build_bending_operator(tensor, macro_mesh, zf.rho_bar)
+    op = build_macro_operator(regime, tensor, macro_mesh, zf.rho_bar)
     mu_w, modes = macro_eigs(op, n_macro, ws)
     targets = zf.rho_bar * mu_w
     _write_csv(out / "macro_eigs.csv", ["k", "mu"],
@@ -203,7 +184,7 @@ def cmd_spectrum(cfg, out: Path, chash: str) -> int:
         strip_note = ("discrete half-line strip eigenvalues below m0 are not "
                       "evaluated; the essential interval [m0, inf) is used")
 
-    if regime.mu == "eps" and regime.tau == 2:
+    if regime.row.macro_only:
         # uncoupled plate row: the scaled spectrum converges to the plate
         # bending eigenvalues alone; no dispersion function, no band gaps
         from .zhikov import LimitSpectrum
@@ -218,7 +199,11 @@ def cmd_spectrum(cfg, out: Path, chash: str) -> int:
         _write_json(out / "limit_spectrum.json", spec.to_dict(), chash)
         return EXIT_OK
 
-    zs = _limit_variant(bs, mat, regime, zf)
+    # the scalar beta of the limit spectrum: membrane rows keep every
+    # in-plane mean (limit_spectrum checks that beta is scalar), modes on b
+    # couple through the transverse mean alone
+    zs = zf if regime.row.modes_on == "a" else zhikov_variant(
+        bs, mat, components=(bs.weighted_means.shape[1] - 1,))
     spec = limit_spectrum(zs, targets, lambda_max=spec_cfg.get("lambda_max"),
                           m0=m0, meta={"macro_eigs": mu_w.tolist()})
     payload = spec.to_dict()
@@ -268,14 +253,13 @@ def cmd_evolve(cfg, out: Path, chash: str) -> int:
     if dt <= 0:
         from .config import ConfigError
         raise ConfigError("dt must be positive")
-    variant = ev.get("variant", "real_time")
+    variant = ev.get("variant", model.regime.kind)
     traj = evolve(model, variant, load, T, dt)
     # macro modal amplitudes: mass-orthonormal projections on the leading
     # eigenmodes of the governing macro operator, whose mass lies on the
     # membrane field a or on the bending field b
     from .macro import macro_eigs
-    op, macro = ((model.memb_op, traj.fields["a"]) if variant == "real_time"
-                 else (model.bend_op, traj.fields["b"]))
+    op, macro = model.macro_op, traj.fields[model.regime.row.modes_on]
     nm = min(6, macro.shape[1])
     _, modes = macro_eigs(op, nm)
     amplitudes = macro @ (op.rho_bar * (op.pair.M @ modes)[op.n_static:])
@@ -305,7 +289,7 @@ def cmd_validate(cfg, out: Path, chash: str) -> int:
     from .macro import build_membrane_operator, macro_eigs
     from .zhikov import limit_spectrum
     mat, shape, regime, macro_mesh, ws, bs, zf = _zhikov_data(cfg)
-    if not (regime.mu == "eps" and regime.tau == 0 and regime.delta > 0):
+    if regime.kind != "real_time" or regime.delta == 0.0:
         from .config import ConfigError
         raise ConfigError("validate runs the membrane rows with delta > 0")
     thin = regime.delta == np.inf

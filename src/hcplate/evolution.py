@@ -3,20 +3,15 @@ coupled macro-micro second-order systems, quasistatic reconstruction of the
 slaved components, and the discrete memory-kernel (convolution quadrature)
 elimination of the micro modes.
 
-Variants (one per supported long-time/real-time scaling row):
-
-* long_time_bending : hyperbolic plate bending with the quasistatic in-plane
-  field in the state, the static micro components reconstructed per step;
-* real_time         : the full coupled membrane system (with the algebraic
-  out-of-plane component carried as a massive, stiffness-free field);
-* strong_hc_bending : coupled bending + inclusion modes (memory effects);
-* delta0_hc         : the vanishing-thickness-ratio analogue with plate-like
-  inclusions; in-plane micro components are quasistatic.
-
-Every variant is a ModalCoupling (the long-time plate row with no modes):
-a step solves one macro-size system and updates the modes as arrays. The
-bending variants step the bending pencil over [a | b], whose in-plane part
-a carries stiffness only: each step enforces its equation at the midpoint.
+The variants are the row kinds of hcplate.limits.ROWS (real_time,
+long_time_bending, strong_hc_bending, delta0_hc), and a model evolves only
+under its own. Each steps the row's ModalSystem from
+hcplate.limits.modal_system (the long-time plate row with no modes): a step
+solves one macro-size system and updates the modes as arrays. The bending
+variants step the bending pencil over [a | b], whose in-plane part a
+carries stiffness only: each step enforces its equation at the midpoint.
+A row's static micro field (limits.static_micro) follows the load's time
+profile.
 """
 
 from __future__ import annotations
@@ -25,19 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import ModalCoupling
 from .fem.system import factorize
-from .limits import (LimitModel, LoadSpec, RegimeError, _micro_load_vector,
-                     _model_with_bloch, compute_load_functional, load_moments,
-                     micro_modal_loads)
+from .limits import (ROWS, LimitModel, LoadSpec, ModalSystem, RegimeError,
+                     compute_load_functional, load_moments, micro_modal_loads,
+                     modal_system, static_micro)
 from .macro import macro_eigs
-
-_VARIANT_ROWS = {
-    "long_time_bending": lambda r: r.mu == "eps" and r.tau == 2,
-    "real_time": lambda r: r.mu == "eps" and r.tau == 0,
-    "strong_hc_bending": lambda r: r.mu == "eps_h",
-    "delta0_hc": lambda r: r.mu == "eps2",
-}
 
 
 @dataclass
@@ -57,20 +44,6 @@ class Trajectory:
         tot = self.energy[:, 2]
         ref = max(abs(tot).max(), 1e-300)
         return float(abs(tot - tot[0]).max() / ref)
-
-
-@dataclass
-class ModalSystem:
-    """M u'' + K u = F time(t) for the grand (M, K) of a ModalCoupling; the
-    load has a macro dual part F0 and micro primal parts f_micro (N, nm)."""
-    coupling: ModalCoupling
-    F0: np.ndarray
-    f_micro: np.ndarray
-    time_fn: object
-
-    @property
-    def n(self) -> int:
-        return self.coupling.n
 
 
 def implicit_midpoint(system: ModalSystem, u0, v0, T: float, dt: float):
@@ -107,26 +80,6 @@ def implicit_midpoint(system: ModalSystem, u0, v0, T: float, dt: float):
     return (X, C), (V, W), sh.factor
 
 
-def _modal_system(model: LimitModel, variant: str, load: LoadSpec,
-                  data: dict) -> ModalSystem:
-    mac, fbar, ell = data["macro_nodal"], data["fbar"], data["micro_modal"]
-    if variant == "long_time_bending":
-        cp = model.bend_coupling(modal=False)
-        return ModalSystem(cp, data["bend_rhs"], np.zeros((0, cp.nm)),
-                           load.time_fn())
-    if variant == "real_time":
-        # in-plane macro + algebraic out-of-plane + nodal micro modes
-        cp = model.memb_coupling()
-        F0 = cp.couple(np.outer(fbar[:cp.means.shape[1]], mac))
-        return ModalSystem(cp, F0, np.outer(ell, mac), load.time_fn())
-    # high-contrast bending: the micro fields share the bending space
-    cp = model.bend_coupling()
-    Rmac = model.bend_rect() @ mac
-    F0 = np.concatenate([np.zeros(model.bend_op.n_static), fbar[2] * Rmac])
-    return ModalSystem(cp, F0, np.outer(ell, cp.to_micro(Rmac)),
-                       load.time_fn())
-
-
 def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
            dt: float | None = None, u0: np.ndarray | None = None,
            v0: np.ndarray | None = None) -> Trajectory:
@@ -140,9 +93,9 @@ def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
     no part. The static micro components of long_time_bending / delta0_hc
     are reconstructed per recorded step.
     """
-    if variant not in _VARIANT_ROWS:
+    if variant not in ROWS:
         raise RegimeError(f"unknown evolution variant {variant!r}")
-    if not _VARIANT_ROWS[variant](model.regime):
+    if variant != model.regime.kind:
         raise RegimeError(f"variant {variant!r} does not match regime "
                           f"{model.regime.key}")
     if variant == "real_time" and model.regime.delta == np.inf \
@@ -151,19 +104,16 @@ def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
                           "implemented for x3-constant load profiles")
     dt = dt if dt is not None else T / 1000.0
 
-    data = compute_load_functional(model, load)
-    system = _modal_system(model, variant, load, data)
+    system = modal_system(model, load, compute_load_functional(model, load))
     cp = system.coupling
     u0 = np.zeros(system.n) if u0 is None else np.array(u0, dtype=float)
     v0 = np.zeros(system.n) if v0 is None else v0
-    if variant == "real_time":
-        na = model.memb_op.pair.n
-    else:
-        na = model.bend_op.n_static
+    ns = model.macro_op.n_static
+    if ns:
         K = cp.K0
-        u0[:na] = factorize(K[:na, :na]).solve(
-            float(load.time_fn()(0.0)) * system.F0[:na]
-            - K[:na, na:] @ u0[na:cp.n0])
+        u0[:ns] = factorize(K[:ns, :ns]).solve(
+            float(load.time_fn()(0.0)) * system.F0[:ns]
+            - K[:ns, ns:] @ u0[ns:cp.n0])
     (X, C), (V, W), factor = implicit_midpoint(system, u0, v0, T, dt)
     times = np.arange(X.shape[0]) * dt
     # blockwise energies over chunks of steps bound the temporaries
@@ -171,6 +121,7 @@ def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
                                          V[i:i + 64], W[i:i + 64])
                              for i in range(0, len(times), 64)])
 
+    na = model.na
     fields = {"a": X[:, :na]}
     if X.shape[1] > na:
         fields["b"] = X[:, na:]
@@ -179,22 +130,13 @@ def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
     meta = {"variant": variant, "dt": dt, "system": system,
             "state_dofs": system.n, "factored_dofs": factor.A.shape[0],
             "factor_fill": factor.fill}
-    if variant in ("long_time_bending", "delta0_hc"):
-        g = load.time_fn()(times)
-        mac = data["macro_nodal"]
-    if variant == "long_time_bending":
-        # quasistatic components per step (the partially quasistatic
-        # structure of the long-time plate row)
-        ell_star = micro_modal_loads(
-            model, load, amplitude=(load.amplitude[0], load.amplitude[1], 0.0))
-        fields["micro"] = g[:, None, None] * np.outer(
-            ell_star / model.bloch.eigenvalues, mac)
-    if variant == "delta0_hc" and model.bloch_memb_static is not None:
-        bm = model.bloch_memb_static
-        ell_m = bm.modal_coefficients(_micro_load_vector(
-            _model_with_bloch(model, bm), load))
-        meta["micro_inplane"] = g[:, None, None] * np.outer(
-            ell_m / bm.eigenvalues, mac)
+    static = static_micro(model, load)
+    if static is not None:
+        static = load.time_fn()(times)[:, None, None] * static
+        if cp.N:
+            meta["micro_inplane"] = static
+        else:
+            fields["micro"] = static
     return Trajectory(times=times, fields=fields, energy=energy, meta=meta)
 
 

@@ -1,16 +1,20 @@
-"""Coupled macro-micro limit systems: regime table, separable loads, the
-resolvent solves for every supported scaling row, and the limit evolution
-equations with an implicit-midpoint integrator.
+"""Coupled macro-micro limit systems: the regime table, separable loads,
+the limit model of a scaling row, its grand modal system and the resolvent
+solve. The limit evolution equations that step the same modal system live
+in hcplate.evolution.
 
-The micro field is represented in the truncated inclusion modal basis: its
-coefficients are nodal fields on the macro mesh, and the inclusion
-eigenvalue/mean data turn every coupled solve into a macro system with a
-frequency-dependent effective mass.
+Each supported row is declared once, in ROWS: the Bloch operators of its
+micro modes and of its dispersion function, its macro pencil, the macro
+field its modes live on, and whether its spectrum is the macro eigenvalues
+alone. The micro field is represented in the truncated inclusion modal
+basis: its coefficients are nodal fields on the macro mesh, and the
+inclusion eigenvalue/mean data turn every coupled solve into a macro
+system with a frequency-dependent effective mass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,12 +81,36 @@ class RegimeConfig:
                               f"tau=0 (got kappa={self.kappa})")
 
     @property
+    def delta_class(self) -> str:
+        return {0.0: "delta0", np.inf: "deltainf"}.get(self.delta, "deltaf")
+
+    @property
+    def kind(self) -> str:
+        """The row's kind in ROWS, which is also its evolution variant."""
+        if self.mu == "eps":
+            return "real_time" if self.tau == 0 else "long_time_bending"
+        return "strong_hc_bending" if self.mu == "eps_h" else "delta0_hc"
+
+    @property
+    def row(self) -> Row:
+        return ROWS[self.kind]
+
+    @property
+    def bloch_operator(self) -> str:
+        """Inclusion operator whose modes carry the micro field."""
+        return self.row.bloch[self.delta_class]
+
+    @property
+    def dispersion_operator(self) -> str:
+        """Inclusion operator of the dispersion function beta."""
+        return self.row.dispersion[self.delta_class]
+
+    @property
     def key(self) -> str:
-        d = {0.0: "delta0", np.inf: "deltainf"}.get(self.delta, "deltaf")
         k = ""
         if self.kappa is not None:
             k = {0.0: "_kappa0", np.inf: "_kappainf"}.get(self.kappa, "_kappaf")
-        return f"{d}_{self.mu}_tau{self.tau}{k}"
+        return f"{self.delta_class}_{self.mu}_tau{self.tau}{k}"
 
     @classmethod
     def supported_rows(cls, delta_value: float = 1.0, kappa_value: float = 1.0):
@@ -98,6 +126,47 @@ class RegimeConfig:
             cls(np.inf, "eps", 0),
             cls(np.inf, "eps_h", 2),
         ]
+
+
+@dataclass(frozen=True)
+class Row:
+    """How a kind of scaling row is built. The Bloch operators are keyed by
+    the delta class of RegimeConfig; a bending row's modes couple through
+    the transverse mean alone, a membrane row's through every mean."""
+    bloch: dict              # micro modes of the model
+    dispersion: dict         # dispersion function beta
+    macro: str               # "membrane" | "bending" pencil
+    macro_only: bool = False         # spectrum: the macro eigenvalues alone
+    static_bloch: str | None = None  # modes of a static in-plane micro field
+
+    @property
+    def modes_on(self) -> str:
+        """The macro field the modes live on: a of the membrane, b of the
+        bending pencil."""
+        return "a" if self.macro == "membrane" else "b"
+
+
+ROWS = {
+    "real_time": Row(
+        bloch={"deltaf": "full_delta", "delta0": "memb_delta0",
+               "deltainf": "full_deltainf"},
+        dispersion={"deltaf": "memb_delta", "delta0": "memb_delta0",
+                    "deltainf": "memb_deltainf"},
+        macro="membrane"),
+    # the plate row: high contrast leaves no trace in the order-h^2 limit;
+    # the micro field is static, driven by the in-plane loads
+    "long_time_bending": Row(
+        bloch={"deltaf": "full_delta"}, dispersion={"deltaf": "full_delta"},
+        macro="bending", macro_only=True, static_bloch="full_delta"),
+    "strong_hc_bending": Row(
+        bloch={"deltaf": "full_delta", "deltainf": "full_deltainf"},
+        dispersion={"deltaf": "full_delta", "deltainf": "full_deltainf"},
+        macro="bending"),
+    # plate-like inclusions; their in-plane micro equation is static
+    "delta0_hc": Row(
+        bloch={"delta0": "bend_delta0"}, dispersion={"delta0": "bend_delta0"},
+        macro="bending", static_bloch="memb_delta0"),
+}
 
 
 def _profile(spec, coords_first: bool):
@@ -213,9 +282,29 @@ class LimitModel:
     rho_bar: float
     memb_op: MacroOperator | None = None
     bend_op: MacroOperator | None = None
-    bloch_memb_static: BlochSpectrum | None = None   # delta=0 bending row
+    static_bloch: BlochSpectrum | None = None   # the row's static micro modes
     meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def macro_op(self) -> MacroOperator:
+        return self.memb_op if self.memb_op is not None else self.bend_op
+
+    @property
+    def na(self) -> int:
+        """Size of the part a of the macro state [a | b]: the membrane
+        operator, or the bending pencil's in-plane part."""
+        op = self.macro_op
+        return op.n_static or op.n
+
+    def nodal(self, x0: np.ndarray):
+        """Nodal a (n_nodes, 2) and b (n_nodes,) of a macro state [a | b];
+        b is None for a membrane state without the out-of-plane field."""
+        op, na = self.macro_op, self.na
+        if self.memb_op is not None:
+            return op.pair.dof.expand(x0[:na]), (x0[na:] if len(x0) > na
+                                                  else None)
+        return op.memb_dof.expand(x0[:na]), op.pair.dof.expand(x0[na:])[:, 0]
 
     # -- mass plumbing (built lazily) ------------------------------------
     def Ms(self) -> sp.csr_matrix:
@@ -304,22 +393,18 @@ class LimitState:
     a: np.ndarray | None = None          # (n_nodes, 2) in-plane macro field
     b: np.ndarray | None = None          # (n_nodes,) out-of-plane macro field
     micro: np.ndarray | None = None      # (N_modes, n_nodes) modal coefficients
-    b_red: np.ndarray | None = None      # reduced BFS coefficients when bending
-    a_red: np.ndarray | None = None
     b_cell: np.ndarray | None = None     # kappa in (0,inf): cell BFS field / unit macro
     u3_cell: np.ndarray | None = None    # delta=0 rows: soft-centroid u3 / unit macro
-    t: float = 0.0
     meta: dict = field(default_factory=dict)
 
 
-def _micro_load_vector(model: LimitModel, load: LoadSpec,
-                       amplitude=None) -> np.ndarray:
+def _micro_load_vector(bs: BlochSpectrum, shape: InclusionShape,
+                       load: LoadSpec, amplitude=None) -> np.ndarray:
     """Assembled inclusion load of the (transverse x cell)-profiled body
-    force against the Bloch test space (per unit macro profile)."""
-    bs = model.bloch
+    force against the test space of bs (per unit macro profile)."""
     mesh = bs.mesh
     amp = np.asarray(load.amplitude if amplitude is None else amplitude, float)
-    cfun = load.cell_fn(model.shape)
+    cfun = load.cell_fn(shape)
     hsize = mesh.element_size()
     soft_ids = np.flatnonzero(mesh.element_soft)
     ncomp = bs.pair.dof.ncomp
@@ -347,10 +432,10 @@ def _micro_load_vector(model: LimitModel, load: LoadSpec,
                                                  soft_ids)
 
 
-def micro_modal_loads(model: LimitModel, load: LoadSpec, amplitude=None) -> np.ndarray:
+def micro_modal_loads(model: LimitModel, load: LoadSpec) -> np.ndarray:
     """Modal coefficients l_n = (load profile, phi_n) per unit macro value."""
     return model.bloch.modal_coefficients(
-        _micro_load_vector(model, load, amplitude))
+        _micro_load_vector(model.bloch, model.shape, load))
 
 
 def load_moments(model: LimitModel, load: LoadSpec):
@@ -396,13 +481,12 @@ def cell_tensor(mat: tn.MaterialSpec, shape: InclusionShape | None,
     return mesh, effective_deltainf(mat, mesh)
 
 
-def bloch_tag(regime: RegimeConfig) -> str:
-    """Inclusion operator whose modes carry the micro field of the row."""
-    if 0.0 < regime.delta < np.inf:
-        return "full_delta"
-    if regime.delta == 0.0:
-        return "bend_delta0" if regime.mu == "eps2" else "memb_delta0"
-    return "full_deltainf"
+def build_macro_operator(regime: RegimeConfig, tensor: EffectiveTensor,
+                         macro_mesh: MacroMesh, rho_bar: float) -> MacroOperator:
+    """The row's macro pencil: membrane, or bending over [a | b]."""
+    build = (build_membrane_operator if regime.row.macro == "membrane"
+             else build_bending_operator)
+    return build(tensor, macro_mesh, rho_bar)
 
 
 def build_limit_model(regime: RegimeConfig, mat: tn.MaterialSpec,
@@ -413,47 +497,80 @@ def build_limit_model(regime: RegimeConfig, mat: tn.MaterialSpec,
     operators on the given meshes."""
     d = regime.delta
     cell_mesh, tensor = cell_tensor(mat, shape, d, cell_n, n_z)
-    bs = bloch_spectrum(mat, shape, cell_n, bloch_tag(regime), n_modes,
+    bs = bloch_spectrum(mat, shape, cell_n, regime.bloch_operator, n_modes,
                         delta=d if 0.0 < d < np.inf else None, n_z=n_z, ws=ws)
 
     frac = cell_mesh.soft_area_fraction()
     rho_bar = mat.rho1 * (1.0 - frac) + mat.rho0 * frac
-    model = LimitModel(regime=regime, mat=mat, shape=shape,
-                       cell_mesh=cell_mesh, macro_mesh=macro_mesh,
-                       tensor=tensor, bloch=bs, rho_bar=rho_bar)
-
-    if regime.tau == 0:
-        model.memb_op = build_membrane_operator(tensor, macro_mesh, rho_bar)
-    else:
-        model.bend_op = build_bending_operator(tensor, macro_mesh, rho_bar)
-    if regime.mu == "eps2":
-        model.bloch_memb_static = bloch_spectrum(mat, shape, cell_n,
-                                                 "memb_delta0", n_modes, ws=ws)
-    return model
+    op = build_macro_operator(regime, tensor, macro_mesh, rho_bar)
+    # the static micro field's modes: the model's own, or a spectrum of
+    # their own
+    tag, static = regime.row.static_bloch, None
+    if tag == bs.operator_tag:
+        static = bs
+    elif tag is not None:
+        static = bloch_spectrum(mat, shape, cell_n, tag, n_modes, ws=ws)
+    return LimitModel(regime=regime, mat=mat, shape=shape,
+                      cell_mesh=cell_mesh, macro_mesh=macro_mesh,
+                      tensor=tensor, bloch=bs, rho_bar=rho_bar,
+                      memb_op=op if op.kind == "memb" else None,
+                      bend_op=op if op.kind == "bend" else None,
+                      static_bloch=static)
 
 
 # ---------------------------------------------------------------------------
-# resolvent solves
+# the row's grand modal system and its resolvent
 
-def _solve_membrane_coupled(model: LimitModel, lam: float,
-                            load: LoadSpec) -> LimitState:
-    """Membrane rows (tau = 0): macro membrane, the algebraic out-of-plane
-    field where the means carry a third component (delta > 0), and the
-    micro modes, eliminated into one macro-size solve. For delta = 0 the
-    out-of-plane branch is handled separately."""
-    cp = model.memb_coupling()
-    ell = micro_modal_loads(model, load)
-    mac = model.macro_nodal(load)
-    fbar, _ = load_moments(model, load)
-    k = cp.means.shape[1]
-    # the macro load pairs like the mass coupling: <fbar_c mac, R_c>
-    x0, micro = cp.shift(lam, 1.0).solve(cp.couple(np.outer(fbar[:k], mac)),
-                                         np.outer(ell, mac))
-    na = model.memb_op.pair.n
-    return LimitState(regime=model.regime,
-                      a=model.memb_op.pair.dof.expand(x0[:na]),
-                      b=x0[na:] if k == 3 else None, micro=micro,
-                      a_red=x0[:na], meta={"lambda": lam})
+@dataclass
+class ModalSystem:
+    """M u'' + K u = F time(t) for the grand (M, K) of a ModalCoupling; the
+    load has a macro dual part F0 and micro primal parts f_micro (N, nm)."""
+    coupling: ModalCoupling
+    F0: np.ndarray
+    f_micro: np.ndarray
+    time_fn: object
+
+    @property
+    def n(self) -> int:
+        return self.coupling.n
+
+
+def modal_system(model: LimitModel, load: LoadSpec, data: dict) -> ModalSystem:
+    """The row's grand system under the load with functional data (from
+    compute_load_functional): the membrane rows carry the in-plane field,
+    the algebraic out-of-plane one and nodal micro modes; the plate row
+    its bending pencil alone under the block load [F_a | F_b]; the
+    high-contrast bending rows micro modes in the bending space of b,
+    loaded through the transverse average only (the x3 moments act through
+    the micro equations)."""
+    mac, fbar, ell = data["macro_nodal"], data["fbar"], data["micro_modal"]
+    if model.memb_op is not None:
+        cp = model.memb_coupling()
+        F0 = cp.couple(np.outer(fbar[:cp.means.shape[1]], mac))
+        f_micro = np.outer(ell, mac)
+    elif model.regime.row.macro_only:
+        cp = model.bend_coupling(modal=False)
+        F0, f_micro = data["bend_rhs"], np.zeros((0, cp.nm))
+    else:
+        cp = model.bend_coupling()
+        Rmac = model.bend_rect() @ mac
+        F0 = np.concatenate([np.zeros(model.na), fbar[2] * Rmac])
+        f_micro = np.outer(ell, cp.to_micro(Rmac))
+    return ModalSystem(cp, F0, f_micro, load.time_fn())
+
+
+def static_micro(model: LimitModel, load: LoadSpec) -> np.ndarray | None:
+    """The row's static in-plane micro field per unit time profile, modal
+    coefficients (N, n_nodes) driven by the in-plane load components; None
+    for a row without one. A row without micro modes in its grand system
+    (the plate row) reports it as its micro field, the others as
+    "micro_inplane"."""
+    bs = model.static_bloch
+    if bs is None:
+        return None
+    amp = (load.amplitude[0], load.amplitude[1], 0.0)
+    ell = bs.modal_coefficients(_micro_load_vector(bs, model.shape, load, amp))
+    return np.outer(ell / bs.eigenvalues, model.macro_nodal(load))
 
 
 def _delta0_third_component(model: LimitModel, lam: float, load: LoadSpec,
@@ -503,65 +620,6 @@ def _delta0_third_component(model: LimitModel, lam: float, load: LoadSpec,
     return state
 
 
-def _solve_bending_coupled(model: LimitModel, lam: float, load: LoadSpec,
-                           static_inplane_micro: bool) -> LimitState:
-    """Bending rows (tau = 2, high contrast): macro bending with the
-    micro-dressed mass; only third-component means couple."""
-    ell = micro_modal_loads(model, load)
-    mac = model.macro_nodal(load)
-    fbar, _ = load_moments(model, load)
-    op = model.bend_op
-    na = op.n_static
-    Rb = model.bend_rect()
-    cp = model.bend_coupling()
-    sh = cp.shift(lam, 1.0)
-    # macro load of the high-contrast bending rows: transverse average only
-    # (the x3 moments act through the micro equations where applicable);
-    # the micro loads are ell_n times the bending-space image of the profile
-    x0 = sh.solve_macro(np.concatenate([np.zeros(na), Rb @ (fbar[2] * mac)]),
-                        np.outer(ell, cp.to_micro(Rb @ mac)))
-    a_red, b_red = x0[:na], x0[na:]
-    b_nodal = op.pair.dof.expand(b_red)[:, 0]
-    # micro modes reported as nodal fields driven by the nodal macro field
-    micro = sh.micro(np.outer(ell, mac), b_nodal[None])
-    state = LimitState(regime=model.regime, a=op.memb_dof.expand(a_red),
-                       b=b_nodal, micro=micro, a_red=a_red, b_red=b_red,
-                       meta={"lambda": lam})
-    if static_inplane_micro and model.bloch_memb_static is not None:
-        # the in-plane micro equation is fully static and decoupled
-        bm = model.bloch_memb_static
-        ell_m = bm.modal_coefficients(_micro_load_vector(
-            _model_with_bloch(model, bm), load))
-        state.meta["micro_inplane"] = np.outer(ell_m / bm.eigenvalues, mac)
-    return state
-
-
-def _model_with_bloch(model: LimitModel, bs: BlochSpectrum) -> LimitModel:
-    clone = replace(model, bloch=bs)
-    clone._cache = {}
-    return clone
-
-
-def _solve_plate_resolvent(model: LimitModel, lam: float, load: LoadSpec) -> LimitState:
-    """Plate row (delta finite, mu = eps, tau = 2): the bending pencil's
-    macro solve under the block load [F_a | F_b], static micro driven by
-    in-plane loads."""
-    op = model.bend_op
-    na = op.n_static
-    x0 = model.bend_coupling(modal=False).shift(lam, 1.0).factor.solve(
-        compute_load_functional(model, load)["bend_rhs"])
-    a_red, b_red = x0[:na], x0[na:]
-
-    # micro: static, driven by the in-plane load components only
-    bs = model.bloch
-    amp = (load.amplitude[0], load.amplitude[1], 0.0)
-    ell = micro_modal_loads(model, load, amplitude=amp)
-    micro = np.outer(ell / bs.eigenvalues, model.macro_nodal(load))
-    return LimitState(regime=model.regime, a=op.memb_dof.expand(a_red),
-                      b=op.pair.dof.expand(b_red)[:, 0], micro=micro,
-                      a_red=a_red, b_red=b_red, meta={"lambda": lam})
-
-
 def solve_bending_resolvent_data(model: LimitModel, lam: float,
                                  z0: np.ndarray, z_c: np.ndarray):
     """(A + lambda)^-1 applied to state-shaped data (z0, z_c), z0 = [a | b],
@@ -576,17 +634,29 @@ def solve_bending_resolvent_data(model: LimitModel, lam: float,
 
 
 def solve_limit_resolvent(model: LimitModel, lam: float, load: LoadSpec) -> LimitState:
-    """Discrete solution of the regime's coupled limit resolvent system."""
+    """Discrete solution of the regime's coupled limit resolvent system:
+    one macro-size solve of the row's modal system, the micro modes
+    reported as nodal fields driven by the nodal macro fields."""
     if lam <= 0:
         raise ValueError("resolvent parameter lambda must be positive")
-    r = model.regime
-    if r.mu == "eps" and r.tau == 2:
-        return _solve_plate_resolvent(model, lam, load)
-    if r.tau == 0:
-        state = _solve_membrane_coupled(model, lam, load)
-        if r.delta == 0.0:
-            return _delta0_third_component(model, lam, load, state)
-        return state
-    # bending high-contrast rows
-    return _solve_bending_coupled(model, lam, load,
-                                  static_inplane_micro=(r.mu == "eps2"))
+    data = compute_load_functional(model, load)
+    system = modal_system(model, load, data)
+    cp = system.coupling
+    sh = cp.shift(lam, 1.0)
+    a, b = model.nodal(sh.solve_macro(system.F0, system.f_micro))
+    state = LimitState(regime=model.regime, a=a, b=b, meta={"lambda": lam})
+    if cp.N:
+        # the means' components are the trailing ones of (a_1, a_2, b)
+        fields = np.vstack([a.T] + ([b] if b is not None else []))
+        state.micro = sh.micro(np.outer(data["micro_modal"],
+                                        data["macro_nodal"]),
+                               fields[-cp.means.shape[1]:])
+    static = static_micro(model, load)
+    if static is not None:
+        if cp.N:
+            state.meta["micro_inplane"] = static
+        else:
+            state.micro = static
+    if model.regime.kappa is not None:
+        state = _delta0_third_component(model, lam, load, state)
+    return state

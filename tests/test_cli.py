@@ -175,6 +175,22 @@ class TestOutputs:
         assert 0 < man["factored_dofs"] < man["state_dofs"]
         assert man["factor_fill"] >= man["factored_dofs"]
 
+    def test_evolve_variant_defaults_to_row(self, tmp_path):
+        # a bending config without evolve.variant evolves its own row; a
+        # variant of another row is still refused
+        hc = json.loads(json.dumps(TINY))
+        hc["regime"] = {"delta": 1.0, "mu": "eps_h", "tau": 2}
+        hc["solver"]["n_modes"] = 6
+        del hc["evolve"]["variant"]
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", write_cfg(tmp_path, hc), "--out",
+                     str(out), "--quiet"]) == 0
+        man = json.loads((out / "evolve_manifest.json").read_text())
+        assert man["variant"] == "strong_hc_bending"
+        hc["evolve"]["variant"] = "real_time"
+        assert main(["evolve", "--config", write_cfg(tmp_path, hc), "--out",
+                     str(out), "--quiet"]) == 2
+
     def test_deterministic_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, TINY)
         outs = []

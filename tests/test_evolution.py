@@ -13,7 +13,8 @@ from hcplate.fem.system import factorize
 from hcplate.geometry import build_macro_mesh
 from hcplate.limits import (LoadSpec, RegimeConfig, RegimeError,
                             build_limit_model, compute_load_functional,
-                            solve_bending_resolvent_data)
+                            solve_bending_resolvent_data,
+                            solve_limit_resolvent)
 from hcplate.macro import macro_eigs
 from schur_oracle import SchurOracle
 
@@ -204,6 +205,28 @@ class TestLaplaceConsistency:
         b_res = x_res[na:]
         rel = np.linalg.norm(integral - b_res) / np.linalg.norm(b_res)
         assert rel <= 1e-4
+
+    @pytest.mark.parametrize("regime", [
+        RegimeConfig(1.0, "eps", 0), RegimeConfig(1.0, "eps", 2),
+        RegimeConfig(1.0, "eps_h", 2), RegimeConfig(0.0, "eps2", 2)],
+        ids=lambda r: r.kind)
+    def test_every_kind_from_rest(self, demo_material, demo_shape, mm,
+                                  regime):
+        # from rest under a time-constant load, int_0^T e^{-st} u dt is
+        # (K + s^2 M)^-1 F / s, the resolvent at lambda = s^2 over s; the
+        # cut-off at T = 16/s bounds the mass-only b of real_time
+        model = build_limit_model(regime, demo_material, demo_shape, mm,
+                                  cell_n=8, n_z=4, n_modes=6)
+        load = LoadSpec(amplitude=(0.4, -0.3, 1.0))
+        s = 2.0
+        traj = evolve(model, regime.kind, load, 16.0 / s, 2e-3)
+        macro = np.hstack([traj.fields["a"], traj.fields["b"]])
+        a, b = model.nodal(trapezoid(np.exp(-s * traj.times)[:, None] * macro,
+                                     traj.times, axis=0))
+        st = solve_limit_resolvent(model, s ** 2, load)
+        scale = max(abs(st.a).max(), abs(st.b).max()) / s
+        assert abs(a - st.a / s).max() <= 1e-4 * scale
+        assert abs(b - st.b / s).max() <= 1e-4 * scale
 
 
 class TestVariantDispatch:
