@@ -279,7 +279,7 @@ def cmd_evolve(cfg, out: Path, chash: str) -> int:
         "energy_drift": traj.energy_drift(),
         "n_steps": len(traj.times) - 1,
         **{k: traj.meta[k] for k in ("state_dofs", "factored_dofs",
-                                     "factor_fill")},
+                                     "factor_fill", "factor_ordering")},
     }, chash)
     return EXIT_OK
 

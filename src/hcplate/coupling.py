@@ -44,6 +44,8 @@ class ModalCoupling:
     T: list                      # k sparse traces (nm, n0): Ms^-1 R_c^T exactly
     eta: np.ndarray              # (N,) inclusion eigenvalues
     means: np.ndarray            # (N, k) weighted means m_n
+    order0: np.ndarray | None = None   # factorization keys: macro DOFs
+    order_s: np.ndarray | None = None  # and the DOFs of one micro field
     _ms_lu: SpdFactor | None = field(default=None, repr=False)
 
     @property
@@ -69,7 +71,7 @@ class ModalCoupling:
     def to_micro(self, dual: np.ndarray) -> np.ndarray:
         """Ms^-1 applied to micro-space dual data (last axis)."""
         if self._ms_lu is None:
-            self._ms_lu = factorize(self.Ms)
+            self._ms_lu = factorize(self.Ms, order=self.order_s)
         X = np.asarray(dual)
         flat = X.reshape(-1, X.shape[-1]).T
         return self._ms_lu.solve(flat).T.reshape(X.shape)
@@ -121,7 +123,8 @@ class ModalCoupling:
         S = alpha * self.M0 + beta * self.K0 - alpha ** 2 * sum(
             G[c, d] * (self.R[c] @ self.T[d]) for c in range(k)
             for d in range(k))
-        return ShiftedCoupling(self, alpha, beta, factorize(S))
+        return ShiftedCoupling(self, alpha, beta,
+                               factorize(S, order=self.order0))
 
 
 @dataclass

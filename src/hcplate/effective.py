@@ -78,10 +78,11 @@ class EffectiveTensor:
         return out
 
 
-def _corrector_min(K, kernel, F: np.ndarray, E0: np.ndarray,
+def _corrector_min(pair, F: np.ndarray, E0: np.ndarray,
                    tol: float) -> np.ndarray:
     """E0 - F^T K^+ F: the unit-load energies minimized over correctors."""
-    Q = E0 - F.T @ factorize(K, kernel, tol).solve(F)
+    Q = E0 - F.T @ factorize(pair.K, pair.kernel, tol,
+                             order=pair.order).solve(F)
     return 0.5 * (Q + Q.T)
 
 
@@ -112,7 +113,7 @@ def effective_delta(mat: tn.MaterialSpec, mesh3d: CellMesh, delta: float,
     E0 = sum((weight[..., None, None]
               * (np.swapaxes(P, -1, -2) @ mat.C1 @ P)).reshape(-1, 6, 6))
     E0 = 0.5 * (E0 + E0.T)
-    Q = _corrector_min(pair.K, pair.kernel, F, E0, tol)
+    Q = _corrector_min(pair, F, E0, tol)
     return EffectiveTensor(
         regime="delta", delta=delta, memb=Q[:3, :3], bend=Q[3:, 3:],
         coupling=Q[:3, 3:], zero_corrector_bound=E0,
@@ -135,13 +136,13 @@ def effective_delta0(mat: tn.MaterialSpec, mesh2d: CellMesh,
                                restrict_to="stiff", ncomp=2)
     fe = el.q1_prestrain_load(hsize, Cr, unit, ncomp=2)
     F = fa.assemble_element_load(mesh2d, pm.dof, {"stiff": fe}, "stiff")
-    memb = _corrector_min(pm.K, pm.kernel, F, E0, tol)
+    memb = _corrector_min(pm, F, E0, tol)
 
     pb = fa.assemble_bfs_h2(mesh2d, Cr, space="periodic-zero-mean",
                             restrict_to="stiff")
     fe = el.bfs_prestrain_load(hsize, Cr, unit)
     F = fa.assemble_element_load(mesh2d, pb.dof, {"stiff": fe}, "stiff")
-    bend = _corrector_min(pb.K, pb.kernel, F, E0, tol) / 12.0
+    bend = _corrector_min(pb, F, E0, tol) / 12.0
     return EffectiveTensor(
         regime="delta0", memb=memb, bend=bend, coupling=np.zeros((3, 3)),
         zero_corrector_bound=_flat_zero_corrector_bound(mat.C1, stiff_frac),
@@ -172,7 +173,7 @@ def effective_deltainf(mat: tn.MaterialSpec, mesh2d: CellMesh,
         * (_BC.T @ mat.C1 @ _BC)
     # minimize over w (pinned solve), then over g (3x3 Schur complement
     # S = K_gg - K_wg^T K_ww^+ K_wg)
-    T = _corrector_min(pw.K, pw.kernel, F, E0, tol)
+    T = _corrector_min(pw, F, E0, tol)
     S, T_gA = T[:3, :3], T[:3, 3:]
     memb = T[3:, 3:] - T_gA.T @ np.linalg.solve(S, T_gA)
     memb = 0.5 * (memb + memb.T)

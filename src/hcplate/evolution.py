@@ -111,7 +111,7 @@ def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
     ns = model.macro_op.n_static
     if ns:
         K = cp.K0
-        u0[:ns] = factorize(K[:ns, :ns]).solve(
+        u0[:ns] = factorize(K[:ns, :ns], order=cp.order0[:ns]).solve(
             float(load.time_fn()(0.0)) * system.F0[:ns]
             - K[:ns, ns:] @ u0[ns:cp.n0])
     (X, C), (V, W), factor = implicit_midpoint(system, u0, v0, T, dt)
@@ -129,7 +129,7 @@ def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
         fields["micro"] = C
     meta = {"variant": variant, "dt": dt, "system": system,
             "state_dofs": system.n, "factored_dofs": factor.A.shape[0],
-            "factor_fill": factor.fill}
+            "factor_fill": factor.fill, "factor_ordering": factor.ordering}
     static = static_micro(model, load)
     if static is not None:
         static = load.time_fn()(times)[:, None, None] * static

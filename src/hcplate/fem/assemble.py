@@ -10,8 +10,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import elements as el
-from .system import DofMap, SparseOperatorPair, detect_kernel, scatter, \
-    triplets_to_csr
+from .system import DofMap, SparseOperatorPair, detect_kernel, \
+    nested_dissection, scatter, triplets_to_csr
 
 KERNEL_TOL = 1e-10
 
@@ -49,10 +49,28 @@ def _element_groups(mesh, restrict_to: str):
     raise ValueError(f"unknown restriction {restrict_to!r}")
 
 
-def _nodes_touched(mesh, elem_ids) -> np.ndarray:
-    mask = np.zeros(mesh.n_nodes, dtype=bool)
-    mask[np.unique(mesh.elements[elem_ids])] = True
-    return mask
+def _finalize(dof: DofMap, mesh, groups) -> DofMap:
+    """Drop the DOFs that no element of the groups touches and number the
+    rest, keyed by the nested dissection of the mesh's grid."""
+    touched = np.zeros(mesh.n_nodes, dtype=bool)
+    for ids in groups.values():
+        touched[mesh.elements[ids]] = True
+    if not touched.any():
+        raise ValueError("empty restriction set")
+    return dof.constrain(np.flatnonzero(~touched)).finalize(
+        nested_dissection(*mesh.grid))
+
+
+def _assemble(dof: DofMap, mesh, groups, element_matrix, dtype=float):
+    """Sum element_matrix(group) over each group's elements. One matrix is
+    summed before the next is scattered: the COO triplets of a fine mesh
+    are several times its CSR matrix."""
+    triplets = ([], [], [])
+    for name, ids in groups.items():
+        if len(ids):
+            scatter(dof.element_dofs(mesh.elements[ids]), element_matrix(name),
+                    dof.n_free, triplets)
+    return triplets_to_csr(triplets, dof.n_free, dtype=dtype)
 
 
 def translations_kernel(dof: DofMap, comps=None) -> np.ndarray | None:
@@ -130,27 +148,13 @@ def assemble_vector_h1(mesh, C, grad: ScaledGradientSpec | None = None,
     for nodes, comps in extra_constraints:
         dof.constrain(nodes, comps)
 
-    # drop DOFs that no included element touches
-    touched = np.zeros(mesh.n_nodes, dtype=bool)
-    for ids in groups.values():
-        touched |= _nodes_touched(mesh, ids)
-    if not touched.any():
-        raise ValueError("empty restriction set")
-    dof.constrain(np.flatnonzero(~touched))
-    dof.finalize()
+    _finalize(dof, mesh, groups)
 
     dt = complex if (third is not None and third[0] == "mult") else float
-    kt, mt = ([], [], []), ([], [], [])
-    for name, ids in groups.items():
-        if len(ids) == 0:
-            continue
-        eds = dof.element_dofs(mesh.elements[ids])
-        scatter(eds, el.q1_stiffness(hsize, Cs[name], third=third,
-                                     ncomp=ncomp), dof.n_free, kt)
-        scatter(eds, el.q1_mass(hsize, float(rs[name]), ncomp=ncomp),
-                dof.n_free, mt)
-    K = triplets_to_csr(kt, dof.n_free, dtype=dt)
-    M = triplets_to_csr(mt, dof.n_free, dtype=float)
+    K = _assemble(dof, mesh, groups, lambda g: el.q1_stiffness(
+        hsize, Cs[g], third=third, ncomp=ncomp), dt)
+    M = _assemble(dof, mesh, groups,
+                  lambda g: el.q1_mass(hsize, float(rs[g]), ncomp=ncomp))
     pair = SparseOperatorPair(K=K, M=M, dof=dof,
                               meta={"space": space, "ncomp": ncomp,
                                     "restrict": restrict_to, "hsize": hsize})
@@ -197,25 +201,14 @@ def assemble_bfs_h2(mesh, D, density=1.0, space: str = "periodic-zero-mean",
     elif space != "free":
         raise ValueError(f"unknown space {space!r}")
 
-    touched = np.zeros(mesh.n_nodes, dtype=bool)
-    for ids in groups.values():
-        touched |= _nodes_touched(mesh, ids)
-    dof.constrain(np.flatnonzero(~touched))
-    dof.finalize()
+    _finalize(dof, mesh, groups)
 
-    kt, mt = ([], [], []), ([], [], [])
-    for name, ids in groups.items():
-        if len(ids) == 0:
-            continue
-        Ke = el.bfs_stiffness(hsize, Ds[name])
-        Me = el.bfs_mass(hsize, rs[name])
-        eds = dof.element_dofs(mesh.elements[ids])
-        scatter(eds, Ke, dof.n_free, kt)
-        scatter(eds, Me, dof.n_free, mt)
-    pair = SparseOperatorPair(K=triplets_to_csr(kt, dof.n_free),
-                              M=triplets_to_csr(mt, dof.n_free), dof=dof,
-                              meta={"space": space, "ncomp": 4,
-                                    "restrict": restrict_to, "hsize": hsize})
+    pair = SparseOperatorPair(
+        K=_assemble(dof, mesh, groups,
+                    lambda g: el.bfs_stiffness(hsize, Ds[g])),
+        M=_assemble(dof, mesh, groups, lambda g: el.bfs_mass(hsize, rs[g])),
+        dof=dof, meta={"space": space, "ncomp": 4, "restrict": restrict_to,
+                       "hsize": hsize})
     if space == "periodic-zero-mean" and kernel == "none":
         kernel = "constants"
     if kernel == "constants":

@@ -19,7 +19,8 @@ class DofMap:
     """Maps (node, component) pairs to reduced equation numbers.
 
     Constraints supported: homogeneous Dirichlet (drop the DOF) and periodic
-    master/slave identification. Call finalize() before assembling.
+    master/slave identification. Call finalize() before assembling; given
+    node ranks, it keys each reduced DOF by its node's (`key`).
     """
 
     def __init__(self, n_nodes: int, ncomp: int):
@@ -29,6 +30,7 @@ class DofMap:
         self._constrained = np.zeros(n_nodes * ncomp, dtype=bool)
         self.index = None
         self.n_free = 0
+        self.key = None
 
     def _lin(self, nodes, comps):
         nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
@@ -45,7 +47,7 @@ class DofMap:
             self._lin(periodic_map, comps)
         return self
 
-    def finalize(self):
+    def finalize(self, node_rank: np.ndarray | None = None):
         # a constraint on any member of a periodic class constrains the class
         owner = self._owner
         class_con = np.zeros(len(owner), dtype=bool)
@@ -57,6 +59,8 @@ class DofMap:
         idx = np.where(constrained, -1, red[owner])
         self.index = idx.reshape(self.n_nodes, self.ncomp)
         self.n_free = len(free)
+        if node_rank is not None:
+            self.key = node_rank[free // self.ncomp]
         return self
 
     def element_dofs(self, conn) -> np.ndarray:
@@ -99,6 +103,53 @@ def triplets_to_csr(triplets, n: int, dtype=float) -> sp.csr_matrix:
     return A
 
 
+ND_LEAF = 8    # nested dissection numbers a box of this many nodes as it is
+
+
+def nested_dissection(shape, periodic) -> np.ndarray:
+    """Elimination rank of every node of a structured grid in George's
+    nested-dissection order (A. George, SIAM J. Numer. Anal. 10, 1973).
+
+    shape holds the node count per axis, x first, and node ids run
+    x-fastest; on a periodic axis the last node plane is the image of the
+    first and takes its ranks. A box is cut along its longest axis by one
+    node plane, or by two (its first and middle ones) while a periodic axis
+    is still closed. No element couples the two halves of a cut: they are
+    numbered first, each dissected in turn, then the cut, x-fastest."""
+    strides = np.cumprod((1,) + tuple(shape[:-1]))
+    memo = {}
+
+    def dissect(ext, wrap):
+        # node offsets of a box from its first node, in elimination order
+        # (x-fastest for wrap None); built once per extent
+        if (ext, wrap) not in memo:
+            order = np.indices(ext[::-1]).reshape(len(ext), -1).T \
+                @ strides[::-1]
+            if wrap is not None and order.size > ND_LEAF:
+                ax = ext.index(max(ext))
+                m, mid, lo = ext[ax], ext[ax] // 2, int(wrap[ax])
+                opened = wrap[:ax] + (False,) + wrap[ax + 1:]
+
+                def part(start, stop, w):
+                    return dissect(ext[:ax] + (stop - start,) + ext[ax + 1:],
+                                   w) + start * strides[ax]
+                order = np.concatenate(
+                    [part(lo, mid, opened), part(mid + 1, m, opened)]
+                    + [part(c, c + 1, None) for c in (0, mid)[1 - lo:]])
+            memo[ext, wrap] = order
+        return memo[ext, wrap]
+
+    order = dissect(tuple(m - p for m, p in zip(shape, periodic)),
+                    tuple(periodic))
+    rank = np.empty(np.prod(shape), dtype=int)
+    rank[order] = np.arange(len(order))
+    grid = rank.reshape(shape[::-1])
+    for ax in np.flatnonzero(periodic[::-1]):
+        planes = np.moveaxis(grid, ax, 0)
+        planes[-1] = planes[0]
+    return rank
+
+
 # eigs_smallest goes dense when n <= DENSE_MAX_DOFS or n <= DENSE_MODE_RATIO * N;
 # an ARPACK failure falls back to dense only up to DENSE_FALLBACK_MAX_DOFS
 DENSE_MAX_DOFS, DENSE_MODE_RATIO, DENSE_FALLBACK_MAX_DOFS = 400, 20, 12000
@@ -122,12 +173,18 @@ class EigWorkspace:
 
 @dataclass
 class SparseOperatorPair:
-    """Stiffness/mass pair on the reduced (constrained) DOF set."""
+    """Stiffness/mass pair on the reduced (constrained) DOF set; `order`
+    is the factorization key of its DOFs (default: the DOF map's)."""
     K: sp.csr_matrix
     M: sp.csr_matrix
     dof: DofMap
     kernel: np.ndarray | None = None      # orthonormal columns, or None
     meta: dict = field(default_factory=dict)
+    order: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.order is None:
+            self.order = self.dof.key
 
     @property
     def n(self) -> int:
@@ -173,25 +230,32 @@ class SpdFactor:
 
     A known kernel V (A V = 0) is handled by pinning: k DOFs chosen by
     pivoted QR of V^T are dropped, which leaves a nonsingular SPD block.
-    That block is factored with a symmetric minimum-degree ordering and
-    diagonal pivots only (X. S. Li, ACM TOMS 31, 2005). `solve` returns the
-    kernel-orthogonal solution of the kernel-projected system.
+    That block is factored with diagonal pivots only (X. S. Li, ACM TOMS
+    31, 2005), in the order that sorts the DOF keys `order` (a nested
+    dissection of the grid), or without keys in SuperLU's symmetric minimum
+    degree order. `solve` returns the kernel-orthogonal solution of the
+    kernel-projected system.
     """
 
-    def __init__(self, A, kernel: np.ndarray | None = None, tol: float = 1e-10):
+    def __init__(self, A, kernel: np.ndarray | None = None, tol: float = 1e-10,
+                 order: np.ndarray | None = None):
         self.A = sp.csr_matrix(A)
         self.tol = tol
         n = self.A.shape[0]
         self.V = None
-        self._keep = None
+        keep = np.ones(n, dtype=bool)
         if kernel is not None and np.size(kernel):
             self.V, _ = np.linalg.qr(np.reshape(kernel, (n, -1)))
             _, _, piv = sla.qr(self.V.T, mode="economic", pivoting=True)
-            self._keep = np.setdiff1d(np.arange(n), piv[:self.V.shape[1]])
-        B = self.A if self._keep is None else self.A[self._keep][:, self._keep]
+            keep[piv[:self.V.shape[1]]] = False
+        self.ordering = "mmd" if order is None else "nested-dissection"
+        p = np.arange(n) if order is None else np.argsort(order, kind="stable")
+        self._p = p[keep[p]]             # the factored DOFs, in factor order
+        self._norm = spla.norm(self.A, np.inf)
         try:
-            self._lu = spla.splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                 diag_pivot_thresh=0.0,
+            self._lu = spla.splu(self.A[self._p][:, self._p].tocsc(),
+                                 permc_spec="MMD_AT_PLUS_A" if order is None
+                                 else "NATURAL", diag_pivot_thresh=0.0,
                                  options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise SolverError(f"sparse factorization failed: {exc}") from exc
@@ -206,40 +270,42 @@ class SpdFactor:
 
     def _apply(self, b: np.ndarray) -> np.ndarray:
         """Pinned solve for kernel-projected right-hand side(s)."""
-        if self._keep is None:
-            return self._lu.solve(b)
         x = np.zeros_like(b)
-        x[self._keep] = self._lu.solve(np.ascontiguousarray(b[self._keep]))
+        x[self._p] = self._lu.solve(b[self._p])
         return self._project(x)
 
-    def _residual(self, x, b, scale) -> float:
-        """Worst projected residual over the columns, relative to |b|."""
+    def _backward_error(self, x, b, b_norm) -> float:
+        """Worst normwise backward error over the columns,
+        ||P(A x - b)|| / (||A||_inf ||x|| + ||b||) (N. J. Higham, Accuracy
+        and Stability of Numerical Algorithms, SIAM 2002, thm. 7.1)."""
         r = np.linalg.norm(self._project(self.A @ x - b), axis=0)
+        scale = self._norm * np.linalg.norm(x, axis=0) + b_norm
         return float(np.max(r / np.maximum(scale, 1e-300), initial=0.0))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with A x = P b and V^T x = 0 (P the projector off the kernel),
         for a vector or a matrix of right-hand sides. One refinement step
-        is taken when the projected residual misses `tol`; SolverError is
+        is taken when the backward error misses `tol`; SolverError is
         raised when it still does."""
         b = np.asarray(b, dtype=float)
-        scale = np.linalg.norm(b, axis=0)
+        b_norm = np.linalg.norm(b, axis=0)
         b = self._project(b)
         x = self._apply(b)
-        rel = self._residual(x, b, scale)
-        if not rel <= self.tol:          # also catches a NaN residual
+        err = self._backward_error(x, b, b_norm)
+        if not err <= self.tol:          # also catches a NaN residual
             x = x + self._apply(self._project(b - self.A @ x))
-            rel = self._residual(x, b, scale)
-            if not rel <= self.tol:
-                raise SolverError(f"linear solve residual {rel:.2e} exceeds "
-                                  f"{self.tol:.0e} after refinement")
+            err = self._backward_error(x, b, b_norm)
+            if not err <= self.tol:
+                raise SolverError(f"linear solve backward error {err:.2e} "
+                                  f"exceeds {self.tol:.0e} after refinement")
         return x
 
 
-def factorize(A, kernel: np.ndarray | None = None,
-              tol: float = 1e-10) -> SpdFactor:
-    """The one factorization path for SPD (or kernel-singular SPSD) systems."""
-    return SpdFactor(A, kernel, tol)
+def factorize(A, kernel: np.ndarray | None = None, tol: float = 1e-10,
+              order: np.ndarray | None = None) -> SpdFactor:
+    """The one factorization path for SPD (or kernel-singular SPSD)
+    systems; `order` holds the DOF keys of the grid ordering."""
+    return SpdFactor(A, kernel, tol, order)
 
 
 def solve_spd(pair: SparseOperatorPair, rhs: np.ndarray,
@@ -248,7 +314,7 @@ def solve_spd(pair: SparseOperatorPair, rhs: np.ndarray,
     pair's kernel is pinned and x is returned kernel-orthogonal. (The
     benchmark tracer in perfbench/layers.py wraps this name.)"""
     kernel = pair.kernel if deflate_kernel else None
-    return factorize(pair.K, kernel, tol).solve(rhs)
+    return factorize(pair.K, kernel, tol, order=pair.order).solve(rhs)
 
 
 def fix_signs(vecs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -288,7 +354,7 @@ def _shift_invert_pairs(pair: SparseOperatorPair, N: int, ws: EigWorkspace,
     only with a definite mass."""
     opinv = None
     if not np.iscomplexobj(pair.K):
-        lu = factorize(pair.K, tol=tol)
+        lu = factorize(pair.K, tol=tol, order=pair.order)
         opinv = spla.LinearOperator(pair.K.shape, dtype=float,
                                     matvec=lu.solve)
     try:

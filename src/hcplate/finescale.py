@@ -42,6 +42,12 @@ class FineMesh:
     def n_nodes(self):
         return self.nodes.shape[0]
 
+    @property
+    def grid(self) -> tuple[tuple, tuple]:
+        """Nodes per axis and which are periodic (none)."""
+        nx, ny = self.shape_inplane
+        return (nx + 1, ny + 1, self.n_layers + 1), (False,) * 3
+
     def element_size(self) -> tuple:
         return self.hsize
 
@@ -157,7 +163,8 @@ def fine_resolvent(fp: FineProblem, lam: float, load) -> dict:
         * load.cell_fn(fp.shape)(np.mod(x / fp.epsilon, 1.0))
     fe = el.q1_vector_load(mesh.hsize, np.moveaxis(values, 0, -1))
     F = assemble_pointwise_load(mesh, fp.pair.dof, fe, elems)
-    u = factorize(fp.h ** (-fp.tau) * fp.pair.K + lam * fp.pair.M).solve(F)
+    u = factorize(fp.h ** (-fp.tau) * fp.pair.K + lam * fp.pair.M,
+                  order=fp.pair.order).solve(F)
     full = fp.pair.dof.expand(u)
     return {"u": full, "transverse_average": transverse_average(fp, full),
             "cell_means": cell_means(fp, full)}

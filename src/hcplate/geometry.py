@@ -108,6 +108,12 @@ class CellMesh:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
+    @property
+    def grid(self) -> tuple[tuple, tuple]:
+        """Nodes per axis (y1, y2[, x3]) and which axes are periodic."""
+        return ((self.n + 1,) * 2 + (self.n_z + 1,) * (self.dim - 2),
+                (True, True, False)[:self.dim])
+
     def element_size(self) -> tuple:
         if self.dim == 2:
             return (self.h, self.h)
@@ -214,6 +220,11 @@ class MacroMesh:
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
+
+    @property
+    def grid(self) -> tuple[tuple, tuple]:
+        """Nodes per axis and which are periodic (none)."""
+        return (self.n1 + 1, self.n2 + 1), (False, False)
 
     def element_size(self) -> tuple[float, float]:
         return (self.L1 / self.n1, self.L2 / self.n2)

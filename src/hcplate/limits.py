@@ -26,7 +26,7 @@ from .effective import (EffectiveTensor, effective_delta, effective_delta0,
                         effective_deltainf)
 from .fem import assemble as fa
 from .fem import elements as el
-from .fem.system import EigWorkspace, factorize
+from .fem.system import EigWorkspace, factorize, nested_dissection
 from .geometry import CellMesh, InclusionShape, MacroMesh, build_cell_mesh
 from .macro import (MacroOperator, build_bending_operator,
                     build_membrane_operator, nodal_traces, scalar_mass)
@@ -352,7 +352,8 @@ class LimitModel:
             self._cache[key] = ModalCoupling(
                 M0=self.rho_bar * op.pair.M, K0=op.pair.K, Ms=Mb,
                 R=[(T.T @ Mb).tocsr()], T=[T], eta=bs.eigenvalues[:N],
-                means=bs.weighted_means[:N, -1:])
+                means=bs.weighted_means[:N, -1:], order0=op.pair.order,
+                order_s=op.pair.dof.key)
         return self._cache[key]
 
     def memb_coupling(self) -> ModalCoupling:
@@ -368,19 +369,22 @@ class LimitModel:
             # T_c expands component c of the state to nodal values; b is
             # nodal already
             T = nodal_traces(op.pair.dof)
-            K0 = op.pair.K
+            K0, order0 = op.pair.K, op.pair.order
+            ranks = nested_dissection(*self.macro_mesh.grid)
             if third:
                 T = [sp.hstack([Tc, sp.csr_matrix((nn, nn))], format="csr")
                      for Tc in T]
                 T.append(sp.eye(nn, na + nn, k=na, format="csr"))
                 K0 = sp.block_diag([K0, sp.csr_matrix((nn, nn))], format="csr")
+                order0 = np.concatenate([order0, ranks])
             R = [(Tc.T @ Ms).tocsr() for Tc in T]
             # sum_c T_c^T Ms T_c; sorted rows fix the order of every M0
             # matvec sum
             M0 = sum(Rc @ Tc for Rc, Tc in zip(R, T)).sorted_indices()
             self._cache["memb_coupling"] = ModalCoupling(
                 M0=self.rho_bar * M0, K0=K0, Ms=Ms, R=R, T=T,
-                eta=self.bloch.eigenvalues, means=means)
+                eta=self.bloch.eigenvalues, means=means, order0=order0,
+                order_s=ranks)
         return self._cache["memb_coupling"]
 
     def macro_nodal(self, load: LoadSpec) -> np.ndarray:
@@ -613,7 +617,7 @@ def _delta0_third_component(model: LimitModel, lam: float, load: LoadSpec,
         y = fa.quadrature_points(mesh, stiff_ids, el.bfs_quadrature(hsize)[0])
         fe = el.bfs_value_load(hsize, amp3 * t0 * cfun(y))
         rhs = fa.assemble_pointwise_load(mesh, pb.dof, fe, stiff_ids)
-        state.b_cell = factorize(Kc).solve(rhs)
+        state.b_cell = factorize(Kc, order=pb.order).solve(rhs)
         state.u3_cell = amp3 * t0 * cell_soft / (lam * mat.rho0)
         state.meta["b_cell_dof"] = pb.dof
         state.meta["b_cell_kind"] = "periodic_bfs"

@@ -61,10 +61,11 @@ def build_bending_operator(tensor: EffectiveTensor, mesh: MacroMesh,
         bend.dof.element_dofs(mesh.elements),
         el.mixed_memb_bend(mesh.element_size(), tensor.coupling),
         (memb.n, bend.n))
+    # keys of [a | b]: a node's a- and b-DOFs are factored together
     pair = SparseOperatorPair(
         K=sp.bmat([[memb.K, K_ab], [K_ab.T, bend.K]], format="csr"),
         M=sp.block_diag([sp.csr_matrix(memb.K.shape), bend.M], format="csr"),
-        dof=bend.dof)
+        dof=bend.dof, order=np.concatenate([memb.dof.key, bend.dof.key]))
     return MacroOperator(kind="bend", pair=pair, rho_bar=rho_bar, mesh=mesh,
                          tensor=tensor, memb_dof=memb.dof)
 
@@ -76,7 +77,7 @@ def macro_eigs(op: MacroOperator, N: int, ws: EigWorkspace | None = None):
     if N < 1:
         raise ValueError("need at least one eigenvalue")
     weighted = SparseOperatorPair(K=op.pair.K, M=op.rho_bar * op.pair.M,
-                                  dof=op.pair.dof)
+                                  dof=op.pair.dof, order=op.pair.order)
     return eigs_smallest(weighted, N, ws)
 
 

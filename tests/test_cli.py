@@ -9,6 +9,10 @@ from hcplate import tensors as tn
 from hcplate.cli import main
 from hcplate.config import DEMO_CONFIG
 
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+with open(os.path.join(CONFIGS, "demo_bending.json")) as fh:
+    DEMO_BENDING = json.load(fh)
+
 TINY = {
     "material": DEMO_CONFIG["material"],
     "cell": {"shape": {"kind": "disk", "size": 0.26}, "n": 8, "n_z": 4},
@@ -171,9 +175,27 @@ class TestOutputs:
         assert main(["evolve", "--config", cfg, "--out", str(out),
                      "--quiet"]) == 0
         man = json.loads((out / "evolve_manifest.json").read_text())
-        assert {"state_dofs", "factored_dofs", "factor_fill"} <= set(man)
+        assert {"state_dofs", "factored_dofs", "factor_fill",
+                "factor_ordering"} <= set(man)
         assert 0 < man["factored_dofs"] < man["state_dofs"]
         assert man["factor_fill"] >= man["factored_dofs"]
+        # the macro system is factored in the grid's nested-dissection order
+        assert man["factor_ordering"] == "nested-dissection"
+
+    def test_bending_resolvent_on_fine_macro_meshes(self, tmp_path):
+        # the clamped bending block's condition grows as h^-4: a residual
+        # relative to |b| alone is out of reach at macro 32 and 64, the
+        # normwise backward error is not
+        for n in (32, 64):
+            cfg = json.loads(json.dumps(DEMO_BENDING))
+            cfg["macro"].update(n1=n, n2=n)
+            out = tmp_path / f"m{n}"
+            assert main(["resolvent", "--config",
+                         write_cfg(tmp_path, cfg, f"m{n}.json"), "--out",
+                         str(out), "--quiet"]) == 0
+            b = np.loadtxt(out / "resolvent_macro.csv", delimiter=",",
+                           skiprows=2)[:, -1]
+            assert np.isfinite(b).all() and abs(b).max() > 0
 
     def test_evolve_variant_defaults_to_row(self, tmp_path):
         # a bending config without evolve.variant evolves its own row; a

@@ -281,8 +281,8 @@ class TestResidualContract:
     @pytest.mark.parametrize("shape", [InclusionShape("disk", 0.26),
                                        InclusionShape("square", 0.25)])
     def test_delta0_fine_cells_pass(self, mat, shape):
-        # the n = 48 Hessian cell problems need the refinement step to get
-        # below the 1e-9 residual limit
+        # the n = 48 Hessian cell problems stay within the 1e-9
+        # backward-error contract
         t = effective_delta0(mat, build_cell_mesh(shape, n=48), tol=1e-9)
         assert t.eigenvalues().min() > 0
         assert (np.diag(t.pair_form())

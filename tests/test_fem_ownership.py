@@ -2,7 +2,9 @@
 to hcplate.fem: no other module builds a sparse system from element matrices
 (`scatter`, `triplets_to_csr`, `DofMap`), factors one with a plain `splu`,
 or makes an assembled operator dense (`toarray`, `todense`; the dense
-eigensolver paths of hcplate.fem apply their size rules)."""
+eigensolver paths of hcplate.fem apply their size rules). Every
+`factorize` call passes the grid order of its DOFs (`order=`); minimum
+degree is left to grid-less test matrices."""
 
 import ast
 from pathlib import Path
@@ -60,3 +62,29 @@ def test_guard_sees_calls_imports_and_attributes():
     assert set(_references(tree)) == {
         (None, "DofMap"), ("build", "scatter"), ("build", "splu"),
         ("build", "triplets_to_csr")}
+
+
+def _unordered_factorizations(tree) -> list[int]:
+    """Lines of the `factorize(...)` calls without an `order=` keyword."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "factorize" in (getattr(node.func, "id", None),
+                                getattr(node.func, "attr", None))
+            and not any(k.arg == "order" for k in node.keywords)]
+
+
+def test_every_factorization_passes_its_order():
+    found = [f"{path.relative_to(SRC).as_posix()}:{line}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line in _unordered_factorizations(
+                 ast.parse(path.read_text()))]
+    assert not found, found
+
+
+def test_order_guard_sees_names_and_attributes():
+    tree = ast.parse("def f(A, fs, key):\n"
+                     "    factorize(A)\n"
+                     "    fs.factorize(A, None, 1e-9)\n"
+                     "    factorize(A, order=key)\n"
+                     "    return fs.factorize(A, order=None)\n")
+    assert _unordered_factorizations(tree) == [2, 3]
