@@ -19,13 +19,14 @@ memb_deltainf / full_deltainf : 2D 3-component operator with strain
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import tensors as tn
 from .fem import assemble as fa
 from .fem.system import EigWorkspace, SparseOperatorPair, eigs_smallest
-from .geometry import CellMesh, InclusionShape, build_cell_mesh
+from .geometry import CellMesh, InclusionShape, build_cell_mesh, half_prism
 
 CLUSTER_GAP = 1e-6       # relative eigenvalue gap defining a multiplicity cluster
 MEAN_ZERO_FACTOR = 1e-7  # weighted mean treated as zero below this * <rho0>
@@ -85,18 +86,13 @@ def _classify(eigenvalues, means, rho0_mass):
 
 def _build_prism_operator(mat, shape: InclusionShape, n: int, n_z: int,
                           delta: float, parity: str | None):
+    build = partial(build_cell_mesh, shape, n, 3)
     if parity is None:
-        mesh = build_cell_mesh(shape, n=n, dim=3, n_z=n_z)
-        scale, extra = 1.0, ()
+        mesh, extra = build(n_z), ()
     else:
-        if n_z % 2:
-            raise ValueError("parity restriction needs an even n_z")
-        mesh = build_cell_mesh(shape, n=n, dim=3, n_z=n_z // 2,
-                               z_span=(0.0, 0.5))
-        scale = 2.0
-        plane = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 0.0))
-        # membrane: u3 odd in x3; bending: u1, u2 odd
-        extra = ((plane, 2),) if parity == "memb" else ((plane, [0, 1]),)
+        mesh, pin = half_prism(build, n_z, parity)
+        extra = (pin,)
+    scale = 1.0 if parity is None else 2.0
     pair = fa.assemble_vector_h1(
         mesh, mat.C0, grad=fa.ScaledGradientSpec(delta), density=mat.rho0,
         space="inclusion-zero-trace", restrict_to="soft", ncomp=3,

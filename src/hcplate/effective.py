@@ -5,7 +5,12 @@ part energy with prestrain iota(A - x3 B). The three regimes differ in the
 corrector class:
 
 * delta in (0, inf): periodic vector correctors on the prism I x Y with the
-  transversally scaled gradient (grad_y | delta^-1 d3);
+  transversally scaled gradient (grad_y | delta^-1 d3). When C1 is
+  invariant under the mirror x3 -> -x3 and the prism has an even number of
+  layers, the membrane correctors are even under the mirror and the
+  curvature ones odd: each class is solved on the half prism x3 in
+  (0, 1/2) with its odd components pinned on x3 = 0, and the membrane-
+  bending coupling block is exactly 0. Otherwise the full prism is solved;
 * delta = 0: in-plane gradient correctors for the membrane block and
   periodic Hessian (C^1) correctors for the bending block, built on the
   transverse-reduced tensor C1^r;
@@ -14,12 +19,14 @@ corrector class:
 
 The minimum is a Gram form: with F the loads of the unit prestrains (one
 column each, engineering Voigt) and E0 their zero-corrector energies, the
-tensor is Q = E0 - F^T K^+ F, from one multi-column solve.
+tensor is Q = E0 - F^T K^+ F, from one multi-column solve per corrector
+class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -27,7 +34,7 @@ from . import tensors as tn
 from .fem import assemble as fa
 from .fem import elements as el
 from .fem.system import factorize
-from .geometry import CellMesh
+from .geometry import CellMesh, build_cell_mesh, half_prism
 
 # unit in-plane engineering strains (11, 22, 12) as 6-Voigt columns
 _IN_PLANE = [0, 1, 5]
@@ -86,38 +93,72 @@ def _corrector_min(pair, F: np.ndarray, E0: np.ndarray,
     return 0.5 * (Q + Q.T)
 
 
+def _prism_min(mat: tn.MaterialSpec, mesh: CellMesh, delta: float, cols,
+               tol: float, pin=None):
+    """The zero-corrector energies E0 of the prestrain columns `cols` of
+    (A | -x3 B) on a prism mesh, their minimum E0 - F^T K^+ F over the
+    correctors, and the corrector DOF count. On a half prism `pin` is the
+    parity constraint; the translations it leaves free span the kernel."""
+    pair = fa.assemble_vector_h1(
+        mesh, mat.C1, grad=fa.ScaledGradientSpec(delta), space="periodic",
+        restrict_to="stiff", ncomp=3,
+        extra_constraints=() if pin is None else (pin,))
+    pair.kernel = fa.translations_kernel(
+        pair.dof, [c for c in range(3) if pin is None or c not in pin[1]])
+    hsize = mesh.element_size()
+    stiff_ids = np.flatnonzero(~mesh.element_soft)
+    per_layer = mesh.n ** 2
+    qpts, qwts = el.q1_quadrature(hsize)
+    # per-layer prestrain at the Gauss points (it only depends on x3)
+    x3 = mesh.nodes[mesh.elements[::per_layer, 0], 2][:, None] + qpts[:, 2]
+    P = np.concatenate([np.broadcast_to(_UNIT, (*x3.shape, 6, 3)),
+                        -x3[..., None, None] * _UNIT], axis=-1)[..., cols]
+    fe = el.q1_prestrain_load(hsize, mat.C1, P, third=("dz", 1.0 / delta))
+    layer_of = stiff_ids // per_layer
+    F = fa.assemble_pointwise_load(mesh, pair.dof, fe[layer_of], stiff_ids)
+    weight = np.bincount(layer_of, minlength=mesh.n_z)[:, None] * qwts
+    E0 = np.tensordot(weight, np.swapaxes(P, -1, -2) @ mat.C1 @ P, 2)
+    E0 = 0.5 * (E0 + E0.T)
+    return E0, _corrector_min(pair, F, E0, tol), pair.n
+
+
 def effective_delta(mat: tn.MaterialSpec, mesh3d: CellMesh, delta: float,
                     tol: float = 1e-9) -> EffectiveTensor:
-    """C^hom for delta in (0, inf): prism cell problems over the stiff part."""
+    """C^hom for delta in (0, inf): prism cell problems over the stiff part,
+    on the two half prisms of the x3 mirror when it splits them, else on
+    the full prism; `provenance["mirror"]` says which, and why."""
     if not (np.isfinite(delta) and delta > 0):
         raise ValueError("delta must be a positive finite number")
     if mesh3d.dim != 3:
         raise ValueError("delta-regime cell problems need a prism mesh")
-    pair = fa.assemble_vector_h1(
-        mesh3d, mat.C1, grad=fa.ScaledGradientSpec(delta),
-        space="periodic-zero-mean", restrict_to="stiff", ncomp=3)
-    hsize = mesh3d.element_size()
-    stiff_ids = np.flatnonzero(~mesh3d.element_soft)
-    per_layer = mesh3d.n ** 2
-    qpts, qwts = el.q1_quadrature(hsize)
-    # per-layer prestrain at the Gauss points (it only depends on x3):
-    # columns the unit membrane strains A, then the unit curvatures B
-    x3 = mesh3d.nodes[mesh3d.elements[::per_layer, 0], 2][:, None] + qpts[:, 2]
-    P = np.concatenate([np.broadcast_to(_UNIT, (*x3.shape, 6, 3)),
-                        -x3[..., None, None] * _UNIT], axis=-1)
-    fe = el.q1_prestrain_load(hsize, mat.C1, P, third=("dz", 1.0 / delta))
-    layer_of = stiff_ids // per_layer
-    F = fa.assemble_pointwise_load(mesh3d, pair.dof, fe[layer_of], stiff_ids)
-    weight = np.bincount(layer_of, minlength=mesh3d.n_z)[:, None] * qwts
-    # summed term by term, layer by layer: the coupling block is round-off
-    E0 = sum((weight[..., None, None]
-              * (np.swapaxes(P, -1, -2) @ mat.C1 @ P)).reshape(-1, 6, 6))
-    E0 = 0.5 * (E0 + E0.T)
-    Q = _corrector_min(pair, F, E0, tol)
+    if not tn.planar_symmetric(mat.C1):
+        full = "C1 is not planar-symmetric"
+    elif mesh3d.n_z % 2:
+        full = "odd n_z"
+    elif tuple(mesh3d.z_span) != (-0.5, 0.5):
+        full = "prism not on x3 in (-1/2, 1/2)"
+    else:
+        full = None
+    prov = {"n": mesh3d.n, "n_z": mesh3d.n_z, "tol": tol,
+            "mirror": "full" if full else "split"}
+    if full:
+        E0, Q, dofs = _prism_min(mat, mesh3d, delta, slice(None), tol)
+        prov.update(mirror_reason=full, dofs=[dofs])
+    else:
+        # membrane columns on the "memb" half, curvature columns on the
+        # "bend" half, one factorization alive at a time; each half holds
+        # half of its class's energies, and the classes do not couple
+        E0, Q = np.zeros((6, 6)), np.zeros((6, 6))
+        build = partial(build_cell_mesh, mesh3d.shape, mesh3d.n, 3)
+        prov["dofs"] = []
+        for parity, cols in (("memb", slice(0, 3)), ("bend", slice(3, 6))):
+            half, pin = half_prism(build, mesh3d.n_z, parity)
+            e0, q, dofs = _prism_min(mat, half, delta, cols, tol, pin)
+            E0[cols, cols], Q[cols, cols] = 2.0 * e0, 2.0 * q
+            prov["dofs"].append(dofs)
     return EffectiveTensor(
         regime="delta", delta=delta, memb=Q[:3, :3], bend=Q[3:, 3:],
-        coupling=Q[:3, 3:], zero_corrector_bound=E0,
-        provenance={"n": mesh3d.n, "n_z": mesh3d.n_z, "tol": tol})
+        coupling=Q[:3, 3:], zero_corrector_bound=E0, provenance=prov)
 
 
 def effective_delta0(mat: tn.MaterialSpec, mesh2d: CellMesh,

@@ -190,13 +190,6 @@ class SparseOperatorPair:
     def n(self) -> int:
         return self.K.shape[0]
 
-    def check_symmetry(self, tol=1e-12):
-        for A in (self.K, self.M):
-            d = abs(A - A.getH()).max()
-            if d > tol * max(1.0, abs(A).max()):
-                raise SolverError(f"assembled matrix asymmetric by {d:.2e}")
-        return True
-
 
 def detect_kernel(K: sp.csr_matrix, kernel_tol: float = 1e-10, kmax: int = 6) -> np.ndarray | None:
     """Orthonormal basis of the numerical kernel: eigenvectors of K with

@@ -17,7 +17,7 @@ from .fem.assemble import (ScaledGradientSpec, assemble_pointwise_load,
 from .fem.system import (EigWorkspace, SparseOperatorPair, eigs_smallest,
                          factorize)
 from .geometry import (ConfigurationError, InclusionShape, extrude,
-                       structured_quads)
+                       half_prism, structured_quads)
 
 DOF_BUDGET = 200_000
 
@@ -103,28 +103,25 @@ def build_fine_problem(mat: tn.MaterialSpec, shape: InclusionShape, h: float,
     (fine_eigs and fine_resolvent apply h^-tau); parity='memb' or 'bend'
     meshes the half plate x3 >= 0 with the odd components pinned on the
     symmetry plane x3 = 0."""
-    if parity not in (None, "memb", "bend"):
-        raise ConfigurationError(f"unknown parity {parity!r}")
-    z_span = (0.0, 0.5) if parity else (-0.5, 0.5)
-    nz = n_z // 2 if parity else n_z
-    if parity and n_z % 2:
-        raise ConfigurationError("parity restriction needs an even n_z")
-    mesh = _build_fine_mesh(L1, L2, epsilon, cells_per_eps, max(nz, 1), shape,
-                            z_span)
+    def build(layers, z_span=(-0.5, 0.5)):
+        return _build_fine_mesh(L1, L2, epsilon, cells_per_eps,
+                                max(layers, 1), shape, z_span)
+
+    fixed = []
+    if parity is None:
+        mesh = build(n_z)
+    else:
+        mesh, pin = half_prism(build, n_z, parity)
+        fixed.append(pin)
     ndofs = 3 * mesh.n_nodes
     if ndofs > budget:
         raise ConfigurationError(f"{ndofs} DOFs exceed the budget {budget}")
 
     mu = mu_value(mu_scaling, epsilon, h)
-    fixed = []
     if "left" in gamma:
         fixed.append((np.flatnonzero(np.isclose(mesh.nodes[:, 0], 0.0)), None))
     if "right" in gamma:
         fixed.append((np.flatnonzero(np.isclose(mesh.nodes[:, 0], L1)), None))
-    if parity:
-        plane = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 0.0))
-        # membrane: u3 odd in x3; bending: u1, u2 odd
-        fixed.append((plane, 2 if parity == "memb" else [0, 1]))
     pair = assemble_vector_h1(
         mesh, {"soft": mu ** 2 * mat.C0, "stiff": mat.C1},
         grad=ScaledGradientSpec(h),

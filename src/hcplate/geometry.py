@@ -26,7 +26,7 @@ class ConfigurationError(ValueError):
 class InclusionShape:
     """Soft inclusion Y0 inside the unit cell Y = [0,1)^2.
 
-    kind "disk" (C^{1,1} boundary) or "square" (Lipschitz only, flagged);
+    kind "disk" (C^{1,1} boundary) or "square" (Lipschitz only);
     size is the radius / half-side.
     """
     kind: str
@@ -47,10 +47,6 @@ class InclusionShape:
         cx, cy = self.center
         reach = min(cx, cy, 1.0 - cx, 1.0 - cy)
         return reach - self.size
-
-    @property
-    def lipschitz_only(self) -> bool:
-        return self.kind == "square"
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """Boolean mask: which points (shape (..., 2)) lie inside Y0."""
@@ -178,7 +174,8 @@ def build_cell_mesh(shape: InclusionShape | None, n: int, dim: int = 2,
         raise ConfigurationError("cell resolution n must be at least 4")
     if dim not in (2, 3):
         raise ConfigurationError("dim must be 2 or 3")
-    if dim == 3 and n_z < 2:
+    # at least two layers through the unit thickness: one on a half prism
+    if dim == 3 and n_z < max(1.0, 2 * (z_span[1] - z_span[0]) - 1e-12):
         raise ConfigurationError("prism meshes need n_z >= 2")
     if shape is not None and shape.boundary_margin < 1.0 / n - 1e-12:
         raise GeometryError(
@@ -202,6 +199,26 @@ def build_cell_mesh(shape: InclusionShape | None, n: int, dim: int = 2,
             + len(nodes2) * np.arange(n_z + 1)[:, None]).ravel()
     return CellMesh(n=n, dim=3, shape=shape, nodes=nodes, elements=conn,
                     element_soft=soft, periodic_map=pmap, n_z=n_z, z_span=z_span)
+
+
+# components pinned on the mirror plane x3 = 0, per parity class: u3 is odd
+# in x3 for membrane fields, u1 and u2 are odd for bending fields
+PARITY_PINNED = {"memb": [2], "bend": [0, 1]}
+
+
+def half_prism(build, n_z: int, parity: str):
+    """One parity class of a prism of n_z layers on x3 in (-1/2, 1/2) that
+    is invariant under the mirror x3 -> -x3: the half mesh
+    build(n_z // 2, (0, 1/2)) and its constraint (nodes on the plane
+    x3 = 0, components pinned there). Integrals over the half are half of
+    the full prism's for the class's fields."""
+    if parity not in PARITY_PINNED:
+        raise ConfigurationError(f"unknown parity {parity!r}")
+    if n_z % 2:
+        raise ConfigurationError("parity restriction needs an even n_z")
+    mesh = build(n_z // 2, (0.0, 0.5))
+    plane = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 0.0))
+    return mesh, (plane, PARITY_PINNED[parity])
 
 
 @dataclass

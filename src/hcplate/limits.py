@@ -624,19 +624,6 @@ def _delta0_third_component(model: LimitModel, lam: float, load: LoadSpec,
     return state
 
 
-def solve_bending_resolvent_data(model: LimitModel, lam: float,
-                                 z0: np.ndarray, z_c: np.ndarray):
-    """(A + lambda)^-1 applied to state-shaped data (z0, z_c), z0 = [a | b],
-    for the high-contrast bending rows: the rhs is the energy-space pairing
-    of z (a carries no mass, so only b enters), and the micro modes are
-    eliminated exactly (Schur complement of the grand modal system).
-    Returns ([a | b] reduced, c (N, nb))."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    cp = model.bend_coupling()
-    return cp.shift(lam, 1.0).solve(*cp.mass(z0, z_c))
-
-
 def solve_limit_resolvent(model: LimitModel, lam: float, load: LoadSpec) -> LimitState:
     """Discrete solution of the regime's coupled limit resolvent system:
     one macro-size solve of the row's modal system, the micro modes

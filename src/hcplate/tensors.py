@@ -1,11 +1,11 @@
-"""Elasticity tensor algebra: Voigt storage, embeddings, reduced tensors.
+"""Elasticity tensor algebra: Voigt storage, reduced tensors, materials.
 
 Conventions used across the package:
 
 * 3D tensors act on symmetric 3x3 matrices and are stored as symmetric 6x6
   Voigt matrices in the order (11, 22, 33, 23, 13, 12) with engineering
-  (factor-2) shear strains, so that ``C xi : xi == voigt_strain(xi) @ C @
-  voigt_strain(xi)``.
+  (factor-2) shear strains, so that C xi : xi = v @ C @ v for the Voigt
+  vector v = (xi_11, xi_22, xi_33, 2 xi_23, 2 xi_13, 2 xi_12).
 * 2D (reduced) tensors act on symmetric 2x2 matrices and are stored as 3x3
   Voigt matrices in the order (11, 22, 12), same shear convention.
 """
@@ -17,34 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-VOIGT3 = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
-VOIGT2 = ((0, 0), (1, 1), (0, 1))
-
 # engineering <-> tensor (Mandel) rescaling of the shear rows/columns
 _MANDEL_W3 = np.diag([1.0, 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0), np.sqrt(2.0)])
 _MANDEL_W2 = np.diag([1.0, 1.0, np.sqrt(2.0)])
-
-
-def voigt_strain(xi: np.ndarray) -> np.ndarray:
-    """Engineering Voigt vector of a symmetric 3x3 matrix."""
-    return np.array([xi[0, 0], xi[1, 1], xi[2, 2],
-                     2.0 * xi[1, 2], 2.0 * xi[0, 2], 2.0 * xi[0, 1]])
-
-
-def voigt_strain_2d(a: np.ndarray) -> np.ndarray:
-    """Engineering Voigt vector of a symmetric 2x2 matrix."""
-    return np.array([a[0, 0], a[1, 1], 2.0 * a[0, 1]])
-
-
-def quad_form(C: np.ndarray, xi: np.ndarray) -> float:
-    """C xi : xi for a 6x6 Voigt tensor and a symmetric 3x3 matrix."""
-    v = voigt_strain(xi)
-    return float(v @ C @ v)
-
-
-def quad_form_2d(C: np.ndarray, a: np.ndarray) -> float:
-    v = voigt_strain_2d(a)
-    return float(v @ C @ v)
 
 
 def mandel(C: np.ndarray) -> np.ndarray:
@@ -63,43 +38,6 @@ def isotropic(lam: float, mu: float) -> np.ndarray:
     return C
 
 
-def isotropic_2d(lam: float, mu: float) -> np.ndarray:
-    """Plane-stress-type reduction of the isotropic tensor (equals
-    reduced_tensor(isotropic(lam, mu)), kept in closed form for oracles)."""
-    lam_r = 2.0 * lam * mu / (lam + 2.0 * mu)
-    C = np.zeros((3, 3))
-    C[:2, :2] = lam_r
-    C[:2, :2] += 2.0 * mu * np.eye(2)
-    C[2, 2] = mu
-    return C
-
-
-def iota(M: np.ndarray) -> np.ndarray:
-    """Embed a 2x2 or 3x2 matrix into R^{3x3} by zero-padding."""
-    M = np.asarray(M, dtype=float)
-    out = np.zeros((3, 3))
-    if M.shape == (2, 2):
-        out[:2, :2] = M
-    elif M.shape == (3, 2):
-        out[:, :2] = M
-    else:
-        raise ValueError(f"iota expects a 2x2 or 3x2 matrix, got {M.shape}")
-    return out
-
-
-def iota1(a) -> np.ndarray:
-    """Symmetric 3x3 matrix with a1, a2 on the transverse row/column and a3
-    in the (3,3) slot; zero in-plane block."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (3,):
-        raise ValueError("iota1 expects a 3-vector")
-    out = np.zeros((3, 3))
-    out[0, 2] = out[2, 0] = a[0]
-    out[1, 2] = out[2, 1] = a[1]
-    out[2, 2] = a[2]
-    return out
-
-
 # index split of the 6-Voigt components into in-plane (11, 22, 12) and
 # transverse (33, 23, 13) groups; transverse ones are spanned by iota1
 _INPLANE = np.array([0, 1, 5])
@@ -108,7 +46,9 @@ _TRANSVERSE = np.array([2, 3, 4])
 
 def reduced_tensor(C: np.ndarray) -> np.ndarray:
     """Pointwise transverse-strain elimination: the 3x3 Voigt matrix of
-    A |-> min_d C[iota(A) + iota1(d)] : [iota(A) + iota1(d)].
+    A |-> min_d C[iota(A) + iota1(d)] : [iota(A) + iota1(d)], where
+    iota(A) pads A to 3x3 with zeros and iota1(d) is the symmetric matrix
+    with d on the transverse entries (13, 23, 33).
 
     Computed as the Schur complement of the transverse block. Raises if the
     transverse block is singular (would violate coercivity).
@@ -123,14 +63,6 @@ def reduced_tensor(C: np.ndarray) -> np.ndarray:
         raise ValueError("singular transverse block: tensor is not coercive")
     Cr = Cpp - Cpq @ np.linalg.solve(Cqq, Cpq.T)
     return 0.5 * (Cr + Cr.T)
-
-
-def c0_red(C0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Membrane/bending split of the transverse-reduced inclusion tensor:
-    (C0^r, C0^r / 12).  The 1/12 is the second x3-moment of the through-
-    thickness profile."""
-    memb = reduced_tensor(C0)
-    return memb, memb / 12.0
 
 
 @dataclass
@@ -190,13 +122,17 @@ class MaterialSpec:
 
     def planar_symmetric(self, tol: float = 1e-12) -> bool:
         """True when both tensors are invariant under the x3 -> -x3
-        reflection (C_ijk3 = C_i333 = 0 for in-plane i,j,k): no coupling
-        between the {11, 22, 33, 12} and {23, 13} Voigt groups."""
-        even, odd = [0, 1, 2, 5], [3, 4]
-        for C in (self.C0, self.C1):
-            if abs(C[np.ix_(even, odd)]).max() > tol * max(1.0, abs(C).max()):
-                return False
-        return True
+        reflection (see `planar_symmetric`)."""
+        return all(planar_symmetric(C, tol) for C in (self.C0, self.C1))
+
+
+def planar_symmetric(C: np.ndarray, tol: float = 1e-12) -> bool:
+    """True when the Voigt tensor C is invariant under the x3 -> -x3
+    reflection (C_ijk3 = C_i333 = 0 for in-plane i, j, k): no coupling
+    between the {11, 22, 33, 12} and {23, 13} Voigt groups, up to tol
+    relative to its largest entry."""
+    even, odd = [0, 1, 2, 5], [3, 4]
+    return abs(C[np.ix_(even, odd)]).max() <= tol * max(1.0, abs(C).max())
 
 
 def _voigt_from_upper(entries) -> np.ndarray:

@@ -15,11 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
-from .bloch import (MEAN_ZERO_FACTOR, BlochSpectrum, build_inclusion_operator,
-                    cluster_starts, mean_load_vectors)
-from .fem.system import SolverError
+from .bloch import MEAN_ZERO_FACTOR, BlochSpectrum, cluster_starts
 
 CLUSTER_TOL = 1e-8
 
@@ -66,21 +63,6 @@ class ZhikovFunction:
             out += lam ** 2 / (eta - lam) * np.outer(m, m)
         return out
 
-    def eval_scalar(self, lam: float) -> float:
-        if self.k != 1:
-            raise ValueError("scalar evaluation needs a 1-component variant")
-        return float(self.eval(lam)[0, 0])
-
-    def prime_fd(self, lam: float, h: float = 1e-6) -> np.ndarray:
-        step = h * (1.0 + lam)
-        return (self.eval(lam + step) - self.eval(lam - step)) / (2 * step)
-
-    def prime(self, lam: float) -> np.ndarray:
-        """Analytic derivative (used to scale root residuals near poles)."""
-        out = self.rho_bar * np.eye(self.k)
-        for eta, m in zip(self.poles, self.means):
-            out += lam * (2 * eta - lam) / (eta - lam) ** 2 * np.outer(m, m)
-        return out
 
 
 def zhikov_variant(bs: BlochSpectrum, mat, components=None,
@@ -110,31 +92,6 @@ def zhikov_from_bloch(bs: BlochSpectrum, mat, pole_guard: float = 1e-8) -> Zhiko
     """Assemble the Zhikov data of one inclusion operator variant (all
     tracked components)."""
     return zhikov_variant(bs, mat, components=None, pole_guard=pole_guard)
-
-
-def beta_oracle(mat, shape, n: int, operator_tag: str, lam: float,
-                delta: float | None = None, n_z: int = 4) -> np.ndarray:
-    """Truncation-free evaluation: solve (A - lambda) b_i = e_i on the
-    discrete inclusion operator and return lambda <rho> I + lambda^2
-    <rho0 (transverse-averaged b_i)_j>."""
-    mesh, pair, tracked, _ = build_inclusion_operator(
-        mat, shape, n, operator_tag, delta=delta, n_z=n_z)
-    frac = mesh.soft_area_fraction()
-    rho_bar = mat.rho1 * (1.0 - frac) + mat.rho0 * frac
-    L = mean_load_vectors(pair, tracked)
-    A = (pair.K - lam * pair.M).tocsc()
-    try:
-        lu = spla.splu(A)
-    except RuntimeError as exc:
-        raise SolverError(f"lambda={lam} is on the discrete spectrum: {exc}") from exc
-    B = lu.solve(L)
-    resid = abs(A @ B - L).max()
-    if resid > 1e-8 * max(abs(L).max(), 1e-300):
-        raise SolverError(f"shifted solve at lambda={lam} ill-conditioned "
-                          f"(residual {resid:.2e}): near the discrete spectrum")
-    k = len(tracked)
-    out = lam * rho_bar * np.eye(k) + lam ** 2 * (L.T @ B)
-    return 0.5 * (out + out.T)
 
 
 @dataclass

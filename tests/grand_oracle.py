@@ -245,3 +245,16 @@ def memory_kernel_sum(model: LimitModel, load: LoadSpec, T: float, dt: float,
             b = b + dt * (vb - 0.5 * dvb)
             out[j + 1, k] = b
     return times, out
+
+
+def solve_bending_resolvent_data(model: LimitModel, lam: float,
+                                 z0: np.ndarray, z_c: np.ndarray):
+    """(A + lambda)^-1 applied to state-shaped data (z0, z_c), z0 = [a | b],
+    for the high-contrast bending rows: the rhs is the energy-space pairing
+    of z (a carries no mass, so only b enters), and the micro modes are
+    eliminated exactly (Schur complement of the grand modal system).
+    Returns ([a | b] reduced, c (N, nb))."""
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    cp = model.bend_coupling()
+    return cp.shift(lam, 1.0).solve(*cp.mass(z0, z_c))

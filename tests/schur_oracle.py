@@ -14,17 +14,17 @@ from dataclasses import replace
 import numpy as np
 import scipy.linalg as sla
 
-from hcplate import tensors as tn
 from hcplate.effective import EffectiveTensor
 from hcplate.fem import assemble as fa
 from hcplate.fem import elements as el
 from hcplate.macro import build_bending_operator
+from tensor_oracle import isotropic_2d
 
 
 def plain_tensor(scale=1.0, coupling=0.0) -> EffectiveTensor:
     """Isotropic plate tensor with a membrane-bending cross block
     coupling * I."""
-    Cr = tn.isotropic_2d(1.0, 1.0)
+    Cr = isotropic_2d(1.0, 1.0)
     return EffectiveTensor(regime="delta", memb=scale * Cr,
                            bend=scale * Cr / 12,
                            coupling=coupling * np.eye(3), delta=1.0)

@@ -32,6 +32,18 @@ class TestPrismOperators:
         assert_allclose(union[:nf], full.eigenvalues,
                         rtol=1e-8, atol=1e-8 * full.eigenvalues.max())
 
+    def test_parity_union_equals_full_two_layers(self, demo_material,
+                                                 demo_shape):
+        # n_z = 2 is allowed by the config schema: each parity class is
+        # then one layer of the half prism
+        full, memb, bend = (bloch_spectrum(demo_material, demo_shape, 8, tag,
+                                           12, delta=1.0, n_z=2)
+                            for tag in ("full_delta", "memb_delta",
+                                        "bend_delta"))
+        union = np.sort(np.concatenate([memb.eigenvalues, bend.eigenvalues]))
+        assert_allclose(union[:full.n_modes], full.eigenvalues,
+                        rtol=1e-8, atol=1e-8 * full.eigenvalues.max())
+
     def test_classification_by_symmetry(self, demo_bloch_memb):
         # the symmetric disk has both coupled and uncoupled membrane modes;
         # uncoupled ones have numerically zero means

@@ -64,6 +64,21 @@ class TestExitCodes:
         assert main(["tensor", "--config", cfg, "--out", str(tmp_path),
                      "--quiet"]) == 2
 
+    def test_odd_n_z(self, tmp_path):
+        # a parity class needs the mirror plane x3 = 0 as a node plane: the
+        # parity Bloch operator refuses an odd n_z, the tensor falls back
+        # to the full prism and says so
+        odd = json.loads(json.dumps(TINY))
+        odd["cell"]["n_z"] = 3
+        odd["bloch"] = {"operator": "memb_delta"}
+        cfg = write_cfg(tmp_path, odd)
+        assert main(["bloch", "--config", cfg, "--out", str(tmp_path),
+                     "--quiet"]) == 2
+        assert main(["tensor", "--config", cfg, "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        prov = json.loads((tmp_path / "tensor.json").read_text())["provenance"]
+        assert (prov["mirror"], prov["mirror_reason"]) == ("full", "odd n_z")
+
     def test_removed_solver_knob_refused(self, tmp_path, capsys):
         # a removed solver knob is refused by name, never silently ignored
         bad = json.loads(json.dumps(TINY))

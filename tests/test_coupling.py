@@ -11,13 +11,13 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from grand_oracle import (_bending_kron_system, _real_time_system,
-                          grand_midpoint, memory_kernel_sum)
+                          grand_midpoint, memory_kernel_sum,
+                          solve_bending_resolvent_data)
 from hcplate import tensors as tn
 from hcplate.coupling import ModalCoupling
 from hcplate.evolution import evolve, evolve_memory_bending
 from hcplate.geometry import InclusionShape, build_macro_mesh
 from hcplate.limits import (LoadSpec, RegimeConfig, build_limit_model,
-                            solve_bending_resolvent_data,
                             solve_limit_resolvent)
 
 REFERENCE = Path(__file__).parent / "data" / "resolvent_reference.json"

@@ -3,13 +3,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hcplate import tensors as tn
+from cell_oracle import full_prism_tensor
 from hcplate.effective import (effective_delta, effective_delta0,
                                effective_deltainf)
+from hcplate.fem import assemble as fa
 from hcplate.fem.system import SolverError
 from hcplate.geometry import InclusionShape, build_cell_mesh
+from tensor_oracle import (iota, isotropic_2d, quad_form_2d, voigt_strain,
+                           voigt_strain_2d)
 
 REFERENCE = Path(__file__).parent / "data" / "effective_reference.json"
 
@@ -34,7 +40,7 @@ class TestNoInclusionValidation:
     def test_delta_membrane_exact(self, mat):
         mesh = build_cell_mesh(None, n=4, dim=3, n_z=4)
         t = effective_delta(mat, mesh, delta=1.0)
-        assert_allclose(t.memb, tn.isotropic_2d(1, 1), atol=1e-12)
+        assert_allclose(t.memb, isotropic_2d(1, 1), atol=1e-12)
         assert abs(t.coupling).max() < 1e-12
 
     def test_delta_bending_converges(self, mat):
@@ -43,7 +49,7 @@ class TestNoInclusionValidation:
         for nz in (4, 8):
             mesh = build_cell_mesh(None, n=4, dim=3, n_z=nz)
             t = effective_delta(mat, mesh, delta=1.0)
-            errs.append(abs(t.bend - tn.isotropic_2d(1, 1) / 12).max())
+            errs.append(abs(t.bend - isotropic_2d(1, 1) / 12).max())
         assert errs[1] < 0.3 * errs[0]
         assert errs[0] < 0.01
 
@@ -51,19 +57,19 @@ class TestNoInclusionValidation:
         mesh = build_cell_mesh(None, n=4, dim=3, n_z=2)
         t = effective_delta(mat, mesh, delta=2.0)
         A = np.zeros((2, 2))
-        v = np.concatenate([tn.voigt_strain_2d(A), tn.voigt_strain_2d(A)])
+        v = np.concatenate([voigt_strain_2d(A), voigt_strain_2d(A)])
         assert_allclose(v @ t.pair_form() @ v, 0.0)
 
     def test_delta0_exact(self, mat):
         mesh = build_cell_mesh(None, n=4)
         t = effective_delta0(mat, mesh)
-        assert_allclose(t.memb, tn.isotropic_2d(1, 1), atol=1e-12)
-        assert_allclose(t.bend, tn.isotropic_2d(1, 1) / 12, atol=1e-13)
+        assert_allclose(t.memb, isotropic_2d(1, 1), atol=1e-12)
+        assert_allclose(t.bend, isotropic_2d(1, 1) / 12, atol=1e-13)
 
     def test_deltainf_exact(self, mat):
         mesh = build_cell_mesh(None, n=4)
         t = effective_deltainf(mat, mesh)
-        assert_allclose(t.memb, tn.isotropic_2d(1, 1), atol=1e-12)
+        assert_allclose(t.memb, isotropic_2d(1, 1), atol=1e-12)
         assert_allclose(t.bend, t.memb / 12, atol=1e-14)
 
     def test_deltainf_exact_anisotropic(self, mat_aniso):
@@ -156,7 +162,7 @@ def _joint_minimization_oracle(mat, mesh, A, B):
     import scipy.sparse.linalg as spla
 
     C1 = mat.C1
-    pm = fa.assemble_vector_h1(mesh, tn.isotropic_2d(1, 1),
+    pm = fa.assemble_vector_h1(mesh, isotropic_2d(1, 1),
                                space="periodic-zero-mean", restrict_to="stiff",
                                ncomp=2)
     pb = fa.assemble_bfs_h2(mesh, np.eye(3), space="periodic-zero-mean",
@@ -201,7 +207,7 @@ def _joint_minimization_oracle(mat, mesh, A, B):
                     scale = 2.0 if row in (3, 4) else 1.0
                     Bfull[row, 24 + 6 * q + 2 * c] = scale
                     Bfull[row, 24 + 6 * q + 2 * c + 1] = scale * z
-                pre = tn.voigt_strain(tn.iota(A - z * B))
+                pre = voigt_strain(iota(A - z * B))
                 Ke += w2 * wz * (Bfull.T @ C1 @ Bfull)
                 Fe -= w2 * wz * (Bfull.T @ (C1 @ pre))
                 e0 += w2 * wz * (pre @ C1 @ pre)
@@ -242,14 +248,14 @@ class TestJointMinimizationEquivalence:
         t = effective_delta0(mat, mesh)
         A = np.array([[1.0, 0.3], [0.3, -0.4]])
         joint = _joint_minimization_oracle(mat, mesh, A, np.zeros((2, 2)))
-        assert_allclose(joint, tn.quad_form_2d(t.memb, A), rtol=1e-9)
+        assert_allclose(joint, quad_form_2d(t.memb, A), rtol=1e-9)
 
     def test_bending_load(self, mat, demo_shape):
         mesh = build_cell_mesh(demo_shape, n=8)
         t = effective_delta0(mat, mesh)
         B = np.array([[0.7, -0.2], [-0.2, 1.1]])
         joint = _joint_minimization_oracle(mat, mesh, np.zeros((2, 2)), B)
-        assert_allclose(joint, tn.quad_form_2d(t.bend, B), rtol=1e-9)
+        assert_allclose(joint, quad_form_2d(t.bend, B), rtol=1e-9)
 
 
 class TestReferenceTensors:
@@ -302,3 +308,86 @@ class TestResidualContract:
             else:
                 effective_delta0(mat, build_cell_mesh(demo_shape, n=8),
                                  tol=1e-30)
+
+
+@st.composite
+def prism_cells(draw, symmetry):
+    """A random stiff tensor C1 of the given symmetry ("orthotropic",
+    "monoclinic": planar-symmetric with nonzero C16 and C26, "anisotropic"),
+    an inclusion, delta and n_z (even unless drawn for the full path)."""
+    rng = np.random.RandomState(draw(st.integers(0, 2 ** 31 - 1)))
+    even, odd = [0, 1, 2, 5], [3, 4]
+    B = rng.standard_normal((6, 6))
+    C1 = B @ B.T + 3.0 * np.eye(6)
+    if symmetry != "anisotropic":
+        C1[np.ix_(even, odd)] = C1[np.ix_(odd, even)] = 0.0
+    if symmetry == "orthotropic":
+        C1[np.ix_([0, 1, 2], [5])] = C1[np.ix_([5], [0, 1, 2])] = 0.0
+        C1[3, 4] = C1[4, 3] = 0.0
+    nu = min(0.2, 0.5 * np.linalg.eigvalsh(tn.mandel(C1)).min())
+    mat = tn.MaterialSpec(tn.isotropic(1.0, 1.0), C1, nu=nu)
+    shape = InclusionShape(draw(st.sampled_from(["disk", "square"])),
+                           draw(st.floats(0.12, 0.3)))
+    delta = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    n_z = draw(st.sampled_from([2, 3, 4] if symmetry == "anisotropic"
+                               else [2, 4]))
+    return mat, build_cell_mesh(shape, n=8, dim=3, n_z=n_z), delta
+
+
+def _assert_matches_full_prism(t, mat, mesh, delta):
+    Q = full_prism_tensor(mat, mesh, delta).pair_form()
+    assert_allclose(t.pair_form(), Q, rtol=0, atol=1e-12 * abs(Q).max())
+
+
+class TestMirrorSplit:
+    """The split by the x3 mirror against the full-prism oracle: the same
+    tensor, a coupling block of exact zeros, and no kernel detection."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(["orthotropic", "monoclinic"]).flatmap(prism_cells))
+    def test_split_matches_full_prism(self, cell):
+        mat, mesh, delta = cell
+
+        def no_detection(*args, **kwargs):
+            raise AssertionError("detect_kernel called")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fa, "detect_kernel", no_detection)
+            t = effective_delta(mat, mesh, delta)
+        assert t.provenance["mirror"] == "split"
+        assert len(t.provenance["dofs"]) == 2
+        assert (t.coupling == 0.0).all()
+        _assert_matches_full_prism(t, mat, mesh, delta)
+
+    @settings(max_examples=6, deadline=None)
+    @given(prism_cells("anisotropic"))
+    def test_anisotropic_takes_full_prism(self, cell):
+        mat, mesh, delta = cell
+        t = effective_delta(mat, mesh, delta)
+        assert t.provenance["mirror"] == "full"
+        assert t.provenance["mirror_reason"] == "C1 is not planar-symmetric"
+        assert abs(t.coupling).max() > 0.0
+        _assert_matches_full_prism(t, mat, mesh, delta)
+
+    @pytest.mark.parametrize("n_z, z_span, reason", [
+        (3, (-0.5, 0.5), "odd n_z"),
+        (4, (0.0, 1.0), "prism not on x3 in (-1/2, 1/2)")])
+    def test_no_mirror_plane_takes_full_prism(self, mat, demo_shape, n_z,
+                                              z_span, reason):
+        mesh = build_cell_mesh(demo_shape, n=8, dim=3, n_z=n_z,
+                               z_span=z_span)
+        t = effective_delta(mat, mesh, 1.0)
+        assert t.provenance["mirror"] == "full"
+        assert t.provenance["mirror_reason"] == reason
+        _assert_matches_full_prism(t, mat, mesh, 1.0)
+
+    def test_per_tensor_symmetry_check(self, mat_aniso):
+        # the split reads C1 only: a planar-symmetric C1 splits even when
+        # the soft tensor C0 is not
+        mat = tn.MaterialSpec(mat_aniso.C1, tn.isotropic(1, 1), nu=0.05)
+        assert not mat.planar_symmetric()
+        assert tn.planar_symmetric(mat.C1)
+        mesh = build_cell_mesh(InclusionShape("disk", 0.26), n=8, dim=3,
+                               n_z=4)
+        t = effective_delta(mat, mesh, 1.0)
+        assert t.provenance["mirror"] == "split"
+        _assert_matches_full_prism(t, mat, mesh, 1.0)

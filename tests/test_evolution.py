@@ -6,14 +6,14 @@ from numpy.testing import assert_allclose
 from scipy.integrate import trapezoid
 
 from grand_oracle import (SecondOrderSystem, _bending_kron_system,
-                          _real_time_system, grand_midpoint)
+                          _real_time_system, grand_midpoint,
+                          solve_bending_resolvent_data)
 from hcplate.evolution import (_macro_modal_reduction, evolve,
                                evolve_memory_bending)
 from hcplate.fem.system import factorize
 from hcplate.geometry import build_macro_mesh
 from hcplate.limits import (LoadSpec, RegimeConfig, RegimeError,
                             build_limit_model, compute_load_functional,
-                            solve_bending_resolvent_data,
                             solve_limit_resolvent)
 from hcplate.macro import macro_eigs
 from schur_oracle import SchurOracle

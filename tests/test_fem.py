@@ -15,6 +15,7 @@ from hcplate.fem import elements as el
 from hcplate.fem.system import (DofMap, SolverError, SparseOperatorPair,
                                 SpdFactor, _m_orthonormalize, detect_kernel)
 from hcplate.geometry import InclusionShape, build_cell_mesh, build_macro_mesh
+from tensor_oracle import check_symmetry, isotropic_2d, quad_form
 
 C2D = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]])  # lam=mu=1
 BIH = np.diag([1.0, 1.0, 0.5])  # scalar biharmonic int |hess u|^2
@@ -71,7 +72,7 @@ class TestQ1Elements:
         Gs = G @ np.diag([1.0, 1.0, 1.0 / delta])
         xi = 0.5 * (Gs + Gs.T)
         vol = h[0] * h[1] * h[2]
-        assert_allclose(u @ Ke @ u, tn.quad_form(C, xi) * vol, rtol=1e-12)
+        assert_allclose(u @ Ke @ u, quad_form(C, xi) * vol, rtol=1e-12)
 
     def test_mass_total(self):
         Me = el.q1_mass((0.5, 0.25), rho=3.0, ncomp=2)
@@ -146,7 +147,7 @@ class TestAssembly:
                                   grad=ScaledGradientSpec(1.0),
                                   space="inclusion-zero-trace",
                                   restrict_to="soft", ncomp=3)
-        pair.check_symmetry()
+        check_symmetry(pair)
         rng = np.random.RandomState(0)
         for _ in range(3):
             x = rng.standard_normal(pair.n)
@@ -155,7 +156,7 @@ class TestAssembly:
     def test_mass_measures_domain(self):
         # total soft mass = rho0 * |Y0_disc| (per unit height of the prism)
         mesh = build_cell_mesh(InclusionShape("disk", 0.3), n=16)
-        pair = assemble_vector_h1(mesh, tn.isotropic_2d(1, 1), density=2.0,
+        pair = assemble_vector_h1(mesh, isotropic_2d(1, 1), density=2.0,
                                   space="free", restrict_to="soft", ncomp=2)
         v = constant_reduced_field(pair.dof, 0)
         assert_allclose(v @ pair.M @ v, 2.0 * mesh.soft_area_fraction(), rtol=1e-12)
@@ -316,7 +317,7 @@ class TestEigs:
 
     def test_m_orthonormal(self):
         mesh = build_macro_mesh(1, 1, 6, 6)
-        pair = assemble_vector_h1(mesh, tn.isotropic_2d(1, 1),
+        pair = assemble_vector_h1(mesh, isotropic_2d(1, 1),
                                   space="dirichlet", ncomp=2)
         w, v = eigs_smallest(pair, 5, EigWorkspace(solver="dense"))
         G = v.T @ (pair.M @ v)
@@ -329,7 +330,7 @@ class TestEigs:
 
     def test_lobpcg_agrees(self):
         mesh = build_macro_mesh(1, 1, 10, 10)
-        pair = assemble_vector_h1(mesh, tn.isotropic_2d(1, 1),
+        pair = assemble_vector_h1(mesh, isotropic_2d(1, 1),
                                   space="dirichlet", ncomp=2)
         wd, _ = eigs_smallest(pair, 3, EigWorkspace(solver="dense"))
         wl, _ = eigs_smallest(pair, 3, EigWorkspace(solver="lobpcg", tol=1e-10,
@@ -343,7 +344,7 @@ class TestEigsFallbacks:
     @staticmethod
     def _pair():
         mesh = build_macro_mesh(1, 1, 6, 6)
-        return assemble_vector_h1(mesh, tn.isotropic_2d(1, 1),
+        return assemble_vector_h1(mesh, isotropic_2d(1, 1),
                                   space="dirichlet", ncomp=2)
 
     def test_no_convergence_falls_back_to_dense(self, monkeypatch):
@@ -416,7 +417,7 @@ class TestEigPaths:
     @staticmethod
     def _membrane(n):
         mesh = build_macro_mesh(1, 1, n, n)
-        return assemble_vector_h1(mesh, tn.isotropic_2d(1, 1),
+        return assemble_vector_h1(mesh, isotropic_2d(1, 1),
                                   space="dirichlet", ncomp=2)
 
     def test_path_counts_the_requested_modes(self, monkeypatch, demo_material,
@@ -556,7 +557,7 @@ class TestGalerkinMonotonicity:
         prev = None
         for n in (8, 16, 32):
             mesh = build_cell_mesh(InclusionShape("square", 0.25), n=n)
-            pair = assemble_vector_h1(mesh, tn.isotropic_2d(1, 1),
+            pair = assemble_vector_h1(mesh, isotropic_2d(1, 1),
                                       space="inclusion-zero-trace",
                                       restrict_to="soft", ncomp=2)
             w, _ = eigs_smallest(pair, 1, EigWorkspace())

@@ -31,6 +31,14 @@ class TestSetup:
             build_fine_problem(mat, demo_shape, h=0.3, epsilon=0.3,
                                cells_per_eps=4, n_z=2)
 
+    def test_parity_refusals(self, mat, demo_shape):
+        with pytest.raises(ConfigurationError, match="even n_z"):
+            build_fine_problem(mat, demo_shape, h=0.5, epsilon=0.5,
+                               cells_per_eps=4, n_z=3, parity="memb")
+        with pytest.raises(ConfigurationError, match="unknown parity"):
+            build_fine_problem(mat, demo_shape, h=0.5, epsilon=0.5,
+                               cells_per_eps=4, n_z=4, parity="odd")
+
     def test_budget_enforced(self, mat, demo_shape):
         with pytest.raises(ConfigurationError):
             build_fine_problem(mat, demo_shape, h=0.5, epsilon=0.5,

@@ -1,9 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from hcplate.geometry import (ConfigurationError, GeometryError, InclusionShape,
-                              build_cell_mesh, build_macro_mesh)
+                              build_cell_mesh, build_macro_mesh, half_prism)
 
 
 class TestInclusionShape:
@@ -20,8 +22,11 @@ class TestInclusionShape:
             InclusionShape("disk", 0.3, center=(0.2, 0.5))
 
     def test_square_is_lipschitz_only(self):
-        assert InclusionShape("square", 0.25).lipschitz_only
-        assert not InclusionShape("disk", 0.25).lipschitz_only
+        # the square's boundary has corners (Lipschitz only), the disk's is
+        # C^{1,1}: a point just inside a corner lies in the square only
+        corner = np.full(2, 0.5 + 0.25 * (1.0 - 1e-9))
+        assert InclusionShape("square", 0.25).contains(corner)
+        assert not InclusionShape("disk", 0.25).contains(corner)
 
 
 class TestCellMesh:
@@ -105,6 +110,23 @@ class TestPrismMesh:
         mesh = build_cell_mesh(InclusionShape("disk", 0.3), n=8, dim=3, n_z=2,
                                z_span=(0.0, 0.5))
         assert_allclose(sorted(set(mesh.nodes[:, 2])), [0, 0.25, 0.5])
+
+    def test_half_prism_parity_classes(self):
+        build = partial(build_cell_mesh, InclusionShape("disk", 0.3), 8, 3)
+        for parity, comps in (("memb", [2]), ("bend", [0, 1])):
+            mesh, (plane, pinned) = half_prism(build, 4, parity)
+            assert (mesh.n_z, mesh.z_span) == (2, (0.0, 0.5))
+            assert_allclose(mesh.nodes[plane, 2], 0.0)
+            assert len(plane) == 81 and pinned == comps
+        # two layers through the thickness: one on the half prism
+        assert half_prism(build, 2, "memb")[0].n_z == 1
+
+    def test_half_prism_refusals(self):
+        build = partial(build_cell_mesh, None, 8, 3)
+        with pytest.raises(ConfigurationError, match="even n_z"):
+            half_prism(build, 3, "memb")
+        with pytest.raises(ConfigurationError, match="unknown parity"):
+            half_prism(build, 4, "full")
 
     def test_needs_two_layers(self):
         with pytest.raises(ConfigurationError):

@@ -8,7 +8,8 @@ from hcplate.geometry import build_macro_mesh
 from hcplate.limits import (LoadSpec, RegimeConfig, RegimeError,
                             build_limit_model, compute_load_functional,
                             load_moments, micro_modal_loads,
-                            solve_bending_resolvent_data, solve_limit_resolvent)
+                            solve_limit_resolvent)
+from grand_oracle import solve_bending_resolvent_data
 from schur_oracle import SchurOracle
 
 
