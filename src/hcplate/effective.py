@@ -5,12 +5,7 @@ part energy with prestrain iota(A - x3 B). The three regimes differ in the
 corrector class:
 
 * delta in (0, inf): periodic vector correctors on the prism I x Y with the
-  transversally scaled gradient (grad_y | delta^-1 d3). When C1 is
-  invariant under the mirror x3 -> -x3 and the prism has an even number of
-  layers, the membrane correctors are even under the mirror and the
-  curvature ones odd: each class is solved on the half prism x3 in
-  (0, 1/2) with its odd components pinned on x3 = 0, and the membrane-
-  bending coupling block is exactly 0. Otherwise the full prism is solved;
+  transversally scaled gradient (grad_y | delta^-1 d3);
 * delta = 0: in-plane gradient correctors for the membrane block and
   periodic Hessian (C^1) correctors for the bending block, built on the
   transverse-reduced tensor C1^r;
@@ -19,14 +14,23 @@ corrector class:
 
 The minimum is a Gram form: with F the loads of the unit prestrains (one
 column each, engineering Voigt) and E0 their zero-corrector energies, the
-tensor is Q = E0 - F^T K^+ F, from one multi-column solve per corrector
-class.
+tensor is Q = E0 - F^T K^+ F.
+
+Each cell problem is solved on the fundamental region of the mirrors it
+has (y1 -> 1 - y1, y2 -> 1 - y2, and x3 -> -x3 on the prism; C1 invariant,
+see `geometry.mirror_refusal` for the mesh). A load column's sign under a
+mirror is its Voigt sign, times -1 under x3 for the curvature columns; the
+columns of one sign vector form a parity class. K (no mass) and F are
+assembled once on the region, and each class is solved on the principal
+submatrix of K without the DOFs that its signs pin on the mirror planes
+(`geometry.parity_pinned`). Region energies are 2^-m of the cell's for m
+mirrors, and entries between classes are exactly 0. With no mirror the
+region is the cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -34,7 +38,8 @@ from . import tensors as tn
 from .fem import assemble as fa
 from .fem import elements as el
 from .fem.system import factorize
-from .geometry import CellMesh, build_cell_mesh, half_prism
+from .geometry import (BFS_CARRIES, MIRRORS, Q1_CARRIES, CellMesh,
+                       mirror_refusal, mirror_region, parity_pinned)
 
 # unit in-plane engineering strains (11, 22, 12) as 6-Voigt columns
 _IN_PLANE = [0, 1, 5]
@@ -50,6 +55,11 @@ _BC[2, 2] = 1.0
 _BC[3, 1] = 2.0
 _BC[4, 0] = 2.0
 _BC[:, 3:] = _UNIT
+
+# load columns: (label, Voigt entry of the prestrain, odd in x3)
+_A = [("A11", 0, False), ("A22", 1, False), ("A12", 5, False)]
+_B = [("B11", 0, True), ("B22", 1, True), ("B12", 5, True)]
+_G = [("g1", 4, False), ("g2", 3, False), ("g3", 2, False)]
 
 
 @dataclass
@@ -85,80 +95,95 @@ class EffectiveTensor:
         return out
 
 
-def _corrector_min(pair, F: np.ndarray, E0: np.ndarray,
-                   tol: float) -> np.ndarray:
-    """E0 - F^T K^+ F: the unit-load energies minimized over correctors."""
-    Q = E0 - F.T @ factorize(pair.K, pair.kernel, tol,
-                             order=pair.order).solve(F)
-    return 0.5 * (Q + Q.T)
+def _signs(columns, axes) -> list[tuple]:
+    """Each load column's sign under the mirror of each axis: the Voigt
+    sign of its prestrain, times -1 under x3 for a prestrain odd in x3."""
+    return [tuple(tn.voigt_signs(a)[v] * (-1 if odd and a == 2 else 1)
+                  for a in axes) for _, v, odd in columns]
 
 
-def _prism_min(mat: tn.MaterialSpec, mesh: CellMesh, delta: float, cols,
-               tol: float, pin=None):
-    """The zero-corrector energies E0 of the prestrain columns `cols` of
-    (A | -x3 B) on a prism mesh, their minimum E0 - F^T K^+ F over the
-    correctors, and the corrector DOF count. On a half prism `pin` is the
-    parity constraint; the translations it leaves free span the kernel."""
+def _region(C1: np.ndarray, mesh: CellMesh, axes):
+    """The fundamental region of the mirrors of `axes` that the cell problem
+    has, their planes, and the mirrors used and why each other is refused."""
+    refused = {}
+    for a in axes:
+        why = (mirror_refusal(mesh, a) if tn.mirror_symmetric(C1, a)
+               else "C1 not mirror-symmetric")
+        if why:
+            refused[MIRRORS[a]] = why
+    region, planes = mirror_region(
+        mesh, [a for a in axes if MIRRORS[a] not in refused])
+    return region, planes, {
+        "n": mesh.n, **({"n_z": mesh.n_z} if mesh.dim == 3 else {}),
+        "mirrors": [MIRRORS[a] for a in planes], "mirrors_refused": refused}
+
+
+def _class_min(pair, planes: dict, F: np.ndarray, E0: np.ndarray, columns,
+               carries, kernel_comps, tol: float):
+    """The cell's Q = E0 - F^T K^+ F from the region's K, F and E0 of the
+    load columns, one parity class at a time, with the translations of the
+    `kernel_comps` that it leaves free as its kernel; returns Q, the cell's
+    E0 and a record per class."""
+    scale = 2.0 ** len(planes)
+    signs = _signs(columns, planes)
+    Q, E = np.zeros_like(E0), np.zeros_like(E0)
+    record = []
+    for s in dict.fromkeys(signs):
+        cols = [j for j, t in enumerate(signs) if t == s]
+        keep = np.ones(pair.n, dtype=bool)
+        pinned = set()
+        for (a, nodes), sign in zip(planes.items(), s):
+            comps = parity_pinned(carries, a, sign)
+            ids = pair.dof.index[np.ix_(nodes, comps)]
+            keep[ids[ids >= 0]] = False
+            pinned.update(comps)
+        kernel = fa.translations_kernel(
+            pair.dof, [c for c in kernel_comps if c not in pinned])
+        ids = np.flatnonzero(keep)
+        f = F[np.ix_(ids, cols)]
+        x = factorize(pair.K[ids][:, ids],
+                      None if kernel is None else kernel[ids], tol,
+                      order=None if pair.order is None else pair.order[ids]
+                      ).solve(f)
+        block = np.ix_(cols, cols)
+        E[block] = scale * E0[block]
+        Q[block] = E[block] - scale * (f.T @ x)
+        record.append({"columns": [columns[j][0] for j in cols],
+                       "dofs": len(ids)})
+    return 0.5 * (Q + Q.T), E, record
+
+
+def effective_delta(mat: tn.MaterialSpec, mesh3d: CellMesh, delta: float,
+                    tol: float = 1e-9) -> EffectiveTensor:
+    """C^hom for delta in (0, inf): prism cell problems over the stiff part
+    with the prestrains (A | -x3 B)."""
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be a positive finite number")
+    if mesh3d.dim != 3:
+        raise ValueError("delta-regime cell problems need a prism mesh")
+    mesh, planes, prov = _region(mat.C1, mesh3d, (0, 1, 2))
     pair = fa.assemble_vector_h1(
-        mesh, mat.C1, grad=fa.ScaledGradientSpec(delta), space="periodic",
-        restrict_to="stiff", ncomp=3,
-        extra_constraints=() if pin is None else (pin,))
-    pair.kernel = fa.translations_kernel(
-        pair.dof, [c for c in range(3) if pin is None or c not in pin[1]])
+        mesh, mat.C1, grad=fa.ScaledGradientSpec(delta), density=None,
+        space="periodic", restrict_to="stiff", ncomp=3)
     hsize = mesh.element_size()
     stiff_ids = np.flatnonzero(~mesh.element_soft)
-    per_layer = mesh.n ** 2
+    per_layer = len(mesh.elements) // mesh.n_z
     qpts, qwts = el.q1_quadrature(hsize)
     # per-layer prestrain at the Gauss points (it only depends on x3)
     x3 = mesh.nodes[mesh.elements[::per_layer, 0], 2][:, None] + qpts[:, 2]
     P = np.concatenate([np.broadcast_to(_UNIT, (*x3.shape, 6, 3)),
-                        -x3[..., None, None] * _UNIT], axis=-1)[..., cols]
+                        -x3[..., None, None] * _UNIT], axis=-1)
     fe = el.q1_prestrain_load(hsize, mat.C1, P, third=("dz", 1.0 / delta))
     layer_of = stiff_ids // per_layer
     F = fa.assemble_pointwise_load(mesh, pair.dof, fe[layer_of], stiff_ids)
     weight = np.bincount(layer_of, minlength=mesh.n_z)[:, None] * qwts
     E0 = np.tensordot(weight, np.swapaxes(P, -1, -2) @ mat.C1 @ P, 2)
-    E0 = 0.5 * (E0 + E0.T)
-    return E0, _corrector_min(pair, F, E0, tol), pair.n
-
-
-def effective_delta(mat: tn.MaterialSpec, mesh3d: CellMesh, delta: float,
-                    tol: float = 1e-9) -> EffectiveTensor:
-    """C^hom for delta in (0, inf): prism cell problems over the stiff part,
-    on the two half prisms of the x3 mirror when it splits them, else on
-    the full prism; `provenance["mirror"]` says which, and why."""
-    if not (np.isfinite(delta) and delta > 0):
-        raise ValueError("delta must be a positive finite number")
-    if mesh3d.dim != 3:
-        raise ValueError("delta-regime cell problems need a prism mesh")
-    if not tn.planar_symmetric(mat.C1):
-        full = "C1 is not planar-symmetric"
-    elif mesh3d.n_z % 2:
-        full = "odd n_z"
-    elif tuple(mesh3d.z_span) != (-0.5, 0.5):
-        full = "prism not on x3 in (-1/2, 1/2)"
-    else:
-        full = None
-    prov = {"n": mesh3d.n, "n_z": mesh3d.n_z, "tol": tol,
-            "mirror": "full" if full else "split"}
-    if full:
-        E0, Q, dofs = _prism_min(mat, mesh3d, delta, slice(None), tol)
-        prov.update(mirror_reason=full, dofs=[dofs])
-    else:
-        # membrane columns on the "memb" half, curvature columns on the
-        # "bend" half, one factorization alive at a time; each half holds
-        # half of its class's energies, and the classes do not couple
-        E0, Q = np.zeros((6, 6)), np.zeros((6, 6))
-        build = partial(build_cell_mesh, mesh3d.shape, mesh3d.n, 3)
-        prov["dofs"] = []
-        for parity, cols in (("memb", slice(0, 3)), ("bend", slice(3, 6))):
-            half, pin = half_prism(build, mesh3d.n_z, parity)
-            e0, q, dofs = _prism_min(mat, half, delta, cols, tol, pin)
-            E0[cols, cols], Q[cols, cols] = 2.0 * e0, 2.0 * q
-            prov["dofs"].append(dofs)
+    Q, E0, classes = _class_min(pair, planes, F, 0.5 * (E0 + E0.T), _A + _B,
+                                Q1_CARRIES, range(3), tol)
     return EffectiveTensor(
         regime="delta", delta=delta, memb=Q[:3, :3], bend=Q[3:, 3:],
-        coupling=Q[:3, 3:], zero_corrector_bound=E0, provenance=prov)
+        coupling=Q[:3, 3:], zero_corrector_bound=E0,
+        provenance={**prov, "tol": tol, "classes": classes})
 
 
 def effective_delta0(mat: tn.MaterialSpec, mesh2d: CellMesh,
@@ -169,25 +194,28 @@ def effective_delta0(mat: tn.MaterialSpec, mesh2d: CellMesh,
         raise ValueError("delta=0 cell problems are two-dimensional")
     Cr = tn.reduced_tensor(mat.C1)
     stiff_frac = 1.0 - mesh2d.soft_area_fraction()
-    hsize = mesh2d.element_size()
-    E0 = np.count_nonzero(~mesh2d.element_soft) * hsize[0] * hsize[1] * Cr
+    mesh, planes, prov = _region(mat.C1, mesh2d, (0, 1))
+    hsize = mesh.element_size()
+    E0 = np.count_nonzero(~mesh.element_soft) * hsize[0] * hsize[1] * Cr
     unit = np.eye(3)
 
-    pm = fa.assemble_vector_h1(mesh2d, Cr, space="periodic-zero-mean",
+    pm = fa.assemble_vector_h1(mesh, Cr, density=None, space="periodic",
                                restrict_to="stiff", ncomp=2)
     fe = el.q1_prestrain_load(hsize, Cr, unit, ncomp=2)
-    F = fa.assemble_element_load(mesh2d, pm.dof, {"stiff": fe}, "stiff")
-    memb = _corrector_min(pm, F, E0, tol)
+    F = fa.assemble_element_load(mesh, pm.dof, {"stiff": fe}, "stiff")
+    memb, _, classes = _class_min(pm, planes, F, E0, _A, Q1_CARRIES[:2],
+                                  range(2), tol)
 
-    pb = fa.assemble_bfs_h2(mesh2d, Cr, space="periodic-zero-mean",
+    pb = fa.assemble_bfs_h2(mesh, Cr, density=None, space="periodic",
                             restrict_to="stiff")
     fe = el.bfs_prestrain_load(hsize, Cr, unit)
-    F = fa.assemble_element_load(mesh2d, pb.dof, {"stiff": fe}, "stiff")
-    bend = _corrector_min(pb, F, E0, tol) / 12.0
+    F = fa.assemble_element_load(mesh, pb.dof, {"stiff": fe}, "stiff")
+    bend, _, bend_classes = _class_min(pb, planes, F, E0, _B, BFS_CARRIES,
+                                       [0], tol)
     return EffectiveTensor(
-        regime="delta0", memb=memb, bend=bend, coupling=np.zeros((3, 3)),
+        regime="delta0", memb=memb, bend=bend / 12, coupling=np.zeros((3, 3)),
         zero_corrector_bound=_flat_zero_corrector_bound(mat.C1, stiff_frac),
-        provenance={"n": mesh2d.n, "tol": tol})
+        provenance={**prov, "tol": tol, "classes": classes + bend_classes})
 
 
 def _flat_zero_corrector_bound(C1: np.ndarray, stiff_frac: float) -> np.ndarray:
@@ -204,17 +232,18 @@ def effective_deltainf(mat: tn.MaterialSpec, mesh2d: CellMesh,
     (the x3-odd corrector split is exact in this regime)."""
     if mesh2d.dim != 2:
         raise ValueError("delta=inf cell problems are two-dimensional")
-    hsize = mesh2d.element_size()
-    pw = fa.assemble_vector_h1(mesh2d, _D_INF @ mat.C1 @ _D_INF,
-                               space="periodic-zero-mean",
-                               restrict_to="stiff", ncomp=3)
+    mesh, planes, prov = _region(mat.C1, mesh2d, (0, 1))
+    hsize = mesh.element_size()
+    pw = fa.assemble_vector_h1(mesh, _D_INF @ mat.C1 @ _D_INF, density=None,
+                               space="periodic", restrict_to="stiff", ncomp=3)
     fe = el.q1_prestrain_load(hsize, _D_INF @ mat.C1, _BC)
-    F = fa.assemble_element_load(mesh2d, pw.dof, {"stiff": fe}, "stiff")
-    E0 = np.count_nonzero(~mesh2d.element_soft) * hsize[0] * hsize[1] \
+    F = fa.assemble_element_load(mesh, pw.dof, {"stiff": fe}, "stiff")
+    E0 = np.count_nonzero(~mesh.element_soft) * hsize[0] * hsize[1] \
         * (_BC.T @ mat.C1 @ _BC)
-    # minimize over w (pinned solve), then over g (3x3 Schur complement
+    # minimize over w (class solves), then over g (3x3 Schur complement
     # S = K_gg - K_wg^T K_ww^+ K_wg)
-    T = _corrector_min(pw, F, E0, tol)
+    T, _, classes = _class_min(pw, planes, F, E0, _G + _A, Q1_CARRIES,
+                               range(3), tol)
     S, T_gA = T[:3, :3], T[:3, 3:]
     memb = T[3:, 3:] - T_gA.T @ np.linalg.solve(S, T_gA)
     memb = 0.5 * (memb + memb.T)
@@ -223,4 +252,4 @@ def effective_deltainf(mat: tn.MaterialSpec, mesh2d: CellMesh,
         regime="deltainf", memb=memb, bend=memb / 12.0,
         coupling=np.zeros((3, 3)),
         zero_corrector_bound=_flat_zero_corrector_bound(mat.C1, stiff_frac),
-        provenance={"n": mesh2d.n, "tol": tol})
+        provenance={**prov, "tol": tol, "classes": classes})

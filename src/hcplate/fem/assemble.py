@@ -10,10 +10,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import elements as el
-from .system import DofMap, SparseOperatorPair, detect_kernel, \
-    nested_dissection, scatter, triplets_to_csr
-
-KERNEL_TOL = 1e-10
+from .system import DofMap, SparseOperatorPair, nested_dissection, scatter, \
+    triplets_to_csr
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,8 @@ def _assemble(dof: DofMap, mesh, groups, element_matrix, dtype=float):
 
 def translations_kernel(dof: DofMap, comps=None) -> np.ndarray | None:
     """Orthonormal basis of per-component constant fields (rigid
-    translations) in reduced coordinates."""
+    translations) in reduced coordinates; on a BFS map, comps [0] gives the
+    constant functions (value DOFs 1, derivative DOFs 0)."""
     comps = range(dof.ncomp) if comps is None else comps
     cols = []
     for c in comps:
@@ -88,35 +87,18 @@ def translations_kernel(dof: DofMap, comps=None) -> np.ndarray | None:
     return np.column_stack(cols) if cols else None
 
 
-def _attach_kernel(pair: SparseOperatorPair, kernel, analytic: np.ndarray | None):
-    """kernel: 'none' | 'translations' | 'detect' | explicit array."""
-    if isinstance(kernel, np.ndarray):
-        pair.kernel = kernel
-        return pair
-    if kernel == "none":
-        return pair
-    scale = abs(pair.K).max()
-    if kernel == "translations" and analytic is not None:
-        resid = max(np.linalg.norm(pair.K @ analytic[:, j]) for j in range(analytic.shape[1]))
-        if resid <= KERNEL_TOL * scale * 10:
-            pair.kernel = analytic
-            return pair
-        # analytic guess rejected (e.g. extra constraints); fall through
-    pair.kernel = detect_kernel(pair.K, KERNEL_TOL)
-    return pair
-
-
 def assemble_vector_h1(mesh, C, grad: ScaledGradientSpec | None = None,
                        density=1.0, space: str = "periodic",
                        restrict_to: str = "all", ncomp: int = 3,
-                       eta: float | None = None, kernel="none",
+                       eta: float | None = None,
                        extra_constraints=()) -> SparseOperatorPair:
     """Stiffness/mass pair of the vector H^1 form with Voigt tensor C.
 
     K discretizes int C sym-grad~(u) : sym-grad~(v) over the requested
     material subset, M the density-weighted L2 product over the same subset;
-    C and density are one value or a {"soft": ..., "stiff": ...} dict.
-    Spaces: 'periodic', 'periodic-zero-mean' (periodic + translation kernel),
+    C and density are one value or a {"soft": ..., "stiff": ...} dict, and
+    density None assembles K only (M is None).
+    Spaces: 'periodic' (its kernel: translations_kernel(dof)),
     'inclusion-zero-trace' (H^1_00 on the discrete Y0), 'dirichlet'
     (MacroMesh gamma_D), 'free'. extra_constraints holds further
     (nodes, components) pairs to pin, e.g. z-planes or clamped edges.
@@ -135,7 +117,7 @@ def assemble_vector_h1(mesh, C, grad: ScaledGradientSpec | None = None,
     rs = _by_material(density)
 
     dof = DofMap(mesh.n_nodes, ncomp)
-    if space in ("periodic", "periodic-zero-mean"):
+    if space == "periodic":
         dof.identify_periodic(mesh.periodic_map)
     elif space == "inclusion-zero-trace":
         if restrict_to != "soft":
@@ -153,34 +135,23 @@ def assemble_vector_h1(mesh, C, grad: ScaledGradientSpec | None = None,
     dt = complex if (third is not None and third[0] == "mult") else float
     K = _assemble(dof, mesh, groups, lambda g: el.q1_stiffness(
         hsize, Cs[g], third=third, ncomp=ncomp), dt)
-    M = _assemble(dof, mesh, groups,
-                  lambda g: el.q1_mass(hsize, float(rs[g]), ncomp=ncomp))
-    pair = SparseOperatorPair(K=K, M=M, dof=dof,
+    M = None if density is None else _assemble(
+        dof, mesh, groups,
+        lambda g: el.q1_mass(hsize, float(rs[g]), ncomp=ncomp))
+    return SparseOperatorPair(K=K, M=M, dof=dof,
                               meta={"space": space, "ncomp": ncomp,
                                     "restrict": restrict_to, "hsize": hsize})
-    if space == "periodic-zero-mean" and kernel == "none":
-        kernel = "translations"
-    return _attach_kernel(pair, kernel, translations_kernel(dof))
 
 
-def bfs_constants_kernel(dof: DofMap) -> np.ndarray | None:
-    """Constant functions in the BFS space: value DOFs 1, derivative DOFs 0."""
-    idx = dof.index[:, 0]
-    v = np.zeros(dof.n_free)
-    v[np.unique(idx[idx >= 0])] = 1.0
-    if not v.any():
-        return None
-    return (v / np.linalg.norm(v))[:, None]
-
-
-def assemble_bfs_h2(mesh, D, density=1.0, space: str = "periodic-zero-mean",
-                    restrict_to: str = "all", kernel="none") -> SparseOperatorPair:
+def assemble_bfs_h2(mesh, D, density=1.0, space: str = "periodic",
+                    restrict_to: str = "all") -> SparseOperatorPair:
     """Stiffness/mass pair of the Hessian form int D hess(u):hess(v) in the
     C^1 Bogner-Fox-Schmit space (DOFs w, w_x, w_y, w_xy per node).
 
-    Spaces: 'periodic-zero-mean' (torus, constants deflated),
-    'clamped' (all four DOFs pinned on gamma_D nodes of a MacroMesh),
-    'inclusion-clamped' (H^2_0 on the discrete Y0).
+    Spaces: 'periodic' (its kernel, the constants: translations_kernel(dof,
+    [0])), 'clamped' (all four DOFs pinned on gamma_D nodes of a MacroMesh),
+    'inclusion-clamped' (H^2_0 on the discrete Y0). density None
+    assembles K only (M is None).
     """
     hsize = mesh.element_size()
     if len(hsize) != 2:
@@ -190,7 +161,7 @@ def assemble_bfs_h2(mesh, D, density=1.0, space: str = "periodic-zero-mean",
     rs = _by_material(density)
 
     dof = DofMap(mesh.n_nodes, 4)
-    if space == "periodic-zero-mean":
+    if space == "periodic":
         dof.identify_periodic(mesh.periodic_map)
     elif space == "clamped":
         dof.constrain(mesh.dirichlet_nodes)
@@ -203,17 +174,13 @@ def assemble_bfs_h2(mesh, D, density=1.0, space: str = "periodic-zero-mean",
 
     _finalize(dof, mesh, groups)
 
-    pair = SparseOperatorPair(
+    return SparseOperatorPair(
         K=_assemble(dof, mesh, groups,
                     lambda g: el.bfs_stiffness(hsize, Ds[g])),
-        M=_assemble(dof, mesh, groups, lambda g: el.bfs_mass(hsize, rs[g])),
+        M=None if density is None else _assemble(
+            dof, mesh, groups, lambda g: el.bfs_mass(hsize, rs[g])),
         dof=dof, meta={"space": space, "ncomp": 4, "restrict": restrict_to,
                        "hsize": hsize})
-    if space == "periodic-zero-mean" and kernel == "none":
-        kernel = "constants"
-    if kernel == "constants":
-        return _attach_kernel(pair, bfs_constants_kernel(dof), None)
-    return _attach_kernel(pair, kernel, None)
 
 
 def assemble_rect_block(row_dofs: np.ndarray, col_dofs: np.ndarray,

@@ -176,7 +176,7 @@ class SparseOperatorPair:
     """Stiffness/mass pair on the reduced (constrained) DOF set; `order`
     is the factorization key of its DOFs (default: the DOF map's)."""
     K: sp.csr_matrix
-    M: sp.csr_matrix
+    M: sp.csr_matrix | None               # None: assembled without mass
     dof: DofMap
     kernel: np.ndarray | None = None      # orthonormal columns, or None
     meta: dict = field(default_factory=dict)

@@ -103,9 +103,12 @@ def build_fine_problem(mat: tn.MaterialSpec, shape: InclusionShape, h: float,
     (fine_eigs and fine_resolvent apply h^-tau); parity='memb' or 'bend'
     meshes the half plate x3 >= 0 with the odd components pinned on the
     symmetry plane x3 = 0."""
+    if n_z < 2:
+        raise ConfigurationError("fine problems need n_z >= 2")
+
     def build(layers, z_span=(-0.5, 0.5)):
-        return _build_fine_mesh(L1, L2, epsilon, cells_per_eps,
-                                max(layers, 1), shape, z_span)
+        return _build_fine_mesh(L1, L2, epsilon, cells_per_eps, layers, shape,
+                                z_span)
 
     fixed = []
     if parity is None:

@@ -79,6 +79,7 @@ class CellMesh:
     periodic_map: np.ndarray
     n_z: int = 0
     z_span: tuple[float, float] = (-0.5, 0.5)
+    cut: tuple[bool, bool] = (False, False)   # y in [0, 1/2], not periodic
 
     # filled in __post_init__
     inclusion_boundary_nodes: np.ndarray = field(default=None, repr=False)
@@ -107,8 +108,9 @@ class CellMesh:
     @property
     def grid(self) -> tuple[tuple, tuple]:
         """Nodes per axis (y1, y2[, x3]) and which axes are periodic."""
-        return ((self.n + 1,) * 2 + (self.n_z + 1,) * (self.dim - 2),
-                (True, True, False)[:self.dim])
+        return (tuple(self.n // (1 + c) + 1 for c in self.cut)
+                + (self.n_z + 1,) * (self.dim - 2),
+                tuple(not c for c in self.cut) + (False,) * (self.dim - 2))
 
     def element_size(self) -> tuple:
         if self.dim == 2:
@@ -201,9 +203,67 @@ def build_cell_mesh(shape: InclusionShape | None, n: int, dim: int = 2,
                     element_soft=soft, periodic_map=pmap, n_z=n_z, z_span=z_span)
 
 
-# components pinned on the mirror plane x3 = 0, per parity class: u3 is odd
-# in x3 for membrane fields, u1 and u2 are odd for bending fields
-PARITY_PINNED = {"memb": [2], "bend": [0, 1]}
+MIRRORS = ("y1", "y2", "x3")     # y1 -> 1 - y1, y2 -> 1 - y2, x3 -> -x3
+
+# the axes that each DOF carries: Q1 u1, u2, u3; BFS w, w_x, w_y, w_xy
+Q1_CARRIES = ((0,), (1,), (2,))
+BFS_CARRIES = ((), (0,), (1,), (0, 1))
+
+
+def parity_pinned(carries, axis: int, sign: int) -> list[int]:
+    """The DOF components that a field class of sign `sign` under the
+    mirror of `axis` pins on the mirror's planes. A component's parity is
+    (-1)^(number of `axis` indices it carries); it vanishes on the planes
+    when its parity times the sign is -1."""
+    return [c for c, axes in enumerate(carries)
+            if sign * (-1) ** axes.count(axis) < 0]
+
+
+# the x3 case: membrane fields (sign +1) pin u3, bending ones (-1) u1, u2
+PARITY_PINNED = {p: parity_pinned(Q1_CARRIES, 2, s)
+                 for p, s in (("memb", 1), ("bend", -1))}
+
+
+def mirror_refusal(mesh: CellMesh, axis: int) -> str | None:
+    """Why the mirror of `axis` does not map the cell mesh to itself with its
+    planes on nodes, or None; the inclusion is read from the soft mask."""
+    if axis == 2 and (mesh.n_z % 2 or tuple(mesh.z_span) != (-0.5, 0.5)):
+        return "odd n_z" if mesh.n_z % 2 else "prism not on x3 in (-1/2, 1/2)"
+    if axis < 2 and mesh.n % 2:
+        return "odd n"
+    soft = mesh.element_soft.reshape(-1, mesh.n, mesh.n)   # (x3, y2, y1)
+    if not np.array_equal(soft, np.flip(soft, 2 - axis)):
+        return "inclusion not mirror-symmetric"
+    return None
+
+
+def mirror_region(mesh: CellMesh, axes) -> tuple[CellMesh, dict]:
+    """The fundamental region of the mirrors of `axes` (0, 1, 2: y1, y2, x3,
+    each mapping the mesh to itself), cut from the mesh: y_a in [0, 1/2] or
+    x3 in [0, 1/2]; and the nodes of each mirror's planes in it, y_a = 0
+    and 1/2 or x3 = 0. The energy of a field of one parity class there is
+    2^-len(axes) of its energy on the cell."""
+    cent = mesh.centroids()
+    keep = np.ones(len(mesh.elements), dtype=bool)
+    for a in axes:
+        keep &= cent[:, a] > 0.0 if a == 2 else cent[:, a] < 0.5
+    used = np.unique(mesh.elements[keep])
+    renum = np.full(mesh.n_nodes, -1)
+    renum[used] = np.arange(len(used))
+    half_z = 2 in axes
+    region = CellMesh(
+        n=mesh.n, dim=mesh.dim, shape=mesh.shape, nodes=mesh.nodes[used],
+        elements=renum[mesh.elements[keep]],
+        element_soft=mesh.element_soft[keep],
+        periodic_map=renum[mesh.periodic_map[used]],
+        n_z=mesh.n_z // 2 if half_z else mesh.n_z,
+        z_span=(0.0, mesh.z_span[1]) if half_z else mesh.z_span,
+        cut=(0 in axes, 1 in axes))
+    x = region.nodes
+    planes = {a: np.flatnonzero(np.isclose(x[:, a], 0.0)
+                                | (a < 2) & np.isclose(x[:, a], 0.5))
+              for a in axes}
+    return region, planes
 
 
 def half_prism(build, n_z: int, parity: str):

@@ -609,8 +609,7 @@ def _delta0_third_component(model: LimitModel, lam: float, load: LoadSpec,
         # artificial normalization b = 0 on Y0
         Cr = tn.reduced_tensor(mat.C1)
         pb = fa.assemble_bfs_h2(mesh, Cr, density=mat.rho1,
-                                space="periodic-zero-mean",
-                                restrict_to="stiff", kernel="none")
+                                space="periodic", restrict_to="stiff")
         Kc = (kappa ** 2 / 12.0) * pb.K + lam * pb.M
         hsize = mesh.element_size()
         stiff_ids = np.flatnonzero(~soft)

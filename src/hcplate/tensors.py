@@ -120,19 +120,20 @@ class MaterialSpec:
             if not check_coercivity(C, self.nu).passed:
                 raise ValueError(f"{name} fails the coercivity check at nu={self.nu}")
 
-    def planar_symmetric(self, tol: float = 1e-12) -> bool:
-        """True when both tensors are invariant under the x3 -> -x3
-        reflection (see `planar_symmetric`)."""
-        return all(planar_symmetric(C, tol) for C in (self.C0, self.C1))
+
+def voigt_signs(axis: int) -> np.ndarray:
+    """Sign of each Voigt entry (11, 22, 33, 23, 13, 12) under the mirror of
+    `axis` (y1 = 0, y2 = 1, x3 = 2): (-1)^(number of its indices = axis)."""
+    pairs = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
+    return np.array([(-1) ** pair.count(axis) for pair in pairs])
 
 
-def planar_symmetric(C: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when the Voigt tensor C is invariant under the x3 -> -x3
-    reflection (C_ijk3 = C_i333 = 0 for in-plane i, j, k): no coupling
-    between the {11, 22, 33, 12} and {23, 13} Voigt groups, up to tol
-    relative to its largest entry."""
-    even, odd = [0, 1, 2, 5], [3, 4]
-    return abs(C[np.ix_(even, odd)]).max() <= tol * max(1.0, abs(C).max())
+def mirror_symmetric(C: np.ndarray, axis: int, tol: float = 1e-12) -> bool:
+    """True when the Voigt tensor C is invariant under the mirror of `axis`:
+    no coupling between the entries it flips (y1: 13, 12; y2: 23, 12; x3:
+    23, 13) and the others, up to tol relative to its largest entry."""
+    s = voigt_signs(axis)
+    return abs(C[np.ix_(s > 0, s < 0)]).max() <= tol * max(1.0, abs(C).max())
 
 
 def _voigt_from_upper(entries) -> np.ndarray:

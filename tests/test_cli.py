@@ -65,19 +65,29 @@ class TestExitCodes:
                      "--quiet"]) == 2
 
     def test_odd_n_z(self, tmp_path):
-        # a parity class needs the mirror plane x3 = 0 as a node plane: the
-        # parity Bloch operator refuses an odd n_z, the tensor falls back
-        # to the full prism and says so
+        # a parity class needs its mirror planes as node planes: the
+        # parity Bloch operator refuses an odd n_z; the tensor leaves out
+        # each mirror it cannot use and names it with the reason
         odd = json.loads(json.dumps(TINY))
         odd["cell"]["n_z"] = 3
         odd["bloch"] = {"operator": "memb_delta"}
         cfg = write_cfg(tmp_path, odd)
         assert main(["bloch", "--config", cfg, "--out", str(tmp_path),
                      "--quiet"]) == 2
-        assert main(["tensor", "--config", cfg, "--out", str(tmp_path),
-                     "--quiet"]) == 0
-        prov = json.loads((tmp_path / "tensor.json").read_text())["provenance"]
-        assert (prov["mirror"], prov["mirror_reason"]) == ("full", "odd n_z")
+
+        def refused(cfg):
+            assert main(["tensor", "--config", write_cfg(tmp_path, cfg),
+                         "--out", str(tmp_path), "--quiet"]) == 0
+            prov = json.loads((tmp_path / "tensor.json").read_text())[
+                "provenance"]
+            return prov["mirrors"], prov["mirrors_refused"]
+        assert refused(odd) == (["y1", "y2"], {"x3": "odd n_z"})
+        odd["cell"].update(n=9, n_z=4)
+        assert refused(odd) == (["x3"], {"y1": "odd n", "y2": "odd n"})
+        odd["cell"].update(n=8, shape={"kind": "disk", "size": 0.26,
+                                       "center": [0.45, 0.5]})
+        assert refused(odd) == (["y2", "x3"],
+                                {"y1": "inclusion not mirror-symmetric"})
 
     def test_removed_solver_knob_refused(self, tmp_path, capsys):
         # a removed solver knob is refused by name, never silently ignored

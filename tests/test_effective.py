@@ -1,4 +1,5 @@
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -7,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from hcplate import effective
 from hcplate import tensors as tn
-from cell_oracle import full_prism_tensor
+from cell_oracle import (full_cell_delta0, full_cell_deltainf,
+                         full_prism_tensor)
 from hcplate.effective import (effective_delta, effective_delta0,
                                effective_deltainf)
-from hcplate.fem import assemble as fa
+from hcplate.fem import system as fsys
 from hcplate.fem.system import SolverError
-from hcplate.geometry import InclusionShape, build_cell_mesh
+from hcplate.geometry import (MIRRORS, InclusionShape, build_cell_mesh,
+                              parity_pinned)
 from tensor_oracle import (iota, isotropic_2d, quad_form_2d, voigt_strain,
                            voigt_strain_2d)
 
@@ -162,10 +166,9 @@ def _joint_minimization_oracle(mat, mesh, A, B):
     import scipy.sparse.linalg as spla
 
     C1 = mat.C1
-    pm = fa.assemble_vector_h1(mesh, isotropic_2d(1, 1),
-                               space="periodic-zero-mean", restrict_to="stiff",
-                               ncomp=2)
-    pb = fa.assemble_bfs_h2(mesh, np.eye(3), space="periodic-zero-mean",
+    pm = fa.assemble_vector_h1(mesh, isotropic_2d(1, 1), space="periodic",
+                               restrict_to="stiff", ncomp=2)
+    pb = fa.assemble_bfs_h2(mesh, np.eye(3), space="periodic",
                             restrict_to="stiff")
     stiff_ids = np.flatnonzero(~mesh.element_soft)
     n1, n2 = pm.dof.n_free, pb.dof.n_free
@@ -229,7 +232,7 @@ def _joint_minimization_oracle(mat, mesh, A, B):
         v[:n1] = fa.constant_reduced_field(pm.dof, c)
         kerns.append(v / np.linalg.norm(v))
     vb = np.zeros(ntot)
-    vb[n1:n1 + n2] = fa.bfs_constants_kernel(pb.dof)[:, 0]
+    vb[n1:n1 + n2] = fa.translations_kernel(pb.dof, [0])[:, 0]
     kerns.append(vb / np.linalg.norm(vb))
     V = np.column_stack(kerns)
     Aug = sp.bmat([[K, sp.csc_matrix(V)], [sp.csc_matrix(V.T), None]],
@@ -310,28 +313,41 @@ class TestResidualContract:
                                  tol=1e-30)
 
 
+def _random_c1(seed: int, axes) -> np.ndarray:
+    """A random SPD stiff tensor averaged over the mirrors of `axes`: it is
+    invariant under exactly those (orthotropic for all three, monoclinic
+    with C16 and C26 != 0 for x3 alone, anisotropic for none)."""
+    B = np.random.RandomState(seed).standard_normal((6, 6))
+    C1 = B @ B.T + 3.0 * np.eye(6)
+    for a in axes:
+        S = np.diag(tn.voigt_signs(a))
+        C1 = 0.5 * (C1 + S @ C1 @ S)
+    return C1
+
+
+def _material(C1):
+    nu = min(0.2, 0.5 * np.linalg.eigvalsh(tn.mandel(C1)).min())
+    return tn.MaterialSpec(tn.isotropic(1.0, 1.0), C1, nu=nu)
+
+
+_SYMMETRY = {"orthotropic": (0, 1, 2), "monoclinic": (2,),
+             "anisotropic": ()}
+
+
 @st.composite
 def prism_cells(draw, symmetry):
     """A random stiff tensor C1 of the given symmetry ("orthotropic",
     "monoclinic": planar-symmetric with nonzero C16 and C26, "anisotropic"),
     an inclusion, delta and n_z (even unless drawn for the full path)."""
-    rng = np.random.RandomState(draw(st.integers(0, 2 ** 31 - 1)))
-    even, odd = [0, 1, 2, 5], [3, 4]
-    B = rng.standard_normal((6, 6))
-    C1 = B @ B.T + 3.0 * np.eye(6)
-    if symmetry != "anisotropic":
-        C1[np.ix_(even, odd)] = C1[np.ix_(odd, even)] = 0.0
-    if symmetry == "orthotropic":
-        C1[np.ix_([0, 1, 2], [5])] = C1[np.ix_([5], [0, 1, 2])] = 0.0
-        C1[3, 4] = C1[4, 3] = 0.0
-    nu = min(0.2, 0.5 * np.linalg.eigvalsh(tn.mandel(C1)).min())
-    mat = tn.MaterialSpec(tn.isotropic(1.0, 1.0), C1, nu=nu)
+    C1 = _random_c1(draw(st.integers(0, 2 ** 31 - 1)), _SYMMETRY[symmetry])
+    if symmetry == "monoclinic":
+        assert abs(C1[0, 5]) > 0 and abs(C1[1, 5]) > 0
     shape = InclusionShape(draw(st.sampled_from(["disk", "square"])),
                            draw(st.floats(0.12, 0.3)))
     delta = draw(st.sampled_from([0.5, 1.0, 2.0]))
     n_z = draw(st.sampled_from([2, 3, 4] if symmetry == "anisotropic"
                                else [2, 4]))
-    return mat, build_cell_mesh(shape, n=8, dim=3, n_z=n_z), delta
+    return _material(C1), build_cell_mesh(shape, n=8, dim=3, n_z=n_z), delta
 
 
 def _assert_matches_full_prism(t, mat, mesh, delta):
@@ -339,22 +355,87 @@ def _assert_matches_full_prism(t, mat, mesh, delta):
     assert_allclose(t.pair_form(), Q, rtol=0, atol=1e-12 * abs(Q).max())
 
 
+_SOLVERS = {"delta": (lambda mat, mesh: effective_delta(mat, mesh, 1.0),
+                      lambda mat, mesh: full_prism_tensor(mat, mesh, 1.0)),
+            "delta0": (effective_delta0, full_cell_delta0),
+            "deltainf": (effective_deltainf, full_cell_deltainf)}
+
+
+@st.composite
+def cells(draw):
+    """A regime, a C1 invariant under a random subset of the mirrors, a
+    disk or square inclusion, centred or off-centre, and an even or odd n
+    (and n_z on the prism)."""
+    regime = draw(st.sampled_from(sorted(_SOLVERS)))
+    axes = draw(st.sampled_from([(0, 1, 2), (2,), (), (0,), (1, 2)]))
+    mat = _material(_random_c1(draw(st.integers(0, 2 ** 31 - 1)), axes))
+    center = draw(st.sampled_from([(0.5, 0.5), (0.45, 0.5), (0.5, 0.55),
+                                   (0.45, 0.55)]))
+    shape = InclusionShape(draw(st.sampled_from(["disk", "square"])),
+                           draw(st.floats(0.12, 0.3)), center)
+    n = draw(st.sampled_from([7, 8, 10]))
+    if regime == "delta":
+        mesh = build_cell_mesh(shape, n=n, dim=3,
+                               n_z=draw(st.sampled_from([2, 3, 4])))
+    else:
+        mesh = build_cell_mesh(shape, n=n)
+    return regime, mat, mesh
+
+
+def _expected_refusals(mat, mesh, axes) -> dict:
+    """Why each mirror of `axes` cannot be used, from its definition."""
+    out = {}
+    soft = mesh.element_soft.reshape(-1, mesh.n, mesh.n)     # (x3, y2, y1)
+    for a in axes:
+        S = np.diag(tn.voigt_signs(a))
+        if not np.allclose(S @ mat.C1 @ S, mat.C1, rtol=0,
+                           atol=1e-12 * abs(mat.C1).max()):
+            out[MIRRORS[a]] = "C1 not mirror-symmetric"
+        elif (mesh.n_z if a == 2 else mesh.n) % 2:
+            out[MIRRORS[a]] = "odd n_z" if a == 2 else "odd n"
+        elif not np.array_equal(soft, np.flip(soft, 2 - a)):
+            out[MIRRORS[a]] = "inclusion not mirror-symmetric"
+    return out
+
+
+def _same_class(mirrors) -> np.ndarray:
+    """Pair-form columns (A11, A22, A12, B11, B22, B12) of one parity
+    class: equal signs under every mirror used (the 12 entries flip under
+    y1 and y2; the curvature columns, prestrain -x3 B, flip under x3)."""
+    voigt = [1, 1, -1]
+    signs = np.array([[(1 if j < 3 else -1) if m == "x3" else voigt[j % 3]
+                       for m in mirrors] for j in range(6)]).reshape(6, -1)
+    return (signs[:, None, :] == signs[None, :, :]).all(axis=-1)
+
+
+def _no_detection(*args, **kwargs):
+    raise AssertionError("detect_kernel called")
+
+
+@contextmanager
+def _no_kernel_detection():
+    """Fail on a call of detect_kernel, or of an eigensolver it runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ((fsys, "detect_kernel"), (fsys.sla, "eigh"),
+                             (fsys.spla, "eigsh")):
+            mp.setattr(module, name, _no_detection)
+        yield
+
+
 class TestMirrorSplit:
-    """The split by the x3 mirror against the full-prism oracle: the same
-    tensor, a coupling block of exact zeros, and no kernel detection."""
+    """Cell tensors on the fundamental region of the mirrors against the
+    full-cell oracles: the same tensor, cross-class entries of exact zeros,
+    no kernel detection, and the mirrors and refusals recorded."""
 
     @settings(max_examples=12, deadline=None)
     @given(st.sampled_from(["orthotropic", "monoclinic"]).flatmap(prism_cells))
     def test_split_matches_full_prism(self, cell):
         mat, mesh, delta = cell
-
-        def no_detection(*args, **kwargs):
-            raise AssertionError("detect_kernel called")
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fa, "detect_kernel", no_detection)
+        with _no_kernel_detection():
             t = effective_delta(mat, mesh, delta)
-        assert t.provenance["mirror"] == "split"
-        assert len(t.provenance["dofs"]) == 2
+        orthotropic = tn.mirror_symmetric(mat.C1, 0)
+        assert "x3" in t.provenance["mirrors"]
+        assert len(t.provenance["classes"]) == (4 if orthotropic else 2)
         assert (t.coupling == 0.0).all()
         _assert_matches_full_prism(t, mat, mesh, delta)
 
@@ -363,8 +444,9 @@ class TestMirrorSplit:
     def test_anisotropic_takes_full_prism(self, cell):
         mat, mesh, delta = cell
         t = effective_delta(mat, mesh, delta)
-        assert t.provenance["mirror"] == "full"
-        assert t.provenance["mirror_reason"] == "C1 is not planar-symmetric"
+        assert t.provenance["mirrors"] == []
+        assert t.provenance["mirrors_refused"]["x3"] \
+            == "C1 not mirror-symmetric"
         assert abs(t.coupling).max() > 0.0
         _assert_matches_full_prism(t, mat, mesh, delta)
 
@@ -376,18 +458,72 @@ class TestMirrorSplit:
         mesh = build_cell_mesh(demo_shape, n=8, dim=3, n_z=n_z,
                                z_span=z_span)
         t = effective_delta(mat, mesh, 1.0)
-        assert t.provenance["mirror"] == "full"
-        assert t.provenance["mirror_reason"] == reason
+        assert "x3" not in t.provenance["mirrors"]
+        assert t.provenance["mirrors_refused"]["x3"] == reason
         _assert_matches_full_prism(t, mat, mesh, 1.0)
 
     def test_per_tensor_symmetry_check(self, mat_aniso):
         # the split reads C1 only: a planar-symmetric C1 splits even when
         # the soft tensor C0 is not
         mat = tn.MaterialSpec(mat_aniso.C1, tn.isotropic(1, 1), nu=0.05)
-        assert not mat.planar_symmetric()
-        assert tn.planar_symmetric(mat.C1)
+        assert not tn.mirror_symmetric(mat.C0, 2)
+        assert tn.mirror_symmetric(mat.C1, 2)
         mesh = build_cell_mesh(InclusionShape("disk", 0.26), n=8, dim=3,
                                n_z=4)
         t = effective_delta(mat, mesh, 1.0)
-        assert t.provenance["mirror"] == "split"
+        assert "x3" in t.provenance["mirrors"]
         _assert_matches_full_prism(t, mat, mesh, 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cells())
+    def test_every_regime_matches_the_full_cell(self, cell):
+        regime, mat, mesh = cell
+        solve, oracle = _SOLVERS[regime]
+        with _no_kernel_detection():
+            t = solve(mat, mesh)
+        want = oracle(mat, mesh)
+        axes = (0, 1, 2) if regime == "delta" else (0, 1)
+        refused = _expected_refusals(mat, mesh, axes)
+        prov = t.provenance
+        assert prov["mirrors_refused"] == refused
+        assert prov["mirrors"] == [MIRRORS[a] for a in axes
+                                   if MIRRORS[a] not in refused]
+        labels = {"delta": "A11 A22 A12 B11 B22 B12",
+                  "delta0": "A11 A22 A12 B11 B22 B12",
+                  "deltainf": "g1 g2 g3 A11 A22 A12"}[regime].split()
+        assert sorted(c for k in prov["classes"] for c in k["columns"]) \
+            == sorted(labels)
+        assert all(k["dofs"] > 0 for k in prov["classes"])
+        scale = abs(want.pair_form()).max()
+        for got, ref, rtol in ((t.memb, want.memb, 1e-12),
+                               (t.coupling, want.coupling, 1e-12),
+                               # the BFS cell sits on the 1e-9 contract
+                               (t.bend, want.bend,
+                                1e-10 if regime == "delta0" else 1e-12)):
+            assert_allclose(got, ref, rtol=0, atol=rtol * scale)
+        cross = ~_same_class(prov["mirrors"])
+        assert (t.pair_form()[cross] == 0.0).all()
+        assert (t.zero_corrector_bound[cross] == 0.0).all()
+
+    @pytest.mark.parametrize("regime, axis, sign", [
+        (r, a, s) for r in sorted(_SOLVERS) for s in (1, -1)
+        for a in ((0, 1, 2) if r == "delta" else (0, 1))])
+    def test_swapped_pins_are_caught(self, mat, regime, axis, sign):
+        # a mutant that gives the classes of one sign under one mirror the
+        # pins of the other sign fails the oracle check
+        solve, oracle = _SOLVERS[regime]
+        shape = InclusionShape("square", 0.2)
+        mesh = build_cell_mesh(shape, n=8, **({"dim": 3, "n_z": 4}
+                                              if regime == "delta" else {}))
+        want = oracle(mat, mesh).pair_form()
+
+        def swapped(carries, a, s):
+            return parity_pinned(carries, a, -s if (a, s) == (axis, sign)
+                                 else s)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(effective, "parity_pinned", swapped)
+            try:
+                got = solve(mat, mesh).pair_form()
+            except SolverError:
+                return
+        assert abs(got - want).max() > 1e-6 * abs(want).max()

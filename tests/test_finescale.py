@@ -39,6 +39,15 @@ class TestSetup:
             build_fine_problem(mat, demo_shape, h=0.5, epsilon=0.5,
                                cells_per_eps=4, n_z=4, parity="odd")
 
+    @pytest.mark.parametrize("n_z", [0, 1])
+    @pytest.mark.parametrize("parity", [None, "memb"])
+    def test_fewer_than_two_layers_refused(self, mat, demo_shape, n_z,
+                                           parity):
+        # the schema's minimum: n_z = 0 must not build a one-layer plate
+        with pytest.raises(ConfigurationError, match="n_z >= 2"):
+            build_fine_problem(mat, demo_shape, h=0.5, epsilon=0.5,
+                               cells_per_eps=4, n_z=n_z, parity=parity)
+
     def test_budget_enforced(self, mat, demo_shape):
         with pytest.raises(ConfigurationError):
             build_fine_problem(mat, demo_shape, h=0.5, epsilon=0.5,

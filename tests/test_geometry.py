@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hcplate.geometry import (ConfigurationError, GeometryError, InclusionShape,
-                              build_cell_mesh, build_macro_mesh, half_prism)
+from hcplate.geometry import (BFS_CARRIES, Q1_CARRIES, ConfigurationError,
+                              GeometryError, InclusionShape, build_cell_mesh,
+                              build_macro_mesh, half_prism, mirror_refusal,
+                              mirror_region, parity_pinned)
 
 
 class TestInclusionShape:
@@ -152,3 +154,57 @@ class TestMacroMesh:
     def test_two_edges(self):
         mesh = build_macro_mesh(1.0, 1.0, 4, 4, gamma_spec=("left", "right"))
         assert len(mesh.dirichlet_nodes) == 10
+
+
+class TestMirrorRegion:
+    def test_parity_rule(self):
+        # u_a is odd under the mirror of axis a; w_x and w_xy are odd under
+        # y1, w_y and w_xy under y2; a class of sign -1 pins the even ones
+        assert parity_pinned(Q1_CARRIES, 0, 1) == [0]
+        assert parity_pinned(Q1_CARRIES, 2, -1) == [0, 1]
+        assert parity_pinned(BFS_CARRIES, 0, 1) == [1, 3]
+        assert parity_pinned(BFS_CARRIES, 1, 1) == [2, 3]
+        assert parity_pinned(BFS_CARRIES, 1, -1) == [0, 1]
+
+    @pytest.mark.parametrize("axes", [(), (0,), (1,), (0, 1), (2,),
+                                      (0, 1, 2)])
+    def test_region_and_planes(self, axes):
+        mesh = build_cell_mesh(InclusionShape("disk", 0.3), n=8, dim=3,
+                               n_z=4)
+        region, planes = mirror_region(mesh, axes)
+        assert len(region.elements) * 2 ** len(axes) == len(mesh.elements)
+        assert 2 ** len(axes) * region.element_soft.sum() \
+            == mesh.element_soft.sum()
+        shape, periodic = region.grid
+        assert np.prod(shape) == region.n_nodes
+        assert periodic == (0 not in axes, 1 not in axes, False)
+        assert (region.n_z, region.z_span) == \
+            ((2, (0.0, 0.5)) if 2 in axes else (4, (-0.5, 0.5)))
+        # node ids run x-fastest over the region's grid
+        lo = region.nodes.min(axis=0)
+        h = np.array(region.element_size())
+        i = np.rint((region.nodes - lo) / h).astype(int)
+        assert (i[:, 0] + shape[0] * (i[:, 1] + shape[1] * i[:, 2])
+                == np.arange(region.n_nodes)).all()
+        assert (region.periodic_map[region.periodic_map] ==
+                region.periodic_map).all()
+        assert sorted(planes) == sorted(axes)
+        for a, nodes in planes.items():
+            values = {0.0} if a == 2 else {0.0, 0.5}
+            assert set(np.round(region.nodes[nodes, a], 12)) == values
+
+    def test_refusals(self):
+        centred = InclusionShape("square", 0.2)
+        assert mirror_refusal(build_cell_mesh(centred, n=8), 0) is None
+        assert mirror_refusal(build_cell_mesh(centred, n=9), 1) == "odd n"
+        # the mask decides, not the shape parameters: this off-centre square
+        # covers the element columns 3-6 of 10, a symmetric staircase
+        shifted = InclusionShape("square", 0.2, (0.45, 0.5))
+        assert mirror_refusal(build_cell_mesh(shifted, n=10), 0) is None
+        off = InclusionShape("square", 0.2, (0.42, 0.5))
+        mesh = build_cell_mesh(off, n=10, dim=3, n_z=3)
+        assert mirror_refusal(mesh, 0) == "inclusion not mirror-symmetric"
+        assert mirror_refusal(mesh, 1) is None
+        assert mirror_refusal(mesh, 2) == "odd n_z"
+        mesh = build_cell_mesh(off, n=10, dim=3, n_z=2, z_span=(0.0, 1.0))
+        assert mirror_refusal(mesh, 2) == "prism not on x3 in (-1/2, 1/2)"

@@ -15,7 +15,8 @@ from hcplate.fem import EigWorkspace, factorize, nested_dissection
 from hcplate.fem import assemble as fa
 from hcplate.fem.system import ND_LEAF
 from hcplate.finescale import build_fine_problem, fine_eigs, fine_resolvent
-from hcplate.geometry import InclusionShape, build_cell_mesh, build_macro_mesh
+from hcplate.geometry import (InclusionShape, build_cell_mesh,
+                              build_macro_mesh, mirror_region)
 from hcplate.limits import LoadSpec
 
 C2D = tn.reduced_tensor(tn.isotropic(1.0, 1.0))
@@ -94,7 +95,7 @@ class TestNestedDissection:
         if not mesh.element_soft.any():
             part = "stiff"
         if bending:
-            space = {"stiff": "periodic-zero-mean",
+            space = {"stiff": "periodic",
                      "soft": "inclusion-clamped"}[part]
             pair = fa.assemble_bfs_h2(mesh, C2D, space=space,
                                       restrict_to=part)
@@ -136,6 +137,28 @@ class TestNestedDissection:
                                 parity=parity)
         check_order(fp.pair, fp.mesh)
 
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.sampled_from([4, 6, 8, 10]), dim=st.sampled_from([2, 3]),
+           axes=st.sampled_from([(0,), (1,), (0, 1), (2,), (0, 1, 2)]),
+           shape=SHAPES)
+    def test_mirror_regions(self, n, dim, axes, shape):
+        # each cell problem is ordered by its fundamental region's own
+        # grid, not periodic along a cut axis
+        if shape.boundary_margin < 1.0 / n:
+            shape = None
+        mesh = build_cell_mesh(shape, n=n, dim=dim, n_z=4)
+        region, _ = mirror_region(mesh, [a for a in axes if a < dim])
+        if dim == 2:
+            pair = fa.assemble_bfs_h2(region, C2D, density=None,
+                                      space="periodic", restrict_to="stiff")
+        else:
+            pair = fa.assemble_vector_h1(
+                region, tn.isotropic(1.0, 1.0), density=None,
+                grad=fa.ScaledGradientSpec(1.0), space="periodic",
+                restrict_to="stiff")
+        assert pair.M is None
+        check_order(pair, region)
+
     def test_periodic_images_share_their_master_rank(self):
         mesh = build_cell_mesh(None, n=6, dim=3, n_z=2)
         rank = nested_dissection(*mesh.grid)
@@ -152,9 +175,10 @@ class TestAgainstMinimumDegree:
         mesh = build_cell_mesh(demo_shape, n=16, dim=3, n_z=4)
         pair = fa.assemble_vector_h1(
             mesh, demo_material.C1, grad=fa.ScaledGradientSpec(1.0),
-            space="periodic-zero-mean", restrict_to="stiff")
-        nd = factorize(pair.K, pair.kernel, order=pair.order)
-        mmd = factorize(pair.K, pair.kernel)
+            space="periodic", restrict_to="stiff")
+        kernel = fa.translations_kernel(pair.dof)
+        nd = factorize(pair.K, kernel, order=pair.order)
+        mmd = factorize(pair.K, kernel)
         assert (nd.ordering, mmd.ordering) == ("nested-dissection", "mmd")
         assert nd.fill <= 0.85 * mmd.fill
 

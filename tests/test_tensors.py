@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hcplate import tensors as tn
@@ -180,6 +182,37 @@ class TestCoercivity:
         assert not tn.check_coercivity(np.zeros((6, 6)), nu=0.1).passed
 
 
+class TestMirrorSymmetric:
+    def test_voigt_sign_table(self):
+        # (11, 22, 33, 23, 13, 12): y1 flips 13 and 12, y2 flips 23 and
+        # 12, x3 flips 23 and 13
+        assert tn.voigt_signs(0).tolist() == [1, 1, 1, 1, -1, -1]
+        assert tn.voigt_signs(1).tolist() == [1, 1, 1, -1, 1, -1]
+        assert tn.voigt_signs(2).tolist() == [1, 1, 1, -1, -1, 1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), axis=st.integers(0, 2))
+    def test_matches_the_reflected_tensor(self, seed, axis):
+        # the mirror R acts on Voigt strains as S = diag(voigt_signs): C is
+        # invariant when S C S = C, and (C + S C S) / 2 always is
+        B = np.random.RandomState(seed).standard_normal((6, 6))
+        C = B @ B.T
+        S = np.diag(tn.voigt_signs(axis))
+        assert not tn.mirror_symmetric(C, axis)
+        assert tn.mirror_symmetric(0.5 * (C + S @ C @ S), axis)
+
+    def test_material_classes(self):
+        iso = tn.isotropic(1.0, 2.0)
+        assert all(tn.mirror_symmetric(iso, a) for a in range(3))
+        mono = iso.copy()
+        mono[0, 5] = mono[5, 0] = 0.3       # C16: x3 only
+        assert [tn.mirror_symmetric(mono, a) for a in range(3)] \
+            == [False, False, True]
+        mono[1, 5] = mono[5, 1] = 0.0
+        mono[0, 5] = mono[5, 0] = 1e-13     # below the relative tolerance
+        assert all(tn.mirror_symmetric(mono, a) for a in range(3))
+
+
 class TestMaterialSpec:
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "mat.json"
@@ -190,7 +223,8 @@ class TestMaterialSpec:
         mat = tn.load_material(path)
         assert_allclose(mat.C1, tn.isotropic(2.0, 1.5))
         assert mat.rho1 == 2.0
-        assert mat.planar_symmetric()
+        assert all(tn.mirror_symmetric(C, a) for C in (mat.C0, mat.C1)
+                   for a in range(3))
 
     def test_upper_triangle_input(self):
         C = tn.isotropic(1.0, 1.0)
