@@ -6,9 +6,11 @@ minimum is the essential-spectrum bottom for very thin cells.
 Operator tags
 -------------
 full_delta / memb_delta / bend_delta : prism I x Y0 with the transversally
-    scaled gradient (delta finite); the parity variants mesh the half
-    interval x3 in (0, 1/2) with parity conditions at x3 = 0 and double all
-    integrals.
+    scaled gradient (delta finite); the parity variants take the half
+    x3 in (0, 1/2) of the prism (`geometry.half_prism`) with parity
+    conditions at x3 = 0 and double all integrals. They exist only when C0
+    and the prism are invariant under x3 -> -x3, and are refused
+    (ConfigurationError) otherwise.
 memb_delta0 : 2D in-plane vector operator with the reduced tensor C0^r.
 bend_delta0 : scalar C^1 (BFS) operator with (1/12) C0^r Hessian energy.
 memb_deltainf / full_deltainf : 2D 3-component operator with strain
@@ -19,7 +21,6 @@ memb_deltainf / full_deltainf : 2D 3-component operator with strain
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -86,13 +87,10 @@ def _classify(eigenvalues, means, rho0_mass):
 
 def _build_prism_operator(mat, shape: InclusionShape, n: int, n_z: int,
                           delta: float, parity: str | None):
-    build = partial(build_cell_mesh, shape, n, 3)
-    if parity is None:
-        mesh, extra = build(n_z), ()
-    else:
-        mesh, pin = half_prism(build, n_z, parity)
-        extra = (pin,)
-    scale = 1.0 if parity is None else 2.0
+    mesh, extra, scale = build_cell_mesh(shape, n, 3, n_z), (), 1.0
+    if parity is not None:
+        mesh, pin = half_prism(mesh, parity, {"C0": mat.C0})
+        extra, scale = (pin,), 2.0
     pair = fa.assemble_vector_h1(
         mesh, mat.C0, grad=fa.ScaledGradientSpec(delta), density=mat.rho0,
         space="inclusion-zero-trace", restrict_to="soft", ncomp=3,
@@ -132,7 +130,8 @@ def build_inclusion_operator(mat: tn.MaterialSpec, shape: InclusionShape,
         mesh = build_cell_mesh(shape, n=n)
         Cr = tn.reduced_tensor(mat.C0)
         pair = fa.assemble_bfs_h2(mesh, Cr, density=mat.rho0,
-                                  space="inclusion-clamped", restrict_to="soft")
+                                  space="inclusion-zero-trace",
+                                  restrict_to="soft")
         pair.K = pair.K / 12.0
         return mesh, pair, (0,), 1.0
     if operator_tag in ("memb_deltainf", "full_deltainf"):

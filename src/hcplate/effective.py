@@ -105,12 +105,8 @@ def _signs(columns, axes) -> list[tuple]:
 def _region(C1: np.ndarray, mesh: CellMesh, axes):
     """The fundamental region of the mirrors of `axes` that the cell problem
     has, their planes, and the mirrors used and why each other is refused."""
-    refused = {}
-    for a in axes:
-        why = (mirror_refusal(mesh, a) if tn.mirror_symmetric(C1, a)
-               else "C1 not mirror-symmetric")
-        if why:
-            refused[MIRRORS[a]] = why
+    refused = {MIRRORS[a]: why for a in axes
+               if (why := mirror_refusal(mesh, a, {"C1": C1}))}
     region, planes = mirror_region(
         mesh, [a for a in axes if MIRRORS[a] not in refused])
     return region, planes, {

@@ -47,9 +47,27 @@ def _element_groups(mesh, restrict_to: str):
     raise ValueError(f"unknown restriction {restrict_to!r}")
 
 
-def _finalize(dof: DofMap, mesh, groups) -> DofMap:
-    """Drop the DOFs that no element of the groups touches and number the
-    rest, keyed by the nested dissection of the mesh's grid."""
+def _dof_map(mesh, ncomp: int, space: str, groups, extra_constraints=()):
+    """The DOF map of `space` on the mesh: 'periodic' identifies the
+    y-periodic images, 'dirichlet' pins every component on the MacroMesh
+    gamma_D nodes, 'inclusion-zero-trace' on the boundary of the discrete
+    Y0 (for the soft group only), 'free' pins none; then the further
+    (nodes, components) pins. The DOFs that no element of the groups
+    touches are dropped, and the rest numbered by the nested dissection of
+    the mesh's grid."""
+    dof = DofMap(mesh.n_nodes, ncomp)
+    if space == "periodic":
+        dof.identify_periodic(mesh.periodic_map)
+    elif space == "inclusion-zero-trace":
+        if set(groups) != {"soft"}:
+            raise ValueError("zero-trace inclusion space implies restrict_to='soft'")
+        dof.constrain(mesh.inclusion_boundary_nodes)
+    elif space == "dirichlet":
+        dof.constrain(mesh.dirichlet_nodes)
+    elif space != "free":
+        raise ValueError(f"unknown space {space!r}")
+    for nodes, comps in extra_constraints:
+        dof.constrain(nodes, comps)
     touched = np.zeros(mesh.n_nodes, dtype=bool)
     for ids in groups.values():
         touched[mesh.elements[ids]] = True
@@ -76,14 +94,8 @@ def translations_kernel(dof: DofMap, comps=None) -> np.ndarray | None:
     translations) in reduced coordinates; on a BFS map, comps [0] gives the
     constant functions (value DOFs 1, derivative DOFs 0)."""
     comps = range(dof.ncomp) if comps is None else comps
-    cols = []
-    for c in comps:
-        idx = dof.index[:, c]
-        v = np.zeros(dof.n_free)
-        # periodic slaves share a reduced id; weight once per reduced DOF
-        v[np.unique(idx[idx >= 0])] = 1.0
-        if v.any():
-            cols.append(v / np.linalg.norm(v))
+    cols = [constant_reduced_field(dof, c) for c in comps]
+    cols = [v / np.linalg.norm(v) for v in cols if v.any()]
     return np.column_stack(cols) if cols else None
 
 
@@ -98,7 +110,7 @@ def assemble_vector_h1(mesh, C, grad: ScaledGradientSpec | None = None,
     material subset, M the density-weighted L2 product over the same subset;
     C and density are one value or a {"soft": ..., "stiff": ...} dict, and
     density None assembles K only (M is None).
-    Spaces: 'periodic' (its kernel: translations_kernel(dof)),
+    Spaces (`_dof_map`): 'periodic' (its kernel: translations_kernel(dof)),
     'inclusion-zero-trace' (H^1_00 on the discrete Y0), 'dirichlet'
     (MacroMesh gamma_D), 'free'. extra_constraints holds further
     (nodes, components) pairs to pin, e.g. z-planes or clamped edges.
@@ -116,22 +128,7 @@ def assemble_vector_h1(mesh, C, grad: ScaledGradientSpec | None = None,
     Cs = _by_material(C)
     rs = _by_material(density)
 
-    dof = DofMap(mesh.n_nodes, ncomp)
-    if space == "periodic":
-        dof.identify_periodic(mesh.periodic_map)
-    elif space == "inclusion-zero-trace":
-        if restrict_to != "soft":
-            raise ValueError("zero-trace inclusion space implies restrict_to='soft'")
-        dof.constrain(mesh.inclusion_boundary_nodes)
-    elif space == "dirichlet":
-        dof.constrain(mesh.dirichlet_nodes)
-    elif space != "free":
-        raise ValueError(f"unknown space {space!r}")
-    for nodes, comps in extra_constraints:
-        dof.constrain(nodes, comps)
-
-    _finalize(dof, mesh, groups)
-
+    dof = _dof_map(mesh, ncomp, space, groups, extra_constraints)
     dt = complex if (third is not None and third[0] == "mult") else float
     K = _assemble(dof, mesh, groups, lambda g: el.q1_stiffness(
         hsize, Cs[g], third=third, ncomp=ncomp), dt)
@@ -148,10 +145,10 @@ def assemble_bfs_h2(mesh, D, density=1.0, space: str = "periodic",
     """Stiffness/mass pair of the Hessian form int D hess(u):hess(v) in the
     C^1 Bogner-Fox-Schmit space (DOFs w, w_x, w_y, w_xy per node).
 
-    Spaces: 'periodic' (its kernel, the constants: translations_kernel(dof,
-    [0])), 'clamped' (all four DOFs pinned on gamma_D nodes of a MacroMesh),
-    'inclusion-clamped' (H^2_0 on the discrete Y0). density None
-    assembles K only (M is None).
+    Spaces (`_dof_map`): 'periodic' (its kernel, the constants:
+    translations_kernel(dof, [0])), 'dirichlet' (all four DOFs pinned on
+    gamma_D nodes of a MacroMesh), 'inclusion-zero-trace' (H^2_0 on the
+    discrete Y0), 'free'. density None assembles K only (M is None).
     """
     hsize = mesh.element_size()
     if len(hsize) != 2:
@@ -160,20 +157,7 @@ def assemble_bfs_h2(mesh, D, density=1.0, space: str = "periodic",
     Ds = _by_material(D)
     rs = _by_material(density)
 
-    dof = DofMap(mesh.n_nodes, 4)
-    if space == "periodic":
-        dof.identify_periodic(mesh.periodic_map)
-    elif space == "clamped":
-        dof.constrain(mesh.dirichlet_nodes)
-    elif space == "inclusion-clamped":
-        if restrict_to != "soft":
-            raise ValueError("H^2_0 inclusion space implies restrict_to='soft'")
-        dof.constrain(mesh.inclusion_boundary_nodes)
-    elif space != "free":
-        raise ValueError(f"unknown space {space!r}")
-
-    _finalize(dof, mesh, groups)
-
+    dof = _dof_map(mesh, 4, space, groups)
     return SparseOperatorPair(
         K=_assemble(dof, mesh, groups,
                     lambda g: el.bfs_stiffness(hsize, Ds[g])),
@@ -234,12 +218,10 @@ def assemble_pointwise_load(mesh, dof: DofMap, fe: np.ndarray,
     return out
 
 
-def constant_reduced_field(dof: DofMap, comp: int, value: float = 1.0) -> np.ndarray:
-    """Reduced-coordinate vector of the constant field value*e_comp."""
-    full = np.zeros((dof.n_nodes, dof.ncomp))
-    full[:, comp] = value
-    idx = dof.index.ravel()
-    ok = idx >= 0
+def constant_reduced_field(dof: DofMap, comp: int) -> np.ndarray:
+    """Reduced-coordinate vector of the constant field e_comp (periodic
+    images share their reduced id)."""
+    idx = dof.index[:, comp]
     out = np.zeros(dof.n_free)
-    out[idx[ok]] = full.ravel()[ok]
+    out[idx[idx >= 0]] = 1.0
     return out

@@ -12,14 +12,17 @@ DOF ordering is node-major, components fastest: (n0c0, n0c1, ..., n1c0, ...).
 Bogner-Fox-Schmit (bicubic Hermite) elements carry 4 DOFs per node
 (w, w_x, w_y, w_xy) and discretize Hessian energies on rectangles.
 
-Element loads take the load's values at the element's quadrature points
-(``q1_quadrature`` or ``bfs_quadrature``, in that order) as arrays, one row
-per element, and return one local vector per element. They sum the point
-contributions in quadrature order, so a load is the same to the last bit
-whether its elements come one at a time or all at once.
+Element matrices and loads evaluate the shapes at all quadrature points
+(``q1_quadrature`` or ``bfs_quadrature``, one tensor-product Gauss rule)
+at once. Loads take the load's values at those points as arrays, one row
+per element, and return one local vector per element. Both sum the point
+contributions in quadrature order (``_sum_points``), so a load is the same
+to the last bit whether its elements come one at a time or all at once.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -43,6 +46,16 @@ def _gauss_on(lo: float, hi: float, pts, wts):
     return x, w
 
 
+def _gauss_rule(hsize, pts, wts):
+    """Tensor-product Gauss rule on the element [0, h1] x [0, h2] (x [0, h3]):
+    points (q, dim), the first axis fastest, and weights w1 w2 (w3)."""
+    rules = [_gauss_on(0, h, pts, wts) for h in hsize]
+    grid = np.meshgrid(*[x for x, _ in rules], indexing="ij")
+    w = functools.reduce(np.multiply.outer, [w for _, w in rules])
+    return (np.column_stack([g.ravel(order="F") for g in grid]),
+            w.ravel(order="F"))
+
+
 def _q1_shape_2d(xi, eta):
     """Bilinear shapes and reference-derivatives on [0,1]^2, node order
     (0,0),(1,0),(1,1),(0,1); array arguments add trailing point axes."""
@@ -64,20 +77,7 @@ def _q1_shape_3d(xi, eta, zeta):
 def q1_quadrature(hsize):
     """Gauss points (physical coords within the element, shape (q, dim)) and
     weights; 2x2 in-plane, x2 in x3 for hexes."""
-    if len(hsize) == 2:
-        hx, hy = hsize
-        gx, wx = _gauss_on(0, hx, _G2, _G2W)
-        gy, wy = _gauss_on(0, hy, _G2, _G2W)
-        pts = [(x, y) for y in gy for x in gx]
-        wts = [a * b for b in wy for a in wx]
-    else:
-        hx, hy, hz = hsize
-        gx, wx = _gauss_on(0, hx, _G2, _G2W)
-        gy, wy = _gauss_on(0, hy, _G2, _G2W)
-        gz, wz = _gauss_on(0, hz, _G2, _G2W)
-        pts = [(x, y, z) for z in gz for y in gy for x in gx]
-        wts = [a * b * c for c in wz for b in wy for a in wx]
-    return np.array(pts), np.array(wts)
+    return _gauss_rule(hsize, _G2, _G2W)
 
 
 def _q1_eval(hsize, pt):
@@ -91,6 +91,12 @@ def _q1_eval(hsize, pt):
     hx, hy, hz = hsize
     N, dxi, deta, dzeta = _q1_shape_3d(pt[0] / hx, pt[1] / hy, pt[2] / hz)
     return N, dxi / hx, deta / hy, dzeta / hz
+
+
+def _q1_at(hsize, pts):
+    """(N, dNdx, dNdy, dNdz), each (q, nn), at the points pts (q, dim) of
+    the element; dNdz is None for 2D elements."""
+    return [None if a is None else a.T for a in _q1_eval(hsize, pts.T)]
 
 
 def _third_column(N, dNdz, third):
@@ -133,33 +139,18 @@ def q1_stiffness(hsize, C, third=None, ncomp=3):
     """Element stiffness for the (possibly scaled/complex) symmetric-gradient
     form with Voigt tensor C (6x6 for ncomp=3, 3x3 for ncomp=2)."""
     pts, wts = q1_quadrature(hsize)
-    nn = 4 if len(hsize) == 2 else 8
-    cplx = (third is not None and third[0] == "mult"
-            and np.iscomplexobj(np.asarray(third[1])))
-    Ke = np.zeros((ncomp * nn, ncomp * nn), dtype=complex if cplx else float)
-    for pt, w in zip(pts, wts):
-        N, dNdx, dNdy, dNdz = _q1_eval(hsize, pt)
-        c3 = _third_column(N, dNdz, third)
-        B = q1_b_matrix(N, dNdx, dNdy, c3, ncomp)
-        Ke += w * (B.conj().T @ C @ B)
-    return Ke
+    N, dNdx, dNdy, dNdz = _q1_at(hsize, pts)
+    B = q1_b_matrix(N, dNdx, dNdy, _third_column(N, dNdz, third), ncomp)
+    return _sum_points(wts[:, None, None]
+                       * (B.conj().swapaxes(-1, -2) @ C @ B), 0)
 
 
 def q1_mass(hsize, rho=1.0, ncomp=3):
     pts, wts = q1_quadrature(hsize)
-    nn = 4 if len(hsize) == 2 else 8
-    Me = np.zeros((nn, nn))
-    for pt, w in zip(pts, wts):
-        N = _q1_eval(hsize, pt)[0]
-        Me += w * rho * np.outer(N, N)
+    N = _q1_at(hsize, pts)[0]
+    Me = _sum_points((wts * rho)[:, None, None]
+                     * (N[:, :, None] * N[:, None, :]), 0)
     return np.kron(Me, np.eye(ncomp))
-
-
-def _q1_at_points(hsize):
-    """Weights and (N, dNdx, dNdy, dNdz), each (q, nn), at the Q1 Gauss
-    points; dNdz is None for 2D elements."""
-    pts, wts = q1_quadrature(hsize)
-    return wts, [None if a is None else a.T for a in _q1_eval(hsize, pts.T)]
 
 
 def q1_prestrain_load(hsize, C, strain, third=None, ncomp=3):
@@ -167,7 +158,8 @@ def q1_prestrain_load(hsize, C, strain, third=None, ncomp=3):
     engineering-Voigt prestrain eps0 given at the Q1 Gauss points,
     ``strain`` of shape (..., q, nv, k) or, if constant, (nv, k): one load
     column (..., ncomp*nn, k) per prestrain column."""
-    wts, (N, dNdx, dNdy, dNdz) = _q1_at_points(hsize)
+    pts, wts = q1_quadrature(hsize)
+    N, dNdx, dNdy, dNdz = _q1_at(hsize, pts)
     B = q1_b_matrix(N, dNdx, dNdy, _third_column(N, dNdz, third), ncomp)
     terms = wts[:, None, None] * (np.swapaxes(B, -1, -2) @ (C @ strain))
     return -_sum_points(terms, -3)
@@ -177,7 +169,8 @@ def q1_vector_load(hsize, values):
     """Element loads \\int f(x) . xi of vector fields f given at the Q1
     Gauss points, ``values`` of shape (elements, q, ncomp): one local
     vector (elements, nn*ncomp) per element."""
-    wts, (N, *_) = _q1_at_points(hsize)
+    pts, wts = q1_quadrature(hsize)
+    N = _q1_at(hsize, pts)[0]
     terms = wts[:, None, None] * (N[:, :, None] * values[:, :, None, :])
     return _sum_points(terms, 1).reshape(len(values), -1)
 
@@ -204,13 +197,12 @@ _BFS_NODE_KINDS = [((0, 0), (1, 0), (0, 1), (1, 1)),
                    ((0, 2), (1, 2), (0, 3), (1, 3))]
 
 
-def bfs_eval(hsize, pt, order=2):
+def bfs_eval(hsize, pt):
     """All 16 BFS shape functions and derivatives at one physical point
     (or, for coordinate arrays pt[0], pt[1], per shape and point).
 
-    Returns (N, Nx, Ny, Nxx, Nyy, Nxy); the derivative arrays above `order`
-    are None. Slope DOFs are scaled by the element size so nodal DOFs are
-    physical derivatives.
+    Returns (N, Nx, Ny, Nxx, Nyy, Nxy). Slope DOFs are scaled by the
+    element size so nodal DOFs are physical derivatives.
     """
     hx, hy = hsize
     tx, ty = pt[0] / hx, pt[1] / hy
@@ -219,9 +211,7 @@ def bfs_eval(hsize, pt, order=2):
     # slope shapes carry the h scaling; derivatives in physical coords
     sx = np.array([1.0, hx, 1.0, hx])
     sy = np.array([1.0, hy, 1.0, hy])
-    shape = (16, *np.shape(tx))
-    N, Nx, Ny = np.empty((3, *shape))
-    Nxx, Nyy, Nxy = np.empty((3, *shape)) if order >= 2 else (None,) * 3
+    N, Nx, Ny, Nxx, Nyy, Nxy = np.empty((6, 16, *np.shape(tx)))
     k = 0
     for node_kinds in _BFS_NODE_KINDS:
         for (kx, ky) in node_kinds:
@@ -229,47 +219,37 @@ def bfs_eval(hsize, pt, order=2):
             N[k] = ax * vx[kx] * ay * vy[ky]
             Nx[k] = ax * dx[kx] / hx * ay * vy[ky]
             Ny[k] = ax * vx[kx] * ay * dy[ky] / hy
-            if order >= 2:
-                Nxx[k] = ax * ddx[kx] / hx ** 2 * ay * vy[ky]
-                Nyy[k] = ax * vx[kx] * ay * ddy[ky] / hy ** 2
-                Nxy[k] = ax * dx[kx] / hx * ay * dy[ky] / hy
+            Nxx[k] = ax * ddx[kx] / hx ** 2 * ay * vy[ky]
+            Nyy[k] = ax * vx[kx] * ay * ddy[ky] / hy ** 2
+            Nxy[k] = ax * dx[kx] / hx * ay * dy[ky] / hy
             k += 1
     return N, Nx, Ny, Nxx, Nyy, Nxy
 
 
 def bfs_quadrature(hsize):
-    hx, hy = hsize
-    gx, wx = _gauss_on(0, hx, _G4, _G4W)
-    gy, wy = _gauss_on(0, hy, _G4, _G4W)
-    pts = np.array([(x, y) for y in gy for x in gx])
-    wts = np.array([a * b for b in wy for a in wx])
-    return pts, wts
+    """4x4 Gauss points (q, 2) and weights of the BFS element."""
+    return _gauss_rule(hsize, _G4, _G4W)
 
 
-def bfs_hessian_b(hsize, pt):
-    """Rows (w_xx, w_yy, 2 w_xy) of the Hessian in engineering Voigt form
-    (3, 16), with trailing point axes for coordinate arrays."""
-    _, _, _, Nxx, Nyy, Nxy = bfs_eval(hsize, pt)
-    return np.stack([Nxx, Nyy, 2.0 * Nxy])
+def _bfs_at(hsize, pts):
+    """(N, Nx, Ny), each (q, 16), and the Hessian rows (w_xx, w_yy, 2 w_xy)
+    in engineering Voigt form, (q, 3, 16), at the points pts (q, 2)."""
+    N, Nx, Ny, Nxx, Nyy, Nxy = bfs_eval(hsize, pts.T)
+    return N.T, Nx.T, Ny.T, np.stack([Nxx, Nyy, 2.0 * Nxy]).transpose(2, 0, 1)
 
 
 def bfs_stiffness(hsize, D):
     """Element matrix of \\int D hess(u) : hess(v) with 3x3 2D-Voigt D."""
     pts, wts = bfs_quadrature(hsize)
-    Ke = np.zeros((16, 16))
-    for pt, w in zip(pts, wts):
-        B = bfs_hessian_b(hsize, pt)
-        Ke += w * (B.T @ D @ B)
-    return Ke
+    B = _bfs_at(hsize, pts)[3]
+    return _sum_points(wts[:, None, None] * (B.swapaxes(-1, -2) @ D @ B), 0)
 
 
 def bfs_mass(hsize, rho=1.0):
     pts, wts = bfs_quadrature(hsize)
-    Me = np.zeros((16, 16))
-    for pt, w in zip(pts, wts):
-        N = bfs_eval(hsize, pt, order=1)[0]
-        Me += w * rho * np.outer(N, N)
-    return Me
+    N = _bfs_at(hsize, pts)[0]
+    return _sum_points((wts * rho)[:, None, None]
+                       * (N[:, :, None] * N[:, None, :]), 0)
 
 
 def bfs_prestrain_load(hsize, D, strain):
@@ -278,7 +258,7 @@ def bfs_prestrain_load(hsize, D, strain):
     (..., q, 3, k) or, if constant, (3, k): one load column (..., 16, k)
     per curvature column."""
     pts, wts = bfs_quadrature(hsize)
-    B = np.moveaxis(bfs_hessian_b(hsize, pts.T), -1, 0)      # (q, 3, 16)
+    B = _bfs_at(hsize, pts)[3]                                # (q, 3, 16)
     terms = wts[:, None, None] * (np.swapaxes(B, -1, -2) @ (D @ strain))
     return -_sum_points(terms, -3)
 
@@ -287,7 +267,7 @@ def bfs_value_load(hsize, values):
     """Element loads \\int f(x) xi of scalar fields f given at the BFS
     Gauss points, ``values`` of shape (elements, q): (elements, 16)."""
     pts, wts = bfs_quadrature(hsize)
-    N = bfs_eval(hsize, pts.T, order=1)[0].T
+    N = _bfs_at(hsize, pts)[0]
     return _sum_points((wts * values)[..., None] * N, 1)
 
 
@@ -295,8 +275,8 @@ def bfs_gradient_load(hsize, grads):
     """Element loads \\int g(x) . grad(xi) of 2-vector fields g given at the
     BFS Gauss points, ``grads`` of shape (elements, q, 2): (elements, 16)."""
     pts, wts = bfs_quadrature(hsize)
-    _, Nx, Ny, *_ = bfs_eval(hsize, pts.T, order=1)
-    terms = grads[..., 0, None] * Nx.T + grads[..., 1, None] * Ny.T
+    _, Nx, Ny, _ = _bfs_at(hsize, pts)
+    terms = grads[..., 0, None] * Nx + grads[..., 1, None] * Ny
     return _sum_points(wts[:, None] * terms, 1)
 
 
@@ -305,24 +285,19 @@ def mixed_memb_bend(hsize, Cmb):
     Q1 2-component membrane DOFs, columns the 16 BFS DOFs.  Cmb is the 3x3
     membrane-bending block in 2D Voigt coordinates."""
     pts, wts = bfs_quadrature(hsize)
-    Ke = np.zeros((8, 16))
-    for pt, w in zip(pts, wts):
-        N, dNdx, dNdy, _ = _q1_eval(hsize, pt)
-        Bm = q1_b_matrix(N, dNdx, dNdy, np.zeros(4), 2)
-        Bb = bfs_hessian_b(hsize, pt)
-        Ke += w * (Bm.T @ Cmb @ Bb)
-    return Ke
+    N, dNdx, dNdy, _ = _q1_at(hsize, pts)
+    Bm = q1_b_matrix(N, dNdx, dNdy, 0.0, 2)
+    Bb = _bfs_at(hsize, pts)[3]
+    return _sum_points(wts[:, None, None]
+                       * (Bm.swapaxes(-1, -2) @ Cmb @ Bb), 0)
 
 
 def mixed_mass_bfs_q1(hsize, rho=1.0):
     """Mass block \\int rho N_bfs N_q1: rows BFS (16), cols Q1 scalar (4)."""
     pts, wts = bfs_quadrature(hsize)
-    Me = np.zeros((16, 4))
-    for pt, w in zip(pts, wts):
-        Nw = bfs_eval(hsize, pt, order=1)[0]
-        Nq = _q1_eval(hsize, pt)[0]
-        Me += w * rho * np.outer(Nw, Nq)
-    return Me
+    Nw, Nq = _bfs_at(hsize, pts)[0], _q1_at(hsize, pts)[0]
+    return _sum_points((wts * rho)[:, None, None]
+                       * (Nw[:, :, None] * Nq[:, None, :]), 0)
 
 
 def mixed_gradload_bfs_q1(hsize):
@@ -330,11 +305,7 @@ def mixed_gradload_bfs_q1(hsize):
     cols Q1 scalar (4); realizes moment loads int g . grad(theta) for
     nodally interpolated g."""
     pts, wts = bfs_quadrature(hsize)
-    Gx = np.zeros((16, 4))
-    Gy = np.zeros((16, 4))
-    for pt, w in zip(pts, wts):
-        _, Nx, Ny, *_ = bfs_eval(hsize, pt, order=1)
-        Nq = _q1_eval(hsize, pt)[0]
-        Gx += w * np.outer(Nx, Nq)
-        Gy += w * np.outer(Ny, Nq)
-    return Gx, Gy
+    _, Nx, Ny, _ = _bfs_at(hsize, pts)
+    Nq = _q1_at(hsize, pts)[0][:, None, :]
+    return tuple(_sum_points(wts[:, None, None] * (G[:, :, None] * Nq), 0)
+                 for G in (Nx, Ny))

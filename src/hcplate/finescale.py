@@ -36,17 +36,21 @@ class FineMesh:
     element_soft: np.ndarray
     hsize: tuple
     shape_inplane: tuple[int, int]
-    n_layers: int
+    n_z: int
+    z_span: tuple[float, float] = (-0.5, 0.5)
 
     @property
     def n_nodes(self):
         return self.nodes.shape[0]
 
+    def centroids(self) -> np.ndarray:
+        return self.nodes[self.elements].mean(axis=1)
+
     @property
     def grid(self) -> tuple[tuple, tuple]:
         """Nodes per axis and which are periodic (none)."""
         nx, ny = self.shape_inplane
-        return (nx + 1, ny + 1, self.n_layers + 1), (False,) * 3
+        return (nx + 1, ny + 1, self.n_z + 1), (False,) * 3
 
     def element_size(self) -> tuple:
         return self.hsize
@@ -72,7 +76,7 @@ def _build_fine_mesh(L1, L2, eps, cells_per_eps, n_z, shape: InclusionShape,
     soft = np.tile(soft2, n_z)
     return FineMesh(nodes=nodes, elements=conn, element_soft=soft,
                     hsize=(L1 / nx, L2 / ny, (hi - lo) / n_z),
-                    shape_inplane=(nx, ny), n_layers=n_z)
+                    shape_inplane=(nx, ny), n_z=n_z, z_span=z_span)
 
 
 @dataclass
@@ -101,20 +105,15 @@ def build_fine_problem(mat: tn.MaterialSpec, shape: InclusionShape, h: float,
                        budget: int = DOF_BUDGET) -> FineProblem:
     """Assemble the stiffness and density-weighted mass of the fine operator
     (fine_eigs and fine_resolvent apply h^-tau); parity='memb' or 'bend'
-    meshes the half plate x3 >= 0 with the odd components pinned on the
-    symmetry plane x3 = 0."""
+    takes the half plate x3 >= 0 (`geometry.half_prism`) with the odd
+    components pinned on the symmetry plane x3 = 0, and is refused
+    (ConfigurationError) unless C0, C1 and the plate have that mirror."""
     if n_z < 2:
         raise ConfigurationError("fine problems need n_z >= 2")
-
-    def build(layers, z_span=(-0.5, 0.5)):
-        return _build_fine_mesh(L1, L2, epsilon, cells_per_eps, layers, shape,
-                                z_span)
-
+    mesh = _build_fine_mesh(L1, L2, epsilon, cells_per_eps, n_z, shape)
     fixed = []
-    if parity is None:
-        mesh = build(n_z)
-    else:
-        mesh, pin = half_prism(build, n_z, parity)
+    if parity is not None:
+        mesh, pin = half_prism(mesh, parity, {"C0": mat.C0, "C1": mat.C1})
         fixed.append(pin)
     ndofs = 3 * mesh.n_nodes
     if ndofs > budget:
@@ -130,7 +129,7 @@ def build_fine_problem(mat: tn.MaterialSpec, shape: InclusionShape, h: float,
         grad=ScaledGradientSpec(h),
         density={"soft": mat.rho0, "stiff": mat.rho1}, space="free",
         extra_constraints=fixed)
-    if parity:
+    if parity is not None:
         # the half plate carries half of the full plate's (even) energies
         pair.K, pair.M = pair.K * 2.0, pair.M * 2.0
     return FineProblem(mat=mat, shape=shape, h=h, epsilon=epsilon,
@@ -175,8 +174,8 @@ def transverse_average(fp: FineProblem, full_field: np.ndarray) -> np.ndarray:
     mesh = fp.mesh
     nx, ny = mesh.shape_inplane
     npl = (nx + 1) * (ny + 1)
-    layers = full_field.reshape(mesh.n_layers + 1, npl, -1)
-    w = np.full(mesh.n_layers + 1, 1.0)
+    layers = full_field.reshape(mesh.n_z + 1, npl, -1)
+    w = np.full(mesh.n_z + 1, 1.0)
     w[0] = w[-1] = 0.5
     w /= w.sum()
     avg = np.einsum("k,kij->ij", w, layers)

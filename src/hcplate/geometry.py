@@ -9,9 +9,11 @@ controlled by refinement and is tested for O(1/n) decay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+from . import tensors as tn
 
 
 class GeometryError(ValueError):
@@ -176,8 +178,7 @@ def build_cell_mesh(shape: InclusionShape | None, n: int, dim: int = 2,
         raise ConfigurationError("cell resolution n must be at least 4")
     if dim not in (2, 3):
         raise ConfigurationError("dim must be 2 or 3")
-    # at least two layers through the unit thickness: one on a half prism
-    if dim == 3 and n_z < max(1.0, 2 * (z_span[1] - z_span[0]) - 1e-12):
+    if dim == 3 and n_z < 2:
         raise ConfigurationError("prism meshes need n_z >= 2")
     if shape is not None and shape.boundary_margin < 1.0 / n - 1e-12:
         raise GeometryError(
@@ -219,30 +220,33 @@ def parity_pinned(carries, axis: int, sign: int) -> list[int]:
             if sign * (-1) ** axes.count(axis) < 0]
 
 
-# the x3 case: membrane fields (sign +1) pin u3, bending ones (-1) u1, u2
-PARITY_PINNED = {p: parity_pinned(Q1_CARRIES, 2, s)
-                 for p, s in (("memb", 1), ("bend", -1))}
-
-
-def mirror_refusal(mesh: CellMesh, axis: int) -> str | None:
-    """Why the mirror of `axis` does not map the cell mesh to itself with its
-    planes on nodes, or None; the inclusion is read from the soft mask."""
-    if axis == 2 and (mesh.n_z % 2 or tuple(mesh.z_span) != (-0.5, 0.5)):
-        return "odd n_z" if mesh.n_z % 2 else "prism not on x3 in (-1/2, 1/2)"
-    if axis < 2 and mesh.n % 2:
+def mirror_refusal(mesh, axis: int, tensors: dict | None = None) -> str | None:
+    """Why the mirror of `axis` does not map the mesh and the Voigt tensors
+    {name: C} to themselves with its planes on nodes, or None; the inclusion
+    is read from the soft mask, layer by layer for x3."""
+    for name, C in (tensors or {}).items():
+        if not tn.mirror_symmetric(C, axis):
+            return f"{name} not mirror-symmetric"
+    if axis == 2:
+        if mesh.n_z % 2 or tuple(mesh.z_span) != (-0.5, 0.5):
+            return "odd n_z" if mesh.n_z % 2 else "prism not on x3 in (-1/2, 1/2)"
+        soft = mesh.element_soft.reshape(mesh.n_z, -1)
+    elif mesh.n % 2:
         return "odd n"
-    soft = mesh.element_soft.reshape(-1, mesh.n, mesh.n)   # (x3, y2, y1)
-    if not np.array_equal(soft, np.flip(soft, 2 - axis)):
+    else:   # (x3, y2, y1), the mirrored axis first
+        soft = np.moveaxis(mesh.element_soft.reshape(-1, mesh.n, mesh.n),
+                           2 - axis, 0)
+    if not np.array_equal(soft, soft[::-1]):
         return "inclusion not mirror-symmetric"
     return None
 
 
-def mirror_region(mesh: CellMesh, axes) -> tuple[CellMesh, dict]:
+def mirror_region(mesh, axes):
     """The fundamental region of the mirrors of `axes` (0, 1, 2: y1, y2, x3,
-    each mapping the mesh to itself), cut from the mesh: y_a in [0, 1/2] or
-    x3 in [0, 1/2]; and the nodes of each mirror's planes in it, y_a = 0
-    and 1/2 or x3 = 0. The energy of a field of one parity class there is
-    2^-len(axes) of its energy on the cell."""
+    each mapping the mesh to itself), cut from a cell mesh or (x3 only) a
+    fine plate: y_a in [0, 1/2] or x3 in [0, 1/2]; and the nodes of each
+    mirror's planes in it, y_a = 0 and 1/2 or x3 = 0. The energy of a field
+    of one parity class there is 2^-len(axes) of its energy on the mesh."""
     cent = mesh.centroids()
     keep = np.ones(len(mesh.elements), dtype=bool)
     for a in axes:
@@ -251,14 +255,14 @@ def mirror_region(mesh: CellMesh, axes) -> tuple[CellMesh, dict]:
     renum = np.full(mesh.n_nodes, -1)
     renum[used] = np.arange(len(used))
     half_z = 2 in axes
-    region = CellMesh(
-        n=mesh.n, dim=mesh.dim, shape=mesh.shape, nodes=mesh.nodes[used],
-        elements=renum[mesh.elements[keep]],
-        element_soft=mesh.element_soft[keep],
-        periodic_map=renum[mesh.periodic_map[used]],
-        n_z=mesh.n_z // 2 if half_z else mesh.n_z,
-        z_span=(0.0, mesh.z_span[1]) if half_z else mesh.z_span,
-        cut=(0 in axes, 1 in axes))
+    cut = {"nodes": mesh.nodes[used], "elements": renum[mesh.elements[keep]],
+           "element_soft": mesh.element_soft[keep],
+           "n_z": mesh.n_z // 2 if half_z else mesh.n_z,
+           "z_span": (0.0, mesh.z_span[1]) if half_z else mesh.z_span}
+    if isinstance(mesh, CellMesh):
+        cut.update(periodic_map=renum[mesh.periodic_map[used]],
+                   cut=(0 in axes, 1 in axes))
+    region = replace(mesh, **cut)
     x = region.nodes
     planes = {a: np.flatnonzero(np.isclose(x[:, a], 0.0)
                                 | (a < 2) & np.isclose(x[:, a], 0.5))
@@ -266,19 +270,23 @@ def mirror_region(mesh: CellMesh, axes) -> tuple[CellMesh, dict]:
     return region, planes
 
 
-def half_prism(build, n_z: int, parity: str):
-    """One parity class of a prism of n_z layers on x3 in (-1/2, 1/2) that
-    is invariant under the mirror x3 -> -x3: the half mesh
-    build(n_z // 2, (0, 1/2)) and its constraint (nodes on the plane
-    x3 = 0, components pinned there). Integrals over the half are half of
-    the full prism's for the class's fields."""
-    if parity not in PARITY_PINNED:
+def half_prism(mesh, parity: str, tensors: dict):
+    """One x3 parity class ("memb": u1, u2 even, u3 odd; "bend": the
+    reverse) of a prism or plate mesh on x3 in (-1/2, 1/2) that, with the
+    Voigt tensors {name: C}, is invariant under x3 -> -x3: the half
+    x3 >= 0 (`mirror_region`) and its constraint (nodes on x3 = 0, the odd
+    components pinned there). Integrals over the half are half of the
+    mesh's for the class's fields. Without the mirror the class does not
+    exist, and ConfigurationError says why."""
+    signs = {"memb": 1, "bend": -1}
+    if parity not in signs:
         raise ConfigurationError(f"unknown parity {parity!r}")
-    if n_z % 2:
-        raise ConfigurationError("parity restriction needs an even n_z")
-    mesh = build(n_z // 2, (0.0, 0.5))
-    plane = np.flatnonzero(np.isclose(mesh.nodes[:, 2], 0.0))
-    return mesh, (plane, PARITY_PINNED[parity])
+    why = mirror_refusal(mesh, 2, tensors)
+    if why:
+        raise ConfigurationError(
+            f"{parity} parity needs the x3 mirror, refused: {why}")
+    half, planes = mirror_region(mesh, [2])
+    return half, (planes[2], parity_pinned(Q1_CARRIES, 2, signs[parity]))
 
 
 @dataclass

@@ -55,7 +55,7 @@ def build_bending_operator(tensor: EffectiveTensor, mesh: MacroMesh,
     bending block K_bb, with the mass on b alone."""
     memb = fa.assemble_vector_h1(mesh, tensor.memb, space="dirichlet",
                                  ncomp=2)
-    bend = fa.assemble_bfs_h2(mesh, tensor.bend, space="clamped")
+    bend = fa.assemble_bfs_h2(mesh, tensor.bend, space="dirichlet")
     K_ab = fa.assemble_rect_block(
         memb.dof.element_dofs(mesh.elements),
         bend.dof.element_dofs(mesh.elements),

@@ -46,7 +46,7 @@ class SchurOracle:
     def __init__(self, tensor, mesh):
         memb = fa.assemble_vector_h1(mesh, tensor.memb, space="dirichlet",
                                      ncomp=2)
-        bend = fa.assemble_bfs_h2(mesh, tensor.bend, space="clamped")
+        bend = fa.assemble_bfs_h2(mesh, tensor.bend, space="dirichlet")
         K_ab = fa.assemble_rect_block(
             memb.dof.element_dofs(mesh.elements),
             bend.dof.element_dofs(mesh.elements),

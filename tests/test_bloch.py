@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hcplate import tensors as tn
@@ -8,7 +10,8 @@ from hcplate.bloch import (StripPencil, bloch_spectrum, cluster_starts,
                            strip_bottom_m0, strip_fiber_bottom)
 from hcplate.fem import assemble as fa
 from hcplate.fem.system import EigWorkspace, eigs_smallest
-from hcplate.geometry import build_cell_mesh
+from hcplate.geometry import (ConfigurationError, InclusionShape,
+                              build_cell_mesh)
 
 
 class TestPrismOperators:
@@ -74,6 +77,47 @@ class TestPrismOperators:
             bloch_spectrum(demo_material, demo_shape, 8, "memb_delta0", 10 ** 6)
 
 
+def x3_invariant_c0(draw):
+    """A random SPD C0 with the x3 mirror: orthotropic, or with the 11-12
+    and 23-13 couplings as well (even times even, odd times odd)."""
+    C = tn.isotropic(1.0, 1.0) + np.diag(
+        draw(st.lists(st.floats(0.0, 2.0), min_size=6, max_size=6)))
+    if draw(st.booleans()):
+        C[0, 5] = C[5, 0] = draw(st.floats(-0.4, 0.4))
+        C[3, 4] = C[4, 3] = draw(st.floats(-0.4, 0.4))
+    return C
+
+
+class TestParityMirror:
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data(), n_z=st.sampled_from([2, 4]),
+           size=st.floats(0.22, 0.3), delta=st.floats(0.3, 3.0))
+    def test_parity_union_equals_full(self, data, n_z, size, delta):
+        mat = tn.MaterialSpec(x3_invariant_c0(data.draw),
+                              tn.isotropic(1.0, 1.0), rho0=1.7)
+        shape = InclusionShape("disk", size)
+        full = bloch_spectrum(mat, shape, 10, "full_delta", 10, delta=delta,
+                              n_z=n_z)
+        union = np.sort(np.concatenate([
+            bloch_spectrum(mat, shape, 10, tag, 16, delta=delta,
+                           n_z=n_z).eigenvalues
+            for tag in ("memb_delta", "bend_delta")]))
+        assert_allclose(union[:full.n_modes], full.eigenvalues, rtol=1e-10)
+
+    @pytest.mark.parametrize("tag", ["memb_delta", "bend_delta"])
+    def test_without_the_mirror_refused(self, demo_shape, tag):
+        # an 11-23 coupling in C0 breaks x3 -> -x3: no parity class exists
+        C0 = tn.isotropic(1.0, 1.0)
+        C0[0, 3] = C0[3, 0] = 0.4
+        mat = tn.MaterialSpec(C0, tn.isotropic(1.0, 1.0))
+        with pytest.raises(ConfigurationError,
+                           match="parity needs the x3 mirror, refused: "
+                                 "C0 not mirror-symmetric"):
+            bloch_spectrum(mat, demo_shape, 8, tag, 4, delta=1.0, n_z=4)
+        assert bloch_spectrum(mat, demo_shape, 8, "full_delta", 4,
+                              delta=1.0, n_z=4).n_modes >= 4
+
+
 class TestCompleteness:
     def test_partial_sums_monotone_and_bounded(self, demo_bloch_full):
         bs = demo_bloch_full
@@ -118,7 +162,8 @@ class TestDelta0Operators:
         mesh = build_cell_mesh(demo_shape, n=16)
         pair = fa.assemble_bfs_h2(mesh, tn.reduced_tensor(demo_material.C0),
                                   density=demo_material.rho0,
-                                  space="inclusion-clamped", restrict_to="soft")
+                                  space="inclusion-zero-trace",
+                                  restrict_to="soft")
         w, _ = eigs_smallest(pair, 5)
         assert_allclose(bs.eigenvalues[:5], w / 12.0, rtol=1e-8)
 

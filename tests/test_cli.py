@@ -130,6 +130,40 @@ class TestExitCodes:
             assert main([cmd, "--config", cfg, "--out", str(tmp_path)]) == 2
             assert "pole cluster" in capsys.readouterr().err
 
+    @staticmethod
+    def _coupled(phase):
+        # an 11-23 coupling of 0.4 (SPD): no mirror x3 -> -x3 (nor y2)
+        C = tn.isotropic(1.0, 1.0)
+        C[0, 3] = C[3, 0] = 0.4
+        cfg = json.loads(json.dumps(TINY))
+        cfg["material"][phase] = C[np.triu_indices(6)].tolist()
+        return cfg
+
+    def test_soft_phase_without_x3_mirror_refused(self, tmp_path, capsys):
+        # beta comes from the membrane parity class of the inclusion
+        # operator, which does not exist without the mirror
+        cfg = write_cfg(tmp_path, self._coupled("C0"))
+        for cmd in ("zhikov", "spectrum", "validate"):
+            assert main([cmd, "--config", cfg, "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert "memb parity needs the x3 mirror, refused: C0 not " \
+                "mirror-symmetric" in err, cmd
+
+    def test_stiff_phase_without_x3_mirror(self, tmp_path, capsys):
+        # the fine membrane-parity plate is refused; the tensor falls back
+        # to the full prism and records why
+        cfg = write_cfg(tmp_path, self._coupled("C1"))
+        assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) \
+            == 2
+        assert "memb parity needs the x3 mirror, refused: C1 not " \
+            "mirror-symmetric" in capsys.readouterr().err
+        assert main(["tensor", "--config", cfg, "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        prov = json.loads((tmp_path / "tensor.json").read_text())["provenance"]
+        assert prov["mirrors"] == ["y1"]
+        assert prov["mirrors_refused"] == {"y2": "C1 not mirror-symmetric",
+                                           "x3": "C1 not mirror-symmetric"}
+
 
 class TestOutputs:
     def test_tensor_output(self, tmp_path):

@@ -194,7 +194,7 @@ def _joint_minimization_oracle(mat, mesh, A, B):
         for q, (pt, w2) in enumerate(zip(qpts, qwts)):
             N, dNdx, dNdy, _ = el._q1_eval(hsize, pt)
             B1 = el.q1_b_matrix(N, dNdx, dNdy, np.zeros(4), 2)
-            Bh = el.bfs_hessian_b(hsize, pt)
+            Bh = el._bfs_at(hsize, pt[None])[3][0]
             for z, wz in zip(gz, gw):
                 Bfull = np.zeros((6, len(dofs)))
                 # in-plane block: sym grad phi1 - x3 hess phi2

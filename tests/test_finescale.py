@@ -6,9 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hcplate import tensors as tn
-from hcplate.finescale import (build_fine_problem, fine_eigs,
-                               fine_resolvent, mu_value)
-from hcplate.geometry import ConfigurationError, InclusionShape
+from hcplate.finescale import (_build_fine_mesh, build_fine_problem,
+                               fine_eigs, fine_resolvent, mu_value)
+from hcplate.geometry import ConfigurationError, InclusionShape, mirror_region
 from hcplate.limits import LoadSpec
 
 REFERENCE = Path(__file__).parent / "data" / "fine_resolvent_reference.json"
@@ -32,12 +32,44 @@ class TestSetup:
                                cells_per_eps=4, n_z=2)
 
     def test_parity_refusals(self, mat, demo_shape):
-        with pytest.raises(ConfigurationError, match="even n_z"):
+        with pytest.raises(ConfigurationError, match="odd n_z"):
             build_fine_problem(mat, demo_shape, h=0.5, epsilon=0.5,
                                cells_per_eps=4, n_z=3, parity="memb")
         with pytest.raises(ConfigurationError, match="unknown parity"):
             build_fine_problem(mat, demo_shape, h=0.5, epsilon=0.5,
                                cells_per_eps=4, n_z=4, parity="odd")
+
+    @pytest.mark.parametrize("parity", ["memb", "bend"])
+    @pytest.mark.parametrize("phase", ["C0", "C1"])
+    def test_parity_needs_the_x3_mirror(self, demo_shape, phase, parity):
+        # an 11-23 coupling breaks x3 -> -x3 in either phase: the half plate
+        # would solve a problem that does not exist; the full plate builds
+        coupled = tn.isotropic(1.0, 1.0)
+        coupled[0, 3] = coupled[3, 0] = 0.4
+        mat = tn.MaterialSpec(**{"C0": tn.isotropic(1, 1),
+                                 "C1": tn.isotropic(1, 1), phase: coupled})
+        kw = dict(h=0.5, epsilon=0.5, cells_per_eps=4, n_z=4)
+        with pytest.raises(ConfigurationError,
+                           match=f"{parity} parity needs the x3 mirror, "
+                                 f"refused: {phase} not mirror-symmetric"):
+            build_fine_problem(mat, demo_shape, parity=parity, **kw)
+        assert build_fine_problem(mat, demo_shape, **kw).parity is None
+
+    def test_half_plate_is_the_cut_of_the_full_plate(self, demo_shape):
+        # mirror_region of the full plate against the half built directly:
+        # same elements and soft flags, nodes to 1 ulp
+        for n_z in (4, 6):
+            full = _build_fine_mesh(1.0, 0.5, 0.25, 3, n_z, demo_shape)
+            cut, planes = mirror_region(full, [2])
+            half = _build_fine_mesh(1.0, 0.5, 0.25, 3, n_z // 2, demo_shape,
+                                    z_span=(0.0, 0.5))
+            assert (cut.elements == half.elements).all()
+            assert (cut.element_soft == half.element_soft).all()
+            assert_allclose(cut.nodes, half.nodes, rtol=0,
+                            atol=np.spacing(1.0))
+            assert (cut.n_z, cut.z_span, cut.hsize, cut.grid) \
+                == (half.n_z, half.z_span, half.hsize, half.grid)
+            assert (planes[2] == np.arange(13 * 7)).all()
 
     @pytest.mark.parametrize("n_z", [0, 1])
     @pytest.mark.parametrize("parity", [None, "memb"])
@@ -56,7 +88,7 @@ class TestSetup:
     def test_coefficients_periodic(self, mat, demo_shape):
         fp = build_fine_problem(mat, demo_shape, h=0.25, epsilon=0.25,
                                 cells_per_eps=4, n_z=2)
-        soft2 = fp.mesh.element_soft[:len(fp.mesh.element_soft) // fp.mesh.n_layers]
+        soft2 = fp.mesh.element_soft[:len(fp.mesh.element_soft) // fp.mesh.n_z]
         per_cell = soft2.reshape(-1, 4 * 4 * 4)  # 4 cells of 4x4 blocks: rows mix
         # every eps-cell carries the same number of soft elements
         nx = fp.mesh.shape_inplane[0]
@@ -101,6 +133,24 @@ class TestEigs:
         for x in memb:
             assert np.min(np.abs(full - x)) < 1e-8 * max(1.0, x)
 
+    def test_parity_union_equals_full(self, demo_shape):
+        # an x3-invariant anisotropic pair (orthotropic plus the 11-12 and
+        # 23-13 couplings): the two parity classes split the full spectrum
+        rng = np.random.default_rng(3)
+        phases = {}
+        for phase in ("C0", "C1"):
+            C = tn.isotropic(1.0, 1.0) + np.diag(rng.uniform(0, 1, 6))
+            C[0, 5] = C[5, 0] = 0.3
+            C[3, 4] = C[4, 3] = -0.2
+            phases[phase] = C
+        mat = tn.MaterialSpec(**phases, rho0=1.3, rho1=0.7)
+        kw = dict(h=0.5, epsilon=0.5, cells_per_eps=4, n_z=4, tau=0)
+        full = fine_eigs(build_fine_problem(mat, demo_shape, **kw), 8)[0]
+        union = np.sort(np.concatenate([
+            fine_eigs(build_fine_problem(mat, demo_shape, parity=p, **kw),
+                      8)[0] for p in ("memb", "bend")]))
+        assert_allclose(union[:8], full, rtol=1e-10)
+
     def test_tau2_scaled_spectrum_bounded(self, mat, demo_shape):
         # order-h^2 spectrum: the h^-tau scaling keeps the bottom O(1)
         vals = []
@@ -128,9 +178,9 @@ class TestResolvent:
         u = out["u"]
         mesh = fp.mesh
         npl = (mesh.shape_inplane[0] + 1) * (mesh.shape_inplane[1] + 1)
-        layers = u.reshape(mesh.n_layers + 1, npl, 3)
-        for k in range(mesh.n_layers + 1):
-            mirror = mesh.n_layers - k
+        layers = u.reshape(mesh.n_z + 1, npl, 3)
+        for k in range(mesh.n_z + 1):
+            mirror = mesh.n_z - k
             assert abs(layers[k, :, :2] - layers[mirror, :, :2]).max() < 1e-10
             assert abs(layers[k, :, 2] + layers[mirror, :, 2]).max() < 1e-10
 

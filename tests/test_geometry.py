@@ -1,9 +1,8 @@
-from functools import partial
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hcplate import tensors as tn
 from hcplate.geometry import (BFS_CARRIES, Q1_CARRIES, ConfigurationError,
                               GeometryError, InclusionShape, build_cell_mesh,
                               build_macro_mesh, half_prism, mirror_refusal,
@@ -114,21 +113,31 @@ class TestPrismMesh:
         assert_allclose(sorted(set(mesh.nodes[:, 2])), [0, 0.25, 0.5])
 
     def test_half_prism_parity_classes(self):
-        build = partial(build_cell_mesh, InclusionShape("disk", 0.3), 8, 3)
+        mesh = build_cell_mesh(InclusionShape("disk", 0.3), n=8, dim=3, n_z=4)
         for parity, comps in (("memb", [2]), ("bend", [0, 1])):
-            mesh, (plane, pinned) = half_prism(build, 4, parity)
-            assert (mesh.n_z, mesh.z_span) == (2, (0.0, 0.5))
-            assert_allclose(mesh.nodes[plane, 2], 0.0)
+            half, (plane, pinned) = half_prism(mesh, parity, {})
+            assert (half.n_z, half.z_span) == (2, (0.0, 0.5))
+            assert_allclose(half.nodes[plane, 2], 0.0)
             assert len(plane) == 81 and pinned == comps
         # two layers through the thickness: one on the half prism
-        assert half_prism(build, 2, "memb")[0].n_z == 1
+        two = build_cell_mesh(InclusionShape("disk", 0.3), n=8, dim=3, n_z=2)
+        assert half_prism(two, "memb", {})[0].n_z == 1
 
     def test_half_prism_refusals(self):
-        build = partial(build_cell_mesh, None, 8, 3)
-        with pytest.raises(ConfigurationError, match="even n_z"):
-            half_prism(build, 3, "memb")
+        with pytest.raises(ConfigurationError, match="odd n_z"):
+            half_prism(build_cell_mesh(None, n=8, dim=3, n_z=3), "memb", {})
+        mesh = build_cell_mesh(None, n=8, dim=3, n_z=4)
         with pytest.raises(ConfigurationError, match="unknown parity"):
-            half_prism(build, 4, "full")
+            half_prism(mesh, "full", {})
+        # the class needs the tensors' mirror too, named with the parity
+        coupled = tn.isotropic(1.0, 1.0)
+        coupled[0, 3] = coupled[3, 0] = 0.4
+        with pytest.raises(ConfigurationError,
+                           match="bend parity needs the x3 mirror, refused: "
+                                 "C0 not mirror-symmetric"):
+            half_prism(mesh, "bend", {"C0": coupled})
+        assert half_prism(mesh, "bend", {"C0": tn.isotropic(1.0, 1.0)})[0] \
+            .n_z == 2
 
     def test_needs_two_layers(self):
         with pytest.raises(ConfigurationError):
@@ -208,3 +217,17 @@ class TestMirrorRegion:
         assert mirror_refusal(mesh, 2) == "odd n_z"
         mesh = build_cell_mesh(off, n=10, dim=3, n_z=2, z_span=(0.0, 1.0))
         assert mirror_refusal(mesh, 2) == "prism not on x3 in (-1/2, 1/2)"
+
+    def test_tensor_refusals(self):
+        # every tensor given is checked, before the mesh and in order
+        coupled = tn.isotropic(1.0, 1.0)
+        coupled[0, 3] = coupled[3, 0] = 0.4      # 11-23: breaks y2 and x3
+        iso = tn.isotropic(1.0, 1.0)
+        mesh = build_cell_mesh(InclusionShape("disk", 0.3), n=8, dim=3,
+                               n_z=3)
+        assert mirror_refusal(mesh, 0, {"C0": coupled}) is None
+        assert mirror_refusal(mesh, 1, {"C0": iso, "C1": coupled}) \
+            == "C1 not mirror-symmetric"
+        assert mirror_refusal(mesh, 2, {"C0": coupled}) \
+            == "C0 not mirror-symmetric"
+        assert mirror_refusal(mesh, 2, {"C0": iso}) == "odd n_z"
