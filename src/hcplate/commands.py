@@ -71,6 +71,16 @@ def _cell_tensor(cfg, mat, shape, regime):
                        cfg["cell"].get("n_z", 4))
 
 
+def _strip_m0(cfg, mat, cell_mesh, ws):
+    """(m0, curve): the bottom of the essential spectrum of a very thin
+    (delta = inf) row, on the spectrum section's eta grid."""
+    from .bloch import strip_bottom_m0
+    spec_cfg = cfg.get("spectrum", {})
+    eta = np.linspace(0, spec_cfg.get("eta_max", 20.0),
+                      spec_cfg.get("eta_points", 81))
+    return strip_bottom_m0(mat, cell_mesh, eta, ws)
+
+
 def cmd_tensor(cfg, out: Path, chash: str) -> int:
     mat, shape, regime, _, _ = _build_context(cfg)
     mesh, tensor = _cell_tensor(cfg, mat, shape, regime)
@@ -174,11 +184,7 @@ def cmd_spectrum(cfg, out: Path, chash: str) -> int:
     m0 = None
     strip_note = None
     if regime.delta == np.inf:
-        from .bloch import strip_bottom_m0
-        eta_max = spec_cfg.get("eta_max", 20.0)
-        eta_pts = spec_cfg.get("eta_points", 81)
-        m0, curve = strip_bottom_m0(mat, cell_mesh,
-                                    np.linspace(0, eta_max, eta_pts), ws)
+        m0, curve = _strip_m0(cfg, mat, cell_mesh, ws)
         _write_csv(out / "strip_curve.csv", ["eta", "alpha1"],
                    [tuple(r) for r in curve], chash)
         strip_note = ("discrete half-line strip eigenvalues below m0 are not "
@@ -259,7 +265,7 @@ def cmd_evolve(cfg, out: Path, chash: str) -> int:
     # eigenmodes of the governing macro operator, whose mass lies on the
     # membrane field a or on the bending field b
     from .macro import macro_eigs
-    op, macro = model.macro_op, traj.fields[model.regime.row.modes_on]
+    op, macro = model.op, traj.fields[model.regime.row.modes_on]
     nm = min(6, macro.shape[1])
     _, modes = macro_eigs(op, nm)
     amplitudes = macro @ (op.rho_bar * (op.pair.M @ modes)[op.n_static:])
@@ -298,14 +304,7 @@ def cmd_validate(cfg, out: Path, chash: str) -> int:
     n_eigs = vcfg.get("n_eigs", 3)
 
     cell_mesh, tensor = _cell_tensor(cfg, mat, shape, regime)
-    m0 = None
-    if thin:
-        from .bloch import strip_bottom_m0
-        eta_max = cfg.get("spectrum", {}).get("eta_max", 20.0)
-        eta_pts = cfg.get("spectrum", {}).get("eta_points", 41)
-        m0, _ = strip_bottom_m0(mat, cell_mesh,
-                                np.linspace(0, eta_max, eta_pts), ws)
-        h_fixed = vcfg.get("h", 0.5)
+    m0 = _strip_m0(cfg, mat, cell_mesh, ws)[0] if thin else None
     op = build_membrane_operator(tensor, macro_mesh, zf.rho_bar)
     mu_w, _ = macro_eigs(op, cfg.get("spectrum", {}).get("n_macro", 8), ws)
     spec = limit_spectrum(zf, zf.rho_bar * mu_w, m0=m0)
@@ -316,7 +315,7 @@ def cmd_validate(cfg, out: Path, chash: str) -> int:
         report["essential_interval"] = [m0, "inf"]
     for eps in eps_list:
         fp = build_fine_problem(
-            mat, shape, h=h_fixed if thin else regime.delta * eps,
+            mat, shape, h=vcfg.get("h", 0.5) if thin else regime.delta * eps,
             epsilon=eps, mu_scaling="eps", tau=0,
             cells_per_eps=vcfg.get("cells_per_eps", 8),
             n_z=vcfg.get("n_z", 4), parity="memb",

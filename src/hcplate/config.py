@@ -67,7 +67,7 @@ SCHEMA = {
                 "n_modes": {"type": "integer", "minimum": 1},
                 "tol": {"type": "number", "exclusiveMinimum": 0},
                 "seed": {"type": "integer"},
-                "eig_solver": {"enum": ["auto", "dense", "shift-invert", "lobpcg"]},
+                "eig_solver": {"enum": ["auto", "dense", "shift-invert"]},
             },
             # removed knobs are refused by name, never silently ignored
             "propertyNames": {"not": {"enum": ["dense_threshold"]}},

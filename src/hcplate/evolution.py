@@ -22,8 +22,8 @@ import numpy as np
 
 from .fem.system import factorize
 from .limits import (ROWS, LimitModel, LoadSpec, ModalSystem, RegimeError,
-                     compute_load_functional, load_moments, micro_modal_loads,
-                     modal_system, static_micro)
+                     load_moments, micro_modal_loads, modal_system,
+                     static_micro)
 from .macro import macro_eigs
 
 
@@ -46,6 +46,17 @@ class Trajectory:
         return float(abs(tot - tot[0]).max() / ref)
 
 
+def step_count(T: float, dt: float) -> int:
+    """The number of steps of size dt that end at T; a T that is not a
+    whole number of steps (to 1e-9 relative) is refused."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    n = int(round(T / dt))
+    if abs(T / dt - n) > 1e-9 * abs(T / dt):
+        raise ValueError(f"T = {T} is not a whole number of steps dt = {dt}")
+    return n
+
+
 def implicit_midpoint(system: ModalSystem, u0, v0, T: float, dt: float):
     """Symplectic implicit-midpoint sweep; exactly conserves the quadratic
     energy for time-independent loads set to zero. Each step solves
@@ -55,9 +66,7 @@ def implicit_midpoint(system: ModalSystem, u0, v0, T: float, dt: float):
     (steps+1, N, nm) paths of the state and of its velocity, and the step
     factorization.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    nsteps = int(round(T / dt))
+    nsteps = step_count(T, dt)
     cp = system.coupling
     s = 0.25 * dt ** 2
     sh = cp.shift(1.0, s)
@@ -104,11 +113,11 @@ def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
                           "implemented for x3-constant load profiles")
     dt = dt if dt is not None else T / 1000.0
 
-    system = modal_system(model, load, compute_load_functional(model, load))
+    system = modal_system(model, load)
     cp = system.coupling
     u0 = np.zeros(system.n) if u0 is None else np.array(u0, dtype=float)
     v0 = np.zeros(system.n) if v0 is None else v0
-    ns = model.macro_op.n_static
+    ns = model.op.n_static
     if ns:
         K = cp.K0
         u0[:ns] = factorize(K[:ns, :ns], order=cp.order0[:ns]).solve(
@@ -147,7 +156,7 @@ def _macro_modal_reduction(model: LimitModel, n_macro_modes: int):
     """M_b-orthonormal macro bending modes and their stiffness values: the
     b parts of the bending pencil's modes, which are the modes of its
     Schur complement on b."""
-    op = model.bend_op
+    op = model.op
     mu, W = macro_eigs(op, n_macro_modes)
     # macro_eigs normalizes against rho_bar * M_b; rescale to M_b-orthonormal
     W = W[op.n_static:] * np.sqrt(model.rho_bar)
@@ -191,7 +200,7 @@ def evolve_memory_bending(model: LimitModel, load: LoadSpec, T: float,
 
     mac = model.macro_nodal(load)
     fbar, _ = load_moments(model, load)
-    Rb = model.bend_rect()
+    Rb = model.bend_rect
     ell = micro_modal_loads(model, load)
 
     # project the load and the grand mass onto each macro mode k: the (1+N)
@@ -202,12 +211,12 @@ def evolve_memory_bending(model: LimitModel, load: LoadSpec, T: float,
     mac_k = W.T @ (Rb @ mac)
     S = rho * mu
 
-    nsteps = int(round(T / dt))
+    nsteps = step_count(T, dt)
     times = np.arange(nsteps + 1) * dt
     s = 0.25 * dt ** 2
     gammas = 1.0 / (1.0 + s * eta)
     # effective midpoint mass of the eliminated micro modes
-    Aeff = rho - model.bend_coupling().gram(1.0, s)[0, 0] + s * S
+    Aeff = rho - model.coupling.gram(1.0, s)[0, 0] + s * S
     P, r = _oscillator_propagator(eta, dt)
 
     b = np.zeros(n_macro_modes) if b0_modal is None \

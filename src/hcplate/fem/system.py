@@ -153,6 +153,7 @@ def nested_dissection(shape, periodic) -> np.ndarray:
 # eigs_smallest goes dense when n <= DENSE_MAX_DOFS or n <= DENSE_MODE_RATIO * N;
 # an ARPACK failure falls back to dense only up to DENSE_FALLBACK_MAX_DOFS
 DENSE_MAX_DOFS, DENSE_MODE_RATIO, DENSE_FALLBACK_MAX_DOFS = 400, 20, 12000
+ARPACK_MAXITER = 2000
 
 
 @dataclass
@@ -160,10 +161,9 @@ class EigWorkspace:
     """Eigensolver settings (the mode count is passed separately): `tol`
     bounds each pair's backward error (floored at 1e-8); `solver` "auto"
     applies the size rule, any other value forces that path; `seed` fixes
-    the ARPACK and LOBPCG start vectors."""
+    the ARPACK start vector."""
     tol: float = 1e-9
-    solver: str = "auto"          # auto | dense | shift-invert | lobpcg
-    maxiter: int = 2000
+    solver: str = "auto"          # auto | dense | shift-invert
     seed: int = 1234
 
     def __post_init__(self):
@@ -352,7 +352,7 @@ def _shift_invert_pairs(pair: SparseOperatorPair, N: int, ws: EigWorkspace,
                                     matvec=lu.solve)
     try:
         w, v = spla.eigsh(pair.K, k=N, M=pair.M, sigma=0.0, which="LM",
-                          OPinv=opinv, maxiter=ws.maxiter,
+                          OPinv=opinv, maxiter=ARPACK_MAXITER,
                           v0=np.random.RandomState(ws.seed).rand(pair.n))
     except spla.ArpackError as exc:
         if singular_mass or pair.n > DENSE_FALLBACK_MAX_DOFS:
@@ -394,13 +394,6 @@ def eigs_smallest(pair: SparseOperatorPair, N: int,
         w, v = _dense_pairs(pair, N)
     elif solver == "shift-invert":
         w, v = _shift_invert_pairs(pair, N, ws, tol, massless > 0)
-    elif solver == "lobpcg":
-        if np.iscomplexobj(pair.K):
-            raise SolverError("lobpcg path is real-symmetric only")
-        X = np.random.RandomState(ws.seed).standard_normal((n, N))
-        prec = sp.diags(1.0 / pair.K.diagonal())
-        w, v = spla.lobpcg(pair.K, X, B=pair.M, M=prec, largest=False,
-                           tol=ws.tol, maxiter=ws.maxiter)
     else:
         raise ValueError(f"unknown solver {ws.solver!r}")
 

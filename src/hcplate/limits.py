@@ -15,6 +15,7 @@ system with a frequency-dependent effective mass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -247,31 +248,21 @@ class LoadSpec:
         return float(vals.sum()), float(vals[~soft].sum()), float(vals[soft].sum())
 
 
-# ---------------------------------------------------------------------------
-# macro-mesh BFS mass helpers for the nodal-data convention
+def _nodal_rect(mesh: MacroMesh, dof, Me) -> sp.csr_matrix:
+    """The block of a mixed BFS-Q1 element matrix Me: the bending space
+    dof against nodal data."""
+    return fa.assemble_rect_block(dof.element_dofs(mesh.elements),
+                                  mesh.elements, Me,
+                                  (dof.n_free, mesh.n_nodes))
 
-def bfs_interp_mass_rect(mesh: MacroMesh, dof) -> sp.csr_matrix:
-    Me = el.mixed_mass_bfs_q1(mesh.element_size())
-    rows = dof.element_dofs(mesh.elements)
-    cols = mesh.elements
-    return fa.assemble_rect_block(rows, cols, Me, (dof.n_free, mesh.n_nodes))
-
-
-def bfs_gradload_rects(mesh: MacroMesh, dof):
-    Gx, Gy = el.mixed_gradload_bfs_q1(mesh.element_size())
-    rows = dof.element_dofs(mesh.elements)
-    cols = mesh.elements
-    shape = (dof.n_free, mesh.n_nodes)
-    return (fa.assemble_rect_block(rows, cols, Gx, shape),
-            fa.assemble_rect_block(rows, cols, Gy, shape))
-
-
-# ---------------------------------------------------------------------------
 
 @dataclass
 class LimitModel:
-    """Everything a regime row needs: effective tensor, inclusion modal
-    basis, macro operators, and the mass plumbing between them."""
+    """Everything a regime row needs: the effective tensor, the inclusion
+    modal basis, the row's macro pencil `op` (membrane, or bending over
+    [a | b]) and its grand modal system's `coupling`, built on first use.
+    The cached properties live in the instance, so a copy made with
+    dataclasses.replace builds its own."""
     regime: RegimeConfig
     mat: tn.MaterialSpec
     shape: InclusionShape
@@ -280,112 +271,72 @@ class LimitModel:
     tensor: EffectiveTensor
     bloch: BlochSpectrum
     rho_bar: float
-    memb_op: MacroOperator | None = None
-    bend_op: MacroOperator | None = None
+    op: MacroOperator
     static_bloch: BlochSpectrum | None = None   # the row's static micro modes
-    meta: dict = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def macro_op(self) -> MacroOperator:
-        return self.memb_op if self.memb_op is not None else self.bend_op
 
     @property
     def na(self) -> int:
         """Size of the part a of the macro state [a | b]: the membrane
         operator, or the bending pencil's in-plane part."""
-        op = self.macro_op
-        return op.n_static or op.n
+        return self.op.n_static or self.op.n
 
     def nodal(self, x0: np.ndarray):
         """Nodal a (n_nodes, 2) and b (n_nodes,) of a macro state [a | b];
         b is None for a membrane state without the out-of-plane field."""
-        op, na = self.macro_op, self.na
-        if self.memb_op is not None:
+        op, na = self.op, self.na
+        if op.kind == "memb":
             return op.pair.dof.expand(x0[:na]), (x0[na:] if len(x0) > na
                                                   else None)
         return op.memb_dof.expand(x0[:na]), op.pair.dof.expand(x0[na:])[:, 0]
 
-    # -- mass plumbing (built lazily) ------------------------------------
-    def Ms(self) -> sp.csr_matrix:
-        if "Ms" not in self._cache:
-            self._cache["Ms"] = scalar_mass(self.macro_mesh)
-        return self._cache["Ms"]
+    @cached_property
+    def bend_rect(self) -> sp.csr_matrix:
+        """int g phi_i of nodal data g against the bending space of b."""
+        mesh = self.macro_mesh
+        return _nodal_rect(mesh, self.op.pair.dof,
+                           el.mixed_mass_bfs_q1(mesh.element_size()))
 
-    def memb_rects(self):
-        """R_c = T_c^T Ms: int g theta_c for nodal data g, against the
-        membrane operator or the bending pencil's in-plane part."""
-        if "Ra" not in self._cache:
-            dof = (self.memb_op.pair.dof if self.memb_op is not None
-                   else self.bend_op.memb_dof)
-            self._cache["Ra"] = [(T.T @ self.Ms()).tocsr() for T in
-                                 nodal_traces(dof)]
-        return self._cache["Ra"]
-
-    def bend_rect(self):
-        if "Rb" not in self._cache:
-            self._cache["Rb"] = bfs_interp_mass_rect(self.macro_mesh,
-                                                     self.bend_op.pair.dof)
-        return self._cache["Rb"]
-
-    def bend_gradrects(self):
-        if "Gb" not in self._cache:
-            self._cache["Gb"] = bfs_gradload_rects(self.macro_mesh,
-                                                   self.bend_op.pair.dof)
-        return self._cache["Gb"]
-
-    # -- the macro-micro couplings of the grand modal systems --------------
-    def bend_coupling(self, modal: bool = True) -> ModalCoupling:
-        """Bending rows: state [a | b | c_1 ... c_N] on the bending pencil,
-        with the micro fields in the reduced bending space of b, coupled
-        through the last (out-of-plane) mean; the in-plane part a carries
-        stiffness only. modal=False keeps the macro block alone."""
-        key = ("bend_coupling", modal)
-        if key not in self._cache:
-            op = self.bend_op
-            bs = self.bloch
-            N = len(bs.eigenvalues) if modal else 0
+    @cached_property
+    def coupling(self) -> ModalCoupling:
+        """The row's grand modal system, state [a | b | c_1 ... c_N].
+        Membrane rows: nodal micro fields coupled through every mean, with
+        the algebraic out-of-plane field b (mass only) when the means carry
+        a third component. Bending rows: the bending pencil, with the micro
+        fields in the reduced bending space of b, coupled through the last
+        (out-of-plane) mean; the in-plane part a carries stiffness only, and
+        the plate row keeps the macro block alone (N = 0)."""
+        op, bs = self.op, self.bloch
+        if op.kind == "bend":
+            N = 0 if self.regime.row.macro_only else len(bs.eigenvalues)
             na = op.n_static
             Mb = op.pair.M[na:, na:]
             # T picks b out of [a | b]
             T = sp.eye(op.n - na, op.n, k=na, format="csr")
-            self._cache[key] = ModalCoupling(
+            return ModalCoupling(
                 M0=self.rho_bar * op.pair.M, K0=op.pair.K, Ms=Mb,
                 R=[(T.T @ Mb).tocsr()], T=[T], eta=bs.eigenvalues[:N],
                 means=bs.weighted_means[:N, -1:], order0=op.pair.order,
                 order_s=op.pair.dof.key)
-        return self._cache[key]
-
-    def memb_coupling(self) -> ModalCoupling:
-        """Membrane rows (tau = 0): state [a | b | c_1 ... c_N] with nodal
-        micro fields; the algebraic out-of-plane field b (mass only) is
-        present when the means carry a third component."""
-        if "memb_coupling" not in self._cache:
-            op = self.memb_op
-            Ms = self.Ms()
-            means = self.bloch.weighted_means
-            third = means.shape[1] == 3
-            na, nn = op.pair.n, self.macro_mesh.n_nodes
-            # T_c expands component c of the state to nodal values; b is
-            # nodal already
-            T = nodal_traces(op.pair.dof)
-            K0, order0 = op.pair.K, op.pair.order
-            ranks = nested_dissection(*self.macro_mesh.grid)
-            if third:
-                T = [sp.hstack([Tc, sp.csr_matrix((nn, nn))], format="csr")
-                     for Tc in T]
-                T.append(sp.eye(nn, na + nn, k=na, format="csr"))
-                K0 = sp.block_diag([K0, sp.csr_matrix((nn, nn))], format="csr")
-                order0 = np.concatenate([order0, ranks])
-            R = [(Tc.T @ Ms).tocsr() for Tc in T]
-            # sum_c T_c^T Ms T_c; sorted rows fix the order of every M0
-            # matvec sum
-            M0 = sum(Rc @ Tc for Rc, Tc in zip(R, T)).sorted_indices()
-            self._cache["memb_coupling"] = ModalCoupling(
-                M0=self.rho_bar * M0, K0=K0, Ms=Ms, R=R, T=T,
-                eta=self.bloch.eigenvalues, means=means, order0=order0,
-                order_s=ranks)
-        return self._cache["memb_coupling"]
+        Ms = scalar_mass(self.macro_mesh)
+        means = bs.weighted_means
+        na, nn = op.pair.n, self.macro_mesh.n_nodes
+        # T_c expands component c of the state to nodal values; b is nodal
+        # already
+        T = nodal_traces(op.pair.dof)
+        K0, order0 = op.pair.K, op.pair.order
+        ranks = nested_dissection(*self.macro_mesh.grid)
+        if means.shape[1] == 3:
+            T = [sp.hstack([Tc, sp.csr_matrix((nn, nn))], format="csr")
+                 for Tc in T]
+            T.append(sp.eye(nn, na + nn, k=na, format="csr"))
+            K0 = sp.block_diag([K0, sp.csr_matrix((nn, nn))], format="csr")
+            order0 = np.concatenate([order0, ranks])
+        R = [(Tc.T @ Ms).tocsr() for Tc in T]
+        # sum_c T_c^T Ms T_c; sorted rows fix the order of every M0 matvec sum
+        M0 = sum(Rc @ Tc for Rc, Tc in zip(R, T)).sorted_indices()
+        return ModalCoupling(M0=self.rho_bar * M0, K0=K0, Ms=Ms, R=R, T=T,
+                             eta=bs.eigenvalues, means=means, order0=order0,
+                             order_s=ranks)
 
     def macro_nodal(self, load: LoadSpec) -> np.ndarray:
         return load.macro_fn()(self.macro_mesh.nodes.T)
@@ -450,26 +401,6 @@ def load_moments(model: LimitModel, load: LoadSpec):
     return amp * t0 * cy, amp[:2] * t1 * cy
 
 
-def compute_load_functional(model: LimitModel, load: LoadSpec) -> dict:
-    """Discrete right-hand-side data for the regime: macro load vectors and
-    micro modal loads, all per unit time profile."""
-    fbar, xmom = load_moments(model, load)
-    mac = model.macro_nodal(load)
-    out = {"fbar": fbar, "x3_moment": xmom, "macro_nodal": mac}
-    Ra = model.memb_rects()
-    rhs_a = Ra[0] @ (fbar[0] * mac) + Ra[1] @ (fbar[1] * mac)
-    if model.bend_op is None:
-        out["memb_rhs"] = rhs_a
-    else:
-        # the block load [F_a | F_b] of the bending pencil
-        Gx, Gy = model.bend_gradrects()
-        rhs_b = model.bend_rect() @ (fbar[2] * mac) \
-            - Gx @ (xmom[0] * mac) - Gy @ (xmom[1] * mac)
-        out["bend_rhs"] = np.concatenate([rhs_a, rhs_b])
-    out["micro_modal"] = micro_modal_loads(model, load)
-    return out
-
-
 def cell_tensor(mat: tn.MaterialSpec, shape: InclusionShape | None,
                 delta: float, n: int, n_z: int = 4
                 ) -> tuple[CellMesh, EffectiveTensor]:
@@ -516,9 +447,7 @@ def build_limit_model(regime: RegimeConfig, mat: tn.MaterialSpec,
         static = bloch_spectrum(mat, shape, cell_n, tag, n_modes, ws=ws)
     return LimitModel(regime=regime, mat=mat, shape=shape,
                       cell_mesh=cell_mesh, macro_mesh=macro_mesh,
-                      tensor=tensor, bloch=bs, rho_bar=rho_bar,
-                      memb_op=op if op.kind == "memb" else None,
-                      bend_op=op if op.kind == "bend" else None,
+                      tensor=tensor, bloch=bs, rho_bar=rho_bar, op=op,
                       static_bloch=static)
 
 
@@ -528,39 +457,54 @@ def build_limit_model(regime: RegimeConfig, mat: tn.MaterialSpec,
 @dataclass
 class ModalSystem:
     """M u'' + K u = F time(t) for the grand (M, K) of a ModalCoupling; the
-    load has a macro dual part F0 and micro primal parts f_micro (N, nm)."""
+    load has a macro dual part F0 and micro primal parts f_micro (N, nm).
+    mac is the load's nodal macro profile and ell its micro modal loads
+    per unit macro value (empty without micro modes)."""
     coupling: ModalCoupling
     F0: np.ndarray
     f_micro: np.ndarray
     time_fn: object
+    mac: np.ndarray
+    ell: np.ndarray
 
     @property
     def n(self) -> int:
         return self.coupling.n
 
 
-def modal_system(model: LimitModel, load: LoadSpec, data: dict) -> ModalSystem:
-    """The row's grand system under the load with functional data (from
-    compute_load_functional): the membrane rows carry the in-plane field,
-    the algebraic out-of-plane one and nodal micro modes; the plate row
-    its bending pencil alone under the block load [F_a | F_b]; the
-    high-contrast bending rows micro modes in the bending space of b,
-    loaded through the transverse average only (the x3 moments act through
-    the micro equations)."""
-    mac, fbar, ell = data["macro_nodal"], data["fbar"], data["micro_modal"]
-    if model.memb_op is not None:
-        cp = model.memb_coupling()
+def modal_system(model: LimitModel, load: LoadSpec) -> ModalSystem:
+    """The row's grand system (model.coupling) under the load: the membrane
+    rows load the in-plane field, the algebraic out-of-plane one and their
+    nodal micro modes; the plate row its bending pencil alone under the
+    block load [F_a | F_b], F_b with the x3 moments of the in-plane load;
+    the high-contrast bending rows load b and the micro modes in its
+    bending space through the transverse average only (the x3 moments act
+    through the micro equations)."""
+    cp = model.coupling
+    fbar, xmom = load_moments(model, load)
+    mac = model.macro_nodal(load)
+    ell = micro_modal_loads(model, load) if cp.N else np.zeros(0)
+    if model.op.kind == "memb":
         F0 = cp.couple(np.outer(fbar[:cp.means.shape[1]], mac))
         f_micro = np.outer(ell, mac)
-    elif model.regime.row.macro_only:
-        cp = model.bend_coupling(modal=False)
-        F0, f_micro = data["bend_rhs"], np.zeros((0, cp.nm))
-    else:
-        cp = model.bend_coupling()
-        Rmac = model.bend_rect() @ mac
+    elif cp.N:
+        Rmac = model.bend_rect @ mac
         F0 = np.concatenate([np.zeros(model.na), fbar[2] * Rmac])
         f_micro = np.outer(ell, cp.to_micro(Rmac))
-    return ModalSystem(cp, F0, f_micro, load.time_fn())
+    else:
+        # [F_a | F_b]: the in-plane traces times the scalar mass, and the
+        # transverse load less the gradient loads of the x3 moments
+        mesh = model.macro_mesh
+        Ms = scalar_mass(mesh)
+        Ra = [(T.T @ Ms).tocsr() for T in nodal_traces(model.op.memb_dof)]
+        Gx, Gy = (_nodal_rect(mesh, model.op.pair.dof, G) for G in
+                  el.mixed_gradload_bfs_q1(mesh.element_size()))
+        F0 = np.concatenate([
+            Ra[0] @ (fbar[0] * mac) + Ra[1] @ (fbar[1] * mac),
+            model.bend_rect @ (fbar[2] * mac) - Gx @ (xmom[0] * mac)
+            - Gy @ (xmom[1] * mac)])
+        f_micro = np.zeros((0, cp.nm))
+    return ModalSystem(cp, F0, f_micro, load.time_fn(), mac, ell)
 
 
 def static_micro(model: LimitModel, load: LoadSpec) -> np.ndarray | None:
@@ -629,8 +573,7 @@ def solve_limit_resolvent(model: LimitModel, lam: float, load: LoadSpec) -> Limi
     reported as nodal fields driven by the nodal macro fields."""
     if lam <= 0:
         raise ValueError("resolvent parameter lambda must be positive")
-    data = compute_load_functional(model, load)
-    system = modal_system(model, load, data)
+    system = modal_system(model, load)
     cp = system.coupling
     sh = cp.shift(lam, 1.0)
     a, b = model.nodal(sh.solve_macro(system.F0, system.f_micro))
@@ -638,8 +581,7 @@ def solve_limit_resolvent(model: LimitModel, lam: float, load: LoadSpec) -> Limi
     if cp.N:
         # the means' components are the trailing ones of (a_1, a_2, b)
         fields = np.vstack([a.T] + ([b] if b is not None else []))
-        state.micro = sh.micro(np.outer(data["micro_modal"],
-                                        data["macro_nodal"]),
+        state.micro = sh.micro(np.outer(system.ell, system.mac),
                                fields[-cp.means.shape[1]:])
     static = static_micro(model, load)
     if static is not None:

@@ -19,6 +19,7 @@ import scipy.linalg as sla
 from .bloch import MEAN_ZERO_FACTOR, BlochSpectrum, cluster_starts
 
 CLUSTER_TOL = 1e-8
+POLE_GUARD = 1e-8   # beta is refused this close to a pole
 
 
 class PoleProximityError(ValueError):
@@ -39,8 +40,6 @@ class ZhikovFunction:
     rho1_mass: float             # <rho1> (monotonicity floor of beta')
     uncoupled: np.ndarray        # alpha-type eigenvalues of the same operator
     truncation: int = 0
-    pole_guard: float = 1e-8
-    source_tag: str = ""
 
     @property
     def k(self) -> int:
@@ -56,8 +55,9 @@ class ZhikovFunction:
         lambda <rho> I + sum_n lambda^2/(eta_n - lambda) m_n m_n^T)."""
         if lam < 0:
             raise ValueError("beta is evaluated at lambda >= 0")
-        if len(self.poles) and abs(self.poles - lam).min() < self.pole_guard:
-            raise PoleProximityError(f"lambda={lam} within {self.pole_guard} of a pole")
+        if len(self.poles) and abs(self.poles - lam).min() < POLE_GUARD:
+            raise PoleProximityError(f"lambda={lam} within {POLE_GUARD} "
+                                     f"of a pole")
         out = lam * self.rho_bar * np.eye(self.k)
         for eta, m in zip(self.poles, self.means):
             out += lam ** 2 / (eta - lam) * np.outer(m, m)
@@ -65,8 +65,7 @@ class ZhikovFunction:
 
 
 
-def zhikov_variant(bs: BlochSpectrum, mat, components=None,
-                   pole_guard: float = 1e-8) -> ZhikovFunction:
+def zhikov_variant(bs: BlochSpectrum, mat, components=None) -> ZhikovFunction:
     """Zhikov data for a sub-variant tracking only some mean components
     (e.g. the transverse component for the bending rows).  Poles are the
     eigenvalues whose multiplicity cluster carries a nonzero mean in the
@@ -84,14 +83,13 @@ def zhikov_variant(bs: BlochSpectrum, mat, components=None,
                           means=means[keep], rho_bar=rho_bar,
                           rho1_mass=mat.rho1 * (1.0 - frac),
                           uncoupled=bs.eigenvalues[~keep],
-                          truncation=bs.n_modes, pole_guard=pole_guard,
-                          source_tag=bs.operator_tag)
+                          truncation=bs.n_modes)
 
 
-def zhikov_from_bloch(bs: BlochSpectrum, mat, pole_guard: float = 1e-8) -> ZhikovFunction:
+def zhikov_from_bloch(bs: BlochSpectrum, mat) -> ZhikovFunction:
     """Assemble the Zhikov data of one inclusion operator variant (all
     tracked components)."""
-    return zhikov_variant(bs, mat, components=None, pole_guard=pole_guard)
+    return zhikov_variant(bs, mat)
 
 
 @dataclass

@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 from hcplate.evolution import _macro_modal_reduction, _oscillator_propagator
 from hcplate.limits import (LimitModel, LoadSpec, load_moments,
                             micro_modal_loads)
-from hcplate.macro import nodal_traces
+from hcplate.macro import nodal_traces, scalar_mass
 from schur_oracle import SchurOracle
 
 
@@ -96,7 +96,7 @@ def _bending_kron_system(model: LimitModel, load: LoadSpec) -> SecondOrderSystem
 
     mac = model.macro_nodal(load)
     fbar, _ = load_moments(model, load)
-    Rb = model.bend_rect()
+    Rb = model.bend_rect
     ell = micro_modal_loads(model, load)
     F0 = np.concatenate([Rb @ (fbar[2] * mac)]
                         + [Rb @ (ell[n] * mac) for n in range(N)])
@@ -117,13 +117,13 @@ def _real_time_system(model: LimitModel, load: LoadSpec) -> SecondOrderSystem:
     means = bs.weighted_means
     k = means.shape[1]
     N = len(eta)
-    op = model.memb_op
+    op = model.op
     rho = model.rho_bar
-    Ms = model.Ms()
-    Ra = model.memb_rects()
+    Ms = scalar_mass(model.macro_mesh)
     # M^{ab} = T_a^T Ms T_b pairs component a of one reduced field with
-    # component b of another
+    # component b of another; R_a = T_a^T Ms
     T = nodal_traces(op.pair.dof)
+    Ra = [(Tc.T @ Ms).tocsr() for Tc in T]
     comp_mass = {(a, b): (T[a].T @ Ms @ T[b]).tocsr()
                  for a in range(len(T)) for b in range(len(T))}
     na = op.pair.n
@@ -198,7 +198,7 @@ def memory_kernel_sum(model: LimitModel, load: LoadSpec, T: float, dt: float,
 
     mac = model.macro_nodal(load)
     fbar, _ = load_moments(model, load)
-    Rb = model.bend_rect()
+    Rb = model.bend_rect
     ell = micro_modal_loads(model, load)
     tf = load.time_fn()
     Fb_k = W.T @ (Rb @ (fbar[2] * mac))
@@ -256,5 +256,5 @@ def solve_bending_resolvent_data(model: LimitModel, lam: float,
     Returns ([a | b] reduced, c (N, nb))."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    cp = model.bend_coupling()
+    cp = model.coupling
     return cp.shift(lam, 1.0).solve(*cp.mass(z0, z_c))

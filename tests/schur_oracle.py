@@ -33,10 +33,8 @@ def plain_tensor(scale=1.0, coupling=0.0) -> EffectiveTensor:
 def with_tensor(model, tensor):
     """A copy of a bending-row limit model whose macro plate has another
     effective tensor."""
-    clone = replace(model, tensor=tensor, bend_op=build_bending_operator(
+    return replace(model, tensor=tensor, op=build_bending_operator(
         tensor, model.macro_mesh, model.rho_bar))
-    clone._cache = {}
-    return clone
 
 
 class SchurOracle:

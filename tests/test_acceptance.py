@@ -216,14 +216,14 @@ def test_criterion_8_evolution_correctness(demo_material, demo_shape):
     # single-mode free vibration, phase error O(dt^2)
     m1 = build_limit_model(RegimeConfig(1.0, "eps", 2), demo_material,
                            demo_shape, mm, cell_n=8, n_z=4, n_modes=8)
-    mu, W = macro_eigs(m1.bend_op, 1)
+    mu, W = macro_eigs(m1.op, 1)
     T = 2 * np.pi / np.sqrt(mu[0])
     errs = []
     for dt in (T / 200, T / 400):
         traj = evolve(m1, "long_time_bending", zero, T, dt, u0=W[:, 0],
-                      v0=np.zeros(m1.bend_op.n))
-        proj = traj.fields["b"] @ (m1.rho_bar * (m1.bend_op.pair.M @ W[:, 0])
-                                   [m1.bend_op.n_static:])
+                      v0=np.zeros(m1.op.n))
+        proj = traj.fields["b"] @ (m1.rho_bar * (m1.op.pair.M @ W[:, 0])
+                                   [m1.op.n_static:])
         errs.append(abs(proj - np.cos(np.sqrt(mu[0]) * traj.times)).max())
     ratio = errs[0] / errs[1]
     ok = 3.5 <= ratio <= 4.5
@@ -243,7 +243,7 @@ def test_criterion_8_evolution_correctness(demo_material, demo_shape):
     # memory-kernel elimination agrees with the coupled solve
     times, modal = evolve_memory_bending(m3, zero, 1.0, 1e-3,
                                          n_macro_modes=1, b0_modal=[1.0])
-    proj = traj.fields["b"] @ (m3.bend_coupling().Ms @ W3[:, 0])
+    proj = traj.fields["b"] @ (m3.coupling.Ms @ W3[:, 0])
     kernel_err = abs(proj - modal[:, 0]).max()
     ok &= kernel_err <= 1e-6
     c.finish(bool(ok), f"ratio {ratio:.2f}, drift {drift:.1e}, "

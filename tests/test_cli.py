@@ -111,6 +111,30 @@ class TestExitCodes:
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path),
                      "--quiet"]) == 2
 
+    def test_removed_eig_solver_refused(self, tmp_path, capsys):
+        bad = json.loads(json.dumps(TINY))
+        bad["solver"]["eig_solver"] = "lobpcg"
+        cfg = write_cfg(tmp_path, bad)
+        assert main(["bloch", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "lobpcg" in capsys.readouterr().err
+
+    def test_evolve_horizon_not_whole_steps(self, tmp_path, capsys):
+        # T = 0.1 is not a whole number of steps dt = 0.03: refused, not
+        # stopped at t = 0.09 with T = 0.1 in the manifest
+        bad = json.loads(json.dumps(TINY))
+        bad["evolve"].update(T=0.1, dt=0.03)
+        cfg = write_cfg(tmp_path, bad)
+        out = tmp_path / "o"
+        assert main(["evolve", "--config", cfg, "--out", str(out)]) == 2
+        assert "whole number of steps" in capsys.readouterr().err
+        assert not (out / "evolve_manifest.json").exists()
+        bad["evolve"].update(T=0.1, dt=0.001)
+        cfg = write_cfg(tmp_path, bad)
+        assert main(["evolve", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+        man = json.loads((out / "evolve_manifest.json").read_text())
+        assert man["n_steps"] == 100
+
     def test_empty_gamma(self, tmp_path):
         bad = json.loads(json.dumps(TINY))
         bad["macro"]["gamma"] = []

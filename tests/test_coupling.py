@@ -157,8 +157,8 @@ def test_resolvents_match_explicit_elimination(case, reference):
                 # a field that vanishes by symmetry stays at round-off
                 assert abs(np.asarray(got)).max() <= 1e-12 * scale, (r.key, key)
         if r.mu == "eps_h" and r.delta == 1.0:
-            na = model.bend_op.n_static
-            nb = model.bend_op.n - na
+            na = model.op.n_static
+            nb = model.op.n - na
             N = len(model.bloch.eigenvalues)
             rng = np.random.RandomState(5)
             z0 = np.concatenate([np.zeros(na), rng.standard_normal(nb)])

@@ -9,11 +9,11 @@ from grand_oracle import (SecondOrderSystem, _bending_kron_system,
                           _real_time_system, grand_midpoint,
                           solve_bending_resolvent_data)
 from hcplate.evolution import (_macro_modal_reduction, evolve,
-                               evolve_memory_bending)
+                               evolve_memory_bending, step_count)
 from hcplate.fem.system import factorize
 from hcplate.geometry import build_macro_mesh
 from hcplate.limits import (LoadSpec, RegimeConfig, RegimeError,
-                            build_limit_model, compute_load_functional,
+                            build_limit_model, modal_system,
                             solve_limit_resolvent)
 from hcplate.macro import macro_eigs
 from schur_oracle import SchurOracle
@@ -48,14 +48,14 @@ def zero_load():
 
 class TestSingleMode:
     def test_cos_solution_and_dt2_order(self, model_r1):
-        mu, W = macro_eigs(model_r1.bend_op, 1)
+        mu, W = macro_eigs(model_r1.op, 1)
         w1 = W[:, 0]
         T = 2 * np.pi / np.sqrt(mu[0])
         errs = []
         for dt in (T / 200, T / 400):
             traj = evolve(model_r1, "long_time_bending", zero_load(), T, dt,
                           u0=w1.copy(), v0=np.zeros_like(w1))
-            op = model_r1.bend_op
+            op = model_r1.op
             proj = traj.fields["b"] @ (model_r1.rho_bar *
                                        (op.pair.M @ w1)[op.n_static:])
             errs.append(abs(proj - np.cos(np.sqrt(mu[0]) * traj.times)).max())
@@ -63,9 +63,9 @@ class TestSingleMode:
         assert 3.5 <= ratio <= 4.5
 
     def test_quasistatic_membrane_tracks_bending(self, model_r1):
-        mu, W = macro_eigs(model_r1.bend_op, 1)
+        mu, W = macro_eigs(model_r1.op, 1)
         traj = evolve(model_r1, "long_time_bending", zero_load(),
-                      0.3, 1e-3, u0=W[:, 0], v0=np.zeros(model_r1.bend_op.n))
+                      0.3, 1e-3, u0=W[:, 0], v0=np.zeros(model_r1.op.n))
         oracle = SchurOracle(model_r1.tensor, model_r1.macro_mesh)
         for j in (0, len(traj.times) // 2, -1):
             expect = oracle.inplane(traj.fields["b"][j])
@@ -103,11 +103,11 @@ class TestCoupledPlate:
         # at the static solution K u_s = F = [F_a | F_b], the state stays
         model = coupled_rows["eps"]
         load = LoadSpec(amplitude=(0.4, -0.3, 0.0))
-        u_s = factorize(model.bend_op.pair.K).solve(
-            compute_load_functional(model, load)["bend_rhs"])
+        u_s = factorize(model.op.pair.K).solve(
+            modal_system(model, load).F0)
         traj = evolve(model, "long_time_bending", load, 0.2, 1e-3, u0=u_s,
                       v0=np.zeros_like(u_s))
-        na = model.bend_op.n_static
+        na = model.op.n_static
         for part, ref in ((traj.fields["a"], u_s[:na]),
                           (traj.fields["b"], u_s[na:])):
             assert abs(ref).max() > 0
@@ -158,7 +158,7 @@ class TestMemoryKernel:
         times, modal = evolve_memory_bending(
             model_r3, zero_load(), 1.0, 1e-3, n_macro_modes=2,
             b0_modal=[0.7, -0.2])
-        Mb = model_r3.bend_coupling().Ms
+        Mb = model_r3.coupling.Ms
         for k in range(2):
             proj = traj.fields["b"] @ (Mb @ W[:, k])
             assert abs(proj - modal[:, k]).max() <= 1e-6
@@ -169,12 +169,12 @@ class TestMemoryKernel:
         times, modal = evolve_memory_bending(model_r3, ld, 0.5, 5e-4,
                                              n_macro_modes=3)
         mu, W = _macro_modal_reduction(model_r3, 3)
-        Mb = model_r3.bend_coupling().Ms
+        Mb = model_r3.coupling.Ms
         # the load has a component outside the 3-mode macro span; compare
         # only the projections driven by the projected load
         from hcplate.limits import load_moments
         fbar, _ = load_moments(model_r3, ld)
-        Rb = model_r3.bend_rect()
+        Rb = model_r3.bend_rect
         mac = model_r3.macro_nodal(ld)
         F = Rb @ (fbar[2] * mac)
         coeffs = W.T @ F
@@ -258,3 +258,12 @@ class TestVariantDispatch:
     def test_nonpositive_dt(self, model_r2):
         with pytest.raises(ValueError):
             evolve(model_r2, "real_time", zero_load(), 0.1, -1e-3)
+
+    def test_horizon_is_a_whole_number_of_steps(self, model_r2, model_r3):
+        assert [step_count(T, 1e-3) for T in (0.1, 0.3, 0.5, 1.0)] == \
+            [100, 300, 500, 1000]
+        assert step_count(0.0, 1e-3) == 0
+        with pytest.raises(ValueError, match="whole number of steps"):
+            evolve(model_r2, "real_time", zero_load(), 0.1, 0.03)
+        with pytest.raises(ValueError, match="whole number of steps"):
+            evolve_memory_bending(model_r3, zero_load(), 0.1, 0.03)

@@ -328,15 +328,6 @@ class TestEigs:
         with pytest.raises(ValueError):
             eigs_smallest(pair, 5)
 
-    def test_lobpcg_agrees(self):
-        mesh = build_macro_mesh(1, 1, 10, 10)
-        pair = assemble_vector_h1(mesh, isotropic_2d(1, 1),
-                                  space="dirichlet", ncomp=2)
-        wd, _ = eigs_smallest(pair, 3, EigWorkspace(solver="dense"))
-        wl, _ = eigs_smallest(pair, 3, EigWorkspace(solver="lobpcg", tol=1e-10,
-                                                    maxiter=5000))
-        assert_allclose(wl, wd, rtol=1e-6)
-
 
 class TestEigsFallbacks:
     """Only solver failures fall back to dense; anything else propagates."""

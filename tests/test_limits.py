@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 from hcplate.config import parse_load
 from hcplate.geometry import build_macro_mesh
 from hcplate.limits import (LoadSpec, RegimeConfig, RegimeError,
-                            build_limit_model, compute_load_functional,
-                            load_moments, micro_modal_loads,
+                            build_limit_model, load_moments,
+                            micro_modal_loads, modal_system,
                             solve_limit_resolvent)
 from grand_oracle import solve_bending_resolvent_data
 from schur_oracle import SchurOracle
@@ -131,9 +131,9 @@ class TestResolventRows:
         system = _real_time_system(model_r2, ld)
         u = spla.splu((system.K + lam * system.M).tocsc()).solve(system.F0)
         st = solve_limit_resolvent(model_r2, lam, ld)
-        na = model_r2.memb_op.pair.n
+        na = model_r2.op.pair.n
         nn = mm.n_nodes
-        assert_allclose(model_r2.memb_op.pair.dof.expand(u[:na]), st.a,
+        assert_allclose(model_r2.op.pair.dof.expand(u[:na]), st.a,
                         atol=1e-12)
         assert_allclose(u[na:na + nn], st.b, atol=1e-12)
         assert_allclose(u[na + nn:].reshape(-1, nn), st.micro, atol=1e-12)
@@ -189,7 +189,7 @@ def assert_nodal_fields(model, st, a, b):
     to 1e-10 of max |b|. (The reduced twist coefficients are the worst
     conditioned: the block's condition number is 1e7, and there the Schur
     oracle itself is only good to about 2e-10.)"""
-    op = model.bend_op
+    op = model.op
     b_nodal = op.pair.dof.expand(b)[:, 0]
     a_nodal = op.memb_dof.expand(a)
     scale = abs(b_nodal).max()
@@ -210,7 +210,7 @@ class TestCoupledPlateResolvents:
         lam = 2.0
         st = solve_limit_resolvent(model, lam, load)
         oracle = SchurOracle(model.tensor, model.macro_mesh)
-        F = compute_load_functional(model, load)["bend_rhs"]
+        F = modal_system(model, load).F0
         a, b = oracle.resolvent(lam * model.rho_bar, F[:oracle.na],
                                 F[oracle.na:])
         assert_nodal_fields(model, st, a, b)
@@ -268,7 +268,34 @@ class TestDelta0Branches:
         assert abs(full[interior]).max() < 1e-14
         assert abs(full).max() > 0
 
-    def test_load_functional_fields(self, model_r2):
-        data = compute_load_functional(model_r2, LoadSpec(amplitude=(0, 0, 1)))
-        assert "memb_rhs" in data and "micro_modal" in data
-        assert_allclose(data["x3_moment"], 0.0, atol=1e-14)
+    def test_modal_system_load_fields(self, model_r2):
+        load = LoadSpec(amplitude=(0, 0, 1))
+        system = modal_system(model_r2, load)
+        assert_allclose(system.mac, model_r2.macro_nodal(load))
+        assert_allclose(system.ell, micro_modal_loads(model_r2, load))
+        cp = system.coupling
+        assert cp is model_r2.coupling
+        assert system.f_micro.shape == (cp.N, cp.nm)
+        assert_allclose(load_moments(model_r2, load)[1], 0.0, atol=1e-14)
+
+
+class TestModelCoupling:
+    def test_replace_builds_its_own_coupling(self, model_r3):
+        import dataclasses
+        from hcplate.macro import build_bending_operator
+        from schur_oracle import plain_tensor
+        before = model_r3.coupling
+        tensor = plain_tensor(coupling=0.15)
+        op = build_bending_operator(tensor, model_r3.macro_mesh,
+                                    model_r3.rho_bar)
+        clone = dataclasses.replace(model_r3, tensor=tensor, op=op)
+        assert clone.coupling.K0 is op.pair.K
+        assert model_r3.coupling is before
+        assert before.K0 is model_r3.op.pair.K
+
+    def test_plate_row_has_no_modes(self, coupled_rows):
+        plate = coupled_rows["eps"].coupling
+        hc = coupled_rows["eps_h"].coupling
+        assert plate.N == 0 and plate.n == plate.n0
+        assert hc.N == len(coupled_rows["eps_h"].bloch.eigenvalues)
+        assert plate.n0 == hc.n0

@@ -1,7 +1,9 @@
 """Which scaling row a regime is belongs to hcplate.limits: its regime table
 (ROWS, RegimeConfig.kind) is the one place that compares a regime's
 contrast scaling `mu`, time scaling `tau` or secondary ratio `kappa`. Every
-other module reads the row from the table instead of branching on them."""
+other module reads the row from the table instead of branching on them.
+Likewise a row's grand modal system (a ModalCoupling) is built only there,
+by LimitModel.coupling."""
 
 import ast
 from pathlib import Path
@@ -46,3 +48,32 @@ def test_guard_sees_every_comparison_form():
                      "    return regime.mu in ('eps_h',), regime.kind == 'x'\n")
     assert _comparisons(tree) == [(2, "mu"), (2, "tau"), (4, "kappa"),
                                   (5, "tau"), (7, "mu")]
+
+
+def _couplings_built(tree) -> list[int]:
+    """Lines of every `ModalCoupling(...)` call in a parsed module."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and getattr(node.func, "id",
+                               getattr(node.func, "attr", None))
+                   == "ModalCoupling"})
+
+
+def test_modal_coupling_built_only_in_limits():
+    found, owner = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        lines = _couplings_built(ast.parse(path.read_text()))
+        (owner if rel == OWNER else found).extend(
+            f"{rel}:{line}" for line in lines)
+    assert not found, found
+    assert owner, "limits.py builds no ModalCoupling"
+
+
+def test_coupling_guard_sees_every_call_form():
+    tree = ast.parse("from . import coupling\n"
+                     "def run(a):\n"
+                     "    x = ModalCoupling(M0=a)\n"
+                     "    y = coupling.ModalCoupling(a)\n"
+                     "    return ModalCoupling, x.shift(1.0, 0.0)\n")
+    assert _couplings_built(tree) == [3, 4]
