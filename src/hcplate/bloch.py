@@ -28,6 +28,7 @@ from . import tensors as tn
 from .fem import assemble as fa
 from .fem.system import EigWorkspace, SparseOperatorPair, eigs_smallest
 from .geometry import CellMesh, InclusionShape, build_cell_mesh, half_prism
+from .memo import memoized
 
 CLUSTER_GAP = 1e-6       # relative eigenvalue gap defining a multiplicity cluster
 MEAN_ZERO_FACTOR = 1e-7  # weighted mean treated as zero below this * <rho0>
@@ -150,6 +151,7 @@ def mean_load_vectors(pair: SparseOperatorPair, tracked) -> np.ndarray:
         for c in tracked])
 
 
+@memoized
 def bloch_spectrum(mat: tn.MaterialSpec, shape: InclusionShape, n: int,
                    operator_tag: str, N: int, delta: float | None = None,
                    n_z: int = 4, ws: EigWorkspace | None = None) -> BlochSpectrum:
@@ -213,6 +215,7 @@ def strip_fiber_bottom(mat: tn.MaterialSpec, mesh2d: CellMesh, eta: float,
     return StripPencil.assemble(mat, mesh2d).bottom(eta, ws)
 
 
+@memoized
 def strip_bottom_m0(mat: tn.MaterialSpec, mesh2d: CellMesh, eta_grid,
                     ws: EigWorkspace | None = None, refine_tol: float = 1e-4):
     """Bottom of the strip operator spectrum: min over eta of the first

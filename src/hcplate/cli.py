@@ -40,6 +40,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _limit_threads(args.threads)
 
+    from numpy.linalg import LinAlgError
+
     from . import commands
     from .config import ConfigError, config_hash, load_config
     from .fem.system import SolverError
@@ -51,15 +53,16 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         code = getattr(commands, f"cmd_{args.command}")(cfg, out, chash)
+    except (SolverError, LinAlgError) as exc:
+        # LinAlgError is a ValueError raised by LAPACK inside a solve
+        if not args.quiet:
+            print(f"hcplate: solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except (ConfigError, ConfigurationError, GeometryError, RegimeError,
             ValueError) as exc:
         if not args.quiet:
             print(f"hcplate: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolverError as exc:
-        if not args.quiet:
-            print(f"hcplate: solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     if not args.quiet:
         print(f"hcplate {args.command}: ok (outputs in {args.out}, "
               f"config {chash})")

@@ -31,6 +31,7 @@ from .fem.system import EigWorkspace, factorize, nested_dissection
 from .geometry import CellMesh, InclusionShape, MacroMesh, build_cell_mesh
 from .macro import (MacroOperator, build_bending_operator,
                     build_membrane_operator, nodal_traces, scalar_mass)
+from .memo import memoized
 
 _GAUSS_T, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 
@@ -401,6 +402,7 @@ def load_moments(model: LimitModel, load: LoadSpec):
     return amp * t0 * cy, amp[:2] * t1 * cy
 
 
+@memoized
 def cell_tensor(mat: tn.MaterialSpec, shape: InclusionShape | None,
                 delta: float, n: int, n_z: int = 4
                 ) -> tuple[CellMesh, EffectiveTensor]:
@@ -432,19 +434,17 @@ def build_limit_model(regime: RegimeConfig, mat: tn.MaterialSpec,
     operators on the given meshes."""
     d = regime.delta
     cell_mesh, tensor = cell_tensor(mat, shape, d, cell_n, n_z)
+    delta = d if 0.0 < d < np.inf else None
     bs = bloch_spectrum(mat, shape, cell_n, regime.bloch_operator, n_modes,
-                        delta=d if 0.0 < d < np.inf else None, n_z=n_z, ws=ws)
+                        delta=delta, n_z=n_z, ws=ws)
 
     frac = cell_mesh.soft_area_fraction()
     rho_bar = mat.rho1 * (1.0 - frac) + mat.rho0 * frac
     op = build_macro_operator(regime, tensor, macro_mesh, rho_bar)
-    # the static micro field's modes: the model's own, or a spectrum of
-    # their own
-    tag, static = regime.row.static_bloch, None
-    if tag == bs.operator_tag:
-        static = bs
-    elif tag is not None:
-        static = bloch_spectrum(mat, shape, cell_n, tag, n_modes, ws=ws)
+    # the static micro field's modes (bs itself when the tags agree)
+    tag = regime.row.static_bloch
+    static = None if tag is None else bloch_spectrum(
+        mat, shape, cell_n, tag, n_modes, delta=delta, n_z=n_z, ws=ws)
     return LimitModel(regime=regime, mat=mat, shape=shape,
                       cell_mesh=cell_mesh, macro_mesh=macro_mesh,
                       tensor=tensor, bloch=bs, rho_bar=rho_bar, op=op,

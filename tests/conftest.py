@@ -1,9 +1,21 @@
 import pytest
 
+from hcplate import memo
 from hcplate import tensors as tn
 from hcplate.geometry import InclusionShape, build_cell_mesh, build_macro_mesh
 
 DEMO_RADIUS = 0.26
+
+
+@pytest.fixture
+def fresh_memo():
+    """Empty the memo of the cell-level builders before and after the
+    test: a test that patches a solver, an assembler, an ordering or a
+    module constant on their path neither reads a result built without the
+    patch nor leaves one built with it."""
+    memo.clear()
+    yield
+    memo.clear()
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,9 @@ import subprocess
 import sys
 
 import numpy as np
+import scipy.linalg
 
+from hcplate import memo
 from hcplate import tensors as tn
 from hcplate.cli import main
 from hcplate.config import DEMO_CONFIG
@@ -134,6 +136,17 @@ class TestExitCodes:
                      "--quiet"]) == 0
         man = json.loads((out / "evolve_manifest.json").read_text())
         assert man["n_steps"] == 100
+
+    def test_lapack_failure_is_a_solver_failure(self, tmp_path, monkeypatch,
+                                                fresh_memo):
+        # numpy's LinAlgError is a ValueError; raised by LAPACK inside a
+        # solve it is a solver failure, not a configuration error
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("the leading minor of order 3 of B "
+                                        "is not positive")
+        monkeypatch.setattr(scipy.linalg, "eigh", failing)
+        assert main(["bloch", "--config", write_cfg(tmp_path, TINY),
+                     "--out", str(tmp_path), "--quiet"]) == 3
 
     def test_empty_gamma(self, tmp_path):
         bad = json.loads(json.dumps(TINY))
@@ -296,10 +309,11 @@ class TestOutputs:
         assert main(["evolve", "--config", write_cfg(tmp_path, hc), "--out",
                      str(out), "--quiet"]) == 2
 
-    def test_deterministic_outputs(self, tmp_path):
+    def test_deterministic_outputs(self, tmp_path, fresh_memo):
         cfg = write_cfg(tmp_path, TINY)
         outs = []
         for d in ("a", "b"):
+            memo.clear()        # solve again rather than read the first run
             out = tmp_path / d
             assert main(["bloch", "--config", cfg, "--out", str(out),
                          "--quiet"]) == 0

@@ -422,6 +422,7 @@ def _no_kernel_detection():
         yield
 
 
+@pytest.mark.usefixtures("fresh_memo")
 class TestMirrorSplit:
     """Cell tensors on the fundamental region of the mirrors against the
     full-cell oracles: the same tensor, cross-class entries of exact zeros,

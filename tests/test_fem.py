@@ -329,6 +329,7 @@ class TestEigs:
             eigs_smallest(pair, 5)
 
 
+@pytest.mark.usefixtures("fresh_memo")
 class TestEigsFallbacks:
     """Only solver failures fall back to dense; anything else propagates."""
 
@@ -390,6 +391,7 @@ class TestEigsFallbacks:
             detect_kernel(K)
 
 
+@pytest.mark.usefixtures("fresh_memo")
 class TestEigPaths:
     """The size rule, the SPD-factor shift-invert and the backward-error
     contract of eigs_smallest."""

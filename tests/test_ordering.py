@@ -167,6 +167,7 @@ def _mmd(monkeypatch):
     monkeypatch.setattr(fa, "nested_dissection", lambda *grid: None)
 
 
+@pytest.mark.usefixtures("fresh_memo")
 class TestAgainstMinimumDegree:
     def test_prism_fill(self, demo_material, demo_shape):
         mesh = build_cell_mesh(demo_shape, n=16, dim=3, n_z=4)
