@@ -267,7 +267,7 @@ def cmd_evolve(cfg, out: Path, chash: str) -> int:
     from .macro import macro_eigs
     op, macro = model.op, traj.fields[model.regime.row.modes_on]
     nm = min(6, macro.shape[1])
-    _, modes = macro_eigs(op, nm)
+    _, modes = macro_eigs(op, nm, model.ws)
     amplitudes = macro @ (op.rho_bar * (op.pair.M @ modes)[op.n_static:])
     micro = traj.micro
     nmic = 0 if micro is None else min(4, micro.shape[1])

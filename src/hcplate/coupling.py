@@ -13,9 +13,11 @@ eliminates them exactly: what remains is a macro system with the
 frequency-dependent effective mass of the Zhikov function. Each R_c is the
 micro mass seen through a sparse trace T_c = Ms^-1 R_c^T (the identity, or
 the nodal expansion of one macro component), so that Schur complement is
-sparse. Micro data are kept in primal form (coefficient fields, the grand
-rows times Ms^-1): stepping and back-substitution are array operations on
-(N, nm) arrays. Matvecs and energies accept a leading batch axis (steps).
+sparse. The k rects R_c sit side by side in one (n0, k nm) matrix and the
+k traces are stacked in one (k nm, n0) matrix, so coupling and tracing are
+one sparse product each. Micro data are kept in primal form (coefficient
+fields, the grand rows times Ms^-1): stepping and back-substitution are
+array operations on (N, nm) arrays.
 """
 
 from __future__ import annotations
@@ -28,25 +30,23 @@ import scipy.sparse as sp
 from .fem.system import SpdFactor, factorize
 
 
-def _apply(A, X):
-    """A applied to the last axis of X (a vector or a stack of vectors)."""
-    X = np.asarray(X)
-    Y = (A @ X.reshape(-1, X.shape[-1]).T).T
-    return Y.reshape(X.shape[:-1] + (A.shape[0],))
-
-
 @dataclass
 class ModalCoupling:
     M0: sp.csr_matrix            # macro mass
     K0: sp.csr_matrix            # macro stiffness
     Ms: sp.csr_matrix            # mass of one micro coefficient field
-    R: list                      # k coupling rects (n0, nm)
-    T: list                      # k sparse traces (nm, n0): Ms^-1 R_c^T exactly
+    T: sp.csr_matrix             # [T_1; ...; T_k] (k nm, n0): sparse traces
     eta: np.ndarray              # (N,) inclusion eigenvalues
     means: np.ndarray            # (N, k) weighted means m_n
     order0: np.ndarray | None = None   # factorization keys: macro DOFs
     order_s: np.ndarray | None = None  # and the DOFs of one micro field
+    R: sp.csr_matrix = field(init=False, repr=False)  # [R_1 ... R_k]
     _ms_lu: SpdFactor | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        # R_c = T_c^T Ms, side by side: (n0, k nm)
+        k = self.T.shape[0] // self.nm
+        self.R = (self.T.T @ sp.kron(sp.eye(k), self.Ms)).tocsr()
 
     @property
     def n0(self) -> int:
@@ -77,35 +77,31 @@ class ModalCoupling:
         return self._ms_lu.solve(flat).T.reshape(X.shape)
 
     def trace(self, x0: np.ndarray) -> np.ndarray:
-        """The macro field seen by the micro space, (..., k, nm)."""
-        return np.stack([_apply(Tc, x0) for Tc in self.T], axis=-2)
+        """The macro field seen by the micro space, (k, nm)."""
+        return (self.T @ x0).reshape(-1, self.nm)
 
     def couple(self, Z: np.ndarray) -> np.ndarray:
-        """sum_c R_c Z_c for micro fields Z (..., k, nm): macro dual."""
-        return sum(_apply(Rc, Z[..., c, :]) for c, Rc in enumerate(self.R))
+        """sum_c R_c Z_c for micro fields Z (k, nm): macro dual."""
+        return self.R @ Z.ravel()
 
     def mass(self, x0, c):
         """Grand mass times (x0, c): (macro dual, micro primal)."""
-        return (_apply(self.M0, x0)
-                + self.couple(np.einsum("nk,...nm->...km", self.means, c)),
-                np.einsum("nk,...km->...nm", self.means, self.trace(x0)) + c)
+        return (self.M0 @ x0
+                + self.couple(np.einsum("nk,nm->km", self.means, c)),
+                np.einsum("nk,km->nm", self.means, self.trace(x0)) + c)
 
     def stiff(self, x0, c):
         """Grand stiffness times (x0, c): (macro dual, micro primal)."""
-        return _apply(self.K0, x0), self.eta[:, None] * c
+        return self.K0 @ x0, self.eta[:, None] * c
 
-    def inner(self, x0, c, y0, d):
-        """<(x0, c), (y0, d)> pairing a state with (macro dual, micro primal)
-        data: x0 . y0 + sum_n c_n . Ms d_n, per leading batch index."""
-        return (np.einsum("...i,...i->...", x0, y0)
-                + np.einsum("...nm,...nm->...", c, _apply(self.Ms, d)))
-
-    def energies(self, x0, c, v0, w) -> np.ndarray:
-        """(..., 3) kinetic, elastic and total energy of states (x0, c) with
-        velocities (v0, w)."""
-        kin = 0.5 * self.inner(v0, w, *self.mass(v0, w))
-        ela = 0.5 * self.inner(x0, c, *self.stiff(x0, c))
-        return np.stack([kin, ela, kin + ela], axis=-1)
+    def energies(self, x0, c, v0, w, r0, rho) -> np.ndarray:
+        """Kinetic, elastic and total energy of the state (x0, c) with
+        velocity (v0, w), given (r0, rho) = mass(v0, w): one K0 and one Ms
+        product."""
+        Z = self.Ms @ np.concatenate([w, self.eta[:, None] * c]).T
+        kin = 0.5 * (v0 @ r0 + np.vdot(rho.T, Z[:, :self.N]))
+        ela = 0.5 * (x0 @ (self.K0 @ x0) + np.vdot(c.T, Z[:, self.N:]))
+        return np.array([kin, ela, kin + ela])
 
     def gram(self, alpha: float, beta: float) -> np.ndarray:
         """sum_n m_n m_n^T / (alpha + beta eta_n), shape (k, k)."""
@@ -114,15 +110,13 @@ class ModalCoupling:
 
     def shift(self, alpha: float, beta: float) -> "ShiftedCoupling":
         """Factor alpha M + beta K with the micro modes eliminated: the Schur
-        complement alpha M0 + beta K0 - alpha^2 sum_cd G_cd R_c T_d, with
-        G = gram(alpha, beta), is SPD and of macro size."""
+        complement alpha M0 + beta K0 - alpha^2 sum_cd G_cd R_c T_d (that
+        is R (G kron I) T), with G = gram(alpha, beta), is SPD and of macro
+        size."""
         if not (alpha > 0 and beta >= 0):
             raise ValueError("the shift needs alpha > 0 and beta >= 0")
-        G = self.gram(alpha, beta)
-        k = len(self.R)
-        S = alpha * self.M0 + beta * self.K0 - alpha ** 2 * sum(
-            G[c, d] * (self.R[c] @ self.T[d]) for c in range(k)
-            for d in range(k))
+        GT = sp.kron(self.gram(alpha, beta), sp.eye(self.nm)) @ self.T
+        S = alpha * self.M0 + beta * self.K0 - alpha ** 2 * (self.R @ GT)
         return ShiftedCoupling(self, alpha, beta,
                                factorize(S, order=self.order0))
 

@@ -60,11 +60,14 @@ def step_count(T: float, dt: float) -> int:
 def implicit_midpoint(system: ModalSystem, u0, v0, T: float, dt: float):
     """Symplectic implicit-midpoint sweep; exactly conserves the quadratic
     energy for time-independent loads set to zero. Each step solves
-    M + dt^2/4 K once at macro size and updates the micro modes as arrays.
+    M + dt^2/4 K once at macro size, updates the micro modes as arrays and
+    forms the grand mass times the new velocity, which the next step and
+    the new state's kinetic energy share.
 
-    Returns ((x0, c), (v0, w), factor): the macro (steps+1, n0) and micro
-    (steps+1, N, nm) paths of the state and of its velocity, and the step
-    factorization.
+    Returns ((x0, c), energy, factor): the macro (steps+1, n0) and micro
+    (steps+1, N, nm) paths of the state, the kinetic, elastic and total
+    energy of each state (steps+1, 3), and the step factorization. The
+    velocities are not kept.
     """
     nsteps = step_count(T, dt)
     cp = system.coupling
@@ -72,21 +75,23 @@ def implicit_midpoint(system: ModalSystem, u0, v0, T: float, dt: float):
     sh = cp.shift(1.0, s)
     x, c = (np.array(p, dtype=float) for p in cp.split(u0))
     v, w = (np.array(p, dtype=float) for p in cp.split(v0))
-    X, V = np.empty((2, nsteps + 1, cp.n0))
-    C, W = np.empty((2, nsteps + 1, cp.N, cp.nm))
-    X[0], C[0], V[0], W[0] = x, c, v, w
+    X = np.empty((nsteps + 1, cp.n0))
+    C = np.empty((nsteps + 1, cp.N, cp.nm))
+    E = np.empty((nsteps + 1, 3))
+    r0, rho = cp.mass(v, w)
+    X[0], C[0], E[0] = x, c, cp.energies(x, c, v, w, r0, rho)
     gs = system.time_fn((np.arange(nsteps) + 0.5) * dt)
-    for j, g in enumerate(gs):
+    for j, g in enumerate(gs, 1):
         # (M - s K) v + dt (F - K u) = M v - K (s v + dt u) + dt F
-        r0, rho = cp.mass(v, w)
         k0, kc = cp.stiff(s * v + dt * x, s * w + dt * c)
         v_new, w_new = sh.solve(r0 - k0 + dt * g * system.F0,
                                 rho - kc + dt * g * system.f_micro)
         x = x + 0.5 * dt * (v + v_new)
         c = c + 0.5 * dt * (w + w_new)
         v, w = v_new, w_new
-        X[j + 1], C[j + 1], V[j + 1], W[j + 1] = x, c, v, w
-    return (X, C), (V, W), sh.factor
+        r0, rho = cp.mass(v, w)
+        X[j], C[j], E[j] = x, c, cp.energies(x, c, v, w, r0, rho)
+    return (X, C), E, sh.factor
 
 
 def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
@@ -100,7 +105,9 @@ def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
     field of the bending pencil: u0's a is replaced by the value that b and
     the load fix at t = 0 (K_aa a = F_a g(0) - K_ab b), and v0's a plays
     no part. The static micro components of long_time_bending / delta0_hc
-    are reconstructed per recorded step.
+    are reconstructed per recorded step. The energies are the ones the
+    sweep forms state by state; only the state paths are kept, no
+    velocity.
     """
     if variant not in ROWS:
         raise RegimeError(f"unknown evolution variant {variant!r}")
@@ -123,12 +130,8 @@ def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
         u0[:ns] = factorize(K[:ns, :ns], order=cp.order0[:ns]).solve(
             float(load.time_fn()(0.0)) * system.F0[:ns]
             - K[:ns, ns:] @ u0[ns:cp.n0])
-    (X, C), (V, W), factor = implicit_midpoint(system, u0, v0, T, dt)
+    (X, C), energy, factor = implicit_midpoint(system, u0, v0, T, dt)
     times = np.arange(X.shape[0]) * dt
-    # blockwise energies over chunks of steps bound the temporaries
-    energy = np.concatenate([cp.energies(X[i:i + 64], C[i:i + 64],
-                                         V[i:i + 64], W[i:i + 64])
-                             for i in range(0, len(times), 64)])
 
     na = model.na
     fields = {"a": X[:, :na]}
@@ -157,7 +160,7 @@ def _macro_modal_reduction(model: LimitModel, n_macro_modes: int):
     b parts of the bending pencil's modes, which are the modes of its
     Schur complement on b."""
     op = model.op
-    mu, W = macro_eigs(op, n_macro_modes)
+    mu, W = macro_eigs(op, n_macro_modes, model.ws)
     # macro_eigs normalizes against rho_bar * M_b; rescale to M_b-orthonormal
     W = W[op.n_static:] * np.sqrt(model.rho_bar)
     return mu, W

@@ -274,6 +274,7 @@ class LimitModel:
     rho_bar: float
     op: MacroOperator
     static_bloch: BlochSpectrum | None = None   # the row's static micro modes
+    ws: EigWorkspace | None = None     # settings of the model's eigensolves
 
     @property
     def na(self) -> int:
@@ -311,33 +312,28 @@ class LimitModel:
             N = 0 if self.regime.row.macro_only else len(bs.eigenvalues)
             na = op.n_static
             Mb = op.pair.M[na:, na:]
-            # T picks b out of [a | b]
-            T = sp.eye(op.n - na, op.n, k=na, format="csr")
             return ModalCoupling(
                 M0=self.rho_bar * op.pair.M, K0=op.pair.K, Ms=Mb,
-                R=[(T.T @ Mb).tocsr()], T=[T], eta=bs.eigenvalues[:N],
-                means=bs.weighted_means[:N, -1:], order0=op.pair.order,
-                order_s=op.pair.dof.key)
+                T=sp.eye(op.n - na, op.n, k=na, format="csr"),  # b of [a | b]
+                eta=bs.eigenvalues[:N], means=bs.weighted_means[:N, -1:],
+                order0=op.pair.order, order_s=op.pair.dof.key)
         Ms = scalar_mass(self.macro_mesh)
         means = bs.weighted_means
-        na, nn = op.pair.n, self.macro_mesh.n_nodes
+        nn = self.macro_mesh.n_nodes
         # T_c expands component c of the state to nodal values; b is nodal
         # already
-        T = nodal_traces(op.pair.dof)
+        T = sp.vstack(nodal_traces(op.pair.dof), format="csr")
         K0, order0 = op.pair.K, op.pair.order
         ranks = nested_dissection(*self.macro_mesh.grid)
         if means.shape[1] == 3:
-            T = [sp.hstack([Tc, sp.csr_matrix((nn, nn))], format="csr")
-                 for Tc in T]
-            T.append(sp.eye(nn, na + nn, k=na, format="csr"))
+            T = sp.block_diag([T, sp.eye(nn)], format="csr")
             K0 = sp.block_diag([K0, sp.csr_matrix((nn, nn))], format="csr")
             order0 = np.concatenate([order0, ranks])
-        R = [(Tc.T @ Ms).tocsr() for Tc in T]
         # sum_c T_c^T Ms T_c; sorted rows fix the order of every M0 matvec sum
-        M0 = sum(Rc @ Tc for Rc, Tc in zip(R, T)).sorted_indices()
-        return ModalCoupling(M0=self.rho_bar * M0, K0=K0, Ms=Ms, R=R, T=T,
-                             eta=bs.eigenvalues, means=means, order0=order0,
-                             order_s=ranks)
+        M0 = sp.csr_matrix(T.T @ sp.kron(sp.eye(means.shape[1]), Ms) @ T)
+        return ModalCoupling(M0=self.rho_bar * M0.sorted_indices(), K0=K0,
+                             Ms=Ms, T=T, eta=bs.eigenvalues, means=means,
+                             order0=order0, order_s=ranks)
 
     def macro_nodal(self, load: LoadSpec) -> np.ndarray:
         return load.macro_fn()(self.macro_mesh.nodes.T)
@@ -448,7 +444,7 @@ def build_limit_model(regime: RegimeConfig, mat: tn.MaterialSpec,
     return LimitModel(regime=regime, mat=mat, shape=shape,
                       cell_mesh=cell_mesh, macro_mesh=macro_mesh,
                       tensor=tensor, bloch=bs, rho_bar=rho_bar, op=op,
-                      static_bloch=static)
+                      static_bloch=static, ws=ws)
 
 
 # ---------------------------------------------------------------------------

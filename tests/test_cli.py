@@ -278,6 +278,21 @@ class TestOutputs:
         # the macro system is factored in the grid's nested-dissection order
         assert man["factor_ordering"] == "nested-dissection"
 
+    def test_evolve_eigensolves_take_config_solver(self, tmp_path,
+                                                   monkeypatch):
+        # the macro modes of trajectory.csv are solved with the config's
+        # solver settings, like the run's other eigensolves
+        from hcplate import macro
+        seen, real = [], macro.eigs_smallest
+        monkeypatch.setattr(macro, "eigs_smallest", lambda pair, N, ws=None:
+                            seen.append(ws) or real(pair, N, ws))
+        cfg = json.loads(json.dumps(TINY))
+        cfg["solver"].update(tol=5e-9, eig_solver="shift-invert", seed=7)
+        assert main(["evolve", "--config", write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "o"), "--quiet"]) == 0
+        assert seen and all((ws.tol, ws.solver, ws.seed)
+                            == (5e-9, "shift-invert", 7) for ws in seen)
+
     def test_bending_resolvent_on_fine_macro_meshes(self, tmp_path):
         # the clamped bending block's condition grows as h^-4: a residual
         # relative to |b| alone is out of reach at macro 32 and 64, the

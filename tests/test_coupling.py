@@ -44,6 +44,18 @@ def model_rt(demo_material, demo_shape, mm):
                              demo_shape, mm, cell_n=8, n_z=4, n_modes=8)
 
 
+@pytest.fixture(scope="module")
+def model_rt_inf(demo_material, demo_shape, mm):
+    return build_limit_model(RegimeConfig(np.inf, "eps", 0), demo_material,
+                             demo_shape, mm, cell_n=8, n_z=4, n_modes=8)
+
+
+@pytest.fixture(scope="module")
+def model_d0hc(demo_material, demo_shape, mm):
+    return build_limit_model(RegimeConfig(0.0, "eps2", 2), demo_material,
+                             demo_shape, mm, cell_n=8, n_z=4, n_modes=8)
+
+
 def forced_load():
     return LoadSpec(amplitude=(0.4, -0.3, 1.0),
                     macro=lambda x: 1.0 + x[0] * x[1],
@@ -55,7 +67,9 @@ class TestAgainstGrandMidpoint:
 
     @pytest.mark.parametrize("variant,build,model_name", [
         ("strong_hc_bending", _bending_kron_system, "model_hc"),
-        ("real_time", _real_time_system, "model_rt")])
+        ("real_time", _real_time_system, "model_rt"),
+        ("real_time", _real_time_system, "model_rt_inf"),
+        ("delta0_hc", _bending_kron_system, "model_d0hc")])
     def test_trajectory_and_energy(self, variant, build, model_name, request):
         model = request.getfixturevalue(model_name)
         load = forced_load()
@@ -205,8 +219,8 @@ def _synthetic(seed, k, N, third_zero):
     K0 = E @ E.T
     cp = ModalCoupling(
         M0=sp.csr_matrix(M0), K0=sp.csr_matrix(K0), Ms=sp.csr_matrix(Ms),
-        R=[sp.csr_matrix(Rc) for Rc in R],
-        T=[sp.csr_matrix(Msinv @ Rc.T) for Rc in R], eta=eta, means=means)
+        T=sp.csr_matrix(np.vstack([Msinv @ Rc.T for Rc in R])), eta=eta,
+        means=means)
     M = np.block([[M0] + Cs] + [[Cs[n].T] + [Ms if m == n else 0 * Ms
                                              for m in range(N)]
                                 for n in range(N)])
@@ -241,7 +255,7 @@ def test_synthetic_coupling_against_dense_grand(seed, k, N, third_zero):
                               np.concatenate([r0, (rho @ Ms).ravel()]))
         got = np.concatenate([x, cc.ravel()])
         assert rel_err(got, ref) <= 1e-10
-    e = cp.energies(x0, c, 2 * x0, -c)
+    e = cp.energies(x0, c, 2 * x0, -c, *cp.mass(2 * x0, -c))
     v = np.concatenate([2 * x0, -c.ravel()])
     assert_allclose(e, [0.5 * v @ M @ v, 0.5 * u @ K @ u,
                         0.5 * (v @ M @ v + u @ K @ u)], rtol=1e-11)

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,9 +11,10 @@ from scipy.integrate import trapezoid
 from grand_oracle import (SecondOrderSystem, _bending_kron_system,
                           _real_time_system, grand_midpoint,
                           solve_bending_resolvent_data)
+from hcplate import macro
 from hcplate.evolution import (_macro_modal_reduction, evolve,
                                evolve_memory_bending, step_count)
-from hcplate.fem.system import factorize
+from hcplate.fem.system import EigWorkspace, factorize
 from hcplate.geometry import build_macro_mesh
 from hcplate.limits import (LoadSpec, RegimeConfig, RegimeError,
                             build_limit_model, modal_system,
@@ -146,6 +150,25 @@ class TestConservation:
             assert np.sqrt(traj.energy[j, 2]) <= rhs + 1e-12
 
 
+class TestSweepMemory:
+    def test_peak_is_the_returned_paths(self, model_r2):
+        # the sweep forms each state's energies as it goes and keeps only
+        # the state paths: no velocity path, no post-sweep energy pass
+        load = LoadSpec(amplitude=(0.3, -0.2, 1.0), time=np.cos)
+        evolve(model_r2, "real_time", load, 0.01, 1e-3)   # builds the coupling
+        tracemalloc.start()
+        try:
+            traj = evolve(model_r2, "real_time", load, 4.0, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        paths = sum(f.nbytes for f in traj.fields.values()) \
+            + traj.energy.nbytes
+        # paths large enough that a second copy of them breaks the bound
+        assert paths > 2 ** 23
+        assert peak < 1.5 * paths + 2 ** 20
+
+
 class TestMemoryKernel:
     def test_agrees_with_coupled_solve(self, model_r3):
         system = _bending_kron_system(model_r3, zero_load())
@@ -162,6 +185,16 @@ class TestMemoryKernel:
         for k in range(2):
             proj = traj.fields["b"] @ (Mb @ W[:, k])
             assert abs(proj - modal[:, k]).max() <= 1e-6
+
+    def test_macro_modes_take_model_solver(self, model_r3, monkeypatch):
+        # the macro modal reduction solves with the model's eigensolver
+        # settings, like the model's Bloch spectra
+        ws = EigWorkspace(tol=5e-9, solver="shift-invert", seed=7)
+        seen, real = [], macro.eigs_smallest
+        monkeypatch.setattr(macro, "eigs_smallest", lambda pair, N, w=None:
+                            seen.append(w) or real(pair, N, w))
+        _macro_modal_reduction(dataclasses.replace(model_r3, ws=ws), 2)
+        assert seen == [ws]
 
     def test_forced_agreement(self, model_r3):
         ld = LoadSpec(amplitude=(0, 0, 1.0), time=lambda t: np.cos(2 * t))
