@@ -20,9 +20,10 @@ memb_deltainf / full_deltainf : 2D 3-component operator with strain
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import tensors as tn
 from .fem import assemble as fa
@@ -188,21 +189,47 @@ def bloch_spectrum(mat: tn.MaterialSpec, shape: InclusionShape, n: int,
 class StripPencil:
     """The Hermitian strip fibers as one pencil: the form is quadratic in
     eta, so K(eta) = K0 + eta K1 + eta^2 K2 exactly against one mass, with
-    K1 = (K(1) - K(-1)) / 2 and K2 = (K(1) + K(-1)) / 2 - K0."""
+    K1 = (K(1) - K(-1)) / 2 and K2 = (K(1) + K(-1)) / 2 - K0.
+
+    When C0 has the x3 mirror (`tensors.mirror_symmetric(C0, 2)`), K1 is
+    imaginary and couples u3 with u1, u2 only, and K0, K2 do not couple
+    them at all. The unitary diagonal D = diag(1, 1, i) on the u3 DOFs then
+    makes every D^H K(eta) D real with the same eigenvalues and M
+    unchanged (A. Bartoli et al., J. Sound Vib. 295, 2006), and the pencil
+    keeps the real K0, K1, K2 of that basis: each fiber is a real
+    eigenproblem. It does so only when the imaginary part it drops is zero
+    to the mirror check's tolerance; otherwise, and without the mirror,
+    the fibers stay complex."""
     pair: SparseOperatorPair          # K0 and M (eta = 0, real)
-    K1: object                        # sparse, complex
+    K1: object                        # sparse: real (D basis) or complex
     K2: object
 
     @classmethod
     def assemble(cls, mat: tn.MaterialSpec, mesh2d: CellMesh) -> "StripPencil":
         pair, plus, minus = (_inplane_operator(mat, mesh2d, eta)
                              for eta in (None, 1.0, -1.0))
-        return cls(pair, (plus.K - minus.K) / 2,
-                   (plus.K + minus.K) / 2 - pair.K)
+        Ks = [pair.K, (plus.K - minus.K) / 2, (plus.K + minus.K) / 2 - pair.K]
+        if tn.mirror_symmetric(mat.C0, 2):
+            u3 = fa.constant_reduced_field(pair.dof, 2) > 0
+            D = sp.diags(np.where(u3, 1j, 1.0))
+            turned = [D.conj() @ K @ D for K in Ks]
+            if all(abs(K.imag).max() <= tn.MIRROR_TOL * abs(K).max()
+                   for K in turned):
+                Ks = [K.real for K in turned]
+        # the three parts on one sparsity pattern: a fiber is one sum of
+        # their entries
+        P = (abs(Ks[0]) + abs(Ks[1]) + abs(Ks[2])).tocsr()
+        rows = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
+        K0, K1, K2 = (sp.csr_matrix((np.asarray(K[rows, P.indices]).ravel(),
+                                     P.indices, P.indptr), shape=P.shape)
+                      for K in Ks)
+        return cls(replace(pair, K=K0), K1, K2)
 
     def fiber(self, eta: float) -> SparseOperatorPair:
-        K = self.pair.K if eta == 0.0 else \
-            self.pair.K + eta * self.K1 + eta ** 2 * self.K2
+        K0 = self.pair.K
+        K = K0 if eta == 0.0 else sp.csr_matrix(
+            (K0.data + eta * self.K1.data + eta ** 2 * self.K2.data,
+             K0.indices, K0.indptr), shape=K0.shape)
         return SparseOperatorPair(K=K, M=self.pair.M, dof=self.pair.dof)
 
     def bottom(self, eta: float, ws: EigWorkspace | None = None) -> float:

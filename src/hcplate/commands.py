@@ -132,19 +132,21 @@ def _zhikov_data(cfg):
 
 
 def _beta_samples(zf, n_samples):
-    """(lambda, beta(lambda)) on a uniform grid, skipping points at poles."""
+    """(lambda, beta(lambda)) on a uniform grid of [0, lambda_max], shapes
+    (L,) and (L, k, k): the grid points within POLE_GUARD of a pole, where
+    `eval` refuses beta, are dropped, and the rest go to one `eval` call."""
+    from .zhikov import POLE_GUARD
     lam_max = zf.lambda_max if np.isfinite(zf.lambda_max) else 10.0 * zf.rho_bar
-    for lam in np.linspace(0.0, lam_max, n_samples):
-        try:
-            yield lam, zf.eval(lam)
-        except ValueError:
-            continue
+    lam = np.linspace(0.0, lam_max, n_samples)
+    lam = lam[~(np.abs(lam[:, None] - zf.poles) < POLE_GUARD).any(axis=1)]
+    return lam, zf.eval(lam)
 
 
 def cmd_zhikov(cfg, out: Path, chash: str) -> int:
     mat, shape, regime, _, ws, bs, zf = _zhikov_data(cfg)
     n_samples = cfg.get("spectrum", {}).get("beta_samples", 400)
-    rows = [(lam, *B.ravel()) for lam, B in _beta_samples(zf, n_samples)]
+    lam, B = _beta_samples(zf, n_samples)
+    rows = [(x, *b.ravel()) for x, b in zip(lam, B)]
     k = zf.k
     cols = [f"beta_{i}{j}" for i in range(k) for j in range(k)]
     _write_csv(out / "dispersion.csv", ["lambda", *cols], rows, chash)
@@ -218,9 +220,9 @@ def cmd_spectrum(cfg, out: Path, chash: str) -> int:
         payload["meta"]["strip_disc_spectrum"] = "not evaluated"
     _write_json(out / "limit_spectrum.json", payload, chash)
     # beta is scalar here (limit_spectrum checked it): write tr(beta) / k
-    rows = [(lam, np.trace(B) / zs.k) for lam, B in
-            _beta_samples(zs, spec_cfg.get("beta_samples", 400))]
-    _write_csv(out / "dispersion.csv", ["lambda", "beta"], rows, chash)
+    lam, B = _beta_samples(zs, spec_cfg.get("beta_samples", 400))
+    _write_csv(out / "dispersion.csv", ["lambda", "beta"],
+               zip(lam, np.trace(B, axis1=1, axis2=2) / zs.k), chash)
     return EXIT_OK
 
 

@@ -104,10 +104,12 @@ def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
     two macro parts. In the bending variants a is the quasistatic in-plane
     field of the bending pencil: u0's a is replaced by the value that b and
     the load fix at t = 0 (K_aa a = F_a g(0) - K_ab b), and v0's a plays
-    no part. The static micro components of long_time_bending / delta0_hc
-    are reconstructed per recorded step. The energies are the ones the
-    sweep forms state by state; only the state paths are kept, no
-    velocity.
+    no part. The static micro field of long_time_bending / delta0_hc is
+    the load's time profile times one (N, n_nodes) field: a row without
+    micro modes records the product as its "micro" field, the others keep
+    the two factors in meta ("micro_inplane", "micro_inplane_profile").
+    The energies are the ones the sweep forms state by state; only the
+    state paths are kept, no velocity.
     """
     if variant not in ROWS:
         raise RegimeError(f"unknown evolution variant {variant!r}")
@@ -144,11 +146,12 @@ def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
             "factor_fill": factor.fill, "factor_ordering": factor.ordering}
     static = static_micro(model, load)
     if static is not None:
-        static = load.time_fn()(times)[:, None, None] * static
+        profile = load.time_fn()(times)
         if cp.N:
             meta["micro_inplane"] = static
+            meta["micro_inplane_profile"] = profile
         else:
-            fields["micro"] = static
+            fields["micro"] = profile[:, None, None] * static
     return Trajectory(times=times, fields=fields, energy=energy, meta=meta)
 
 

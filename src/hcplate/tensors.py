@@ -128,7 +128,10 @@ def voigt_signs(axis: int) -> np.ndarray:
     return np.array([(-1) ** pair.count(axis) for pair in pairs])
 
 
-def mirror_symmetric(C: np.ndarray, axis: int, tol: float = 1e-12) -> bool:
+MIRROR_TOL = 1e-12   # relative size of a coupling that counts as zero
+
+
+def mirror_symmetric(C: np.ndarray, axis: int, tol: float = MIRROR_TOL) -> bool:
     """True when the Voigt tensor C is invariant under the mirror of `axis`:
     no coupling between the entries it flips (y1: 13, 12; y2: 23, 12; x3:
     23, 13) and the others, up to tol relative to its largest entry."""

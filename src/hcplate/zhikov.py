@@ -50,17 +50,29 @@ class ZhikovFunction:
         """Modal truncation invalidates beta beyond the computed poles."""
         return 1.5 * self.poles[-1] if len(self.poles) else np.inf
 
-    def eval(self, lam: float) -> np.ndarray:
+    def eval(self, lam) -> np.ndarray:
         """Truncated modal evaluation of the dispersion function (the matrix
-        lambda <rho> I + sum_n lambda^2/(eta_n - lambda) m_n m_n^T)."""
-        if lam < 0:
+        lambda <rho> I + sum_n lambda^2/(eta_n - lambda) m_n m_n^T) at a
+        scalar or an array of lambda, shape (..., k, k).
+
+        The weights lambda^2/(eta_n - lambda) of the whole array meet the
+        upper triangles of the per-pole products m_n m_n^T in one
+        contraction; the lower triangle is a copy, so every matrix is
+        exactly symmetric. Any lambda < 0 raises ValueError, any lambda
+        within POLE_GUARD of a pole PoleProximityError."""
+        lam = np.asarray(lam, dtype=float)
+        if (lam < 0).any():
             raise ValueError("beta is evaluated at lambda >= 0")
-        if len(self.poles) and abs(self.poles - lam).min() < POLE_GUARD:
-            raise PoleProximityError(f"lambda={lam} within {POLE_GUARD} "
-                                     f"of a pole")
-        out = lam * self.rho_bar * np.eye(self.k)
-        for eta, m in zip(self.poles, self.means):
-            out += lam ** 2 / (eta - lam) * np.outer(m, m)
+        near = np.abs(lam[..., None] - self.poles) < POLE_GUARD
+        if near.any():
+            raise PoleProximityError(f"lambda={lam[near.any(-1)].flat[0]} "
+                                     f"within {POLE_GUARD} of a pole")
+        iu = np.triu_indices(self.k)
+        w = lam[..., None] ** 2 / (self.poles - lam[..., None])
+        out = lam[..., None, None] * self.rho_bar * np.eye(self.k)
+        out[..., iu[0], iu[1]] += w @ (self.means[:, iu[0]]
+                                       * self.means[:, iu[1]])
+        out[..., iu[1], iu[0]] = out[..., iu[0], iu[1]]
         return out
 
 

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -12,6 +15,8 @@ from hcplate.fem import assemble as fa
 from hcplate.fem.system import EigWorkspace, eigs_smallest
 from hcplate.geometry import (ConfigurationError, InclusionShape,
                               build_cell_mesh)
+
+STRIP_REFERENCE = Path(__file__).parent / "data" / "strip_reference.json"
 
 
 class TestPrismOperators:
@@ -216,14 +221,70 @@ class TestStrip:
                                      space="inclusion-zero-trace",
                                      restrict_to="soft", ncomp=3, eta=eta)
 
+    @staticmethod
+    def _turn(pair):
+        """D^H K D with D = diag(1, 1, i) on the u3 DOFs."""
+        d = np.where(fa.constant_reduced_field(pair.dof, 2) > 0, 1j, 1.0)
+        return (pair.K.multiply(np.outer(d.conj(), d))).toarray()
+
     def test_pencil_matches_direct_assembly(self, demo_material, demo_shape):
+        # the isotropic C0 has the x3 mirror: the pencil holds the real
+        # fibers D^H K(eta) D of the u3 -> i u3 basis, M unchanged
         mesh = build_cell_mesh(demo_shape, n=12)
         pencil = StripPencil.assemble(demo_material, mesh)
+        assert not np.iscomplexobj(pencil.K1)
+        assert not np.iscomplexobj(pencil.K2)
         for eta in (0.0, 0.37, 3.0, 20.0):
             direct = self._direct(demo_material, mesh, eta)
             fiber = pencil.fiber(eta)
-            assert abs(fiber.K - direct.K).max() <= 1e-13 * abs(direct.K).max()
+            turned = self._turn(direct)
+            assert not np.iscomplexobj(fiber.K)
+            assert abs(fiber.K - turned).max() <= 1e-13 * abs(turned).max()
             assert abs(fiber.M - direct.M).max() == 0.0
+
+    @staticmethod
+    def _with_c0(C0):
+        return tn.MaterialSpec(C0, tn.isotropic(1.0, 1.0), rho0=1.3)
+
+    @pytest.mark.parametrize("coupling, real", [(0.0, True), (0.4, False)])
+    def test_real_fibers_need_the_x3_mirror(self, demo_shape, coupling, real):
+        # orthotropic C0: real fibers; an 11-13 coupling breaks the x3
+        # mirror and keeps them complex. Both give the direct complex
+        # assembly's bottom eigenvalue.
+        C0 = tn.isotropic(1.0, 0.7) + np.diag([0.9, 0.2, 0.5, 0.3, 0.1, 0.4])
+        C0[0, 4] = C0[4, 0] = coupling
+        mat = self._with_c0(C0)
+        mesh = build_cell_mesh(demo_shape, n=10)
+        pencil = StripPencil.assemble(mat, mesh)
+        assert np.iscomplexobj(pencil.K1) is not real
+        assert np.iscomplexobj(pencil.K2) is not real
+        for eta in (0.0, 0.37, 3.0, 12.0):
+            p = self._direct(mat, mesh, eta)
+            ref = sla.eigh(p.K.toarray(), p.M.toarray(), eigvals_only=True)[0]
+            assert abs(pencil.bottom(eta) - ref) <= 1e-10 * ref
+
+    def test_nonzero_part_never_dropped(self, demo_shape, monkeypatch):
+        # even if the mirror check passed, an imaginary part that is not
+        # zero in the u3 -> i u3 basis keeps the fibers complex
+        C0 = tn.isotropic(1.0, 0.7)
+        C0[0, 4] = C0[4, 0] = 0.4
+        mat = self._with_c0(C0)
+        mesh = build_cell_mesh(demo_shape, n=8)
+        monkeypatch.setattr(tn, "mirror_symmetric", lambda C, axis: True)
+        pencil = StripPencil.assemble(mat, mesh)
+        assert np.iscomplexobj(pencil.K1) and np.iscomplexobj(pencil.K2)
+        for eta in (0.0, 3.0):
+            assert abs(pencil.fiber(eta).K
+                       - self._direct(mat, mesh, eta).K).max() <= 1e-13
+
+    def test_m0_and_curve_match_complex_reference(self, demo_material,
+                                                  demo_shape):
+        ref = json.loads(STRIP_REFERENCE.read_text())
+        mesh = build_cell_mesh(demo_shape, n=12)
+        m0, curve = strip_bottom_m0(demo_material, mesh,
+                                    np.linspace(0.0, 20.0, 41))
+        assert abs(m0 - ref["m0"]) <= 1e-12 * ref["m0"]
+        assert_allclose(curve[:, 1], ref["alpha1"], rtol=1e-12)
 
     def test_m0_matches_direct_reference(self, demo_material, demo_shape):
         mesh = build_cell_mesh(demo_shape, n=12)

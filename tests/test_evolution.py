@@ -18,7 +18,7 @@ from hcplate.fem.system import EigWorkspace, factorize
 from hcplate.geometry import build_macro_mesh
 from hcplate.limits import (LoadSpec, RegimeConfig, RegimeError,
                             build_limit_model, modal_system,
-                            solve_limit_resolvent)
+                            solve_limit_resolvent, static_micro)
 from hcplate.macro import macro_eigs
 from schur_oracle import SchurOracle
 
@@ -283,10 +283,20 @@ class TestVariantDispatch:
     def test_delta0_hc_variant_runs(self, demo_material, demo_shape, mm):
         model = build_limit_model(RegimeConfig(0.0, "eps2", 2), demo_material,
                                   demo_shape, mm, cell_n=8, n_modes=6)
-        traj = evolve(model, "delta0_hc", LoadSpec(amplitude=(0.2, 0, 1.0)),
-                      0.05, 1e-3)
+        load = LoadSpec(amplitude=(0.2, 0, 1.0),
+                        time=lambda t: np.cos(3.0 * t))
+        traj = evolve(model, "delta0_hc", load, 0.05, 1e-3)
         assert traj.fields["b"].shape[0] == 51
-        assert "micro_inplane" in traj.meta
+        # the static micro field is kept as its two factors, a field per
+        # unit profile (N, n_nodes) and the profile at the recorded times
+        static = traj.meta["micro_inplane"]
+        profile = traj.meta["micro_inplane_profile"]
+        assert static.shape == (model.static_bloch.n_modes, len(mm.nodes))
+        assert profile.shape == (51,)
+        product = profile[:, None, None] * static
+        ref = np.cos(3.0 * traj.times)[:, None, None] \
+            * static_micro(model, load)
+        assert abs(product - ref).max() <= 1e-15 * abs(ref).max()
 
     def test_nonpositive_dt(self, model_r2):
         with pytest.raises(ValueError):

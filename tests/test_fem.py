@@ -13,7 +13,8 @@ from hcplate.fem import (EigWorkspace, ScaledGradientSpec,
                          solve_spd, translations_kernel)
 from hcplate.fem import elements as el
 from hcplate.fem.system import (DofMap, SolverError, SparseOperatorPair,
-                                SpdFactor, _m_orthonormalize, detect_kernel)
+                                SpdFactor, _m_orthonormalize, _max_row_sum,
+                                detect_kernel)
 from hcplate.geometry import InclusionShape, build_cell_mesh, build_macro_mesh
 from tensor_oracle import check_symmetry, isotropic_2d, quad_form
 
@@ -291,6 +292,18 @@ class TestFactorize:
 
 
 class TestEigs:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_contract_norm_is_max_row_sum(self, dtype):
+        # the contract's ||K||_inf, with empty rows, in CSR and COO
+        rng = np.random.default_rng(3)
+        A = sp.random(40, 40, density=0.1, format="lil", random_state=rng,
+                      dtype=dtype)
+        A[[0, 17, 39]] = 0
+        ref = abs(A.toarray()).sum(axis=1).max()
+        for fmt in ("csr", "coo"):
+            assert_allclose(_max_row_sum(A.asformat(fmt)), ref, rtol=1e-15)
+        assert _max_row_sum(sp.csr_matrix((5, 5))) == 0.0
+
     def test_diag_case(self):
         K = np.diag(np.arange(1.0, 11.0))
         pair = trivial_pair(K, np.eye(10))

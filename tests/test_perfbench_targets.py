@@ -3,6 +3,7 @@ deletion would only surface as a failed traced run."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -26,3 +27,14 @@ def test_every_traced_target_resolves():
 def test_counted_dispersion_method_exists():
     from hcplate.zhikov import ZhikovFunction
     assert callable(ZhikovFunction.eval)
+
+
+def test_counted_dispersion_method_takes_what_the_tracer_forwards():
+    # layers.py replaces ZhikovFunction.eval by counted_eval(self_, lam),
+    # which passes lam on positionally
+    from hcplate.zhikov import ZhikovFunction
+    params = inspect.signature(ZhikovFunction.eval).parameters
+    assert [(p.name, p.kind) for p in params.values()] == [
+        ("self", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("lam", inspect.Parameter.POSITIONAL_OR_KEYWORD)]
+    assert "counted_eval(self_, lam)" in LAYERS.read_text()

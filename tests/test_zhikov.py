@@ -9,7 +9,10 @@ from hcplate.geometry import build_cell_mesh
 from hcplate.macro import build_membrane_operator, macro_eigs
 from hcplate.zhikov import (NonScalarBetaError, PoleProximityError,
                             ZhikovFunction, limit_spectrum, zhikov_from_bloch)
-from zhikov_oracle import beta_oracle, beta_prime, beta_prime_fd, beta_scalar
+from hcplate.commands import _beta_samples
+from hcplate.zhikov import POLE_GUARD, zhikov_variant
+from zhikov_oracle import (beta_loop, beta_oracle, beta_prime, beta_prime_fd,
+                           beta_scalar)
 
 
 def scalarized(zf):
@@ -70,6 +73,56 @@ class TestBetaEval:
         inc = zf.eval(lam2) - zf.eval(lam1)
         bound = zf.rho1_mass * (lam2 - lam1)
         assert np.linalg.eigvalsh(inc).min() >= bound - 1e-9
+
+
+@pytest.fixture(scope="module", params=["full", "memb", "bend"])
+def variant(request, demo_material, demo_bloch_full):
+    comps = {"full": None, "memb": (0, 1), "bend": (2,)}[request.param]
+    zf = zhikov_variant(demo_bloch_full, demo_material, comps)
+    assert zf.variant == request.param
+    return zf
+
+
+class TestBetaOnGrid:
+    def test_matches_pole_by_pole_sum(self, variant):
+        # near a root of beta its entries cancel, and neither summation
+        # order is accurate relative to them: the error is measured against
+        # the size of the summed terms, lambda <rho> + sum_n |w_n| |m_n|^2
+        zf = variant
+        lam, B = _beta_samples(zf, 1000)
+        assert B.shape == (len(lam), zf.k, zf.k)
+        w = lam[:, None] ** 2 / np.abs(zf.poles - lam[:, None])
+        terms = lam * zf.rho_bar + w @ (zf.means ** 2).max(axis=1)
+        for x, b, t in zip(lam, B, terms):
+            assert abs(b - beta_loop(zf, x)).max() <= 1e-14 * t
+
+    def test_exactly_symmetric(self, variant):
+        _, B = _beta_samples(variant, 1000)
+        assert (B == B.swapaxes(1, 2)).all()
+
+    def test_scalar_keeps_matrix_shape(self, variant):
+        assert variant.eval(0.5 * variant.poles[0]).shape == (variant.k,) * 2
+
+    def test_one_bad_lambda_raises(self, variant):
+        lam = np.linspace(0.0, variant.poles[0] / 2, 9)
+        with pytest.raises(ValueError, match="lambda >= 0"):
+            variant.eval(np.append(lam, -1e-3))
+        at_pole = np.insert(lam, 4, variant.poles[-1])
+        with pytest.raises(PoleProximityError):
+            variant.eval(at_pole.reshape(2, 5))
+
+    def test_samples_drop_only_the_point_on_a_pole(self, variant):
+        # 401 points: on 400 the last pole sits on the grid as well
+        # (lambda_max is 1.5 times it), and that point is dropped too
+        grid = np.linspace(0.0, variant.lambda_max, 401)
+        k = int(np.argmin(np.abs(grid - variant.poles[0])))
+        zf = dataclasses.replace(
+            variant, poles=np.concatenate([[grid[k]], variant.poles[1:]]))
+        assert zf.lambda_max == variant.lambda_max
+        assert (np.abs(grid[:, None] - zf.poles) < POLE_GUARD).sum() == 1
+        lam, B = _beta_samples(zf, 401)
+        assert np.array_equal(lam, np.delete(grid, k))
+        assert len(B) == 400
 
 
 class TestBetaOracle:

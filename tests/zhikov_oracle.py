@@ -42,6 +42,14 @@ def beta_oracle(mat, shape, n: int, operator_tag: str, lam: float,
     return 0.5 * (out + out.T)
 
 
+def beta_loop(zf, lam: float) -> np.ndarray:
+    """The truncated beta at one lambda, summed pole by pole."""
+    out = lam * zf.rho_bar * np.eye(zf.k)
+    for eta, m in zip(zf.poles, zf.means):
+        out += lam ** 2 / (eta - lam) * np.outer(m, m)
+    return out
+
+
 def beta_scalar(zf, lam: float) -> float:
     """beta(lambda) of a 1-component dispersion function."""
     if zf.k != 1:
