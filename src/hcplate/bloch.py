@@ -93,11 +93,11 @@ def _build_prism_operator(mat, shape: InclusionShape, n: int, n_z: int,
     if parity is not None:
         mesh, pin = half_prism(mesh, parity, {"C0": mat.C0})
         extra, scale = (pin,), 2.0
+    # the scale goes into the element matrices, where a factor 2 is exact
     pair = fa.assemble_vector_h1(
-        mesh, mat.C0, grad=fa.ScaledGradientSpec(delta), density=mat.rho0,
-        space="inclusion-zero-trace", restrict_to="soft", ncomp=3,
-        extra_constraints=extra)
-    pair.K, pair.M = pair.K * scale, pair.M * scale
+        mesh, scale * mat.C0, grad=fa.ScaledGradientSpec(delta),
+        density=scale * mat.rho0, space="inclusion-zero-trace",
+        restrict_to="soft", ncomp=3, extra_constraints=extra)
     return mesh, pair, scale
 
 

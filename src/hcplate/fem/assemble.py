@@ -10,8 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import elements as el
-from .system import DofMap, SparseOperatorPair, nested_dissection, scatter, \
-    triplets_to_csr
+from .system import DofMap, SparseOperatorPair, nested_dissection
 
 
 @dataclass(frozen=True)
@@ -77,16 +76,104 @@ def _dof_map(mesh, ncomp: int, space: str, groups, extra_constraints=()):
         nested_dissection(*mesh.grid))
 
 
-def _assemble(dof: DofMap, mesh, groups, element_matrix, dtype=float):
-    """Sum element_matrix(group) over each group's elements. One matrix is
-    summed before the next is scattered: the COO triplets of a fine mesh
-    are several times its CSR matrix."""
-    triplets = ([], [], [])
-    for name, ids in groups.items():
-        if len(ids):
-            scatter(dof.element_dofs(mesh.elements[ids]), element_matrix(name),
-                    dof.n_free, triplets)
-    return triplets_to_csr(triplets, dof.n_free, dtype=dtype)
+class NodeBlocks:
+    """The node-pair pattern of element groups, built once per mesh and DOF
+    map(s) and shared by every matrix summed on it (vectorized assembly
+    that builds the pattern once and then sums values: F. Cuvelier,
+    C. Japhet and G. Scarella, BIT Numer. Math. 56, 2016).
+
+    The connectivity of each group goes to periodic-master nodes, and the
+    block of element e at local nodes (i, j) lands in the slot of its
+    (row master, column master) pair. Pairs are ascending by row node, then
+    column node. `incidence` has one row per pair and one entry per element
+    block of the pair, in the column of its (group, i, j), so one sparse
+    product per component pair sums the element matrices of all groups.
+    """
+
+    def __init__(self, conns, row_master: np.ndarray,
+                 col_master: np.ndarray):
+        self.nn = nn = conns[0].shape[1]
+        n_col = len(col_master)
+        keys = np.concatenate([(row_master[c][:, :, None] * n_col
+                                + col_master[c][:, None, :]).ravel()
+                               for c in conns])
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        self.rows, self.cols = (a.astype(np.int32) for a in
+                                np.divmod(keys[starts], n_col))
+        del keys
+        # entry k of a group's keys is the element block (group, i, j) with
+        # i nn + j = k mod nn^2
+        group = np.repeat(np.arange(len(conns), dtype=np.int32) * nn * nn,
+                          [c.size * nn for c in conns])
+        self.incidence = sp.csr_matrix(
+            (np.ones(len(order)), (order % (nn * nn)).astype(np.int32)
+             + group[order], np.append(starts, len(order))),
+            shape=(len(starts), len(conns) * nn * nn))
+        # the first pair of each row node, and its number of pairs
+        self.heads = np.flatnonzero(np.diff(self.rows, prepend=-1))
+        self.spans = np.diff(self.heads, append=len(self.rows))
+
+    def sum(self, element_matrices, row_index: np.ndarray,
+            col_index: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
+        """Canonical CSR of one element matrix per group (node-major,
+        component-fastest rows and columns) summed over the groups'
+        elements; only non-zero sums are stored. row_index and col_index
+        (nodes, components) give each node component its reduced DOF, -1
+        where it is constrained, ascending in (node, component) order."""
+        nn = self.nn
+        ncr, ncc = row_index.shape[1], col_index.shape[1]
+        stack = np.concatenate([
+            np.reshape(Ke, (nn, ncr, nn, ncc)).transpose(0, 2, 1, 3)
+            .reshape(nn * nn, ncr, ncc) for Ke in element_matrices])
+        live = stack.any(axis=0)        # component pairs of some block entry
+        # component-major: one row per component, one column per pair
+        rok = (row_index >= 0).T[:, self.rows]
+        C = col_index.T.astype(np.int32)[:, self.cols]
+        cok = C >= 0
+        # entries per (row comp, pair), and a CSR row per (node, row comp)
+        # that holds the runs of the node's pairs (consecutive, ascending in
+        # column node) in turn
+        runs = rok * (live.astype(np.int32) @ cok.astype(np.int32))
+        nnz = int(runs.sum())
+        itype = np.int32 if max(nnz, *shape) < 2 ** 31 else np.int64
+        head_dofs = row_index[self.rows[self.heads]].T
+        ok = head_dofs >= 0
+        lengths = np.zeros(shape[0], dtype=itype)
+        lengths[head_dofs[ok]] = np.add.reduceat(runs, self.heads,
+                                                 axis=1)[ok]
+        indptr = np.zeros(shape[0] + 1, dtype=itype)
+        np.cumsum(lengths, out=indptr[1:])
+        start = np.cumsum(runs, axis=1, dtype=itype)
+        start -= runs
+        del runs
+        start -= np.repeat(start[:, self.heads], self.spans, axis=1)
+        for c in range(ncr):
+            start[c] += indptr[row_index[self.rows, c]]
+        data = np.empty(nnz, dtype=stack.dtype)
+        indices = np.empty(nnz, dtype=itype)
+        for c, d in zip(*np.nonzero(live)):
+            idx = np.flatnonzero(rok[c] & cok[d])
+            at = start[c, idx]
+            data[at] = (self.incidence @ stack[:, c, d])[idx]
+            indices[at] = C[d, idx]
+            start[c, idx] = at + 1
+        A = sp.csr_matrix((data, indices, indptr), shape=shape)
+        A.eliminate_zeros()             # sums that cancel
+        return A
+
+
+def _assemble(mesh, groups, dof: DofMap, *element_matrices):
+    """Per element_matrix given (None gives None), the sum of
+    element_matrix(group) over each group's elements, all on the one
+    node-pair pattern of the groups."""
+    groups = {g: ids for g, ids in groups.items() if len(ids)}
+    blocks = NodeBlocks([mesh.elements[ids] for ids in groups.values()],
+                        dof.master, dof.master)
+    return [None if element_matrix is None else blocks.sum(
+        [element_matrix(g) for g in groups], dof.index, dof.index,
+        (dof.n_free, dof.n_free)) for element_matrix in element_matrices]
 
 
 def translations_kernel(dof: DofMap, comps=None) -> np.ndarray | None:
@@ -129,11 +216,10 @@ def assemble_vector_h1(mesh, C, grad: ScaledGradientSpec | None = None,
     rs = _by_material(density)
 
     dof = _dof_map(mesh, ncomp, space, groups, extra_constraints)
-    dt = complex if (third is not None and third[0] == "mult") else float
-    K = _assemble(dof, mesh, groups, lambda g: el.q1_stiffness(
-        hsize, Cs[g], third=third, ncomp=ncomp), dt)
-    M = None if density is None else _assemble(
-        dof, mesh, groups,
+    K, M = _assemble(
+        mesh, groups, dof,
+        lambda g: el.q1_stiffness(hsize, Cs[g], third=third, ncomp=ncomp),
+        None if density is None else
         lambda g: el.q1_mass(hsize, float(rs[g]), ncomp=ncomp))
     return SparseOperatorPair(K=K, M=M, dof=dof,
                               meta={"space": space, "ncomp": ncomp,
@@ -158,28 +244,26 @@ def assemble_bfs_h2(mesh, D, density=1.0, space: str = "periodic",
     rs = _by_material(density)
 
     dof = _dof_map(mesh, 4, space, groups)
-    return SparseOperatorPair(
-        K=_assemble(dof, mesh, groups,
-                    lambda g: el.bfs_stiffness(hsize, Ds[g])),
-        M=None if density is None else _assemble(
-            dof, mesh, groups, lambda g: el.bfs_mass(hsize, rs[g])),
-        dof=dof, meta={"space": space, "ncomp": 4, "restrict": restrict_to,
-                       "hsize": hsize})
+    K, M = _assemble(mesh, groups, dof,
+                     lambda g: el.bfs_stiffness(hsize, Ds[g]),
+                     None if density is None else
+                     lambda g: el.bfs_mass(hsize, rs[g]))
+    return SparseOperatorPair(K=K, M=M, dof=dof,
+                              meta={"space": space, "ncomp": 4,
+                                    "restrict": restrict_to, "hsize": hsize})
 
 
-def assemble_rect_block(row_dofs: np.ndarray, col_dofs: np.ndarray,
-                        element_matrix: np.ndarray,
-                        shape: tuple[int, int]) -> sp.csr_matrix:
-    """Rectangular coupling block from one shared element matrix."""
-    ne = row_dofs.shape[0]
-    nr, nc = element_matrix.shape
-    rows = np.repeat(row_dofs, nc, axis=1).ravel()
-    cols = np.tile(col_dofs, (1, nr)).ravel()
-    vals = np.tile(element_matrix.ravel(), ne)
-    ok = (rows >= 0) & (cols >= 0)
-    A = sp.coo_matrix((vals[ok], (rows[ok], cols[ok])), shape=shape).tocsr()
-    A.sum_duplicates()
-    return A
+def assemble_rect_block(mesh, row_dof: DofMap | None,
+                        col_dof: DofMap | None,
+                        element_matrix: np.ndarray) -> sp.csr_matrix:
+    """Rectangular coupling block of one element matrix shared by all
+    elements of the mesh: rows on the DOFs of row_dof, columns on those of
+    col_dof; None stands for the nodal values (one free DOF per node)."""
+    nodal = DofMap(mesh.n_nodes, 1).finalize()
+    row_dof, col_dof = (nodal if d is None else d for d in (row_dof, col_dof))
+    blocks = NodeBlocks([mesh.elements], row_dof.master, col_dof.master)
+    return blocks.sum([element_matrix], row_dof.index, col_dof.index,
+                      (row_dof.n_free, col_dof.n_free))
 
 
 def assemble_element_load(mesh, dof: DofMap, element_vec_by_material: dict,

@@ -19,13 +19,15 @@ class DofMap:
     """Maps (node, component) pairs to reduced equation numbers.
 
     Constraints supported: homogeneous Dirichlet (drop the DOF) and periodic
-    master/slave identification. Call finalize() before assembling; given
-    node ranks, it keys each reduced DOF by its node's (`key`).
+    master/slave identification of whole nodes (`master`). Call finalize()
+    before assembling; given node ranks, it keys each reduced DOF by its
+    node's (`key`). Reduced DOFs are numbered in (node, component) order.
     """
 
     def __init__(self, n_nodes: int, ncomp: int):
         self.n_nodes = n_nodes
         self.ncomp = ncomp
+        self.master = np.arange(n_nodes)           # periodic master node
         self._owner = np.arange(n_nodes * ncomp)   # linear (node, comp) ids
         self._constrained = np.zeros(n_nodes * ncomp, dtype=bool)
         self.index = None
@@ -41,10 +43,11 @@ class DofMap:
         self._constrained[self._lin(nodes, comps)] = True
         return self
 
-    def identify_periodic(self, periodic_map, comps=None):
-        """Point every slave (node, comp) at its master's slot."""
-        self._owner[self._lin(np.arange(self.n_nodes), comps)] = \
-            self._lin(periodic_map, comps)
+    def identify_periodic(self, periodic_map):
+        """Point every slave node's DOFs at its master's."""
+        self.master = np.asarray(periodic_map)
+        self._owner = (self.master[:, None] * self.ncomp
+                       + np.arange(self.ncomp)).ravel()
         return self
 
     def finalize(self, node_rank: np.ndarray | None = None):
@@ -74,33 +77,6 @@ class DofMap:
         ok = idx >= 0
         flat[ok] = u_red[idx[ok]]
         return flat.reshape(self.n_nodes, self.ncomp)
-
-
-def scatter(conn_dofs: np.ndarray, element_matrix: np.ndarray, n: int,
-            triplets=None):
-    """Accumulate one element matrix over many elements into COO triplets."""
-    ne, nd = conn_dofs.shape
-    rows = np.repeat(conn_dofs, nd, axis=1).ravel()
-    cols = np.tile(conn_dofs, (1, nd)).ravel()
-    vals = np.tile(element_matrix.ravel(), ne)
-    ok = (rows >= 0) & (cols >= 0)
-    if triplets is None:
-        triplets = ([], [], [])
-    triplets[0].append(rows[ok])
-    triplets[1].append(cols[ok])
-    triplets[2].append(vals[ok])
-    return triplets
-
-
-def triplets_to_csr(triplets, n: int, dtype=float) -> sp.csr_matrix:
-    if not triplets[0]:
-        return sp.csr_matrix((n, n), dtype=dtype)
-    rows = np.concatenate(triplets[0])
-    cols = np.concatenate(triplets[1])
-    vals = np.concatenate(triplets[2])
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    A.sum_duplicates()
-    return A
 
 
 ND_LEAF = 8    # nested dissection numbers a box of this many nodes as it is
@@ -217,6 +193,15 @@ def detect_kernel(K: sp.csr_matrix, kernel_tol: float = 1e-10, kmax: int = 6) ->
     return basis
 
 
+def _max_row_sum(A) -> float:
+    """||A||_inf of a sparse A, the largest row sum of |A|, straight from
+    its CSR arrays: scipy's `norm` takes five times as long. It scales the
+    eigenpair contract and the linear-solve backward error."""
+    A = A.tocsr()
+    starts = A.indptr[:-1][np.diff(A.indptr) > 0]      # non-empty rows
+    return float(np.add.reduceat(np.abs(A.data), starts).max(initial=0.0))
+
+
 class SpdFactor:
     """Sparse LU of a symmetric positive (semi)definite matrix; build it
     with `factorize`.
@@ -244,7 +229,7 @@ class SpdFactor:
         self.ordering = "mmd" if order is None else "nested-dissection"
         p = np.arange(n) if order is None else np.argsort(order, kind="stable")
         self._p = p[keep[p]]             # the factored DOFs, in factor order
-        self._norm = spla.norm(self.A, np.inf)
+        self._norm = _max_row_sum(self.A)
         try:
             self._lu = spla.splu(self.A[self._p][:, self._p].tocsc(),
                                  permc_spec="MMD_AT_PLUS_A" if order is None
@@ -328,9 +313,11 @@ def _m_orthonormalize(V, M):
 
 
 def _dense_pairs(pair: SparseOperatorPair, N: int):
-    # one pair from LAPACK's subset driver; for more, all pairs, since that
-    # driver picks another basis inside a multiple eigenvalue
-    w, v = sla.eigh(pair.K.toarray(), pair.M.toarray(),
+    # one pair from LAPACK's subset routine; for more, all pairs, since that
+    # routine picks another basis inside a multiple eigenvalue. The dense
+    # Fortran-ordered copies are LAPACK's to overwrite, so eigh makes none
+    w, v = sla.eigh(pair.K.toarray(order="F"), pair.M.toarray(order="F"),
+                    overwrite_a=True, overwrite_b=True,
                     subset_by_index=[0, 0] if N == 1 else None)
     return w[:N], v[:, :N]
 
@@ -365,15 +352,6 @@ def _shift_invert_pairs(pair: SparseOperatorPair, N: int, ws: EigWorkspace,
     if singular_mass:
         v = lu.solve(pair.M @ v) * w
     return w, v
-
-
-def _max_row_sum(A) -> float:
-    """||A||_inf of a sparse A, the largest row sum of |A|, straight from
-    its CSR arrays: scipy's `norm` takes five times as long on a strip
-    fiber, where the contract runs once per eigensolve."""
-    A = A.tocsr()
-    starts = A.indptr[:-1][np.diff(A.indptr) > 0]      # non-empty rows
-    return float(np.add.reduceat(np.abs(A.data), starts).max(initial=0.0))
 
 
 def eigs_smallest(pair: SparseOperatorPair, N: int,

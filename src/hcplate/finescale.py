@@ -124,14 +124,14 @@ def build_fine_problem(mat: tn.MaterialSpec, shape: InclusionShape, h: float,
         fixed.append((np.flatnonzero(np.isclose(mesh.nodes[:, 0], 0.0)), None))
     if "right" in gamma:
         fixed.append((np.flatnonzero(np.isclose(mesh.nodes[:, 0], L1)), None))
+    # the half plate carries half of the full plate's (even) energies; the
+    # factor 2 goes into the element matrices, where it is exact
+    halves = 1.0 if parity is None else 2.0
     pair = assemble_vector_h1(
-        mesh, {"soft": mu ** 2 * mat.C0, "stiff": mat.C1},
+        mesh, {"soft": halves * mu ** 2 * mat.C0, "stiff": halves * mat.C1},
         grad=ScaledGradientSpec(h),
-        density={"soft": mat.rho0, "stiff": mat.rho1}, space="free",
-        extra_constraints=fixed)
-    if parity is not None:
-        # the half plate carries half of the full plate's (even) energies
-        pair.K, pair.M = pair.K * 2.0, pair.M * 2.0
+        density={"soft": halves * mat.rho0, "stiff": halves * mat.rho1},
+        space="free", extra_constraints=fixed)
     return FineProblem(mat=mat, shape=shape, h=h, epsilon=epsilon,
                        mu_scaling=mu_scaling, tau=tau, mesh=mesh, pair=pair,
                        parity=parity,
@@ -141,9 +141,15 @@ def build_fine_problem(mat: tn.MaterialSpec, shape: InclusionShape, h: float,
 
 def fine_eigs(fp: FineProblem, N: int, ws: EigWorkspace | None = None):
     """Smallest N eigenvalues of h^-tau A_eps (ascending)."""
-    scaled = SparseOperatorPair(K=fp.h ** (-fp.tau) * fp.pair.K,
-                                M=fp.pair.M, dof=fp.pair.dof)
+    scaled = SparseOperatorPair(K=_stiffness(fp), M=fp.pair.M,
+                                dof=fp.pair.dof)
     return eigs_smallest(scaled, N, ws)
+
+
+def _stiffness(fp: FineProblem):
+    """h^-tau K, without a scaled copy of K when h^-tau is 1."""
+    scale = fp.h ** (-fp.tau)
+    return fp.pair.K if scale == 1.0 else scale * fp.pair.K
 
 
 def fine_resolvent(fp: FineProblem, lam: float, load) -> dict:
@@ -162,7 +168,7 @@ def fine_resolvent(fp: FineProblem, lam: float, load) -> dict:
         * load.cell_fn(fp.shape)(np.mod(x / fp.epsilon, 1.0))
     fe = el.q1_vector_load(mesh.hsize, np.moveaxis(values, 0, -1))
     F = assemble_pointwise_load(mesh, fp.pair.dof, fe, elems)
-    u = factorize(fp.h ** (-fp.tau) * fp.pair.K + lam * fp.pair.M,
+    u = factorize(_stiffness(fp) + lam * fp.pair.M,
                   order=fp.pair.order).solve(F)
     full = fp.pair.dof.expand(u)
     return {"u": full, "transverse_average": transverse_average(fp, full),

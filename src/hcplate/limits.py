@@ -252,9 +252,7 @@ class LoadSpec:
 def _nodal_rect(mesh: MacroMesh, dof, Me) -> sp.csr_matrix:
     """The block of a mixed BFS-Q1 element matrix Me: the bending space
     dof against nodal data."""
-    return fa.assemble_rect_block(dof.element_dofs(mesh.elements),
-                                  mesh.elements, Me,
-                                  (dof.n_free, mesh.n_nodes))
+    return fa.assemble_rect_block(mesh, dof, None, Me)
 
 
 @dataclass

@@ -57,10 +57,8 @@ def build_bending_operator(tensor: EffectiveTensor, mesh: MacroMesh,
                                  ncomp=2)
     bend = fa.assemble_bfs_h2(mesh, tensor.bend, space="dirichlet")
     K_ab = fa.assemble_rect_block(
-        memb.dof.element_dofs(mesh.elements),
-        bend.dof.element_dofs(mesh.elements),
-        el.mixed_memb_bend(mesh.element_size(), tensor.coupling),
-        (memb.n, bend.n))
+        mesh, memb.dof, bend.dof,
+        el.mixed_memb_bend(mesh.element_size(), tensor.coupling))
     # keys of [a | b]: a node's a- and b-DOFs are factored together
     pair = SparseOperatorPair(
         K=sp.bmat([[memb.K, K_ab], [K_ab.T, bend.K]], format="csr"),
@@ -83,9 +81,8 @@ def macro_eigs(op: MacroOperator, N: int, ws: EigWorkspace | None = None):
 
 def scalar_mass(mesh: MacroMesh) -> sp.csr_matrix:
     """Full-node scalar mass matrix (no constraints): pairs nodal data."""
-    Me = el.q1_mass(mesh.element_size(), 1.0, ncomp=1)
-    n = mesh.n_nodes
-    return fa.assemble_rect_block(mesh.elements, mesh.elements, Me, (n, n))
+    return fa.assemble_rect_block(
+        mesh, None, None, el.q1_mass(mesh.element_size(), 1.0, ncomp=1))
 
 
 def nodal_traces(dof) -> list[sp.csr_matrix]:

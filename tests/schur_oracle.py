@@ -46,10 +46,8 @@ class SchurOracle:
                                      ncomp=2)
         bend = fa.assemble_bfs_h2(mesh, tensor.bend, space="dirichlet")
         K_ab = fa.assemble_rect_block(
-            memb.dof.element_dofs(mesh.elements),
-            bend.dof.element_dofs(mesh.elements),
-            el.mixed_memb_bend(mesh.element_size(), tensor.coupling),
-            (memb.n, bend.n))
+            mesh, memb.dof, bend.dof,
+            el.mixed_memb_bend(mesh.element_size(), tensor.coupling))
         self.K_aa, self.K_ab = memb.K.toarray(), K_ab.toarray()
         self.K_bb, self.M_b = bend.K.toarray(), bend.M.toarray()
         # X = K_aa^-1 K_ab: one membrane solve per bending basis column

@@ -1,17 +1,17 @@
 """Stiffness/mass assembly, sparse factorization and dense conversion belong
 to hcplate.fem: no other module builds a sparse system from element matrices
-(`scatter`, `triplets_to_csr`, `DofMap`), factors one with a plain `splu`,
-or makes an assembled operator dense (`toarray`, `todense`; the dense
-eigensolver paths of hcplate.fem apply their size rules). Every
-`factorize` call passes the grid order of its DOFs (`order=`); minimum
-degree is left to grid-less test matrices."""
+(`NodeBlocks`, `DofMap`, the COO `scatter` and `triplets_to_csr`), factors
+one with a plain `splu`, or makes an assembled operator dense (`toarray`,
+`todense`; the dense eigensolver paths of hcplate.fem apply their size
+rules). Every `factorize` call passes the grid order of its DOFs
+(`order=`); minimum degree is left to grid-less test matrices."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hcplate"
-FEM_ONLY = {"scatter", "triplets_to_csr", "DofMap", "splu", "toarray",
-            "todense"}
+FEM_ONLY = {"scatter", "triplets_to_csr", "NodeBlocks", "DofMap", "splu",
+            "toarray", "todense"}
 
 
 def _references(tree) -> list[tuple[str | None, str]]:
