@@ -111,7 +111,9 @@ def _inplane_operator(mat, mesh2d: CellMesh, eta: float | None = None):
 def build_inclusion_operator(mat: tn.MaterialSpec, shape: InclusionShape,
                              n: int, operator_tag: str, delta: float | None = None,
                              n_z: int = 4):
-    """Mesh + operator pair + tracked components for one inclusion operator."""
+    """Mesh + operator pair + tracked components for one inclusion
+    operator. delta is the regime's thickness/period ratio as it is; only
+    the finite-delta (prism) operators read it."""
     if operator_tag in ("full_delta", "memb_delta", "bend_delta"):
         if delta is None or not (0 < delta < np.inf):
             raise ValueError("finite-delta operators need delta in (0, inf)")

@@ -95,11 +95,11 @@ def cmd_tensor(cfg, out: Path, chash: str) -> int:
 def cmd_bloch(cfg, out: Path, chash: str) -> int:
     from .bloch import bloch_spectrum
     mat, shape, regime, _, ws = _build_context(cfg)
-    tag = cfg.get("bloch", {}).get("operator") or regime.bloch_operator
-    delta = regime.delta if 0.0 < regime.delta < np.inf else None
+    tag = regime.bloch_operator
     bs = bloch_spectrum(mat, shape, cfg["cell"]["n"], tag,
                         cfg.get("solver", {}).get("n_modes", 30),
-                        delta=delta, n_z=cfg["cell"].get("n_z", 4), ws=ws)
+                        delta=regime.delta, n_z=cfg["cell"].get("n_z", 4),
+                        ws=ws)
     rows = [(i, bs.eigenvalues[i], bs.classification[i],
              *bs.weighted_means[i]) for i in range(bs.n_modes)]
     mean_cols = [f"mean_{c}" for c in bs.tracked]
@@ -124,9 +124,8 @@ def _zhikov_data(cfg):
     n = cfg["cell"]["n"]
     n_modes = cfg.get("solver", {}).get("n_modes", 30)
     n_z = cfg["cell"].get("n_z", 4)
-    delta = regime.delta if 0 < regime.delta < np.inf else None
     bs = bloch_spectrum(mat, shape, n, regime.dispersion_operator, n_modes,
-                        delta=delta, n_z=n_z, ws=ws)
+                        delta=regime.delta, n_z=n_z, ws=ws)
     zf = zhikov_from_bloch(bs, mat)
     return mat, shape, regime, macro_mesh, ws, bs, zf
 
@@ -158,19 +157,54 @@ def cmd_zhikov(cfg, out: Path, chash: str) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(cfg, out: Path, chash: str) -> int:
+def _limit_spectrum(cfg):
+    """The row's limit spectrum on the spectrum section's settings, which
+    `spectrum` writes and `validate` measures the fine eigenvalues against.
+    Returns (context, op, mu_w, modes, strip, zs, spec): the context of
+    _build_context, the row's macro pencil and its n_macro eigenpairs, the
+    strip's (m0, curve) for delta = inf (else None), the scalar dispersion
+    function (None for the plate row) and the LimitSpectrum."""
     from .limits import build_macro_operator
     from .macro import macro_eigs
-    from .zhikov import limit_spectrum, zhikov_variant
+    from .zhikov import LimitSpectrum, limit_spectrum, zhikov_variant
     mat, shape, regime, macro_mesh, ws, bs, zf = _zhikov_data(cfg)
+    context = (mat, shape, regime, macro_mesh, ws)
     spec_cfg = cfg.get("spectrum", {})
-    n_macro = spec_cfg.get("n_macro", 8)
-
-    # regime-appropriate effective tensor and macro operator
     cell_mesh, tensor = _cell_tensor(cfg, mat, shape, regime)
     op = build_macro_operator(regime, tensor, macro_mesh, zf.rho_bar)
-    mu_w, modes = macro_eigs(op, n_macro, ws)
-    targets = zf.rho_bar * mu_w
+    mu_w, modes = macro_eigs(op, spec_cfg.get("n_macro", 8), ws)
+    strip = _strip_m0(cfg, mat, cell_mesh, ws) \
+        if regime.delta == np.inf else None
+
+    if regime.row.macro_only:
+        # uncoupled plate row: the scaled spectrum converges to the plate
+        # bending eigenvalues alone; no dispersion function, no band gaps
+        spec = LimitSpectrum(
+            points=[{"lambda": float(m), "kind": "macro_eigenvalue",
+                     "matched_mu": float(m), "pole_interval": None}
+                    for m in mu_w],
+            intervals=[], gaps=[],
+            meta={"variant": "plate", "path": "macro",
+                  "note": "uncoupled row: high contrast leaves no trace in "
+                          "the order-h^2 limit spectrum"})
+        return context, op, mu_w, modes, strip, None, spec
+
+    # the scalar beta of the limit spectrum: membrane rows keep every
+    # in-plane mean (limit_spectrum checks that beta is scalar), modes on b
+    # couple through the transverse mean alone
+    zs = zf if regime.row.modes_on == "a" else zhikov_variant(
+        bs, mat, components=(bs.weighted_means.shape[1] - 1,))
+    spec = limit_spectrum(zs, zf.rho_bar * mu_w,
+                          lambda_max=spec_cfg.get("lambda_max"),
+                          m0=None if strip is None else strip[0],
+                          meta={"macro_eigs": mu_w.tolist()})
+    return context, op, mu_w, modes, strip, zs, spec
+
+
+def cmd_spectrum(cfg, out: Path, chash: str) -> int:
+    (_, _, _, macro_mesh, _), op, mu_w, modes, strip, zs, spec = \
+        _limit_spectrum(cfg)
+    n_macro = len(mu_w)
     _write_csv(out / "macro_eigs.csv", ["k", "mu"],
                [(k, mu_w[k]) for k in range(n_macro)], chash)
     # principal nodal values of the macro modes for plotting (b of the
@@ -182,45 +216,22 @@ def cmd_spectrum(cfg, out: Path, chash: str) -> int:
     _write_csv(out / "macro_modes.csv",
                ["node", "x1", "x2", *[f"mode_{k}" for k in range(n_macro)]],
                rows, chash)
-
-    m0 = None
-    strip_note = None
-    if regime.delta == np.inf:
-        m0, curve = _strip_m0(cfg, mat, cell_mesh, ws)
+    if strip is not None:
         _write_csv(out / "strip_curve.csv", ["eta", "alpha1"],
-                   [tuple(r) for r in curve], chash)
-        strip_note = ("discrete half-line strip eigenvalues below m0 are not "
-                      "evaluated; the essential interval [m0, inf) is used")
+                   [tuple(r) for r in strip[1]], chash)
 
-    if regime.row.macro_only:
-        # uncoupled plate row: the scaled spectrum converges to the plate
-        # bending eigenvalues alone; no dispersion function, no band gaps
-        from .zhikov import LimitSpectrum
-        spec = LimitSpectrum(
-            points=[{"lambda": float(m), "kind": "macro_eigenvalue",
-                     "matched_mu": float(m), "pole_interval": None}
-                    for m in mu_w],
-            intervals=[], gaps=[],
-            meta={"variant": "plate", "path": "macro",
-                  "note": "uncoupled row: high contrast leaves no trace in "
-                          "the order-h^2 limit spectrum"})
-        _write_json(out / "limit_spectrum.json", spec.to_dict(), chash)
-        return EXIT_OK
-
-    # the scalar beta of the limit spectrum: membrane rows keep every
-    # in-plane mean (limit_spectrum checks that beta is scalar), modes on b
-    # couple through the transverse mean alone
-    zs = zf if regime.row.modes_on == "a" else zhikov_variant(
-        bs, mat, components=(bs.weighted_means.shape[1] - 1,))
-    spec = limit_spectrum(zs, targets, lambda_max=spec_cfg.get("lambda_max"),
-                          m0=m0, meta={"macro_eigs": mu_w.tolist()})
     payload = spec.to_dict()
-    if strip_note:
-        payload["meta"]["strip_note"] = strip_note
+    if strip is not None:
+        payload["meta"]["strip_note"] = (
+            "discrete half-line strip eigenvalues below m0 are not "
+            "evaluated; the essential interval [m0, inf) is used")
         payload["meta"]["strip_disc_spectrum"] = "not evaluated"
     _write_json(out / "limit_spectrum.json", payload, chash)
+    if zs is None:
+        return EXIT_OK
     # beta is scalar here (limit_spectrum checked it): write tr(beta) / k
-    lam, B = _beta_samples(zs, spec_cfg.get("beta_samples", 400))
+    n_samples = cfg.get("spectrum", {}).get("beta_samples", 400)
+    lam, B = _beta_samples(zs, n_samples)
     _write_csv(out / "dispersion.csv", ["lambda", "beta"],
                zip(lam, np.trace(B, axis1=1, axis2=2) / zs.k), chash)
     return EXIT_OK
@@ -251,18 +262,19 @@ def cmd_resolvent(cfg, out: Path, chash: str) -> int:
 
 
 def cmd_evolve(cfg, out: Path, chash: str) -> int:
-    from .config import parse_load
+    from .config import ConfigError, parse_load
     from .evolution import evolve
     model = _model(cfg)
     load = parse_load(cfg)
     ev = cfg.get("evolve", {})
     T = ev.get("T", 1.0)
     dt = ev.get("dt", T / 1000.0)
-    if dt <= 0:
-        from .config import ConfigError
-        raise ConfigError("dt must be positive")
-    variant = ev.get("variant", model.regime.kind)
-    traj = evolve(model, variant, load, T, dt)
+    # evolve.variant is an optional echo of the regime's row
+    variant = model.regime.kind
+    if ev.get("variant", variant) != variant:
+        raise ConfigError(f"evolve.variant {ev['variant']!r} is not the "
+                          f"row of regime {model.regime.key} ({variant})")
+    traj = evolve(model, load, T, dt)
     # macro modal amplitudes: mass-orthonormal projections on the leading
     # eigenmodes of the governing macro operator, whose mass lies on the
     # membrane field a or on the bending field b
@@ -293,23 +305,18 @@ def cmd_evolve(cfg, out: Path, chash: str) -> int:
 
 
 def cmd_validate(cfg, out: Path, chash: str) -> int:
+    from .config import ConfigError, parse_regime
     from .finescale import build_fine_problem, fine_eigs
-    from .macro import build_membrane_operator, macro_eigs
-    from .zhikov import limit_spectrum
-    mat, shape, regime, macro_mesh, ws, bs, zf = _zhikov_data(cfg)
+    regime = parse_regime(cfg)
     if regime.kind != "real_time" or regime.delta == 0.0:
-        from .config import ConfigError
         raise ConfigError("validate runs the membrane rows with delta > 0")
-    thin = regime.delta == np.inf
+    (mat, shape, _, macro_mesh, ws), _, _, _, strip, _, spec = \
+        _limit_spectrum(cfg)
+    thin = strip is not None
+    m0 = strip[0] if thin else None
     vcfg = cfg.get("validate", {})
     eps_list = vcfg.get("eps", [0.5, 0.25])
     n_eigs = vcfg.get("n_eigs", 3)
-
-    cell_mesh, tensor = _cell_tensor(cfg, mat, shape, regime)
-    m0 = _strip_m0(cfg, mat, cell_mesh, ws)[0] if thin else None
-    op = build_membrane_operator(tensor, macro_mesh, zf.rho_bar)
-    mu_w, _ = macro_eigs(op, cfg.get("spectrum", {}).get("n_macro", 8), ws)
-    spec = limit_spectrum(zf, zf.rho_bar * mu_w, m0=m0)
     pts = spec.point_values()
 
     report = {"limit_points": pts, "runs": []}

@@ -14,7 +14,7 @@ from jsonschema.validators import validator_for
 
 from . import tensors as tn
 from .geometry import InclusionShape, build_macro_mesh
-from .limits import LoadSpec, RegimeConfig
+from .limits import ROWS, LoadSpec, RegimeConfig
 
 _NUM_OR_INF = {"oneOf": [{"type": "number"}, {"const": "inf"}]}
 
@@ -38,6 +38,7 @@ SCHEMA = {
                 }]},
                 "n": {"type": "integer", "minimum": 4},
                 "n_z": {"type": "integer", "minimum": 2},
+                "dump": {"type": "boolean"},
             },
         },
         "regime": {
@@ -45,8 +46,8 @@ SCHEMA = {
             "required": ["delta", "mu", "tau"],
             "properties": {
                 "delta": _NUM_OR_INF,
-                "mu": {"enum": ["eps", "eps_h", "eps2"]},
-                "tau": {"enum": [0, 2]},
+                "mu": {"enum": sorted({r.mu for r in ROWS.values()})},
+                "tau": {"enum": sorted({r.tau for r in ROWS.values()})},
                 "kappa": _NUM_OR_INF,
             },
         },
@@ -72,6 +73,9 @@ SCHEMA = {
             # removed knobs are refused by name, never silently ignored
             "propertyNames": {"not": {"enum": ["dense_threshold"]}},
         },
+        # the row fixes the Bloch operator; the override is refused by name
+        "bloch": {"type": "object",
+                  "propertyNames": {"not": {"enum": ["operator"]}}},
         "spectrum": {
             "type": "object",
             "properties": {
@@ -99,16 +103,16 @@ SCHEMA = {
         "evolve": {
             "type": "object",
             "properties": {
-                "variant": {"enum": ["long_time_bending", "real_time",
-                                     "strong_hc_bending", "delta0_hc"]},
+                "variant": {"enum": list(ROWS)},   # optional echo of the row
                 "T": {"type": "number", "exclusiveMinimum": 0},
-                "dt": {"type": "number"},
+                "dt": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "validate": {
             "type": "object",
             "properties": {
                 "eps": {"type": "array", "items": {"type": "number"}},
+                "h": {"type": "number", "exclusiveMinimum": 0},
                 "cells_per_eps": {"type": "integer", "minimum": 2},
                 "n_z": {"type": "integer", "minimum": 2},
                 "n_eigs": {"type": "integer", "minimum": 1},

@@ -3,13 +3,13 @@ coupled macro-micro second-order systems, quasistatic reconstruction of the
 slaved components, and the discrete memory-kernel (convolution quadrature)
 elimination of the micro modes.
 
-The variants are the row kinds of hcplate.limits.ROWS (real_time,
-long_time_bending, strong_hc_bending, delta0_hc), and a model evolves only
-under its own. Each steps the row's ModalSystem from
-hcplate.limits.modal_system (the long-time plate row with no modes): a step
-solves one macro-size system and updates the modes as arrays. The bending
-variants step the bending pencil over [a | b], whose in-plane part a
-carries stiffness only: each step enforces its equation at the midpoint.
+The variant is the model's row kind in hcplate.limits.ROWS (real_time,
+long_time_bending, strong_hc_bending, delta0_hc). Each steps the row's
+ModalSystem from hcplate.limits.modal_system (the long-time plate row
+with no modes): a step solves one macro-size system and updates the modes
+as arrays. The bending variants step the bending pencil over [a | b],
+whose in-plane part a carries stiffness only: each step enforces its
+equation at the midpoint.
 A row's static micro field (limits.static_micro) follows the load's time
 profile.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem.system import factorize
-from .limits import (ROWS, LimitModel, LoadSpec, ModalSystem, RegimeError,
+from .limits import (LimitModel, LoadSpec, ModalSystem, RegimeError,
                      load_moments, micro_modal_loads, modal_system,
                      static_micro)
 from .macro import macro_eigs
@@ -94,10 +94,11 @@ def implicit_midpoint(system: ModalSystem, u0, v0, T: float, dt: float):
     return (X, C), E, sh.factor
 
 
-def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
+def evolve(model: LimitModel, load: LoadSpec, T: float,
            dt: float | None = None, u0: np.ndarray | None = None,
            v0: np.ndarray | None = None) -> Trajectory:
-    """Implicit-midpoint trajectory of the regime's limit evolution.
+    """Implicit-midpoint trajectory of the regime's limit evolution; the
+    variant is the row kind of model.regime.
 
     u0/v0 are initial data in the variant's state layout [a | b | c_1 ...
     c_N] (defaults: zero), with fields "a" and "b" of the trajectory the
@@ -111,11 +112,7 @@ def evolve(model: LimitModel, variant: str, load: LoadSpec, T: float,
     The energies are the ones the sweep forms state by state; only the
     state paths are kept, no velocity.
     """
-    if variant not in ROWS:
-        raise RegimeError(f"unknown evolution variant {variant!r}")
-    if variant != model.regime.kind:
-        raise RegimeError(f"variant {variant!r} does not match regime "
-                          f"{model.regime.key}")
+    variant = model.regime.kind
     if variant == "real_time" and model.regime.delta == np.inf \
             and load.transverse != "one":
         raise RegimeError("real-time evolution for very thin cells is "

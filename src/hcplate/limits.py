@@ -3,13 +3,16 @@ the limit model of a scaling row, its grand modal system and the resolvent
 solve. The limit evolution equations that step the same modal system live
 in hcplate.evolution.
 
-Each supported row is declared once, in ROWS: the Bloch operators of its
-micro modes and of its dispersion function, its macro pencil, the macro
-field its modes live on, and whether its spectrum is the macro eigenvalues
-alone. The micro field is represented in the truncated inclusion modal
-basis: its coefficients are nodal fields on the macro mesh, and the
-inclusion eigenvalue/mean data turn every coupled solve into a macro
-system with a frequency-dependent effective mass.
+Each supported row is declared once, in ROWS: its contrast and time
+scalings (mu, tau), the delta classes it admits and the one whose kappa
+selects the out-of-plane branch, the Bloch operators of its micro modes
+and of its dispersion function, its macro pencil, the macro field its
+modes live on, and whether its spectrum is the macro eigenvalues alone.
+RegimeConfig admits a regime only by lookup in that table. The micro
+field is represented in the truncated inclusion modal basis: its
+coefficients are nodal fields on the macro mesh, and the inclusion
+eigenvalue/mean data turn every coupled solve into a macro system with a
+frequency-dependent effective mass.
 """
 
 from __future__ import annotations
@@ -44,43 +47,26 @@ class RegimeError(ValueError):
 class RegimeConfig:
     """One row of the scaling table: thickness/period ratio delta, contrast
     exponent mu_h, spectrum/time scaling tau, and (for vanishing delta) the
-    secondary ratio kappa = lim h / eps^2."""
+    secondary ratio kappa = lim h / eps^2. A regime exists only as a row of
+    ROWS: its (mu, tau) name the row, which admits the delta classes of its
+    Bloch operators and asks for kappa in the class kappa_at alone."""
     delta: float
     mu: str                      # "eps" | "eps_h" | "eps2"
     tau: int                     # 0 | 2
     kappa: float | None = None
 
     def __post_init__(self):
-        if self.mu not in ("eps", "eps_h", "eps2"):
-            raise RegimeError(f"unknown contrast scaling {self.mu!r}")
-        if self.tau not in (0, 2):
-            raise RegimeError("tau must be 0 or 2")
-        if self.delta < 0 or np.isnan(self.delta):
+        row = self.row
+        if not self.delta >= 0:
             raise RegimeError("delta must be in [0, inf]")
-        finite = 0.0 < self.delta < np.inf
-        if self.mu == "eps" and self.tau == 2:
-            if not finite:
-                raise RegimeError("mu=eps with tau=2 needs delta in (0, inf)")
-            self._no_kappa()
-        elif self.mu == "eps" and self.tau == 0:
-            if self.delta == 0.0:
-                if self.kappa is None or self.kappa < 0 or np.isnan(self.kappa):
-                    raise RegimeError("delta=0 membrane scaling needs kappa in [0, inf]")
-            else:
-                self._no_kappa()
-        elif self.mu == "eps_h":
-            if self.tau != 2 or not self.delta > 0:
-                raise RegimeError("mu=eps*h is supported only with tau=2 and delta > 0")
-            self._no_kappa()
-        elif self.mu == "eps2":
-            if self.tau != 2 or self.delta != 0.0:
-                raise RegimeError("mu=eps^2 is supported only with tau=2 and delta = 0")
-            self._no_kappa()
-
-    def _no_kappa(self):
-        if self.kappa is not None:
-            raise RegimeError(f"kappa is meaningful only for delta=0, mu=eps, "
-                              f"tau=0 (got kappa={self.kappa})")
+        if self.delta_class not in row.bloch:
+            raise RegimeError(f"row {self.kind} admits the delta classes "
+                              f"{sorted(row.bloch)}, not {self.delta_class}")
+        if (self.kappa is not None) != (self.delta_class == row.kappa_at) \
+                or self.kappa is not None and not self.kappa >= 0:
+            raise RegimeError(f"kappa in [0, inf] is needed exactly for "
+                              f"delta class {row.kappa_at} of row {self.kind} "
+                              f"(got kappa={self.kappa})")
 
     @property
     def delta_class(self) -> str:
@@ -89,9 +75,11 @@ class RegimeConfig:
     @property
     def kind(self) -> str:
         """The row's kind in ROWS, which is also its evolution variant."""
-        if self.mu == "eps":
-            return "real_time" if self.tau == 0 else "long_time_bending"
-        return "strong_hc_bending" if self.mu == "eps_h" else "delta0_hc"
+        for kind, row in ROWS.items():
+            if (row.mu, row.tau) == (self.mu, self.tau):
+                return kind
+        raise RegimeError(f"no scaling row with mu={self.mu!r}, "
+                          f"tau={self.tau!r}")
 
     @property
     def row(self) -> Row:
@@ -114,32 +102,22 @@ class RegimeConfig:
             k = {0.0: "_kappa0", np.inf: "_kappainf"}.get(self.kappa, "_kappaf")
         return f"{self.delta_class}_{self.mu}_tau{self.tau}{k}"
 
-    @classmethod
-    def supported_rows(cls, delta_value: float = 1.0, kappa_value: float = 1.0):
-        """All nine supported (delta, mu, tau, kappa) rows of the table."""
-        return [
-            cls(delta_value, "eps", 2),
-            cls(delta_value, "eps", 0),
-            cls(delta_value, "eps_h", 2),
-            cls(0.0, "eps", 0, kappa=np.inf),
-            cls(0.0, "eps", 0, kappa=kappa_value),
-            cls(0.0, "eps", 0, kappa=0.0),
-            cls(0.0, "eps2", 2),
-            cls(np.inf, "eps", 0),
-            cls(np.inf, "eps_h", 2),
-        ]
-
 
 @dataclass(frozen=True)
 class Row:
-    """How a kind of scaling row is built. The Bloch operators are keyed by
-    the delta class of RegimeConfig; a bending row's modes couple through
+    """One kind of scaling row: its contrast and time scalings (mu, tau),
+    and how it is built. The Bloch operators are keyed by the delta classes
+    of RegimeConfig that the row admits; kappa_at is the class whose kappa
+    selects the out-of-plane branch. A bending row's modes couple through
     the transverse mean alone, a membrane row's through every mean."""
+    mu: str
+    tau: int
     bloch: dict              # micro modes of the model
     dispersion: dict         # dispersion function beta
     macro: str               # "membrane" | "bending" pencil
     macro_only: bool = False         # spectrum: the macro eigenvalues alone
     static_bloch: str | None = None  # modes of a static in-plane micro field
+    kappa_at: str | None = None
 
     @property
     def modes_on(self) -> str:
@@ -150,22 +128,26 @@ class Row:
 
 ROWS = {
     "real_time": Row(
+        "eps", 0,
         bloch={"deltaf": "full_delta", "delta0": "memb_delta0",
                "deltainf": "full_deltainf"},
         dispersion={"deltaf": "memb_delta", "delta0": "memb_delta0",
                     "deltainf": "memb_deltainf"},
-        macro="membrane"),
+        macro="membrane", kappa_at="delta0"),
     # the plate row: high contrast leaves no trace in the order-h^2 limit;
     # the micro field is static, driven by the in-plane loads
     "long_time_bending": Row(
+        "eps", 2,
         bloch={"deltaf": "full_delta"}, dispersion={"deltaf": "full_delta"},
         macro="bending", macro_only=True, static_bloch="full_delta"),
     "strong_hc_bending": Row(
+        "eps_h", 2,
         bloch={"deltaf": "full_delta", "deltainf": "full_deltainf"},
         dispersion={"deltaf": "full_delta", "deltainf": "full_deltainf"},
         macro="bending"),
     # plate-like inclusions; their in-plane micro equation is static
     "delta0_hc": Row(
+        "eps2", 2,
         bloch={"delta0": "bend_delta0"}, dispersion={"delta0": "bend_delta0"},
         macro="bending", static_bloch="memb_delta0"),
 }
@@ -426,9 +408,8 @@ def build_limit_model(regime: RegimeConfig, mat: tn.MaterialSpec,
                       ws: EigWorkspace | None = None) -> LimitModel:
     """Assemble the regime-appropriate tensors, modal basis, and macro
     operators on the given meshes."""
-    d = regime.delta
-    cell_mesh, tensor = cell_tensor(mat, shape, d, cell_n, n_z)
-    delta = d if 0.0 < d < np.inf else None
+    delta = regime.delta
+    cell_mesh, tensor = cell_tensor(mat, shape, delta, cell_n, n_z)
     bs = bloch_spectrum(mat, shape, cell_n, regime.bloch_operator, n_modes,
                         delta=delta, n_z=n_z, ws=ws)
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hcplate import memo
@@ -16,6 +17,19 @@ def fresh_memo():
     memo.clear()
     yield
     memo.clear()
+
+
+@pytest.fixture(scope="session")
+def supported_rows():
+    """Every supported (delta, mu, tau, kappa) regime, enumerated from
+    limits.ROWS: each row at each delta class it admits (delta = 1 for the
+    finite class), and at kappa in {inf, 1, 0} in its kappa class."""
+    from hcplate.limits import ROWS, RegimeConfig
+    deltas = {"deltaf": 1.0, "delta0": 0.0, "deltainf": np.inf}
+    return [RegimeConfig(deltas[c], row.mu, row.tau, kappa)
+            for row in ROWS.values() for c in row.bloch
+            for kappa in ((np.inf, 1.0, 0.0) if c == row.kappa_at
+                          else (None,))]
 
 
 @pytest.fixture(scope="session")

@@ -220,7 +220,7 @@ def test_criterion_8_evolution_correctness(demo_material, demo_shape):
     T = 2 * np.pi / np.sqrt(mu[0])
     errs = []
     for dt in (T / 200, T / 400):
-        traj = evolve(m1, "long_time_bending", zero, T, dt, u0=W[:, 0],
+        traj = evolve(m1, zero, T, dt, u0=W[:, 0],
                       v0=np.zeros(m1.op.n))
         proj = traj.fields["b"] @ (m1.rho_bar * (m1.op.pair.M @ W[:, 0])
                                    [m1.op.n_static:])
@@ -235,7 +235,7 @@ def test_criterion_8_evolution_correctness(demo_material, demo_shape):
     mu3, W3 = _macro_modal_reduction(m3, 2)
     u0 = np.zeros(system.n)
     u0[:system.meta["nb"]] = W3[:, 0]
-    traj = evolve(m3, "strong_hc_bending", zero, 1.0, 1e-3,
+    traj = evolve(m3, zero, 1.0, 1e-3,
                   u0=system.lift(u0), v0=system.lift(np.zeros(system.n)))
     drift = traj.energy_drift()
     ok &= drift <= 1e-10
@@ -268,7 +268,7 @@ def test_criterion_9_resolvent_semigroup_consistency(demo_material,
     u0[na:na + nb] = W[:, 0]
     ok, rels = True, []
     for lam in (2.0, 5.0):
-        traj = evolve(model, "strong_hc_bending", LoadSpec(amplitude=(0, 0, 0)),
+        traj = evolve(model, LoadSpec(amplitude=(0, 0, 0)),
                       16.0 / lam, 1e-3, u0=u0, v0=np.zeros_like(u0))
         wts = np.exp(-lam * traj.times)
         integral = trapezoid(wts[:, None] * traj.fields["b"], traj.times,

@@ -68,13 +68,13 @@ class TestExitCodes:
 
     def test_odd_n_z(self, tmp_path):
         # a parity class needs its mirror planes as node planes: the
-        # parity Bloch operator refuses an odd n_z; the tensor leaves out
-        # each mirror it cannot use and names it with the reason
+        # parity Bloch operator of the membrane row's dispersion function
+        # refuses an odd n_z; the tensor leaves out each mirror it cannot
+        # use and names it with the reason
         odd = json.loads(json.dumps(TINY))
         odd["cell"]["n_z"] = 3
-        odd["bloch"] = {"operator": "memb_delta"}
         cfg = write_cfg(tmp_path, odd)
-        assert main(["bloch", "--config", cfg, "--out", str(tmp_path),
+        assert main(["zhikov", "--config", cfg, "--out", str(tmp_path),
                      "--quiet"]) == 2
 
         def refused(cfg):
@@ -111,6 +111,23 @@ class TestExitCodes:
         bad["evolve"]["dt"] = -0.1
         cfg = write_cfg(tmp_path, bad)
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path),
+                     "--quiet"]) == 2
+
+    def test_bloch_operator_refused(self, tmp_path, capsys):
+        # the row fixes the Bloch operator; the removed override is
+        # refused by name, never silently ignored
+        bad = json.loads(json.dumps(TINY))
+        bad["bloch"] = {"operator": "memb_delta"}
+        cfg = write_cfg(tmp_path, bad)
+        assert main(["bloch", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "operator" in capsys.readouterr().err
+
+    def test_validate_h_must_be_a_number(self, tmp_path):
+        bad = json.loads(json.dumps(TINY))
+        bad["regime"]["delta"] = "inf"
+        bad["validate"]["h"] = "x"
+        cfg = write_cfg(tmp_path, bad)
+        assert main(["validate", "--config", cfg, "--out", str(tmp_path),
                      "--quiet"]) == 2
 
     def test_removed_eig_solver_refused(self, tmp_path, capsys):
@@ -323,6 +340,21 @@ class TestOutputs:
         hc["evolve"]["variant"] = "real_time"
         assert main(["evolve", "--config", write_cfg(tmp_path, hc), "--out",
                      str(out), "--quiet"]) == 2
+
+    def test_validate_measures_against_the_spectrum_points(self, tmp_path):
+        # validate takes its limit points from the same path as spectrum,
+        # spectrum.lambda_max included
+        cfg = json.loads(json.dumps(TINY))
+        cfg["spectrum"]["lambda_max"] = 60.0
+        path = write_cfg(tmp_path, cfg)
+        for cmd in ("spectrum", "validate"):
+            assert main([cmd, "--config", path, "--out", str(tmp_path),
+                         "--quiet"]) == 0
+        spec = json.loads((tmp_path / "limit_spectrum.json").read_text())
+        report = json.loads((tmp_path / "validation.json").read_text())
+        points = sorted(p["lambda"] for p in spec["points"])
+        assert points and max(points) <= 60.0
+        assert report["limit_points"] == points
 
     def test_deterministic_outputs(self, tmp_path, fresh_memo):
         cfg = write_cfg(tmp_path, TINY)

@@ -73,6 +73,7 @@ class TestAgainstGrandMidpoint:
         ("delta0_hc", _bending_kron_system, "model_d0hc")])
     def test_trajectory_and_energy(self, variant, build, model_name, request):
         model = request.getfixturevalue(model_name)
+        assert model.regime.kind == variant
         load = forced_load()
         system = build(model, load)
         rng = np.random.RandomState(11)
@@ -80,7 +81,7 @@ class TestAgainstGrandMidpoint:
         v0 = rng.standard_normal(system.n)
         T, dt = 0.2, 2e-3
         U, _, energy = grand_midpoint(system, u0, v0, T, dt)
-        traj = evolve(model, variant, load, T, dt, u0=system.lift(u0),
+        traj = evolve(model, load, T, dt, u0=system.lift(u0),
                       v0=system.lift(v0))
         blocks = system.blocks
         for name in ("a", "b"):
@@ -151,7 +152,8 @@ def cluster_error(got, ref, bs) -> float:
 
 @pytest.mark.parametrize("case", [("iso", "shaped", 2.0),
                                   ("ortho", "flat", 0.7)])
-def test_resolvents_match_explicit_elimination(case, reference):
+def test_resolvents_match_explicit_elimination(case, reference,
+                                               supported_rows):
     """All nine rows on a 3x3 macro mesh, n=8 cells, 8 modes, against the
     outputs of the hand-written eliminations (isotropic with a shaped load,
     orthotropic stiff phase with a flat load). Inside a cluster of
@@ -160,7 +162,7 @@ def test_resolvents_match_explicit_elimination(case, reference):
     mname, lname, lam = case
     mat, load = _materials()[mname], _loads()[lname]
     mm = build_macro_mesh(1.0, 1.0, 3, 3)
-    for r in RegimeConfig.supported_rows():
+    for r in supported_rows:
         model = build_limit_model(r, mat, InclusionShape("disk", 0.26), mm,
                                   cell_n=8, n_z=4, n_modes=8)
         st = solve_limit_resolvent(model, lam, load)

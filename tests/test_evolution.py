@@ -57,7 +57,7 @@ class TestSingleMode:
         T = 2 * np.pi / np.sqrt(mu[0])
         errs = []
         for dt in (T / 200, T / 400):
-            traj = evolve(model_r1, "long_time_bending", zero_load(), T, dt,
+            traj = evolve(model_r1, zero_load(), T, dt,
                           u0=w1.copy(), v0=np.zeros_like(w1))
             op = model_r1.op
             proj = traj.fields["b"] @ (model_r1.rho_bar *
@@ -68,7 +68,7 @@ class TestSingleMode:
 
     def test_quasistatic_membrane_tracks_bending(self, model_r1):
         mu, W = macro_eigs(model_r1.op, 1)
-        traj = evolve(model_r1, "long_time_bending", zero_load(),
+        traj = evolve(model_r1, zero_load(),
                       0.3, 1e-3, u0=W[:, 0], v0=np.zeros(model_r1.op.n))
         oracle = SchurOracle(model_r1.tensor, model_r1.macro_mesh)
         for j in (0, len(traj.times) // 2, -1):
@@ -92,7 +92,7 @@ class TestCoupledPlate:
             time_fn=zero_load().time_fn(), blocks={})
         T, dt = 0.2, 1e-3
         U, _, energy = grand_midpoint(system, b0, v0, T, dt)
-        traj = evolve(model, "long_time_bending", zero_load(), T, dt,
+        traj = evolve(model, zero_load(), T, dt,
                       u0=np.concatenate([np.zeros(oracle.na), b0]),
                       v0=np.concatenate([np.zeros(oracle.na), v0]))
         scale = abs(U).max()
@@ -109,7 +109,7 @@ class TestCoupledPlate:
         load = LoadSpec(amplitude=(0.4, -0.3, 0.0))
         u_s = factorize(model.op.pair.K).solve(
             modal_system(model, load).F0)
-        traj = evolve(model, "long_time_bending", load, 0.2, 1e-3, u0=u_s,
+        traj = evolve(model, load, 0.2, 1e-3, u0=u_s,
                       v0=np.zeros_like(u_s))
         na = model.op.n_static
         for part, ref in ((traj.fields["a"], u_s[:na]),
@@ -124,7 +124,7 @@ class TestConservation:
         mu, W = _macro_modal_reduction(model_r3, 1)
         u0 = np.zeros(system.n)
         u0[:system.meta["nb"]] = W[:, 0]
-        traj = evolve(model_r3, "strong_hc_bending", zero_load(), 1.0, 1e-3,
+        traj = evolve(model_r3, zero_load(), 1.0, 1e-3,
                       u0=system.lift(u0), v0=system.lift(np.zeros(system.n)))
         assert traj.energy_drift() <= 1e-10
 
@@ -132,7 +132,7 @@ class TestConservation:
         system = _real_time_system(model_r2, zero_load())
         rng = np.random.RandomState(7)
         u0 = 0.1 * rng.standard_normal(system.n)
-        traj = evolve(model_r2, "real_time", zero_load(), 1.0, 1e-3,
+        traj = evolve(model_r2, zero_load(), 1.0, 1e-3,
                       u0=u0, v0=np.zeros(system.n))
         assert traj.energy_drift() <= 1e-10
 
@@ -141,7 +141,7 @@ class TestConservation:
         # bound allows the exponential, the quadrature the rest
         ld = LoadSpec(amplitude=(0, 0, 1.0), time=lambda t: np.sin(3 * t))
         system = _bending_kron_system(model_r3, ld)
-        traj = evolve(model_r3, "strong_hc_bending", ld, 1.0, 1e-3)
+        traj = evolve(model_r3, ld, 1.0, 1e-3)
         Minv_F = spla.splu(system.M.tocsc()).solve(system.F0)
         fnorm = np.sqrt(system.F0 @ Minv_F)
         for j in (100, 500, 1000):
@@ -155,10 +155,10 @@ class TestSweepMemory:
         # the sweep forms each state's energies as it goes and keeps only
         # the state paths: no velocity path, no post-sweep energy pass
         load = LoadSpec(amplitude=(0.3, -0.2, 1.0), time=np.cos)
-        evolve(model_r2, "real_time", load, 0.01, 1e-3)   # builds the coupling
+        evolve(model_r2, load, 0.01, 1e-3)   # builds the coupling
         tracemalloc.start()
         try:
-            traj = evolve(model_r2, "real_time", load, 4.0, 1e-3)
+            traj = evolve(model_r2, load, 4.0, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -176,7 +176,7 @@ class TestMemoryKernel:
         nb = system.meta["nb"]
         u0 = np.zeros(system.n)
         u0[:nb] = 0.7 * W[:, 0] - 0.2 * W[:, 1]
-        traj = evolve(model_r3, "strong_hc_bending", zero_load(), 1.0, 1e-3,
+        traj = evolve(model_r3, zero_load(), 1.0, 1e-3,
                       u0=system.lift(u0), v0=system.lift(np.zeros(system.n)))
         times, modal = evolve_memory_bending(
             model_r3, zero_load(), 1.0, 1e-3, n_macro_modes=2,
@@ -198,7 +198,7 @@ class TestMemoryKernel:
 
     def test_forced_agreement(self, model_r3):
         ld = LoadSpec(amplitude=(0, 0, 1.0), time=lambda t: np.cos(2 * t))
-        traj = evolve(model_r3, "strong_hc_bending", ld, 0.5, 5e-4)
+        traj = evolve(model_r3, ld, 0.5, 5e-4)
         times, modal = evolve_memory_bending(model_r3, ld, 0.5, 5e-4,
                                              n_macro_modes=3)
         mu, W = _macro_modal_reduction(model_r3, 3)
@@ -227,7 +227,7 @@ class TestLaplaceConsistency:
         u0 = system.lift(np.zeros(system.n))
         u0[na:na + nb] = W[:, 0]
         T, dt = 16.0 / lam, 1e-3
-        traj = evolve(model_r3, "strong_hc_bending", zero_load(), T, dt,
+        traj = evolve(model_r3, zero_load(), T, dt,
                       u0=u0, v0=np.zeros_like(u0))
         wts = np.exp(-lam * traj.times)
         integral = trapezoid(wts[:, None] * traj.fields["b"], traj.times,
@@ -252,7 +252,7 @@ class TestLaplaceConsistency:
                                   cell_n=8, n_z=4, n_modes=6)
         load = LoadSpec(amplitude=(0.4, -0.3, 1.0))
         s = 2.0
-        traj = evolve(model, regime.kind, load, 16.0 / s, 2e-3)
+        traj = evolve(model, load, 16.0 / s, 2e-3)
         macro = np.hstack([traj.fields["a"], traj.fields["b"]])
         a, b = model.nodal(trapezoid(np.exp(-s * traj.times)[:, None] * macro,
                                      traj.times, axis=0))
@@ -263,29 +263,21 @@ class TestLaplaceConsistency:
 
 
 class TestVariantDispatch:
-    def test_variant_regime_mismatch(self, model_r2):
-        with pytest.raises(RegimeError):
-            evolve(model_r2, "strong_hc_bending", zero_load(), 0.1, 1e-2)
-
-    def test_unknown_variant(self, model_r2):
-        with pytest.raises(RegimeError):
-            evolve(model_r2, "warp_drive", zero_load(), 0.1, 1e-2)
-
     def test_deltainf_real_time_needs_flat_profile(self, demo_material,
                                                    demo_shape, mm):
         model = build_limit_model(RegimeConfig(np.inf, "eps", 0),
                                   demo_material, demo_shape, mm, cell_n=8,
                                   n_modes=6)
         with pytest.raises(RegimeError):
-            evolve(model, "real_time",
-                   LoadSpec(amplitude=(1, 0, 0), transverse="x3"), 0.1, 1e-2)
+            evolve(model, LoadSpec(amplitude=(1, 0, 0), transverse="x3"),
+                   0.1, 1e-2)
 
     def test_delta0_hc_variant_runs(self, demo_material, demo_shape, mm):
         model = build_limit_model(RegimeConfig(0.0, "eps2", 2), demo_material,
                                   demo_shape, mm, cell_n=8, n_modes=6)
         load = LoadSpec(amplitude=(0.2, 0, 1.0),
                         time=lambda t: np.cos(3.0 * t))
-        traj = evolve(model, "delta0_hc", load, 0.05, 1e-3)
+        traj = evolve(model, load, 0.05, 1e-3)
         assert traj.fields["b"].shape[0] == 51
         # the static micro field is kept as its two factors, a field per
         # unit profile (N, n_nodes) and the profile at the recorded times
@@ -300,13 +292,13 @@ class TestVariantDispatch:
 
     def test_nonpositive_dt(self, model_r2):
         with pytest.raises(ValueError):
-            evolve(model_r2, "real_time", zero_load(), 0.1, -1e-3)
+            evolve(model_r2, zero_load(), 0.1, -1e-3)
 
     def test_horizon_is_a_whole_number_of_steps(self, model_r2, model_r3):
         assert [step_count(T, 1e-3) for T in (0.1, 0.3, 0.5, 1.0)] == \
             [100, 300, 500, 1000]
         assert step_count(0.0, 1e-3) == 0
         with pytest.raises(ValueError, match="whole number of steps"):
-            evolve(model_r2, "real_time", zero_load(), 0.1, 0.03)
+            evolve(model_r2, zero_load(), 0.1, 0.03)
         with pytest.raises(ValueError, match="whole number of steps"):
             evolve_memory_bending(model_r3, zero_load(), 0.1, 0.03)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -30,11 +32,36 @@ def model_r3(demo_material, demo_shape, mm):
                              demo_shape, mm, cell_n=8, n_z=4, n_modes=10)
 
 
+# the nine (delta, mu, tau, kappa) rows of the README table, delta = 1 and
+# kappa = 1 standing for the open intervals
+TABLE_ROWS = {
+    (1.0, "eps", 2, None), (1.0, "eps", 0, None), (1.0, "eps_h", 2, None),
+    (0.0, "eps", 0, np.inf), (0.0, "eps", 0, 1.0), (0.0, "eps", 0, 0.0),
+    (0.0, "eps2", 2, None), (np.inf, "eps", 0, None),
+    (np.inf, "eps_h", 2, None)}
+
+
 class TestRegimeTable:
-    def test_nine_supported_rows(self):
-        rows = RegimeConfig.supported_rows()
-        assert len(rows) == 9
-        assert len({r.key for r in rows}) == 9
+    def test_nine_supported_rows(self, supported_rows):
+        assert len(supported_rows) == 9
+        assert len({r.key for r in supported_rows}) == 9
+        assert {(r.delta, r.mu, r.tau, r.kappa)
+                for r in supported_rows} == TABLE_ROWS
+
+    def test_admits_exactly_the_table_rows(self):
+        # every other combination of these values is refused with
+        # RegimeError, never admitted or failing otherwise
+        admitted = set()
+        for mu, tau, delta, kappa in itertools.product(
+                ("eps", "eps_h", "eps2", "bogus"), (0, 1, 2),
+                (0.0, 1.0, np.inf, -1.0, np.nan),
+                (None, 0.0, 1.0, np.inf, np.nan)):
+            try:
+                RegimeConfig(delta, mu, tau, kappa)
+            except RegimeError:
+                continue
+            admitted.add((delta, mu, tau, kappa))
+        assert admitted == TABLE_ROWS
 
     @pytest.mark.parametrize("args", [
         (np.inf, "eps2", 2, None),
@@ -110,8 +137,9 @@ class TestResolventRows:
         assert abs(st.b).max() == 0.0
         assert abs(st.micro).max() == 0.0
 
-    def test_all_rows_run(self, demo_material, demo_shape, mm):
-        for r in RegimeConfig.supported_rows():
+    def test_all_rows_run(self, demo_material, demo_shape, mm,
+                          supported_rows):
+        for r in supported_rows:
             model = build_limit_model(r, demo_material, demo_shape, mm,
                                       cell_n=8, n_z=4, n_modes=8)
             st = solve_limit_resolvent(model, 2.0,

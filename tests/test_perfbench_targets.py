@@ -1,12 +1,15 @@
-"""The benchmark tracer patches hcplate functions by name; a rename or
-deletion would only surface as a failed traced run."""
+"""The benchmark tracer patches hcplate functions by name, and its worker
+calls some of them through the library; a rename, deletion or signature
+change would only surface as a failed benchmark run."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+WORKER = LAYERS.with_name("worker.py")
 
 
 def _layers():
@@ -38,3 +41,19 @@ def test_counted_dispersion_method_takes_what_the_tracer_forwards():
         ("self", inspect.Parameter.POSITIONAL_OR_KEYWORD),
         ("lam", inspect.Parameter.POSITIONAL_OR_KEYWORD)]
     assert "counted_eval(self_, lam)" in LAYERS.read_text()
+
+
+def test_worker_library_calls_bind():
+    # each call of the worker binds to the signature in src: as many
+    # positional arguments and the same keyword names
+    from hcplate.evolution import evolve_memory_bending
+    from hcplate.limits import build_limit_model
+    targets = {f.__name__: f for f in (build_limit_model,
+                                       evolve_memory_bending)}
+    calls = [node for node in ast.walk(ast.parse(WORKER.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) in targets]
+    assert {c.func.id for c in calls} == set(targets)
+    for c in calls:
+        inspect.signature(targets[c.func.id]).bind(
+            *c.args, **{k.arg: k.value for k in c.keywords})
