@@ -10,12 +10,18 @@ full_delta / memb_delta / bend_delta : prism I x Y0 with the transversally
     x3 in (0, 1/2) of the prism (`geometry.half_prism`) with parity
     conditions at x3 = 0 and double all integrals. They exist only when C0
     and the prism are invariant under x3 -> -x3, and are refused
-    (ConfigurationError) otherwise.
+    (ConfigurationError) otherwise. They are the x3-even and x3-odd
+    classes of full_delta.
 memb_delta0 : 2D in-plane vector operator with the reduced tensor C0^r.
 bend_delta0 : scalar C^1 (BFS) operator with (1/12) C0^r Hessian energy.
 memb_deltainf / full_deltainf : 2D 3-component operator with strain
     sym iota(grad_y u); the two tags differ only in which mean components
     are tracked for the coupled/uncoupled split.
+
+Every operator's spectrum is solved one parity class of the cell's mirrors
+(y1 -> 1 - y1, y2 -> 1 - y2, and x3 -> -x3 on the prism, each where C0 and
+the mesh have it) at a time, on the mirrors' fundamental region, and the
+class modes are reflected back onto the operator's DOFs (`_class_pairs`).
 """
 
 from __future__ import annotations
@@ -27,11 +33,14 @@ import scipy.sparse as sp
 
 from . import tensors as tn
 from .fem import assemble as fa
-from .fem.system import EigWorkspace, SparseOperatorPair, eigs_smallest
-from .geometry import CellMesh, InclusionShape, build_cell_mesh, half_prism
+from .fem.system import (EigWorkspace, SparseOperatorPair, certify,
+                         cluster_starts, eigs_by_class, eigs_smallest)
+from .geometry import (BFS_CARRIES, PARITY_SIGNS, Q1_CARRIES, CellMesh,
+                       InclusionShape, build_cell_mesh, class_keep,
+                       class_pins, half_prism, mirror_images, mirror_split,
+                       parity_classes, unfold)
 from .memo import memoized
 
-CLUSTER_GAP = 1e-6       # relative eigenvalue gap defining a multiplicity cluster
 MEAN_ZERO_FACTOR = 1e-7  # weighted mean treated as zero below this * <rho0>
 
 
@@ -48,6 +57,7 @@ class BlochSpectrum:
     pair: SparseOperatorPair = field(repr=False, default=None)
     mesh: CellMesh = field(repr=False, default=None)
     scale: float = 1.0               # 2 for half-interval parity meshes
+    provenance: dict = field(default_factory=dict)  # mirrors and classes
 
     @property
     def n_modes(self) -> int:
@@ -67,16 +77,6 @@ class BlochSpectrum:
         return self.modes.T @ load_vec
 
 
-def cluster_starts(eigenvalues) -> np.ndarray:
-    """Start indices of the multiplicity clusters of ascending eigenvalues:
-    a cluster continues while the next eigenvalue lies within CLUSTER_GAP
-    (relative) of the previous one."""
-    w = np.asarray(eigenvalues, dtype=float)
-    new = np.ones(len(w), dtype=bool)
-    new[1:] = np.abs(np.diff(w)) > CLUSTER_GAP * np.maximum(1.0, np.abs(w[1:]))
-    return np.flatnonzero(new)
-
-
 def _classify(eigenvalues, means, rho0_mass):
     """Cluster-safe split: an eigenvalue is uncoupled only if every mode in
     its multiplicity cluster has (numerically) zero weighted mean."""
@@ -87,20 +87,6 @@ def _classify(eigenvalues, means, rho0_mass):
     return ["uncoupled" if z else "coupled" for z in cluster_zero]
 
 
-def _build_prism_operator(mat, shape: InclusionShape, n: int, n_z: int,
-                          delta: float, parity: str | None):
-    mesh, extra, scale = build_cell_mesh(shape, n, 3, n_z), (), 1.0
-    if parity is not None:
-        mesh, pin = half_prism(mesh, parity, {"C0": mat.C0})
-        extra, scale = (pin,), 2.0
-    # the scale goes into the element matrices, where a factor 2 is exact
-    pair = fa.assemble_vector_h1(
-        mesh, scale * mat.C0, grad=fa.ScaledGradientSpec(delta),
-        density=scale * mat.rho0, space="inclusion-zero-trace",
-        restrict_to="soft", ncomp=3, extra_constraints=extra)
-    return mesh, pair, scale
-
-
 def _inplane_operator(mat, mesh2d: CellMesh, eta: float | None = None):
     """The delta = inf inclusion operator, or its strip fiber at eta."""
     return fa.assemble_vector_h1(mesh2d, mat.C0, density=mat.rho0,
@@ -108,42 +94,94 @@ def _inplane_operator(mat, mesh2d: CellMesh, eta: float | None = None):
                                  restrict_to="soft", ncomp=3, eta=eta)
 
 
-def build_inclusion_operator(mat: tn.MaterialSpec, shape: InclusionShape,
-                             n: int, operator_tag: str, delta: float | None = None,
-                             n_z: int = 4):
-    """Mesh + operator pair + tracked components for one inclusion
-    operator. delta is the regime's thickness/period ratio as it is; only
-    the finite-delta (prism) operators read it."""
+def _operator_form(mat: tn.MaterialSpec, shape: InclusionShape, n: int,
+                   operator_tag: str, delta, n_z: int):
+    """An inclusion operator as (cell, form, carries, tracked, parity): the
+    whole cell mesh (the prism for finite delta), its pair on any mesh cut
+    from that cell, `form(mesh)` (prisms: `form(mesh, scale, extra)`, the
+    integrals times `scale` and the (nodes, components) pins `extra`), the
+    axes its DOF components carry, the tracked mean components, and the
+    parity ("memb" | "bend" | None) of a prism's x3 class."""
     if operator_tag in ("full_delta", "memb_delta", "bend_delta"):
         if delta is None or not (0 < delta < np.inf):
             raise ValueError("finite-delta operators need delta in (0, inf)")
-        parity = {"full_delta": None, "memb_delta": "memb",
-                  "bend_delta": "bend"}[operator_tag]
-        mesh, pair, scale = _build_prism_operator(mat, shape, n, n_z, delta, parity)
-        tracked = {"full_delta": (0, 1, 2), "memb_delta": (0, 1),
-                   "bend_delta": (2,)}[operator_tag]
-        return mesh, pair, tracked, scale
+
+        def prism(mesh, scale=1.0, extra=()):
+            # the scale goes into the element matrices, where a factor 2
+            # is exact
+            return fa.assemble_vector_h1(
+                mesh, scale * mat.C0, grad=fa.ScaledGradientSpec(delta),
+                density=scale * mat.rho0, space="inclusion-zero-trace",
+                restrict_to="soft", ncomp=3, extra_constraints=extra)
+        parity, tracked = {"full_delta": (None, (0, 1, 2)),
+                           "memb_delta": ("memb", (0, 1)),
+                           "bend_delta": ("bend", (2,))}[operator_tag]
+        return (build_cell_mesh(shape, n, 3, n_z), prism, Q1_CARRIES,
+                tracked, parity)
+    mesh = build_cell_mesh(shape, n=n)
+    Cr = tn.reduced_tensor(mat.C0)
     if operator_tag == "memb_delta0":
-        mesh = build_cell_mesh(shape, n=n)
-        Cr = tn.reduced_tensor(mat.C0)
-        pair = fa.assemble_vector_h1(mesh, Cr, density=mat.rho0,
-                                     space="inclusion-zero-trace",
-                                     restrict_to="soft", ncomp=2)
-        return mesh, pair, (0, 1), 1.0
+        return mesh, lambda m: fa.assemble_vector_h1(
+            m, Cr, density=mat.rho0, space="inclusion-zero-trace",
+            restrict_to="soft", ncomp=2), Q1_CARRIES[:2], (0, 1), None
     if operator_tag == "bend_delta0":
-        mesh = build_cell_mesh(shape, n=n)
-        Cr = tn.reduced_tensor(mat.C0)
-        pair = fa.assemble_bfs_h2(mesh, Cr, density=mat.rho0,
-                                  space="inclusion-zero-trace",
-                                  restrict_to="soft")
-        pair.K = pair.K / 12.0
-        return mesh, pair, (0,), 1.0
+        return mesh, lambda m: fa.assemble_bfs_h2(
+            m, Cr / 12.0, density=mat.rho0, space="inclusion-zero-trace",
+            restrict_to="soft"), BFS_CARRIES, (0,), None
     if operator_tag in ("memb_deltainf", "full_deltainf"):
-        mesh = build_cell_mesh(shape, n=n)
-        pair = _inplane_operator(mat, mesh)
         tracked = (0, 1) if operator_tag == "memb_deltainf" else (0, 1, 2)
-        return mesh, pair, tracked, 1.0
+        return (mesh, lambda m: _inplane_operator(mat, m), Q1_CARRIES,
+                tracked, None)
     raise ValueError(f"unknown operator tag {operator_tag!r}")
+
+
+def build_inclusion_operator(mat: tn.MaterialSpec, shape: InclusionShape,
+                             n: int, operator_tag: str, delta: float | None = None,
+                             n_z: int = 4):
+    """Mesh + operator pair + tracked components + integral scale of one
+    inclusion operator, its whole pencil. delta is the regime's
+    thickness/period ratio as it is; only the finite-delta (prism)
+    operators read it."""
+    cell, form, _, tracked, parity = _operator_form(
+        mat, shape, n, operator_tag, delta, n_z)
+    if parity is None:
+        return cell, form(cell), tracked, 1.0
+    half, pin = half_prism(cell, parity, {"C0": mat.C0})
+    return half, form(half, 2.0, (pin,)), tracked, 2.0
+
+
+def _class_pairs(mat, shape, n, operator_tag, delta, n_z, mesh, pair,
+                 N: int, ws: EigWorkspace | None):
+    """The N smallest pairs of the operator (mesh, pair) of
+    `build_inclusion_operator`, solved one parity class of the cell's
+    mirrors at a time (`eigs_by_class`) on their fundamental region, the
+    class modes unfolded onto the pair's DOFs and held to the
+    backward-error contract of the whole pencil; and the record of the
+    mirrors and classes. A prism's parity operator takes the classes of its
+    x3 sign. With no mirror the one class is the whole operator."""
+    cell, form, carries, _, parity = _operator_form(
+        mat, shape, n, operator_tag, delta, n_z)
+    region, planes, record = mirror_split(
+        cell, range(cell.dim), {"C0": mat.C0})
+    axes = list(planes)
+    rpair = form(region)
+    signs = parity_classes(
+        axes, None if parity is None else {2: PARITY_SIGNS[parity]})
+    ids = [np.flatnonzero(class_keep(rpair.dof, planes,
+                                     class_pins(planes, carries, s)))
+           for s in signs]
+    w, cls, vecs = eigs_by_class(rpair, ids, N, ws)
+    images = mirror_images(mesh, region, axes)
+    free = pair.dof.index >= 0
+    v = np.zeros((pair.n, len(w)))
+    for k, s in enumerate(signs):
+        field = np.zeros((rpair.n, vecs[k].shape[1]))
+        field[ids[k]] = vecs[k]
+        v[np.ix_(pair.dof.index[free], cls == k)] = unfold(
+            field, rpair.dof.index, images, axes, carries, s)[free]
+    record["classes"] = [{"signs": dict(zip(record["mirrors"], s)),
+                          "dofs": len(i)} for s, i in zip(signs, ids)]
+    return (*certify(pair, w, v, ws), record)
 
 
 def mean_load_vectors(pair: SparseOperatorPair, tracked) -> np.ndarray:
@@ -159,7 +197,8 @@ def bloch_spectrum(mat: tn.MaterialSpec, shape: InclusionShape, n: int,
                    operator_tag: str, N: int, delta: float | None = None,
                    n_z: int = 4, ws: EigWorkspace | None = None) -> BlochSpectrum:
     """Smallest N eigenpairs of the requested inclusion operator with
-    density-weighted means and coupled/uncoupled classification."""
+    density-weighted means and coupled/uncoupled classification, solved
+    per parity class of the cell's mirrors (`_class_pairs`)."""
     if N < 1:
         raise ValueError("need at least one mode")
     mesh, pair, tracked, scale = build_inclusion_operator(
@@ -168,8 +207,8 @@ def bloch_spectrum(mat: tn.MaterialSpec, shape: InclusionShape, n: int,
         raise ValueError(f"requested {N} modes from {pair.n} inclusion DOFs")
     # solve a few extra pairs and cut at a multiplicity-cluster boundary, so
     # a degenerate pole pair is never split by the truncation
-    n_solve = min(N + 4, pair.n)
-    w, v = eigs_smallest(pair, n_solve, ws)
+    w, v, record = _class_pairs(mat, shape, n, operator_tag, delta, n_z,
+                                mesh, pair, min(N + 4, pair.n), ws)
     ends = np.append(cluster_starts(w), len(w))
     cut = int(ends[ends >= N][0])
     w, v = w[:cut], v[:, :cut]
@@ -184,7 +223,7 @@ def bloch_spectrum(mat: tn.MaterialSpec, shape: InclusionShape, n: int,
                          weighted_means=means, tracked=tuple(tracked),
                          classification=labels, rho0_mass=rho0_mass,
                          rho0_area_mass=rho0_area, pair=pair, mesh=mesh,
-                         scale=scale)
+                         scale=scale, provenance=record)
 
 
 @dataclass

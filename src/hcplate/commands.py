@@ -82,7 +82,9 @@ def _strip_m0(cfg, mat, cell_mesh, ws):
 
 
 def cmd_tensor(cfg, out: Path, chash: str) -> int:
-    mat, shape, regime, _, _ = _build_context(cfg)
+    from .config import parse_material, parse_regime, parse_shape
+    mat, shape, regime = (parse(cfg) for parse in
+                          (parse_material, parse_shape, parse_regime))
     mesh, tensor = _cell_tensor(cfg, mat, shape, regime)
     payload = tensor.to_dict()
     payload["eigenvalues"] = tensor.eigenvalues()
@@ -113,6 +115,7 @@ def cmd_bloch(cfg, out: Path, chash: str) -> int:
         "rho0_mass": bs.rho0_mass,
         "completeness_trace_fraction":
             float(np.trace(np.atleast_2d(S[-1]))) / (len(bs.tracked) * bs.rho0_mass),
+        **bs.provenance,
     }, chash)
     return EXIT_OK
 
@@ -335,7 +338,9 @@ def cmd_validate(cfg, out: Path, chash: str) -> int:
         dists = [float(np.min(np.abs(pts - x))) for x in w]
         nearest = [float(pts[np.argmin(np.abs(pts - x))]) for x in w]
         run = {"eps": eps, "fine_eigs": w,
-               "nearest_limit_point": nearest, "distance": dists}
+               "nearest_limit_point": nearest, "distance": dists,
+               **{k: fp.meta[k] for k in ("mirrors", "mirrors_refused",
+                                          "classes")}}
         if thin:
             # fine eigenvalues inside the essential interval but far from
             # the limit-operator point set: pollution candidates, flagged

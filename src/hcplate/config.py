@@ -58,7 +58,7 @@ SCHEMA = {
                 "L2": {"type": "number", "exclusiveMinimum": 0},
                 "n1": {"type": "integer", "minimum": 2},
                 "n2": {"type": "integer", "minimum": 2},
-                "gamma": {"type": "array", "items": {
+                "gamma": {"type": "array", "minItems": 1, "items": {
                     "enum": ["left", "right", "bottom", "top"]}},
             },
         },

@@ -38,8 +38,8 @@ from . import tensors as tn
 from .fem import assemble as fa
 from .fem import elements as el
 from .fem.system import factorize
-from .geometry import (BFS_CARRIES, MIRRORS, Q1_CARRIES, CellMesh,
-                       mirror_refusal, mirror_region, parity_pinned)
+from .geometry import (BFS_CARRIES, Q1_CARRIES, CellMesh, class_keep,
+                       mirror_split, parity_pinned)
 
 # unit in-plane engineering strains (11, 22, 12) as 6-Voigt columns
 _IN_PLANE = [0, 1, 5]
@@ -105,13 +105,10 @@ def _signs(columns, axes) -> list[tuple]:
 def _region(C1: np.ndarray, mesh: CellMesh, axes):
     """The fundamental region of the mirrors of `axes` that the cell problem
     has, their planes, and the mirrors used and why each other is refused."""
-    refused = {MIRRORS[a]: why for a in axes
-               if (why := mirror_refusal(mesh, a, {"C1": C1}))}
-    region, planes = mirror_region(
-        mesh, [a for a in axes if MIRRORS[a] not in refused])
+    region, planes, record = mirror_split(mesh, axes, {"C1": C1})
     return region, planes, {
         "n": mesh.n, **({"n_z": mesh.n_z} if mesh.dim == 3 else {}),
-        "mirrors": [MIRRORS[a] for a in planes], "mirrors_refused": refused}
+        **record}
 
 
 def _class_min(pair, planes: dict, F: np.ndarray, E0: np.ndarray, columns,
@@ -126,16 +123,10 @@ def _class_min(pair, planes: dict, F: np.ndarray, E0: np.ndarray, columns,
     record = []
     for s in dict.fromkeys(signs):
         cols = [j for j, t in enumerate(signs) if t == s]
-        keep = np.ones(pair.n, dtype=bool)
-        pinned = set()
-        for (a, nodes), sign in zip(planes.items(), s):
-            comps = parity_pinned(carries, a, sign)
-            ids = pair.dof.index[np.ix_(nodes, comps)]
-            keep[ids[ids >= 0]] = False
-            pinned.update(comps)
+        pins = [parity_pinned(carries, a, sign) for a, sign in zip(planes, s)]
         kernel = fa.translations_kernel(
-            pair.dof, [c for c in kernel_comps if c not in pinned])
-        ids = np.flatnonzero(keep)
+            pair.dof, [c for c in kernel_comps if not any(c in p for p in pins)])
+        ids = np.flatnonzero(class_keep(pair.dof, planes, pins))
         f = F[np.ix_(ids, cols)]
         x = factorize(pair.K[ids][:, ids],
                       None if kernel is None else kernel[ids], tol,

@@ -126,6 +126,19 @@ def nested_dissection(shape, periodic) -> np.ndarray:
     return rank
 
 
+CLUSTER_GAP = 1e-6       # relative eigenvalue gap defining a multiplicity cluster
+
+
+def cluster_starts(eigenvalues) -> np.ndarray:
+    """Start indices of the multiplicity clusters of ascending eigenvalues:
+    a cluster continues while the next eigenvalue lies within CLUSTER_GAP
+    (relative) of the previous one."""
+    w = np.asarray(eigenvalues, dtype=float)
+    new = np.ones(len(w), dtype=bool)
+    new[1:] = np.abs(np.diff(w)) > CLUSTER_GAP * np.maximum(1.0, np.abs(w[1:]))
+    return np.flatnonzero(new)
+
+
 # eigs_smallest goes dense when n <= DENSE_MAX_DOFS or n <= DENSE_MODE_RATIO * N;
 # an ARPACK failure falls back to dense only up to DENSE_FALLBACK_MAX_DOFS
 DENSE_MAX_DOFS, DENSE_MODE_RATIO, DENSE_FALLBACK_MAX_DOFS = 400, 20, 12000
@@ -385,10 +398,19 @@ def eigs_smallest(pair: SparseOperatorPair, N: int,
         raise ValueError(f"unknown solver {ws.solver!r}")
 
     order = np.argsort(w)
-    w, v = np.real(w[order]), fix_signs(_m_orthonormalize(v[:, order], pair.M))
-    # backward-error contract ||K v - w M v|| <= tol (||K|| + |w| ||M||) ||v||,
-    # norms as max row sums (N. J. Higham and D. J. Higham, SIAM J. Matrix
-    # Anal. Appl. 20, 1998)
+    return certify(pair, np.real(w[order]), v[:, order], ws)
+
+
+def certify(pair: SparseOperatorPair, w: np.ndarray, v: np.ndarray,
+            ws: EigWorkspace | None = None):
+    """The pairs (w, v) of (K, M), in their order, with v M-orthonormal and
+    of fixed sign, once each pair meets the backward-error contract
+    ||K v - w M v|| <= tol (||K|| + |w| ||M||) ||v||, tol = max(ws.tol,
+    1e-8), norms as max row sums (N. J. Higham and D. J. Higham, SIAM J.
+    Matrix Anal. Appl. 20, 1998); SolverError names the first pair that
+    misses it."""
+    tol = max((ws or EigWorkspace()).tol, 1e-8)
+    v = fix_signs(_m_orthonormalize(v, pair.M))
     r = np.linalg.norm(pair.K @ v - (pair.M @ v) * w, axis=0)
     scale = np.linalg.norm(v, axis=0) * (_max_row_sum(pair.K)
                                          + np.abs(w) * _max_row_sum(pair.M))
@@ -398,3 +420,37 @@ def eigs_smallest(pair: SparseOperatorPair, N: int,
         raise SolverError(f"eigenpair {j} backward error "
                           f"{r[j] / scale[j]:.2e} exceeds {tol:.0e}")
     return w, v
+
+
+def eigs_by_class(pair: SparseOperatorPair, classes, N: int,
+                  ws: EigWorkspace | None = None):
+    """The N smallest eigenvalues of (K, M) over its parity classes, each
+    class the principal subpencil on its DOF ids (its nested-dissection
+    keys restricted) solved by `eigs_smallest` for at most N pairs. The
+    eigenvalues of all classes merge in ascending order; inside a
+    multiplicity cluster (`cluster_starts`) the pairs go by class, then by
+    their order in it, never by round-off. Returns the eigenvalues, the
+    class of each, and each class's vectors in merged order (its columns,
+    on its DOF ids)."""
+    w, cls, vecs = [], [], []
+    for k, ids in enumerate(classes):
+        sub = SparseOperatorPair(
+            K=pair.K[ids][:, ids], M=pair.M[ids][:, ids], dof=pair.dof,
+            order=None if pair.order is None else pair.order[ids])
+        wk, vk = eigs_smallest(sub, min(N, len(ids)), ws) if len(ids) \
+            else (np.zeros(0), np.zeros((0, 0)))
+        w.append(wk)
+        cls.append(np.full(len(wk), k))
+        vecs.append(vk)
+    w, cls = np.concatenate(w), np.concatenate(cls)
+    by_value = np.argsort(w, kind="stable")
+    starts = np.zeros(len(w), dtype=bool)
+    starts[cluster_starts(w[by_value])] = True
+    cluster = np.empty(len(w), dtype=int)
+    cluster[by_value] = np.cumsum(starts)
+    # a class keeps its own ascending order, so it contributes a prefix of
+    # its vectors
+    order = np.lexsort((np.arange(len(w)), cls, cluster))[:N]
+    w, cls = w[order], cls[order]
+    return w, cls, [v[:, :np.count_nonzero(cls == k)]
+                    for k, v in enumerate(vecs)]

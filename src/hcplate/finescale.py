@@ -14,10 +14,12 @@ from . import tensors as tn
 from .fem import elements as el
 from .fem.assemble import (ScaledGradientSpec, assemble_pointwise_load,
                            assemble_vector_h1, quadrature_points)
-from .fem.system import (EigWorkspace, SparseOperatorPair, eigs_smallest,
+from .fem.system import (EigWorkspace, SparseOperatorPair, eigs_by_class,
                          factorize)
-from .geometry import (ConfigurationError, InclusionShape, extrude,
-                       half_prism, structured_quads)
+from .geometry import (EDGES, PARITY_SIGNS, Q1_CARRIES, ConfigurationError,
+                       InclusionShape, class_keep, class_pins, extrude,
+                       half_prism, mirror_images, mirror_split,
+                       parity_classes, structured_quads, unfold)
 
 DOF_BUDGET = 200_000
 
@@ -38,10 +40,15 @@ class FineMesh:
     shape_inplane: tuple[int, int]
     n_z: int
     z_span: tuple[float, float] = (-0.5, 0.5)
+    L: tuple[float, float] = (1.0, 1.0)    # the whole plate's in-plane size
 
     @property
     def n_nodes(self):
         return self.nodes.shape[0]
+
+    def mirror_planes(self, axis: int) -> tuple[float, ...]:
+        """The plane of the mirror of `axis`: x_a = L_a / 2, or x3 = 0."""
+        return (0.0,) if axis == 2 else (self.L[axis] / 2,)
 
     def centroids(self) -> np.ndarray:
         return self.nodes[self.elements].mean(axis=1)
@@ -76,11 +83,18 @@ def _build_fine_mesh(L1, L2, eps, cells_per_eps, n_z, shape: InclusionShape,
     soft = np.tile(soft2, n_z)
     return FineMesh(nodes=nodes, elements=conn, element_soft=soft,
                     hsize=(L1 / nx, L2 / ny, (hi - lo) / n_z),
-                    shape_inplane=(nx, ny), n_z=n_z, z_span=z_span)
+                    shape_inplane=(nx, ny), n_z=n_z, z_span=z_span,
+                    L=(L1, L2))
 
 
 @dataclass
 class FineProblem:
+    """A fine plate (`mesh`: the whole plate, or its x3 half for a parity
+    class) with K and M (`pair`) assembled on the fundamental region of the
+    plate's mirrors (`region`, cut from the whole plate), and its parity
+    classes (`classes`: each class's signs under the mirrors `axes` and its
+    DOF ids in `pair`); `images` maps each node of `mesh` into the region
+    (`geometry.mirror_images`)."""
     mat: tn.MaterialSpec
     shape: InclusionShape
     h: float
@@ -91,10 +105,23 @@ class FineProblem:
     pair: SparseOperatorPair
     parity: str | None = None
     meta: dict = field(default_factory=dict)
+    region: FineMesh = None
+    axes: list = field(default_factory=list)
+    classes: list = field(default_factory=list)
+    images: tuple = None
 
     @property
     def mu(self) -> float:
         return mu_value(self.mu_scaling, self.epsilon, self.h)
+
+    def unfold(self, k: int, field: np.ndarray) -> np.ndarray:
+        """Class k's field(s) on the DOFs of `pair` (columns) as nodal
+        displacements (nodes, 3[, columns]) of `mesh`."""
+        return unfold(field, self.pair.dof.index, self.images, self.axes,
+                      Q1_CARRIES, self.classes[k][0])
+
+
+PLATE_MIRRORS = ("x1", "x2", "x3")   # x2 -> L2 - x2, x3 -> -x3
 
 
 def build_fine_problem(mat: tn.MaterialSpec, shape: InclusionShape, h: float,
@@ -104,46 +131,76 @@ def build_fine_problem(mat: tn.MaterialSpec, shape: InclusionShape, h: float,
                        gamma=("left",), parity: str | None = None,
                        budget: int = DOF_BUDGET) -> FineProblem:
     """Assemble the stiffness and density-weighted mass of the fine operator
-    (fine_eigs and fine_resolvent apply h^-tau); parity='memb' or 'bend'
-    takes the half plate x3 >= 0 (`geometry.half_prism`) with the odd
-    components pinned on the symmetry plane x3 = 0, and is refused
-    (ConfigurationError) unless C0, C1 and the plate have that mirror."""
+    (fine_eigs and fine_resolvent apply h^-tau), clamped on the gamma_D
+    edges; parity='memb' or 'bend' takes the half plate x3 >= 0
+    (`geometry.half_prism`) with the odd components pinned on the symmetry
+    plane x3 = 0, and is refused (ConfigurationError) unless C0, C1 and
+    the plate have that mirror. K and M live on the fundamental region of
+    the mirrors the problem has: x2 -> L2 - x2 when C0, C1, the inclusion
+    pattern and gamma_D map to themselves under it (`mirror_split`), and
+    x3 -> -x3 for a parity class; each x2 class is solved on its own."""
     if n_z < 2:
         raise ConfigurationError("fine problems need n_z >= 2")
-    mesh = _build_fine_mesh(L1, L2, epsilon, cells_per_eps, n_z, shape)
-    fixed = []
+    if set(gamma) - set(EDGES):
+        raise ConfigurationError(f"unknown boundary edges "
+                                 f"{sorted(set(gamma) - set(EDGES))}")
+    plate = _build_fine_mesh(L1, L2, epsilon, cells_per_eps, n_z, shape)
+    tensors = {"C0": mat.C0, "C1": mat.C1}
+    mesh, fixed_signs = plate, {}
     if parity is not None:
-        mesh, pin = half_prism(mesh, parity, {"C0": mat.C0, "C1": mat.C1})
-        fixed.append(pin)
+        mesh, _ = half_prism(plate, parity, tensors)
+        fixed_signs = {2: PARITY_SIGNS[parity]}
     ndofs = 3 * mesh.n_nodes
     if ndofs > budget:
         raise ConfigurationError(f"{ndofs} DOFs exceed the budget {budget}")
+    refused = {} if ("bottom" in gamma) == ("top" in gamma) else \
+        {"x2": "gamma_D not mirror-symmetric"}
+    region, planes, record = mirror_split(plate, [1, *fixed_signs], tensors,
+                                          PLATE_MIRRORS, refused)
+    axes = list(planes)
 
     mu = mu_value(mu_scaling, epsilon, h)
-    if "left" in gamma:
-        fixed.append((np.flatnonzero(np.isclose(mesh.nodes[:, 0], 0.0)), None))
-    if "right" in gamma:
-        fixed.append((np.flatnonzero(np.isclose(mesh.nodes[:, 0], L1)), None))
-    # the half plate carries half of the full plate's (even) energies; the
+    x = region.nodes
+    fixed = [(np.flatnonzero(np.isclose(x[:, a], side * (L1, L2)[a])), None)
+             for a, side in (EDGES[e] for e in gamma)]
+    # a parity class carries half of the full plate's (even) energies; the
     # factor 2 goes into the element matrices, where it is exact
     halves = 1.0 if parity is None else 2.0
     pair = assemble_vector_h1(
-        mesh, {"soft": halves * mu ** 2 * mat.C0, "stiff": halves * mat.C1},
+        region, {"soft": halves * mu ** 2 * mat.C0, "stiff": halves * mat.C1},
         grad=ScaledGradientSpec(h),
         density={"soft": halves * mat.rho0, "stiff": halves * mat.rho1},
         space="free", extra_constraints=fixed)
+    classes = [(s, np.flatnonzero(class_keep(
+        pair.dof, planes, class_pins(planes, Q1_CARRIES, s))))
+        for s in parity_classes(axes, fixed_signs)]
+    record["classes"] = [{"signs": dict(zip(record["mirrors"], s)),
+                          "dofs": len(ids)} for s, ids in classes]
     return FineProblem(mat=mat, shape=shape, h=h, epsilon=epsilon,
                        mu_scaling=mu_scaling, tau=tau, mesh=mesh, pair=pair,
                        parity=parity,
                        meta={"cells_per_eps": cells_per_eps, "n_z": n_z,
-                             "gamma": tuple(gamma), "L": (L1, L2)})
+                             "gamma": tuple(gamma), "L": (L1, L2), **record},
+                       region=region, axes=axes, classes=classes,
+                       images=mirror_images(mesh, region, axes))
 
 
 def fine_eigs(fp: FineProblem, N: int, ws: EigWorkspace | None = None):
-    """Smallest N eigenvalues of h^-tau A_eps (ascending)."""
+    """Smallest N eigenvalues of h^-tau A_eps (ascending) over the parity
+    classes (`fem.system.eigs_by_class`), and the modes as nodal fields
+    (nodes, 3, N) of `fp.mesh`, M-orthonormal there."""
     scaled = SparseOperatorPair(K=_stiffness(fp), M=fp.pair.M,
                                 dof=fp.pair.dof)
-    return eigs_smallest(scaled, N, ws)
+    w, cls, vecs = eigs_by_class(scaled, [ids for _, ids in fp.classes], N,
+                                 ws)
+    # the region holds half of an x2 class field's energy on the plate
+    norm = np.sqrt(0.5) if 1 in fp.axes else 1.0
+    modes = np.zeros((fp.mesh.n_nodes, 3, len(w)))
+    for k, (_, ids) in enumerate(fp.classes):
+        field = np.zeros((fp.pair.n, vecs[k].shape[1]))
+        field[ids] = vecs[k]
+        modes[:, :, cls == k] = norm * fp.unfold(k, field)
+    return w, modes
 
 
 def _stiffness(fp: FineProblem):
@@ -154,23 +211,43 @@ def _stiffness(fp: FineProblem):
 
 def fine_resolvent(fp: FineProblem, lam: float, load) -> dict:
     """Solve (h^-tau a_eps + lambda m) u = f for a separable LoadSpec and
-    report the displacement with its transverse averages and per-cell means."""
+    report the displacement with its transverse averages and per-cell means.
+    Each parity class solves the part of the load in its class on the
+    region, and its field is reflected back onto the plate."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    mesh = fp.mesh
+    region = fp.region
     amp = np.asarray(load.amplitude, dtype=float)
-    elems = np.arange(len(mesh.elements))
-    X = quadrature_points(mesh, elems, el.q1_quadrature(mesh.hsize)[0])
-    x = X[:2]
-    # (components, elements, points) -> (elements, points, components)
-    values = amp[:, None, None] * load.macro_fn()(x) \
-        * load.transverse_fn()(X[2]) \
-        * load.cell_fn(fp.shape)(np.mod(x / fp.epsilon, 1.0))
-    fe = el.q1_vector_load(mesh.hsize, np.moveaxis(values, 0, -1))
-    F = assemble_pointwise_load(mesh, fp.pair.dof, fe, elems)
-    u = factorize(_stiffness(fp) + lam * fp.pair.M,
-                  order=fp.pair.order).solve(F)
-    full = fp.pair.dof.expand(u)
+    elems = np.arange(len(region.elements))
+    X = quadrature_points(region, elems, el.q1_quadrature(region.hsize)[0])
+
+    def values(X):
+        # (components, elements, points)
+        x = X[:2]
+        return amp[:, None, None] * load.macro_fn()(x) \
+            * load.transverse_fn()(X[2]) \
+            * load.cell_fn(fp.shape)(np.mod(x / fp.epsilon, 1.0))
+
+    load_x = values(X)
+    if 1 in fp.axes:
+        # the load at the points' x2 images, u2 odd under the mirror
+        Xm = X.copy()
+        Xm[1] = fp.mesh.L[1] - X[1]
+        load_m = values(Xm) * np.array([1.0, -1.0, 1.0])[:, None, None]
+    A = _stiffness(fp) + lam * fp.pair.M
+    order = fp.pair.order
+    full = np.zeros((fp.mesh.n_nodes, 3))
+    for k, (signs, ids) in enumerate(fp.classes):
+        # the class's part of the load; signs[0] is its x2 sign
+        part = load_x if 1 not in fp.axes else \
+            0.5 * (load_x + signs[0] * load_m)
+        fe = el.q1_vector_load(region.hsize, np.moveaxis(part, 0, -1))
+        F = assemble_pointwise_load(region, fp.pair.dof, fe, elems)
+        u = np.zeros(fp.pair.n)
+        u[ids] = factorize(A[ids][:, ids],
+                           order=None if order is None else order[ids]
+                           ).solve(F[ids])
+        full += fp.unfold(k, u)
     return {"u": full, "transverse_average": transverse_average(fp, full),
             "cell_means": cell_means(fp, full)}
 

@@ -9,6 +9,7 @@ controlled by refinement and is tested for O(1/n) decay.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -114,6 +115,16 @@ class CellMesh:
                 + (self.n_z + 1,) * (self.dim - 2),
                 tuple(not c for c in self.cut) + (False,) * (self.dim - 2))
 
+    @property
+    def shape_inplane(self) -> tuple[int, int]:
+        """Elements along y1 and y2 of the whole cell."""
+        return (self.n, self.n)
+
+    def mirror_planes(self, axis: int) -> tuple[float, ...]:
+        """The planes of the mirror of `axis`: y_a = 0 and 1/2 (y_a = 1 is
+        the periodic image of 0), or x3 = 0."""
+        return (0.0,) if axis == 2 else (0.0, 0.5)
+
     def element_size(self) -> tuple:
         if self.dim == 2:
             return (self.h, self.h)
@@ -209,6 +220,7 @@ MIRRORS = ("y1", "y2", "x3")     # y1 -> 1 - y1, y2 -> 1 - y2, x3 -> -x3
 # the axes that each DOF carries: Q1 u1, u2, u3; BFS w, w_x, w_y, w_xy
 Q1_CARRIES = ((0,), (1,), (2,))
 BFS_CARRIES = ((), (0,), (1,), (0, 1))
+PARITY_SIGNS = {"memb": 1, "bend": -1}   # x3 signs of the parity classes
 
 
 def parity_pinned(carries, axis: int, sign: int) -> list[int]:
@@ -223,7 +235,8 @@ def parity_pinned(carries, axis: int, sign: int) -> list[int]:
 def mirror_refusal(mesh, axis: int, tensors: dict | None = None) -> str | None:
     """Why the mirror of `axis` does not map the mesh and the Voigt tensors
     {name: C} to themselves with its planes on nodes, or None; the inclusion
-    is read from the soft mask, layer by layer for x3."""
+    is read from the soft mask, layer by layer for x3. The in-plane mirror
+    of a cell is y_a -> 1 - y_a, of a fine plate x_a -> L_a - x_a."""
     for name, C in (tensors or {}).items():
         if not tn.mirror_symmetric(C, axis):
             return f"{name} not mirror-symmetric"
@@ -231,26 +244,29 @@ def mirror_refusal(mesh, axis: int, tensors: dict | None = None) -> str | None:
         if mesh.n_z % 2 or tuple(mesh.z_span) != (-0.5, 0.5):
             return "odd n_z" if mesh.n_z % 2 else "prism not on x3 in (-1/2, 1/2)"
         soft = mesh.element_soft.reshape(mesh.n_z, -1)
-    elif mesh.n % 2:
+    elif mesh.shape_inplane[axis] % 2:
         return "odd n"
     else:   # (x3, y2, y1), the mirrored axis first
-        soft = np.moveaxis(mesh.element_soft.reshape(-1, mesh.n, mesh.n),
-                           2 - axis, 0)
+        nx, ny = mesh.shape_inplane
+        soft = np.moveaxis(mesh.element_soft.reshape(-1, ny, nx), 2 - axis, 0)
     if not np.array_equal(soft, soft[::-1]):
         return "inclusion not mirror-symmetric"
     return None
 
 
 def mirror_region(mesh, axes):
-    """The fundamental region of the mirrors of `axes` (0, 1, 2: y1, y2, x3,
-    each mapping the mesh to itself), cut from a cell mesh or (x3 only) a
-    fine plate: y_a in [0, 1/2] or x3 in [0, 1/2]; and the nodes of each
-    mirror's planes in it, y_a = 0 and 1/2 or x3 = 0. The energy of a field
-    of one parity class there is 2^-len(axes) of its energy on the mesh."""
+    """The fundamental region of the mirrors of `axes` (0, 1, 2: the
+    in-plane axes and x3, each mirror mapping the mesh to itself), cut from
+    a cell mesh or a fine plate: the side of each in-plane mirror's last
+    plane toward 0 (a cell's y_a in [0, 1/2], a plate's x_a in [0, L_a/2])
+    and x3 >= 0; and the nodes of each mirror's planes in it
+    (`mesh.mirror_planes`). The energy of a field of one parity class there
+    is 2^-len(axes) of its energy on the mesh."""
     cent = mesh.centroids()
     keep = np.ones(len(mesh.elements), dtype=bool)
     for a in axes:
-        keep &= cent[:, a] > 0.0 if a == 2 else cent[:, a] < 0.5
+        keep &= cent[:, a] > 0.0 if a == 2 \
+            else cent[:, a] < max(mesh.mirror_planes(a))
     used = np.unique(mesh.elements[keep])
     renum = np.full(mesh.n_nodes, -1)
     renum[used] = np.arange(len(used))
@@ -262,12 +278,102 @@ def mirror_region(mesh, axes):
     if isinstance(mesh, CellMesh):
         cut.update(periodic_map=renum[mesh.periodic_map[used]],
                    cut=(0 in axes, 1 in axes))
+    else:
+        cut["shape_inplane"] = tuple(m // 2 if a in axes else m for a, m
+                                     in enumerate(mesh.shape_inplane))
     region = replace(mesh, **cut)
     x = region.nodes
-    planes = {a: np.flatnonzero(np.isclose(x[:, a], 0.0)
-                                | (a < 2) & np.isclose(x[:, a], 0.5))
-              for a in axes}
+    planes = {a: np.flatnonzero(np.isclose(
+        x[:, a, None], mesh.mirror_planes(a)).any(axis=1)) for a in axes}
     return region, planes
+
+
+def mirror_split(mesh, axes, tensors: dict, names=MIRRORS, refused=None):
+    """The fundamental region of those mirrors of `axes` that map the mesh
+    and the Voigt tensors {name: C} to themselves (`mirror_refusal`), and
+    not in `refused` ({name: why} found by the caller); its planes; and a
+    record of the mirrors used and why each other one is refused, by their
+    `names`."""
+    refused = dict(refused or {})
+    refused.update({names[a]: why for a in axes if names[a] not in refused
+                    and (why := mirror_refusal(mesh, a, tensors))})
+    region, planes = mirror_region(
+        mesh, [a for a in axes if names[a] not in refused])
+    return region, planes, {"mirrors": [names[a] for a in planes],
+                            "mirrors_refused": refused}
+
+
+def parity_classes(axes, fixed: dict | None = None) -> list[tuple]:
+    """The sign vectors of the parity classes of the mirrors of `axes`,
+    (+1, ..., +1) first, with the signs of the axes in `fixed` ({axis:
+    sign}) held."""
+    fixed = fixed or {}
+    return [s for s in itertools.product((1, -1), repeat=len(axes))
+            if all(s[k] == fixed.get(a, s[k]) for k, a in enumerate(axes))]
+
+
+def class_keep(dof, planes: dict, pins) -> np.ndarray:
+    """Mask of the reduced DOFs of `dof` that a parity class leaves free:
+    all but the components `pins[k]` that it pins on the nodes of the k-th
+    mirror plane set of `planes` (`class_pins`)."""
+    keep = np.ones(dof.n_free, dtype=bool)
+    for nodes, comps in zip(planes.values(), pins):
+        ids = dof.index[np.ix_(nodes, comps)]
+        keep[ids[ids >= 0]] = False
+    return keep
+
+
+def class_pins(planes: dict, carries, signs) -> list[list[int]]:
+    """The components that the parity class of `signs` (one per mirror of
+    `planes`) pins on each mirror's planes (`parity_pinned`)."""
+    return [parity_pinned(carries, a, s) for a, s in zip(planes, signs)]
+
+
+def mirror_images(mesh, region, axes):
+    """Each node of `mesh` as the image of a node of `region`, a
+    fundamental region of the mirrors of `axes` that `mirror_region` cut
+    from the mesh (or from a mesh that contains it): the region node, and
+    per axis whether that mirror maps it. Nodes are matched on the grid of
+    the mesh's element sizes."""
+    h = np.asarray(mesh.element_size())
+    lo = mesh.nodes.min(axis=0)
+
+    def grid(x):
+        return np.rint((np.asarray(x) - lo) / h).astype(np.int64)
+    g = grid(mesh.nodes)
+    flips = np.zeros((mesh.n_nodes, len(axes)), dtype=bool)
+    for k, a in enumerate(axes):
+        center = 0.0 if a == 2 else max(mesh.mirror_planes(a))
+        mid = int(np.rint((center - lo[a]) / h[a]))
+        flips[:, k] = g[:, a] < mid if a == 2 else g[:, a] > mid
+        g[flips[:, k], a] = 2 * mid - g[flips[:, k], a]
+    target = grid(region.nodes)
+    dims = np.maximum(g.max(axis=0), target.max(axis=0)) + 1
+    lookup = np.full(np.prod(dims), -1)
+    lookup[np.ravel_multi_index(target.T, dims)] = np.arange(len(target))
+    img = lookup[np.ravel_multi_index(g.T, dims)]
+    if (img < 0).any():
+        raise GeometryError("a mesh node has no image in the region")
+    return img, flips
+
+
+def unfold(field: np.ndarray, index: np.ndarray, images, axes, carries,
+           signs) -> np.ndarray:
+    """A parity class's field(s) on the DOFs `index` ((region nodes,
+    components) -> DOF, -1 where none) of its fundamental region as nodal
+    fields (mesh nodes, components[, columns]) of the mesh of `images`
+    (`mirror_images`): a component at a node that a mirror maps takes the
+    class's sign times its parity under that mirror."""
+    free = index >= 0
+    nodal = np.zeros(index.shape + field.shape[1:])
+    nodal[free] = field[index[free]]
+    img, flips = images
+    factor = np.ones((len(img), len(carries)))
+    for k, (a, sign) in enumerate(zip(axes, signs)):
+        parity = np.array([sign * (-1) ** c.count(a) for c in carries])
+        factor = np.where(flips[:, k, None], factor * parity, factor)
+    out = nodal[img]
+    return out * factor.reshape(factor.shape + (1,) * (out.ndim - 2))
 
 
 def half_prism(mesh, parity: str, tensors: dict):
@@ -278,15 +384,19 @@ def half_prism(mesh, parity: str, tensors: dict):
     components pinned there). Integrals over the half are half of the
     mesh's for the class's fields. Without the mirror the class does not
     exist, and ConfigurationError says why."""
-    signs = {"memb": 1, "bend": -1}
-    if parity not in signs:
+    if parity not in PARITY_SIGNS:
         raise ConfigurationError(f"unknown parity {parity!r}")
     why = mirror_refusal(mesh, 2, tensors)
     if why:
         raise ConfigurationError(
             f"{parity} parity needs the x3 mirror, refused: {why}")
     half, planes = mirror_region(mesh, [2])
-    return half, (planes[2], parity_pinned(Q1_CARRIES, 2, signs[parity]))
+    return half, (planes[2],
+                  parity_pinned(Q1_CARRIES, 2, PARITY_SIGNS[parity]))
+
+
+# boundary edge -> (coordinate axis, 0 or 1: its value is 0 or L_axis)
+EDGES = {"left": (0, 0), "right": (0, 1), "bottom": (1, 0), "top": (1, 1)}
 
 
 @dataclass
@@ -324,17 +434,14 @@ def build_macro_mesh(L1: float, L2: float, n1: int, n2: int,
     edges = tuple(gamma_spec)
     if not edges:
         raise ConfigurationError("gamma_D must contain at least one edge")
-    # edge -> (coordinate axis, its value on the edge)
-    lines = {"left": (0, 0.0), "right": (0, L1), "bottom": (1, 0.0),
-             "top": (1, L2)}
     nodes, conn = structured_quads(L1 * np.arange(n1 + 1) / n1,
                                    L2 * np.arange(n2 + 1) / n2)
     diri = np.zeros(len(nodes), dtype=bool)
     for e in edges:
-        if e not in lines:
+        if e not in EDGES:
             raise ConfigurationError(f"unknown boundary edge {e!r}")
-        axis, value = lines[e]
-        diri |= np.isclose(nodes[:, axis], value)
+        axis, side = EDGES[e]
+        diri |= np.isclose(nodes[:, axis], side * (L1, L2)[axis])
 
     return MacroMesh(L1=L1, L2=L2, n1=n1, n2=n2, gamma_edges=edges,
                      nodes=nodes, elements=conn,

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hcplate import tensors as tn
-from hcplate.bloch import (StripPencil, bloch_spectrum, cluster_starts,
-                           strip_bottom_m0, strip_fiber_bottom)
+from hcplate.bloch import (StripPencil, bloch_spectrum,
+                           build_inclusion_operator, cluster_starts,
+                           mean_load_vectors, strip_bottom_m0,
+                           strip_fiber_bottom)
 from hcplate.fem import assemble as fa
 from hcplate.fem.system import EigWorkspace, eigs_smallest
 from hcplate.geometry import (ConfigurationError, InclusionShape,
@@ -121,6 +123,77 @@ class TestParityMirror:
             bloch_spectrum(mat, demo_shape, 8, tag, 4, delta=1.0, n_z=4)
         assert bloch_spectrum(mat, demo_shape, 8, "full_delta", 4,
                               delta=1.0, n_z=4).n_modes >= 4
+
+
+def _class_materials():
+    """The demo material, an orthotropic C0 (every mirror) and a C0 with an
+    11-12 coupling (the x3 mirror, no y mirror)."""
+    ortho = tn.isotropic(1.0, 1.0) + np.diag([0.5, 1.0, 0.2, 0.3, 0.7, 0.4])
+    coupled = tn.isotropic(1.0, 1.0)
+    coupled[0, 5] = coupled[5, 0] = 0.3
+    return {name: tn.MaterialSpec(C0, tn.isotropic(1.0, 1.0), rho0=1.3)
+            for name, C0 in (("demo", tn.isotropic(1.0, 1.0)),
+                             ("orthotropic", ortho), ("coupled_12", coupled))}
+
+
+INCLUSION_TAGS = {"full_delta": 1.0, "memb_delta": 0.7, "bend_delta": 1.5,
+                  "memb_delta0": None, "bend_delta0": None,
+                  "memb_deltainf": None, "full_deltainf": None}
+
+
+class TestClassPath:
+    """Every inclusion operator is solved one mirror class at a time; the
+    oracle is dense `eigh` of the operator's whole pencil."""
+
+    @pytest.mark.parametrize("material", ["demo", "orthotropic", "coupled_12"])
+    @pytest.mark.parametrize("tag", sorted(INCLUSION_TAGS))
+    def test_matches_the_whole_pencil(self, demo_shape, material, tag):
+        mat = _class_materials()[material]
+        delta = INCLUSION_TAGS[tag]
+        bs = bloch_spectrum(mat, demo_shape, 12, tag, 20, delta=delta,
+                            n_z=4)
+        _, pair, tracked, _ = build_inclusion_operator(
+            mat, demo_shape, 12, tag, delta=delta, n_z=4)
+        w, v = sla.eigh(pair.K.toarray(), pair.M.toarray())
+        n = bs.n_modes
+        assert_allclose(bs.eigenvalues, w[:n], rtol=1e-12)
+        # per-mode means are a basis choice inside a cluster; its Gram is not
+        ref = v[:, :n].T @ mean_load_vectors(pair, tracked)
+        ends = np.append(cluster_starts(w[:n]), n)
+        for a, b in zip(ends[:-1], ends[1:]):
+            got, want = bs.weighted_means[a:b], ref[a:b]
+            assert_allclose(got.T @ got, want.T @ want, rtol=0,
+                            atol=1e-10 * bs.rho0_mass)
+        prov = bs.provenance
+        assert all(list(c["signs"]) == prov["mirrors"]
+                   for c in prov["classes"])
+        if material == "coupled_12":
+            # no y mirror: a parity or 2D operator is one class, the whole
+            # operator; full_delta keeps its two x3 classes
+            assert prov["mirrors_refused"] == {
+                "y1": "C0 not mirror-symmetric",
+                "y2": "C0 not mirror-symmetric"}
+            if tag == "full_delta":
+                assert len(prov["classes"]) == 2
+            else:
+                assert [c["dofs"] for c in prov["classes"]] == [pair.n]
+        else:
+            assert prov["mirrors_refused"] == {}
+            assert max(c["dofs"] for c in prov["classes"]) < pair.n / 2
+
+    def test_means_do_not_depend_on_the_solver(self, demo_material,
+                                               demo_shape):
+        # on demo every two-fold cluster of full_delta splits across two
+        # mirror classes, so each mode, and its means, is fixed up to the
+        # sign that fix_signs sets
+        d, s = (bloch_spectrum(demo_material, demo_shape, 16, "full_delta",
+                               10, delta=1.0, n_z=4,
+                               ws=EigWorkspace(solver=solver))
+                for solver in ("dense", "shift-invert"))
+        assert len(cluster_starts(d.eigenvalues)) < d.n_modes
+        assert_allclose(s.eigenvalues, d.eigenvalues, rtol=1e-10)
+        assert_allclose(s.weighted_means, d.weighted_means, rtol=0,
+                        atol=1e-10 * abs(d.weighted_means).max())
 
 
 class TestCompleteness:

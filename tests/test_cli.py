@@ -219,6 +219,73 @@ class TestExitCodes:
                                            "x3": "C1 not mirror-symmetric"}
 
 
+class TestMirrorRecords:
+    """bloch.json and validation.json name the mirrors their eigenproblems
+    were solved on, the ones refused and why, and each class's DOFs."""
+
+    @staticmethod
+    def _run(tmp_path, cmd, cfg, name):
+        out = tmp_path / name
+        out.mkdir()
+        assert main([cmd, "--config", write_cfg(tmp_path, cfg, f"{name}.json"),
+                     "--out", str(out), "--quiet"]) == 0
+        return out
+
+    def test_tensor_builds_no_macro_mesh(self, tmp_path, monkeypatch):
+        import hcplate.config as config
+        calls = []
+        build = config.build_macro_mesh
+        monkeypatch.setattr(config, "build_macro_mesh",
+                            lambda *a, **k: calls.append(1) or build(*a, **k))
+        self._run(tmp_path, "tensor", TINY, "tensor")
+        assert calls == []
+        self._run(tmp_path, "bloch", TINY, "bloch")      # the spy sees one
+        assert calls == [1]
+
+    def test_demo(self, tmp_path):
+        with open(os.path.join(CONFIGS, "demo.json")) as fh:
+            demo = json.load(fh)
+        bloch = json.loads(
+            (self._run(tmp_path, "bloch", demo, "b") / "bloch.json").read_text())
+        assert bloch["mirrors"] == ["y1", "y2", "x3"]
+        assert bloch["mirrors_refused"] == {}
+        # full_delta on 1/8 of the prism: 8 classes of at most 80 DOFs
+        assert [c["dofs"] for c in bloch["classes"]] \
+            == [80, 75, 75, 65, 75, 65, 66, 54]
+        assert bloch["classes"][1]["signs"] == {"y1": 1, "y2": 1, "x3": -1}
+        demo["validate"]["eps"] = [0.5]
+        runs = json.loads((self._run(tmp_path, "validate", demo, "v")
+                           / "validation.json").read_text())["runs"]
+        assert runs[0]["mirrors"] == ["x2", "x3"]
+        assert runs[0]["mirrors_refused"] == {}
+        assert [c["signs"] for c in runs[0]["classes"]] \
+            == [{"x2": 1, "x3": 1}, {"x2": -1, "x3": 1}]
+        assert all(c["dofs"] > 0 for c in runs[0]["classes"])
+
+    def test_refused_mirrors(self, tmp_path):
+        # a 11-12 coupling in C0 has the x3 mirror but neither y mirror;
+        # gamma_D = left and bottom is not mapped to itself by x2 -> L2 - x2
+        coupled = json.loads(json.dumps(TINY))
+        C0 = tn.isotropic(1.0, 1.0)
+        C0[0, 5] = C0[5, 0] = 0.3
+        coupled["material"]["C0"] = C0[np.triu_indices(6)].tolist()
+        bloch = json.loads((self._run(tmp_path, "bloch", coupled, "b")
+                            / "bloch.json").read_text())
+        assert bloch["mirrors"] == ["x3"]
+        assert bloch["mirrors_refused"] == {"y1": "C0 not mirror-symmetric",
+                                            "y2": "C0 not mirror-symmetric"}
+        assert [c["signs"] for c in bloch["classes"]] == [{"x3": 1},
+                                                          {"x3": -1}]
+        clamped = json.loads(json.dumps(TINY))
+        clamped["macro"]["gamma"] = ["left", "bottom"]
+        run = json.loads((self._run(tmp_path, "validate", clamped, "v")
+                          / "validation.json").read_text())["runs"][0]
+        assert run["mirrors"] == ["x3"]
+        assert run["mirrors_refused"] == {
+            "x2": "gamma_D not mirror-symmetric"}
+        assert len(run["classes"]) == 1
+
+
 class TestOutputs:
     def test_tensor_output(self, tmp_path):
         cfg = write_cfg(tmp_path, TINY)

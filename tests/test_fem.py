@@ -428,16 +428,18 @@ class TestEigPaths:
 
     def test_path_counts_the_requested_modes(self, monkeypatch, demo_material,
                                              demo_shape, demo_bloch_full):
-        # validate's fine problem on demo_deltainf (1,248 DOFs, 3 modes)
-        # goes to shift-invert; the full_delta Bloch operator (555 DOFs, 54
-        # modes) stays dense
+        # validate's fine problem on demo_deltainf (1,248 DOFs, 3 modes) is
+        # two x2 classes of 636 and 612 DOFs, 3 modes each: both go to
+        # shift-invert; the full_delta Bloch operator (555 DOFs, 54 modes)
+        # stays dense
         from hcplate.finescale import build_fine_problem, fine_eigs
         fp = build_fine_problem(demo_material, demo_shape, h=0.5, epsilon=0.5,
                                 cells_per_eps=6, n_z=4, parity="memb")
-        assert fp.pair.n == 1248 and demo_bloch_full.pair.n == 555
+        assert [len(ids) for _, ids in fp.classes] == [636, 612]
+        assert demo_bloch_full.pair.n == 555
         calls = self._spy(monkeypatch)
         fine_eigs(fp, 3, EigWorkspace())
-        assert calls == ["eigsh"]
+        assert calls == ["eigsh", "eigsh"]
         calls.clear()
         eigs_smallest(demo_bloch_full.pair, 54, EigWorkspace())
         assert calls == ["eigh"]

@@ -3,9 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from hcplate import tensors as tn
+from hcplate.fem import elements as el
+from hcplate.fem.assemble import (ScaledGradientSpec, assemble_pointwise_load,
+                                  assemble_vector_h1, quadrature_points)
 from hcplate.finescale import (_build_fine_mesh, build_fine_problem,
                                fine_eigs, fine_resolvent, mu_value)
 from hcplate.geometry import ConfigurationError, InclusionShape, mirror_region
@@ -240,3 +245,78 @@ def test_resolvent_matches_reference(mat, case):
     for key in ("u", "transverse_average", "cell_means"):
         want = np.array(data[key])
         assert abs(out[key] - want).max() <= 1e-12 * abs(want).max(), key
+
+
+def _whole_plate(fp):
+    """K, M and the DOF map of the fine problem assembled on its whole
+    mesh (the plate, or its x3 half), with today's gamma_D and parity pins:
+    the oracle of the class path."""
+    x = fp.mesh.nodes
+    L = fp.meta["L"]
+    lines = {"left": (0, 0.0), "right": (0, L[0]), "bottom": (1, 0.0),
+             "top": (1, L[1])}
+    fixed = [(np.flatnonzero(np.isclose(x[:, a], v)), None)
+             for a, v in (lines[e] for e in fp.meta["gamma"])]
+    halves = 1.0
+    if fp.parity is not None:
+        fixed.append((np.flatnonzero(np.isclose(x[:, 2], 0.0)),
+                      [2] if fp.parity == "memb" else [0, 1]))
+        halves = 2.0
+    mat = fp.mat
+    pair = assemble_vector_h1(
+        fp.mesh, {"soft": halves * fp.mu ** 2 * mat.C0,
+                  "stiff": halves * mat.C1},
+        grad=ScaledGradientSpec(fp.h),
+        density={"soft": halves * mat.rho0, "stiff": halves * mat.rho1},
+        space="free", extra_constraints=fixed)
+    return fp.h ** (-fp.tau) * pair.K, pair.M, pair.dof
+
+
+# (parity, tau, gamma_D); left and bottom refuse the x2 mirror
+PLATES = [(None, 0, ("left",)), ("memb", 2, ("left",)),
+          ("bend", 0, ("left", "right")), (None, 0, ("left", "bottom")),
+          ("memb", 0, ("bottom", "top"))]
+
+
+@pytest.mark.parametrize("parity, tau, gamma", PLATES)
+def test_classes_match_the_whole_plate(parity, tau, gamma, demo_shape):
+    ortho = tn.isotropic(1.0, 1.0) + np.diag([0.5, 1.0, 0.2, 0.3, 0.7, 0.4])
+    mat = tn.MaterialSpec(tn.isotropic(1.0, 1.0), ortho, rho0=1.3, rho1=0.8)
+    fp = build_fine_problem(mat, demo_shape, h=0.5, epsilon=0.5, tau=tau,
+                            cells_per_eps=4, n_z=4, gamma=gamma,
+                            parity=parity)
+    refused = "bottom" in gamma and "top" not in gamma
+    assert fp.meta["mirrors_refused"] == (
+        {"x2": "gamma_D not mirror-symmetric"} if refused else {})
+    assert len(fp.classes) == (1 if refused else 2)
+    K, M, dof = _whole_plate(fp)
+    # the classes split the plate's DOFs: each interior region DOF twice,
+    # each component on the x2 plane once
+    assert sum(len(ids) for _, ids in fp.classes) == dof.n_free
+    N = 6
+    want = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True,
+                    subset_by_index=[0, N - 1])
+    w, modes = fine_eigs(fp, N)
+    assert_allclose(w, want, rtol=1e-10)
+    # the modes are eigenfields of the whole plate, M-orthonormal there
+    free = dof.index >= 0
+    V = np.zeros((dof.n_free, N))
+    V[dof.index[free]] = modes[free]
+    assert abs(K @ V - (M @ V) * w).max() <= 1e-9 * w.max()
+    assert_allclose(V.T @ (M @ V), np.eye(N), atol=1e-10)
+
+    # a load without the x2 mirror's symmetry: both classes carry a part
+    load = LoadSpec(amplitude=(0.6, -0.3, 0.9),
+                    macro=lambda x: 1.0 + x[1] + np.sin(np.pi * x[0]) * x[1] ** 2,
+                    transverse="x3", cell="soft")
+    mesh = fp.mesh
+    elems = np.arange(len(mesh.elements))
+    X = quadrature_points(mesh, elems, el.q1_quadrature(mesh.hsize)[0])
+    values = np.asarray(load.amplitude)[:, None, None] \
+        * load.macro_fn()(X[:2]) * load.transverse_fn()(X[2]) \
+        * load.cell_fn(demo_shape)(np.mod(X[:2] / fp.epsilon, 1.0))
+    fe = el.q1_vector_load(mesh.hsize, np.moveaxis(values, 0, -1))
+    F = assemble_pointwise_load(mesh, dof, fe, elems)
+    u = dof.expand(spla.spsolve((K + 2.0 * M).tocsc(), F))
+    out = fine_resolvent(fp, 2.0, load)
+    assert_allclose(out["u"], u, rtol=0, atol=1e-10 * abs(u).max())

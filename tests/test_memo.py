@@ -162,9 +162,10 @@ def test_unkeyable_argument_refused():
 
 
 def test_second_model_on_one_cell_solves_no_eigenproblem(monkeypatch):
+    # one class eigensolve (`eigs_by_class`) per inclusion spectrum
     calls = []
-    eigs = bloch.eigs_smallest
-    monkeypatch.setattr(bloch, "eigs_smallest",
+    eigs = bloch.eigs_by_class
+    monkeypatch.setattr(bloch, "eigs_by_class",
                         lambda *a, **k: calls.append(1) or eigs(*a, **k))
     monkeypatch.setattr(limits, "effective_delta", _count(calls, "tensor"))
     mesh = build_macro_mesh(1.0, 1.0, 4, 4)
