@@ -286,15 +286,12 @@ def cmd_evolve(cfg, out: Path, chash: str) -> int:
     nm = min(6, macro.shape[1])
     _, modes = macro_eigs(op, nm, model.ws)
     amplitudes = macro @ (op.rho_bar * (op.pair.M @ modes)[op.n_static:])
-    micro = traj.micro
-    nmic = 0 if micro is None else min(4, micro.shape[1])
+    micro = traj.micro_norms[:, :4]
     header = ["t"] + [f"macro_{k}" for k in range(nm)] \
-        + [f"micro_{k}" for k in range(nmic)] \
+        + [f"micro_{k}" for k in range(micro.shape[1])] \
         + ["kinetic", "elastic", "total"]
-    cols = [traj.times[:, None], amplitudes[:, :nm]]
-    if nmic:
-        cols.append(np.linalg.norm(micro[:, :nmic], axis=2))
-    table = np.hstack(cols + [traj.energy])
+    table = np.hstack([traj.times[:, None], amplitudes[:, :nm], micro,
+                       traj.energy])
     _write_csv(out / "trajectory.csv", header, [tuple(r) for r in table],
                chash)
     _write_json(out / "evolve_manifest.json", {

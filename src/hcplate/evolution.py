@@ -30,13 +30,11 @@ from .macro import macro_eigs
 @dataclass
 class Trajectory:
     times: np.ndarray
-    fields: dict                 # name -> snapshot array (steps, ...)
+    fields: dict                 # "a", "b" -> macro path (steps+1, ...)
+    micro_norms: np.ndarray      # (steps+1, N): |c_n| of each state
+    final: tuple                 # (u, v) at T in the layout [a | b | c]
     energy: np.ndarray           # columns: kinetic, elastic, total
     meta: dict = field(default_factory=dict)
-
-    @property
-    def micro(self):
-        return self.fields.get("micro")
 
     def energy_drift(self) -> float:
         """Max deviation from the initial energy, relative to the peak
@@ -64,10 +62,10 @@ def implicit_midpoint(system: ModalSystem, u0, v0, T: float, dt: float):
     forms the grand mass times the new velocity, which the next step and
     the new state's kinetic energy share.
 
-    Returns ((x0, c), energy, factor): the macro (steps+1, n0) and micro
-    (steps+1, N, nm) paths of the state, the kinetic, elastic and total
-    energy of each state (steps+1, 3), and the step factorization. The
-    velocities are not kept.
+    Returns ((X, norms), energy, (x, c, v, w), factor): the macro path
+    (steps+1, n0), each mode's coefficient norm per state (steps+1, N),
+    the kinetic, elastic and total energy per state (steps+1, 3), the
+    state and velocity at T and the step factorization.
     """
     nsteps = step_count(T, dt)
     cp = system.coupling
@@ -76,10 +74,11 @@ def implicit_midpoint(system: ModalSystem, u0, v0, T: float, dt: float):
     x, c = (np.array(p, dtype=float) for p in cp.split(u0))
     v, w = (np.array(p, dtype=float) for p in cp.split(v0))
     X = np.empty((nsteps + 1, cp.n0))
-    C = np.empty((nsteps + 1, cp.N, cp.nm))
+    Cn = np.empty((nsteps + 1, cp.N))
     E = np.empty((nsteps + 1, 3))
     r0, rho = cp.mass(v, w)
-    X[0], C[0], E[0] = x, c, cp.energies(x, c, v, w, r0, rho)
+    X[0], Cn[0] = x, np.linalg.norm(c, axis=1)
+    E[0] = cp.energies(x, c, v, w, r0, rho)
     gs = system.time_fn((np.arange(nsteps) + 0.5) * dt)
     for j, g in enumerate(gs, 1):
         # (M - s K) v + dt (F - K u) = M v - K (s v + dt u) + dt F
@@ -90,8 +89,9 @@ def implicit_midpoint(system: ModalSystem, u0, v0, T: float, dt: float):
         c = c + 0.5 * dt * (w + w_new)
         v, w = v_new, w_new
         r0, rho = cp.mass(v, w)
-        X[j], C[j], E[j] = x, c, cp.energies(x, c, v, w, r0, rho)
-    return (X, C), E, sh.factor
+        X[j], Cn[j] = x, np.linalg.norm(c, axis=1)
+        E[j] = cp.energies(x, c, v, w, r0, rho)
+    return (X, Cn), E, (x, c, v, w), sh.factor
 
 
 def evolve(model: LimitModel, load: LoadSpec, T: float,
@@ -105,12 +105,14 @@ def evolve(model: LimitModel, load: LoadSpec, T: float,
     two macro parts. In the bending variants a is the quasistatic in-plane
     field of the bending pencil: u0's a is replaced by the value that b and
     the load fix at t = 0 (K_aa a = F_a g(0) - K_ab b), and v0's a plays
-    no part. The static micro field of long_time_bending / delta0_hc is
-    the load's time profile times one (N, n_nodes) field: a row without
-    micro modes records the product as its "micro" field, the others keep
-    the two factors in meta ("micro_inplane", "micro_inplane_profile").
-    The energies are the ones the sweep forms state by state; only the
-    state paths are kept, no velocity.
+    no part. The trajectory keeps the macro paths, each mode's coefficient
+    norm per state ("micro_norms") and the end state (u, v) in the layout
+    of u0 and v0 ("final"), which a later call continues with its load's
+    clock reset to 0. The static micro field of long_time_bending /
+    delta0_hc is the load's time profile times one (N, n_nodes) field: a
+    row without micro modes records |profile| times each mode's norm as
+    its micro_norms, the others keep the two factors in meta
+    ("micro_inplane", "micro_inplane_profile").
     """
     variant = model.regime.kind
     if variant == "real_time" and model.regime.delta == np.inf \
@@ -129,17 +131,16 @@ def evolve(model: LimitModel, load: LoadSpec, T: float,
         u0[:ns] = factorize(K[:ns, :ns], order=cp.order0[:ns]).solve(
             float(load.time_fn()(0.0)) * system.F0[:ns]
             - K[:ns, ns:] @ u0[ns:cp.n0])
-    (X, C), energy, factor = implicit_midpoint(system, u0, v0, T, dt)
+    (X, norms), energy, (x, c, v, w), factor = implicit_midpoint(
+        system, u0, v0, T, dt)
     times = np.arange(X.shape[0]) * dt
 
     na = model.na
     fields = {"a": X[:, :na]}
     if X.shape[1] > na:
         fields["b"] = X[:, na:]
-    if cp.N:
-        fields["micro"] = C
-    meta = {"variant": variant, "dt": dt, "system": system,
-            "state_dofs": system.n, "factored_dofs": factor.A.shape[0],
+    meta = {"variant": variant, "dt": dt, "state_dofs": system.n,
+            "factored_dofs": factor.A.shape[0],
             "factor_fill": factor.fill, "factor_ordering": factor.ordering}
     static = static_micro(model, load)
     if static is not None:
@@ -148,8 +149,10 @@ def evolve(model: LimitModel, load: LoadSpec, T: float,
             meta["micro_inplane"] = static
             meta["micro_inplane_profile"] = profile
         else:
-            fields["micro"] = profile[:, None, None] * static
-    return Trajectory(times=times, fields=fields, energy=energy, meta=meta)
+            norms = np.outer(abs(profile), np.linalg.norm(static, axis=1))
+    final = (np.concatenate([x, c.ravel()]), np.concatenate([v, w.ravel()]))
+    return Trajectory(times=times, fields=fields, micro_norms=norms,
+                      final=final, energy=energy, meta=meta)
 
 
 # ---------------------------------------------------------------------------

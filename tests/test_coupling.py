@@ -16,7 +16,7 @@ from grand_oracle import (_bending_kron_system, _real_time_system,
 from hcplate import tensors as tn
 from hcplate.bloch import cluster_starts
 from hcplate.coupling import ModalCoupling
-from hcplate.evolution import evolve, evolve_memory_bending
+from hcplate.evolution import evolve, evolve_memory_bending, step_count
 from hcplate.geometry import InclusionShape, build_macro_mesh
 from hcplate.limits import (LoadSpec, RegimeConfig, build_limit_model,
                             solve_limit_resolvent)
@@ -64,7 +64,9 @@ def forced_load():
 
 
 class TestAgainstGrandMidpoint:
-    """evolve steps the eliminated system; the grand sweep is the oracle."""
+    """evolve steps the eliminated system; the grand sweep is the oracle.
+    evolve keeps the macro paths, the micro modes' norms at every step and
+    the end state; each end state is checked in full at three horizons."""
 
     @pytest.mark.parametrize("variant,build,model_name", [
         ("strong_hc_bending", _bending_kron_system, "model_hc"),
@@ -80,23 +82,37 @@ class TestAgainstGrandMidpoint:
         u0 = rng.standard_normal(system.n)
         v0 = rng.standard_normal(system.n)
         T, dt = 0.2, 2e-3
-        U, _, energy = grand_midpoint(system, u0, v0, T, dt)
+        U, V, energy = grand_midpoint(system, u0, v0, T, dt)
         traj = evolve(model, load, T, dt, u0=system.lift(u0),
                       v0=system.lift(v0))
         blocks = system.blocks
         for name in ("a", "b"):
             if blocks.get(name) is not None:
                 assert rel_err(traj.fields[name], U[:, blocks[name]]) <= 1e-10
-        if "schur" in system.meta:
+        schur = system.meta.get("schur")
+        if schur is not None:
             # the bending pencil's in-plane part, eliminated by the oracle
             b = U[:, blocks["b"]]
-            a = system.meta["schur"].inplane(b)
+            a = schur.inplane(b)
             assert abs(traj.fields["a"] - a).max() <= 1e-10 * abs(b).max()
-        micro = np.stack([U[:, s] for s in blocks["micro"]], axis=1)
-        assert rel_err(traj.micro, micro) <= 1e-10
+        norms = np.stack([np.linalg.norm(U[:, s], axis=1)
+                          for s in blocks["micro"]], axis=1)
+        assert rel_err(traj.micro_norms, norms) <= 1e-10
         assert rel_err(traj.energy, energy) <= 1e-10
         assert traj.meta["state_dofs"] == len(system.lift(u0))
         assert traj.meta["factored_dofs"] < system.n
+        # the end state: a, b and every c_n, and the velocity of the
+        # oracle's state (the bending variants' a carries no mass)
+        na = system.meta.get("na", 0)
+        for t_end in (0.05, 0.1, T):
+            j = step_count(t_end, dt)
+            u_end, v_end = evolve(model, load, t_end, dt, u0=system.lift(u0),
+                                  v0=system.lift(v0)).final
+            ref = system.lift(U[j])
+            if schur is not None:
+                ref[:na] = schur.inplane(U[j, blocks["b"]])
+            assert rel_err(u_end, ref) <= 1e-10
+            assert rel_err(v_end[na:], V[j]) <= 1e-10
 
     def test_memory_recursion_matches_duhamel_sum(self, model_hc):
         load = forced_load()

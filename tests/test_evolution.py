@@ -151,22 +151,42 @@ class TestConservation:
 
 
 class TestSweepMemory:
-    def test_peak_is_the_returned_paths(self, model_r2):
-        # the sweep forms each state's energies as it goes and keeps only
-        # the state paths: no velocity path, no post-sweep energy pass
+    def test_peak_grows_by_what_a_step_returns(self, model_r2):
+        # per step the sweep keeps the macro state, one norm per micro mode
+        # and three energies, and evolve one time: no micro or velocity
+        # path, no post-sweep energy pass and no copy of a path
         load = LoadSpec(amplitude=(0.3, -0.2, 1.0), time=np.cos)
         evolve(model_r2, load, 0.01, 1e-3)   # builds the coupling
-        tracemalloc.start()
-        try:
-            traj = evolve(model_r2, load, 4.0, 1e-3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        paths = sum(f.nbytes for f in traj.fields.values()) \
-            + traj.energy.nbytes
-        # paths large enough that a second copy of them breaks the bound
-        assert paths > 2 ** 23
-        assert peak < 1.5 * paths + 2 ** 20
+        peaks = []
+        for T in (0.2, 2.0):
+            tracemalloc.start()
+            try:
+                evolve(model_r2, load, T, 1e-3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        cp = model_r2.coupling
+        assert cp.N * cp.nm > cp.n0      # a micro path would break the bound
+        per_step = 8 * (cp.n0 + cp.N + 3 + 1)
+        assert peaks[1] - peaks[0] <= 1800 * per_step + 2 ** 16
+
+
+class TestRestart:
+    def test_continues_from_the_final_state(self, model_r2):
+        # without a load the equations are autonomous: a sweep continued
+        # from a trajectory's end state is the second half of a longer one
+        rng = np.random.RandomState(3)
+        u0, v0 = 0.1 * rng.standard_normal((2, model_r2.coupling.n))
+        whole = evolve(model_r2, zero_load(), 0.2, 1e-3, u0=u0, v0=v0)
+        first = evolve(model_r2, zero_load(), 0.1, 1e-3, u0=u0, v0=v0)
+        rest = evolve(model_r2, zero_load(), 0.1, 1e-3, u0=first.final[0],
+                      v0=first.final[1])
+        pairs = [(rest.fields[k], whole.fields[k][100:]) for k in whole.fields]
+        pairs += list(zip(rest.final, whole.final))
+        pairs += [(rest.micro_norms, whole.micro_norms[100:]),
+                  (rest.energy, whole.energy[100:])]
+        for got, ref in pairs:
+            assert abs(got - ref).max() <= 1e-12 * abs(ref).max()
 
 
 class TestMemoryKernel:
@@ -289,6 +309,24 @@ class TestVariantDispatch:
         ref = np.cos(3.0 * traj.times)[:, None, None] \
             * static_micro(model, load)
         assert abs(product - ref).max() <= 1e-15 * abs(ref).max()
+        # micro_norms are the sweep's bending modes; the in-plane field's
+        # are |profile| times the norm of each mode's field
+        assert traj.micro_norms.shape == (51, model.bloch.n_modes)
+        norms = np.outer(abs(profile), np.linalg.norm(static, axis=1))
+        ref = np.linalg.norm(ref, axis=2)
+        assert abs(norms - ref).max() <= 1e-15 * abs(ref).max()
+
+    def test_plate_row_micro_norms(self, model_r1):
+        # the plate row has no micro modes: its micro_norms are those of
+        # its static in-plane field, the load's profile times one field
+        load = LoadSpec(amplitude=(0.2, -0.1, 1.0),
+                        time=lambda t: np.cos(3.0 * t))
+        traj = evolve(model_r1, load, 0.05, 1e-3)
+        assert model_r1.coupling.N == 0
+        ref = np.linalg.norm(np.cos(3.0 * traj.times)[:, None, None]
+                             * static_micro(model_r1, load), axis=2)
+        assert traj.micro_norms.shape == (51, model_r1.static_bloch.n_modes)
+        assert abs(traj.micro_norms - ref).max() <= 1e-15 * abs(ref).max()
 
     def test_nonpositive_dt(self, model_r2):
         with pytest.raises(ValueError):

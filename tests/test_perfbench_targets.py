@@ -57,3 +57,20 @@ def test_worker_library_calls_bind():
     for c in calls:
         inspect.signature(targets[c.func.id]).bind(
             *c.args, **{k.arg: k.value for k in c.keywords})
+
+
+def test_step_counters_read_parameters_of_the_sweeps():
+    # layers._steps_info reads T, dt and the system by parameter name when a
+    # traced sweep returns: a renamed parameter would fail the traced run
+    from types import SimpleNamespace
+
+    from hcplate.evolution import evolve_memory_bending, implicit_midpoint
+    for fn, names in ((implicit_midpoint, {"system", "T", "dt"}),
+                      (evolve_memory_bending, {"T", "dt"})):
+        assert names <= set(inspect.signature(fn).parameters)
+    build = {fname: info for _, fname, _, info in _layers().TARGETS}
+    read = build["implicit_midpoint"](implicit_midpoint)
+    assert read((SimpleNamespace(n=7), None, None, 0.2, 1e-3), {}, None) \
+        == {"steps": 200, "dofs": 7}
+    read = build["evolve_memory_bending"](evolve_memory_bending)
+    assert read((None, None, 0.3), {"dt": 1e-3}, None) == {"steps": 300}
