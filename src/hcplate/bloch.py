@@ -170,7 +170,7 @@ def _class_pairs(mat, shape, n, operator_tag, delta, n_z, mesh, pair,
     ids = [np.flatnonzero(class_keep(rpair.dof, planes,
                                      class_pins(planes, carries, s)))
            for s in signs]
-    w, cls, vecs = eigs_by_class(rpair, ids, N, ws)
+    w, cls, vecs = eigs_by_class((rpair.restrict(i) for i in ids), N, ws)
     images = mirror_images(mesh, region, axes)
     free = pair.dof.index >= 0
     v = np.zeros((pair.n, len(w)))

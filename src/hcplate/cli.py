@@ -1,6 +1,6 @@
 """Command-line front end: tensor | bloch | zhikov | spectrum | evolve |
-resolvent | validate, JSON/CSV outputs, exit codes 0 (ok), 2 (config),
-3 (solver).
+resolvent | validate, JSON/CSV outputs, exit codes 0 (ok), 2 (config or
+arguments), 3 (solver).
 
 Importing this module loads no numpy, so `--threads` sets the BLAS thread
 variables before the BLAS library reads them; the commands themselves live
@@ -21,11 +21,23 @@ COMMANDS = ("bloch", "evolve", "resolvent", "spectrum", "tensor", "validate",
             "zhikov")
 
 
-def _limit_threads(n):
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
+def _thread_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 thread, got {n}")
+    return n
+
+
+def _limit_threads(parser, n):
+    """Set the BLAS thread variables; refused once numpy is loaded, since
+    its BLAS library has read them already."""
+    if n is None:
+        return
+    if "numpy" in sys.modules:
+        parser.error("argument --threads: numpy is already loaded in this "
+                     "process, so the thread limit cannot take effect")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = str(n)
 
 
 def main(argv=None) -> int:
@@ -35,10 +47,12 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="JSON run config")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=_thread_count, default=None,
+                        help="BLAS threads (at least 1); set before numpy "
+                        "loads, so not from a process that loaded it")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
-    _limit_threads(args.threads)
+    _limit_threads(parser, args.threads)
 
     from numpy.linalg import LinAlgError
 

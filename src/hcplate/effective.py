@@ -128,10 +128,10 @@ def _class_min(pair, planes: dict, F: np.ndarray, E0: np.ndarray, columns,
             pair.dof, [c for c in kernel_comps if not any(c in p for p in pins)])
         ids = np.flatnonzero(class_keep(pair.dof, planes, pins))
         f = F[np.ix_(ids, cols)]
-        x = factorize(pair.K[ids][:, ids],
-                      None if kernel is None else kernel[ids], tol,
-                      order=None if pair.order is None else pair.order[ids]
-                      ).solve(f)
+        sub = pair.restrict(ids)
+        x = factorize(sub.K, None if kernel is None else kernel[ids], tol,
+                      order=sub.order).solve(f)
+        del sub                 # one class's K at a time
         block = np.ix_(cols, cols)
         E[block] = scale * E0[block]
         Q[block] = E[block] - scale * (f.T @ x)

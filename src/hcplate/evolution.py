@@ -55,9 +55,11 @@ def step_count(T: float, dt: float) -> int:
     return n
 
 
-def implicit_midpoint(system: ModalSystem, u0, v0, T: float, dt: float):
-    """Symplectic implicit-midpoint sweep; exactly conserves the quadratic
-    energy for time-independent loads set to zero. Each step solves
+def implicit_midpoint(system: ModalSystem, u0, v0, T: float, dt: float,
+                      t0: float = 0.0):
+    """Symplectic implicit-midpoint sweep over [t0, t0 + T]; exactly
+    conserves the quadratic energy for time-independent loads set to zero.
+    The load's time profile is read at the step midpoints. Each step solves
     M + dt^2/4 K once at macro size, updates the micro modes as arrays and
     forms the grand mass times the new velocity, which the next step and
     the new state's kinetic energy share.
@@ -79,7 +81,7 @@ def implicit_midpoint(system: ModalSystem, u0, v0, T: float, dt: float):
     r0, rho = cp.mass(v, w)
     X[0], Cn[0] = x, np.linalg.norm(c, axis=1)
     E[0] = cp.energies(x, c, v, w, r0, rho)
-    gs = system.time_fn((np.arange(nsteps) + 0.5) * dt)
+    gs = system.time_fn(t0 + (np.arange(nsteps) + 0.5) * dt)
     for j, g in enumerate(gs, 1):
         # (M - s K) v + dt (F - K u) = M v - K (s v + dt u) + dt F
         k0, kc = cp.stiff(s * v + dt * x, s * w + dt * c)
@@ -96,19 +98,20 @@ def implicit_midpoint(system: ModalSystem, u0, v0, T: float, dt: float):
 
 def evolve(model: LimitModel, load: LoadSpec, T: float,
            dt: float | None = None, u0: np.ndarray | None = None,
-           v0: np.ndarray | None = None) -> Trajectory:
-    """Implicit-midpoint trajectory of the regime's limit evolution; the
-    variant is the row kind of model.regime.
+           v0: np.ndarray | None = None, t0: float = 0.0) -> Trajectory:
+    """Implicit-midpoint trajectory of the regime's limit evolution over
+    [t0, t0 + T]; the variant is the row kind of model.regime.
 
     u0/v0 are initial data in the variant's state layout [a | b | c_1 ...
     c_N] (defaults: zero), with fields "a" and "b" of the trajectory the
     two macro parts. In the bending variants a is the quasistatic in-plane
     field of the bending pencil: u0's a is replaced by the value that b and
-    the load fix at t = 0 (K_aa a = F_a g(0) - K_ab b), and v0's a plays
-    no part. The trajectory keeps the macro paths, each mode's coefficient
-    norm per state ("micro_norms") and the end state (u, v) in the layout
-    of u0 and v0 ("final"), which a later call continues with its load's
-    clock reset to 0. The static micro field of long_time_bending /
+    the load fix at t0 (K_aa a = F_a g(t0) - K_ab b), and v0's a plays
+    no part. The trajectory keeps the times, the macro paths, each mode's
+    coefficient norm per state ("micro_norms") and the end state (u, v) in
+    the layout of u0 and v0 ("final"), which a later call with t0 at the
+    end time continues (a bending row's a going back to its quasistatic
+    value there). The static micro field of long_time_bending /
     delta0_hc is the load's time profile times one (N, n_nodes) field: a
     row without micro modes records |profile| times each mode's norm as
     its micro_norms, the others keep the two factors in meta
@@ -129,11 +132,11 @@ def evolve(model: LimitModel, load: LoadSpec, T: float,
     if ns:
         K = cp.K0
         u0[:ns] = factorize(K[:ns, :ns], order=cp.order0[:ns]).solve(
-            float(load.time_fn()(0.0)) * system.F0[:ns]
+            float(load.time_fn()(t0)) * system.F0[:ns]
             - K[:ns, ns:] @ u0[ns:cp.n0])
     (X, norms), energy, (x, c, v, w), factor = implicit_midpoint(
-        system, u0, v0, T, dt)
-    times = np.arange(X.shape[0]) * dt
+        system, u0, v0, T, dt, t0)
+    times = t0 + np.arange(X.shape[0]) * dt
 
     na = model.na
     fields = {"a": X[:, :na]}

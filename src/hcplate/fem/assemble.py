@@ -76,6 +76,11 @@ def _dof_map(mesh, ncomp: int, space: str, groups, extra_constraints=()):
         nested_dissection(*mesh.grid))
 
 
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """Non-negative integers in the smallest type that holds them."""
+    return a.astype(np.min_scalar_type(a.max(initial=0)))
+
+
 class NodeBlocks:
     """The node-pair pattern of element groups, built once per mesh and DOF
     map(s) and shared by every matrix summed on it (vectorized assembly
@@ -85,9 +90,8 @@ class NodeBlocks:
     The connectivity of each group goes to periodic-master nodes, and the
     block of element e at local nodes (i, j) lands in the slot of its
     (row master, column master) pair. Pairs are ascending by row node, then
-    column node. `incidence` has one row per pair and one entry per element
-    block of the pair, in the column of its (group, i, j), so one sparse
-    product per component pair sums the element matrices of all groups.
+    column node. The element blocks go pair by pair, `counts` per pair,
+    each named by its (group, i, j) in `blocks`.
     """
 
     def __init__(self, conns, row_master: np.ndarray,
@@ -105,32 +109,34 @@ class NodeBlocks:
         del keys
         # entry k of a group's keys is the element block (group, i, j) with
         # i nn + j = k mod nn^2
-        group = np.repeat(np.arange(len(conns), dtype=np.int32) * nn * nn,
+        group = np.repeat(np.arange(len(conns)) * nn * nn,
                           [c.size * nn for c in conns])
-        self.incidence = sp.csr_matrix(
-            (np.ones(len(order)), (order % (nn * nn)).astype(np.int32)
-             + group[order], np.append(starts, len(order))),
-            shape=(len(starts), len(conns) * nn * nn))
+        self.blocks = _narrow(order % (nn * nn) + group[order])
+        self.counts = _narrow(np.diff(starts, append=len(order)))
         # the first pair of each row node, and its number of pairs
         self.heads = np.flatnonzero(np.diff(self.rows, prepend=-1))
         self.spans = np.diff(self.heads, append=len(self.rows))
 
-    def sum(self, element_matrices, row_index: np.ndarray,
-            col_index: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
-        """Canonical CSR of one element matrix per group (node-major,
-        component-fastest rows and columns) summed over the groups'
-        elements; only non-zero sums are stored. row_index and col_index
+    def sum(self, matrix_sets, row_index: np.ndarray, col_index: np.ndarray,
+            shape: tuple[int, int]) -> list[sp.csr_matrix]:
+        """Per set of element matrices (one per group, node-major and
+        component-fastest rows and columns), the canonical CSR of their sum
+        over the groups' elements; only non-zero sums are stored. The
+        matrices share one placement of their entries, made for the
+        component pairs that any of them couples. row_index and col_index
         (nodes, components) give each node component its reduced DOF, -1
         where it is constrained, ascending in (node, component) order."""
         nn = self.nn
         ncr, ncc = row_index.shape[1], col_index.shape[1]
-        stack = np.concatenate([
+        stacks = [np.concatenate([
             np.reshape(Ke, (nn, ncr, nn, ncc)).transpose(0, 2, 1, 3)
-            .reshape(nn * nn, ncr, ncc) for Ke in element_matrices])
-        live = stack.any(axis=0)        # component pairs of some block entry
+            .reshape(nn * nn, ncr, ncc) for Ke in mats])
+            for mats in matrix_sets]
+        # component pairs of some block entry
+        live = np.any([s.any(axis=0) for s in stacks], axis=0)
         # component-major: one row per component, one column per pair
-        rok = (row_index >= 0).T[:, self.rows]
-        C = col_index.T.astype(np.int32)[:, self.cols]
+        rok = np.ascontiguousarray((row_index >= 0).T)[:, self.rows]
+        C = col_index.T.astype(np.int32, order="C")[:, self.cols]
         cok = C >= 0
         # entries per (row comp, pair), and a CSR row per (node, row comp)
         # that holds the runs of the node's pairs (consecutive, ascending in
@@ -151,29 +157,65 @@ class NodeBlocks:
         start -= np.repeat(start[:, self.heads], self.spans, axis=1)
         for c in range(ncr):
             start[c] += indptr[row_index[self.rows, c]]
-        data = np.empty(nnz, dtype=stack.dtype)
+        # one row per pair, one entry per element block of the pair in the
+        # column of its (group, i, j): one product per component pair sums
+        # the element matrices of all groups
+        incidence = sp.csr_matrix(
+            (np.ones(len(self.blocks)), self.blocks.astype(np.int32),
+             np.append(0, np.cumsum(self.counts, dtype=np.int32))),
+            shape=(len(self.rows), len(stacks[0])))
+        # a matrix with no block entry at a component pair keeps zeros there
+        datas = [np.zeros(nnz, dtype=s.dtype) for s in stacks]
         indices = np.empty(nnz, dtype=itype)
         for c, d in zip(*np.nonzero(live)):
-            idx = np.flatnonzero(rok[c] & cok[d])
-            at = start[c, idx]
-            data[at] = (self.incidence @ stack[:, c, d])[idx]
-            indices[at] = C[d, idx]
-            start[c, idx] = at + 1
-        A = sp.csr_matrix((data, indices, indptr), shape=shape)
-        A.eliminate_zeros()             # sums that cancel
-        return A
+            stored = rok[c] & cok[d]
+            at = start[c][stored]
+            indices[at] = C[d][stored]
+            start[c] += stored
+            for data, stack in zip(datas, stacks):
+                if stack[:, c, d].any():
+                    data[at] = (incidence @ stack[:, c, d])[stored]
+        out = []
+        for k, data in enumerate(datas):
+            # each matrix owns its index arrays: eliminate_zeros edits them
+            shared = k == len(datas) - 1
+            A = sp.csr_matrix((data, indices if shared else indices.copy(),
+                               indptr if shared else indptr.copy()),
+                              shape=shape)
+            A.eliminate_zeros()         # sums that cancel
+            out.append(A)
+        return out
 
 
-def _assemble(mesh, groups, dof: DofMap, *element_matrices):
-    """Per element_matrix given (None gives None), the sum of
-    element_matrix(group) over each group's elements, all on the one
-    node-pair pattern of the groups."""
-    groups = {g: ids for g, ids in groups.items() if len(ids)}
-    blocks = NodeBlocks([mesh.elements[ids] for ids in groups.values()],
-                        dof.master, dof.master)
-    return [None if element_matrix is None else blocks.sum(
-        [element_matrix(g) for g in groups], dof.index, dof.index,
-        (dof.n_free, dof.n_free)) for element_matrix in element_matrices]
+class PencilForm:
+    """A stiffness/mass form on a mesh, unassembled: one element matrix per
+    element group for K, and for M unless it has none, the node-pair
+    pattern of the groups (`NodeBlocks`) and the form's DOF map `dof` (`n`
+    free DOFs). `pencil` sums it on `dof` or on a copy of it with further
+    pins (`DofMap.pinned`), every time on the one pattern."""
+
+    def __init__(self, mesh, groups, dof: DofMap, stiffness, mass=None,
+                 meta=None):
+        groups = {g: ids for g, ids in groups.items() if len(ids)}
+        self.blocks = NodeBlocks([mesh.elements[ids]
+                                  for ids in groups.values()],
+                                 dof.master, dof.master)
+        # K's, then M's unless it has none
+        self.element_matrices = [[f(g) for g in groups]
+                                 for f in (stiffness, mass) if f is not None]
+        self.dof, self.meta = dof, meta or {}
+
+    @property
+    def n(self) -> int:
+        return self.dof.n_free
+
+    def pencil(self, dof: DofMap | None = None) -> SparseOperatorPair:
+        """K and M summed on `dof` (default: the form's own DOF map)."""
+        dof = self.dof if dof is None else dof
+        K, *M = self.blocks.sum(self.element_matrices, dof.index, dof.index,
+                                (dof.n_free, dof.n_free))
+        return SparseOperatorPair(K=K, M=M[0] if M else None, dof=dof,
+                                  meta=self.meta)
 
 
 def translations_kernel(dof: DofMap, comps=None) -> np.ndarray | None:
@@ -191,12 +233,23 @@ def assemble_vector_h1(mesh, C, grad: ScaledGradientSpec | None = None,
                        restrict_to: str = "all", ncomp: int = 3,
                        eta: float | None = None,
                        extra_constraints=()) -> SparseOperatorPair:
-    """Stiffness/mass pair of the vector H^1 form with Voigt tensor C.
+    """Stiffness/mass pair of the vector H^1 form with Voigt tensor C
+    (`vector_h1_form`), summed on the form's DOF map."""
+    return vector_h1_form(mesh, C, grad, density, space, restrict_to, ncomp,
+                          eta, extra_constraints).pencil()
+
+
+def vector_h1_form(mesh, C, grad: ScaledGradientSpec | None = None,
+                   density=1.0, space: str = "periodic",
+                   restrict_to: str = "all", ncomp: int = 3,
+                   eta: float | None = None,
+                   extra_constraints=()) -> PencilForm:
+    """The vector H^1 form with Voigt tensor C, unassembled.
 
     K discretizes int C sym-grad~(u) : sym-grad~(v) over the requested
     material subset, M the density-weighted L2 product over the same subset;
     C and density are one value or a {"soft": ..., "stiff": ...} dict, and
-    density None assembles K only (M is None).
+    density None gives K only (M is None).
     Spaces (`_dof_map`): 'periodic' (its kernel: translations_kernel(dof)),
     'inclusion-zero-trace' (H^1_00 on the discrete Y0), 'dirichlet'
     (MacroMesh gamma_D), 'free'. extra_constraints holds further
@@ -216,14 +269,13 @@ def assemble_vector_h1(mesh, C, grad: ScaledGradientSpec | None = None,
     rs = _by_material(density)
 
     dof = _dof_map(mesh, ncomp, space, groups, extra_constraints)
-    K, M = _assemble(
+    return PencilForm(
         mesh, groups, dof,
         lambda g: el.q1_stiffness(hsize, Cs[g], third=third, ncomp=ncomp),
         None if density is None else
-        lambda g: el.q1_mass(hsize, float(rs[g]), ncomp=ncomp))
-    return SparseOperatorPair(K=K, M=M, dof=dof,
-                              meta={"space": space, "ncomp": ncomp,
-                                    "restrict": restrict_to, "hsize": hsize})
+        lambda g: el.q1_mass(hsize, float(rs[g]), ncomp=ncomp),
+        meta={"space": space, "ncomp": ncomp, "restrict": restrict_to,
+              "hsize": hsize})
 
 
 def assemble_bfs_h2(mesh, D, density=1.0, space: str = "periodic",
@@ -243,14 +295,12 @@ def assemble_bfs_h2(mesh, D, density=1.0, space: str = "periodic",
     Ds = _by_material(D)
     rs = _by_material(density)
 
-    dof = _dof_map(mesh, 4, space, groups)
-    K, M = _assemble(mesh, groups, dof,
-                     lambda g: el.bfs_stiffness(hsize, Ds[g]),
-                     None if density is None else
-                     lambda g: el.bfs_mass(hsize, rs[g]))
-    return SparseOperatorPair(K=K, M=M, dof=dof,
-                              meta={"space": space, "ncomp": 4,
-                                    "restrict": restrict_to, "hsize": hsize})
+    return PencilForm(mesh, groups, _dof_map(mesh, 4, space, groups),
+                      lambda g: el.bfs_stiffness(hsize, Ds[g]),
+                      None if density is None else
+                      lambda g: el.bfs_mass(hsize, rs[g]),
+                      meta={"space": space, "ncomp": 4,
+                            "restrict": restrict_to, "hsize": hsize}).pencil()
 
 
 def assemble_rect_block(mesh, row_dof: DofMap | None,
@@ -262,8 +312,8 @@ def assemble_rect_block(mesh, row_dof: DofMap | None,
     nodal = DofMap(mesh.n_nodes, 1).finalize()
     row_dof, col_dof = (nodal if d is None else d for d in (row_dof, col_dof))
     blocks = NodeBlocks([mesh.elements], row_dof.master, col_dof.master)
-    return blocks.sum([element_matrix], row_dof.index, col_dof.index,
-                      (row_dof.n_free, col_dof.n_free))
+    return blocks.sum([[element_matrix]], row_dof.index, col_dof.index,
+                      (row_dof.n_free, col_dof.n_free))[0]
 
 
 def assemble_element_load(mesh, dof: DofMap, element_vec_by_material: dict,

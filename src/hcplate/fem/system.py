@@ -3,6 +3,7 @@ eigensolvers for the structured-grid elements."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,9 @@ class DofMap:
     Constraints supported: homogeneous Dirichlet (drop the DOF) and periodic
     master/slave identification of whole nodes (`master`). Call finalize()
     before assembling; given node ranks, it keys each reduced DOF by its
-    node's (`key`). Reduced DOFs are numbered in (node, component) order.
+    node's (`key`). Reduced DOFs are numbered in (node, component) order,
+    so a map with further pins (`pinned`) numbers the DOFs it keeps in the
+    same order.
     """
 
     def __init__(self, n_nodes: int, ncomp: int):
@@ -33,6 +36,7 @@ class DofMap:
         self.index = None
         self.n_free = 0
         self.key = None
+        self._rank = None
 
     def _lin(self, nodes, comps):
         nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
@@ -62,9 +66,20 @@ class DofMap:
         idx = np.where(constrained, -1, red[owner])
         self.index = idx.reshape(self.n_nodes, self.ncomp)
         self.n_free = len(free)
+        self._rank = node_rank
         if node_rank is not None:
             self.key = node_rank[free // self.ncomp]
         return self
+
+    def pinned(self, constraints) -> "DofMap":
+        """A finalized copy of this map with the further (nodes, components)
+        pins of `constraints`, keyed by the same node ranks; this map is
+        left as it is."""
+        dof = copy.copy(self)
+        dof._constrained = self._constrained.copy()
+        for nodes, comps in constraints:
+            dof.constrain(nodes, comps)
+        return dof.finalize(self._rank)
 
     def element_dofs(self, conn) -> np.ndarray:
         """(n_elem, nn*ncomp) reduced indices, node-major comp-fastest."""
@@ -178,6 +193,14 @@ class SparseOperatorPair:
     @property
     def n(self) -> int:
         return self.K.shape[0]
+
+    def restrict(self, ids) -> "SparseOperatorPair":
+        """The principal subpencil on the DOF ids: K, M (when there is one)
+        and the keys restricted; the DOF map stays this pair's."""
+        return SparseOperatorPair(
+            K=self.K[ids][:, ids],
+            M=None if self.M is None else self.M[ids][:, ids], dof=self.dof,
+            order=None if self.order is None else self.order[ids])
 
 
 def detect_kernel(K: sp.csr_matrix, kernel_tol: float = 1e-10, kmax: int = 6) -> np.ndarray | None:
@@ -422,26 +445,21 @@ def certify(pair: SparseOperatorPair, w: np.ndarray, v: np.ndarray,
     return w, v
 
 
-def eigs_by_class(pair: SparseOperatorPair, classes, N: int,
-                  ws: EigWorkspace | None = None):
-    """The N smallest eigenvalues of (K, M) over its parity classes, each
-    class the principal subpencil on its DOF ids (its nested-dissection
-    keys restricted) solved by `eigs_smallest` for at most N pairs. The
-    eigenvalues of all classes merge in ascending order; inside a
-    multiplicity cluster (`cluster_starts`) the pairs go by class, then by
-    their order in it, never by round-off. Returns the eigenvalues, the
-    class of each, and each class's vectors in merged order (its columns,
-    on its DOF ids)."""
-    w, cls, vecs = [], [], []
-    for k, ids in enumerate(classes):
-        sub = SparseOperatorPair(
-            K=pair.K[ids][:, ids], M=pair.M[ids][:, ids], dof=pair.dof,
-            order=None if pair.order is None else pair.order[ids])
-        wk, vk = eigs_smallest(sub, min(N, len(ids)), ws) if len(ids) \
+def eigs_by_class(pencils, N: int, ws: EigWorkspace | None = None):
+    """The N smallest eigenvalues of a pencil over its parity classes,
+    given as the class pencils (an iterable: each is solved by
+    `eigs_smallest` for at most N pairs and let go before the next is
+    taken, so one class pencil is alive at a time). The eigenvalues of all
+    classes merge in ascending order; inside a multiplicity cluster
+    (`cluster_starts`) the pairs go by class, then by their order in it,
+    never by round-off. Returns the eigenvalues, the class of each, and
+    each class's vectors in merged order (its columns, on its DOFs)."""
+    def smallest(pencil):
+        return eigs_smallest(pencil, min(N, pencil.n), ws) if pencil.n \
             else (np.zeros(0), np.zeros((0, 0)))
-        w.append(wk)
-        cls.append(np.full(len(wk), k))
-        vecs.append(vk)
+    # map keeps no reference to a pencil once it is solved
+    w, vecs = zip(*map(smallest, pencils))
+    cls = [np.full(len(wk), k) for k, wk in enumerate(w)]
     w, cls = np.concatenate(w), np.concatenate(cls)
     by_value = np.argsort(w, kind="stable")
     starts = np.zeros(len(w), dtype=bool)

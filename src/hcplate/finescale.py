@@ -12,14 +12,15 @@ import numpy as np
 
 from . import tensors as tn
 from .fem import elements as el
-from .fem.assemble import (ScaledGradientSpec, assemble_pointwise_load,
-                           assemble_vector_h1, quadrature_points)
+from .fem.assemble import (PencilForm, ScaledGradientSpec,
+                           assemble_pointwise_load, quadrature_points,
+                           vector_h1_form)
 from .fem.system import (EigWorkspace, SparseOperatorPair, eigs_by_class,
                          factorize)
 from .geometry import (EDGES, PARITY_SIGNS, Q1_CARRIES, ConfigurationError,
-                       InclusionShape, class_keep, class_pins, extrude,
-                       half_prism, mirror_images, mirror_split,
-                       parity_classes, structured_quads, unfold)
+                       InclusionShape, class_pins, extrude, half_prism,
+                       mirror_images, mirror_split, parity_classes,
+                       structured_quads, unfold)
 
 DOF_BUDGET = 200_000
 
@@ -51,7 +52,9 @@ class FineMesh:
         return (0.0,) if axis == 2 else (self.L[axis] / 2,)
 
     def centroids(self) -> np.ndarray:
-        return self.nodes[self.elements].mean(axis=1)
+        """Element centres: each element's first (lowest) node plus half
+        its sizes."""
+        return self.nodes[self.elements[:, 0]] + 0.5 * np.asarray(self.hsize)
 
     @property
     def grid(self) -> tuple[tuple, tuple]:
@@ -90,11 +93,13 @@ def _build_fine_mesh(L1, L2, eps, cells_per_eps, n_z, shape: InclusionShape,
 @dataclass
 class FineProblem:
     """A fine plate (`mesh`: the whole plate, or its x3 half for a parity
-    class) with K and M (`pair`) assembled on the fundamental region of the
-    plate's mirrors (`region`, cut from the whole plate), and its parity
-    classes (`classes`: each class's signs under the mirrors `axes` and its
-    DOF ids in `pair`); `images` maps each node of `mesh` into the region
-    (`geometry.mirror_images`)."""
+    class) with its form (`pair`: no K or M, but the DOF map of the
+    fundamental region of the plate's mirrors, `region`, cut from the
+    whole plate, and the node-pair pattern there) and its parity classes
+    (`classes`: each class's signs under the mirrors `axes` and its DOF
+    map, the region's with the class's pins on the mirror planes); `images`
+    maps each node of `mesh` into the region (`geometry.mirror_images`).
+    `pencil` sums one class's K and M on demand."""
     mat: tn.MaterialSpec
     shape: InclusionShape
     h: float
@@ -102,7 +107,7 @@ class FineProblem:
     mu_scaling: str
     tau: int
     mesh: FineMesh
-    pair: SparseOperatorPair
+    pair: PencilForm
     parity: str | None = None
     meta: dict = field(default_factory=dict)
     region: FineMesh = None
@@ -114,11 +119,18 @@ class FineProblem:
     def mu(self) -> float:
         return mu_value(self.mu_scaling, self.epsilon, self.h)
 
+    def pencil(self, k: int) -> SparseOperatorPair:
+        """Class k's pencil of h^-tau a_eps and m, summed for it alone."""
+        pencil = self.pair.pencil(self.classes[k][1])
+        pencil.K.data *= self.h ** (-self.tau)
+        return pencil
+
     def unfold(self, k: int, field: np.ndarray) -> np.ndarray:
-        """Class k's field(s) on the DOFs of `pair` (columns) as nodal
-        displacements (nodes, 3[, columns]) of `mesh`."""
-        return unfold(field, self.pair.dof.index, self.images, self.axes,
-                      Q1_CARRIES, self.classes[k][0])
+        """Class k's field(s) on its DOFs (columns) as nodal displacements
+        (nodes, 3[, columns]) of `mesh`."""
+        signs, dof = self.classes[k]
+        return unfold(field, dof.index, self.images, self.axes, Q1_CARRIES,
+                      signs)
 
 
 PLATE_MIRRORS = ("x1", "x2", "x3")   # x2 -> L2 - x2, x3 -> -x3
@@ -130,15 +142,16 @@ def build_fine_problem(mat: tn.MaterialSpec, shape: InclusionShape, h: float,
                        L1: float = 1.0, L2: float = 1.0,
                        gamma=("left",), parity: str | None = None,
                        budget: int = DOF_BUDGET) -> FineProblem:
-    """Assemble the stiffness and density-weighted mass of the fine operator
-    (fine_eigs and fine_resolvent apply h^-tau), clamped on the gamma_D
+    """The form of the stiffness and density-weighted mass of the fine
+    operator (`FineProblem.pencil` applies h^-tau), clamped on the gamma_D
     edges; parity='memb' or 'bend' takes the half plate x3 >= 0
     (`geometry.half_prism`) with the odd components pinned on the symmetry
     plane x3 = 0, and is refused (ConfigurationError) unless C0, C1 and
     the plate have that mirror. K and M live on the fundamental region of
     the mirrors the problem has: x2 -> L2 - x2 when C0, C1, the inclusion
     pattern and gamma_D map to themselves under it (`mirror_split`), and
-    x3 -> -x3 for a parity class; each x2 class is solved on its own."""
+    x3 -> -x3 for a parity class; each class is summed and solved on its
+    own."""
     if n_z < 2:
         raise ConfigurationError("fine problems need n_z >= 2")
     if set(gamma) - set(EDGES):
@@ -166,18 +179,18 @@ def build_fine_problem(mat: tn.MaterialSpec, shape: InclusionShape, h: float,
     # a parity class carries half of the full plate's (even) energies; the
     # factor 2 goes into the element matrices, where it is exact
     halves = 1.0 if parity is None else 2.0
-    pair = assemble_vector_h1(
+    form = vector_h1_form(
         region, {"soft": halves * mu ** 2 * mat.C0, "stiff": halves * mat.C1},
         grad=ScaledGradientSpec(h),
         density={"soft": halves * mat.rho0, "stiff": halves * mat.rho1},
         space="free", extra_constraints=fixed)
-    classes = [(s, np.flatnonzero(class_keep(
-        pair.dof, planes, class_pins(planes, Q1_CARRIES, s))))
+    classes = [(s, form.dof.pinned(
+        zip(planes.values(), class_pins(planes, Q1_CARRIES, s))))
         for s in parity_classes(axes, fixed_signs)]
     record["classes"] = [{"signs": dict(zip(record["mirrors"], s)),
-                          "dofs": len(ids)} for s, ids in classes]
+                          "dofs": dof.n_free} for s, dof in classes]
     return FineProblem(mat=mat, shape=shape, h=h, epsilon=epsilon,
-                       mu_scaling=mu_scaling, tau=tau, mesh=mesh, pair=pair,
+                       mu_scaling=mu_scaling, tau=tau, mesh=mesh, pair=form,
                        parity=parity,
                        meta={"cells_per_eps": cells_per_eps, "n_z": n_z,
                              "gamma": tuple(gamma), "L": (L1, L2), **record},
@@ -187,26 +200,21 @@ def build_fine_problem(mat: tn.MaterialSpec, shape: InclusionShape, h: float,
 
 def fine_eigs(fp: FineProblem, N: int, ws: EigWorkspace | None = None):
     """Smallest N eigenvalues of h^-tau A_eps (ascending) over the parity
-    classes (`fem.system.eigs_by_class`), and the modes as nodal fields
-    (nodes, 3, N) of `fp.mesh`, M-orthonormal there."""
-    scaled = SparseOperatorPair(K=_stiffness(fp), M=fp.pair.M,
-                                dof=fp.pair.dof)
-    w, cls, vecs = eigs_by_class(scaled, [ids for _, ids in fp.classes], N,
-                                 ws)
+    classes (`fem.system.eigs_by_class`, one class pencil at a time), and
+    the modes as nodal fields (nodes, 3, N) of `fp.mesh`, M-orthonormal
+    there."""
+    w, cls, vecs = eigs_by_class(
+        (fp.pencil(k) for k in range(len(fp.classes))), N, ws)
     # the region holds half of an x2 class field's energy on the plate
     norm = np.sqrt(0.5) if 1 in fp.axes else 1.0
     modes = np.zeros((fp.mesh.n_nodes, 3, len(w)))
-    for k, (_, ids) in enumerate(fp.classes):
-        field = np.zeros((fp.pair.n, vecs[k].shape[1]))
-        field[ids] = vecs[k]
-        modes[:, :, cls == k] = norm * fp.unfold(k, field)
+    for k, v in enumerate(vecs):
+        modes[:, :, cls == k] = norm * fp.unfold(k, v)
     return w, modes
 
 
-def _stiffness(fp: FineProblem):
-    """h^-tau K, without a scaled copy of K when h^-tau is 1."""
-    scale = fp.h ** (-fp.tau)
-    return fp.pair.K if scale == 1.0 else scale * fp.pair.K
+def _shifted(pencil: SparseOperatorPair, lam: float):
+    return pencil.K + lam * pencil.M
 
 
 def fine_resolvent(fp: FineProblem, lam: float, load) -> dict:
@@ -234,20 +242,15 @@ def fine_resolvent(fp: FineProblem, lam: float, load) -> dict:
         Xm = X.copy()
         Xm[1] = fp.mesh.L[1] - X[1]
         load_m = values(Xm) * np.array([1.0, -1.0, 1.0])[:, None, None]
-    A = _stiffness(fp) + lam * fp.pair.M
-    order = fp.pair.order
     full = np.zeros((fp.mesh.n_nodes, 3))
-    for k, (signs, ids) in enumerate(fp.classes):
+    for k, (signs, dof) in enumerate(fp.classes):
         # the class's part of the load; signs[0] is its x2 sign
         part = load_x if 1 not in fp.axes else \
             0.5 * (load_x + signs[0] * load_m)
         fe = el.q1_vector_load(region.hsize, np.moveaxis(part, 0, -1))
-        F = assemble_pointwise_load(region, fp.pair.dof, fe, elems)
-        u = np.zeros(fp.pair.n)
-        u[ids] = factorize(A[ids][:, ids],
-                           order=None if order is None else order[ids]
-                           ).solve(F[ids])
-        full += fp.unfold(k, u)
+        F = assemble_pointwise_load(region, dof, fe, elems)
+        full += fp.unfold(k, factorize(_shifted(fp.pencil(k), lam),
+                                       order=dof.key).solve(F))
     return {"u": full, "transverse_average": transverse_average(fp, full),
             "cell_means": cell_means(fp, full)}
 

@@ -267,7 +267,8 @@ def mirror_region(mesh, axes):
     for a in axes:
         keep &= cent[:, a] > 0.0 if a == 2 \
             else cent[:, a] < max(mesh.mirror_planes(a))
-    used = np.unique(mesh.elements[keep])
+    used = np.flatnonzero(np.bincount(mesh.elements[keep].ravel(),
+                                      minlength=mesh.n_nodes))
     renum = np.full(mesh.n_nodes, -1)
     renum[used] = np.arange(len(used))
     half_z = 2 in axes

@@ -172,16 +172,28 @@ def test_mass_drops_component_off_diagonals(shape):
     assert np.all(comp[rows] == comp[pair.M.indices])
 
 
+def _pencil_bytes(pair):
+    return sum(a.nbytes for A in (pair.K, pair.M)
+               for a in (A.data, A.indices, A.indptr))
+
+
 def test_fine_plate_build_memory(demo_material, demo_shape):
-    """The build holds one node-pair pattern and the matrices, not the COO
-    triplets of every element entry (6.85 times the matrices' bytes)."""
+    """The build keeps no K or M: what it holds (meshes, DOF maps, images,
+    one node-pair pattern) is under half the bytes of the region's K and
+    M. A class pencil is summed on that pattern, not from the COO triplets
+    of every element entry (6.85 times the matrices' bytes)."""
     tracemalloc.start()
     try:
         fp = build_fine_problem(demo_material, demo_shape, h=0.25,
                                 epsilon=0.25, parity="memb")
-        peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pencil = fp.pencil(0)
+        peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    size = sum(a.nbytes for A in (fp.pair.K, fp.pair.M)
-               for a in (A.data, A.indices, A.indptr))
-    assert peak <= 2 * size + 2 ** 20, (peak, size)
+    assert not hasattr(fp.pair, "K")
+    region = _pencil_bytes(fp.pair.pencil())
+    size = _pencil_bytes(pencil)
+    assert held <= 0.5 * region, (held, region)
+    assert peak <= 2.5 * size, (peak, size)

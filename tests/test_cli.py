@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 import scipy.linalg
 
 from hcplate import memo
@@ -476,6 +477,25 @@ class TestJsonAndThreads:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         assert subprocess.run([sys.executable, "-c", code], env=env,
                               timeout=60).returncode == 0
+
+    @pytest.mark.parametrize("count", ["0", "-2", "2"])
+    def test_threads_refused_below_one_or_after_numpy(self, count, tmp_path,
+                                                      monkeypatch, capsys):
+        # 0 and -2 are no thread counts; 2 is one, but this process has
+        # loaded numpy, whose BLAS has read its thread variables already.
+        # Each is refused before a variable is set or a command runs
+        assert "numpy" in sys.modules
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "7")
+        cfg = write_cfg(tmp_path, TINY)
+        with pytest.raises(SystemExit) as exc:
+            main(["tensor", "--config", cfg, "--out", str(tmp_path / "o"),
+                  "--threads", count])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
+        assert not (tmp_path / "o").exists()
 
     def test_infinite_lambda_max_is_valid_json(self, tmp_path):
         # one mode and no coupled pole: beta has no truncation limit

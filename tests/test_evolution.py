@@ -188,6 +188,37 @@ class TestRestart:
         for got, ref in pairs:
             assert abs(got - ref).max() <= 1e-12 * abs(ref).max()
 
+    def test_continues_a_forced_run_from_its_end_time(self, model_r2):
+        # under a time-dependent load, a run continued from a trajectory's
+        # end state with t0 at its end time is the second half of a longer
+        # one: the sweep's midpoint times and the recorded times start at t0
+        load = LoadSpec(amplitude=(0.3, -0.2, 1.0),
+                        time=lambda t: np.cos(7.0 * t) + t)
+        whole = evolve(model_r2, load, 0.2, 1e-3)
+        first = evolve(model_r2, load, 0.1, 1e-3)
+        rest = evolve(model_r2, load, 0.1, 1e-3, u0=first.final[0],
+                      v0=first.final[1], t0=0.1)
+        assert_allclose(rest.times, whole.times[100:], rtol=0, atol=1e-15)
+        pairs = list(zip(rest.final, whole.final))
+        pairs += [(rest.energy, whole.energy[100:])]
+        for got, ref in pairs:
+            assert abs(got - ref).max() <= 1e-12 * abs(ref).max()
+
+    def test_bending_a_starts_quasistatic_at_t0(self, model_r1):
+        # the plate row's in-plane a starts at the value that b and the
+        # load fix at t0: K_aa a = F_a g(t0) - K_ab b
+        g = lambda t: np.cos(7.0 * t) + t       # noqa: E731
+        load = LoadSpec(amplitude=(0.3, -0.2, 1.0), time=g)
+        system = modal_system(model_r1, load)
+        ns, K = model_r1.op.n_static, system.coupling.K0
+        u0 = 0.1 * np.random.RandomState(5).standard_normal(system.n)
+        traj = evolve(model_r1, load, 0.01, 1e-3, u0=u0, t0=0.3)
+        assert traj.times[0] == 0.3
+        F = g(0.3) * system.F0[:ns]
+        r = K[:ns, :ns] @ traj.fields["a"][0] + K[:ns, ns:] @ u0[ns:] - F
+        assert abs(F).max() > 0.1 * abs(g(0.0) * system.F0[:ns]).max() > 0
+        assert abs(r).max() <= 1e-10 * abs(F).max()
+
 
 class TestMemoryKernel:
     def test_agrees_with_coupled_solve(self, model_r3):

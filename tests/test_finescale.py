@@ -1,4 +1,5 @@
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,9 @@ from numpy.testing import assert_allclose
 
 from hcplate import tensors as tn
 from hcplate.fem import elements as el
-from hcplate.fem.assemble import (ScaledGradientSpec, assemble_pointwise_load,
-                                  assemble_vector_h1, quadrature_points)
+from hcplate.fem.assemble import (PencilForm, ScaledGradientSpec,
+                                  assemble_pointwise_load, assemble_vector_h1,
+                                  quadrature_points)
 from hcplate.finescale import (_build_fine_mesh, build_fine_problem,
                                fine_eigs, fine_resolvent, mu_value)
 from hcplate.geometry import ConfigurationError, InclusionShape, mirror_region
@@ -112,10 +114,11 @@ class TestSoftScaling:
                                               tau=0, cells_per_eps=4, n_z=2)
         mu1 = fps["eps"].mu
         mu2 = fps["eps2"].mu
-        Ksoft = (fps["eps"].pair.K - fps["eps2"].pair.K) / (mu1 ** 2 - mu2 ** 2)
+        K = {s: fp.pair.pencil().K for s, fp in fps.items()}
+        Ksoft = (K["eps"] - K["eps2"]) / (mu1 ** 2 - mu2 ** 2)
         mu3 = fps["eps_h"].mu
-        pred = fps["eps2"].pair.K + (mu3 ** 2 - mu2 ** 2) * Ksoft
-        assert abs(pred - fps["eps_h"].pair.K).max() < 1e-12
+        pred = K["eps2"] + (mu3 ** 2 - mu2 ** 2) * Ksoft
+        assert abs(pred - K["eps_h"]).max() < 1e-12
 
 
 class TestEigs:
@@ -292,7 +295,7 @@ def test_classes_match_the_whole_plate(parity, tau, gamma, demo_shape):
     K, M, dof = _whole_plate(fp)
     # the classes split the plate's DOFs: each interior region DOF twice,
     # each component on the x2 plane once
-    assert sum(len(ids) for _, ids in fp.classes) == dof.n_free
+    assert sum(cdof.n_free for _, cdof in fp.classes) == dof.n_free
     N = 6
     want = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True,
                     subset_by_index=[0, N - 1])
@@ -320,3 +323,44 @@ def test_classes_match_the_whole_plate(parity, tau, gamma, demo_shape):
     u = dof.expand(spla.spsolve((K + 2.0 * M).tocsc(), F))
     out = fine_resolvent(fp, 2.0, load)
     assert_allclose(out["u"], u, rtol=0, atol=1e-10 * abs(u).max())
+
+
+@pytest.mark.parametrize("parity, tau, gamma", PLATES[:3])
+def test_class_pencils_are_the_region_pencil_restricted(parity, tau, gamma,
+                                                        mat, demo_shape):
+    # each class pencil is summed for the class alone, yet it is the
+    # region's pencil restricted to the class's DOFs, bit for bit
+    fp = build_fine_problem(mat, demo_shape, h=0.5, epsilon=0.5, tau=tau,
+                            cells_per_eps=4, n_z=4, gamma=gamma,
+                            parity=parity)
+    region = fp.pair.pencil()
+    assert region.n == fp.pair.n
+    for k, (_, dof) in enumerate(fp.classes):
+        ids = fp.pair.dof.index[dof.index >= 0]
+        want = region.restrict(ids)
+        got = fp.pencil(k)
+        assert got.dof is dof and np.array_equal(got.order, want.order)
+        for A, B in ((got.K, fp.h ** (-tau) * want.K), (got.M, want.M)):
+            for a, b in ((A.indptr, B.indptr), (A.indices, B.indices),
+                         (A.data, B.data)):
+                assert np.array_equal(a, b)
+
+
+def test_fine_eigs_holds_one_class_pencil(monkeypatch, mat, demo_shape):
+    # fine_eigs sums each class pencil when it solves it and lets it go
+    # before it sums the next; the region pencil is never summed
+    fp = build_fine_problem(mat, demo_shape, h=0.5, epsilon=0.5,
+                            cells_per_eps=4, n_z=4, parity="memb")
+    assert len(fp.classes) == 2 and not hasattr(fp.pair, "K")
+    alive = []
+    pencil = PencilForm.pencil
+
+    def spy(form, dof=None):
+        assert dof is not None and dof is not form.dof
+        assert all(ref() is None for ref in alive)
+        out = pencil(form, dof)
+        alive.append(weakref.ref(out))
+        return out
+    monkeypatch.setattr(PencilForm, "pencil", spy)
+    fine_eigs(fp, 4)
+    assert len(alive) == 2 and alive[-1]() is None

@@ -132,8 +132,11 @@ class TestNestedDissection:
         fp = build_fine_problem(demo_material, demo_shape, h=0.5,
                                 epsilon=0.5, cells_per_eps=cells, n_z=n_z,
                                 parity=parity)
-        # K and M live on the fundamental region of the plate's mirrors
-        check_order(fp.pair, fp.region)
+        # the pencils live on the fundamental region of the plate's mirrors:
+        # the region's, and each class's with its mirror-plane pins
+        check_order(fp.pair.pencil(), fp.region)
+        for k in range(len(fp.classes)):
+            check_order(fp.pencil(k), fp.region)
 
     @settings(max_examples=15, deadline=None)
     @given(n=st.sampled_from([4, 6, 8, 10]), dim=st.sampled_from([2, 3]),

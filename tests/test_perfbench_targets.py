@@ -74,3 +74,28 @@ def test_step_counters_read_parameters_of_the_sweeps():
         == {"steps": 200, "dofs": 7}
     read = build["evolve_memory_bending"](evolve_memory_bending)
     assert read((None, None, 0.3), {"dt": 1e-3}, None) == {"steps": 300}
+
+
+def test_size_readers_run_on_real_results(demo_material, demo_shape):
+    # the info builders read sizes off the results of traced calls (the fine
+    # plate's region DOF count, an assembled pair's DOFs and nnz): a renamed
+    # attribute would fail the traced run only
+    from hcplate import tensors as tn
+    from hcplate.fem.assemble import assemble_vector_h1
+    from hcplate.finescale import build_fine_problem
+    from hcplate.geometry import build_macro_mesh
+    layers = _layers()
+    build = {fname: info for _, fname, _, info in layers.TARGETS}
+    fp = build_fine_problem(demo_material, demo_shape, h=0.5, epsilon=0.5,
+                            cells_per_eps=4, n_z=2, parity="memb")
+    read = build["build_fine_problem"](build_fine_problem)
+    assert read((), {}, fp) == {"dofs": fp.pair.dof.n_free}
+    assert fp.pair.dof.n_free == sum(
+        (fp.pair.dof.index >= 0).ravel()) > 0
+    pair = assemble_vector_h1(build_macro_mesh(1.0, 1.0, 4, 4),
+                              tn.reduced_tensor(tn.isotropic(1.0, 1.0)),
+                              space="dirichlet", ncomp=2)
+    read = build["assemble_vector_h1"](assemble_vector_h1)
+    assert read((), {}, pair) == {"dofs": pair.dof.n_free,
+                                  "nnz": pair.K.nnz}
+    assert layers._pair_info((), {}, pair) == read((), {}, pair)
