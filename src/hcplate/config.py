@@ -3,14 +3,11 @@ deterministic config hash embedded in every output file."""
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from . import tensors as tn
 from .geometry import InclusionShape, build_macro_mesh
@@ -131,10 +128,73 @@ def _num(value):
     return np.inf if value == "inf" else float(value)
 
 
-@functools.cache
-def _validator():
-    # built on first use; the metaschema check of SCHEMA is a unit test
-    return validator_for(SCHEMA)(SCHEMA)
+# jsonschema's (draft 2020-12) meaning of each keyword SCHEMA uses: a bool
+# is no number, 1.0 is an integer, and enum and const (whose members are
+# scalars) tell true from 1
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "null": type(None)}
+
+
+def _is(kind, v):
+    if kind == "number":
+        return type(v) in (int, float)
+    if kind == "integer":
+        return type(v) is int or type(v) is float and v.is_integer()
+    return isinstance(v, _TYPES[kind])
+
+
+def _same(a, b):
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+# keyword -> (holds(argument, value), message)
+_LEAF = {
+    "type": (lambda a, v: any(_is(t, v) for t in
+                              ([a] if isinstance(a, str) else a)),
+             "{v!r} is not of type {a!r}"),
+    "enum": (lambda a, v: any(_same(e, v) for e in a),
+             "{v!r} is not one of {a!r}"),
+    "const": (lambda a, v: _same(v, a), "{v!r} is not {a!r}"),
+    "oneOf": (lambda a, v: sum(_valid(s, v) for s in a) == 1,
+              "{v!r} is not exactly one of {a!r}"),
+    "not": (lambda a, v: not _valid(a, v), "{v!r} is not allowed"),
+    "minimum": (lambda a, v: not (_is("number", v) and v < a),
+                "{v!r} is less than the minimum of {a!r}"),
+    "exclusiveMinimum": (lambda a, v: not (_is("number", v) and v <= a),
+                         "{v!r} is not greater than {a!r}"),
+    "minItems": (lambda a, v: not (isinstance(v, list) and len(v) < a),
+                 "{v!r} has fewer than {a} items"),
+    "maxItems": (lambda a, v: not (isinstance(v, list) and len(v) > a),
+                 "{v!r} has more than {a} items"),
+}
+KEYWORDS = {*_LEAF, "required", "properties", "propertyNames", "items"}
+
+
+def violations(schema, value, path=()):
+    """Yield (key path, message) for each keyword of `schema` that `value`
+    breaks, in schema order; the key path of `cell.n` is ("cell", "n")."""
+    for word, arg in schema.items():
+        if word in _LEAF:
+            holds, message = _LEAF[word]
+            if not holds(arg, value):
+                yield path, message.format(a=arg, v=value)
+        elif word == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from violations(arg, item, (*path, i))
+        elif word == "required" and isinstance(value, dict):
+            yield from (((*path, k), "required key is missing")
+                        for k in arg if k not in value)
+        elif word == "properties" and isinstance(value, dict):
+            for k, sub in arg.items():
+                if k in value:
+                    yield from violations(sub, value[k], (*path, k))
+        elif word == "propertyNames" and isinstance(value, dict):
+            for k in value:
+                yield from violations(arg, k, (*path, k))
+
+
+def _valid(schema, value):
+    return next(violations(schema, value), None) is None
 
 
 def load_config(path) -> dict:
@@ -145,9 +205,9 @@ def load_config(path) -> dict:
         cfg = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    error = best_match(_validator().iter_errors(cfg))
-    if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}")
+    for path, message in violations(SCHEMA, cfg):
+        where = ".".join(map(str, path)) or "the top level"
+        raise ConfigError(f"config schema violation at {where}: {message}")
     cfg["_dir"] = str(p.parent)
     return cfg
 

@@ -100,6 +100,21 @@ class TestExitCodes:
         assert main(["tensor", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "dense_threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, mutate", [
+        ("cell.n", lambda c: c["cell"].pop("n")),                  # required
+        ("regime.mu", lambda c: c["regime"].update(mu="bogus")),   # enum
+        ("cell.n", lambda c: c["cell"].update(n=2)),               # minimum
+        ("macro.L1", lambda c: c["macro"].update(L1=True)),        # a bool
+    ])
+    def test_schema_violation_names_key_path(self, path, mutate, tmp_path,
+                                             capsys):
+        bad = json.loads(json.dumps(TINY))
+        mutate(bad)
+        cfg = write_cfg(tmp_path, bad)
+        assert main(["tensor", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"config schema violation at {path}: " in \
+            capsys.readouterr().err
+
     def test_schema_is_valid(self):
         # SCHEMA is valid under its metaschema (load_config does not re-check)
         from jsonschema.validators import validator_for
@@ -477,6 +492,17 @@ class TestJsonAndThreads:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         assert subprocess.run([sys.executable, "-c", code], env=env,
                               timeout=60).returncode == 0
+
+    def test_no_jsonschema_in_a_run(self, tmp_path):
+        # configs are validated in-package: a whole run loads no jsonschema
+        argv = ["tensor", "--config", write_cfg(tmp_path, TINY),
+                "--out", str(tmp_path), "--quiet"]
+        code = ("import sys; from hcplate.cli import main; "
+                f"assert main({argv!r}) == 0; "
+                "sys.exit('jsonschema' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=120).returncode == 0
 
     @pytest.mark.parametrize("count", ["0", "-2", "2"])
     def test_threads_refused_below_one_or_after_numpy(self, count, tmp_path,
