@@ -20,8 +20,9 @@ memb_deltainf / full_deltainf : 2D 3-component operator with strain
 
 Every operator's spectrum is solved one parity class of the cell's mirrors
 (y1 -> 1 - y1, y2 -> 1 - y2, and x3 -> -x3 on the prism, each where C0 and
-the mesh have it) at a time, on the mirrors' fundamental region, and the
-class modes are reflected back onto the operator's DOFs (`_class_pairs`).
+the mesh have it; `geometry.MirrorClasses`) at a time, on the mirrors'
+fundamental region, and the class modes are reflected back onto the
+operator's DOFs (`bloch_spectrum`).
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ from .fem import assemble as fa
 from .fem.system import (EigWorkspace, SparseOperatorPair, certify,
                          cluster_starts, eigs_by_class, eigs_smallest)
 from .geometry import (BFS_CARRIES, PARITY_SIGNS, Q1_CARRIES, CellMesh,
-                       InclusionShape, build_cell_mesh, class_keep,
-                       class_pins, half_prism, mirror_images, mirror_split,
-                       parity_classes, unfold)
+                       InclusionShape, MirrorClasses, build_cell_mesh,
+                       half_prism)
 from .memo import memoized
 
 MEAN_ZERO_FACTOR = 1e-7  # weighted mean treated as zero below this * <rho0>
@@ -94,14 +94,14 @@ def _inplane_operator(mat, mesh2d: CellMesh, eta: float | None = None):
                                  restrict_to="soft", ncomp=3, eta=eta)
 
 
-def _operator_form(mat: tn.MaterialSpec, shape: InclusionShape, n: int,
-                   operator_tag: str, delta, n_z: int):
-    """An inclusion operator as (cell, form, carries, tracked, parity): the
-    whole cell mesh (the prism for finite delta), its pair on any mesh cut
-    from that cell, `form(mesh)` (prisms: `form(mesh, scale, extra)`, the
-    integrals times `scale` and the (nodes, components) pins `extra`), the
-    axes its DOF components carry, the tracked mean components, and the
-    parity ("memb" | "bend" | None) of a prism's x3 class."""
+def _operator_form(mat: tn.MaterialSpec, operator_tag: str, delta):
+    """An inclusion operator as (dim, form, carries, tracked, parity): the
+    dimension of its cell mesh (3: the prism for finite delta), its pair on
+    any mesh cut from that cell, `form(mesh)` (prisms: `form(mesh, scale,
+    extra)`, the integrals times `scale` and the (nodes, components) pins
+    `extra`), the axes its DOF components carry, the tracked mean
+    components, and the parity ("memb" | "bend" | None) of a prism's x3
+    class."""
     if operator_tag in ("full_delta", "memb_delta", "bend_delta"):
         if delta is None or not (0 < delta < np.inf):
             raise ValueError("finite-delta operators need delta in (0, inf)")
@@ -116,72 +116,38 @@ def _operator_form(mat: tn.MaterialSpec, shape: InclusionShape, n: int,
         parity, tracked = {"full_delta": (None, (0, 1, 2)),
                            "memb_delta": ("memb", (0, 1)),
                            "bend_delta": ("bend", (2,))}[operator_tag]
-        return (build_cell_mesh(shape, n, 3, n_z), prism, Q1_CARRIES,
-                tracked, parity)
-    mesh = build_cell_mesh(shape, n=n)
+        return 3, prism, Q1_CARRIES, tracked, parity
     Cr = tn.reduced_tensor(mat.C0)
     if operator_tag == "memb_delta0":
-        return mesh, lambda m: fa.assemble_vector_h1(
+        return 2, lambda m: fa.assemble_vector_h1(
             m, Cr, density=mat.rho0, space="inclusion-zero-trace",
             restrict_to="soft", ncomp=2), Q1_CARRIES[:2], (0, 1), None
     if operator_tag == "bend_delta0":
-        return mesh, lambda m: fa.assemble_bfs_h2(
+        return 2, lambda m: fa.assemble_bfs_h2(
             m, Cr / 12.0, density=mat.rho0, space="inclusion-zero-trace",
             restrict_to="soft"), BFS_CARRIES, (0,), None
     if operator_tag in ("memb_deltainf", "full_deltainf"):
         tracked = (0, 1) if operator_tag == "memb_deltainf" else (0, 1, 2)
-        return (mesh, lambda m: _inplane_operator(mat, m), Q1_CARRIES,
+        return (2, lambda m: _inplane_operator(mat, m), Q1_CARRIES,
                 tracked, None)
     raise ValueError(f"unknown operator tag {operator_tag!r}")
 
 
 def build_inclusion_operator(mat: tn.MaterialSpec, shape: InclusionShape,
                              n: int, operator_tag: str, delta: float | None = None,
-                             n_z: int = 4):
+                             n_z: int = 4, cell: CellMesh | None = None):
     """Mesh + operator pair + tracked components + integral scale of one
-    inclusion operator, its whole pencil. delta is the regime's
+    inclusion operator, its whole pencil, on `cell` (by default the
+    operator's cell mesh, built here). delta is the regime's
     thickness/period ratio as it is; only the finite-delta (prism)
     operators read it."""
-    cell, form, _, tracked, parity = _operator_form(
-        mat, shape, n, operator_tag, delta, n_z)
+    dim, form, _, tracked, parity = _operator_form(mat, operator_tag, delta)
+    if cell is None:
+        cell = build_cell_mesh(shape, n, dim, n_z)
     if parity is None:
         return cell, form(cell), tracked, 1.0
     half, pin = half_prism(cell, parity, {"C0": mat.C0})
     return half, form(half, 2.0, (pin,)), tracked, 2.0
-
-
-def _class_pairs(mat, shape, n, operator_tag, delta, n_z, mesh, pair,
-                 N: int, ws: EigWorkspace | None):
-    """The N smallest pairs of the operator (mesh, pair) of
-    `build_inclusion_operator`, solved one parity class of the cell's
-    mirrors at a time (`eigs_by_class`) on their fundamental region, the
-    class modes unfolded onto the pair's DOFs and held to the
-    backward-error contract of the whole pencil; and the record of the
-    mirrors and classes. A prism's parity operator takes the classes of its
-    x3 sign. With no mirror the one class is the whole operator."""
-    cell, form, carries, _, parity = _operator_form(
-        mat, shape, n, operator_tag, delta, n_z)
-    region, planes, record = mirror_split(
-        cell, range(cell.dim), {"C0": mat.C0})
-    axes = list(planes)
-    rpair = form(region)
-    signs = parity_classes(
-        axes, None if parity is None else {2: PARITY_SIGNS[parity]})
-    ids = [np.flatnonzero(class_keep(rpair.dof, planes,
-                                     class_pins(planes, carries, s)))
-           for s in signs]
-    w, cls, vecs = eigs_by_class((rpair.restrict(i) for i in ids), N, ws)
-    images = mirror_images(mesh, region, axes)
-    free = pair.dof.index >= 0
-    v = np.zeros((pair.n, len(w)))
-    for k, s in enumerate(signs):
-        field = np.zeros((rpair.n, vecs[k].shape[1]))
-        field[ids[k]] = vecs[k]
-        v[np.ix_(pair.dof.index[free], cls == k)] = unfold(
-            field, rpair.dof.index, images, axes, carries, s)[free]
-    record["classes"] = [{"signs": dict(zip(record["mirrors"], s)),
-                          "dofs": len(i)} for s, i in zip(signs, ids)]
-    return (*certify(pair, w, v, ws), record)
 
 
 def mean_load_vectors(pair: SparseOperatorPair, tracked) -> np.ndarray:
@@ -197,18 +163,37 @@ def bloch_spectrum(mat: tn.MaterialSpec, shape: InclusionShape, n: int,
                    operator_tag: str, N: int, delta: float | None = None,
                    n_z: int = 4, ws: EigWorkspace | None = None) -> BlochSpectrum:
     """Smallest N eigenpairs of the requested inclusion operator with
-    density-weighted means and coupled/uncoupled classification, solved
-    per parity class of the cell's mirrors (`_class_pairs`)."""
+    density-weighted means and coupled/uncoupled classification. They are
+    solved one parity class of the cell's mirrors at a time
+    (`eigs_by_class`) on their fundamental region; a prism's parity
+    operator takes the classes of its x3 sign, and with no mirror the one
+    class is the whole operator. The class modes are unfolded onto the
+    operator's DOFs and held to the backward-error contract of its whole
+    pencil."""
     if N < 1:
         raise ValueError("need at least one mode")
-    mesh, pair, tracked, scale = build_inclusion_operator(
-        mat, shape, n, operator_tag, delta=delta, n_z=n_z)
+    dim, form, carries, tracked, parity = _operator_form(mat, operator_tag,
+                                                         delta)
+    cell = build_cell_mesh(shape, n, dim, n_z)
+    mesh, pair, _, scale = build_inclusion_operator(
+        mat, shape, n, operator_tag, delta=delta, n_z=n_z, cell=cell)
     if N > pair.n:
         raise ValueError(f"requested {N} modes from {pair.n} inclusion DOFs")
+    mc = MirrorClasses(cell, range(dim), {"C0": mat.C0}, fixed=(
+        None if parity is None else {2: PARITY_SIGNS[parity]}))
+    rpair = form(mc.region)
+    dofs = list(mc.pinned(rpair.dof, carries))
     # solve a few extra pairs and cut at a multiplicity-cluster boundary, so
     # a degenerate pole pair is never split by the truncation
-    w, v, record = _class_pairs(mat, shape, n, operator_tag, delta, n_z,
-                                mesh, pair, min(N + 4, pair.n), ws)
+    w, cls, vecs = eigs_by_class(
+        (rpair.restrict(mc.ids(rpair.dof, d)) for d in dofs),
+        min(N + 4, pair.n), ws)
+    free = pair.dof.index >= 0
+    v = np.zeros((pair.n, len(w)))
+    for k, d in enumerate(dofs):
+        v[np.ix_(pair.dof.index[free], cls == k)] = mc.unfold(
+            k, vecs[k], d, carries, mesh)[free]
+    w, v = certify(pair, w, v, ws)
     ends = np.append(cluster_starts(w), len(w))
     cut = int(ends[ends >= N][0])
     w, v = w[:cut], v[:, :cut]
@@ -223,7 +208,7 @@ def bloch_spectrum(mat: tn.MaterialSpec, shape: InclusionShape, n: int,
                          weighted_means=means, tracked=tuple(tracked),
                          classification=labels, rho0_mass=rho0_mass,
                          rho0_area_mass=rho0_area, pair=pair, mesh=mesh,
-                         scale=scale, provenance=record)
+                         scale=scale, provenance=mc.record)
 
 
 @dataclass

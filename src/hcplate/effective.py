@@ -20,12 +20,13 @@ Each cell problem is solved on the fundamental region of the mirrors it
 has (y1 -> 1 - y1, y2 -> 1 - y2, and x3 -> -x3 on the prism; C1 invariant,
 see `geometry.mirror_refusal` for the mesh). A load column's sign under a
 mirror is its Voigt sign, times -1 under x3 for the curvature columns; the
-columns of one sign vector form a parity class. K (no mass) and F are
-assembled once on the region, and each class is solved on the principal
-submatrix of K without the DOFs that its signs pin on the mirror planes
-(`geometry.parity_pinned`). Region energies are 2^-m of the cell's for m
-mirrors, and entries between classes are exactly 0. With no mirror the
-region is the cell.
+columns of one sign vector form a parity class (`geometry.MirrorClasses`).
+K (no mass) and F are assembled once on the region, and each class is
+solved on the principal submatrix of K on the DOFs of its pinned DOF map
+(`MirrorClasses.pinned`: the region's, without the components that its
+signs pin on the mirror planes). Region energies are 2^-m of the cell's
+for m mirrors, and entries between classes are exactly 0. With no mirror
+the region is the cell.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from . import tensors as tn
 from .fem import assemble as fa
 from .fem import elements as el
 from .fem.system import factorize
-from .geometry import (BFS_CARRIES, Q1_CARRIES, CellMesh, class_keep,
-                       mirror_split, parity_pinned)
+from .geometry import BFS_CARRIES, Q1_CARRIES, CellMesh, MirrorClasses
 
 # unit in-plane engineering strains (11, 22, 12) as 6-Voigt columns
 _IN_PLANE = [0, 1, 5]
@@ -95,49 +95,43 @@ class EffectiveTensor:
         return out
 
 
-def _signs(columns, axes) -> list[tuple]:
-    """Each load column's sign under the mirror of each axis: the Voigt
-    sign of its prestrain, times -1 under x3 for a prestrain odd in x3."""
-    return [tuple(tn.voigt_signs(a)[v] * (-1 if odd and a == 2 else 1)
-                  for a in axes) for _, v, odd in columns]
+def _mirrors(C1: np.ndarray, mesh: CellMesh, axes, columns, tol: float):
+    """The classes of the mirrors of `axes` that the cell problem has, each
+    load column's sign under a mirror the Voigt sign of its prestrain, times
+    -1 under x3 for a prestrain odd in x3; and the tensor's provenance,
+    whose class records (`MirrorClasses.pinned`) `_class_min` completes."""
+    mc = MirrorClasses(mesh, axes, {"C1": C1}, signs=[
+        tuple(tn.voigt_signs(a)[v] * (-1 if odd and a == 2 else 1)
+              for a in axes) for _, v, odd in columns])
+    return mc, {"n": mesh.n, **({"n_z": mesh.n_z} if mesh.dim == 3 else {}),
+                "mirrors": mc.record["mirrors"],
+                "mirrors_refused": mc.record["mirrors_refused"], "tol": tol,
+                "classes": mc.record["classes"]}
 
 
-def _region(C1: np.ndarray, mesh: CellMesh, axes):
-    """The fundamental region of the mirrors of `axes` that the cell problem
-    has, their planes, and the mirrors used and why each other is refused."""
-    region, planes, record = mirror_split(mesh, axes, {"C1": C1})
-    return region, planes, {
-        "n": mesh.n, **({"n_z": mesh.n_z} if mesh.dim == 3 else {}),
-        **record}
-
-
-def _class_min(pair, planes: dict, F: np.ndarray, E0: np.ndarray, columns,
-               carries, kernel_comps, tol: float):
+def _class_min(pair, mc: MirrorClasses, F: np.ndarray, E0: np.ndarray,
+               columns, carries, kernel_comps, tol: float):
     """The cell's Q = E0 - F^T K^+ F from the region's K, F and E0 of the
-    load columns, one parity class at a time, with the translations of the
-    `kernel_comps` that it leaves free as its kernel; returns Q, the cell's
-    E0 and a record per class."""
-    scale = 2.0 ** len(planes)
-    signs = _signs(columns, planes)
+    load columns, one class of `mc` at a time, with the translations of the
+    `kernel_comps` that it leaves free as its kernel; returns Q and the
+    cell's E0, and names the columns in each class's record."""
+    scale = 2.0 ** len(mc.axes)
     Q, E = np.zeros_like(E0), np.zeros_like(E0)
-    record = []
-    for s in dict.fromkeys(signs):
-        cols = [j for j, t in enumerate(signs) if t == s]
-        pins = [parity_pinned(carries, a, sign) for a, sign in zip(planes, s)]
+    for k, dof in enumerate(mc.pinned(pair.dof, carries)):
+        cols = mc.members[k]
+        pins = sum(mc.pins(k, carries), [])
         kernel = fa.translations_kernel(
-            pair.dof, [c for c in kernel_comps if not any(c in p for p in pins)])
-        ids = np.flatnonzero(class_keep(pair.dof, planes, pins))
+            dof, [c for c in kernel_comps if c not in pins])
+        ids = mc.ids(pair.dof, dof)
         f = F[np.ix_(ids, cols)]
         sub = pair.restrict(ids)
-        x = factorize(sub.K, None if kernel is None else kernel[ids], tol,
-                      order=sub.order).solve(f)
+        x = factorize(sub.K, kernel, tol, order=sub.order).solve(f)
         del sub                 # one class's K at a time
         block = np.ix_(cols, cols)
         E[block] = scale * E0[block]
         Q[block] = E[block] - scale * (f.T @ x)
-        record.append({"columns": [columns[j][0] for j in cols],
-                       "dofs": len(ids)})
-    return 0.5 * (Q + Q.T), E, record
+        mc.record["classes"][-1]["columns"] = [columns[j][0] for j in cols]
+    return 0.5 * (Q + Q.T), E
 
 
 def effective_delta(mat: tn.MaterialSpec, mesh3d: CellMesh, delta: float,
@@ -148,7 +142,8 @@ def effective_delta(mat: tn.MaterialSpec, mesh3d: CellMesh, delta: float,
         raise ValueError("delta must be a positive finite number")
     if mesh3d.dim != 3:
         raise ValueError("delta-regime cell problems need a prism mesh")
-    mesh, planes, prov = _region(mat.C1, mesh3d, (0, 1, 2))
+    mc, prov = _mirrors(mat.C1, mesh3d, (0, 1, 2), _A + _B, tol)
+    mesh = mc.region
     pair = fa.assemble_vector_h1(
         mesh, mat.C1, grad=fa.ScaledGradientSpec(delta), density=None,
         space="periodic", restrict_to="stiff", ncomp=3)
@@ -165,12 +160,12 @@ def effective_delta(mat: tn.MaterialSpec, mesh3d: CellMesh, delta: float,
     F = fa.assemble_pointwise_load(mesh, pair.dof, fe[layer_of], stiff_ids)
     weight = np.bincount(layer_of, minlength=mesh.n_z)[:, None] * qwts
     E0 = np.tensordot(weight, np.swapaxes(P, -1, -2) @ mat.C1 @ P, 2)
-    Q, E0, classes = _class_min(pair, planes, F, 0.5 * (E0 + E0.T), _A + _B,
-                                Q1_CARRIES, range(3), tol)
+    Q, E0 = _class_min(pair, mc, F, 0.5 * (E0 + E0.T), _A + _B, Q1_CARRIES,
+                       range(3), tol)
     return EffectiveTensor(
         regime="delta", delta=delta, memb=Q[:3, :3], bend=Q[3:, 3:],
         coupling=Q[:3, 3:], zero_corrector_bound=E0,
-        provenance={**prov, "tol": tol, "classes": classes})
+        provenance=prov)
 
 
 def effective_delta0(mat: tn.MaterialSpec, mesh2d: CellMesh,
@@ -181,7 +176,9 @@ def effective_delta0(mat: tn.MaterialSpec, mesh2d: CellMesh,
         raise ValueError("delta=0 cell problems are two-dimensional")
     Cr = tn.reduced_tensor(mat.C1)
     stiff_frac = 1.0 - mesh2d.soft_area_fraction()
-    mesh, planes, prov = _region(mat.C1, mesh2d, (0, 1))
+    # on the cell the curvature columns have the strain columns' signs
+    mc, prov = _mirrors(mat.C1, mesh2d, (0, 1), _A, tol)
+    mesh = mc.region
     hsize = mesh.element_size()
     E0 = np.count_nonzero(~mesh.element_soft) * hsize[0] * hsize[1] * Cr
     unit = np.eye(3)
@@ -190,19 +187,17 @@ def effective_delta0(mat: tn.MaterialSpec, mesh2d: CellMesh,
                                restrict_to="stiff", ncomp=2)
     fe = el.q1_prestrain_load(hsize, Cr, unit, ncomp=2)
     F = fa.assemble_element_load(mesh, pm.dof, {"stiff": fe}, "stiff")
-    memb, _, classes = _class_min(pm, planes, F, E0, _A, Q1_CARRIES[:2],
-                                  range(2), tol)
+    memb, _ = _class_min(pm, mc, F, E0, _A, Q1_CARRIES[:2], range(2), tol)
 
     pb = fa.assemble_bfs_h2(mesh, Cr, density=None, space="periodic",
                             restrict_to="stiff")
     fe = el.bfs_prestrain_load(hsize, Cr, unit)
     F = fa.assemble_element_load(mesh, pb.dof, {"stiff": fe}, "stiff")
-    bend, _, bend_classes = _class_min(pb, planes, F, E0, _B, BFS_CARRIES,
-                                       [0], tol)
+    bend, _ = _class_min(pb, mc, F, E0, _B, BFS_CARRIES, [0], tol)
     return EffectiveTensor(
         regime="delta0", memb=memb, bend=bend / 12, coupling=np.zeros((3, 3)),
         zero_corrector_bound=_flat_zero_corrector_bound(mat.C1, stiff_frac),
-        provenance={**prov, "tol": tol, "classes": classes + bend_classes})
+        provenance=prov)
 
 
 def _flat_zero_corrector_bound(C1: np.ndarray, stiff_frac: float) -> np.ndarray:
@@ -219,7 +214,8 @@ def effective_deltainf(mat: tn.MaterialSpec, mesh2d: CellMesh,
     (the x3-odd corrector split is exact in this regime)."""
     if mesh2d.dim != 2:
         raise ValueError("delta=inf cell problems are two-dimensional")
-    mesh, planes, prov = _region(mat.C1, mesh2d, (0, 1))
+    mc, prov = _mirrors(mat.C1, mesh2d, (0, 1), _G + _A, tol)
+    mesh = mc.region
     hsize = mesh.element_size()
     pw = fa.assemble_vector_h1(mesh, _D_INF @ mat.C1 @ _D_INF, density=None,
                                space="periodic", restrict_to="stiff", ncomp=3)
@@ -229,8 +225,7 @@ def effective_deltainf(mat: tn.MaterialSpec, mesh2d: CellMesh,
         * (_BC.T @ mat.C1 @ _BC)
     # minimize over w (class solves), then over g (3x3 Schur complement
     # S = K_gg - K_wg^T K_ww^+ K_wg)
-    T, _, classes = _class_min(pw, planes, F, E0, _G + _A, Q1_CARRIES,
-                               range(3), tol)
+    T, _ = _class_min(pw, mc, F, E0, _G + _A, Q1_CARRIES, range(3), tol)
     S, T_gA = T[:3, :3], T[:3, 3:]
     memb = T[3:, 3:] - T_gA.T @ np.linalg.solve(S, T_gA)
     memb = 0.5 * (memb + memb.T)
@@ -239,4 +234,4 @@ def effective_deltainf(mat: tn.MaterialSpec, mesh2d: CellMesh,
         regime="deltainf", memb=memb, bend=memb / 12.0,
         coupling=np.zeros((3, 3)),
         zero_corrector_bound=_flat_zero_corrector_bound(mat.C1, stiff_frac),
-        provenance={**prov, "tol": tol, "classes": classes})
+        provenance=prov)

@@ -18,9 +18,8 @@ from .fem.assemble import (PencilForm, ScaledGradientSpec,
 from .fem.system import (EigWorkspace, SparseOperatorPair, eigs_by_class,
                          factorize)
 from .geometry import (EDGES, PARITY_SIGNS, Q1_CARRIES, ConfigurationError,
-                       InclusionShape, class_pins, extrude, half_prism,
-                       mirror_images, mirror_split, parity_classes,
-                       structured_quads, unfold)
+                       InclusionShape, MirrorClasses, extrude, half_prism,
+                       structured_quads)
 
 DOF_BUDGET = 200_000
 
@@ -93,13 +92,11 @@ def _build_fine_mesh(L1, L2, eps, cells_per_eps, n_z, shape: InclusionShape,
 @dataclass
 class FineProblem:
     """A fine plate (`mesh`: the whole plate, or its x3 half for a parity
-    class) with its form (`pair`: no K or M, but the DOF map of the
-    fundamental region of the plate's mirrors, `region`, cut from the
-    whole plate, and the node-pair pattern there) and its parity classes
-    (`classes`: each class's signs under the mirrors `axes` and its DOF
-    map, the region's with the class's pins on the mirror planes); `images`
-    maps each node of `mesh` into the region (`geometry.mirror_images`).
-    `pencil` sums one class's K and M on demand."""
+    class) with the parity classes of its mirrors (`mirrors`, cut from the
+    whole plate), its form on their fundamental region (`pair`: no K or M,
+    but the region's DOF map and node-pair pattern) and each class's DOF
+    map (`class_dofs`: the region's with the class's pins on the mirror
+    planes). `pencil` sums one class's K and M on demand."""
     mat: tn.MaterialSpec
     shape: InclusionShape
     h: float
@@ -110,10 +107,8 @@ class FineProblem:
     pair: PencilForm
     parity: str | None = None
     meta: dict = field(default_factory=dict)
-    region: FineMesh = None
-    axes: list = field(default_factory=list)
-    classes: list = field(default_factory=list)
-    images: tuple = None
+    mirrors: MirrorClasses = None
+    class_dofs: list = field(default_factory=list)
 
     @property
     def mu(self) -> float:
@@ -121,16 +116,15 @@ class FineProblem:
 
     def pencil(self, k: int) -> SparseOperatorPair:
         """Class k's pencil of h^-tau a_eps and m, summed for it alone."""
-        pencil = self.pair.pencil(self.classes[k][1])
+        pencil = self.pair.pencil(self.class_dofs[k])
         pencil.K.data *= self.h ** (-self.tau)
         return pencil
 
     def unfold(self, k: int, field: np.ndarray) -> np.ndarray:
         """Class k's field(s) on its DOFs (columns) as nodal displacements
         (nodes, 3[, columns]) of `mesh`."""
-        signs, dof = self.classes[k]
-        return unfold(field, dof.index, self.images, self.axes, Q1_CARRIES,
-                      signs)
+        return self.mirrors.unfold(k, field, self.class_dofs[k], Q1_CARRIES,
+                                   self.mesh)
 
 
 PLATE_MIRRORS = ("x1", "x2", "x3")   # x2 -> L2 - x2, x3 -> -x3
@@ -148,10 +142,10 @@ def build_fine_problem(mat: tn.MaterialSpec, shape: InclusionShape, h: float,
     (`geometry.half_prism`) with the odd components pinned on the symmetry
     plane x3 = 0, and is refused (ConfigurationError) unless C0, C1 and
     the plate have that mirror. K and M live on the fundamental region of
-    the mirrors the problem has: x2 -> L2 - x2 when C0, C1, the inclusion
-    pattern and gamma_D map to themselves under it (`mirror_split`), and
-    x3 -> -x3 for a parity class; each class is summed and solved on its
-    own."""
+    the mirrors the problem has (`geometry.MirrorClasses`): x2 -> L2 - x2
+    when C0, C1, the inclusion pattern and gamma_D map to themselves under
+    it, and x3 -> -x3 for a parity class; each class is summed and solved
+    on its own."""
     if n_z < 2:
         raise ConfigurationError("fine problems need n_z >= 2")
     if set(gamma) - set(EDGES):
@@ -168,9 +162,9 @@ def build_fine_problem(mat: tn.MaterialSpec, shape: InclusionShape, h: float,
         raise ConfigurationError(f"{ndofs} DOFs exceed the budget {budget}")
     refused = {} if ("bottom" in gamma) == ("top" in gamma) else \
         {"x2": "gamma_D not mirror-symmetric"}
-    region, planes, record = mirror_split(plate, [1, *fixed_signs], tensors,
-                                          PLATE_MIRRORS, refused)
-    axes = list(planes)
+    mirrors = MirrorClasses(plate, [1, *fixed_signs], tensors, PLATE_MIRRORS,
+                            refused, fixed=fixed_signs)
+    region = mirrors.region
 
     mu = mu_value(mu_scaling, epsilon, h)
     x = region.nodes
@@ -184,18 +178,14 @@ def build_fine_problem(mat: tn.MaterialSpec, shape: InclusionShape, h: float,
         grad=ScaledGradientSpec(h),
         density={"soft": halves * mat.rho0, "stiff": halves * mat.rho1},
         space="free", extra_constraints=fixed)
-    classes = [(s, form.dof.pinned(
-        zip(planes.values(), class_pins(planes, Q1_CARRIES, s))))
-        for s in parity_classes(axes, fixed_signs)]
-    record["classes"] = [{"signs": dict(zip(record["mirrors"], s)),
-                          "dofs": dof.n_free} for s, dof in classes]
+    class_dofs = list(mirrors.pinned(form.dof, Q1_CARRIES))
     return FineProblem(mat=mat, shape=shape, h=h, epsilon=epsilon,
                        mu_scaling=mu_scaling, tau=tau, mesh=mesh, pair=form,
                        parity=parity,
                        meta={"cells_per_eps": cells_per_eps, "n_z": n_z,
-                             "gamma": tuple(gamma), "L": (L1, L2), **record},
-                       region=region, axes=axes, classes=classes,
-                       images=mirror_images(mesh, region, axes))
+                             "gamma": tuple(gamma), "L": (L1, L2),
+                             **mirrors.record},
+                       mirrors=mirrors, class_dofs=class_dofs)
 
 
 def fine_eigs(fp: FineProblem, N: int, ws: EigWorkspace | None = None):
@@ -204,9 +194,9 @@ def fine_eigs(fp: FineProblem, N: int, ws: EigWorkspace | None = None):
     the modes as nodal fields (nodes, 3, N) of `fp.mesh`, M-orthonormal
     there."""
     w, cls, vecs = eigs_by_class(
-        (fp.pencil(k) for k in range(len(fp.classes))), N, ws)
+        (fp.pencil(k) for k in range(len(fp.class_dofs))), N, ws)
     # the region holds half of an x2 class field's energy on the plate
-    norm = np.sqrt(0.5) if 1 in fp.axes else 1.0
+    norm = np.sqrt(0.5) if 1 in fp.mirrors.axes else 1.0
     modes = np.zeros((fp.mesh.n_nodes, 3, len(w)))
     for k, v in enumerate(vecs):
         modes[:, :, cls == k] = norm * fp.unfold(k, v)
@@ -224,7 +214,8 @@ def fine_resolvent(fp: FineProblem, lam: float, load) -> dict:
     region, and its field is reflected back onto the plate."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    region = fp.region
+    mirrors = fp.mirrors
+    region = mirrors.region
     amp = np.asarray(load.amplitude, dtype=float)
     elems = np.arange(len(region.elements))
     X = quadrature_points(region, elems, el.q1_quadrature(region.hsize)[0])
@@ -237,16 +228,17 @@ def fine_resolvent(fp: FineProblem, lam: float, load) -> dict:
             * load.cell_fn(fp.shape)(np.mod(x / fp.epsilon, 1.0))
 
     load_x = values(X)
-    if 1 in fp.axes:
-        # the load at the points' x2 images, u2 odd under the mirror
+    if 1 in mirrors.axes:
+        # the load at the points' x2 images
         Xm = X.copy()
         Xm[1] = fp.mesh.L[1] - X[1]
-        load_m = values(Xm) * np.array([1.0, -1.0, 1.0])[:, None, None]
+        load_m = values(Xm)
     full = np.zeros((fp.mesh.n_nodes, 3))
-    for k, (signs, dof) in enumerate(fp.classes):
-        # the class's part of the load; signs[0] is its x2 sign
-        part = load_x if 1 not in fp.axes else \
-            0.5 * (load_x + signs[0] * load_m)
+    for k, dof in enumerate(fp.class_dofs):
+        # the class's part of the load
+        part = load_x if 1 not in mirrors.axes else 0.5 * (
+            load_x + mirrors.component_signs(k, Q1_CARRIES, 1)[:, None, None]
+            * load_m)
         fe = el.q1_vector_load(region.hsize, np.moveaxis(part, 0, -1))
         F = assemble_pointwise_load(region, dof, fe, elems)
         full += fp.unfold(k, factorize(_shifted(fp.pencil(k), lam),

@@ -289,92 +289,118 @@ def mirror_region(mesh, axes):
     return region, planes
 
 
-def mirror_split(mesh, axes, tensors: dict, names=MIRRORS, refused=None):
-    """The fundamental region of those mirrors of `axes` that map the mesh
-    and the Voigt tensors {name: C} to themselves (`mirror_refusal`), and
-    not in `refused` ({name: why} found by the caller); its planes; and a
-    record of the mirrors used and why each other one is refused, by their
-    `names`."""
-    refused = dict(refused or {})
-    refused.update({names[a]: why for a in axes if names[a] not in refused
-                    and (why := mirror_refusal(mesh, a, tensors))})
-    region, planes = mirror_region(
-        mesh, [a for a in axes if names[a] not in refused])
-    return region, planes, {"mirrors": [names[a] for a in planes],
-                            "mirrors_refused": refused}
+class MirrorClasses:
+    """The parity classes of the mirrors of a cell mesh or a fine plate
+    (block diagonalization by symmetry: A. Bossavit, Comput. Methods Appl.
+    Mech. Engrg. 56, 1986). Of the mirrors of `axes` (0, 1, 2: the in-plane
+    axes and x3), those that map the mesh and the Voigt tensors {name: C}
+    to themselves (`mirror_refusal`) and that the caller does not refuse
+    ({name: why}) are used (`axes`). It keeps their fundamental region and
+    its mirror planes (`mirror_region`), and one sign per used mirror for
+    each class (`signs`): the distinct sign vectors `signs` given over
+    `axes` (a cell's load columns; `members` are each class's columns), or
+    every parity class with the signs `fixed` ({axis: sign}) held, (+1,
+    ..., +1) first. `record` names the mirrors used and refused, and
+    `pinned` adds a {"signs", "dofs"} entry per class to it."""
 
+    def __init__(self, mesh, axes, tensors: dict, names=MIRRORS,
+                 refused=None, signs=None, fixed=None):
+        axes, refused, fixed = list(axes), dict(refused or {}), fixed or {}
+        refused.update({names[a]: why for a in axes if names[a] not in refused
+                        and (why := mirror_refusal(mesh, a, tensors))})
+        self.axes = [a for a in axes if names[a] not in refused]
+        self.region, self.planes = mirror_region(mesh, self.axes)
+        if signs is None:
+            signs = [s for s in itertools.product((1, -1), repeat=len(axes))
+                     if all(s[k] == fixed.get(a, s[k])
+                            for k, a in enumerate(axes))]
+        used = [tuple(s[axes.index(a)] for a in self.axes) for s in signs]
+        self.signs = list(dict.fromkeys(used))
+        self.members = [[j for j, t in enumerate(used) if t == s]
+                        for s in self.signs]
+        self.record = {"mirrors": [names[a] for a in self.axes],
+                       "mirrors_refused": refused, "classes": []}
+        self._images = None
 
-def parity_classes(axes, fixed: dict | None = None) -> list[tuple]:
-    """The sign vectors of the parity classes of the mirrors of `axes`,
-    (+1, ..., +1) first, with the signs of the axes in `fixed` ({axis:
-    sign}) held."""
-    fixed = fixed or {}
-    return [s for s in itertools.product((1, -1), repeat=len(axes))
-            if all(s[k] == fixed.get(a, s[k]) for k, a in enumerate(axes))]
+    def pins(self, k: int, carries) -> list[list[int]]:
+        """The components that class k pins on each mirror's planes."""
+        return [parity_pinned(carries, a, s)
+                for a, s in zip(self.axes, self.signs[k])]
 
+    def component_signs(self, k: int, carries, axis: int) -> np.ndarray:
+        """The sign that each component of class k takes under the mirror
+        of `axis`: -1 on the components it pins there."""
+        pins = self.pins(k, carries)[self.axes.index(axis)]
+        return np.array([-1 if c in pins else 1 for c in range(len(carries))])
 
-def class_keep(dof, planes: dict, pins) -> np.ndarray:
-    """Mask of the reduced DOFs of `dof` that a parity class leaves free:
-    all but the components `pins[k]` that it pins on the nodes of the k-th
-    mirror plane set of `planes` (`class_pins`)."""
-    keep = np.ones(dof.n_free, dtype=bool)
-    for nodes, comps in zip(planes.values(), pins):
-        ids = dof.index[np.ix_(nodes, comps)]
-        keep[ids[ids >= 0]] = False
-    return keep
+    def pinned(self, dof, carries):
+        """Each class's copy of `dof`, a DOF map of the region whose
+        components carry the axes `carries`, with the class's pins on the
+        mirror planes (`DofMap.pinned`), made and recorded in `record` as
+        it is taken."""
+        for k, s in enumerate(self.signs):
+            pinned = dof.pinned(
+                zip(self.planes.values(), self.pins(k, carries)))
+            self.record["classes"].append(
+                {"signs": dict(zip(self.record["mirrors"], s)),
+                 "dofs": pinned.n_free})
+            yield pinned
 
+    @staticmethod
+    def ids(dof, pinned) -> np.ndarray:
+        """The DOFs of the region map `dof` that its class copy `pinned`
+        keeps, in the class's numbering."""
+        free = pinned.index >= 0
+        ids = np.empty(pinned.n_free, dtype=int)
+        ids[pinned.index[free]] = dof.index[free]
+        return ids
 
-def class_pins(planes: dict, carries, signs) -> list[list[int]]:
-    """The components that the parity class of `signs` (one per mirror of
-    `planes`) pins on each mirror's planes (`parity_pinned`)."""
-    return [parity_pinned(carries, a, s) for a, s in zip(planes, signs)]
+    def images(self, target):
+        """Each node of `target` (the mesh the region was cut from, or one
+        cut from that mesh that contains the region) as the image of a
+        region node: the region node, and per used mirror whether it maps
+        the node. Nodes are matched on the grid of the target's element
+        sizes; the last target's images are kept."""
+        if self._images is not None and self._images[0] is target:
+            return self._images[1]
+        h = np.asarray(target.element_size())
+        lo = target.nodes.min(axis=0)
 
+        def grid(x):
+            return np.rint((np.asarray(x) - lo) / h).astype(np.int64)
+        g = grid(target.nodes)
+        flips = np.zeros((target.n_nodes, len(self.axes)), dtype=bool)
+        for k, a in enumerate(self.axes):
+            center = 0.0 if a == 2 else max(target.mirror_planes(a))
+            mid = int(np.rint((center - lo[a]) / h[a]))
+            flips[:, k] = g[:, a] < mid if a == 2 else g[:, a] > mid
+            g[flips[:, k], a] = 2 * mid - g[flips[:, k], a]
+        reg = grid(self.region.nodes)
+        dims = np.maximum(g.max(axis=0), reg.max(axis=0)) + 1
+        lookup = np.full(np.prod(dims), -1)
+        lookup[np.ravel_multi_index(reg.T, dims)] = np.arange(len(reg))
+        img = lookup[np.ravel_multi_index(g.T, dims)]
+        if (img < 0).any():
+            raise GeometryError("a mesh node has no image in the region")
+        self._images = (target, (img, flips))
+        return img, flips
 
-def mirror_images(mesh, region, axes):
-    """Each node of `mesh` as the image of a node of `region`, a
-    fundamental region of the mirrors of `axes` that `mirror_region` cut
-    from the mesh (or from a mesh that contains it): the region node, and
-    per axis whether that mirror maps it. Nodes are matched on the grid of
-    the mesh's element sizes."""
-    h = np.asarray(mesh.element_size())
-    lo = mesh.nodes.min(axis=0)
-
-    def grid(x):
-        return np.rint((np.asarray(x) - lo) / h).astype(np.int64)
-    g = grid(mesh.nodes)
-    flips = np.zeros((mesh.n_nodes, len(axes)), dtype=bool)
-    for k, a in enumerate(axes):
-        center = 0.0 if a == 2 else max(mesh.mirror_planes(a))
-        mid = int(np.rint((center - lo[a]) / h[a]))
-        flips[:, k] = g[:, a] < mid if a == 2 else g[:, a] > mid
-        g[flips[:, k], a] = 2 * mid - g[flips[:, k], a]
-    target = grid(region.nodes)
-    dims = np.maximum(g.max(axis=0), target.max(axis=0)) + 1
-    lookup = np.full(np.prod(dims), -1)
-    lookup[np.ravel_multi_index(target.T, dims)] = np.arange(len(target))
-    img = lookup[np.ravel_multi_index(g.T, dims)]
-    if (img < 0).any():
-        raise GeometryError("a mesh node has no image in the region")
-    return img, flips
-
-
-def unfold(field: np.ndarray, index: np.ndarray, images, axes, carries,
-           signs) -> np.ndarray:
-    """A parity class's field(s) on the DOFs `index` ((region nodes,
-    components) -> DOF, -1 where none) of its fundamental region as nodal
-    fields (mesh nodes, components[, columns]) of the mesh of `images`
-    (`mirror_images`): a component at a node that a mirror maps takes the
-    class's sign times its parity under that mirror."""
-    free = index >= 0
-    nodal = np.zeros(index.shape + field.shape[1:])
-    nodal[free] = field[index[free]]
-    img, flips = images
-    factor = np.ones((len(img), len(carries)))
-    for k, (a, sign) in enumerate(zip(axes, signs)):
-        parity = np.array([sign * (-1) ** c.count(a) for c in carries])
-        factor = np.where(flips[:, k, None], factor * parity, factor)
-    out = nodal[img]
-    return out * factor.reshape(factor.shape + (1,) * (out.ndim - 2))
+    def unfold(self, k: int, field: np.ndarray, dof, carries,
+               target) -> np.ndarray:
+        """Class k's field(s) (columns) on the DOFs of its map `dof`
+        (`pinned`) as nodal fields (nodes, components[, columns]) of
+        `target` (`images`)."""
+        free = dof.index >= 0
+        nodal = np.zeros(dof.index.shape + field.shape[1:])
+        nodal[free] = field[dof.index[free]]
+        img, flips = self.images(target)
+        factor = np.ones((len(img), len(carries)))
+        for j, a in enumerate(self.axes):
+            factor = np.where(flips[:, j, None],
+                              factor * self.component_signs(k, carries, a),
+                              factor)
+        out = nodal[img]
+        return out * factor.reshape(factor.shape + (1,) * (out.ndim - 2))
 
 
 def half_prism(mesh, parity: str, tensors: dict):

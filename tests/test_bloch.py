@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from hcplate import bloch
 from hcplate import tensors as tn
 from hcplate.bloch import (StripPencil, bloch_spectrum,
                            build_inclusion_operator, cluster_starts,
@@ -180,6 +181,23 @@ class TestClassPath:
         else:
             assert prov["mirrors_refused"] == {}
             assert max(c["dofs"] for c in prov["classes"]) < pair.n / 2
+
+    @pytest.mark.parametrize("tag, delta", [("full_delta", 1.0),
+                                            ("memb_delta", 1.0),
+                                            ("memb_deltainf", None)])
+    def test_one_cell_mesh_per_spectrum(self, monkeypatch, fresh_memo,
+                                        demo_material, demo_shape, tag,
+                                        delta):
+        # the whole pencil and the classes' region are cut from one mesh
+        calls = []
+        build = bloch.build_cell_mesh
+        monkeypatch.setattr(bloch, "build_cell_mesh",
+                            lambda *a, **k: calls.append(1) or build(*a, **k))
+        for n in (8, 10):
+            calls.clear()
+            bloch_spectrum(demo_material, demo_shape, n, tag, 6, delta=delta,
+                           n_z=4)
+            assert len(calls) == 1
 
     def test_means_do_not_depend_on_the_solver(self, demo_material,
                                                demo_shape):

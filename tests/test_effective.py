@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hcplate import effective
+from hcplate import geometry
 from hcplate import tensors as tn
 from cell_oracle import (full_cell_delta0, full_cell_deltainf,
                          full_prism_tensor)
@@ -522,7 +522,7 @@ class TestMirrorSplit:
             return parity_pinned(carries, a, -s if (a, s) == (axis, sign)
                                  else s)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(effective, "parity_pinned", swapped)
+            mp.setattr(geometry, "parity_pinned", swapped)
             try:
                 got = solve(mat, mesh).pair_form()
             except SolverError:

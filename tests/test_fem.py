@@ -435,7 +435,7 @@ class TestEigPaths:
         from hcplate.finescale import build_fine_problem, fine_eigs
         fp = build_fine_problem(demo_material, demo_shape, h=0.5, epsilon=0.5,
                                 cells_per_eps=6, n_z=4, parity="memb")
-        assert [dof.n_free for _, dof in fp.classes] == [636, 612]
+        assert [dof.n_free for dof in fp.class_dofs] == [636, 612]
         assert demo_bloch_full.pair.n == 555
         calls = self._spy(monkeypatch)
         fine_eigs(fp, 3, EigWorkspace())

@@ -291,11 +291,11 @@ def test_classes_match_the_whole_plate(parity, tau, gamma, demo_shape):
     refused = "bottom" in gamma and "top" not in gamma
     assert fp.meta["mirrors_refused"] == (
         {"x2": "gamma_D not mirror-symmetric"} if refused else {})
-    assert len(fp.classes) == (1 if refused else 2)
+    assert len(fp.class_dofs) == (1 if refused else 2)
     K, M, dof = _whole_plate(fp)
     # the classes split the plate's DOFs: each interior region DOF twice,
     # each component on the x2 plane once
-    assert sum(cdof.n_free for _, cdof in fp.classes) == dof.n_free
+    assert sum(cdof.n_free for cdof in fp.class_dofs) == dof.n_free
     N = 6
     want = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True,
                     subset_by_index=[0, N - 1])
@@ -335,7 +335,7 @@ def test_class_pencils_are_the_region_pencil_restricted(parity, tau, gamma,
                             parity=parity)
     region = fp.pair.pencil()
     assert region.n == fp.pair.n
-    for k, (_, dof) in enumerate(fp.classes):
+    for k, dof in enumerate(fp.class_dofs):
         ids = fp.pair.dof.index[dof.index >= 0]
         want = region.restrict(ids)
         got = fp.pencil(k)
@@ -351,7 +351,7 @@ def test_fine_eigs_holds_one_class_pencil(monkeypatch, mat, demo_shape):
     # before it sums the next; the region pencil is never summed
     fp = build_fine_problem(mat, demo_shape, h=0.5, epsilon=0.5,
                             cells_per_eps=4, n_z=4, parity="memb")
-    assert len(fp.classes) == 2 and not hasattr(fp.pair, "K")
+    assert len(fp.class_dofs) == 2 and not hasattr(fp.pair, "K")
     alive = []
     pencil = PencilForm.pencil
 

@@ -134,9 +134,9 @@ class TestNestedDissection:
                                 parity=parity)
         # the pencils live on the fundamental region of the plate's mirrors:
         # the region's, and each class's with its mirror-plane pins
-        check_order(fp.pair.pencil(), fp.region)
-        for k in range(len(fp.classes)):
-            check_order(fp.pencil(k), fp.region)
+        check_order(fp.pair.pencil(), fp.mirrors.region)
+        for k in range(len(fp.class_dofs)):
+            check_order(fp.pencil(k), fp.mirrors.region)
 
     @settings(max_examples=15, deadline=None)
     @given(n=st.sampled_from([4, 6, 8, 10]), dim=st.sampled_from([2, 3]),
