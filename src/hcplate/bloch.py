@@ -6,12 +6,9 @@ minimum is the essential-spectrum bottom for very thin cells.
 Operator tags
 -------------
 full_delta / memb_delta / bend_delta : prism I x Y0 with the transversally
-    scaled gradient (delta finite); the parity variants take the half
-    x3 in (0, 1/2) of the prism (`geometry.half_prism`) with parity
-    conditions at x3 = 0 and double all integrals. They exist only when C0
-    and the prism are invariant under x3 -> -x3, and are refused
-    (ConfigurationError) otherwise. They are the x3-even and x3-odd
-    classes of full_delta.
+    scaled gradient (delta finite); the parity variants are the x3-even and
+    x3-odd classes of full_delta, refused (ConfigurationError) unless C0
+    and the prism are invariant under x3 -> -x3.
 memb_delta0 : 2D in-plane vector operator with the reduced tensor C0^r.
 bend_delta0 : scalar C^1 (BFS) operator with (1/12) C0^r Hessian energy.
 memb_deltainf / full_deltainf : 2D 3-component operator with strain
@@ -20,9 +17,10 @@ memb_deltainf / full_deltainf : 2D 3-component operator with strain
 
 Every operator's spectrum is solved one parity class of the cell's mirrors
 (y1 -> 1 - y1, y2 -> 1 - y2, and x3 -> -x3 on the prism, each where C0 and
-the mesh have it; `geometry.MirrorClasses`) at a time, on the mirrors'
-fundamental region, and the class modes are reflected back onto the
-operator's DOFs (`bloch_spectrum`).
+the mesh have it; `geometry.MirrorClasses`) at a time, on the pencil of the
+mirrors' fundamental region, and its modes are held per class
+(`bloch_spectrum`). The operator's whole pencil
+(`build_inclusion_operator`) is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -34,11 +32,11 @@ import scipy.sparse as sp
 
 from . import tensors as tn
 from .fem import assemble as fa
-from .fem.system import (EigWorkspace, SparseOperatorPair, certify,
-                         cluster_starts, eigs_by_class, eigs_smallest)
+from .fem.system import (EigWorkspace, SparseOperatorPair, cluster_starts,
+                         eigs_by_class, eigs_smallest, fix_signs)
 from .geometry import (BFS_CARRIES, PARITY_SIGNS, Q1_CARRIES, CellMesh,
-                       InclusionShape, MirrorClasses, build_cell_mesh,
-                       half_prism)
+                       ConfigurationError, InclusionShape, MirrorClasses,
+                       build_cell_mesh, half_prism)
 from .memo import memoized
 
 MEAN_ZERO_FACTOR = 1e-7  # weighted mean treated as zero below this * <rho0>
@@ -46,17 +44,22 @@ MEAN_ZERO_FACTOR = 1e-7  # weighted mean treated as zero below this * <rho0>
 
 @dataclass
 class BlochSpectrum:
+    """An inclusion spectrum, its modes held per mirror class: those of
+    class k (`classes == k`) are the columns of `vectors[k]` on its region
+    DOF map `dofs[k]`, M-orthonormal there and, unfolded, on `mesh`."""
     operator_tag: str
     eigenvalues: np.ndarray          # ascending, > 0
-    modes: np.ndarray                # columns, M-orthonormal
     weighted_means: np.ndarray       # (N, n_tracked)
     tracked: tuple[int, ...]         # which displacement components are tracked
     classification: list[str]        # per eigenvalue: "coupled" | "uncoupled"
     rho0_mass: float                 # <rho0>_h = 1^T M 1 per tracked component
     rho0_area_mass: float = 0.0      # rho0 * |Y0_disc| (element-area sum)
-    pair: SparseOperatorPair = field(repr=False, default=None)
-    mesh: CellMesh = field(repr=False, default=None)
-    scale: float = 1.0               # 2 for half-interval parity meshes
+    mesh: CellMesh = field(repr=False, default=None)  # the whole cell or prism
+    mirrors: MirrorClasses = field(repr=False, default=None)
+    classes: np.ndarray = None       # the mirror class of each mode
+    vectors: list = field(repr=False, default_factory=list)  # per class
+    dofs: list = field(repr=False, default_factory=list)     # per class
+    carries: tuple = ()              # the axes each DOF component carries
     provenance: dict = field(default_factory=dict)  # mirrors and classes
 
     @property
@@ -72,9 +75,15 @@ class BlochSpectrum:
         m = self.weighted_means
         return np.cumsum(m[:, :, None] * m[:, None, :], axis=0)
 
-    def modal_coefficients(self, load_vec: np.ndarray) -> np.ndarray:
-        """(load, phi_n) for an assembled (unweighted) load vector."""
-        return self.modes.T @ load_vec
+    def modal_coefficients(self, load: np.ndarray) -> np.ndarray:
+        """(load, phi_n) for a nodal load (nodes, components) on `mesh`,
+        folded onto each class (`MirrorClasses.fold`)."""
+        out = np.zeros(self.n_modes)
+        weight = self.mirrors.weight(self.mesh)
+        for k, (v, dof) in enumerate(zip(self.vectors, self.dofs)):
+            out[self.classes == k] = weight * (v.T @ self.mirrors.fold(
+                k, load, dof, self.carries, self.mesh))
+        return out
 
 
 def _classify(eigenvalues, means, rho0_mass):
@@ -137,10 +146,10 @@ def build_inclusion_operator(mat: tn.MaterialSpec, shape: InclusionShape,
                              n: int, operator_tag: str, delta: float | None = None,
                              n_z: int = 4, cell: CellMesh | None = None):
     """Mesh + operator pair + tracked components + integral scale of one
-    inclusion operator, its whole pencil, on `cell` (by default the
-    operator's cell mesh, built here). delta is the regime's
-    thickness/period ratio as it is; only the finite-delta (prism)
-    operators read it."""
+    inclusion operator's whole pencil (the tests' oracle; parity operators
+    on the half prism), on `cell` (by default the operator's cell mesh,
+    built here). delta is the regime's thickness/period ratio as it is;
+    only the finite-delta (prism) operators read it."""
     dim, form, _, tracked, parity = _operator_form(mat, operator_tag, delta)
     if cell is None:
         cell = build_cell_mesh(shape, n, dim, n_z)
@@ -152,10 +161,9 @@ def build_inclusion_operator(mat: tn.MaterialSpec, shape: InclusionShape,
 
 def mean_load_vectors(pair: SparseOperatorPair, tracked) -> np.ndarray:
     """Columns L_c with (L_c)^T u = int rho0 u_c over the inclusion; for the
-    scalar BFS variant the constant lives in the value DOFs."""
+    scalar BFS variant the constant lives in the value DOFs (c = 0)."""
     return np.column_stack([
-        pair.M @ fa.constant_reduced_field(pair.dof, 0 if pair.dof.ncomp == 4 else c)
-        for c in tracked])
+        pair.M @ fa.constant_reduced_field(pair.dof, c) for c in tracked])
 
 
 @memoized
@@ -163,52 +171,59 @@ def bloch_spectrum(mat: tn.MaterialSpec, shape: InclusionShape, n: int,
                    operator_tag: str, N: int, delta: float | None = None,
                    n_z: int = 4, ws: EigWorkspace | None = None) -> BlochSpectrum:
     """Smallest N eigenpairs of the requested inclusion operator with
-    density-weighted means and coupled/uncoupled classification. They are
-    solved one parity class of the cell's mirrors at a time
-    (`eigs_by_class`) on their fundamental region; a prism's parity
-    operator takes the classes of its x3 sign, and with no mirror the one
-    class is the whole operator. The class modes are unfolded onto the
-    operator's DOFs and held to the backward-error contract of its whole
-    pencil."""
+    density-weighted means and coupled/uncoupled classification, solved
+    and certified one parity class of the cell's mirrors at a time
+    (`eigs_by_class`) on the one pencil assembled, the fundamental
+    region's; a parity operator takes the classes of its x3 sign (refused
+    without that mirror). The means and the clipped-constant mass are the
+    region's times its images in the cell."""
     if N < 1:
         raise ValueError("need at least one mode")
     dim, form, carries, tracked, parity = _operator_form(mat, operator_tag,
                                                          delta)
     cell = build_cell_mesh(shape, n, dim, n_z)
-    mesh, pair, _, scale = build_inclusion_operator(
-        mat, shape, n, operator_tag, delta=delta, n_z=n_z, cell=cell)
-    if N > pair.n:
-        raise ValueError(f"requested {N} modes from {pair.n} inclusion DOFs")
     mc = MirrorClasses(cell, range(dim), {"C0": mat.C0}, fixed=(
         None if parity is None else {2: PARITY_SIGNS[parity]}))
+    if parity is not None and 2 not in mc.axes:
+        raise ConfigurationError(
+            f"{parity} parity needs the x3 mirror, refused: "
+            f"{mc.record['mirrors_refused']['x3']}")
     rpair = form(mc.region)
     dofs = list(mc.pinned(rpair.dof, carries))
+    ids = [mc.ids(rpair.dof, d) for d in dofs]
+    n_dofs = sum(map(len, ids))
+    if N > n_dofs:
+        raise ValueError(f"requested {N} modes from {n_dofs} inclusion DOFs")
     # solve a few extra pairs and cut at a multiplicity-cluster boundary, so
     # a degenerate pole pair is never split by the truncation
-    w, cls, vecs = eigs_by_class(
-        (rpair.restrict(mc.ids(rpair.dof, d)) for d in dofs),
-        min(N + 4, pair.n), ws)
-    free = pair.dof.index >= 0
-    v = np.zeros((pair.n, len(w)))
-    for k, d in enumerate(dofs):
-        v[np.ix_(pair.dof.index[free], cls == k)] = mc.unfold(
-            k, vecs[k], d, carries, mesh)[free]
-    w, v = certify(pair, w, v, ws)
+    w, cls, vecs = eigs_by_class((rpair.restrict(i) for i in ids),
+                                 min(N + 4, n_dofs), ws)
     ends = np.append(cluster_starts(w), len(w))
     cut = int(ends[ends >= N][0])
-    w, v = w[:cut], v[:, :cut]
-    L = mean_load_vectors(pair, tracked)
-    means = v.T @ L
-    comp = 0 if pair.dof.ncomp == 4 else tracked[0]
-    ones = fa.constant_reduced_field(pair.dof, comp)
-    rho0_mass = float(ones @ (pair.M @ ones))   # clipped-constant mass
-    rho0_area = mat.rho0 * mesh.soft_area_fraction()
-    labels = _classify(w, means, rho0_area)
-    return BlochSpectrum(operator_tag=operator_tag, eigenvalues=w, modes=v,
+    w, cls = w[:cut], cls[:cut]
+    # over the cell's images of the region, the mean of a component that a
+    # class pins (odd) cancels and that of one it keeps (even) adds up
+    images = 2 ** len(mc.axes)
+    L = np.sqrt(images) * mean_load_vectors(rpair, tracked)
+    means = np.zeros((cut, len(tracked)))
+    for k, d in enumerate(dofs):
+        v = vecs[k][:, :np.count_nonzero(cls == k)]
+        # each mode's sign is fixed on its field over the cell
+        u = mc.unfold(k, v, d, carries, cell)
+        vecs[k] = v = fix_signs(v, by=u.reshape(u.shape[0] * u.shape[1],
+                                                v.shape[1]))
+        odd = sum(mc.pins(k, carries), [])
+        means[cls == k] = np.where(np.isin(tracked, odd), 0.0, v.T @ L[ids[k]])
+    ones = fa.constant_reduced_field(rpair.dof, tracked[0])
+    rho0_mass = images * float(ones @ (rpair.M @ ones))  # clipped constant
+    rho0_area = mat.rho0 * cell.soft_area_fraction()
+    return BlochSpectrum(operator_tag=operator_tag, eigenvalues=w,
                          weighted_means=means, tracked=tuple(tracked),
-                         classification=labels, rho0_mass=rho0_mass,
-                         rho0_area_mass=rho0_area, pair=pair, mesh=mesh,
-                         scale=scale, provenance=mc.record)
+                         classification=_classify(w, means, rho0_area),
+                         rho0_mass=rho0_mass,
+                         rho0_area_mass=rho0_area, mesh=cell, mirrors=mc,
+                         classes=cls, vectors=vecs, dofs=dofs,
+                         carries=carries, provenance=mc.record)
 
 
 @dataclass

@@ -341,10 +341,14 @@ def quadrature_points(mesh, elem_ids: np.ndarray, pts: np.ndarray) -> np.ndarray
     return np.moveaxis(origin[:, None, :] + pts, -1, 0)
 
 
-def assemble_pointwise_load(mesh, dof: DofMap, fe: np.ndarray,
+def assemble_pointwise_load(mesh, dof: DofMap | None, fe: np.ndarray,
                             elem_ids: np.ndarray) -> np.ndarray:
     """Scatter element loads that vary per element: fe (elements, local
-    DOFs[, load cases]) holds one local vector per element of elem_ids."""
+    DOFs[, load cases]) holds one local vector per element of elem_ids.
+    With no `dof` the load is nodal: every (node, component) is a DOF."""
+    if dof is None:
+        ncomp = fe.shape[1] // mesh.elements.shape[1]
+        dof = DofMap(mesh.n_nodes, ncomp).finalize()
     eds = dof.element_dofs(mesh.elements[elem_ids])
     ok = eds >= 0
     out = np.zeros((dof.n_free, *fe.shape[2:]))

@@ -331,10 +331,14 @@ def solve_spd(pair: SparseOperatorPair, rhs: np.ndarray,
     return factorize(pair.K, kernel, tol, order=pair.order).solve(rhs)
 
 
-def fix_signs(vecs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Deterministic eigenvector signs: first above-threshold entry positive."""
-    big = abs(vecs) > tol * np.maximum(abs(vecs).max(axis=0), 1e-300)
-    first = vecs[big.argmax(axis=0), np.arange(vecs.shape[1])]
+def fix_signs(vecs: np.ndarray, tol: float = 1e-12,
+              by: np.ndarray | None = None) -> np.ndarray:
+    """Deterministic eigenvector signs: the first above-threshold entry of
+    each column of `by` (by default the columns themselves) positive."""
+    by = vecs if by is None else by
+    size = abs(by)
+    big = size > tol * np.maximum(size.max(axis=0), 1e-300)
+    first = by[big.argmax(axis=0), np.arange(by.shape[1])]
     return vecs * np.where(np.real(first) < 0, -1, 1)
 
 
@@ -393,8 +397,11 @@ def _shift_invert_pairs(pair: SparseOperatorPair, N: int, ws: EigWorkspace,
 def eigs_smallest(pair: SparseOperatorPair, N: int,
                   ws: EigWorkspace | None = None):
     """Smallest N generalized eigenpairs of (K, M), ascending, vectors
-    M-orthonormal with deterministic signs, each pair within the
-    backward-error contract. A mass with a zero diagonal entry (a
+    M-orthonormal with deterministic signs, once each pair meets the
+    backward-error contract ||K v - w M v|| <= tol (||K|| + |w| ||M||) ||v||,
+    tol = max(ws.tol, 1e-8), norms as max row sums (N. J. Higham and D. J.
+    Higham, SIAM J. Matrix Anal. Appl. 20, 1998); SolverError names the
+    first pair that misses it. A mass with a zero diagonal entry (a
     stiffness-only block) is semidefinite: only shift-invert handles it."""
     ws = ws or EigWorkspace()
     n = pair.n
@@ -421,19 +428,8 @@ def eigs_smallest(pair: SparseOperatorPair, N: int,
         raise ValueError(f"unknown solver {ws.solver!r}")
 
     order = np.argsort(w)
-    return certify(pair, np.real(w[order]), v[:, order], ws)
-
-
-def certify(pair: SparseOperatorPair, w: np.ndarray, v: np.ndarray,
-            ws: EigWorkspace | None = None):
-    """The pairs (w, v) of (K, M), in their order, with v M-orthonormal and
-    of fixed sign, once each pair meets the backward-error contract
-    ||K v - w M v|| <= tol (||K|| + |w| ||M||) ||v||, tol = max(ws.tol,
-    1e-8), norms as max row sums (N. J. Higham and D. J. Higham, SIAM J.
-    Matrix Anal. Appl. 20, 1998); SolverError names the first pair that
-    misses it."""
-    tol = max((ws or EigWorkspace()).tol, 1e-8)
-    v = fix_signs(_m_orthonormalize(v, pair.M))
+    w, v = np.real(w[order]), fix_signs(_m_orthonormalize(v[:, order],
+                                                          pair.M))
     r = np.linalg.norm(pair.K @ v - (pair.M @ v) * w, axis=0)
     scale = np.linalg.norm(v, axis=0) * (_max_row_sum(pair.K)
                                          + np.abs(w) * _max_row_sum(pair.M))

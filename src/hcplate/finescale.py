@@ -120,12 +120,6 @@ class FineProblem:
         pencil.K.data *= self.h ** (-self.tau)
         return pencil
 
-    def unfold(self, k: int, field: np.ndarray) -> np.ndarray:
-        """Class k's field(s) on its DOFs (columns) as nodal displacements
-        (nodes, 3[, columns]) of `mesh`."""
-        return self.mirrors.unfold(k, field, self.class_dofs[k], Q1_CARRIES,
-                                   self.mesh)
-
 
 PLATE_MIRRORS = ("x1", "x2", "x3")   # x2 -> L2 - x2, x3 -> -x3
 
@@ -195,54 +189,39 @@ def fine_eigs(fp: FineProblem, N: int, ws: EigWorkspace | None = None):
     there."""
     w, cls, vecs = eigs_by_class(
         (fp.pencil(k) for k in range(len(fp.class_dofs))), N, ws)
-    # the region holds half of an x2 class field's energy on the plate
-    norm = np.sqrt(0.5) if 1 in fp.mirrors.axes else 1.0
-    modes = np.zeros((fp.mesh.n_nodes, 3, len(w)))
-    for k, v in enumerate(vecs):
-        modes[:, :, cls == k] = norm * fp.unfold(k, v)
+    mesh, mirrors = fp.mesh, fp.mirrors
+    modes = np.zeros((mesh.n_nodes, 3, len(w)))
+    for k, (v, dof) in enumerate(zip(vecs, fp.class_dofs)):
+        modes[:, :, cls == k] = mirrors.weight(mesh) * mirrors.unfold(
+            k, v, dof, Q1_CARRIES, mesh)
     return w, modes
-
-
-def _shifted(pencil: SparseOperatorPair, lam: float):
-    return pencil.K + lam * pencil.M
 
 
 def fine_resolvent(fp: FineProblem, lam: float, load) -> dict:
     """Solve (h^-tau a_eps + lambda m) u = f for a separable LoadSpec and
     report the displacement with its transverse averages and per-cell means.
-    Each parity class solves the part of the load in its class on the
-    region, and its field is reflected back onto the plate."""
+    Each parity class solves the load folded onto its DOFs
+    (`MirrorClasses.fold`), and its field is reflected back onto the
+    plate."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    mirrors = fp.mirrors
-    region = mirrors.region
+    mesh, mirrors = fp.mesh, fp.mirrors
     amp = np.asarray(load.amplitude, dtype=float)
-    elems = np.arange(len(region.elements))
-    X = quadrature_points(region, elems, el.q1_quadrature(region.hsize)[0])
-
-    def values(X):
-        # (components, elements, points)
-        x = X[:2]
-        return amp[:, None, None] * load.macro_fn()(x) \
-            * load.transverse_fn()(X[2]) \
-            * load.cell_fn(fp.shape)(np.mod(x / fp.epsilon, 1.0))
-
-    load_x = values(X)
-    if 1 in mirrors.axes:
-        # the load at the points' x2 images
-        Xm = X.copy()
-        Xm[1] = fp.mesh.L[1] - X[1]
-        load_m = values(Xm)
-    full = np.zeros((fp.mesh.n_nodes, 3))
+    elems = np.arange(len(mesh.elements))
+    X = quadrature_points(mesh, elems, el.q1_quadrature(mesh.hsize)[0])
+    # (components, elements, points)
+    values = amp[:, None, None] * load.macro_fn()(X[:2]) \
+        * load.transverse_fn()(X[2]) \
+        * load.cell_fn(fp.shape)(np.mod(X[:2] / fp.epsilon, 1.0))
+    fe = el.q1_vector_load(mesh.hsize, np.moveaxis(values, 0, -1))
+    F = mirrors.weight(mesh, solve=True) * assemble_pointwise_load(
+        mesh, None, fe, elems).reshape(-1, 3)
+    full = np.zeros((mesh.n_nodes, 3))
     for k, dof in enumerate(fp.class_dofs):
-        # the class's part of the load
-        part = load_x if 1 not in mirrors.axes else 0.5 * (
-            load_x + mirrors.component_signs(k, Q1_CARRIES, 1)[:, None, None]
-            * load_m)
-        fe = el.q1_vector_load(region.hsize, np.moveaxis(part, 0, -1))
-        F = assemble_pointwise_load(region, dof, fe, elems)
-        full += fp.unfold(k, factorize(_shifted(fp.pencil(k), lam),
-                                       order=dof.key).solve(F))
+        pencil = fp.pencil(k)
+        lu = factorize(pencil.K + lam * pencil.M, order=dof.key)
+        full += mirrors.unfold(k, lu.solve(mirrors.fold(
+            k, F, dof, Q1_CARRIES, mesh)), dof, Q1_CARRIES, mesh)
     return {"u": full, "transverse_average": transverse_average(fp, full),
             "cell_means": cell_means(fp, full)}
 

@@ -327,12 +327,6 @@ class MirrorClasses:
         return [parity_pinned(carries, a, s)
                 for a, s in zip(self.axes, self.signs[k])]
 
-    def component_signs(self, k: int, carries, axis: int) -> np.ndarray:
-        """The sign that each component of class k takes under the mirror
-        of `axis`: -1 on the components it pins there."""
-        pins = self.pins(k, carries)[self.axes.index(axis)]
-        return np.array([-1 if c in pins else 1 for c in range(len(carries))])
-
     def pinned(self, dof, carries):
         """Each class's copy of `dof`, a DOF map of the region whose
         components carry the axes `carries`, with the class's pins on the
@@ -385,22 +379,41 @@ class MirrorClasses:
         self._images = (target, (img, flips))
         return img, flips
 
+    def weight(self, target, solve: bool = False) -> float:
+        """The weight of a class field over the n images of the region in
+        `target`: n^-1/2 for modes, 1/n for the folded load of a solve."""
+        n = 2 ** int(self.images(target)[1].any(axis=0).sum())
+        return 1.0 / n if solve else n ** -0.5
+
+    def _dofs(self, k: int, dof, carries, target):
+        """Each (node, component) of `target` as a DOF of class k's map
+        `dof` (or -1) and its sign: -1 if odd under the node's mirrors."""
+        img, flips = self.images(target)
+        odd = np.zeros((len(img), len(carries)), dtype=bool)
+        for j, comps in enumerate(self.pins(k, carries)):
+            odd[:, comps] ^= flips[:, j, None]
+        return dof.index[img], np.where(odd, -1.0, 1.0)
+
     def unfold(self, k: int, field: np.ndarray, dof, carries,
                target) -> np.ndarray:
         """Class k's field(s) (columns) on the DOFs of its map `dof`
         (`pinned`) as nodal fields (nodes, components[, columns]) of
         `target` (`images`)."""
-        free = dof.index >= 0
-        nodal = np.zeros(dof.index.shape + field.shape[1:])
-        nodal[free] = field[dof.index[free]]
-        img, flips = self.images(target)
-        factor = np.ones((len(img), len(carries)))
-        for j, a in enumerate(self.axes):
-            factor = np.where(flips[:, j, None],
-                              factor * self.component_signs(k, carries, a),
-                              factor)
-        out = nodal[img]
-        return out * factor.reshape(factor.shape + (1,) * (out.ndim - 2))
+        idx, sign = self._dofs(k, dof, carries, target)
+        # index -1 takes the zero row appended to the field
+        out = np.append(field, np.zeros((1,) + field.shape[1:]), axis=0).take(
+            idx, axis=0)
+        out *= sign.reshape(sign.shape + (1,) * (out.ndim - 2))
+        return out
+
+    def fold(self, k: int, load: np.ndarray, dof, carries,
+             target) -> np.ndarray:
+        """The adjoint of `unfold`: nodal load(s) (nodes, components[,
+        columns]) of `target` on the DOFs of class k's map `dof`."""
+        idx, sign = self._dofs(k, dof, carries, target)
+        out = np.zeros((dof.n_free,) + load.shape[2:])
+        np.add.at(out, idx[idx >= 0], (load.T * sign.T).T[idx >= 0])
+        return out
 
 
 def half_prism(mesh, parity: str, tensors: dict):

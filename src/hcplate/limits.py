@@ -332,36 +332,28 @@ class LimitState:
 
 def _micro_load_vector(bs: BlochSpectrum, shape: InclusionShape,
                        load: LoadSpec, amplitude=None) -> np.ndarray:
-    """Assembled inclusion load of the (transverse x cell)-profiled body
-    force against the test space of bs (per unit macro profile)."""
+    """Nodal inclusion load (nodes, components) on the cell of bs of the
+    (transverse x cell)-profiled body force (per unit macro profile)."""
     mesh = bs.mesh
     amp = np.asarray(load.amplitude if amplitude is None else amplitude, float)
     cfun = load.cell_fn(shape)
     hsize = mesh.element_size()
     soft_ids = np.flatnonzero(mesh.element_soft)
-    ncomp = bs.pair.dof.ncomp
-
-    if ncomp == 4:   # scalar BFS micro space: value + moment loads
+    if len(bs.carries) == 4:   # scalar BFS micro space: value + moment loads
         t0, t1 = load.transverse_moments()
-        pts = el.bfs_quadrature(hsize)[0]
-        c = cfun(fa.quadrature_points(mesh, soft_ids, pts))
-        value = fa.assemble_pointwise_load(
-            mesh, bs.pair.dof, el.bfs_value_load(hsize, c), soft_ids)
-        moment = fa.assemble_pointwise_load(
-            mesh, bs.pair.dof,
-            el.bfs_gradient_load(hsize, amp[:2] * c[..., None]), soft_ids)
-        return amp[2] * t0 * value - t1 * moment
-
-    x = fa.quadrature_points(mesh, soft_ids, el.q1_quadrature(hsize)[0])
-    if mesh.dim == 3:
-        t = load.transverse_fn()(x[2])
+        c = cfun(fa.quadrature_points(mesh, soft_ids,
+                                      el.bfs_quadrature(hsize)[0]))
+        fe = amp[2] * t0 * el.bfs_value_load(hsize, c) \
+            - t1 * el.bfs_gradient_load(hsize, amp[:2] * c[..., None])
     else:
-        t = load.transverse_moments()[0]
-    # (components, elements, points) -> (elements, points, components)
-    values = amp[:ncomp, None, None] * t * cfun(x[:2])
-    fe = el.q1_vector_load(hsize, np.moveaxis(values, 0, -1))
-    return bs.scale * fa.assemble_pointwise_load(mesh, bs.pair.dof, fe,
-                                                 soft_ids)
+        x = fa.quadrature_points(mesh, soft_ids, el.q1_quadrature(hsize)[0])
+        t = load.transverse_fn()(x[2]) if mesh.dim == 3 \
+            else load.transverse_moments()[0]
+        # (components, elements, points) -> (elements, points, components)
+        values = amp[:len(bs.carries), None, None] * t * cfun(x[:2])
+        fe = el.q1_vector_load(hsize, np.moveaxis(values, 0, -1))
+    return fa.assemble_pointwise_load(mesh, None, fe, soft_ids).reshape(
+        mesh.n_nodes, -1)
 
 
 def micro_modal_loads(model: LimitModel, load: LoadSpec) -> np.ndarray:

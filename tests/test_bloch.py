@@ -1,3 +1,4 @@
+import ast
 import json
 from pathlib import Path
 
@@ -15,20 +16,28 @@ from hcplate.bloch import (StripPencil, bloch_spectrum,
                            mean_load_vectors, strip_bottom_m0,
                            strip_fiber_bottom)
 from hcplate.fem import assemble as fa
+from hcplate.fem import system
 from hcplate.fem.system import EigWorkspace, eigs_smallest
 from hcplate.geometry import (ConfigurationError, InclusionShape,
                               build_cell_mesh)
 
+from bloch_oracle import whole_modes, whole_pencil
+
 STRIP_REFERENCE = Path(__file__).parent / "data" / "strip_reference.json"
+SRC = Path(__file__).resolve().parents[1] / "src" / "hcplate"
 
 
 class TestPrismOperators:
     def test_eigenvalues_positive(self, demo_bloch_full):
         assert (demo_bloch_full.eigenvalues > 0).all()
 
-    def test_m_orthonormal(self, demo_bloch_full):
+    def test_m_orthonormal(self, demo_material, demo_bloch_full):
+        # each class's modes, unfolded onto the cell and weighted, are
+        # M-orthonormal on the operator's whole pencil
         bs = demo_bloch_full
-        G = bs.modes.T @ (bs.pair.M @ bs.modes)
+        pair, _, _ = whole_pencil(bs, demo_material, delta=1.0)
+        U = whole_modes(bs, pair.dof)
+        G = U.T @ (pair.M @ U)
         assert abs(G - np.eye(bs.n_modes)).max() < 1e-8
 
     def test_parity_union_equals_full(self, demo_material, demo_shape):
@@ -184,20 +193,45 @@ class TestClassPath:
 
     @pytest.mark.parametrize("tag, delta", [("full_delta", 1.0),
                                             ("memb_delta", 1.0),
-                                            ("memb_deltainf", None)])
+                                            ("memb_deltainf", None),
+                                            ("bend_delta0", None)])
     def test_one_cell_mesh_per_spectrum(self, monkeypatch, fresh_memo,
                                         demo_material, demo_shape, tag,
                                         delta):
-        # the whole pencil and the classes' region are cut from one mesh
+        # one cell mesh, one assembled pencil (the region's) and one
+        # certification (M-orthonormalization and backward error) per
+        # class, inside its eigensolve; the whole pencil is the tests'
+        # oracle alone
         calls = []
-        build = bloch.build_cell_mesh
-        monkeypatch.setattr(bloch, "build_cell_mesh",
-                            lambda *a, **k: calls.append(1) or build(*a, **k))
+
+        def spy(module, name):
+            f = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, **k: calls.append(
+                name) or f(*a, **k))
+        spy(bloch, "build_cell_mesh")
+        spy(bloch, "build_inclusion_operator")
+        spy(fa, "assemble_vector_h1")
+        spy(fa, "assemble_bfs_h2")
+        spy(system, "_m_orthonormalize")
         for n in (8, 10):
             calls.clear()
-            bloch_spectrum(demo_material, demo_shape, n, tag, 6, delta=delta,
-                           n_z=4)
-            assert len(calls) == 1
+            bs = bloch_spectrum(demo_material, demo_shape, n, tag, 6,
+                                delta=delta, n_z=4)
+            assembler = ("assemble_bfs_h2" if tag == "bend_delta0"
+                         else "assemble_vector_h1")
+            assert sorted(calls) == sorted(
+                ["build_cell_mesh", assembler]
+                + ["_m_orthonormalize"] * len(bs.provenance["classes"]))
+
+    def test_no_src_module_builds_the_whole_pencil(self):
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)
+                 and "build_inclusion_operator" in (
+                     getattr(node.func, "id", None),
+                     getattr(node.func, "attr", None))]
+        assert not found, found
 
     def test_means_do_not_depend_on_the_solver(self, demo_material,
                                                demo_shape):
@@ -237,7 +271,7 @@ class TestCompleteness:
         # summing over the whole discrete spectrum recovers the clipped
         # constant's mass exactly (discrete Parseval identity)
         bs = bloch_spectrum(demo_material, demo_shape, 8, "memb_delta0", 1)
-        n = bs.pair.n
+        n = sum(c["dofs"] for c in bs.provenance["classes"])
         bs_all = bloch_spectrum(demo_material, demo_shape, 8, "memb_delta0", n)
         S = bs_all.gram_partial_sums()[-1]
         assert_allclose(S, bs_all.rho0_mass * np.eye(2), atol=1e-10)

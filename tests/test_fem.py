@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hcplate import tensors as tn
+from hcplate.bloch import build_inclusion_operator
 from hcplate.fem import (EigWorkspace, ScaledGradientSpec,
                          assemble_bfs_h2, assemble_vector_h1,
                          constant_reduced_field, eigs_smallest, factorize,
@@ -427,21 +428,23 @@ class TestEigPaths:
                                   space="dirichlet", ncomp=2)
 
     def test_path_counts_the_requested_modes(self, monkeypatch, demo_material,
-                                             demo_shape, demo_bloch_full):
+                                             demo_shape):
         # validate's fine problem on demo_deltainf (1,248 DOFs, 3 modes) is
         # two x2 classes of 636 and 612 DOFs, 3 modes each: both go to
-        # shift-invert; the full_delta Bloch operator (555 DOFs, 54 modes)
-        # stays dense
+        # shift-invert; the whole pencil of the full_delta Bloch operator
+        # (555 DOFs, 54 modes), the tests' oracle, stays dense
         from hcplate.finescale import build_fine_problem, fine_eigs
         fp = build_fine_problem(demo_material, demo_shape, h=0.5, epsilon=0.5,
                                 cells_per_eps=6, n_z=4, parity="memb")
         assert [dof.n_free for dof in fp.class_dofs] == [636, 612]
-        assert demo_bloch_full.pair.n == 555
+        pair = build_inclusion_operator(demo_material, demo_shape, 16,
+                                        "full_delta", delta=1.0, n_z=4)[1]
+        assert pair.n == 555
         calls = self._spy(monkeypatch)
         fine_eigs(fp, 3, EigWorkspace())
         assert calls == ["eigsh", "eigsh"]
         calls.clear()
-        eigs_smallest(demo_bloch_full.pair, 54, EigWorkspace())
+        eigs_smallest(pair, 54, EigWorkspace())
         assert calls == ["eigh"]
 
     def test_factor_error_propagates(self, monkeypatch):

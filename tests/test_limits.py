@@ -8,9 +8,11 @@ from numpy.testing import assert_allclose
 from hcplate.config import parse_load
 from hcplate.geometry import build_macro_mesh
 from hcplate.limits import (LoadSpec, RegimeConfig, RegimeError,
-                            build_limit_model, load_moments,
-                            micro_modal_loads, modal_system,
-                            solve_limit_resolvent)
+                            _micro_load_vector, build_limit_model,
+                            load_moments, micro_modal_loads, modal_system,
+                            solve_limit_resolvent, static_micro)
+from bloch_oracle import (cluster_rotation, whole_load, whole_modes,
+                          whole_pencil)
 from grand_oracle import solve_bending_resolvent_data
 from schur_oracle import SchurOracle
 
@@ -327,3 +329,57 @@ class TestModelCoupling:
         assert plate.N == 0 and plate.n == plate.n0
         assert hc.N == len(coupled_rows["eps_h"].bloch.eigenvalues)
         assert plate.n0 == hc.n0
+
+
+# a load that no mirror maps to itself: its cell profile has neither y
+# mirror, its transverse profile neither x3 parity
+ASYMMETRIC = LoadSpec(amplitude=(0.7, -0.4, 1.0),
+                      transverse=lambda z: 1.0 + 2.0 * z,
+                      cell=lambda y: 1.0 + y[0] + 2.0 * y[1] ** 2)
+
+
+class TestMicroLoadsOnTheWholePencil:
+    """The modal loads, folded onto each mirror class, match the Bloch
+    operator's whole pencil (dense `eigh`) under a load that no mirror maps
+    to itself; inside a multiplicity cluster the oracle's basis is rotated
+    onto the library's, so a lone mode is matched up to its sign."""
+
+    @staticmethod
+    def _oracle(model, bs, amplitude=None):
+        pair, w, V = whole_pencil(bs, model.mat, model.regime.delta)
+        n = bs.n_modes
+        assert_allclose(bs.eigenvalues, w[:n], rtol=1e-10)
+        U = whole_modes(bs, pair.dof)
+        Q = cluster_rotation(w[:n], V[:, :n], pair.M, U)
+        assert_allclose(Q.T @ Q, np.eye(n), rtol=0, atol=1e-10)
+        F = whole_load(_micro_load_vector(bs, model.shape, ASYMMETRIC,
+                                          amplitude), pair.dof)
+        return Q.T @ (V[:, :n].T @ F)
+
+    @pytest.mark.parametrize("regime, tag", [
+        (RegimeConfig(1.0, "eps", 0), "full_delta"),
+        (RegimeConfig(0.0, "eps", 0, np.inf), "memb_delta0"),
+        (RegimeConfig(0.0, "eps2", 2), "bend_delta0"),
+        (RegimeConfig(np.inf, "eps", 0), "full_deltainf")])
+    def test_micro_modal_loads(self, demo_material, demo_shape, mm, regime,
+                               tag):
+        model = build_limit_model(regime, demo_material, demo_shape, mm,
+                                  cell_n=12, n_z=4, n_modes=12)
+        assert model.bloch.operator_tag == tag
+        want = self._oracle(model, model.bloch)
+        got = micro_modal_loads(model, ASYMMETRIC)
+        assert abs(want).max() > 0
+        assert_allclose(got, want, rtol=0, atol=1e-12 * abs(want).max())
+
+    @pytest.mark.parametrize("regime, tag", [
+        (RegimeConfig(1.0, "eps", 2), "full_delta"),
+        (RegimeConfig(0.0, "eps2", 2), "memb_delta0")])
+    def test_static_micro(self, demo_material, demo_shape, mm, regime, tag):
+        model = build_limit_model(regime, demo_material, demo_shape, mm,
+                                  cell_n=12, n_z=4, n_modes=12)
+        bs = model.static_bloch
+        assert bs.operator_tag == tag
+        ell = self._oracle(model, bs, (*ASYMMETRIC.amplitude[:2], 0.0))
+        want = np.outer(ell / bs.eigenvalues, model.macro_nodal(ASYMMETRIC))
+        got = static_micro(model, ASYMMETRIC)
+        assert_allclose(got, want, rtol=0, atol=1e-12 * abs(want).max())

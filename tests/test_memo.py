@@ -120,9 +120,12 @@ def test_cached_arrays_are_read_only():
     bs = bloch_spectrum(**BLOCH)
     mesh, t = cell_tensor(**TENSOR)
     m0, curve = strip_bottom_m0(**STRIP)
-    for a in (bs.eigenvalues, bs.modes, bs.weighted_means, bs.pair.K.data,
-              bs.pair.M.indices, bs.pair.dof.index, bs.mesh.nodes,
-              mesh.element_soft, t.memb, t.zero_corrector_bound, curve):
+    img, flips = bs.mirrors.images(bs.mesh)
+    for a in (bs.eigenvalues, bs.weighted_means, bs.classes, *bs.vectors,
+              *(d.index for d in bs.dofs), bs.dofs[0].key, bs.mesh.nodes,
+              bs.mirrors.region.nodes, *bs.mirrors.planes.values(), img,
+              flips, mesh.element_soft, t.memb, t.zero_corrector_bound,
+              curve):
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1
     # the caller's arguments stay writeable
@@ -142,8 +145,8 @@ def test_least_recently_used_is_evicted(monkeypatch):
 
 def test_refusals_raise_on_every_call(monkeypatch):
     calls = []
-    build = bloch.build_inclusion_operator
-    monkeypatch.setattr(bloch, "build_inclusion_operator",
+    build = bloch.build_cell_mesh
+    monkeypatch.setattr(bloch, "build_cell_mesh",
                         lambda *a, **k: calls.append(1) or build(*a, **k))
     odd = dict(BLOCH, operator_tag="memb_delta", n_z=3)
     for _ in range(2):

@@ -66,6 +66,53 @@ def test_every_mirror_refused_is_one_identity_class(grid, tensors, carries,
         assert np.array_equal(out[:, :, j], dof.expand(field[:, j]))
 
 
+FOLD_CASES = [
+    # (cell mesh, carries, fixed mirror signs)
+    (dict(n=8), BFS_CARRIES, None),
+    (dict(n=8), Q1_CARRIES[:2], None),
+    (dict(n=8, dim=3, n_z=4), Q1_CARRIES, None),
+    (dict(n=8, dim=3, n_z=4), Q1_CARRIES, {2: 1}),
+    (dict(n=8, dim=3, n_z=4), Q1_CARRIES, {2: -1}),
+]
+
+
+@pytest.mark.parametrize("grid, carries, fixed", FOLD_CASES)
+def test_fold_is_the_adjoint_of_unfold(grid, carries, fixed):
+    # <unfold(v), F> = <v, fold(F)> on every class, for fields and loads of
+    # two columns on a periodic map with clamps; the weight of a class
+    # field counts the images of the region that the target holds
+    mesh = build_cell_mesh(InclusionShape("disk", 0.3), **grid)
+    mc = MirrorClasses(mesh, range(mesh.dim), {"C0": ISO}, fixed=fixed)
+    assert mc.axes == list(range(mesh.dim))
+    assert len(mc.signs) == 2 ** (mesh.dim - len(fixed or {}))
+    dof = _field_map(mc.region, len(carries))
+    rng = np.random.default_rng(3)
+    for k, pinned in enumerate(mc.pinned(dof, carries)):
+        v = rng.normal(size=(pinned.n_free, 2))
+        F = rng.normal(size=(mesh.n_nodes, len(carries), 2))
+        unfolded = mc.unfold(k, v, pinned, carries, mesh)
+        assert_allclose(np.einsum("ncj,nci->ji", unfolded, F),
+                        v.T @ mc.fold(k, F, pinned, carries, mesh),
+                        rtol=1e-12)
+        assert_allclose(mc.fold(k, F[..., 0], pinned, carries, mesh),
+                        mc.fold(k, F, pinned, carries, mesh)[:, 0])
+        # the sign rule: a field of ones unfolds to -1 on the components
+        # the class pins at the images under one mirror, +1 on the others
+        ones = mc.unfold(k, np.ones(pinned.n_free), pinned, carries, mesh)
+        img, flips = mc.images(mesh)
+        for j, comps in enumerate(mc.pins(k, carries)):
+            at = flips[:, j] & (flips.sum(axis=1) == 1)
+            want = np.where(np.isin(range(len(carries)), comps), -1.0, 1.0)
+            kept = pinned.index[img[at]] >= 0
+            assert kept.any()
+            assert_allclose(ones[at][kept],
+                            np.broadcast_to(want, kept.shape)[kept])
+    images = 2 ** mesh.dim
+    assert mc.weight(mesh) == pytest.approx(images ** -0.5, rel=1e-15)
+    assert mc.weight(mesh, solve=True) == 1.0 / images
+    assert mc.weight(mc.region) == mc.weight(mc.region, solve=True) == 1.0
+
+
 def test_class_ids_follow_the_pinned_map():
     # a periodic cell: a class keeps a region DOF unless it pins it, and
     # numbers the kept ones as the region does; the classes split the
@@ -82,10 +129,6 @@ def test_class_ids_follow_the_pinned_map():
         assert kept[dof.index[free]].all()
         gone = (dof.index >= 0) & ~free
         assert not kept[dof.index[gone]].any()
-        # the pinned components are the ones of sign -1 under each mirror
-        for a, comps in zip(mc.axes, mc.pins(k, Q1_CARRIES)):
-            signs = mc.component_signs(k, Q1_CARRIES, a)
-            assert sorted(np.flatnonzero(signs < 0)) == comps
     assert len(mc.record["classes"]) == 8
 
 

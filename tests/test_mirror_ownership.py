@@ -48,7 +48,7 @@ def test_no_mirror_steps_outside_geometry():
 
 
 def test_images_and_unfold_are_the_objects():
-    assert {"images", "unfold"} <= set(vars(geometry.MirrorClasses))
+    assert {"images", "unfold", "fold"} <= set(vars(geometry.MirrorClasses))
     assert GEOMETRY_ONLY == {"mirror_region", "parity_pinned"}
 
 
