@@ -134,12 +134,15 @@ def _zhikov_data(cfg):
 
 
 def _beta_samples(zf, n_samples):
-    """(lambda, beta(lambda)) on a uniform grid of [0, lambda_max], shapes
-    (L,) and (L, k, k): the grid points within POLE_GUARD of a pole, where
-    `eval` refuses beta, are dropped, and the rest go to one `eval` call."""
+    """(lambda, beta(lambda)) at the midpoints of n_samples equal cells of
+    [0, lambda_max], shapes (L,) and (L, k, k). lambda_max is 1.5 times the
+    last pole, which so lies at least lambda_max / (6 n_samples) from every
+    midpoint ((2j + 1) / (2 n) = 2/3 has no integer solution). Points
+    within POLE_GUARD of another pole, where `eval` refuses beta, are
+    dropped, and the rest go to one `eval` call."""
     from .zhikov import POLE_GUARD
     lam_max = zf.lambda_max if np.isfinite(zf.lambda_max) else 10.0 * zf.rho_bar
-    lam = np.linspace(0.0, lam_max, n_samples)
+    lam = (np.arange(n_samples) + 0.5) * (lam_max / n_samples)
     lam = lam[~(np.abs(lam[:, None] - zf.poles) < POLE_GUARD).any(axis=1)]
     return lam, zf.eval(lam)
 

@@ -5,7 +5,7 @@ from .assemble import (ScaledGradientSpec, assemble_bfs_h2,
                        translations_kernel)
 from .system import (DofMap, EigWorkspace, SolverError, SparseOperatorPair,
                      detect_kernel, eigs_smallest, factorize, fix_signs,
-                     nested_dissection, solve_spd)
+                     slab_order, solve_spd)
 
 __all__ = [
     "ScaledGradientSpec", "assemble_bfs_h2", "assemble_element_load",
@@ -13,5 +13,5 @@ __all__ = [
     "constant_reduced_field", "quadrature_points", "translations_kernel",
     "DofMap", "EigWorkspace", "SolverError", "SparseOperatorPair",
     "detect_kernel", "eigs_smallest", "factorize", "fix_signs",
-    "nested_dissection", "solve_spd",
+    "slab_order", "solve_spd",
 ]

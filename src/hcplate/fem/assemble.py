@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import elements as el
-from .system import DofMap, SparseOperatorPair, nested_dissection
+from .system import DofMap, SparseOperatorPair, slab_order
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ def _dof_map(mesh, ncomp: int, space: str, groups, extra_constraints=()):
     gamma_D nodes, 'inclusion-zero-trace' on the boundary of the discrete
     Y0 (for the soft group only), 'free' pins none; then the further
     (nodes, components) pins. The DOFs that no element of the groups
-    touches are dropped, and the rest numbered by the nested dissection of
-    the mesh's grid."""
+    touches are dropped, and the rest keyed by their nodes' ranks in the
+    slab order of the mesh's grid."""
     dof = DofMap(mesh.n_nodes, ncomp)
     if space == "periodic":
         dof.identify_periodic(mesh.periodic_map)
@@ -73,7 +73,7 @@ def _dof_map(mesh, ncomp: int, space: str, groups, extra_constraints=()):
     if not touched.any():
         raise ValueError("empty restriction set")
     return dof.constrain(np.flatnonzero(~touched)).finalize(
-        nested_dissection(*mesh.grid))
+        slab_order(*mesh.grid))
 
 
 def _narrow(a: np.ndarray) -> np.ndarray:

@@ -55,6 +55,9 @@ class DofMap:
         return self
 
     def finalize(self, node_rank: np.ndarray | None = None):
+        """Number the free DOFs; given node ranks (the grid's slab order),
+        key each by its node's rank: sorting the keys gives the factor
+        order, with a node's components side by side."""
         # a constraint on any member of a periodic class constrains the class
         owner = self._owner
         class_con = np.zeros(len(owner), dtype=bool)
@@ -94,51 +97,30 @@ class DofMap:
         return flat.reshape(self.n_nodes, self.ncomp)
 
 
-ND_LEAF = 8    # nested dissection numbers a box of this many nodes as it is
-
-
-def nested_dissection(shape, periodic) -> np.ndarray:
-    """Elimination rank of every node of a structured grid in George's
-    nested-dissection order (A. George, SIAM J. Numer. Anal. 10, 1973).
+def slab_order(shape, periodic) -> np.ndarray:
+    """Elimination rank of every node of a structured grid in slab order:
+    lexicographic, with the axis of most distinct node planes slowest (on a
+    tie the lower axis runs faster), so that a node's element neighbours
+    lie within one node slab, one node row and one node of its rank, twice
+    that along a folded axis (A. George and J. W. H. Liu, Computer Solution
+    of Large Sparse Positive Definite Systems, Prentice-Hall 1981, ch. 4).
 
     shape holds the node count per axis, x first, and node ids run
     x-fastest; on a periodic axis the last node plane is the image of the
-    first and takes its ranks. A box is cut along its longest axis by one
-    node plane, or by two (its first and middle ones) while a periodic axis
-    is still closed. No element couples the two halves of a cut: they are
-    numbered first, each dissected in turn, then the cut, x-fastest."""
-    strides = np.cumprod((1,) + tuple(shape[:-1]))
-    memo = {}
-
-    def dissect(ext, wrap):
-        # node offsets of a box from its first node, in elimination order
-        # (x-fastest for wrap None); built once per extent
-        if (ext, wrap) not in memo:
-            order = np.indices(ext[::-1]).reshape(len(ext), -1).T \
-                @ strides[::-1]
-            if wrap is not None and order.size > ND_LEAF:
-                ax = ext.index(max(ext))
-                m, mid, lo = ext[ax], ext[ax] // 2, int(wrap[ax])
-                opened = wrap[:ax] + (False,) + wrap[ax + 1:]
-
-                def part(start, stop, w):
-                    return dissect(ext[:ax] + (stop - start,) + ext[ax + 1:],
-                                   w) + start * strides[ax]
-                order = np.concatenate(
-                    [part(lo, mid, opened), part(mid + 1, m, opened)]
-                    + [part(c, c + 1, None) for c in (0, mid)[1 - lo:]])
-            memo[ext, wrap] = order
-        return memo[ext, wrap]
-
-    order = dissect(tuple(m - p for m, p in zip(shape, periodic)),
-                    tuple(periodic))
-    rank = np.empty(np.prod(shape), dtype=int)
-    rank[order] = np.arange(len(order))
-    grid = rank.reshape(shape[::-1])
-    for ax in np.flatnonzero(periodic[::-1]):
-        planes = np.moveaxis(grid, ax, 0)
-        planes[-1] = planes[0]
-    return rank
+    first and takes its ranks. The m distinct planes of a periodic axis are
+    folded, 0, m-1, 1, m-2, ..., so that planes adjacent on the ring are at
+    most two apart in the order."""
+    free = [m - p for m, p in zip(shape, periodic)]
+    rank = np.zeros(shape[::-1], dtype=int)
+    weight = 1
+    for ax in sorted(range(len(shape)), key=free.__getitem__):
+        f = free[ax]
+        i = np.arange(shape[ax]) % f
+        pos = np.where(2 * i < f, 2 * i, 2 * (f - i) - 1) if periodic[ax] \
+            else i
+        rank += weight * pos.reshape((-1,) + (1,) * ax)
+        weight *= f
+    return rank.ravel()
 
 
 CLUSTER_GAP = 1e-6       # relative eigenvalue gap defining a multiplicity cluster
@@ -239,16 +221,19 @@ def _max_row_sum(A) -> float:
 
 
 class SpdFactor:
-    """Sparse LU of a symmetric positive (semi)definite matrix; build it
-    with `factorize`.
+    """Band Cholesky factor of a symmetric positive (semi)definite matrix;
+    build it with `factorize`.
 
     A known kernel V (A V = 0) is handled by pinning: k DOFs chosen by
     pivoted QR of V^T are dropped, which leaves a nonsingular SPD block.
-    That block is factored with diagonal pivots only (X. S. Li, ACM TOMS
-    31, 2005), in the order that sorts the DOF keys `order` (a nested
-    dissection of the grid), or without keys in SuperLU's symmetric minimum
-    degree order. `solve` returns the kernel-orthogonal solution of the
-    kernel-projected system.
+    The lower triangle of that block, in the order that sorts the DOF keys
+    `order` (the grid's slab order; without keys, the matrix's own order),
+    goes straight from the CSR arrays into LAPACK's lower band storage and
+    is factored there by xPBTRF (E. Anderson et al., LAPACK Users' Guide,
+    SIAM 1999); a leading minor that is not positive raises SolverError.
+    Only the lower triangle is read: the backward-error check of `solve`
+    against the whole A is what certifies that it was the matrix. `solve`
+    returns the kernel-orthogonal solution of the kernel-projected system.
     """
 
     def __init__(self, A, kernel: np.ndarray | None = None, tol: float = 1e-10,
@@ -262,22 +247,31 @@ class SpdFactor:
             self.V, _ = np.linalg.qr(np.reshape(kernel, (n, -1)))
             _, _, piv = sla.qr(self.V.T, mode="economic", pivoting=True)
             keep[piv[:self.V.shape[1]]] = False
-        self.ordering = "mmd" if order is None else "nested-dissection"
+        self.ordering = "natural" if order is None else "slab"
         p = np.arange(n) if order is None else np.argsort(order, kind="stable")
         self._p = p[keep[p]]             # the factored DOFs, in factor order
         self._norm = _max_row_sum(self.A)
-        try:
-            self._lu = spla.splu(self.A[self._p][:, self._p].tocsc(),
-                                 permc_spec="MMD_AT_PLUS_A" if order is None
-                                 else "NATURAL", diag_pivot_thresh=0.0,
-                                 options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise SolverError(f"sparse factorization failed: {exc}") from exc
+        m = len(self._p)
+        rank = np.full(n, -1)            # pinned DOFs are skipped
+        rank[self._p] = np.arange(m)
+        i = np.repeat(rank, np.diff(self.A.indptr))
+        j = rank[self.A.indices]
+        low = (j >= 0) & (i >= j)
+        d, j = i[low] - j[low], j[low]
+        w = int(d.max(initial=0)) + 1    # band rows: half-bandwidth + 1
+        # entry (i, j) at row i - j of column j, column-major
+        band = np.bincount(j * w + d, weights=self.A.data[low],
+                           minlength=m * w).reshape(m, w).T
+        self._band, info = sla.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise SolverError(f"the matrix is not positive definite: its "
+                              f"leading minor of order {info} (in factor "
+                              f"order) is not positive")
 
     @property
     def fill(self) -> int:
-        """Stored entries of the L and U factors (SuperLU nnz)."""
-        return int(self._lu.nnz)
+        """Stored entries of the band factor, (half-bandwidth + 1) rows."""
+        return int(self._band.size)
 
     def _project(self, y: np.ndarray) -> np.ndarray:
         return y if self.V is None else y - self.V @ (self.V.T @ y)
@@ -285,7 +279,7 @@ class SpdFactor:
     def _apply(self, b: np.ndarray) -> np.ndarray:
         """Pinned solve for kernel-projected right-hand side(s)."""
         x = np.zeros_like(b)
-        x[self._p] = self._lu.solve(b[self._p])
+        x[self._p] = sla.lapack.dpbtrs(self._band, b[self._p], lower=1)[0]
         return self._project(x)
 
     def _backward_error(self, x, b, b_norm) -> float:
@@ -318,7 +312,7 @@ class SpdFactor:
 def factorize(A, kernel: np.ndarray | None = None, tol: float = 1e-10,
               order: np.ndarray | None = None) -> SpdFactor:
     """The one factorization path for SPD (or kernel-singular SPSD)
-    systems; `order` holds the DOF keys of the grid ordering."""
+    systems; `order` holds the DOF keys of the grid's slab order."""
     return SpdFactor(A, kernel, tol, order)
 
 

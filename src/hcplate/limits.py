@@ -30,7 +30,7 @@ from .effective import (EffectiveTensor, effective_delta, effective_delta0,
                         effective_deltainf)
 from .fem import assemble as fa
 from .fem import elements as el
-from .fem.system import EigWorkspace, factorize, nested_dissection
+from .fem.system import EigWorkspace, factorize, slab_order
 from .geometry import CellMesh, InclusionShape, MacroMesh, build_cell_mesh
 from .macro import (MacroOperator, build_bending_operator,
                     build_membrane_operator, nodal_traces, scalar_mass)
@@ -304,7 +304,7 @@ class LimitModel:
         # already
         T = sp.vstack(nodal_traces(op.pair.dof), format="csr")
         K0, order0 = op.pair.K, op.pair.order
-        ranks = nested_dissection(*self.macro_mesh.grid)
+        ranks = slab_order(*self.macro_mesh.grid)
         if means.shape[1] == 3:
             T = sp.block_diag([T, sp.eye(nn)], format="csr")
             K0 = sp.block_diag([K0, sp.csr_matrix((nn, nn))], format="csr")

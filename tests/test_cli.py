@@ -181,6 +181,23 @@ class TestExitCodes:
         assert main(["bloch", "--config", write_cfg(tmp_path, TINY),
                      "--out", str(tmp_path), "--quiet"]) == 3
 
+    def test_indefinite_operator_is_a_solver_failure(self, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     fresh_memo):
+        # a cell stiffness that is not positive definite is refused by the
+        # factorization, naming the leading minor, with exit code 3
+        from hcplate.fem import assemble as fa
+        assemble = fa.assemble_vector_h1
+
+        def negated(*args, **kwargs):
+            pair = assemble(*args, **kwargs)
+            pair.K = -pair.K
+            return pair
+        monkeypatch.setattr(fa, "assemble_vector_h1", negated)
+        assert main(["tensor", "--config", write_cfg(tmp_path, TINY),
+                     "--out", str(tmp_path)]) == 3
+        assert "leading minor of order 1" in capsys.readouterr().err
+
     def test_empty_gamma(self, tmp_path):
         bad = json.loads(json.dumps(TINY))
         bad["macro"]["gamma"] = []
@@ -314,6 +331,19 @@ class TestOutputs:
         assert np.allclose(memb, memb.T)
         assert min(payload["eigenvalues"]) > 0
 
+    @pytest.mark.parametrize("name", ["demo", "demo_bending",
+                                      "demo_deltainf"])
+    def test_shipped_dispersion_has_every_sample(self, tmp_path, name):
+        # no grid point of beta lands on a pole of a shipped config
+        path = os.path.join(CONFIGS, f"{name}.json")
+        with open(path) as fh:
+            cfg = json.load(fh)
+        want = cfg.get("spectrum", {}).get("beta_samples", 400)
+        assert main(["zhikov", "--config", path, "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        lines = (tmp_path / "dispersion.csv").read_text().splitlines()
+        assert len([x for x in lines if not x.startswith("#")]) == want + 1
+
     def test_spectrum_reports_gap(self, tmp_path):
         cfg = write_cfg(tmp_path, TINY)
         out = tmp_path / "o"
@@ -375,8 +405,8 @@ class TestOutputs:
                 "factor_ordering"} <= set(man)
         assert 0 < man["factored_dofs"] < man["state_dofs"]
         assert man["factor_fill"] >= man["factored_dofs"]
-        # the macro system is factored in the grid's nested-dissection order
-        assert man["factor_ordering"] == "nested-dissection"
+        # the macro system is factored in the grid's slab order, as a band
+        assert man["factor_ordering"] == "slab"
 
     def test_evolve_eigensolves_take_config_solver(self, tmp_path,
                                                    monkeypatch):

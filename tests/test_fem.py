@@ -285,6 +285,21 @@ class TestFactorize:
         with pytest.raises(SolverError, match="after refinement"):
             factorize(K, tol=1e-30).solve(rng.standard_normal(12))
 
+    def test_indefinite_matrix_refused(self):
+        # the band Cholesky names the first leading minor that is not
+        # positive, where a diagonal-pivot LU would go on
+        K = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, -3.0, 1.0],
+                                    [0.0, 1.0, 2.0]]))
+        with pytest.raises(SolverError, match="leading minor of order 2"):
+            factorize(K)
+
+    def test_asymmetric_matrix_refused(self):
+        # only the lower triangle is factored: the backward error against
+        # the whole matrix is what certifies that it was the matrix
+        K = sp.csr_matrix(np.array([[4.0, 1.0], [0.5, 3.0]]))
+        with pytest.raises(SolverError, match="backward error"):
+            factorize(K).solve(np.array([1.0, 1.0]))
+
     def test_unpinned_kernel_raises(self):
         # a singular matrix factored without its kernel is refused
         K = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))

@@ -1,17 +1,21 @@
 """Stiffness/mass assembly, sparse factorization and dense conversion belong
 to hcplate.fem: no other module builds a sparse system from element matrices
 (`NodeBlocks`, `DofMap`, the COO `scatter` and `triplets_to_csr`), factors
-one with a plain `splu`, or makes an assembled operator dense (`toarray`,
-`todense`; the dense eigensolver paths of hcplate.fem apply their size
-rules). Every `factorize` call passes the grid order of its DOFs
-(`order=`); minimum degree is left to grid-less test matrices."""
+one with LAPACK's band Cholesky routines or a plain `splu`, or makes an
+assembled operator dense (`toarray`, `todense`; the dense eigensolver paths
+of hcplate.fem apply their size rules). hcplate.fem itself factors by band
+Cholesky alone: no `splu` is left in the package. Every `factorize` call
+passes the slab order of its DOFs (`order=`); grid-less test matrices are
+factored in their own order."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hcplate"
+BAND_CHOLESKY = {"dpbtrf", "dpbtrs", "pbtrf", "pbtrs", "cholesky_banded",
+                 "cho_solve_banded", "solveh_banded"}
 FEM_ONLY = {"scatter", "triplets_to_csr", "NodeBlocks", "DofMap", "splu",
-            "toarray", "todense"}
+            "toarray", "todense"} | BAND_CHOLESKY
 
 
 def _references(tree) -> list[tuple[str | None, str]]:
@@ -50,14 +54,24 @@ def test_no_assembly_or_factorization_outside_fem():
     assert not found, found
 
 
+def test_no_splu_in_the_package():
+    found = [f"{path.relative_to(SRC).as_posix()}:{func}"
+             for path in sorted(SRC.rglob("*.py"))
+             for func, name in _references(ast.parse(path.read_text()))
+             if name == "splu"]
+    assert not found, found
+
+
 def test_guard_sees_calls_imports_and_attributes():
     tree = ast.parse("from .fem.system import DofMap\n"
-                     "def build(fa, spla):\n"
+                     "from scipy.linalg.lapack import dpbtrs\n"
+                     "def build(fa, spla, sla):\n"
                      "    fa.scatter(1, 2, 3)\n"
+                     "    sla.lapack.dpbtrf(0)\n"
                      "    return spla.splu(triplets_to_csr(0, 1))\n")
     assert set(_references(tree)) == {
-        (None, "DofMap"), ("build", "scatter"), ("build", "splu"),
-        ("build", "triplets_to_csr")}
+        (None, "DofMap"), (None, "dpbtrs"), ("build", "scatter"),
+        ("build", "dpbtrf"), ("build", "splu"), ("build", "triplets_to_csr")}
 
 
 def _unordered_factorizations(tree) -> list[int]:

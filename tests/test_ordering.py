@@ -1,94 +1,84 @@
-"""The nested-dissection factor order: a permutation of the reduced DOFs
-whose cuts separate their halves in every assembled operator, with less
-fill than minimum degree and the same results."""
+"""The slab factor order: a permutation of the reduced DOFs under which
+every assembled operator is a band one node slab wide, factored by band
+Cholesky with the same results as a plain SuperLU LU."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hcplate import tensors as tn
-from hcplate.effective import effective_delta, effective_delta0, \
-    effective_deltainf
-from hcplate.fem import EigWorkspace, factorize, nested_dissection
+from hcplate.effective import EffectiveTensor, effective_delta, \
+    effective_delta0, effective_deltainf
+from hcplate.fem import EigWorkspace, factorize, slab_order
 from hcplate.fem import assemble as fa
-from hcplate.fem.system import ND_LEAF
+from hcplate.fem import system
 from hcplate.finescale import build_fine_problem, fine_eigs, fine_resolvent
 from hcplate.geometry import (InclusionShape, build_cell_mesh,
                               build_macro_mesh, mirror_region)
 from hcplate.limits import LoadSpec
+from hcplate.macro import build_bending_operator
 
 C2D = tn.reduced_tensor(tn.isotropic(1.0, 1.0))
 
 
-def reference_cuts(shape, periodic):
-    """(half, half, separator) node-id arrays of every cut, each after the
-    cuts inside its halves, leaves as their own separators: the plain
-    recursion that `nested_dissection` builds once per box extent."""
-    ids = np.arange(np.prod(shape)).reshape(shape[::-1])
-    ids = ids[tuple(slice(-1) if p else slice(None) for p in periodic[::-1])]
-    empty = np.zeros(0, dtype=int)
-    out = []
+def half_bandwidth(pair) -> int:
+    """Largest distance of a stiffness entry below the diagonal, with the
+    DOFs sorted by their keys."""
+    pos = np.empty(pair.n, dtype=int)
+    pos[np.argsort(pair.order, kind="stable")] = np.arange(pair.n)
+    K = pair.K.tocoo()
+    return int(np.max(pos[K.row] - pos[K.col], initial=0))
 
-    def cut(a, wrap):                      # axes of a: (x3,) y, x
-        if a.size <= ND_LEAF:
-            out.append((empty, empty, a.ravel()))
-            return
-        ax = a.ndim - 1 - int(np.argmax(a.shape[::-1]))   # x first on ties
-        mid = a.shape[ax] // 2
-        b = np.moveaxis(a, ax, 0)
-        if wrap[ax]:
-            halves, sep = (b[1:mid], b[mid + 1:]), [b[0], b[mid]]
-        else:
-            halves, sep = (b[:mid], b[mid + 1:]), [b[mid]]
-        opened = wrap[:ax] + (False,) + wrap[ax + 1:]
-        for h in halves:
-            if h.size:
-                cut(np.moveaxis(h, 0, ax), opened)
-        out.append((halves[0].ravel(), halves[1].ravel(),
-                    np.concatenate([s.ravel() for s in sep])))
 
-    cut(ids, tuple(periodic[::-1]))
-    return out
+def node_reach(shape, periodic) -> int:
+    """Rank distance within which a node's element neighbours lie: one
+    slab, one node row (3D) and one node, without the extent of the
+    slowest (longest) axis; a folded periodic axis doubles its step."""
+    free = [m - p for m, p in zip(shape, periodic)]
+    reach, weight = 0, 1
+    for ax in np.argsort(free, kind="stable"):
+        reach += (1 + periodic[ax]) * weight
+        weight *= free[ax]
+    return reach
 
 
 def check_order(pair, mesh):
-    """The DOF keys are node ranks of a permutation; no stiffness entry
-    couples the two halves of any cut."""
+    """The DOF keys are node ranks of a permutation, images share their
+    master's; the band of the stiffness is at most one node slab, one node
+    row and one node wide, each node's DOFs side by side."""
     shape, periodic = mesh.grid
-    cuts = reference_cuts(shape, periodic)
-    order = np.concatenate([s for _, _, s in cuts])
-    rank = nested_dissection(shape, periodic)
-    # the distinct nodes, ranked in the order of the plain recursion
-    assert (rank[order] == np.arange(len(order))).all()
+    rank = slab_order(shape, periodic)
+    distinct = rank[mesh.periodic_map == np.arange(len(rank))] \
+        if hasattr(mesh, "periodic_map") else rank
+    assert np.array_equal(np.sort(distinct), np.arange(len(distinct)))
     # every reduced DOF, and only those, carries its node's rank
     idx = pair.dof.index
     free = idx >= 0
     key = pair.order
     assert key.shape == (pair.n,)
-    assert (key[idx[free]] == np.broadcast_to(rank[:, None],
-                                              idx.shape)[free]).all()
-    assert np.bincount(key, minlength=1).max() <= pair.dof.ncomp
-    K = pair.K.tocoo()
-    rows, cols = key[K.row], key[K.col]
-    for h1, h2, _ in cuts:
-        side = np.zeros(len(order), dtype=np.int8)
-        side[rank[h1]], side[rank[h2]] = 1, 2
-        assert not np.any(side[rows] * side[cols] == 2)
+    per_node = np.bincount(key, minlength=1).max()
+    if pair.n == pair.dof.n_free:
+        assert (key[idx[free]] == np.broadcast_to(rank[:, None],
+                                                  idx.shape)[free]).all()
+        assert per_node <= pair.dof.ncomp
+    reach = node_reach(shape, periodic)
+    assert half_bandwidth(pair) <= max(per_node * (reach + 1) - 1, 0)
 
 
 SHAPES = st.builds(InclusionShape, st.sampled_from(["disk", "square"]),
                    st.floats(0.1, 0.3))
 
 
-class TestNestedDissection:
+class TestSlabOrder:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(4, 14), shape=SHAPES, bending=st.booleans(),
            part=st.sampled_from(["stiff", "soft"]))
     def test_periodic_2d_cells(self, n, shape, bending, part):
-        # the stiff part on the torus (cell problems), or the inclusion
-        # with zero trace (Bloch operators)
+        # the stiff part on the torus (cell problems whose mirrors are
+        # refused), or the inclusion with zero trace (Bloch operators)
         if shape.boundary_margin < 1.0 / n:
             shape = None
         mesh = build_cell_mesh(shape, n=n)
@@ -124,6 +114,10 @@ class TestNestedDissection:
                                           ncomp=2), mesh)
         check_order(fa.assemble_bfs_h2(mesh, np.eye(3), space="dirichlet"),
                     mesh)
+        # the bending pencil over [a | b]: six DOFs a node, side by side
+        tensor = EffectiveTensor(regime="delta", memb=C2D, bend=C2D,
+                                 coupling=0.1 * C2D)
+        check_order(build_bending_operator(tensor, mesh, 1.0).pair, mesh)
 
     @settings(max_examples=10, deadline=None)
     @given(cells=st.integers(2, 4), n_z=st.sampled_from([2, 4]),
@@ -162,27 +156,68 @@ class TestNestedDissection:
 
     def test_periodic_images_share_their_master_rank(self):
         mesh = build_cell_mesh(None, n=6, dim=3, n_z=2)
-        rank = nested_dissection(*mesh.grid)
+        rank = slab_order(*mesh.grid)
         assert (rank == rank[mesh.periodic_map]).all()
 
+    @pytest.mark.parametrize("m", [4, 5, 8, 9])
+    def test_periodic_axes_are_folded(self, m):
+        # m distinct x planes on a ring, 3 free y planes, x slowest: the
+        # planes go 0, m-1, 1, m-2, ... and the image plane m takes plane
+        # 0's ranks
+        rank = slab_order((m + 1, 3), (1, 0)).reshape(3, m + 1)
+        fold = np.ravel(list(zip(range(m), range(m - 1, -1, -1))))[:m]
+        assert np.array_equal(rank[0, :m][fold], 3 * np.arange(m))
+        assert np.array_equal(rank[:, m], rank[:, 0])
+        assert np.array_equal(rank[:, 0], np.arange(3))
 
-def _mmd(monkeypatch):
-    """Assemble without grid keys: every factor falls back to MMD."""
-    monkeypatch.setattr(fa, "nested_dissection", lambda *grid: None)
+    def test_longest_axis_is_slowest(self):
+        rank = slab_order((3, 5, 4), (0, 0, 0)).reshape(4, 5, 3)
+        # x fastest (3 planes), then x3 (4), then y (5) slowest
+        assert np.array_equal(rank[0, 0], [0, 1, 2])
+        assert np.array_equal(rank[:, 0, 0], [0, 3, 6, 9])
+        assert rank[0, 1, 0] == 12
+
+
+class SuperLU(system.SpdFactor):
+    """Oracle: the band factor's pinning, projection and backward-error
+    contract, with the pinned block solved by a plain SuperLU LU in its
+    default (COLAMD, an approximate minimum degree) column order."""
+
+    def __init__(self, A, kernel=None, tol=1e-10, order=None):
+        super().__init__(A, kernel, tol, order)
+        self._lu = spla.splu(self.A[self._p][:, self._p].tocsc())
+
+    def _apply(self, b):
+        x = np.zeros_like(b)
+        x[self._p] = self._lu.solve(b[self._p])
+        return self._project(x)
+
+
+def _superlu(monkeypatch):
+    """Every factor that `factorize` builds solves by SuperLU."""
+    monkeypatch.setattr(system, "SpdFactor", SuperLU)
 
 
 @pytest.mark.usefixtures("fresh_memo")
 class TestAgainstMinimumDegree:
     def test_prism_fill(self, demo_material, demo_shape):
+        # the band stores half-bandwidth + 1 rows over the factored DOFs
         mesh = build_cell_mesh(demo_shape, n=16, dim=3, n_z=4)
         pair = fa.assemble_vector_h1(
             mesh, demo_material.C1, grad=fa.ScaledGradientSpec(1.0),
             space="periodic", restrict_to="stiff")
         kernel = fa.translations_kernel(pair.dof)
-        nd = factorize(pair.K, kernel, order=pair.order)
-        mmd = factorize(pair.K, kernel)
-        assert (nd.ordering, mmd.ordering) == ("nested-dissection", "mmd")
-        assert nd.fill <= 0.85 * mmd.fill
+        band = factorize(pair.K, kernel, order=pair.order)
+        assert band.ordering == "slab"
+        kd = half_bandwidth(pair)
+        assert kd <= 3 * (node_reach(*mesh.grid) + 1) - 1
+        # the three pinned DOFs leave the band no wider
+        rows, rest = divmod(band.fill, pair.n - 3)
+        assert rest == 0 and rows <= kd + 1
+        lu = SuperLU(pair.K, kernel, order=pair.order)
+        f = np.random.default_rng(0).standard_normal(pair.n)
+        x = lu.solve(f)
+        assert_allclose(band.solve(f), x, rtol=0, atol=1e-10 * abs(x).max())
 
     def test_cell_tensors(self, demo_material, demo_shape, monkeypatch):
         def tensors():
@@ -192,12 +227,12 @@ class TestAgainstMinimumDegree:
                                      build_cell_mesh(demo_shape, n=16)),
                     effective_deltainf(demo_material,
                                        build_cell_mesh(demo_shape, n=16))]
-        nd = tensors()
-        _mmd(monkeypatch)
-        for a, b in zip(nd, tensors()):
+        band = tensors()
+        _superlu(monkeypatch)
+        for a, b in zip(band, tensors()):
             Q = b.pair_form()
             assert_allclose(a.pair_form(), Q, rtol=0,
-                            atol=1e-12 * abs(Q).max())
+                            atol=1e-10 * abs(Q).max())
 
     @pytest.fixture
     def fine(self, demo_material, demo_shape):
@@ -208,14 +243,14 @@ class TestAgainstMinimumDegree:
     def test_fine_resolvent(self, fine, monkeypatch):
         load = LoadSpec(amplitude=(1.0, 0.0, 0.0))
         u = fine_resolvent(fine(), 2.0, load)["u"]
-        _mmd(monkeypatch)
-        u_mmd = fine_resolvent(fine(), 2.0, load)["u"]
-        assert_allclose(u, u_mmd, rtol=0, atol=1e-12 * abs(u_mmd).max())
+        _superlu(monkeypatch)
+        u_lu = fine_resolvent(fine(), 2.0, load)["u"]
+        assert_allclose(u, u_lu, rtol=0, atol=1e-10 * abs(u_lu).max())
 
     def test_eigenpairs(self, fine, monkeypatch):
         ws = EigWorkspace(solver="shift-invert")
         w, v = fine_eigs(fine(), 4, ws)
-        _mmd(monkeypatch)
-        w_mmd, v_mmd = fine_eigs(fine(), 4, ws)
-        assert_allclose(w, w_mmd, rtol=1e-12)
-        assert_allclose(v, v_mmd, rtol=0, atol=1e-12 * abs(v_mmd).max())
+        _superlu(monkeypatch)
+        w_lu, v_lu = fine_eigs(fine(), 4, ws)
+        assert_allclose(w, w_lu, rtol=1e-10)
+        assert_allclose(v, v_lu, rtol=0, atol=1e-10 * abs(v_lu).max())

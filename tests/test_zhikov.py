@@ -112,17 +112,21 @@ class TestBetaOnGrid:
             variant.eval(at_pole.reshape(2, 5))
 
     def test_samples_drop_only_the_point_on_a_pole(self, variant):
-        # 401 points: on 400 the last pole sits on the grid as well
-        # (lambda_max is 1.5 times it), and that point is dropped too
-        grid = np.linspace(0.0, variant.lambda_max, 401)
+        # the 400 cell midpoints miss the last pole (two thirds of
+        # lambda_max) by a sixth of a cell; a first pole moved onto one of
+        # them costs that point alone
+        n = 400
+        grid = (np.arange(n) + 0.5) * (variant.lambda_max / n)
+        assert np.abs(grid - variant.poles[-1]).min() >= \
+            0.99 * variant.lambda_max / (6 * n)
         k = int(np.argmin(np.abs(grid - variant.poles[0])))
         zf = dataclasses.replace(
             variant, poles=np.concatenate([[grid[k]], variant.poles[1:]]))
         assert zf.lambda_max == variant.lambda_max
         assert (np.abs(grid[:, None] - zf.poles) < POLE_GUARD).sum() == 1
-        lam, B = _beta_samples(zf, 401)
+        lam, B = _beta_samples(zf, n)
         assert np.array_equal(lam, np.delete(grid, k))
-        assert len(B) == 400
+        assert len(B) == n - 1
 
 
 class TestBetaOracle:
