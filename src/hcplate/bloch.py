@@ -34,9 +34,9 @@ from . import tensors as tn
 from .fem import assemble as fa
 from .fem.system import (EigWorkspace, SparseOperatorPair, cluster_starts,
                          eigs_by_class, eigs_smallest, fix_signs)
-from .geometry import (BFS_CARRIES, PARITY_SIGNS, Q1_CARRIES, CellMesh,
-                       ConfigurationError, InclusionShape, MirrorClasses,
-                       build_cell_mesh, half_prism)
+from .geometry import (BFS_CARRIES, PARITY_SIGNS, Q1_CARRIES,
+                       ConfigurationError, GridMesh, InclusionShape,
+                       MirrorClasses, build_cell_mesh, half_prism)
 from .memo import memoized
 
 MEAN_ZERO_FACTOR = 1e-7  # weighted mean treated as zero below this * <rho0>
@@ -54,7 +54,7 @@ class BlochSpectrum:
     classification: list[str]        # per eigenvalue: "coupled" | "uncoupled"
     rho0_mass: float                 # <rho0>_h = 1^T M 1 per tracked component
     rho0_area_mass: float = 0.0      # rho0 * |Y0_disc| (element-area sum)
-    mesh: CellMesh = field(repr=False, default=None)  # the whole cell or prism
+    mesh: GridMesh = field(repr=False, default=None)  # the whole cell or prism
     mirrors: MirrorClasses = field(repr=False, default=None)
     classes: np.ndarray = None       # the mirror class of each mode
     vectors: list = field(repr=False, default_factory=list)  # per class
@@ -96,7 +96,7 @@ def _classify(eigenvalues, means, rho0_mass):
     return ["uncoupled" if z else "coupled" for z in cluster_zero]
 
 
-def _inplane_operator(mat, mesh2d: CellMesh, eta: float | None = None):
+def _inplane_operator(mat, mesh2d: GridMesh, eta: float | None = None):
     """The delta = inf inclusion operator, or its strip fiber at eta."""
     return fa.assemble_vector_h1(mesh2d, mat.C0, density=mat.rho0,
                                  space="inclusion-zero-trace",
@@ -144,7 +144,7 @@ def _operator_form(mat: tn.MaterialSpec, operator_tag: str, delta):
 
 def build_inclusion_operator(mat: tn.MaterialSpec, shape: InclusionShape,
                              n: int, operator_tag: str, delta: float | None = None,
-                             n_z: int = 4, cell: CellMesh | None = None):
+                             n_z: int = 4, cell: GridMesh | None = None):
     """Mesh + operator pair + tracked components + integral scale of one
     inclusion operator's whole pencil (the tests' oracle; parity operators
     on the half prism), on `cell` (by default the operator's cell mesh,
@@ -246,7 +246,7 @@ class StripPencil:
     K2: object
 
     @classmethod
-    def assemble(cls, mat: tn.MaterialSpec, mesh2d: CellMesh) -> "StripPencil":
+    def assemble(cls, mat: tn.MaterialSpec, mesh2d: GridMesh) -> "StripPencil":
         pair, plus, minus = (_inplane_operator(mat, mesh2d, eta)
                              for eta in (None, 1.0, -1.0))
         Ks = [pair.K, (plus.K - minus.K) / 2, (plus.K + minus.K) / 2 - pair.K]
@@ -277,14 +277,14 @@ class StripPencil:
         return float(eigs_smallest(self.fiber(eta), 1, ws)[0][0])
 
 
-def strip_fiber_bottom(mat: tn.MaterialSpec, mesh2d: CellMesh, eta: float,
+def strip_fiber_bottom(mat: tn.MaterialSpec, mesh2d: GridMesh, eta: float,
                        ws: EigWorkspace | None = None) -> float:
     """Smallest eigenvalue of the Hermitian strip fiber at wavenumber eta."""
     return StripPencil.assemble(mat, mesh2d).bottom(eta, ws)
 
 
 @memoized
-def strip_bottom_m0(mat: tn.MaterialSpec, mesh2d: CellMesh, eta_grid,
+def strip_bottom_m0(mat: tn.MaterialSpec, mesh2d: GridMesh, eta_grid,
                     ws: EigWorkspace | None = None, refine_tol: float = 1e-4):
     """Bottom of the strip operator spectrum: min over eta of the first
     fiber eigenvalue, with one golden-section refinement around the grid

@@ -57,7 +57,7 @@ def main(argv=None) -> int:
     from numpy.linalg import LinAlgError
 
     from . import commands
-    from .config import ConfigError, config_hash, load_config
+    from .config import config_hash, load_config
     from .fem.system import SolverError
     from .geometry import ConfigurationError, GeometryError
     from .limits import RegimeError
@@ -72,8 +72,7 @@ def main(argv=None) -> int:
         if not args.quiet:
             print(f"hcplate: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ConfigError, ConfigurationError, GeometryError, RegimeError,
-            ValueError) as exc:
+    except (ConfigurationError, GeometryError, RegimeError, ValueError) as exc:
         if not args.quiet:
             print(f"hcplate: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -268,8 +268,9 @@ def cmd_resolvent(cfg, out: Path, chash: str) -> int:
 
 
 def cmd_evolve(cfg, out: Path, chash: str) -> int:
-    from .config import ConfigError, parse_load
+    from .config import parse_load
     from .evolution import evolve
+    from .geometry import ConfigurationError
     model = _model(cfg)
     load = parse_load(cfg)
     ev = cfg.get("evolve", {})
@@ -278,8 +279,9 @@ def cmd_evolve(cfg, out: Path, chash: str) -> int:
     # evolve.variant is an optional echo of the regime's row
     variant = model.regime.kind
     if ev.get("variant", variant) != variant:
-        raise ConfigError(f"evolve.variant {ev['variant']!r} is not the "
-                          f"row of regime {model.regime.key} ({variant})")
+        raise ConfigurationError(
+            f"evolve.variant {ev['variant']!r} is not the row of regime "
+            f"{model.regime.key} ({variant})")
     traj = evolve(model, load, T, dt)
     # macro modal amplitudes: mass-orthonormal projections on the leading
     # eigenmodes of the governing macro operator, whose mass lies on the
@@ -308,11 +310,12 @@ def cmd_evolve(cfg, out: Path, chash: str) -> int:
 
 
 def cmd_validate(cfg, out: Path, chash: str) -> int:
-    from .config import ConfigError, parse_regime
+    from .config import parse_regime
     from .finescale import build_fine_problem, fine_eigs
+    from .geometry import ConfigurationError
     regime = parse_regime(cfg)
     if regime.kind != "real_time" or regime.delta == 0.0:
-        raise ConfigError("validate runs the membrane rows with delta > 0")
+        raise ConfigurationError("validate runs the membrane rows with delta > 0")
     (mat, shape, _, macro_mesh, ws), _, _, _, strip, _, spec = \
         _limit_spectrum(cfg)
     thin = strip is not None
@@ -331,8 +334,8 @@ def cmd_validate(cfg, out: Path, chash: str) -> int:
             epsilon=eps, mu_scaling="eps", tau=0,
             cells_per_eps=vcfg.get("cells_per_eps", 8),
             n_z=vcfg.get("n_z", 4), parity="memb",
-            L1=macro_mesh.L1, L2=macro_mesh.L2,
-            gamma=macro_mesh.gamma_edges,
+            L1=macro_mesh.lengths[0], L2=macro_mesh.lengths[1],
+            gamma=macro_mesh.gamma,
             budget=vcfg.get("budget", 200_000))
         w = fine_eigs(fp, n_eigs, ws)[0]
         dists = [float(np.min(np.abs(pts - x))) for x in w]

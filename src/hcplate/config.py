@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensors as tn
-from .geometry import InclusionShape, build_macro_mesh
+from .geometry import ConfigurationError, InclusionShape, build_macro_mesh
 from .limits import ROWS, LoadSpec, RegimeConfig
 
 _NUM_OR_INF = {"oneOf": [{"type": "number"}, {"const": "inf"}]}
@@ -120,10 +120,6 @@ SCHEMA = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _num(value):
     return np.inf if value == "inf" else float(value)
 
@@ -200,14 +196,14 @@ def _valid(schema, value):
 def load_config(path) -> dict:
     p = Path(path)
     if not p.exists():
-        raise ConfigError(f"config file {path} not found")
+        raise ConfigurationError(f"config file {path} not found")
     try:
         cfg = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     for path, message in violations(SCHEMA, cfg):
         where = ".".join(map(str, path)) or "the top level"
-        raise ConfigError(f"config schema violation at {where}: {message}")
+        raise ConfigurationError(f"config schema violation at {where}: {message}")
     cfg["_dir"] = str(p.parent)
     return cfg
 
@@ -225,7 +221,7 @@ def parse_material(cfg: dict) -> tn.MaterialSpec:
         if not p.is_absolute():
             p = Path(cfg.get("_dir", ".")) / p
         if not p.exists():
-            raise ConfigError(f"material file {node} not found")
+            raise ConfigurationError(f"material file {node} not found")
         return tn.load_material(p)
     return tn.material_from_dict(node)
 
@@ -263,7 +259,7 @@ def _macro_profile(node):
         L2 = node.get("L2", 1.0)
         return lambda x: (np.sin(k1 * np.pi * x[0] / L1)
                           * np.sin(k2 * np.pi * x[1] / L2))
-    raise ConfigError(f"unknown macro profile {node['kind']!r}")
+    raise ConfigurationError(f"unknown macro profile {node['kind']!r}")
 
 
 def _time_profile(node):
@@ -272,7 +268,7 @@ def _time_profile(node):
     if node["kind"] == "sin":
         w = float(node.get("omega", 1.0))
         return lambda t: np.sin(w * t)
-    raise ConfigError(f"unknown time profile {node['kind']!r}")
+    raise ConfigurationError(f"unknown time profile {node['kind']!r}")
 
 
 def parse_load(cfg: dict) -> LoadSpec:

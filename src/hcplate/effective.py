@@ -39,7 +39,7 @@ from . import tensors as tn
 from .fem import assemble as fa
 from .fem import elements as el
 from .fem.system import factorize
-from .geometry import BFS_CARRIES, Q1_CARRIES, CellMesh, MirrorClasses
+from .geometry import BFS_CARRIES, Q1_CARRIES, GridMesh, MirrorClasses
 
 # unit in-plane engineering strains (11, 22, 12) as 6-Voigt columns
 _IN_PLANE = [0, 1, 5]
@@ -95,7 +95,7 @@ class EffectiveTensor:
         return out
 
 
-def _mirrors(C1: np.ndarray, mesh: CellMesh, axes, columns, tol: float):
+def _mirrors(C1: np.ndarray, mesh: GridMesh, axes, columns, tol: float):
     """The classes of the mirrors of `axes` that the cell problem has, each
     load column's sign under a mirror the Voigt sign of its prestrain, times
     -1 under x3 for a prestrain odd in x3; and the tensor's provenance,
@@ -103,7 +103,8 @@ def _mirrors(C1: np.ndarray, mesh: CellMesh, axes, columns, tol: float):
     mc = MirrorClasses(mesh, axes, {"C1": C1}, signs=[
         tuple(tn.voigt_signs(a)[v] * (-1 if odd and a == 2 else 1)
               for a in axes) for _, v, odd in columns])
-    return mc, {"n": mesh.n, **({"n_z": mesh.n_z} if mesh.dim == 3 else {}),
+    return mc, {"n": mesh.counts[0],
+                **({"n_z": mesh.n_z} if mesh.dim == 3 else {}),
                 "mirrors": mc.record["mirrors"],
                 "mirrors_refused": mc.record["mirrors_refused"], "tol": tol,
                 "classes": mc.record["classes"]}
@@ -134,7 +135,7 @@ def _class_min(pair, mc: MirrorClasses, F: np.ndarray, E0: np.ndarray,
     return 0.5 * (Q + Q.T), E
 
 
-def effective_delta(mat: tn.MaterialSpec, mesh3d: CellMesh, delta: float,
+def effective_delta(mat: tn.MaterialSpec, mesh3d: GridMesh, delta: float,
                     tol: float = 1e-9) -> EffectiveTensor:
     """C^hom for delta in (0, inf): prism cell problems over the stiff part
     with the prestrains (A | -x3 B)."""
@@ -168,7 +169,7 @@ def effective_delta(mat: tn.MaterialSpec, mesh3d: CellMesh, delta: float,
         provenance=prov)
 
 
-def effective_delta0(mat: tn.MaterialSpec, mesh2d: CellMesh,
+def effective_delta0(mat: tn.MaterialSpec, mesh2d: GridMesh,
                      tol: float = 1e-9) -> EffectiveTensor:
     """C^{hom,r} for delta = 0: 2D membrane and Hessian cell problems with
     the transverse-reduced stiff tensor; the bending block carries 1/12."""
@@ -208,7 +209,7 @@ def _flat_zero_corrector_bound(C1: np.ndarray, stiff_frac: float) -> np.ndarray:
     return stiff_frac * np.block([[C, zero], [zero, C / 12.0]])
 
 
-def effective_deltainf(mat: tn.MaterialSpec, mesh2d: CellMesh,
+def effective_deltainf(mat: tn.MaterialSpec, mesh2d: GridMesh,
                        tol: float = 1e-9) -> EffectiveTensor:
     """C^{hom,h} for delta = inf; bending equals the membrane block over 12
     (the x3-odd corrector split is exact in this regime)."""

@@ -32,11 +32,9 @@ def _by_material(value):
 
 
 def _element_groups(mesh, restrict_to: str):
-    """Element ids per material; a mesh without `element_soft` (the macro
-    mesh) is one stiff group."""
-    soft = getattr(mesh, "element_soft", None)
-    if soft is None:
-        return {"stiff": np.arange(len(mesh.elements))}
+    """Element ids per material (a mesh without an inclusion, the
+    mid-plane, has no soft element)."""
+    soft = mesh.element_soft
     if restrict_to == "all":
         return {"stiff": np.flatnonzero(~soft), "soft": np.flatnonzero(soft)}
     if restrict_to == "soft":
@@ -48,7 +46,7 @@ def _element_groups(mesh, restrict_to: str):
 
 def _dof_map(mesh, ncomp: int, space: str, groups, extra_constraints=()):
     """The DOF map of `space` on the mesh: 'periodic' identifies the
-    y-periodic images, 'dirichlet' pins every component on the MacroMesh
+    y-periodic images, 'dirichlet' pins every component on the mesh's
     gamma_D nodes, 'inclusion-zero-trace' on the boundary of the discrete
     Y0 (for the soft group only), 'free' pins none; then the further
     (nodes, components) pins. The DOFs that no element of the groups
@@ -252,8 +250,8 @@ def vector_h1_form(mesh, C, grad: ScaledGradientSpec | None = None,
     density None gives K only (M is None).
     Spaces (`_dof_map`): 'periodic' (its kernel: translations_kernel(dof)),
     'inclusion-zero-trace' (H^1_00 on the discrete Y0), 'dirichlet'
-    (MacroMesh gamma_D), 'free'. extra_constraints holds further
-    (nodes, components) pairs to pin, e.g. z-planes or clamped edges.
+    (the mesh's gamma_D nodes), 'free'. extra_constraints holds further
+    (nodes, components) pairs to pin, e.g. z-planes.
     """
     hsize = mesh.element_size()
     third = None
@@ -285,7 +283,7 @@ def assemble_bfs_h2(mesh, D, density=1.0, space: str = "periodic",
 
     Spaces (`_dof_map`): 'periodic' (its kernel, the constants:
     translations_kernel(dof, [0])), 'dirichlet' (all four DOFs pinned on
-    gamma_D nodes of a MacroMesh), 'inclusion-zero-trace' (H^2_0 on the
+    the mesh's gamma_D nodes), 'inclusion-zero-trace' (H^2_0 on the
     discrete Y0), 'free'. density None assembles K only (M is None).
     """
     hsize = mesh.element_size()

@@ -17,9 +17,8 @@ from .fem.assemble import (PencilForm, ScaledGradientSpec,
                            vector_h1_form)
 from .fem.system import (EigWorkspace, SparseOperatorPair, eigs_by_class,
                          factorize)
-from .geometry import (EDGES, PARITY_SIGNS, Q1_CARRIES, ConfigurationError,
-                       InclusionShape, MirrorClasses, extrude, half_prism,
-                       structured_quads)
+from .geometry import (PARITY_SIGNS, Q1_CARRIES, ConfigurationError, GridMesh,
+                       InclusionShape, MirrorClasses, grid_mesh, half_prism)
 
 DOF_BUDGET = 200_000
 
@@ -31,62 +30,17 @@ def mu_value(mu_scaling: str, eps: float, h: float) -> float:
     return values[mu_scaling]
 
 
-@dataclass
-class FineMesh:
-    nodes: np.ndarray
-    elements: np.ndarray
-    element_soft: np.ndarray
-    hsize: tuple
-    shape_inplane: tuple[int, int]
-    n_z: int
-    z_span: tuple[float, float] = (-0.5, 0.5)
-    L: tuple[float, float] = (1.0, 1.0)    # the whole plate's in-plane size
-
-    @property
-    def n_nodes(self):
-        return self.nodes.shape[0]
-
-    def mirror_planes(self, axis: int) -> tuple[float, ...]:
-        """The plane of the mirror of `axis`: x_a = L_a / 2, or x3 = 0."""
-        return (0.0,) if axis == 2 else (self.L[axis] / 2,)
-
-    def centroids(self) -> np.ndarray:
-        """Element centres: each element's first (lowest) node plus half
-        its sizes."""
-        return self.nodes[self.elements[:, 0]] + 0.5 * np.asarray(self.hsize)
-
-    @property
-    def grid(self) -> tuple[tuple, tuple]:
-        """Nodes per axis and which are periodic (none)."""
-        nx, ny = self.shape_inplane
-        return (nx + 1, ny + 1, self.n_z + 1), (False,) * 3
-
-    def element_size(self) -> tuple:
-        return self.hsize
-
-
 def _build_fine_mesh(L1, L2, eps, cells_per_eps, n_z, shape: InclusionShape,
-                     z_span=(-0.5, 0.5)) -> FineMesh:
+                     z_span=(-0.5, 0.5), gamma=()) -> GridMesh:
+    """The plate [0, L1] x [0, L2] x I as the eps-periodic tiling of the
+    cell's grid, `cells_per_eps` elements per cell and axis."""
     ncx, ncy = L1 / eps, L2 / eps
     if abs(ncx - round(ncx)) > 1e-9 or abs(ncy - round(ncy)) > 1e-9:
         raise ConfigurationError("omega must be tiled by an integer number "
                                  "of eps-cells")
-    nx = int(round(ncx)) * cells_per_eps
-    ny = int(round(ncy)) * cells_per_eps
-    nodes2, conn2 = structured_quads(L1 * np.arange(nx + 1) / nx,
-                                     L2 * np.arange(ny + 1) / ny)
-    lo, hi = z_span
-    nodes, conn = extrude(nodes2, conn2,
-                          lo + (hi - lo) * np.arange(n_z + 1) / n_z)
-    cent2 = nodes2[conn2].mean(axis=1)
-    frac = np.mod(cent2 / eps, 1.0)
-    soft2 = shape.contains(frac) if shape is not None else \
-        np.zeros(len(conn2), dtype=bool)
-    soft = np.tile(soft2, n_z)
-    return FineMesh(nodes=nodes, elements=conn, element_soft=soft,
-                    hsize=(L1 / nx, L2 / ny, (hi - lo) / n_z),
-                    shape_inplane=(nx, ny), n_z=n_z, z_span=z_span,
-                    L=(L1, L2))
+    return grid_mesh((L1, L2), (int(round(ncx)) * cells_per_eps,
+                                int(round(ncy)) * cells_per_eps),
+                     shape, period=eps, n_z=n_z, z_span=z_span, gamma=gamma)
 
 
 @dataclass
@@ -103,7 +57,7 @@ class FineProblem:
     epsilon: float
     mu_scaling: str
     tau: int
-    mesh: FineMesh
+    mesh: GridMesh
     pair: PencilForm
     parity: str | None = None
     meta: dict = field(default_factory=dict)
@@ -142,10 +96,8 @@ def build_fine_problem(mat: tn.MaterialSpec, shape: InclusionShape, h: float,
     on its own."""
     if n_z < 2:
         raise ConfigurationError("fine problems need n_z >= 2")
-    if set(gamma) - set(EDGES):
-        raise ConfigurationError(f"unknown boundary edges "
-                                 f"{sorted(set(gamma) - set(EDGES))}")
-    plate = _build_fine_mesh(L1, L2, epsilon, cells_per_eps, n_z, shape)
+    plate = _build_fine_mesh(L1, L2, epsilon, cells_per_eps, n_z, shape,
+                             gamma=gamma)
     tensors = {"C0": mat.C0, "C1": mat.C1}
     mesh, fixed_signs = plate, {}
     if parity is not None:
@@ -161,9 +113,6 @@ def build_fine_problem(mat: tn.MaterialSpec, shape: InclusionShape, h: float,
     region = mirrors.region
 
     mu = mu_value(mu_scaling, epsilon, h)
-    x = region.nodes
-    fixed = [(np.flatnonzero(np.isclose(x[:, a], side * (L1, L2)[a])), None)
-             for a, side in (EDGES[e] for e in gamma)]
     # a parity class carries half of the full plate's (even) energies; the
     # factor 2 goes into the element matrices, where it is exact
     halves = 1.0 if parity is None else 2.0
@@ -171,7 +120,7 @@ def build_fine_problem(mat: tn.MaterialSpec, shape: InclusionShape, h: float,
         region, {"soft": halves * mu ** 2 * mat.C0, "stiff": halves * mat.C1},
         grad=ScaledGradientSpec(h),
         density={"soft": halves * mat.rho0, "stiff": halves * mat.rho1},
-        space="free", extra_constraints=fixed)
+        space="dirichlet")
     class_dofs = list(mirrors.pinned(form.dof, Q1_CARRIES))
     return FineProblem(mat=mat, shape=shape, h=h, epsilon=epsilon,
                        mu_scaling=mu_scaling, tau=tau, mesh=mesh, pair=form,
@@ -207,13 +156,13 @@ def fine_resolvent(fp: FineProblem, lam: float, load) -> dict:
         raise ValueError("lambda must be positive")
     mesh, mirrors = fp.mesh, fp.mirrors
     amp = np.asarray(load.amplitude, dtype=float)
-    elems = np.arange(len(mesh.elements))
-    X = quadrature_points(mesh, elems, el.q1_quadrature(mesh.hsize)[0])
+    elems, hsize = np.arange(len(mesh.elements)), mesh.element_size()
+    X = quadrature_points(mesh, elems, el.q1_quadrature(hsize)[0])
     # (components, elements, points)
     values = amp[:, None, None] * load.macro_fn()(X[:2]) \
         * load.transverse_fn()(X[2]) \
         * load.cell_fn(fp.shape)(np.mod(X[:2] / fp.epsilon, 1.0))
-    fe = el.q1_vector_load(mesh.hsize, np.moveaxis(values, 0, -1))
+    fe = el.q1_vector_load(hsize, np.moveaxis(values, 0, -1))
     F = mirrors.weight(mesh, solve=True) * assemble_pointwise_load(
         mesh, None, fe, elems).reshape(-1, 3)
     full = np.zeros((mesh.n_nodes, 3))
@@ -228,11 +177,9 @@ def fine_resolvent(fp: FineProblem, lam: float, load) -> dict:
 
 def transverse_average(fp: FineProblem, full_field: np.ndarray) -> np.ndarray:
     """Trapezoidal x3-average of a nodal field, per in-plane node."""
-    mesh = fp.mesh
-    nx, ny = mesh.shape_inplane
-    npl = (nx + 1) * (ny + 1)
-    layers = full_field.reshape(mesh.n_z + 1, npl, -1)
-    w = np.full(mesh.n_z + 1, 1.0)
+    n_z = fp.mesh.n_z
+    layers = full_field.reshape(n_z + 1, -1, full_field.shape[-1])
+    w = np.full(n_z + 1, 1.0)
     w[0] = w[-1] = 0.5
     w /= w.sum()
     avg = np.einsum("k,kij->ij", w, layers)
@@ -247,8 +194,7 @@ def transverse_average(fp: FineProblem, full_field: np.ndarray) -> np.ndarray:
 
 def cell_means(fp: FineProblem, full_field: np.ndarray) -> np.ndarray:
     """In-plane mean of the transverse average over each eps-cell."""
-    mesh = fp.mesh
-    nx, ny = mesh.shape_inplane
+    nx, ny = fp.mesh.counts
     c = fp.meta["cells_per_eps"]
     avg = transverse_average(fp, full_field)
     grid = avg.reshape(ny + 1, nx + 1, -1)

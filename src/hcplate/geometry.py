@@ -1,7 +1,9 @@
-"""Structured periodic meshes of the unit cell, its inclusion, and the
-macroscopic mid-plane.
+"""One structured grid mesh for the unit cell, the macroscopic mid-plane
+and the fine plate, and the mirror classes of a mesh.
 
-All meshes are axis-aligned structured quad/hex grids. Material is assigned
+All meshes are axis-aligned structured quad/hex grids from one builder
+(`grid_mesh`); the fine plate is the eps-periodic tiling of the cell's
+grid. Material is assigned
 per element from the analytic inclusion shape evaluated at the element
 centroid (staircase boundary); the geometry error this introduces is
 controlled by refinement and is tested for O(1/n) decay.
@@ -10,7 +12,8 @@ controlled by refinement and is tested for O(1/n) decay.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -64,45 +67,55 @@ class InclusionShape:
         return 4.0 * self.size ** 2
 
 
-@dataclass
-class CellMesh:
-    """Structured mesh of Y (dim=2) or of the prism I x Y (dim=3).
+# boundary edge -> (coordinate axis, 0 or 1: its value is 0 or L_axis)
+EDGES = {"left": (0, 0), "right": (0, 1), "bottom": (1, 0), "top": (1, 1)}
 
-    Node ids run x-fastest, then y, then the x3 layer. ``periodic_map`` sends
-    every node to its master under the y-periodic identification (identity on
-    masters). ``element_soft`` flags elements inside the discrete Y0; the
-    flag is constant along x3 columns.
+
+@dataclass
+class GridMesh:
+    """Structured mesh of the rectangle [0, L1] x [0, L2] (`lengths`,
+    `counts` elements per axis), extruded into hexes over x3 in `z_span`
+    when it has `n_z` > 0 element layers, or a region cut from one: the
+    unit cell Y (the prism I x Y), the mid-plane, the fine plate.
+
+    Node ids run x-fastest, then y, then the x3 layer. ``element_soft``
+    flags the elements inside the discrete inclusion of `shape` (constant
+    along x3 columns); ``periodic_map`` sends every node to its master
+    under the identification of the `periodic` axes (identity on masters);
+    ``dirichlet_nodes`` are the nodes of the clamped `gamma` edges. A
+    region cut by `mirror_region` keeps the `lengths`, `counts` and
+    `periodic` of the mesh it was cut from, and `cut` marks the in-plane
+    axes that it keeps up to x_a = L_a/2.
     """
-    n: int
-    dim: int
-    shape: InclusionShape | None
     nodes: np.ndarray
     elements: np.ndarray
     element_soft: np.ndarray
     periodic_map: np.ndarray
+    dirichlet_nodes: np.ndarray
+    lengths: tuple
+    counts: tuple[int, int]
+    periodic: tuple[bool, bool]
     n_z: int = 0
     z_span: tuple[float, float] = (-0.5, 0.5)
-    cut: tuple[bool, bool] = (False, False)   # y in [0, 1/2], not periodic
+    shape: InclusionShape | None = None
+    gamma: tuple[str, ...] = ()
+    cut: tuple[bool, bool] = (False, False)
 
-    # filled in __post_init__
-    inclusion_boundary_nodes: np.ndarray = field(default=None, repr=False)
-    inclusion_interior_nodes: np.ndarray = field(default=None, repr=False)
+    @cached_property
+    def inclusion_interior_nodes(self) -> np.ndarray:
+        """Nodes of soft elements alone."""
+        return np.setdiff1d(self.elements[self.element_soft],
+                            self.elements[~self.element_soft])
 
-    def __post_init__(self):
-        soft, stiff = np.zeros((2, self.nodes.shape[0]), dtype=bool)
-        soft[self.elements[self.element_soft]] = True
-        stiff[self.elements[~self.element_soft]] = True
-        self.inclusion_interior_nodes = np.flatnonzero(soft & ~stiff)
-        self.inclusion_boundary_nodes = np.flatnonzero(soft & stiff)
+    @cached_property
+    def inclusion_boundary_nodes(self) -> np.ndarray:
+        """Nodes of both soft and stiff elements."""
+        return np.intersect1d(self.elements[self.element_soft],
+                              self.elements[~self.element_soft])
 
     @property
-    def h(self) -> float:
-        return 1.0 / self.n
-
-    @property
-    def h_z(self) -> float:
-        lo, hi = self.z_span
-        return (hi - lo) / self.n_z if self.n_z else 0.0
+    def dim(self) -> int:
+        return 3 if self.n_z else 2
 
     @property
     def n_nodes(self) -> int:
@@ -110,39 +123,36 @@ class CellMesh:
 
     @property
     def grid(self) -> tuple[tuple, tuple]:
-        """Nodes per axis (y1, y2[, x3]) and which axes are periodic."""
-        return (tuple(self.n // (1 + c) + 1 for c in self.cut)
-                + (self.n_z + 1,) * (self.dim - 2),
-                tuple(not c for c in self.cut) + (False,) * (self.dim - 2))
-
-    @property
-    def shape_inplane(self) -> tuple[int, int]:
-        """Elements along y1 and y2 of the whole cell."""
-        return (self.n, self.n)
+        """Nodes per axis (x1, x2[, x3]) and which axes are periodic."""
+        z = self.dim - 2
+        return (tuple(m // (1 + c) + 1 for m, c in zip(self.counts, self.cut))
+                + (self.n_z + 1,) * z,
+                tuple(p and not c for p, c in zip(self.periodic, self.cut))
+                + (False,) * z)
 
     def mirror_planes(self, axis: int) -> tuple[float, ...]:
-        """The planes of the mirror of `axis`: y_a = 0 and 1/2 (y_a = 1 is
-        the periodic image of 0), or x3 = 0."""
-        return (0.0,) if axis == 2 else (0.0, 0.5)
+        """The planes of the mirror of `axis`: x_a = L_a/2, and 0 on a
+        periodic axis (L_a is the periodic image of 0), or x3 = 0."""
+        if axis == 2:
+            return (0.0,)
+        return (0.0,) * self.periodic[axis] + (self.lengths[axis] / 2,)
 
     def element_size(self) -> tuple:
-        if self.dim == 2:
-            return (self.h, self.h)
-        return (self.h, self.h, self.h_z)
-
-    def soft_area_fraction(self) -> float:
-        """Area fraction of the discrete Y0 (per unit cell, 2D measure)."""
-        if self.dim == 2:
-            return float(np.count_nonzero(self.element_soft)) / len(self.element_soft)
-        per_layer = len(self.element_soft) // self.n_z
-        return float(np.count_nonzero(self.element_soft[:per_layer])) / per_layer
+        lo, hi = self.z_span
+        return tuple(L / m for L, m in zip(self.lengths, self.counts)) \
+            + (((hi - lo) / self.n_z,) if self.n_z else ())
 
     def centroids(self) -> np.ndarray:
         return self.nodes[self.elements].mean(axis=1)
 
+    def soft_area_fraction(self) -> float:
+        """Area fraction of the discrete inclusion (2D measure)."""
+        layer = self.element_soft[:len(self.element_soft) // max(self.n_z, 1)]
+        return float(np.count_nonzero(layer)) / len(layer)
+
     def to_debug_dict(self) -> dict:
         return {
-            "n": self.n, "dim": self.dim, "n_z": self.n_z,
+            "n": self.counts[0], "dim": self.dim, "n_z": self.n_z,
             "n_nodes": int(self.n_nodes),
             "n_elements": int(len(self.elements)),
             "soft_fraction": self.soft_area_fraction(),
@@ -150,36 +160,60 @@ class CellMesh:
         }
 
 
-def structured_quads(tx: np.ndarray, ty: np.ndarray):
-    """Nodes (x-fastest) of the tensor grid tx x ty and its quads, each with
-    corners (0,0), (1,0), (1,1), (0,1), numbered x-fastest."""
-    X, Y = np.meshgrid(tx, ty, indexing="xy")
+def grid_mesh(lengths, counts, shape: InclusionShape | None = None,
+              period: float = 1.0, periodic=(False, False), n_z: int = 0,
+              z_span: tuple[float, float] = (-0.5, 0.5),
+              gamma=()) -> GridMesh:
+    """The one grid builder: the tensor grid of `counts` elements over
+    `lengths`, extruded into `n_z` layers over x3 in `z_span` when n_z > 0;
+    an element is soft when its node-mean centroid, taken modulo `period`
+    (1 for a cell, eps for a plate), lies in `shape`; the `periodic` axes
+    identify their last node plane with the first, and the nodes of the
+    `gamma` edges are clamped."""
+    unknown = sorted(set(gamma) - set(EDGES))
+    if unknown:
+        raise ConfigurationError(f"unknown boundary edges {unknown}")
+    (L1, L2), (nx, ny) = lengths, counts
+    X, Y = np.meshgrid(L1 * np.arange(nx + 1) / nx,
+                       L2 * np.arange(ny + 1) / ny, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
-    nx, ny = len(tx) - 1, len(ty) - 1
+    # quads with corners (0,0), (1,0), (1,1), (0,1), numbered x-fastest
     ll = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
-    conn = np.column_stack([ll, ll + 1, ll + nx + 2, ll + nx + 1])
-    return nodes, conn
-
-
-def extrude(nodes2: np.ndarray, conn2: np.ndarray, zs: np.ndarray):
-    """Prism mesh over a quad mesh: one node layer per height in zs, and
-    hexes (bottom face, then top face) layer by layer."""
-    npl = len(nodes2)
-    nodes = np.column_stack([np.tile(nodes2, (len(zs), 1)),
-                             np.repeat(zs, npl)])
-    base = conn2 + npl * np.arange(len(zs) - 1)[:, None, None]
-    conn = np.concatenate([base, base + npl], axis=2).reshape(-1, 8)
-    return nodes, conn
-
-
-def _periodic_map_2d(n: int) -> np.ndarray:
-    wrap = np.arange(n + 1) % n
-    return (wrap[:, None] * (n + 1) + wrap).ravel()
+    elements = np.column_stack([ll, ll + 1, ll + nx + 2, ll + nx + 1])
+    cent = nodes[elements].mean(axis=1)
+    soft = shape.contains(np.mod(cent / period, 1.0)) if shape is not None \
+        else np.zeros(len(elements), dtype=bool)
+    # node index along each axis -> its master's (plane m is plane 0's
+    # image on a periodic axis)
+    wrap = [np.arange(m + 1) % (m if p else m + 1)
+            for m, p in zip(counts, periodic)]
+    npl = len(nodes)
+    pmap = ((wrap[1][:, None] * (nx + 1) + wrap[0]).ravel()
+            + npl * np.arange(n_z + 1)[:, None]).ravel()
+    if n_z:
+        # one node layer per height, hexes (bottom face, then top face)
+        # layer by layer
+        lo, hi = z_span
+        zs = lo + (hi - lo) * np.arange(n_z + 1) / n_z
+        nodes = np.column_stack([np.tile(nodes, (n_z + 1, 1)),
+                                 np.repeat(zs, npl)])
+        base = elements + npl * np.arange(n_z)[:, None, None]
+        elements = np.concatenate([base, base + npl], axis=2).reshape(-1, 8)
+        soft = np.tile(soft, n_z)
+    clamped = np.zeros(len(nodes), dtype=bool)
+    for axis, side in (EDGES[e] for e in gamma):
+        clamped |= np.isclose(nodes[:, axis], side * lengths[axis])
+    return GridMesh(nodes=nodes, elements=elements, element_soft=soft,
+                    periodic_map=pmap, dirichlet_nodes=np.flatnonzero(clamped),
+                    lengths=tuple(lengths), counts=tuple(counts),
+                    periodic=tuple(periodic), n_z=n_z, z_span=z_span,
+                    shape=shape, gamma=tuple(gamma))
 
 
 def build_cell_mesh(shape: InclusionShape | None, n: int, dim: int = 2,
-                    n_z: int = 4, z_span: tuple[float, float] = (-0.5, 0.5)) -> CellMesh:
-    """Mesh the unit cell (dim=2) or the prism I x Y (dim=3).
+                    n_z: int = 4, z_span: tuple[float, float] = (-0.5, 0.5)) -> GridMesh:
+    """Mesh the unit cell (dim=2) or the prism I x Y (dim=3), periodic in
+    y1 and y2.
 
     shape=None is the no-inclusion validation mode (all elements stiff).
     Raises GeometryError when the inclusion is too close to the cell boundary
@@ -195,24 +229,20 @@ def build_cell_mesh(shape: InclusionShape | None, n: int, dim: int = 2,
         raise GeometryError(
             f"inclusion margin {shape.boundary_margin:.4g} smaller than one "
             f"element layer 1/n = {1.0 / n:.4g}")
+    return grid_mesh((1.0, 1.0), (n, n), shape, periodic=(True, True),
+                     n_z=n_z if dim == 3 else 0, z_span=z_span)
 
-    t = np.arange(n + 1) / n
-    nodes2, conn2 = structured_quads(t, t)
-    cent = nodes2[conn2].mean(axis=1)
-    soft2 = shape.contains(cent) if shape is not None else np.zeros(len(conn2), dtype=bool)
 
-    if dim == 2:
-        return CellMesh(n=n, dim=2, shape=shape, nodes=nodes2, elements=conn2,
-                        element_soft=soft2, periodic_map=_periodic_map_2d(n))
-
-    lo, hi = z_span
-    nodes, conn = extrude(nodes2, conn2,
-                          lo + (hi - lo) * np.arange(n_z + 1) / n_z)
-    soft = np.tile(soft2, n_z)
-    pmap = (_periodic_map_2d(n)
-            + len(nodes2) * np.arange(n_z + 1)[:, None]).ravel()
-    return CellMesh(n=n, dim=3, shape=shape, nodes=nodes, elements=conn,
-                    element_soft=soft, periodic_map=pmap, n_z=n_z, z_span=z_span)
+def build_macro_mesh(L1: float, L2: float, n1: int, n2: int,
+                     gamma_spec=("left",)) -> GridMesh:
+    """Mesh the mid-plane [0,L1] x [0,L2], clamped on the gamma_D edges."""
+    if L1 <= 0 or L2 <= 0:
+        raise ConfigurationError("macro domain lengths must be positive")
+    if n1 < 2 or n2 < 2:
+        raise ConfigurationError("macro resolutions must be at least 2")
+    if not gamma_spec:
+        raise ConfigurationError("gamma_D must contain at least one edge")
+    return grid_mesh((L1, L2), (n1, n2), gamma=gamma_spec)
 
 
 MIRRORS = ("y1", "y2", "x3")     # y1 -> 1 - y1, y2 -> 1 - y2, x3 -> -x3
@@ -236,7 +266,7 @@ def mirror_refusal(mesh, axis: int, tensors: dict | None = None) -> str | None:
     """Why the mirror of `axis` does not map the mesh and the Voigt tensors
     {name: C} to themselves with its planes on nodes, or None; the inclusion
     is read from the soft mask, layer by layer for x3. The in-plane mirror
-    of a cell is y_a -> 1 - y_a, of a fine plate x_a -> L_a - x_a."""
+    is x_a -> L_a - x_a (a cell's y_a -> 1 - y_a)."""
     for name, C in (tensors or {}).items():
         if not tn.mirror_symmetric(C, axis):
             return f"{name} not mirror-symmetric"
@@ -244,10 +274,10 @@ def mirror_refusal(mesh, axis: int, tensors: dict | None = None) -> str | None:
         if mesh.n_z % 2 or tuple(mesh.z_span) != (-0.5, 0.5):
             return "odd n_z" if mesh.n_z % 2 else "prism not on x3 in (-1/2, 1/2)"
         soft = mesh.element_soft.reshape(mesh.n_z, -1)
-    elif mesh.shape_inplane[axis] % 2:
+    elif mesh.counts[axis] % 2:
         return "odd n"
     else:   # (x3, y2, y1), the mirrored axis first
-        nx, ny = mesh.shape_inplane
+        nx, ny = mesh.counts
         soft = np.moveaxis(mesh.element_soft.reshape(-1, ny, nx), 2 - axis, 0)
     if not np.array_equal(soft, soft[::-1]):
         return "inclusion not mirror-symmetric"
@@ -257,10 +287,9 @@ def mirror_refusal(mesh, axis: int, tensors: dict | None = None) -> str | None:
 def mirror_region(mesh, axes):
     """The fundamental region of the mirrors of `axes` (0, 1, 2: the
     in-plane axes and x3, each mirror mapping the mesh to itself), cut from
-    a cell mesh or a fine plate: the side of each in-plane mirror's last
-    plane toward 0 (a cell's y_a in [0, 1/2], a plate's x_a in [0, L_a/2])
-    and x3 >= 0; and the nodes of each mirror's planes in it
-    (`mesh.mirror_planes`). The energy of a field of one parity class there
+    a cell mesh or a fine plate: x_a in [0, L_a/2] for each in-plane
+    mirror and x3 >= 0; and the nodes of each mirror's planes in it
+    (`mesh.mirror_planes`, those of the whole mesh). The energy of a field of one parity class there
     is 2^-len(axes) of its energy on the mesh."""
     cent = mesh.centroids()
     keep = np.ones(len(mesh.elements), dtype=bool)
@@ -272,17 +301,17 @@ def mirror_region(mesh, axes):
     renum = np.full(mesh.n_nodes, -1)
     renum[used] = np.arange(len(used))
     half_z = 2 in axes
-    cut = {"nodes": mesh.nodes[used], "elements": renum[mesh.elements[keep]],
-           "element_soft": mesh.element_soft[keep],
-           "n_z": mesh.n_z // 2 if half_z else mesh.n_z,
-           "z_span": (0.0, mesh.z_span[1]) if half_z else mesh.z_span}
-    if isinstance(mesh, CellMesh):
-        cut.update(periodic_map=renum[mesh.periodic_map[used]],
-                   cut=(0 in axes, 1 in axes))
-    else:
-        cut["shape_inplane"] = tuple(m // 2 if a in axes else m for a, m
-                                     in enumerate(mesh.shape_inplane))
-    region = replace(mesh, **cut)
+    # the clamps of the whole mesh, renumbered as its periodic map: the cut
+    # planes are not clamped
+    clamped = renum[mesh.dirichlet_nodes]
+    region = replace(
+        mesh, nodes=mesh.nodes[used], elements=renum[mesh.elements[keep]],
+        element_soft=mesh.element_soft[keep],
+        periodic_map=renum[mesh.periodic_map[used]],
+        dirichlet_nodes=clamped[clamped >= 0],
+        cut=tuple(c or a in axes for a, c in enumerate(mesh.cut)),
+        n_z=mesh.n_z // 2 if half_z else mesh.n_z,
+        z_span=(0.0, mesh.z_span[1]) if half_z else mesh.z_span)
     x = region.nodes
     planes = {a: np.flatnonzero(np.isclose(
         x[:, a, None], mesh.mirror_planes(a)).any(axis=1)) for a in axes}
@@ -433,56 +462,3 @@ def half_prism(mesh, parity: str, tensors: dict):
     half, planes = mirror_region(mesh, [2])
     return half, (planes[2],
                   parity_pinned(Q1_CARRIES, 2, PARITY_SIGNS[parity]))
-
-
-# boundary edge -> (coordinate axis, 0 or 1: its value is 0 or L_axis)
-EDGES = {"left": (0, 0), "right": (0, 1), "bottom": (1, 0), "top": (1, 1)}
-
-
-@dataclass
-class MacroMesh:
-    """Structured quad mesh of the mid-plane rectangle [0,L1] x [0,L2] with
-    Dirichlet nodes on the selected boundary edges (default: left)."""
-    L1: float
-    L2: float
-    n1: int
-    n2: int
-    gamma_edges: tuple[str, ...]
-    nodes: np.ndarray
-    elements: np.ndarray
-    dirichlet_nodes: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.shape[0]
-
-    @property
-    def grid(self) -> tuple[tuple, tuple]:
-        """Nodes per axis and which are periodic (none)."""
-        return (self.n1 + 1, self.n2 + 1), (False, False)
-
-    def element_size(self) -> tuple[float, float]:
-        return (self.L1 / self.n1, self.L2 / self.n2)
-
-
-def build_macro_mesh(L1: float, L2: float, n1: int, n2: int,
-                     gamma_spec=("left",)) -> MacroMesh:
-    if L1 <= 0 or L2 <= 0:
-        raise ConfigurationError("macro domain lengths must be positive")
-    if n1 < 2 or n2 < 2:
-        raise ConfigurationError("macro resolutions must be at least 2")
-    edges = tuple(gamma_spec)
-    if not edges:
-        raise ConfigurationError("gamma_D must contain at least one edge")
-    nodes, conn = structured_quads(L1 * np.arange(n1 + 1) / n1,
-                                   L2 * np.arange(n2 + 1) / n2)
-    diri = np.zeros(len(nodes), dtype=bool)
-    for e in edges:
-        if e not in EDGES:
-            raise ConfigurationError(f"unknown boundary edge {e!r}")
-        axis, side = EDGES[e]
-        diri |= np.isclose(nodes[:, axis], side * (L1, L2)[axis])
-
-    return MacroMesh(L1=L1, L2=L2, n1=n1, n2=n2, gamma_edges=edges,
-                     nodes=nodes, elements=conn,
-                     dirichlet_nodes=np.flatnonzero(diri))

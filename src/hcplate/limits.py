@@ -31,7 +31,7 @@ from .effective import (EffectiveTensor, effective_delta, effective_delta0,
 from .fem import assemble as fa
 from .fem import elements as el
 from .fem.system import EigWorkspace, factorize, slab_order
-from .geometry import CellMesh, InclusionShape, MacroMesh, build_cell_mesh
+from .geometry import GridMesh, InclusionShape, build_cell_mesh
 from .macro import (MacroOperator, build_bending_operator,
                     build_membrane_operator, nodal_traces, scalar_mass)
 from .memo import memoized
@@ -217,21 +217,17 @@ class LoadSpec:
         vals = self.transverse_fn()(z)
         return float(w @ vals), float(w @ (z * vals))
 
-    def cell_means(self, cell_mesh: CellMesh) -> tuple[float, float, float]:
+    def cell_means(self, cell_mesh: GridMesh) -> tuple[float, float, float]:
         """Discrete (int_Y cell, int_Y1 cell, int_Y0 cell) by centroid rule."""
         c = self.cell_fn(cell_mesh.shape)
-        cent = cell_mesh.centroids()[:, :2]
-        if cell_mesh.dim == 3:
-            per_layer = len(cell_mesh.elements) // cell_mesh.n_z
-            cent = cent[:per_layer]
-            soft = cell_mesh.element_soft[:per_layer]
-        else:
-            soft = cell_mesh.element_soft
-        vals = c(cent.T) / cell_mesh.n ** 2
+        layer = len(cell_mesh.elements) // max(cell_mesh.n_z, 1)   # n^2
+        cent = cell_mesh.centroids()[:layer, :2]
+        soft = cell_mesh.element_soft[:layer]
+        vals = c(cent.T) / layer
         return float(vals.sum()), float(vals[~soft].sum()), float(vals[soft].sum())
 
 
-def _nodal_rect(mesh: MacroMesh, dof, Me) -> sp.csr_matrix:
+def _nodal_rect(mesh: GridMesh, dof, Me) -> sp.csr_matrix:
     """The block of a mixed BFS-Q1 element matrix Me: the bending space
     dof against nodal data."""
     return fa.assemble_rect_block(mesh, dof, None, Me)
@@ -247,8 +243,8 @@ class LimitModel:
     regime: RegimeConfig
     mat: tn.MaterialSpec
     shape: InclusionShape
-    cell_mesh: CellMesh
-    macro_mesh: MacroMesh
+    cell_mesh: GridMesh
+    macro_mesh: GridMesh
     tensor: EffectiveTensor
     bloch: BlochSpectrum
     rho_bar: float
@@ -373,7 +369,7 @@ def load_moments(model: LimitModel, load: LoadSpec):
 @memoized
 def cell_tensor(mat: tn.MaterialSpec, shape: InclusionShape | None,
                 delta: float, n: int, n_z: int = 4
-                ) -> tuple[CellMesh, EffectiveTensor]:
+                ) -> tuple[GridMesh, EffectiveTensor]:
     """The cell mesh and effective tensor of the thickness/period ratio
     delta: prism cell problems for delta in (0, inf), in-plane ones on the
     unit cell for delta = 0 and delta = inf."""
@@ -387,7 +383,7 @@ def cell_tensor(mat: tn.MaterialSpec, shape: InclusionShape | None,
 
 
 def build_macro_operator(regime: RegimeConfig, tensor: EffectiveTensor,
-                         macro_mesh: MacroMesh, rho_bar: float) -> MacroOperator:
+                         macro_mesh: GridMesh, rho_bar: float) -> MacroOperator:
     """The row's macro pencil: membrane, or bending over [a | b]."""
     build = (build_membrane_operator if regime.row.macro == "membrane"
              else build_bending_operator)
@@ -395,7 +391,7 @@ def build_macro_operator(regime: RegimeConfig, tensor: EffectiveTensor,
 
 
 def build_limit_model(regime: RegimeConfig, mat: tn.MaterialSpec,
-                      shape: InclusionShape, macro_mesh: MacroMesh,
+                      shape: InclusionShape, macro_mesh: GridMesh,
                       cell_n: int = 16, n_z: int = 4, n_modes: int = 30,
                       ws: EigWorkspace | None = None) -> LimitModel:
     """Assemble the regime-appropriate tensors, modal basis, and macro

@@ -15,7 +15,7 @@ from .effective import EffectiveTensor
 from .fem import assemble as fa
 from .fem import elements as el
 from .fem.system import EigWorkspace, SparseOperatorPair, eigs_smallest
-from .geometry import MacroMesh
+from .geometry import GridMesh
 
 
 @dataclass
@@ -27,7 +27,7 @@ class MacroOperator:
     kind: str                       # "memb" | "bend"
     pair: SparseOperatorPair
     rho_bar: float                  # <rho> mass weight
-    mesh: MacroMesh
+    mesh: GridMesh
     tensor: EffectiveTensor | None = None
     memb_dof: object = None         # bending: DOF map of the part a
 
@@ -41,14 +41,14 @@ class MacroOperator:
         return 0 if self.memb_dof is None else self.memb_dof.n_free
 
 
-def build_membrane_operator(tensor: EffectiveTensor, mesh: MacroMesh,
+def build_membrane_operator(tensor: EffectiveTensor, mesh: GridMesh,
                             rho_bar: float) -> MacroOperator:
     pair = fa.assemble_vector_h1(mesh, tensor.memb, space="dirichlet", ncomp=2)
     return MacroOperator(kind="memb", pair=pair, rho_bar=rho_bar,
                          mesh=mesh, tensor=tensor)
 
 
-def build_bending_operator(tensor: EffectiveTensor, mesh: MacroMesh,
+def build_bending_operator(tensor: EffectiveTensor, mesh: GridMesh,
                            rho_bar: float) -> MacroOperator:
     """Clamped-plate bending pencil over [a | b]: the membrane block K_aa,
     the cross block K_ab of the tensor's membrane-bending coupling and the
@@ -79,7 +79,7 @@ def macro_eigs(op: MacroOperator, N: int, ws: EigWorkspace | None = None):
     return eigs_smallest(weighted, N, ws)
 
 
-def scalar_mass(mesh: MacroMesh) -> sp.csr_matrix:
+def scalar_mass(mesh: GridMesh) -> sp.csr_matrix:
     """Full-node scalar mass matrix (no constraints): pairs nodal data."""
     return fa.assemble_rect_block(
         mesh, None, None, el.q1_mass(mesh.element_size(), 1.0, ncomp=1))

@@ -22,7 +22,7 @@ def whole_pencil(bs, mat, delta=None):
     eigenpairs."""
     cell = bs.mesh
     _, pair, _, scale = build_inclusion_operator(
-        mat, cell.shape, cell.n, bs.operator_tag, delta=delta,
+        mat, cell.shape, cell.counts[0], bs.operator_tag, delta=delta,
         n_z=cell.n_z, cell=cell)
     assert scale == 1.0
     w, v = sla.eigh(pair.K.toarray(), pair.M.toarray())

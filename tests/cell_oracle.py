@@ -28,7 +28,7 @@ def full_prism_tensor(mat, mesh3d, delta: float,
     pair.kernel = fa.translations_kernel(pair.dof)
     hsize = mesh3d.element_size()
     stiff_ids = np.flatnonzero(~mesh3d.element_soft)
-    per_layer = mesh3d.n ** 2
+    per_layer = mesh3d.counts[0] ** 2
     qpts, qwts = el.q1_quadrature(hsize)
     x3 = mesh3d.nodes[mesh3d.elements[::per_layer, 0], 2][:, None] + qpts[:, 2]
     P = np.concatenate([np.broadcast_to(_UNIT, (*x3.shape, 6, 3)),

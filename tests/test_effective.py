@@ -385,13 +385,14 @@ def cells(draw):
 def _expected_refusals(mat, mesh, axes) -> dict:
     """Why each mirror of `axes` cannot be used, from its definition."""
     out = {}
-    soft = mesh.element_soft.reshape(-1, mesh.n, mesh.n)     # (x3, y2, y1)
+    n = mesh.counts[0]
+    soft = mesh.element_soft.reshape(-1, n, n)     # (x3, y2, y1)
     for a in axes:
         S = np.diag(tn.voigt_signs(a))
         if not np.allclose(S @ mat.C1 @ S, mat.C1, rtol=0,
                            atol=1e-12 * abs(mat.C1).max()):
             out[MIRRORS[a]] = "C1 not mirror-symmetric"
-        elif (mesh.n_z if a == 2 else mesh.n) % 2:
+        elif (mesh.n_z if a == 2 else n) % 2:
             out[MIRRORS[a]] = "odd n_z" if a == 2 else "odd n"
         elif not np.array_equal(soft, np.flip(soft, 2 - a)):
             out[MIRRORS[a]] = "inclusion not mirror-symmetric"

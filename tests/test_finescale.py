@@ -15,7 +15,8 @@ from hcplate.fem.assemble import (PencilForm, ScaledGradientSpec,
                                   quadrature_points)
 from hcplate.finescale import (_build_fine_mesh, build_fine_problem,
                                fine_eigs, fine_resolvent, mu_value)
-from hcplate.geometry import ConfigurationError, InclusionShape, mirror_region
+from hcplate.geometry import (ConfigurationError, InclusionShape,
+                              build_cell_mesh, mirror_region)
 from hcplate.limits import LoadSpec
 
 REFERENCE = Path(__file__).parent / "data" / "fine_resolvent_reference.json"
@@ -74,8 +75,8 @@ class TestSetup:
             assert (cut.element_soft == half.element_soft).all()
             assert_allclose(cut.nodes, half.nodes, rtol=0,
                             atol=np.spacing(1.0))
-            assert (cut.n_z, cut.z_span, cut.hsize, cut.grid) \
-                == (half.n_z, half.z_span, half.hsize, half.grid)
+            assert (cut.n_z, cut.z_span, cut.element_size(), cut.grid) \
+                == (half.n_z, half.z_span, half.element_size(), half.grid)
             assert (planes[2] == np.arange(13 * 7)).all()
 
     @pytest.mark.parametrize("n_z", [0, 1])
@@ -98,7 +99,7 @@ class TestSetup:
         soft2 = fp.mesh.element_soft[:len(fp.mesh.element_soft) // fp.mesh.n_z]
         per_cell = soft2.reshape(-1, 4 * 4 * 4)  # 4 cells of 4x4 blocks: rows mix
         # every eps-cell carries the same number of soft elements
-        nx = fp.mesh.shape_inplane[0]
+        nx = fp.mesh.counts[0]
         grid = soft2.reshape(nx, nx)
         counts = [grid[j * 4:(j + 1) * 4, i * 4:(i + 1) * 4].sum()
                   for j in range(4) for i in range(4)]
@@ -185,7 +186,7 @@ class TestResolvent:
         out = fine_resolvent(fp, 2.0, LoadSpec(amplitude=(1.0, 0.5, 0.0)))
         u = out["u"]
         mesh = fp.mesh
-        npl = (mesh.shape_inplane[0] + 1) * (mesh.shape_inplane[1] + 1)
+        npl = (mesh.counts[0] + 1) * (mesh.counts[1] + 1)
         layers = u.reshape(mesh.n_z + 1, npl, 3)
         for k in range(mesh.n_z + 1):
             mirror = mesh.n_z - k
@@ -314,11 +315,12 @@ def test_classes_match_the_whole_plate(parity, tau, gamma, demo_shape):
                     transverse="x3", cell="soft")
     mesh = fp.mesh
     elems = np.arange(len(mesh.elements))
-    X = quadrature_points(mesh, elems, el.q1_quadrature(mesh.hsize)[0])
+    X = quadrature_points(mesh, elems,
+                          el.q1_quadrature(mesh.element_size())[0])
     values = np.asarray(load.amplitude)[:, None, None] \
         * load.macro_fn()(X[:2]) * load.transverse_fn()(X[2]) \
         * load.cell_fn(demo_shape)(np.mod(X[:2] / fp.epsilon, 1.0))
-    fe = el.q1_vector_load(mesh.hsize, np.moveaxis(values, 0, -1))
+    fe = el.q1_vector_load(mesh.element_size(), np.moveaxis(values, 0, -1))
     F = assemble_pointwise_load(mesh, dof, fe, elems)
     u = dof.expand(spla.spsolve((K + 2.0 * M).tocsc(), F))
     out = fine_resolvent(fp, 2.0, load)
@@ -364,3 +366,42 @@ def test_fine_eigs_holds_one_class_pencil(monkeypatch, mat, demo_shape):
     monkeypatch.setattr(PencilForm, "pencil", spy)
     fine_eigs(fp, 4)
     assert len(alive) == 2 and alive[-1]() is None
+
+
+def test_x2_region_keeps_the_plate_clamps(demo_shape):
+    # a plate clamped at bottom and top: its clamps are taken on the whole
+    # plate and renumbered into the x2 region, so every node of the bottom
+    # edge stays clamped and the cut plane x2 = L2/2 does not; the class
+    # pencils then solve the whole plate's problem
+    ortho = tn.isotropic(1.0, 1.0) + np.diag([0.5, 1.0, 0.2, 0.3, 0.7, 0.4])
+    mat = tn.MaterialSpec(tn.isotropic(1.0, 1.0), ortho, rho0=1.3, rho1=0.8)
+    fp = build_fine_problem(mat, demo_shape, h=0.5, epsilon=0.5,
+                            cells_per_eps=4, n_z=4, gamma=("bottom", "top"))
+    region = fp.mirrors.region
+    assert fp.mirrors.axes == [1]
+    x2 = region.nodes[:, 1]
+    bottom, cut = np.isclose(x2, 0.0), np.isclose(x2, 0.5)
+    assert bottom.any() and cut.any()
+    assert np.array_equal(region.dirichlet_nodes, np.flatnonzero(bottom))
+    assert not cut[region.dirichlet_nodes].any()
+    K, M, _ = _whole_plate(fp)
+    want = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True,
+                    subset_by_index=[0, 5])
+    assert_allclose(fine_eigs(fp, 6)[0], want, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n, n_z", [(8, 2), (16, 4)])
+def test_one_cell_plate_is_the_prism_cell_node_for_node(mat, demo_shape, n,
+                                                        n_z):
+    # a plate of one eps = 1 cell is the prism cell's grid: the same nodes,
+    # elements and soft flags; only the cell identifies its periodic faces
+    plate = build_fine_problem(mat, demo_shape, h=0.5, epsilon=1.0,
+                               cells_per_eps=n, n_z=n_z).mesh
+    cell = build_cell_mesh(demo_shape, n, 3, n_z)
+    assert np.array_equal(plate.nodes, cell.nodes)
+    assert np.array_equal(plate.elements, cell.elements)
+    assert np.array_equal(plate.element_soft, cell.element_soft)
+    assert plate.element_soft.any() and not plate.element_soft.all()
+    assert (plate.periodic, cell.periodic) == ((False, False), (True, True))
+    assert np.array_equal(plate.periodic_map, np.arange(plate.n_nodes))
+    assert not np.array_equal(cell.periodic_map, np.arange(cell.n_nodes))
