@@ -192,8 +192,7 @@ class PencilForm:
     free DOFs). `pencil` sums it on `dof` or on a copy of it with further
     pins (`DofMap.pinned`), every time on the one pattern."""
 
-    def __init__(self, mesh, groups, dof: DofMap, stiffness, mass=None,
-                 meta=None):
+    def __init__(self, mesh, groups, dof: DofMap, stiffness, mass=None):
         groups = {g: ids for g, ids in groups.items() if len(ids)}
         self.blocks = NodeBlocks([mesh.elements[ids]
                                   for ids in groups.values()],
@@ -201,7 +200,7 @@ class PencilForm:
         # K's, then M's unless it has none
         self.element_matrices = [[f(g) for g in groups]
                                  for f in (stiffness, mass) if f is not None]
-        self.dof, self.meta = dof, meta or {}
+        self.dof = dof
 
     @property
     def n(self) -> int:
@@ -212,8 +211,7 @@ class PencilForm:
         dof = self.dof if dof is None else dof
         K, *M = self.blocks.sum(self.element_matrices, dof.index, dof.index,
                                 (dof.n_free, dof.n_free))
-        return SparseOperatorPair(K=K, M=M[0] if M else None, dof=dof,
-                                  meta=self.meta)
+        return SparseOperatorPair(K=K, M=M[0] if M else None, dof=dof)
 
 
 def translations_kernel(dof: DofMap, comps=None) -> np.ndarray | None:
@@ -271,9 +269,7 @@ def vector_h1_form(mesh, C, grad: ScaledGradientSpec | None = None,
         mesh, groups, dof,
         lambda g: el.q1_stiffness(hsize, Cs[g], third=third, ncomp=ncomp),
         None if density is None else
-        lambda g: el.q1_mass(hsize, float(rs[g]), ncomp=ncomp),
-        meta={"space": space, "ncomp": ncomp, "restrict": restrict_to,
-              "hsize": hsize})
+        lambda g: el.q1_mass(hsize, float(rs[g]), ncomp=ncomp))
 
 
 def assemble_bfs_h2(mesh, D, density=1.0, space: str = "periodic",
@@ -296,9 +292,7 @@ def assemble_bfs_h2(mesh, D, density=1.0, space: str = "periodic",
     return PencilForm(mesh, groups, _dof_map(mesh, 4, space, groups),
                       lambda g: el.bfs_stiffness(hsize, Ds[g]),
                       None if density is None else
-                      lambda g: el.bfs_mass(hsize, rs[g]),
-                      meta={"space": space, "ncomp": 4,
-                            "restrict": restrict_to, "hsize": hsize}).pencil()
+                      lambda g: el.bfs_mass(hsize, rs[g])).pencil()
 
 
 def assemble_rect_block(mesh, row_dof: DofMap | None,

@@ -4,7 +4,7 @@ eigensolvers for the structured-grid elements."""
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -165,7 +165,6 @@ class SparseOperatorPair:
     M: sp.csr_matrix | None               # None: assembled without mass
     dof: DofMap
     kernel: np.ndarray | None = None      # orthonormal columns, or None
-    meta: dict = field(default_factory=dict)
     order: np.ndarray | None = None
 
     def __post_init__(self):
@@ -229,8 +228,9 @@ class SpdFactor:
     The lower triangle of that block, in the order that sorts the DOF keys
     `order` (the grid's slab order; without keys, the matrix's own order),
     goes straight from the CSR arrays into LAPACK's lower band storage and
-    is factored there by xPBTRF (E. Anderson et al., LAPACK Users' Guide,
-    SIAM 1999); a leading minor that is not positive raises SolverError.
+    is factored there by xPBTRF, real or complex Hermitian (E. Anderson et
+    al., LAPACK Users' Guide, SIAM 1999); a leading minor that is not
+    positive raises SolverError.
     Only the lower triangle is read: the backward-error check of `solve`
     against the whole A is what certifies that it was the matrix. `solve`
     returns the kernel-orthogonal solution of the kernel-projected system.
@@ -259,10 +259,12 @@ class SpdFactor:
         low = (j >= 0) & (i >= j)
         d, j = i[low] - j[low], j[low]
         w = int(d.max(initial=0)) + 1    # band rows: half-bandwidth + 1
-        # entry (i, j) at row i - j of column j, column-major
-        band = np.bincount(j * w + d, weights=self.A.data[low],
-                           minlength=m * w).reshape(m, w).T
-        self._band, info = sla.lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+        # entry (i, j) at row i - j of column j, column-major; canonical
+        # CSR holds each entry once
+        band = np.zeros((w, m), np.result_type(self.A.dtype, float), "F")
+        band[d, j] = self.A.data[low]
+        pbtrf, self._pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (band,))
+        self._band, info = pbtrf(band, lower=1, overwrite_ab=1)
         if info > 0:
             raise SolverError(f"the matrix is not positive definite: its "
                               f"leading minor of order {info} (in factor "
@@ -279,7 +281,7 @@ class SpdFactor:
     def _apply(self, b: np.ndarray) -> np.ndarray:
         """Pinned solve for kernel-projected right-hand side(s)."""
         x = np.zeros_like(b)
-        x[self._p] = sla.lapack.dpbtrs(self._band, b[self._p], lower=1)[0]
+        x[self._p] = self._pbtrs(self._band, b[self._p], lower=1)[0]
         return self._project(x)
 
     def _backward_error(self, x, b, b_norm) -> float:
@@ -295,7 +297,8 @@ class SpdFactor:
         for a vector or a matrix of right-hand sides. One refinement step
         is taken when the backward error misses `tol`; SolverError is
         raised when it still does."""
-        b = np.asarray(b, dtype=float)
+        b = np.asarray(b)
+        b = b.astype(np.result_type(b, self._band), copy=False)
         b_norm = np.linalg.norm(b, axis=0)
         b = self._project(b)
         x = self._apply(b)
@@ -359,18 +362,16 @@ def _dense_pairs(pair: SparseOperatorPair, N: int):
 def _shift_invert_pairs(pair: SparseOperatorPair, N: int, ws: EigWorkspace,
                         tol: float, singular_mass: bool):
     """ARPACK shift-invert at shift 0 from a seeded start vector (ARPACK
-    Users' Guide, SIAM 1998): a real K is inverted by `factorize`, a complex
-    Hermitian one by eigsh's own LU. Mode 3 needs M semidefinite only, but
+    Users' Guide, SIAM 1998), K inverted by `factorize`, real or complex
+    Hermitian. Mode 3 needs M semidefinite only, but
     with a singular M the Ritz vectors drift off range(K^-1 M) (backward
     errors up to 0.2 seen on a 40-DOF pencil); one more inverse step
     purifies them (B. Nour-Omid, B. N. Parlett, T. Ericsson and P. S.
     Jensen, Math. Comp. 48, 1987). Only an ARPACK failure goes dense, and
     only with a definite mass."""
-    opinv = None
-    if not np.iscomplexobj(pair.K):
-        lu = factorize(pair.K, tol=tol, order=pair.order)
-        opinv = spla.LinearOperator(pair.K.shape, dtype=float,
-                                    matvec=lu.solve)
+    lu = factorize(pair.K, tol=tol, order=pair.order)
+    opinv = spla.LinearOperator(pair.K.shape, dtype=pair.K.dtype,
+                                matvec=lu.solve)
     try:
         w, v = spla.eigsh(pair.K, k=N, M=pair.M, sigma=0.0, which="LM",
                           OPinv=opinv, maxiter=ARPACK_MAXITER,
@@ -379,10 +380,6 @@ def _shift_invert_pairs(pair: SparseOperatorPair, N: int, ws: EigWorkspace,
         if singular_mass or pair.n > DENSE_FALLBACK_MAX_DOFS:
             raise SolverError(f"shift-invert eigensolver failed: {exc}") from exc
         return _dense_pairs(pair, N)
-    except RuntimeError as exc:          # SolverError, or eigsh's own LU
-        if isinstance(exc, SolverError):
-            raise
-        raise SolverError(f"shift-invert factorization failed: {exc}") from exc
     if singular_mass:
         v = lu.solve(pair.M @ v) * w
     return w, v

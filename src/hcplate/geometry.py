@@ -130,13 +130,6 @@ class GridMesh:
                 tuple(p and not c for p, c in zip(self.periodic, self.cut))
                 + (False,) * z)
 
-    def mirror_planes(self, axis: int) -> tuple[float, ...]:
-        """The planes of the mirror of `axis`: x_a = L_a/2, and 0 on a
-        periodic axis (L_a is the periodic image of 0), or x3 = 0."""
-        if axis == 2:
-            return (0.0,)
-        return (0.0,) * self.periodic[axis] + (self.lengths[axis] / 2,)
-
     def element_size(self) -> tuple:
         lo, hi = self.z_span
         return tuple(L / m for L, m in zip(self.lengths, self.counts)) \
@@ -158,6 +151,12 @@ class GridMesh:
             "soft_fraction": self.soft_area_fraction(),
             "element_soft": self.element_soft.astype(int).tolist(),
         }
+
+
+def _axis_index(shape) -> list[np.ndarray]:
+    """Every node's index along each axis of a grid of `shape` nodes per
+    axis (x first), its ids running x-fastest."""
+    return list(np.unravel_index(np.arange(np.prod(shape)), shape[::-1]))[::-1]
 
 
 def grid_mesh(lengths, counts, shape: InclusionShape | None = None,
@@ -200,9 +199,11 @@ def grid_mesh(lengths, counts, shape: InclusionShape | None = None,
         base = elements + npl * np.arange(n_z)[:, None, None]
         elements = np.concatenate([base, base + npl], axis=2).reshape(-1, 8)
         soft = np.tile(soft, n_z)
+    # an edge is the node plane of index 0 or the axis count
+    index = _axis_index((nx + 1, ny + 1, n_z + 1))
     clamped = np.zeros(len(nodes), dtype=bool)
     for axis, side in (EDGES[e] for e in gamma):
-        clamped |= np.isclose(nodes[:, axis], side * lengths[axis])
+        clamped |= index[axis] == side * counts[axis]
     return GridMesh(nodes=nodes, elements=elements, element_soft=soft,
                     periodic_map=pmap, dirichlet_nodes=np.flatnonzero(clamped),
                     lengths=tuple(lengths), counts=tuple(counts),
@@ -287,17 +288,29 @@ def mirror_refusal(mesh, axis: int, tensors: dict | None = None) -> str | None:
 def mirror_region(mesh, axes):
     """The fundamental region of the mirrors of `axes` (0, 1, 2: the
     in-plane axes and x3, each mirror mapping the mesh to itself), cut from
-    a cell mesh or a fine plate: x_a in [0, L_a/2] for each in-plane
-    mirror and x3 >= 0; and the nodes of each mirror's planes in it
-    (`mesh.mirror_planes`, those of the whole mesh). The energy of a field of one parity class there
-    is 2^-len(axes) of its energy on the mesh."""
-    cent = mesh.centroids()
-    keep = np.ones(len(mesh.elements), dtype=bool)
+    a cell mesh or a fine plate as a box of its grid: x_a in [0, L_a/2]
+    for each in-plane mirror (node indices 0..m_a/2 of the axis's m_a
+    elements) and x3 >= 0 (node layers from n_z/2 up); and the nodes of
+    each mirror's planes in it, by index: m_a/2, and 0 on a periodic axis
+    (L_a is the periodic image of 0), or the region's x3 index 0. The
+    energy of a field of one parity class there is 2^-len(axes) of its
+    energy on the mesh."""
+    shape = mesh.grid[0]
+    nodes, elems = [slice(None)] * len(shape), [slice(None)] * len(shape)
     for a in axes:
-        keep &= cent[:, a] > 0.0 if a == 2 \
-            else cent[:, a] < max(mesh.mirror_planes(a))
-    used = np.flatnonzero(np.bincount(mesh.elements[keep].ravel(),
-                                      minlength=mesh.n_nodes))
+        if a == 2:
+            nodes[a] = elems[a] = slice(mesh.n_z // 2, None)
+        else:
+            half = mesh.counts[a] // 2
+            nodes[a], elems[a] = slice(half + 1), slice(half)
+
+    def box(counts, ranges):
+        # the ids of a box of a grid numbered x-fastest, ascending: the
+        # box's own numbering, x-fastest
+        return np.arange(np.prod(counts)).reshape(counts[::-1])[
+            tuple(ranges[::-1])].ravel()
+    used = box(shape, nodes)
+    keep = box(tuple(n - 1 for n in shape), elems)
     renum = np.full(mesh.n_nodes, -1)
     renum[used] = np.arange(len(used))
     half_z = 2 in axes
@@ -312,9 +325,9 @@ def mirror_region(mesh, axes):
         cut=tuple(c or a in axes for a, c in enumerate(mesh.cut)),
         n_z=mesh.n_z // 2 if half_z else mesh.n_z,
         z_span=(0.0, mesh.z_span[1]) if half_z else mesh.z_span)
-    x = region.nodes
-    planes = {a: np.flatnonzero(np.isclose(
-        x[:, a, None], mesh.mirror_planes(a)).any(axis=1)) for a in axes}
+    index = _axis_index(region.grid[0])
+    planes = {a: np.flatnonzero(np.isin(index[a], (0,) if a == 2 else (
+        0,) * mesh.periodic[a] + (mesh.counts[a] // 2,))) for a in axes}
     return region, planes
 
 
@@ -349,7 +362,6 @@ class MirrorClasses:
                         for s in self.signs]
         self.record = {"mirrors": [names[a] for a in self.axes],
                        "mirrors_refused": refused, "classes": []}
-        self._images = None
 
     def pins(self, k: int, carries) -> list[list[int]]:
         """The components that class k pins on each mirror's planes."""
@@ -382,30 +394,20 @@ class MirrorClasses:
         """Each node of `target` (the mesh the region was cut from, or one
         cut from that mesh that contains the region) as the image of a
         region node: the region node, and per used mirror whether it maps
-        the node. Nodes are matched on the grid of the target's element
-        sizes; the last target's images are kept."""
-        if self._images is not None and self._images[0] is target:
-            return self._images[1]
-        h = np.asarray(target.element_size())
-        lo = target.nodes.min(axis=0)
-
-        def grid(x):
-            return np.rint((np.asarray(x) - lo) / h).astype(np.int64)
-        g = grid(target.nodes)
+        the node. A node's grid index beyond a mirror's plane is reflected
+        about the plane's index in `target`: m_a/2 along an in-plane axis
+        of m_a elements, and along x3 the region's lowest layer,
+        target.n_z - region.n_z (0 on a target already halved)."""
+        index = _axis_index(target.grid[0])
+        lift = target.n_z - self.region.n_z
         flips = np.zeros((target.n_nodes, len(self.axes)), dtype=bool)
         for k, a in enumerate(self.axes):
-            center = 0.0 if a == 2 else max(target.mirror_planes(a))
-            mid = int(np.rint((center - lo[a]) / h[a]))
-            flips[:, k] = g[:, a] < mid if a == 2 else g[:, a] > mid
-            g[flips[:, k], a] = 2 * mid - g[flips[:, k], a]
-        reg = grid(self.region.nodes)
-        dims = np.maximum(g.max(axis=0), reg.max(axis=0)) + 1
-        lookup = np.full(np.prod(dims), -1)
-        lookup[np.ravel_multi_index(reg.T, dims)] = np.arange(len(reg))
-        img = lookup[np.ravel_multi_index(g.T, dims)]
-        if (img < 0).any():
-            raise GeometryError("a mesh node has no image in the region")
-        self._images = (target, (img, flips))
+            plane = lift if a == 2 else target.counts[a] // 2
+            flips[:, k] = index[a] < plane if a == 2 else index[a] > plane
+            index[a] = np.where(flips[:, k], 2 * plane - index[a], index[a])
+        if target.dim == 3:
+            index[2] = index[2] - lift
+        img = np.ravel_multi_index(index[::-1], self.region.grid[0][::-1])
         return img, flips
 
     def weight(self, target, solve: bool = False) -> float:

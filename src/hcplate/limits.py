@@ -227,12 +227,6 @@ class LoadSpec:
         return float(vals.sum()), float(vals[~soft].sum()), float(vals[soft].sum())
 
 
-def _nodal_rect(mesh: GridMesh, dof, Me) -> sp.csr_matrix:
-    """The block of a mixed BFS-Q1 element matrix Me: the bending space
-    dof against nodal data."""
-    return fa.assemble_rect_block(mesh, dof, None, Me)
-
-
 @dataclass
 class LimitModel:
     """Everything a regime row needs: the effective tensor, the inclusion
@@ -271,8 +265,9 @@ class LimitModel:
     def bend_rect(self) -> sp.csr_matrix:
         """int g phi_i of nodal data g against the bending space of b."""
         mesh = self.macro_mesh
-        return _nodal_rect(mesh, self.op.pair.dof,
-                           el.mixed_mass_bfs_q1(mesh.element_size()))
+        return fa.assemble_rect_block(
+            mesh, self.op.pair.dof, None,
+            el.mixed_mass_bfs_q1(mesh.element_size()))
 
     @cached_property
     def coupling(self) -> ModalCoupling:
@@ -460,8 +455,8 @@ def modal_system(model: LimitModel, load: LoadSpec) -> ModalSystem:
         mesh = model.macro_mesh
         Ms = scalar_mass(mesh)
         Ra = [(T.T @ Ms).tocsr() for T in nodal_traces(model.op.memb_dof)]
-        Gx, Gy = (_nodal_rect(mesh, model.op.pair.dof, G) for G in
-                  el.mixed_gradload_bfs_q1(mesh.element_size()))
+        Gx, Gy = (fa.assemble_rect_block(mesh, model.op.pair.dof, None, G)
+                  for G in el.mixed_gradload_bfs_q1(mesh.element_size()))
         F0 = np.concatenate([
             Ra[0] @ (fbar[0] * mac) + Ra[1] @ (fbar[1] * mac),
             model.bend_rect @ (fbar[2] * mac) - Gx @ (xmom[0] * mac)

@@ -576,6 +576,29 @@ class TestHermitian:
         assert np.isrealobj(w)
         assert (w > 0).all()
 
+    def test_complex_shift_invert_takes_the_band_factor(self, monkeypatch):
+        # an 11-13 coupling breaks the x3 mirror, so the strip fiber stays
+        # complex; above the dense size, shift-invert inverts it by the
+        # complex band Cholesky of `factorize` and meets the dense pairs
+        from hcplate.bloch import StripPencil
+        C0 = tn.isotropic(1.0, 1.0)
+        C0[0, 4] = C0[4, 0] = 0.3
+        mat = tn.MaterialSpec(C0, tn.isotropic(1.0, 1.0), rho0=1.0)
+        fiber = StripPencil.assemble(mat, build_cell_mesh(
+            InclusionShape("disk", 0.26), n=28)).fiber(3.0)
+        assert np.iscomplexobj(fiber.K) and fiber.n > 400
+        opinvs, eigsh = [], sp.linalg.eigsh
+
+        def spy(*args, **kwargs):
+            opinvs.append(kwargs["OPinv"])
+            return eigsh(*args, **kwargs)
+        monkeypatch.setattr(sp.linalg, "eigsh", spy)
+        w, v = eigs_smallest(fiber, 6, EigWorkspace(solver="shift-invert"))
+        ref, _ = eigs_smallest(fiber, 6, EigWorkspace(solver="dense"))
+        assert len(opinvs) == 1 and opinvs[0].dtype == np.complex128
+        assert_allclose(w, ref, rtol=1e-10)
+        assert np.iscomplexobj(v)
+
 
 class TestGalerkinMonotonicity:
     def test_bloch_eigenvalue_nonincreasing(self):

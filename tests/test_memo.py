@@ -120,12 +120,10 @@ def test_cached_arrays_are_read_only():
     bs = bloch_spectrum(**BLOCH)
     mesh, t = cell_tensor(**TENSOR)
     m0, curve = strip_bottom_m0(**STRIP)
-    img, flips = bs.mirrors.images(bs.mesh)
     for a in (bs.eigenvalues, bs.weighted_means, bs.classes, *bs.vectors,
               *(d.index for d in bs.dofs), bs.dofs[0].key, bs.mesh.nodes,
-              bs.mirrors.region.nodes, *bs.mirrors.planes.values(), img,
-              flips, mesh.element_soft, t.memb, t.zero_corrector_bound,
-              curve):
+              bs.mirrors.region.nodes, *bs.mirrors.planes.values(),
+              mesh.element_soft, t.memb, t.zero_corrector_bound, curve):
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1
     # the caller's arguments stay writeable
