@@ -59,8 +59,6 @@ def main(argv=None) -> int:
     from . import commands
     from .config import config_hash, load_config
     from .fem.system import SolverError
-    from .geometry import ConfigurationError, GeometryError
-    from .limits import RegimeError
     try:
         cfg = load_config(args.config)
         chash = config_hash(cfg)
@@ -72,7 +70,7 @@ def main(argv=None) -> int:
         if not args.quiet:
             print(f"hcplate: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ConfigurationError, GeometryError, RegimeError, ValueError) as exc:
+    except ValueError as exc:
         if not args.quiet:
             print(f"hcplate: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

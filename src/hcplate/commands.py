@@ -41,17 +41,17 @@ def _write_csv(path: Path, header: list[str], rows, chash: str):
 
 
 def _build_context(cfg):
-    from .config import (parse_load, parse_macro_mesh, parse_material,
-                         parse_regime, parse_shape)
+    from .config import (parse_macro_mesh, parse_material, parse_regime,
+                         parse_shape)
     from .fem.system import EigWorkspace
     mat = parse_material(cfg)
     shape = parse_shape(cfg)
     regime = parse_regime(cfg)
     macro_mesh = parse_macro_mesh(cfg)
-    sol = cfg.get("solver", {})
-    ws = EigWorkspace(tol=sol.get("tol", 1e-9),
-                      solver=sol.get("eig_solver", "auto"),
-                      seed=sol.get("seed", 1234))
+    # the solver keys the config sets, under EigWorkspace's names
+    names = {"tol": "tol", "eig_solver": "solver", "seed": "seed"}
+    ws = EigWorkspace(**{names[k]: v for k, v in cfg.get("solver", {}).items()
+                         if k in names})
     return mat, shape, regime, macro_mesh, ws
 
 
@@ -275,14 +275,13 @@ def cmd_evolve(cfg, out: Path, chash: str) -> int:
     load = parse_load(cfg)
     ev = cfg.get("evolve", {})
     T = ev.get("T", 1.0)
-    dt = ev.get("dt", T / 1000.0)
     # evolve.variant is an optional echo of the regime's row
     variant = model.regime.kind
     if ev.get("variant", variant) != variant:
         raise ConfigurationError(
             f"evolve.variant {ev['variant']!r} is not the row of regime "
             f"{model.regime.key} ({variant})")
-    traj = evolve(model, load, T, dt)
+    traj = evolve(model, load, T, ev.get("dt"))
     # macro modal amplitudes: mass-orthonormal projections on the leading
     # eigenmodes of the governing macro operator, whose mass lies on the
     # membrane field a or on the bending field b
@@ -300,7 +299,8 @@ def cmd_evolve(cfg, out: Path, chash: str) -> int:
     _write_csv(out / "trajectory.csv", header, [tuple(r) for r in table],
                chash)
     _write_json(out / "evolve_manifest.json", {
-        "variant": variant, "T": T, "dt": dt, "regime": model.regime.key,
+        "variant": variant, "T": T, "dt": traj.meta["dt"],
+        "regime": model.regime.key,
         "energy_drift": traj.energy_drift(),
         "n_steps": len(traj.times) - 1,
         **{k: traj.meta[k] for k in ("state_dofs", "factored_dofs",
@@ -331,12 +331,11 @@ def cmd_validate(cfg, out: Path, chash: str) -> int:
     for eps in eps_list:
         fp = build_fine_problem(
             mat, shape, h=vcfg.get("h", 0.5) if thin else regime.delta * eps,
-            epsilon=eps, mu_scaling="eps", tau=0,
-            cells_per_eps=vcfg.get("cells_per_eps", 8),
-            n_z=vcfg.get("n_z", 4), parity="memb",
+            epsilon=eps, mu_scaling="eps", tau=0, parity="memb",
             L1=macro_mesh.lengths[0], L2=macro_mesh.lengths[1],
             gamma=macro_mesh.gamma,
-            budget=vcfg.get("budget", 200_000))
+            **{k: vcfg[k] for k in ("cells_per_eps", "n_z", "budget")
+               if k in vcfg})
         w = fine_eigs(fp, n_eigs, ws)[0]
         dists = [float(np.min(np.abs(pts - x))) for x in w]
         nearest = [float(pts[np.argmin(np.abs(pts - x))]) for x in w]

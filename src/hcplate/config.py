@@ -13,26 +13,46 @@ from . import tensors as tn
 from .geometry import ConfigurationError, InclusionShape, build_macro_mesh
 from .limits import ROWS, LoadSpec, RegimeConfig
 
-_NUM_OR_INF = {"oneOf": [{"type": "number"}, {"const": "inf"}]}
+_NUM = {"type": "number"}
+_NUM_OR_INF = {"oneOf": [_NUM, {"const": "inf"}]}
+# a Voigt tensor: {"isotropic": {"lambda", "mu"}} or its 21 upper-triangle
+# entries (required and properties bind objects alone, the item keywords
+# arrays alone)
+_TENSOR = {
+    "type": ["object", "array"],
+    "required": ["isotropic"],
+    "properties": {"isotropic": {"type": "object",
+                                 "required": ["lambda", "mu"],
+                                 "properties": {"lambda": _NUM, "mu": _NUM}}},
+    "minItems": 21, "maxItems": 21, "items": _NUM,
+}
+# an inline material, or (a string) the path of a file that holds one
+_MATERIAL = {
+    "type": ["string", "object"],
+    "required": ["C0", "C1"],
+    "properties": {"C0": _TENSOR, "C1": _TENSOR,
+                   "rho0": _NUM, "rho1": _NUM, "nu": _NUM},
+}
 
 SCHEMA = {
     "type": "object",
     "required": ["material", "cell", "regime"],
     "properties": {
-        "material": {"oneOf": [{"type": "string"}, {"type": "object"}]},
+        "material": _MATERIAL,
         "cell": {
             "type": "object",
             "required": ["n"],
             "properties": {
-                "shape": {"oneOf": [{"type": "null"}, {
-                    "type": "object",
+                "shape": {
+                    "type": ["null", "object"],
                     "required": ["kind", "size"],
                     "properties": {
                         "kind": {"enum": ["disk", "square"]},
-                        "size": {"type": "number"},
-                        "center": {"type": "array", "minItems": 2, "maxItems": 2},
+                        "size": _NUM,
+                        "center": {"type": "array", "minItems": 2,
+                                   "maxItems": 2, "items": _NUM},
                     },
-                }]},
+                },
                 "n": {"type": "integer", "minimum": 4},
                 "n_z": {"type": "integer", "minimum": 2},
                 "dump": {"type": "boolean"},
@@ -77,7 +97,8 @@ SCHEMA = {
             "type": "object",
             "properties": {
                 "n_macro": {"type": "integer", "minimum": 1},
-                "lambda_max": {"type": ["number", "null"]},
+                "lambda_max": {"type": ["number", "null"],
+                               "exclusiveMinimum": 0},
                 "eta_max": {"type": "number", "exclusiveMinimum": 0},
                 "eta_points": {"type": "integer", "minimum": 2},
                 "beta_samples": {"type": "integer", "minimum": 2},
@@ -86,11 +107,15 @@ SCHEMA = {
         "load": {
             "type": "object",
             "properties": {
-                "amplitude": {"type": "array", "minItems": 3, "maxItems": 3},
-                "macro": {"type": "object"},
+                "amplitude": {"type": "array", "minItems": 3, "maxItems": 3,
+                              "items": _NUM},
+                "macro": {"type": "object", "properties": {
+                    "kind": {"enum": ["one", "sine"]},
+                    "k1": _NUM, "k2": _NUM, "L1": _NUM, "L2": _NUM}},
                 "transverse": {"enum": ["one", "x3"]},
                 "cell": {"enum": ["one", "soft"]},
-                "time": {"type": "object"},
+                "time": {"type": "object", "properties": {
+                    "kind": {"enum": ["one", "sin"]}, "omega": _NUM}},
             },
         },
         "resolvent": {
@@ -108,7 +133,8 @@ SCHEMA = {
         "validate": {
             "type": "object",
             "properties": {
-                "eps": {"type": "array", "items": {"type": "number"}},
+                "eps": {"type": "array", "items": {
+                    "type": "number", "exclusiveMinimum": 0}},
                 "h": {"type": "number", "exclusiveMinimum": 0},
                 "cells_per_eps": {"type": "integer", "minimum": 2},
                 "n_z": {"type": "integer", "minimum": 2},
@@ -201,11 +227,17 @@ def load_config(path) -> dict:
         cfg = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
-    for path, message in violations(SCHEMA, cfg):
-        where = ".".join(map(str, path)) or "the top level"
-        raise ConfigurationError(f"config schema violation at {where}: {message}")
+    _check(SCHEMA, cfg)
     cfg["_dir"] = str(p.parent)
     return cfg
+
+
+def _check(schema, value, path=()):
+    """Refuse `value` at its first breach of `schema`, naming the key path
+    (`path` is that of `value` itself)."""
+    for where, message in violations(schema, value, path):
+        key = ".".join(map(str, where)) or "the top level"
+        raise ConfigurationError(f"config schema violation at {key}: {message}")
 
 
 def config_hash(cfg: dict) -> str:
@@ -222,7 +254,9 @@ def parse_material(cfg: dict) -> tn.MaterialSpec:
             p = Path(cfg.get("_dir", ".")) / p
         if not p.exists():
             raise ConfigurationError(f"material file {node} not found")
-        return tn.load_material(p)
+        # a material file holds the inline object, checked the same way
+        node = json.loads(p.read_text())
+        _check({**_MATERIAL, "type": "object"}, node, ("material",))
     return tn.material_from_dict(node)
 
 
@@ -252,23 +286,19 @@ def parse_macro_mesh(cfg: dict):
 def _macro_profile(node):
     if node is None or node.get("kind", "one") == "one":
         return None
-    if node["kind"] == "sine":
-        k1 = node.get("k1", 1)
-        k2 = node.get("k2", 1)
-        L1 = node.get("L1", 1.0)
-        L2 = node.get("L2", 1.0)
-        return lambda x: (np.sin(k1 * np.pi * x[0] / L1)
-                          * np.sin(k2 * np.pi * x[1] / L2))
-    raise ConfigurationError(f"unknown macro profile {node['kind']!r}")
+    k1 = node.get("k1", 1)
+    k2 = node.get("k2", 1)
+    L1 = node.get("L1", 1.0)
+    L2 = node.get("L2", 1.0)
+    return lambda x: (np.sin(k1 * np.pi * x[0] / L1)
+                      * np.sin(k2 * np.pi * x[1] / L2))
 
 
 def _time_profile(node):
     if node is None or node.get("kind", "one") == "one":
         return None
-    if node["kind"] == "sin":
-        w = float(node.get("omega", 1.0))
-        return lambda t: np.sin(w * t)
-    raise ConfigurationError(f"unknown time profile {node['kind']!r}")
+    w = float(node.get("omega", 1.0))
+    return lambda t: np.sin(w * t)
 
 
 def parse_load(cfg: dict) -> LoadSpec:

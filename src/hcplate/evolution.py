@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem.system import factorize
-from .limits import (LimitModel, LoadSpec, ModalSystem, RegimeError,
-                     load_moments, micro_modal_loads, modal_system,
-                     static_micro)
+from .geometry import ConfigurationError
+from .limits import (LimitModel, LoadSpec, ModalSystem, load_moments,
+                     micro_modal_loads, modal_system, static_micro)
 from .macro import macro_eigs
 
 
@@ -120,8 +120,9 @@ def evolve(model: LimitModel, load: LoadSpec, T: float,
     variant = model.regime.kind
     if variant == "real_time" and model.regime.delta == np.inf \
             and load.transverse != "one":
-        raise RegimeError("real-time evolution for very thin cells is "
-                          "implemented for x3-constant load profiles")
+        raise ConfigurationError("real-time evolution for very thin cells "
+                                 "is implemented for x3-constant load "
+                                 "profiles")
     dt = dt if dt is not None else T / 1000.0
 
     system = modal_system(model, load)

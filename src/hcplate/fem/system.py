@@ -164,7 +164,6 @@ class SparseOperatorPair:
     K: sp.csr_matrix
     M: sp.csr_matrix | None               # None: assembled without mass
     dof: DofMap
-    kernel: np.ndarray | None = None      # orthonormal columns, or None
     order: np.ndarray | None = None
 
     def __post_init__(self):
@@ -320,11 +319,11 @@ def factorize(A, kernel: np.ndarray | None = None, tol: float = 1e-10,
 
 
 def solve_spd(pair: SparseOperatorPair, rhs: np.ndarray,
-              deflate_kernel: bool = False, tol: float = 1e-10) -> np.ndarray:
-    """One-shot `factorize(pair.K, ...).solve(rhs)`; with deflation the
-    pair's kernel is pinned and x is returned kernel-orthogonal. (The
-    benchmark tracer in perfbench/layers.py wraps this name.)"""
-    kernel = pair.kernel if deflate_kernel else None
+              kernel: np.ndarray | None = None,
+              tol: float = 1e-10) -> np.ndarray:
+    """One-shot `factorize(pair.K, kernel, ...).solve(rhs)`: a given kernel
+    is pinned and x is returned kernel-orthogonal. (The benchmark tracer
+    in perfbench/layers.py wraps this name.)"""
     return factorize(pair.K, kernel, tol, order=pair.order).solve(rhs)
 
 

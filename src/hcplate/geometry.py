@@ -20,10 +20,6 @@ import numpy as np
 from . import tensors as tn
 
 
-class GeometryError(ValueError):
-    pass
-
-
 class ConfigurationError(ValueError):
     pass
 
@@ -41,11 +37,12 @@ class InclusionShape:
 
     def __post_init__(self):
         if self.kind not in ("disk", "square"):
-            raise GeometryError(f"unknown inclusion kind {self.kind!r}")
+            raise ConfigurationError(f"unknown inclusion kind {self.kind!r}")
         if not 0.0 < self.size < 0.5:
-            raise GeometryError("inclusion size must lie in (0, 0.5)")
+            raise ConfigurationError("inclusion size must lie in (0, 0.5)")
         if self.boundary_margin < 0.0:
-            raise GeometryError("inclusion closure must be strictly inside Y")
+            raise ConfigurationError(
+                "inclusion closure must be strictly inside Y")
 
     @property
     def boundary_margin(self) -> float:
@@ -217,8 +214,9 @@ def build_cell_mesh(shape: InclusionShape | None, n: int, dim: int = 2,
     y1 and y2.
 
     shape=None is the no-inclusion validation mode (all elements stiff).
-    Raises GeometryError when the inclusion is too close to the cell boundary
-    to leave at least one full stiff element layer after discretization.
+    Raises ConfigurationError when the inclusion is too close to the cell
+    boundary to leave at least one full stiff element layer after
+    discretization.
     """
     if n < 4:
         raise ConfigurationError("cell resolution n must be at least 4")
@@ -227,7 +225,7 @@ def build_cell_mesh(shape: InclusionShape | None, n: int, dim: int = 2,
     if dim == 3 and n_z < 2:
         raise ConfigurationError("prism meshes need n_z >= 2")
     if shape is not None and shape.boundary_margin < 1.0 / n - 1e-12:
-        raise GeometryError(
+        raise ConfigurationError(
             f"inclusion margin {shape.boundary_margin:.4g} smaller than one "
             f"element layer 1/n = {1.0 / n:.4g}")
     return grid_mesh((1.0, 1.0), (n, n), shape, periodic=(True, True),

@@ -31,16 +31,13 @@ from .effective import (EffectiveTensor, effective_delta, effective_delta0,
 from .fem import assemble as fa
 from .fem import elements as el
 from .fem.system import EigWorkspace, factorize, slab_order
-from .geometry import GridMesh, InclusionShape, build_cell_mesh
+from .geometry import (ConfigurationError, GridMesh, InclusionShape,
+                       build_cell_mesh)
 from .macro import (MacroOperator, build_bending_operator,
                     build_membrane_operator, nodal_traces, scalar_mass)
 from .memo import memoized
 
 _GAUSS_T, _GAUSS_W = np.polynomial.legendre.leggauss(16)
-
-
-class RegimeError(ValueError):
-    """Scaling combination not supported by the asymptotic table."""
 
 
 @dataclass(frozen=True)
@@ -58,15 +55,16 @@ class RegimeConfig:
     def __post_init__(self):
         row = self.row
         if not self.delta >= 0:
-            raise RegimeError("delta must be in [0, inf]")
+            raise ConfigurationError("delta must be in [0, inf]")
         if self.delta_class not in row.bloch:
-            raise RegimeError(f"row {self.kind} admits the delta classes "
-                              f"{sorted(row.bloch)}, not {self.delta_class}")
+            raise ConfigurationError(
+                f"row {self.kind} admits the delta classes "
+                f"{sorted(row.bloch)}, not {self.delta_class}")
         if (self.kappa is not None) != (self.delta_class == row.kappa_at) \
                 or self.kappa is not None and not self.kappa >= 0:
-            raise RegimeError(f"kappa in [0, inf] is needed exactly for "
-                              f"delta class {row.kappa_at} of row {self.kind} "
-                              f"(got kappa={self.kappa})")
+            raise ConfigurationError(
+                f"kappa in [0, inf] is needed exactly for delta class "
+                f"{row.kappa_at} of row {self.kind} (got kappa={self.kappa})")
 
     @property
     def delta_class(self) -> str:
@@ -78,8 +76,8 @@ class RegimeConfig:
         for kind, row in ROWS.items():
             if (row.mu, row.tau) == (self.mu, self.tau):
                 return kind
-        raise RegimeError(f"no scaling row with mu={self.mu!r}, "
-                          f"tau={self.tau!r}")
+        raise ConfigurationError(f"no scaling row with mu={self.mu!r}, "
+                                 f"tau={self.tau!r}")
 
     @property
     def row(self) -> Row:

@@ -27,8 +27,6 @@ class MacroOperator:
     kind: str                       # "memb" | "bend"
     pair: SparseOperatorPair
     rho_bar: float                  # <rho> mass weight
-    mesh: GridMesh
-    tensor: EffectiveTensor | None = None
     memb_dof: object = None         # bending: DOF map of the part a
 
     @property
@@ -44,8 +42,7 @@ class MacroOperator:
 def build_membrane_operator(tensor: EffectiveTensor, mesh: GridMesh,
                             rho_bar: float) -> MacroOperator:
     pair = fa.assemble_vector_h1(mesh, tensor.memb, space="dirichlet", ncomp=2)
-    return MacroOperator(kind="memb", pair=pair, rho_bar=rho_bar,
-                         mesh=mesh, tensor=tensor)
+    return MacroOperator(kind="memb", pair=pair, rho_bar=rho_bar)
 
 
 def build_bending_operator(tensor: EffectiveTensor, mesh: GridMesh,
@@ -64,8 +61,8 @@ def build_bending_operator(tensor: EffectiveTensor, mesh: GridMesh,
         K=sp.bmat([[memb.K, K_ab], [K_ab.T, bend.K]], format="csr"),
         M=sp.block_diag([sp.csr_matrix(memb.K.shape), bend.M], format="csr"),
         dof=bend.dof, order=np.concatenate([memb.dof.key, bend.dof.key]))
-    return MacroOperator(kind="bend", pair=pair, rho_bar=rho_bar, mesh=mesh,
-                         tensor=tensor, memb_dof=memb.dof)
+    return MacroOperator(kind="bend", pair=pair, rho_bar=rho_bar,
+                         memb_dof=memb.dof)
 
 
 def macro_eigs(op: MacroOperator, N: int, ws: EigWorkspace | None = None):

@@ -12,7 +12,6 @@ Conventions used across the package:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,25 +69,16 @@ class CoercivityReport:
     passed: bool
     min_eig: float
     max_eig: float
-    lower_margin: float   # min_eig - nu
-    upper_margin: float   # 1/nu - max_eig (diagnostic only)
-    upper_ok: bool
 
 
 def check_coercivity(C: np.ndarray, nu: float) -> CoercivityReport:
-    """Compare tensor eigenvalues against the coercivity constant nu.
-
-    The verdict keys on the lower (coercivity) bound nu <= min_eig with
-    min_eig > 0; the comparison of max_eig against 1/nu is reported as a
-    diagnostic margin.
-    """
+    """Compare tensor eigenvalues against the coercivity constant nu: the
+    verdict keys on the lower (coercivity) bound nu <= min_eig with
+    min_eig > 0."""
     eigs = np.linalg.eigvalsh(mandel(np.asarray(C, dtype=float)))
     lo, hi = float(eigs[0]), float(eigs[-1])
-    upper_margin = (1.0 / nu - hi) if nu > 0 else -np.inf
-    passed = lo > 0.0 and lo >= nu
-    return CoercivityReport(passed=passed, min_eig=lo, max_eig=hi,
-                            lower_margin=lo - nu, upper_margin=upper_margin,
-                            upper_ok=upper_margin >= 0.0)
+    return CoercivityReport(passed=lo > 0.0 and lo >= nu, min_eig=lo,
+                            max_eig=hi)
 
 
 @dataclass
@@ -163,9 +153,3 @@ def material_from_dict(d: dict) -> MaterialSpec:
         rho1=float(d.get("rho1", 1.0)),
         nu=float(d.get("nu", 0.1)),
     )
-
-
-def load_material(path) -> MaterialSpec:
-    """Read a material JSON file ({"C0": ..., "C1": ..., "rho0": ..., ...})."""
-    with open(path) as fh:
-        return material_from_dict(json.load(fh))

@@ -114,12 +114,6 @@ class LimitSpectrum:
     def point_values(self) -> np.ndarray:
         return np.array(sorted(p["lambda"] for p in self.points))
 
-    def contains(self, lam: float, tol: float = 1e-9) -> bool:
-        pts = self.point_values()
-        if len(pts) and abs(pts - lam).min() <= tol * (1.0 + abs(lam)):
-            return True
-        return any(a <= lam <= b for a, b in self.intervals)
-
     def to_dict(self) -> dict:
         return {
             "points": [
@@ -212,7 +206,8 @@ def limit_spectrum(zf: ZhikovFunction, mu_targets, lambda_max: float | None = No
     if mu_targets.size == 0:
         raise ValueError("macro spectrum is empty")
     poles, residues, (first, last), merged, aniso = _merged_poles(zf)
-    lam_cap = min(lambda_max or zf.lambda_max, zf.lambda_max)
+    lam_cap = zf.lambda_max if lambda_max is None \
+        else min(lambda_max, zf.lambda_max)
     if not np.isfinite(lam_cap):
         # no coupled poles: beta is linear, every root sits at mu/<rho>
         lam_cap = 2.0 * mu_targets.max() / zf.rho_bar

@@ -25,7 +25,6 @@ def full_prism_tensor(mat, mesh3d, delta: float,
     pair = fa.assemble_vector_h1(
         mesh3d, mat.C1, grad=fa.ScaledGradientSpec(delta),
         space="periodic", restrict_to="stiff", ncomp=3)
-    pair.kernel = fa.translations_kernel(pair.dof)
     hsize = mesh3d.element_size()
     stiff_ids = np.flatnonzero(~mesh3d.element_soft)
     per_layer = mesh3d.counts[0] ** 2
@@ -40,14 +39,14 @@ def full_prism_tensor(mat, mesh3d, delta: float,
     E0 = sum((weight[..., None, None]
               * (np.swapaxes(P, -1, -2) @ mat.C1 @ P)).reshape(-1, 6, 6))
     E0 = 0.5 * (E0 + E0.T)
-    Q = _gram(pair, F, E0, tol)
+    Q = _gram(pair, fa.translations_kernel(pair.dof), F, E0, tol)
     return EffectiveTensor(
         regime="delta", delta=delta, memb=Q[:3, :3], bend=Q[3:, 3:],
         coupling=Q[:3, 3:], zero_corrector_bound=E0)
 
 
-def _gram(pair, F, E0, tol):
-    Q = E0 - F.T @ factorize(pair.K, pair.kernel, tol,
+def _gram(pair, kernel, F, E0, tol):
+    Q = E0 - F.T @ factorize(pair.K, kernel, tol,
                              order=pair.order).solve(F)
     return 0.5 * (Q + Q.T)
 
@@ -61,16 +60,14 @@ def full_cell_delta0(mat, mesh2d, tol: float = 1e-9) -> EffectiveTensor:
     unit = np.eye(3)
     pm = fa.assemble_vector_h1(mesh2d, Cr, space="periodic",
                                restrict_to="stiff", ncomp=2)
-    pm.kernel = fa.translations_kernel(pm.dof)
     fe = el.q1_prestrain_load(hsize, Cr, unit, ncomp=2)
     F = fa.assemble_element_load(mesh2d, pm.dof, {"stiff": fe}, "stiff")
-    memb = _gram(pm, F, E0, tol)
+    memb = _gram(pm, fa.translations_kernel(pm.dof), F, E0, tol)
     pb = fa.assemble_bfs_h2(mesh2d, Cr, space="periodic",
                             restrict_to="stiff")
-    pb.kernel = fa.translations_kernel(pb.dof, [0])
     fe = el.bfs_prestrain_load(hsize, Cr, unit)
     F = fa.assemble_element_load(mesh2d, pb.dof, {"stiff": fe}, "stiff")
-    bend = _gram(pb, F, E0, tol) / 12.0
+    bend = _gram(pb, fa.translations_kernel(pb.dof, [0]), F, E0, tol) / 12.0
     return EffectiveTensor(regime="delta0", memb=memb, bend=bend,
                            coupling=np.zeros((3, 3)))
 
@@ -82,12 +79,11 @@ def full_cell_deltainf(mat, mesh2d, tol: float = 1e-9) -> EffectiveTensor:
     pw = fa.assemble_vector_h1(mesh2d, _D_INF @ mat.C1 @ _D_INF,
                                space="periodic", restrict_to="stiff",
                                ncomp=3)
-    pw.kernel = fa.translations_kernel(pw.dof)
     fe = el.q1_prestrain_load(hsize, _D_INF @ mat.C1, _BC)
     F = fa.assemble_element_load(mesh2d, pw.dof, {"stiff": fe}, "stiff")
     E0 = np.count_nonzero(~mesh2d.element_soft) * hsize[0] * hsize[1] \
         * (_BC.T @ mat.C1 @ _BC)
-    T = _gram(pw, F, E0, tol)
+    T = _gram(pw, fa.translations_kernel(pw.dof), F, E0, tol)
     S, T_gA = T[:3, :3], T[:3, 3:]
     memb = T[3:, 3:] - T_gA.T @ np.linalg.solve(S, T_gA)
     memb = 0.5 * (memb + memb.T)

@@ -11,10 +11,16 @@ from hcplate import memo
 from hcplate import tensors as tn
 from hcplate.cli import main
 from hcplate.config import DEMO_CONFIG
+from hcplate.evolution import evolve
+from hcplate.geometry import (ConfigurationError, InclusionShape,
+                              build_cell_mesh)
+from hcplate.limits import LoadSpec, RegimeConfig, build_limit_model
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 with open(os.path.join(CONFIGS, "demo_bending.json")) as fh:
     DEMO_BENDING = json.load(fh)
+with open(os.path.join(CONFIGS, "demo.json")) as fh:
+    DEMO = json.load(fh)
 
 TINY = {
     "material": DEMO_CONFIG["material"],
@@ -114,6 +120,63 @@ class TestExitCodes:
         assert main(["tensor", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert f"config schema violation at {path}: " in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, path, mutate", [
+        ("tensor", "material.C0", lambda c: c["material"].pop("C0")),
+        ("tensor", "material.C0.isotropic.mu",
+         lambda c: c["material"]["C0"]["isotropic"].pop("mu")),
+        ("tensor", "material.C0", lambda c: c["material"].update(C0=3.0)),
+        ("tensor", "cell.shape.center.0",
+         lambda c: c["cell"]["shape"].update(center=["a", "b"])),
+        ("resolvent", "load.macro.k1",
+         lambda c: c["load"].update(macro={"kind": "sine", "k1": "x"})),
+        ("evolve", "load.time.kind",
+         lambda c: c["load"].update(time={"kind": "cos"})),
+        ("validate", "validate.eps.0",
+         lambda c: c["validate"].update(eps=[0])),
+        ("validate", "validate.eps.0",
+         lambda c: c["validate"].update(eps=[-0.5])),
+        ("spectrum", "spectrum.lambda_max",
+         lambda c: c["spectrum"].update(lambda_max=0)),
+        ("spectrum", "spectrum.lambda_max",
+         lambda c: c["spectrum"].update(lambda_max=-5)),
+    ])
+    def test_bad_value_exits_2_and_names_key_path(self, command, path,
+                                                  mutate, tmp_path, capsys):
+        # a value of the wrong type or out of range is refused at load,
+        # never a traceback (exit 1) or silently ignored
+        bad = json.loads(json.dumps(DEMO))
+        mutate(bad)
+        cfg = write_cfg(tmp_path, bad)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"config schema violation at {path}: " in \
+            capsys.readouterr().err
+
+    def test_material_file_is_checked_like_an_inline_one(self, tmp_path,
+                                                         capsys):
+        mat = json.loads(json.dumps(DEMO["material"]))
+        mat["nu"] = "0.2"
+        (tmp_path / "mat.json").write_text(json.dumps(mat))
+        cfg = write_cfg(tmp_path, dict(DEMO, material="mat.json"))
+        assert main(["tensor", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config schema violation at material.nu: " in \
+            capsys.readouterr().err
+
+    def test_refusals_raise_configuration_error(self, demo_material,
+                                                demo_shape, demo_macro_mesh):
+        # one exception type for the refusals that exit 2
+        with pytest.raises(ConfigurationError):
+            InclusionShape("disk", 0.55)
+        with pytest.raises(ConfigurationError, match="inclusion margin"):
+            build_cell_mesh(InclusionShape("disk", 0.45), n=8)
+        with pytest.raises(ConfigurationError, match="no scaling row"):
+            RegimeConfig(1.0, "eps2", 0)
+        model = build_limit_model(RegimeConfig(np.inf, "eps", 0),
+                                  demo_material, demo_shape, demo_macro_mesh,
+                                  cell_n=8, n_modes=6)
+        with pytest.raises(ConfigurationError, match="very thin cells"):
+            evolve(model, LoadSpec(amplitude=(1, 0, 0), transverse="x3"),
+                   0.1, 1e-2)
 
     def test_schema_is_valid(self):
         # SCHEMA is valid under its metaschema (load_config does not re-check)

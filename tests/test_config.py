@@ -69,6 +69,35 @@ def containers(node):
             yield from containers(child)
 
 
+def subschemas(schema, path=""):
+    """Every subschema of `schema` with the key path it applies at."""
+    yield path, schema
+    for word, arg in schema.items():
+        if word == "properties":
+            for key, sub in arg.items():
+                yield from subschemas(sub, f"{path}.{key}".lstrip("."))
+        else:
+            for sub in SUBSCHEMAS.get(word, lambda a: [])(arg):
+                yield from subschemas(sub, path)
+
+
+def test_every_array_and_object_is_typed():
+    # a key cannot arrive untyped: an array schema types its items, and an
+    # object schema lists its properties; the bloch section exists only to
+    # refuse bloch.operator
+    untyped = []
+    for path, schema in subschemas(SCHEMA):
+        kinds = schema.get("type", [])
+        kinds = [kinds] if isinstance(kinds, str) else kinds
+        if "array" in kinds and not {"type", "enum", "const", "oneOf"} \
+                & set(schema.get("items", {})):
+            untyped.append(path)
+        if "object" in kinds and "properties" not in schema \
+                and path != "bloch":
+            untyped.append(path)
+    assert untyped == []
+
+
 def test_schema_uses_only_implemented_keywords():
     # a keyword the validator does not know would be silently ignored;
     # one it knows that SCHEMA no longer uses is dead code

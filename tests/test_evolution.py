@@ -15,10 +15,10 @@ from hcplate import macro
 from hcplate.evolution import (_macro_modal_reduction, evolve,
                                evolve_memory_bending, step_count)
 from hcplate.fem.system import EigWorkspace, factorize
-from hcplate.geometry import build_macro_mesh
-from hcplate.limits import (LoadSpec, RegimeConfig, RegimeError,
-                            build_limit_model, modal_system,
-                            solve_limit_resolvent, static_micro)
+from hcplate.geometry import ConfigurationError, build_macro_mesh
+from hcplate.limits import (LoadSpec, RegimeConfig, build_limit_model,
+                            modal_system, solve_limit_resolvent,
+                            static_micro)
 from hcplate.macro import macro_eigs
 from schur_oracle import SchurOracle
 
@@ -319,7 +319,7 @@ class TestVariantDispatch:
         model = build_limit_model(RegimeConfig(np.inf, "eps", 0),
                                   demo_material, demo_shape, mm, cell_n=8,
                                   n_modes=6)
-        with pytest.raises(RegimeError):
+        with pytest.raises(ConfigurationError):
             evolve(model, LoadSpec(amplitude=(1, 0, 0), transverse="x3"),
                    0.1, 1e-2)
 

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from hcplate import tensors as tn
 from hcplate.geometry import (BFS_CARRIES, Q1_CARRIES, ConfigurationError,
-                              GeometryError, InclusionShape, build_cell_mesh,
+                              InclusionShape, build_cell_mesh,
                               build_macro_mesh, half_prism, mirror_refusal,
                               mirror_region, parity_pinned)
 
@@ -15,11 +15,11 @@ class TestInclusionShape:
         assert_allclose(s.boundary_margin, 0.25)
 
     def test_too_large(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ConfigurationError):
             InclusionShape("disk", 0.55)
 
     def test_off_center_touching(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ConfigurationError):
             InclusionShape("disk", 0.3, center=(0.2, 0.5))
 
     def test_square_is_lipschitz_only(self):
@@ -46,7 +46,7 @@ class TestCellMesh:
                          (0.625, 0.375), (0.625, 0.625)])
 
     def test_margin_check_rejects_large_disk(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ConfigurationError):
             build_cell_mesh(InclusionShape("disk", 0.49), n=8)
 
     def test_no_inclusion_mode(self):

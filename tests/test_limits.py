@@ -6,9 +6,9 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from hcplate.config import parse_load
-from hcplate.geometry import build_macro_mesh
-from hcplate.limits import (LoadSpec, RegimeConfig, RegimeError,
-                            _micro_load_vector, build_limit_model,
+from hcplate.geometry import ConfigurationError, build_macro_mesh
+from hcplate.limits import (LoadSpec, RegimeConfig, _micro_load_vector,
+                            build_limit_model,
                             load_moments, micro_modal_loads, modal_system,
                             solve_limit_resolvent, static_micro)
 from bloch_oracle import (cluster_rotation, whole_load, whole_modes,
@@ -52,7 +52,7 @@ class TestRegimeTable:
 
     def test_admits_exactly_the_table_rows(self):
         # every other combination of these values is refused with
-        # RegimeError, never admitted or failing otherwise
+        # ConfigurationError, never admitted or failing otherwise
         admitted = set()
         for mu, tau, delta, kappa in itertools.product(
                 ("eps", "eps_h", "eps2", "bogus"), (0, 1, 2),
@@ -60,7 +60,7 @@ class TestRegimeTable:
                 (None, 0.0, 1.0, np.inf, np.nan)):
             try:
                 RegimeConfig(delta, mu, tau, kappa)
-            except RegimeError:
+            except ConfigurationError:
                 continue
             admitted.add((delta, mu, tau, kappa))
         assert admitted == TABLE_ROWS
@@ -77,7 +77,7 @@ class TestRegimeTable:
         (-1.0, "eps", 0, None),
     ])
     def test_rejected_rows(self, args):
-        with pytest.raises(RegimeError):
+        with pytest.raises(ConfigurationError):
             RegimeConfig(*args)
 
 

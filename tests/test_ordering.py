@@ -12,9 +12,9 @@ from numpy.testing import assert_allclose
 from hcplate import tensors as tn
 from hcplate.effective import EffectiveTensor, effective_delta, \
     effective_delta0, effective_deltainf
-from hcplate.fem import EigWorkspace, factorize, slab_order
 from hcplate.fem import assemble as fa
 from hcplate.fem import system
+from hcplate.fem.system import EigWorkspace, factorize, slab_order
 from hcplate.finescale import build_fine_problem, fine_eigs, fine_resolvent
 from hcplate.geometry import (InclusionShape, build_cell_mesh,
                               build_macro_mesh, mirror_region)

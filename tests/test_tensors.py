@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hcplate import tensors as tn
+from hcplate.config import parse_material
 from tensor_oracle import (VOIGT3, c0_red, iota, iota1, isotropic_2d,
                            quad_form, quad_form_2d)
 
@@ -220,7 +221,8 @@ class TestMaterialSpec:
             '{"C0": {"isotropic": {"lambda": 1.0, "mu": 1.0}},'
             ' "C1": {"isotropic": {"lambda": 2.0, "mu": 1.5}},'
             ' "rho0": 1.0, "rho1": 2.0, "nu": 0.2}')
-        mat = tn.load_material(path)
+        mat = parse_material({"material": "mat.json",
+                              "_dir": str(tmp_path)})
         assert_allclose(mat.C1, tn.isotropic(2.0, 1.5))
         assert mat.rho1 == 2.0
         assert all(tn.mirror_symmetric(C, a) for C in (mat.C0, mat.C1)
