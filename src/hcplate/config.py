@@ -14,6 +14,7 @@ from .geometry import ConfigurationError, InclusionShape, build_macro_mesh
 from .limits import ROWS, LoadSpec, RegimeConfig
 
 _NUM = {"type": "number"}
+_POS = {"type": "number", "exclusiveMinimum": 0}
 _NUM_OR_INF = {"oneOf": [_NUM, {"const": "inf"}]}
 # a Voigt tensor: {"isotropic": {"lambda", "mu"}} or its 21 upper-triangle
 # entries (required and properties bind objects alone, the item keywords
@@ -31,7 +32,7 @@ _MATERIAL = {
     "type": ["string", "object"],
     "required": ["C0", "C1"],
     "properties": {"C0": _TENSOR, "C1": _TENSOR,
-                   "rho0": _NUM, "rho1": _NUM, "nu": _NUM},
+                   "rho0": _POS, "rho1": _POS, "nu": _POS},
 }
 
 SCHEMA = {
@@ -48,7 +49,7 @@ SCHEMA = {
                     "required": ["kind", "size"],
                     "properties": {
                         "kind": {"enum": ["disk", "square"]},
-                        "size": _NUM,
+                        "size": {**_POS, "exclusiveMaximum": 0.5},
                         "center": {"type": "array", "minItems": 2,
                                    "maxItems": 2, "items": _NUM},
                     },
@@ -71,8 +72,7 @@ SCHEMA = {
         "macro": {
             "type": "object",
             "properties": {
-                "L1": {"type": "number", "exclusiveMinimum": 0},
-                "L2": {"type": "number", "exclusiveMinimum": 0},
+                "L1": _POS, "L2": _POS,
                 "n1": {"type": "integer", "minimum": 2},
                 "n2": {"type": "integer", "minimum": 2},
                 "gamma": {"type": "array", "minItems": 1, "items": {
@@ -83,7 +83,7 @@ SCHEMA = {
             "type": "object",
             "properties": {
                 "n_modes": {"type": "integer", "minimum": 1},
-                "tol": {"type": "number", "exclusiveMinimum": 0},
+                "tol": _POS,
                 "seed": {"type": "integer"},
                 "eig_solver": {"enum": ["auto", "dense", "shift-invert"]},
             },
@@ -99,7 +99,7 @@ SCHEMA = {
                 "n_macro": {"type": "integer", "minimum": 1},
                 "lambda_max": {"type": ["number", "null"],
                                "exclusiveMinimum": 0},
-                "eta_max": {"type": "number", "exclusiveMinimum": 0},
+                "eta_max": _POS,
                 "eta_points": {"type": "integer", "minimum": 2},
                 "beta_samples": {"type": "integer", "minimum": 2},
             },
@@ -120,22 +120,20 @@ SCHEMA = {
         },
         "resolvent": {
             "type": "object",
-            "properties": {"lambda": {"type": "number", "exclusiveMinimum": 0}},
+            "properties": {"lambda": _POS},
         },
         "evolve": {
             "type": "object",
             "properties": {
                 "variant": {"enum": list(ROWS)},   # optional echo of the row
-                "T": {"type": "number", "exclusiveMinimum": 0},
-                "dt": {"type": "number", "exclusiveMinimum": 0},
+                "T": _POS, "dt": _POS,
             },
         },
         "validate": {
             "type": "object",
             "properties": {
-                "eps": {"type": "array", "items": {
-                    "type": "number", "exclusiveMinimum": 0}},
-                "h": {"type": "number", "exclusiveMinimum": 0},
+                "eps": {"type": "array", "items": _POS},
+                "h": _POS,
                 "cells_per_eps": {"type": "integer", "minimum": 2},
                 "n_z": {"type": "integer", "minimum": 2},
                 "n_eigs": {"type": "integer", "minimum": 1},
@@ -184,6 +182,8 @@ _LEAF = {
                 "{v!r} is less than the minimum of {a!r}"),
     "exclusiveMinimum": (lambda a, v: not (_is("number", v) and v <= a),
                          "{v!r} is not greater than {a!r}"),
+    "exclusiveMaximum": (lambda a, v: not (_is("number", v) and v >= a),
+                         "{v!r} is not less than {a!r}"),
     "minItems": (lambda a, v: not (isinstance(v, list) and len(v) < a),
                  "{v!r} has fewer than {a} items"),
     "maxItems": (lambda a, v: not (isinstance(v, list) and len(v) > a),

@@ -1,7 +1,6 @@
 """Limit evolution equations: implicit-midpoint time stepping of the
-coupled macro-micro second-order systems, quasistatic reconstruction of the
-slaved components, and the discrete memory-kernel (convolution quadrature)
-elimination of the micro modes.
+coupled macro-micro second-order systems and quasistatic reconstruction of
+the slaved components.
 
 The variant is the model's row kind in hcplate.limits.ROWS (real_time,
 long_time_bending, strong_hc_bending, delta0_hc). Each steps the row's
@@ -12,6 +11,10 @@ whose in-plane part a carries stiffness only: each step enforces its
 equation at the midpoint.
 A row's static micro field (limits.static_micro) follows the load's time
 profile.
+The memory-kernel form of the strong high-contrast bending row is the
+same modal system on its first macro bending modes
+(limits.macro_mode_system), stepped by the same implicit_midpoint: the
+micro modes eliminated from each step are its convolution quadrature.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import numpy as np
 
 from .fem.system import factorize
 from .geometry import ConfigurationError
-from .limits import (LimitModel, LoadSpec, ModalSystem, load_moments,
-                     micro_modal_loads, modal_system, static_micro)
+from .limits import (LimitModel, LoadSpec, ModalSystem, macro_mode_system,
+                     modal_system, static_micro)
 from .macro import macro_eigs
 
 
@@ -61,8 +64,8 @@ def implicit_midpoint(system: ModalSystem, u0, v0, T: float, dt: float,
     conserves the quadratic energy for time-independent loads set to zero.
     The load's time profile is read at the step midpoints. Each step solves
     M + dt^2/4 K once at macro size, updates the micro modes as arrays and
-    forms the grand mass times the new velocity, which the next step and
-    the new state's kinetic energy share.
+    forms the grand mass times the new velocity from the system it solved,
+    which the next step and the new state's kinetic energy share.
 
     Returns ((X, norms), energy, (x, c, v, w), factor): the macro path
     (steps+1, n0), each mode's coefficient norm per state (steps+1, N),
@@ -85,12 +88,15 @@ def implicit_midpoint(system: ModalSystem, u0, v0, T: float, dt: float,
     for j, g in enumerate(gs, 1):
         # (M - s K) v + dt (F - K u) = M v - K (s v + dt u) + dt F
         k0, kc = cp.stiff(s * v + dt * x, s * w + dt * c)
-        v_new, w_new = sh.solve(r0 - k0 + dt * g * system.F0,
-                                rho - kc + dt * g * system.f_micro)
+        b0 = r0 - k0 + dt * g * system.F0
+        bc = rho - kc + dt * g * system.f_micro
+        v_new, w_new = sh.solve(b0, bc)
         x = x + 0.5 * dt * (v + v_new)
         c = c + 0.5 * dt * (w + w_new)
         v, w = v_new, w_new
-        r0, rho = cp.mass(v, w)
+        # (M + s K) v = b, so M v = b - s K v
+        k0, kc = cp.stiff(v, w)
+        r0, rho = b0 - s * k0, bc - s * kc
         X[j], Cn[j] = x, np.linalg.norm(c, axis=1)
         E[j] = cp.energies(x, c, v, w, r0, rho)
     return (X, Cn), E, (x, c, v, w), sh.factor
@@ -160,7 +166,7 @@ def evolve(model: LimitModel, load: LoadSpec, T: float,
 
 
 # ---------------------------------------------------------------------------
-# discrete memory-kernel (convolution quadrature) elimination
+# the memory-kernel form: the modal system on its macro bending modes
 
 def _macro_modal_reduction(model: LimitModel, n_macro_modes: int):
     """M_b-orthonormal macro bending modes and their stiffness values: the
@@ -173,79 +179,22 @@ def _macro_modal_reduction(model: LimitModel, n_macro_modes: int):
     return mu, W
 
 
-def _oscillator_propagator(eta, dt: float):
-    """One implicit-midpoint step of c'' + eta c = g: (c, v) -> P (c, v) +
-    r * (dt * g_mid + d) with d the algebraic drive; vectorized over eta
-    (P (..., 2, 2), r (..., 2))."""
-    eta = np.asarray(eta, dtype=float)
-    s = 0.25 * dt ** 2 * eta
-    g = 1.0 / (1.0 + s)
-    P = np.stack([np.stack([1.0 - 0.5 * dt ** 2 * eta * g,
-                            0.5 * dt * (1.0 + g * (1.0 - s))], -1),
-                  np.stack([-dt * eta * g, g * (1.0 - s)], -1)], -2)
-    r = np.stack([0.5 * dt * g, g], -1)
-    return P, r
-
-
 def evolve_memory_bending(model: LimitModel, load: LoadSpec, T: float,
                           dt: float, n_macro_modes: int = 4,
                           b0_modal=None, v0_modal=None):
     """Memory-form solution of the strong high-contrast bending evolution:
-    the micro modal coefficients are eliminated by the exact discrete
-    Duhamel formula of the implicit-midpoint one-step method, leaving a
-    scalar Volterra recursion (a convolution quadrature whose weights are
-    generated by the oscillator propagator) per macro bending mode.
+    the row's modal system on its first n_macro_modes macro bending modes
+    (limits.macro_mode_system), stepped by implicit_midpoint from micro
+    modes at rest. Eliminating the micro modes of each step is the exact
+    discrete Duhamel form of the memory kernel, a convolution quadrature
+    per macro mode (C. Lubich, Numer. Math. 52, 1988).
 
-    The convolution s_j = sum_{i<j} P_n^(j-1-i) r_n d_n[i] of the micro
-    states is evaluated by its exact one-step recursion
-    s_j = P_n s_{j-1} + r_n d_n[j-1] (C. Lubich, Numer. Math. 52, 1988),
-    so a step costs O(N) per macro mode.
-
-    Returns (times, modal b trajectory (steps, n_macro_modes)).
+    Returns (times, modal b trajectory (steps+1, n_macro_modes)).
     """
-    eta = model.bloch.eigenvalues
-    m3 = model.bloch.weighted_means[:, -1]
-    rho = model.rho_bar
     mu, W = _macro_modal_reduction(model, n_macro_modes)
-
-    mac = model.macro_nodal(load)
-    fbar, _ = load_moments(model, load)
-    Rb = model.bend_rect
-    ell = micro_modal_loads(model, load)
-
-    # project the load and the grand mass onto each macro mode k: the (1+N)
-    # block system has mass [[rho, m3^T],[m3, I]], stiffness
-    # diag(mu_k rho, eta_n), macro load W_k . F_b, micro loads ell_n times
-    # the macro projection of mac
-    Fb = W.T @ (Rb @ (fbar[2] * mac))
-    mac_k = W.T @ (Rb @ mac)
-    S = rho * mu
-
-    nsteps = step_count(T, dt)
-    times = np.arange(nsteps + 1) * dt
-    s = 0.25 * dt ** 2
-    gammas = 1.0 / (1.0 + s * eta)
-    # effective midpoint mass of the eliminated micro modes
-    Aeff = rho - model.coupling.gram(1.0, s)[0, 0] + s * S
-    P, r = _oscillator_propagator(eta, dt)
-
-    b = np.zeros(n_macro_modes) if b0_modal is None \
-        else np.array(b0_modal, dtype=float)
-    vb = np.zeros(n_macro_modes) if v0_modal is None \
-        else np.array(v0_modal, dtype=float)
-    cs = np.zeros((n_macro_modes, len(eta), 2))   # micro (c, v) per mode
-    out = np.zeros((nsteps + 1, n_macro_modes))
-    out[0] = b
-    for j, g in enumerate(load.time_fn()((np.arange(nsteps) + 0.5) * dt)):
-        drive = dt * g * np.outer(mac_k, ell)          # (K, N)
-        dv_hist = np.einsum("nq,knq->kn", P[:, 1], cs) - cs[..., 1] \
-            + gammas * drive
-        rhs = dt * g * Fb - dt * S * b - 0.5 * dt ** 2 * S * vb \
-            - dv_hist @ m3
-        dvb = rhs / Aeff
-        cs = np.einsum("npq,knq->knp", P, cs) \
-            + r * (drive - np.outer(dvb, m3))[..., None]
-        vb = vb + dvb
-        b = b + dt * (vb - 0.5 * dvb)   # = b + dt/2 (v_old + v_new)
-        out[j + 1] = b
-    return times, out
+    system = macro_mode_system(model, load, mu, W)
+    u0, v0 = np.zeros((2, system.n))
+    u0[:n_macro_modes] = 0.0 if b0_modal is None else b0_modal
+    v0[:n_macro_modes] = 0.0 if v0_modal is None else v0_modal
+    (X, _), _, _, _ = implicit_midpoint(system, u0, v0, T, dt)
+    return np.arange(X.shape[0]) * dt, X

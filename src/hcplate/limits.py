@@ -17,7 +17,7 @@ frequency-dependent effective mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -461,6 +461,22 @@ def modal_system(model: LimitModel, load: LoadSpec) -> ModalSystem:
             - Gy @ (xmom[1] * mac)])
         f_micro = np.zeros((0, cp.nm))
     return ModalSystem(cp, F0, f_micro, load.time_fn(), mac, ell)
+
+
+def macro_mode_system(model: LimitModel, load: LoadSpec, mu: np.ndarray,
+                      W: np.ndarray) -> ModalSystem:
+    """A bending row's modal system projected onto K macro bending modes,
+    each with its own micro modes: W holds the M_b-orthonormal b parts of
+    the bending pencil's modes, mu their values. Mass rho_bar I, stiffness
+    rho_bar diag(mu), micro mass and trace I (K x K), and the modal parts
+    of the loads of b and of the micro modes."""
+    full = modal_system(model, load)
+    cp, eye = full.coupling, sp.eye(len(mu), format="csr")
+    proj = ModalCoupling(M0=model.rho_bar * eye,
+                         K0=sp.diags(model.rho_bar * mu, format="csr"),
+                         Ms=eye, T=eye, eta=cp.eta, means=cp.means)
+    return replace(full, coupling=proj, F0=W.T @ full.F0[model.na:],
+                   f_micro=full.f_micro @ (cp.Ms @ W))
 
 
 def static_micro(model: LimitModel, load: LoadSpec) -> np.ndarray | None:

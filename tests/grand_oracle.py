@@ -1,6 +1,7 @@
 """Test oracle: the monolithic (N+1)-block grand systems of the coupled
 evolutions, their implicit-midpoint sweep, and the memory kernel as an
-explicit discrete Duhamel sum.
+explicit discrete Duhamel sum over the propagator of one implicit-midpoint
+step of each micro oscillator.
 
 The library eliminates the inclusion modes instead of assembling these
 systems (hcplate.coupling); the tests check the structured solves, sweeps
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from hcplate.evolution import _macro_modal_reduction, _oscillator_propagator
+from hcplate.evolution import _macro_modal_reduction
 from hcplate.limits import (LimitModel, LoadSpec, load_moments,
                             micro_modal_loads)
 from hcplate.macro import nodal_traces, scalar_mass
@@ -182,6 +183,20 @@ def _real_time_system(model: LimitModel, load: LoadSpec) -> SecondOrderSystem:
                         for n in range(N)]}
     return SecondOrderSystem(M=M, K=K, F0=F0, time_fn=load.time_fn(),
                              blocks=blocks, meta={"eta": eta, "third": third})
+
+
+def _oscillator_propagator(eta, dt: float):
+    """One implicit-midpoint step of c'' + eta c = g: (c, v) -> P (c, v) +
+    r * (dt * g_mid + d) with d the algebraic drive; vectorized over eta
+    (P (..., 2, 2), r (..., 2))."""
+    eta = np.asarray(eta, dtype=float)
+    s = 0.25 * dt ** 2 * eta
+    g = 1.0 / (1.0 + s)
+    P = np.stack([np.stack([1.0 - 0.5 * dt ** 2 * eta * g,
+                            0.5 * dt * (1.0 + g * (1.0 - s))], -1),
+                  np.stack([-dt * eta * g, g * (1.0 - s)], -1)], -2)
+    r = np.stack([0.5 * dt * g, g], -1)
+    return P, r
 
 
 def memory_kernel_sum(model: LimitModel, load: LoadSpec, T: float, dt: float,

@@ -140,6 +140,12 @@ class TestExitCodes:
          lambda c: c["spectrum"].update(lambda_max=0)),
         ("spectrum", "spectrum.lambda_max",
          lambda c: c["spectrum"].update(lambda_max=-5)),
+        ("tensor", "cell.shape.size",
+         lambda c: c["cell"]["shape"].update(size=0.6)),
+        ("tensor", "cell.shape.size",
+         lambda c: c["cell"]["shape"].update(size=0.5)),
+        ("tensor", "material.nu", lambda c: c["material"].update(nu=-1)),
+        ("tensor", "material.rho0", lambda c: c["material"].update(rho0=0)),
     ])
     def test_bad_value_exits_2_and_names_key_path(self, command, path,
                                                   mutate, tmp_path, capsys):

@@ -131,6 +131,10 @@ def test_shipped_configs_accepted(cfg):
     ({"required": ["n"]}, {"m": 1}),
     ({"propertyNames": {"not": {"enum": ["a"]}}}, {"a": 1}),
     ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 3),
+    ({"exclusiveMaximum": 0.5}, 0.5),
+    ({"exclusiveMaximum": 0.5}, 0.49),
+    ({"exclusiveMaximum": 0.5}, True),      # a bool is no number
+    ({"exclusiveMaximum": 0.5}, float("nan")),
 ])
 def test_keyword_semantics_match_jsonschema(schema, value):
     oracle = validator_for(schema)(schema)

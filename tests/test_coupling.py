@@ -16,9 +16,11 @@ from grand_oracle import (_bending_kron_system, _real_time_system,
 from hcplate import tensors as tn
 from hcplate.bloch import cluster_starts
 from hcplate.coupling import ModalCoupling
-from hcplate.evolution import evolve, evolve_memory_bending, step_count
+from hcplate.evolution import (_macro_modal_reduction, evolve,
+                               evolve_memory_bending, step_count)
 from hcplate.geometry import InclusionShape, build_macro_mesh
 from hcplate.limits import (LoadSpec, RegimeConfig, build_limit_model,
+                            macro_mode_system, modal_system,
                             solve_limit_resolvent)
 
 REFERENCE = Path(__file__).parent / "data" / "resolvent_reference.json"
@@ -122,6 +124,30 @@ class TestAgainstGrandMidpoint:
         _, modal = evolve_memory_bending(*args, **kw)
         _, ref = memory_kernel_sum(*args, **kw)
         assert rel_err(modal, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [2.0, 7.0])
+@pytest.mark.parametrize("load", [
+    LoadSpec(amplitude=(0.0, 0.0, 1.0), macro=lambda x: 1.0 + x[0] * x[1]),
+    LoadSpec(amplitude=(0.5, -0.4, 0.8),
+             macro=lambda x: np.sin(np.pi * x[0]) + x[1],
+             transverse="x3", cell="soft")], ids=["z", "x3_soft"])
+def test_macro_mode_system_is_modal_part_of_resolvent(model_hc, load, lam):
+    # the row decouples along its macro bending modes, each with its own
+    # micro modes, so the projected resolvent is the modal part W^T M_b of
+    # the full one, in b and in every micro mode (the x3 load drives only
+    # micro modes without a mean)
+    mu, W = _macro_modal_reduction(model_hc, 3)
+    proj = macro_mode_system(model_hc, load, mu, W)
+    beta, xi = proj.coupling.shift(lam, 1.0).solve(proj.F0, proj.f_micro)
+    full = modal_system(model_hc, load)
+    cp = full.coupling
+    x, c = cp.shift(lam, 1.0).solve(full.F0, full.f_micro)
+    MW = cp.Ms @ W
+    got = np.vstack([beta, xi])
+    ref = np.vstack([x[model_hc.na:] @ MW, c @ MW])
+    assert abs(ref).max() > 1e-6
+    assert rel_err(got, ref) <= 1e-12
 
 
 def _materials():
