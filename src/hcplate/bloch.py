@@ -40,6 +40,7 @@ from .geometry import (BFS_CARRIES, PARITY_SIGNS, Q1_CARRIES,
 from .memo import memoized
 
 MEAN_ZERO_FACTOR = 1e-7  # weighted mean treated as zero below this * <rho0>
+N_MODES = 30             # the inclusion modes solved where no count is named
 
 
 @dataclass
@@ -65,10 +66,6 @@ class BlochSpectrum:
     @property
     def n_modes(self) -> int:
         return len(self.eigenvalues)
-
-    def coupled(self):
-        keep = [i for i, c in enumerate(self.classification) if c == "coupled"]
-        return self.eigenvalues[keep], self.weighted_means[keep]
 
     def gram_partial_sums(self) -> np.ndarray:
         """S_N = sum_{n<=N} m_n m_n^T, shape (N, k, k)."""
@@ -168,7 +165,8 @@ def mean_load_vectors(pair: SparseOperatorPair, tracked) -> np.ndarray:
 
 @memoized
 def bloch_spectrum(mat: tn.MaterialSpec, shape: InclusionShape, n: int,
-                   operator_tag: str, N: int, delta: float | None = None,
+                   operator_tag: str, N: int = N_MODES,
+                   delta: float | None = None,
                    n_z: int = 4, ws: EigWorkspace | None = None) -> BlochSpectrum:
     """Smallest N eigenpairs of the requested inclusion operator with
     density-weighted means and coupled/uncoupled classification, solved

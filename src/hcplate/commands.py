@@ -41,34 +41,45 @@ def _write_csv(path: Path, header: list[str], rows, chash: str):
 
 
 def _build_context(cfg):
-    from .config import (parse_macro_mesh, parse_material, parse_regime,
-                         parse_shape)
+    from .config import (given, parse_macro_mesh, parse_material,
+                         parse_regime, parse_shape)
     from .fem.system import EigWorkspace
     mat = parse_material(cfg)
     shape = parse_shape(cfg)
     regime = parse_regime(cfg)
     macro_mesh = parse_macro_mesh(cfg)
-    # the solver keys the config sets, under EigWorkspace's names
-    names = {"tol": "tol", "eig_solver": "solver", "seed": "seed"}
-    ws = EigWorkspace(**{names[k]: v for k, v in cfg.get("solver", {}).items()
-                         if k in names})
+    ws = EigWorkspace(**given(cfg.get("solver", {}), "tol", "seed",
+                              eig_solver="solver"))
     return mat, shape, regime, macro_mesh, ws
+
+
+def _resolution(cfg, modes="n_modes"):
+    """The cell's n_z and the mode count (the keyword `modes`) where the
+    config sets them, as keywords of a library call."""
+    from .config import given
+    return {**given(cfg["cell"], "n_z"),
+            **given(cfg.get("solver", {}), n_modes=modes)}
+
+
+def _sampling(cfg):
+    """The dispersion samples' count where the config sets it."""
+    from .config import given
+    return given(cfg.get("spectrum", {}), beta_samples="n_samples")
 
 
 def _model(cfg):
     from .limits import build_limit_model
     mat, shape, regime, macro_mesh, ws = _build_context(cfg)
-    sol = cfg.get("solver", {})
     return build_limit_model(regime, mat, shape, macro_mesh,
-                             cell_n=cfg["cell"]["n"],
-                             n_z=cfg["cell"].get("n_z", 4),
-                             n_modes=sol.get("n_modes", 30), ws=ws)
+                             cell_n=cfg["cell"]["n"], ws=ws,
+                             **_resolution(cfg))
 
 
 def _cell_tensor(cfg, mat, shape, regime):
+    from .config import given
     from .limits import cell_tensor
     return cell_tensor(mat, shape, regime.delta, cfg["cell"]["n"],
-                       cfg["cell"].get("n_z", 4))
+                       **given(cfg["cell"], "n_z"))
 
 
 def _strip_m0(cfg, mat, cell_mesh, ws):
@@ -99,9 +110,7 @@ def cmd_bloch(cfg, out: Path, chash: str) -> int:
     mat, shape, regime, _, ws = _build_context(cfg)
     tag = regime.bloch_operator
     bs = bloch_spectrum(mat, shape, cfg["cell"]["n"], tag,
-                        cfg.get("solver", {}).get("n_modes", 30),
-                        delta=regime.delta, n_z=cfg["cell"].get("n_z", 4),
-                        ws=ws)
+                        delta=regime.delta, ws=ws, **_resolution(cfg, "N"))
     rows = [(i, bs.eigenvalues[i], bs.classification[i],
              *bs.weighted_means[i]) for i in range(bs.n_modes)]
     mean_cols = [f"mean_{c}" for c in bs.tracked]
@@ -120,20 +129,18 @@ def cmd_bloch(cfg, out: Path, chash: str) -> int:
     return EXIT_OK
 
 
-def _zhikov_data(cfg):
+def _dispersion(cfg, mat, shape, regime, ws):
+    """The row's dispersion operator's inclusion spectrum and its Zhikov
+    data."""
     from .bloch import bloch_spectrum
     from .zhikov import zhikov_from_bloch
-    mat, shape, regime, macro_mesh, ws = _build_context(cfg)
-    n = cfg["cell"]["n"]
-    n_modes = cfg.get("solver", {}).get("n_modes", 30)
-    n_z = cfg["cell"].get("n_z", 4)
-    bs = bloch_spectrum(mat, shape, n, regime.dispersion_operator, n_modes,
-                        delta=regime.delta, n_z=n_z, ws=ws)
-    zf = zhikov_from_bloch(bs, mat)
-    return mat, shape, regime, macro_mesh, ws, bs, zf
+    bs = bloch_spectrum(mat, shape, cfg["cell"]["n"],
+                        regime.dispersion_operator, delta=regime.delta,
+                        ws=ws, **_resolution(cfg, "N"))
+    return bs, zhikov_from_bloch(bs, mat)
 
 
-def _beta_samples(zf, n_samples):
+def _beta_samples(zf, n_samples=400):
     """(lambda, beta(lambda)) at the midpoints of n_samples equal cells of
     [0, lambda_max], shapes (L,) and (L, k, k). lambda_max is 1.5 times the
     last pole, which so lies at least lambda_max / (6 n_samples) from every
@@ -148,9 +155,9 @@ def _beta_samples(zf, n_samples):
 
 
 def cmd_zhikov(cfg, out: Path, chash: str) -> int:
-    mat, shape, regime, _, ws, bs, zf = _zhikov_data(cfg)
-    n_samples = cfg.get("spectrum", {}).get("beta_samples", 400)
-    lam, B = _beta_samples(zf, n_samples)
+    mat, shape, regime, _, ws = _build_context(cfg)
+    _, zf = _dispersion(cfg, mat, shape, regime, ws)
+    lam, B = _beta_samples(zf, **_sampling(cfg))
     rows = [(x, *b.ravel()) for x, b in zip(lam, B)]
     k = zf.k
     cols = [f"beta_{i}{j}" for i in range(k) for j in range(k)]
@@ -173,11 +180,11 @@ def _limit_spectrum(cfg):
     from .limits import build_macro_operator
     from .macro import macro_eigs
     from .zhikov import LimitSpectrum, limit_spectrum, zhikov_variant
-    mat, shape, regime, macro_mesh, ws, bs, zf = _zhikov_data(cfg)
-    context = (mat, shape, regime, macro_mesh, ws)
+    context = mat, shape, regime, macro_mesh, ws = _build_context(cfg)
     spec_cfg = cfg.get("spectrum", {})
     cell_mesh, tensor = _cell_tensor(cfg, mat, shape, regime)
-    op = build_macro_operator(regime, tensor, macro_mesh, zf.rho_bar)
+    rho_bar = mat.mean_density(cell_mesh.soft_area_fraction())
+    op = build_macro_operator(regime, tensor, macro_mesh, rho_bar)
     mu_w, modes = macro_eigs(op, spec_cfg.get("n_macro", 8), ws)
     strip = _strip_m0(cfg, mat, cell_mesh, ws) \
         if regime.delta == np.inf else None
@@ -198,9 +205,10 @@ def _limit_spectrum(cfg):
     # the scalar beta of the limit spectrum: membrane rows keep every
     # in-plane mean (limit_spectrum checks that beta is scalar), modes on b
     # couple through the transverse mean alone
+    bs, zf = _dispersion(cfg, mat, shape, regime, ws)
     zs = zf if regime.row.modes_on == "a" else zhikov_variant(
         bs, mat, components=(bs.weighted_means.shape[1] - 1,))
-    spec = limit_spectrum(zs, zf.rho_bar * mu_w,
+    spec = limit_spectrum(zs, rho_bar * mu_w,
                           lambda_max=spec_cfg.get("lambda_max"),
                           m0=None if strip is None else strip[0],
                           meta={"macro_eigs": mu_w.tolist()})
@@ -236,8 +244,7 @@ def cmd_spectrum(cfg, out: Path, chash: str) -> int:
     if zs is None:
         return EXIT_OK
     # beta is scalar here (limit_spectrum checked it): write tr(beta) / k
-    n_samples = cfg.get("spectrum", {}).get("beta_samples", 400)
-    lam, B = _beta_samples(zs, n_samples)
+    lam, B = _beta_samples(zs, **_sampling(cfg))
     _write_csv(out / "dispersion.csv", ["lambda", "beta"],
                zip(lam, np.trace(B, axis1=1, axis2=2) / zs.k), chash)
     return EXIT_OK
@@ -310,7 +317,7 @@ def cmd_evolve(cfg, out: Path, chash: str) -> int:
 
 
 def cmd_validate(cfg, out: Path, chash: str) -> int:
-    from .config import parse_regime
+    from .config import given, parse_regime
     from .finescale import build_fine_problem, fine_eigs
     from .geometry import ConfigurationError
     regime = parse_regime(cfg)
@@ -334,8 +341,7 @@ def cmd_validate(cfg, out: Path, chash: str) -> int:
             epsilon=eps, mu_scaling="eps", tau=0, parity="memb",
             L1=macro_mesh.lengths[0], L2=macro_mesh.lengths[1],
             gamma=macro_mesh.gamma,
-            **{k: vcfg[k] for k in ("cells_per_eps", "n_z", "budget")
-               if k in vcfg})
+            **given(vcfg, "cells_per_eps", "n_z", "budget"))
         w = fine_eigs(fp, n_eigs, ws)[0]
         dists = [float(np.min(np.abs(pts - x))) for x in w]
         nearest = [float(pts[np.argmin(np.abs(pts - x))]) for x in w]

@@ -16,132 +16,91 @@ from .limits import ROWS, LoadSpec, RegimeConfig
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NUM_OR_INF = {"oneOf": [_NUM, {"const": "inf"}]}
-# a Voigt tensor: {"isotropic": {"lambda", "mu"}} or its 21 upper-triangle
-# entries (required and properties bind objects alone, the item keywords
-# arrays alone)
-_TENSOR = {
-    "type": ["object", "array"],
-    "required": ["isotropic"],
-    "properties": {"isotropic": {"type": "object",
-                                 "required": ["lambda", "mu"],
-                                 "properties": {"lambda": _NUM, "mu": _NUM}}},
-    "minItems": 21, "maxItems": 21, "items": _NUM,
-}
-# an inline material, or (a string) the path of a file that holds one
-_MATERIAL = {
-    "type": ["string", "object"],
-    "required": ["C0", "C1"],
-    "properties": {"C0": _TENSOR, "C1": _TENSOR,
-                   "rho0": _POS, "rho1": _POS, "nu": _POS},
-}
 
-SCHEMA = {
-    "type": "object",
-    "required": ["material", "cell", "regime"],
-    "properties": {
-        "material": _MATERIAL,
-        "cell": {
-            "type": "object",
-            "required": ["n"],
-            "properties": {
-                "shape": {
-                    "type": ["null", "object"],
-                    "required": ["kind", "size"],
-                    "properties": {
-                        "kind": {"enum": ["disk", "square"]},
-                        "size": {**_POS, "exclusiveMaximum": 0.5},
-                        "center": {"type": "array", "minItems": 2,
-                                   "maxItems": 2, "items": _NUM},
-                    },
-                },
-                "n": {"type": "integer", "minimum": 4},
-                "n_z": {"type": "integer", "minimum": 2},
-                "dump": {"type": "boolean"},
-            },
-        },
-        "regime": {
-            "type": "object",
-            "required": ["delta", "mu", "tau"],
-            "properties": {
-                "delta": _NUM_OR_INF,
-                "mu": {"enum": sorted({r.mu for r in ROWS.values()})},
-                "tau": {"enum": sorted({r.tau for r in ROWS.values()})},
-                "kappa": _NUM_OR_INF,
-            },
-        },
-        "macro": {
-            "type": "object",
-            "properties": {
-                "L1": _POS, "L2": _POS,
-                "n1": {"type": "integer", "minimum": 2},
-                "n2": {"type": "integer", "minimum": 2},
-                "gamma": {"type": "array", "minItems": 1, "items": {
-                    "enum": ["left", "right", "bottom", "top"]}},
-            },
-        },
-        "solver": {
-            "type": "object",
-            "properties": {
-                "n_modes": {"type": "integer", "minimum": 1},
-                "tol": _POS,
-                "seed": {"type": "integer"},
-                "eig_solver": {"enum": ["auto", "dense", "shift-invert"]},
-            },
-            # removed knobs are refused by name, never silently ignored
-            "propertyNames": {"not": {"enum": ["dense_threshold"]}},
-        },
-        # the row fixes the Bloch operator; the override is refused by name
-        "bloch": {"type": "object",
-                  "propertyNames": {"not": {"enum": ["operator"]}}},
-        "spectrum": {
-            "type": "object",
-            "properties": {
-                "n_macro": {"type": "integer", "minimum": 1},
-                "lambda_max": {"type": ["number", "null"],
-                               "exclusiveMinimum": 0},
-                "eta_max": _POS,
-                "eta_points": {"type": "integer", "minimum": 2},
-                "beta_samples": {"type": "integer", "minimum": 2},
-            },
-        },
-        "load": {
-            "type": "object",
-            "properties": {
-                "amplitude": {"type": "array", "minItems": 3, "maxItems": 3,
-                              "items": _NUM},
-                "macro": {"type": "object", "properties": {
-                    "kind": {"enum": ["one", "sine"]},
-                    "k1": _NUM, "k2": _NUM, "L1": _NUM, "L2": _NUM}},
-                "transverse": {"enum": ["one", "x3"]},
-                "cell": {"enum": ["one", "soft"]},
-                "time": {"type": "object", "properties": {
-                    "kind": {"enum": ["one", "sin"]}, "omega": _NUM}},
-            },
-        },
-        "resolvent": {
-            "type": "object",
-            "properties": {"lambda": _POS},
-        },
-        "evolve": {
-            "type": "object",
-            "properties": {
-                "variant": {"enum": list(ROWS)},   # optional echo of the row
-                "T": _POS, "dt": _POS,
-            },
-        },
-        "validate": {
-            "type": "object",
-            "properties": {
-                "eps": {"type": "array", "items": _POS},
-                "h": _POS,
-                "cells_per_eps": {"type": "integer", "minimum": 2},
-                "n_z": {"type": "integer", "minimum": 2},
-                "n_eigs": {"type": "integer", "minimum": 1},
-                "budget": {"type": "integer", "minimum": 1},
-            },
-        },
-    },
-}
+
+def _object(properties, required=(), kinds="object", **more):
+    """An object schema that lists its keys: a key outside `properties` is
+    refused. `kinds` may admit other types too, which the object keywords
+    do not bind, and `more` adds keywords of those types."""
+    return {"type": kinds, "required": list(required),
+            "properties": properties, "additionalProperties": False, **more}
+
+
+# a Voigt tensor: {"isotropic": {"lambda", "mu"}} or its 21 upper-triangle
+# entries
+_TENSOR = _object({"isotropic": _object({"lambda": _NUM, "mu": _NUM},
+                                        ["lambda", "mu"])},
+                  ["isotropic"], ["object", "array"],
+                  minItems=21, maxItems=21, items=_NUM)
+# an inline material, or (a string) the path of a file that holds one
+_MATERIAL = _object({"C0": _TENSOR, "C1": _TENSOR,
+                     "rho0": _POS, "rho1": _POS, "nu": _POS},
+                    ["C0", "C1"], ["string", "object"])
+
+SCHEMA = _object({
+    "material": _MATERIAL,
+    "cell": _object({
+        "shape": _object({
+            "kind": {"enum": ["disk", "square"]},
+            "size": {**_POS, "exclusiveMaximum": 0.5},
+            "center": {"type": "array", "minItems": 2, "maxItems": 2,
+                       "items": _NUM},
+        }, ["kind", "size"], ["null", "object"]),
+        "n": {"type": "integer", "minimum": 4},
+        "n_z": {"type": "integer", "minimum": 2},
+        "dump": {"type": "boolean"},
+    }, ["n"]),
+    "regime": _object({
+        "delta": _NUM_OR_INF,
+        "mu": {"enum": sorted({r.mu for r in ROWS.values()})},
+        "tau": {"enum": sorted({r.tau for r in ROWS.values()})},
+        "kappa": _NUM_OR_INF,
+    }, ["delta", "mu", "tau"]),
+    "macro": _object({
+        "L1": _POS, "L2": _POS,
+        "n1": {"type": "integer", "minimum": 2},
+        "n2": {"type": "integer", "minimum": 2},
+        "gamma": {"type": "array", "minItems": 1, "items": {
+            "enum": ["left", "right", "bottom", "top"]}},
+    }),
+    "solver": _object({
+        "n_modes": {"type": "integer", "minimum": 1},
+        "tol": _POS,
+        "seed": {"type": "integer"},
+        "eig_solver": {"enum": ["auto", "dense", "shift-invert"]},
+    }),
+    # the row fixes the Bloch operator, so the section has no keys left
+    "bloch": _object({}),
+    "spectrum": _object({
+        "n_macro": {"type": "integer", "minimum": 1},
+        "lambda_max": {"type": ["number", "null"], "exclusiveMinimum": 0},
+        "eta_max": _POS,
+        "eta_points": {"type": "integer", "minimum": 2},
+        "beta_samples": {"type": "integer", "minimum": 2},
+    }),
+    "load": _object({
+        "amplitude": {"type": "array", "minItems": 3, "maxItems": 3,
+                      "items": _NUM},
+        "macro": _object({"kind": {"enum": ["one", "sine"]},
+                          "k1": _NUM, "k2": _NUM, "L1": _NUM, "L2": _NUM}),
+        "transverse": {"enum": ["one", "x3"]},
+        "cell": {"enum": ["one", "soft"]},
+        "time": _object({"kind": {"enum": ["one", "sin"]}, "omega": _NUM}),
+    }),
+    "resolvent": _object({"lambda": _POS}),
+    "evolve": _object({
+        "variant": {"enum": list(ROWS)},   # optional echo of the row
+        "T": _POS, "dt": _POS,
+    }),
+    "validate": _object({
+        "eps": {"type": "array", "items": _POS},
+        "h": _POS,
+        "cells_per_eps": {"type": "integer", "minimum": 2},
+        "n_z": {"type": "integer", "minimum": 2},
+        "n_eigs": {"type": "integer", "minimum": 1},
+        "budget": {"type": "integer", "minimum": 1},
+    }),
+}, ["material", "cell", "regime"])
 
 
 def _num(value):
@@ -177,7 +136,6 @@ _LEAF = {
     "const": (lambda a, v: _same(v, a), "{v!r} is not {a!r}"),
     "oneOf": (lambda a, v: sum(_valid(s, v) for s in a) == 1,
               "{v!r} is not exactly one of {a!r}"),
-    "not": (lambda a, v: not _valid(a, v), "{v!r} is not allowed"),
     "minimum": (lambda a, v: not (_is("number", v) and v < a),
                 "{v!r} is less than the minimum of {a!r}"),
     "exclusiveMinimum": (lambda a, v: not (_is("number", v) and v <= a),
@@ -189,7 +147,8 @@ _LEAF = {
     "maxItems": (lambda a, v: not (isinstance(v, list) and len(v) > a),
                  "{v!r} has more than {a} items"),
 }
-KEYWORDS = {*_LEAF, "required", "properties", "propertyNames", "items"}
+KEYWORDS = {*_LEAF, "required", "properties", "additionalProperties",
+            "items"}
 
 
 def violations(schema, value, path=()):
@@ -210,9 +169,10 @@ def violations(schema, value, path=()):
             for k, sub in arg.items():
                 if k in value:
                     yield from violations(sub, value[k], (*path, k))
-        elif word == "propertyNames" and isinstance(value, dict):
-            for k in value:
-                yield from violations(arg, k, (*path, k))
+        elif word == "additionalProperties" and isinstance(value, dict):
+            # SCHEMA closes its objects (arg is false): refuse the others
+            yield from (((*path, k), "unknown key") for k in value
+                        if k not in schema.get("properties", {}))
 
 
 def _valid(schema, value):
@@ -246,6 +206,16 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def given(node: dict, *keys, **renamed) -> dict:
+    """The keys of config section `node` that the config sets, as keyword
+    arguments (a JSON array as a tuple): each of `keys` under its own
+    name, each key of `renamed` under the name it maps to. A key the config
+    leaves out passes nothing, so the library's default holds."""
+    names = {**{k: k for k in keys}, **renamed}
+    return {names[k]: tuple(v) if isinstance(v, list) else v
+            for k, v in node.items() if k in names}
+
+
 def parse_material(cfg: dict) -> tn.MaterialSpec:
     node = cfg["material"]
     if isinstance(node, str):
@@ -265,7 +235,7 @@ def parse_shape(cfg: dict) -> InclusionShape | None:
     if node is None:
         return None
     return InclusionShape(kind=node["kind"], size=float(node["size"]),
-                          center=tuple(node.get("center", (0.5, 0.5))))
+                          **given(node, "center"))
 
 
 def parse_regime(cfg: dict) -> RegimeConfig:
@@ -280,7 +250,7 @@ def parse_macro_mesh(cfg: dict):
     node = cfg.get("macro", {})
     return build_macro_mesh(node.get("L1", 1.0), node.get("L2", 1.0),
                             node.get("n1", 8), node.get("n2", 8),
-                            tuple(node.get("gamma", ("left",))))
+                            **given(node, gamma="gamma_spec"))
 
 
 def _macro_profile(node):
@@ -303,28 +273,7 @@ def _time_profile(node):
 
 def parse_load(cfg: dict) -> LoadSpec:
     node = cfg.get("load", {})
-    return LoadSpec(
-        amplitude=tuple(node.get("amplitude", (0.0, 0.0, 1.0))),
-        macro=_macro_profile(node.get("macro")),
-        transverse=node.get("transverse", "one"),
-        cell=node.get("cell", "one"),
-        time=_time_profile(node.get("time")),
-    )
+    return LoadSpec(macro=_macro_profile(node.get("macro")),
+                    time=_time_profile(node.get("time")),
+                    **given(node, "amplitude", "transverse", "cell"))
 
-
-DEMO_CONFIG = {
-    "material": {
-        "C0": {"isotropic": {"lambda": 1.0, "mu": 1.0}},
-        "C1": {"isotropic": {"lambda": 1.0, "mu": 1.0}},
-        "rho0": 1.0, "rho1": 1.0, "nu": 0.2,
-    },
-    "cell": {"shape": {"kind": "disk", "size": 0.26}, "n": 16, "n_z": 4},
-    "regime": {"delta": 1.0, "mu": "eps", "tau": 0},
-    "macro": {"L1": 1.0, "L2": 1.0, "n1": 8, "n2": 8, "gamma": ["left"]},
-    "solver": {"n_modes": 50},
-    "spectrum": {"n_macro": 8, "eta_max": 20.0, "eta_points": 81},
-    "load": {"amplitude": [0.0, 0.0, 1.0]},
-    "resolvent": {"lambda": 2.0},
-    "evolve": {"variant": "real_time", "T": 1.0, "dt": 0.001},
-    "validate": {"eps": [0.5, 0.25], "cells_per_eps": 8, "n_z": 4, "n_eigs": 3},
-}

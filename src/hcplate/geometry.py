@@ -99,12 +99,6 @@ class GridMesh:
     cut: tuple[bool, bool] = (False, False)
 
     @cached_property
-    def inclusion_interior_nodes(self) -> np.ndarray:
-        """Nodes of soft elements alone."""
-        return np.setdiff1d(self.elements[self.element_soft],
-                            self.elements[~self.element_soft])
-
-    @cached_property
     def inclusion_boundary_nodes(self) -> np.ndarray:
         """Nodes of both soft and stiff elements."""
         return np.intersect1d(self.elements[self.element_soft],

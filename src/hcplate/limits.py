@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import tensors as tn
-from .bloch import BlochSpectrum, bloch_spectrum
+from .bloch import N_MODES, BlochSpectrum, bloch_spectrum
 from .coupling import ModalCoupling
 from .effective import (EffectiveTensor, effective_delta, effective_delta0,
                         effective_deltainf)
@@ -385,7 +385,7 @@ def build_macro_operator(regime: RegimeConfig, tensor: EffectiveTensor,
 
 def build_limit_model(regime: RegimeConfig, mat: tn.MaterialSpec,
                       shape: InclusionShape, macro_mesh: GridMesh,
-                      cell_n: int = 16, n_z: int = 4, n_modes: int = 30,
+                      cell_n: int = 16, n_z: int = 4, n_modes: int = N_MODES,
                       ws: EigWorkspace | None = None) -> LimitModel:
     """Assemble the regime-appropriate tensors, modal basis, and macro
     operators on the given meshes."""
@@ -394,8 +394,7 @@ def build_limit_model(regime: RegimeConfig, mat: tn.MaterialSpec,
     bs = bloch_spectrum(mat, shape, cell_n, regime.bloch_operator, n_modes,
                         delta=delta, n_z=n_z, ws=ws)
 
-    frac = cell_mesh.soft_area_fraction()
-    rho_bar = mat.rho1 * (1.0 - frac) + mat.rho0 * frac
+    rho_bar = mat.mean_density(cell_mesh.soft_area_fraction())
     op = build_macro_operator(regime, tensor, macro_mesh, rho_bar)
     # the static micro field's modes (bs itself when the tags agree)
     tag = regime.row.static_bloch

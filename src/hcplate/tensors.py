@@ -110,6 +110,11 @@ class MaterialSpec:
             if not check_coercivity(C, self.nu).passed:
                 raise ValueError(f"{name} fails the coercivity check at nu={self.nu}")
 
+    def mean_density(self, soft_fraction: float) -> float:
+        """<rho> = rho1 |Y1| + rho0 |Y0| of a cell whose inclusion Y0 takes
+        `soft_fraction` of its area."""
+        return self.rho1 * (1.0 - soft_fraction) + self.rho0 * soft_fraction
+
 
 def voigt_signs(axis: int) -> np.ndarray:
     """Sign of each Voigt entry (11, 22, 33, 23, 13, 12) under the mirror of
@@ -146,10 +151,9 @@ def _tensor_from_json(node) -> np.ndarray:
 
 
 def material_from_dict(d: dict) -> MaterialSpec:
-    return MaterialSpec(
-        C0=_tensor_from_json(d["C0"]),
-        C1=_tensor_from_json(d["C1"]),
-        rho0=float(d.get("rho0", 1.0)),
-        rho1=float(d.get("rho1", 1.0)),
-        nu=float(d.get("nu", 0.1)),
-    )
+    """The material of its JSON object; a density or nu it leaves out keeps
+    MaterialSpec's default."""
+    return MaterialSpec(C0=_tensor_from_json(d["C0"]),
+                        C1=_tensor_from_json(d["C1"]),
+                        **{k: float(d[k]) for k in ("rho0", "rho1", "nu")
+                           if k in d})

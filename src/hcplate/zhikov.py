@@ -89,10 +89,9 @@ def zhikov_variant(bs: BlochSpectrum, mat, components=None) -> ZhikovFunction:
     labels = _classify(bs.eigenvalues, means, bs.rho0_area_mass)
     keep = np.array(labels) == "coupled"
     frac = bs.mesh.soft_area_fraction()
-    rho_bar = mat.rho1 * (1.0 - frac) + mat.rho0 * frac
     variant = {1: "bend", 2: "memb", 3: "full"}[len(comps)]
     return ZhikovFunction(variant=variant, poles=bs.eigenvalues[keep],
-                          means=means[keep], rho_bar=rho_bar,
+                          means=means[keep], rho_bar=mat.mean_density(frac),
                           rho1_mass=mat.rho1 * (1.0 - frac),
                           uncoupled=bs.eigenvalues[~keep],
                           truncation=bs.n_modes)

@@ -280,7 +280,7 @@ class TestCompleteness:
         # centered disk + isotropic material: the coupled-mode Gram matrix
         # is a multiple of the identity
         bs = demo_bloch_memb
-        _, means = bs.coupled()
+        means = bs.weighted_means[np.array(bs.classification) == "coupled"]
         G = means.T @ means
         assert abs(G[0, 0] - G[1, 1]) < 1e-6 * abs(G).max()
         assert abs(G[0, 1]) < 1e-6 * abs(G).max()

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,6 @@ import scipy.linalg
 from hcplate import memo
 from hcplate import tensors as tn
 from hcplate.cli import main
-from hcplate.config import DEMO_CONFIG
 from hcplate.evolution import evolve
 from hcplate.geometry import (ConfigurationError, InclusionShape,
                               build_cell_mesh)
@@ -23,7 +23,7 @@ with open(os.path.join(CONFIGS, "demo.json")) as fh:
     DEMO = json.load(fh)
 
 TINY = {
-    "material": DEMO_CONFIG["material"],
+    "material": DEMO["material"],
     "cell": {"shape": {"kind": "disk", "size": 0.26}, "n": 8, "n_z": 4},
     "regime": {"delta": 1.0, "mu": "eps", "tau": 0},
     "macro": {"L1": 1.0, "L2": 1.0, "n1": 4, "n2": 4, "gamma": ["left"]},
@@ -99,7 +99,8 @@ class TestExitCodes:
                                 {"y1": "inclusion not mirror-symmetric"})
 
     def test_removed_solver_knob_refused(self, tmp_path, capsys):
-        # a removed solver knob is refused by name, never silently ignored
+        # a removed solver knob is refused by the closed solver section,
+        # never silently ignored
         bad = json.loads(json.dumps(TINY))
         bad["solver"]["dense_threshold"] = 4000
         cfg = write_cfg(tmp_path, bad)
@@ -168,6 +169,27 @@ class TestExitCodes:
         assert "config schema violation at material.nu: " in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, mutate", [
+        ("cell.nz", lambda c: c["cell"].update(nz=2)),
+        ("solver.n_mode", lambda c: c["solver"].update(n_mode=5)),
+        ("load.macro.k3",
+         lambda c: c["load"].update(macro={"kind": "sine", "k3": 2})),
+        ("regimes", lambda c: c.update(regimes=[])),
+        ("material.rho2", lambda c: c.update(material="mat.json")),
+    ])
+    def test_unknown_key_exits_2_and_names_key_path(self, path, mutate,
+                                                    tmp_path, capsys):
+        # a misspelt key is refused at load, never silently dropped for
+        # the library's default
+        mat = dict(DEMO["material"], rho2=1.0)
+        (tmp_path / "mat.json").write_text(json.dumps(mat))
+        bad = json.loads(json.dumps(TINY))
+        mutate(bad)
+        cfg = write_cfg(tmp_path, bad)
+        assert main(["tensor", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"config schema violation at {path}: unknown key" in \
+            capsys.readouterr().err
+
     def test_refusals_raise_configuration_error(self, demo_material,
                                                 demo_shape, demo_macro_mesh):
         # one exception type for the refusals that exit 2
@@ -200,7 +222,7 @@ class TestExitCodes:
 
     def test_bloch_operator_refused(self, tmp_path, capsys):
         # the row fixes the Bloch operator; the removed override is
-        # refused by name, never silently ignored
+        # refused by the closed bloch section, never silently ignored
         bad = json.loads(json.dumps(TINY))
         bad["bloch"] = {"operator": "memb_delta"}
         cfg = write_cfg(tmp_path, bad)
@@ -437,6 +459,58 @@ class TestOutputs:
         spec = json.loads((out / "limit_spectrum.json").read_text())
         assert all(p["kind"] == "macro_eigenvalue" for p in spec["points"])
         assert spec["gaps"] == [] and spec["intervals"] == []
+
+    def test_plate_row_spectrum_solves_no_inclusion_spectrum(
+            self, tmp_path, monkeypatch, fresh_memo):
+        # the plate row's limit spectrum needs only <rho> of the cell, not
+        # the inclusion modes of its dispersion operator
+        from hcplate import bloch
+        calls = []
+        solve = bloch.eigs_by_class
+        monkeypatch.setattr(bloch, "eigs_by_class",
+                            lambda *a, **k: calls.append(1) or solve(*a, **k))
+        plate = json.loads(json.dumps(TINY))
+        plate["regime"] = {"delta": 1.0, "mu": "eps", "tau": 2}
+        assert main(["spectrum", "--config", write_cfg(tmp_path, plate),
+                     "--out", str(tmp_path), "--quiet"]) == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("set_keys", [False, True])
+    def test_commands_pass_only_the_keys_a_config_sets(self, set_keys,
+                                                       tmp_path, monkeypatch):
+        # n_z and the mode count reach the library from commands only when
+        # the config sets them, so each default is stated once, there
+        from hcplate import bloch, limits
+        passed = {}
+
+        def spy(module, name):
+            real = getattr(module, name)
+            sig = inspect.signature(real)
+
+            def call(*args, **kwargs):
+                if sys._getframe(1).f_globals["__name__"] \
+                        == "hcplate.commands":
+                    passed.setdefault(name, set()).update(
+                        sig.bind(*args, **kwargs).arguments)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, call)
+
+        for module, name in ((limits, "build_limit_model"),
+                             (limits, "cell_tensor"),
+                             (bloch, "bloch_spectrum")):
+            spy(module, name)
+        cfg = json.loads(json.dumps(TINY))
+        if not set_keys:
+            del cfg["cell"]["n_z"], cfg["solver"]["n_modes"]
+        for cmd in ("tensor", "bloch", "evolve"):
+            assert main([cmd, "--config", write_cfg(tmp_path, cfg),
+                         "--out", str(tmp_path), "--quiet"]) == 0
+        keys = {"build_limit_model": {"n_z", "n_modes"},
+                "cell_tensor": {"n_z"}, "bloch_spectrum": {"n_z", "N"}}
+        assert set(passed) == set(keys)
+        for name, names in keys.items():
+            assert (names <= passed[name]) if set_keys \
+                else not names & passed[name]
 
     def test_single_mode_schema_valid(self, tmp_path):
         one = json.loads(json.dumps(TINY))

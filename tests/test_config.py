@@ -3,7 +3,9 @@ accepts exactly the configs `validator_for(SCHEMA)` accepts, and it
 implements every keyword SCHEMA uses."""
 
 import copy
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,17 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
-from hcplate.config import DEMO_CONFIG, KEYWORDS, SCHEMA, violations
+from hcplate.config import KEYWORDS, SCHEMA, violations
 
-CONFIGS = Path(__file__).parent.parent / "configs"
-SHIPPED = [json.loads((CONFIGS / f"{name}.json").read_text())
+ROOT = Path(__file__).parent.parent
+SHIPPED = [json.loads((ROOT / "configs" / f"{name}.json").read_text())
            for name in ("demo", "demo_bending", "demo_deltainf")]
 ORACLE = validator_for(SCHEMA)(SCHEMA)
 
 # the keywords whose argument holds subschemas, and how to list them
 SUBSCHEMAS = {"properties": dict.values, "oneOf": list,
-              "items": lambda s: [s], "not": lambda s: [s],
-              "propertyNames": lambda s: [s]}
+              "items": lambda s: [s]}
 
 
 def schema_keywords(schema):
@@ -33,17 +34,16 @@ def schema_keywords(schema):
 
 
 def schema_keys(schema):
-    """Every key SCHEMA names as a property or as a refused name."""
+    """Every key SCHEMA names as a property."""
     for word, arg in schema.items():
         if word in ("properties", "required"):
             yield from arg
-        if word == "propertyNames":
-            yield from arg["not"]["enum"]
         for sub in SUBSCHEMAS.get(word, lambda a: [])(arg):
             yield from schema_keys(sub)
 
 
-KEYS = sorted({*schema_keys(SCHEMA), "bogus"})
+KEYS = sorted({*schema_keys(SCHEMA), "bogus", "operator",
+               "dense_threshold"})
 
 # wrong types, bools, values at and past each bound, enum members of other
 # keys, and small arrays and objects (copied: a config mutates its values)
@@ -83,8 +83,7 @@ def subschemas(schema, path=""):
 
 def test_every_array_and_object_is_typed():
     # a key cannot arrive untyped: an array schema types its items, and an
-    # object schema lists its properties; the bloch section exists only to
-    # refuse bloch.operator
+    # object schema lists its properties and refuses every other key
     untyped = []
     for path, schema in subschemas(SCHEMA):
         kinds = schema.get("type", [])
@@ -92,8 +91,8 @@ def test_every_array_and_object_is_typed():
         if "array" in kinds and not {"type", "enum", "const", "oneOf"} \
                 & set(schema.get("items", {})):
             untyped.append(path)
-        if "object" in kinds and "properties" not in schema \
-                and path != "bloch":
+        if "object" in kinds and ("properties" not in schema or
+                                  schema.get("additionalProperties") is not False):
             untyped.append(path)
     assert untyped == []
 
@@ -103,15 +102,39 @@ def test_schema_uses_only_implemented_keywords():
     # one it knows that SCHEMA no longer uses is dead code
     pairs = list(schema_keywords(SCHEMA))
     assert {word for word, _ in pairs} == KEYWORDS
+    # additionalProperties is implemented for false alone
+    assert {arg for word, arg in pairs
+            if word == "additionalProperties"} == {False}
     # enum and const compare scalars only: true is not 1 inside no array
     members = [m for word, arg in pairs if word in ("enum", "const")
                for m in (arg if word == "enum" else [arg])]
     assert not any(isinstance(m, (list, dict)) for m in members)
 
 
-@pytest.mark.parametrize("cfg", SHIPPED + [DEMO_CONFIG])
+@pytest.mark.parametrize("cfg", SHIPPED)
 def test_shipped_configs_accepted(cfg):
     assert accepted(cfg) and ORACLE.is_valid(cfg)
+
+
+def benchmark_configs():
+    """The benchmark's copies of the shipped configs, and the config of
+    every operation its workloads run at seeds 0-3."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads   # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    yield from (json.loads(p.read_text())
+                for p in sorted(workloads.CONFIG_DIR.glob("*.json")))
+    yield from (op.config for name in workloads.WORKLOADS
+                for seed in range(4) for op in workloads.build(name, seed))
+
+
+def test_benchmark_configs_accepted():
+    # a key the closed schema refuses would make a benchmark operation
+    # exit 2 instead of timing it
+    for cfg in benchmark_configs():
+        assert accepted(cfg) and ORACLE.is_valid(cfg)
 
 
 @pytest.mark.parametrize("schema, value", [
@@ -129,12 +152,18 @@ def test_shipped_configs_accepted(cfg):
     ({"exclusiveMinimum": 0}, 0),
     ({"minItems": 2}, {"a": 1}),
     ({"required": ["n"]}, {"m": 1}),
-    ({"propertyNames": {"not": {"enum": ["a"]}}}, {"a": 1}),
+    ({"properties": {"b": {}}, "additionalProperties": False}, {"a": 1}),
     ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 3),
     ({"exclusiveMaximum": 0.5}, 0.5),
     ({"exclusiveMaximum": 0.5}, 0.49),
     ({"exclusiveMaximum": 0.5}, True),      # a bool is no number
     ({"exclusiveMaximum": 0.5}, float("nan")),
+    ({"properties": {"a": {}}, "additionalProperties": False}, {"a": 1}),
+    ({"properties": {}, "additionalProperties": False}, {}),
+    ({"properties": {}, "additionalProperties": False}, {"a": 1}),
+    ({"additionalProperties": False}, [1]),  # binds objects alone
+    ({"type": ["string", "object"], "properties": {"a": {}},
+      "additionalProperties": False}, "b"),
 ])
 def test_keyword_semantics_match_jsonschema(schema, value):
     oracle = validator_for(schema)(schema)

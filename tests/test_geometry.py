@@ -85,7 +85,10 @@ class TestCellMesh:
 
     def test_inclusion_node_sets_partition(self):
         mesh = build_cell_mesh(InclusionShape("disk", 0.3), n=16)
-        interior = set(mesh.inclusion_interior_nodes)
+        # nodes of soft elements alone
+        soft = mesh.element_soft
+        interior = set(np.setdiff1d(mesh.elements[soft],
+                                    mesh.elements[~soft]))
         boundary = set(mesh.inclusion_boundary_nodes)
         assert interior and boundary and not interior & boundary
         # interior nodes only touch soft elements

@@ -294,7 +294,9 @@ class TestDelta0Branches:
         dof = st.meta["b_cell_dof"]
         full = dof.expand(st.b_cell)
         # the artificial normalization: b vanishes on the soft interior
-        interior = model.cell_mesh.inclusion_interior_nodes
+        mesh = model.cell_mesh
+        interior = np.setdiff1d(mesh.elements[mesh.element_soft],
+                                mesh.elements[~mesh.element_soft])
         assert abs(full[interior]).max() < 1e-14
         assert abs(full).max() > 0
 
